@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check build test lint lint-json lint-sarif lint-race escapegate bcegate inlinegate lint-gates race trace-smoke bench bench-kernels bench-smoke bench-gate fuzz-smoke conform conform-full report-smoke load-smoke fmt
+.PHONY: check build test lint lint-json lint-sarif lint-race escapegate bcegate inlinegate lint-gates race trace-smoke bench bench-kernels bench-smoke bench-gate bench-harness fuzz-smoke conform conform-full report-smoke load-smoke fmt
 
 ## check: run the full CI gate (fmt, vet, build, lint, test, race, fuzz)
 check:
@@ -79,6 +79,10 @@ bench-smoke:
 ## bench-gate: kernel sweep vs recorded BENCH_3.json, exit 1 on >10% regression
 bench-gate:
 	./scripts/bench.sh -compare BENCH_3.json
+
+## bench-harness: vet and test the benchmark/ module (own go.mod, skipped by ./...)
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 ## fuzz-smoke: short fuzz run on the gen/ingest parsers + conformance
 fuzz-smoke:

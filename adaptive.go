@@ -17,9 +17,10 @@ const AdaptiveName = "ADAPTIVE"
 // profile the first arrivals of a window.
 const adaptiveSample = 4096
 
-// resolveAdaptive profiles the inputs and returns the concrete algorithm
-// the decision tree recommends, along with the advice for explainability.
-func resolveAdaptive(r, s Relation, cfg Config) (string, Advice) {
+// resolveAdaptive profiles the inputs, whose timestamps count from baseTS,
+// and returns the concrete algorithm the decision tree recommends, along
+// with the advice for explainability.
+func resolveAdaptive(r, s Relation, cfg Config, baseTS int64) (string, Advice) {
 	threads := cfg.Threads
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
@@ -41,20 +42,17 @@ func resolveAdaptive(r, s Relation, cfg Config) (string, Advice) {
 		// tuple counts over the window instead.
 		window := cfg.WindowMs
 		if window <= 0 {
-			window = r.MaxTS()
-			if m := s.MaxTS(); m > window {
-				window = m
-			}
+			window = max(r.MaxTS(), s.MaxTS()) - baseTS
 		}
 		if window < 1 {
 			window = 1
 		}
 		p.RateR = float64(len(r)) / float64(window)
 		p.RateS = float64(len(s)) / float64(window)
-		if len(r) > 1 && r.MaxTS() == 0 {
+		if len(r) > 1 && r.MaxTS() <= baseTS {
 			p.RateR = RateInfinite
 		}
-		if len(s) > 1 && s.MaxTS() == 0 {
+		if len(s) > 1 && s.MaxTS() <= baseTS {
 			p.RateS = RateInfinite
 		}
 	}

@@ -24,14 +24,14 @@ func TestAdaptiveDispatchesByWorkload(t *testing.T) {
 	// Static high-duplication data (DEBS-like) must land on a lazy
 	// sort-based algorithm.
 	highDupe := MicroStatic(60000, 60000, 200, 0, 23)
-	name, adv := resolveAdaptive(highDupe.R, highDupe.S, Config{AtRest: true, Threads: 8})
+	name, adv := resolveAdaptive(highDupe.R, highDupe.S, Config{AtRest: true, Threads: 8}, 0)
 	if name != "MPASS" && name != "MWAY" {
 		t.Fatalf("static high-dupe must dispatch to a sort join, got %s (%v)", name, adv.Path)
 	}
 
 	// A trickling stream must land on SHJ_JM.
 	slow := Micro(MicroConfig{RateR: 50, RateS: 50, WindowMs: 100, Seed: 2})
-	name, adv = resolveAdaptive(slow.R, slow.S, Config{WindowMs: 100, Threads: 8})
+	name, adv = resolveAdaptive(slow.R, slow.S, Config{WindowMs: 100, Threads: 8}, 0)
 	if name != "SHJ_JM" {
 		t.Fatalf("low-rate stream must dispatch to SHJ_JM, got %s (%v)", name, adv.Path)
 	}

@@ -90,11 +90,12 @@ type Config struct {
 	// zero cost.
 	Trace *TraceRecorder
 
-	// Pool recycles per-window kernel state (hash tables, partitioner
-	// scratch, match buffers) across joins sharing the pool. Create one
-	// with NewStatePool and reuse it across the windows of a stream;
-	// steady-state windows then run with zero kernel allocations
-	// (PERFORMANCE.md). Nil allocates fresh state per join.
+	// Pool recycles per-window state (hash tables, partitioner scratch,
+	// run copies, sort scratch, merge outputs, match buffers, router
+	// status) across joins sharing the pool. Create one with
+	// NewStatePool and reuse it across the windows of a stream;
+	// steady-state windows then allocate nothing that scales with their
+	// tuples (PERFORMANCE.md §4). Nil allocates fresh state per join.
 	Pool *StatePool
 
 	// WrapClock, when non-nil, wraps the run's virtual time source
@@ -204,9 +205,15 @@ func EagerAlgorithms() []string { return []string{"SHJ_JM", "SHJ_JB", "PMJ_JM", 
 // and returns the merged metrics. With Algorithm set to AdaptiveName the
 // workload is profiled first and the decision tree picks the concrete
 // algorithm (reported in Result.Algorithm).
-func Join(r, s Relation, cfg Config) (Result, error) {
+func Join(r, s Relation, cfg Config) (Result, error) { return join(r, s, cfg, 0) }
+
+// join is Join over inputs whose timestamps count from baseTS: the
+// windowed drivers pass each window's slices of the caller's streams as
+// they are, with the window start as baseTS, and every timestamp reader
+// below applies the offset (core.ExecContext.BaseTS).
+func join(r, s Relation, cfg Config, baseTS int64) (Result, error) {
 	if cfg.Algorithm == AdaptiveName {
-		cfg.Algorithm, _ = resolveAdaptive(r, s, cfg)
+		cfg.Algorithm, _ = resolveAdaptive(r, s, cfg, baseTS)
 	}
 	alg, err := NewAlgorithm(cfg.Algorithm)
 	if err != nil {
@@ -214,10 +221,7 @@ func Join(r, s Relation, cfg Config) (Result, error) {
 	}
 	windowMs := cfg.WindowMs
 	if windowMs <= 0 && !cfg.AtRest {
-		windowMs = r.MaxTS()
-		if m := s.MaxTS(); m > windowMs {
-			windowMs = m
-		}
+		windowMs = max(r.MaxTS(), s.MaxTS()) - baseTS
 	}
 	return core.Run(alg, r, s, windowMs, core.RunConfig{
 		Threads:    cfg.Threads,
@@ -238,6 +242,7 @@ func Join(r, s Relation, cfg Config) (Result, error) {
 		Pool:      cfg.Pool,
 		WrapClock: cfg.WrapClock,
 		Window:    cfg.Window,
+		BaseTS:    baseTS,
 	})
 }
 

@@ -109,7 +109,14 @@ type WindowTag struct {
 type ExecContext struct {
 	R, S     tuple.Relation
 	WindowMs int64
-	Threads  int
+	// BaseTS is the window start the tuple timestamps count from: a tuple
+	// arrives at simulated time TS-BaseTS. The windowed driver passes the
+	// caller's stream slices as they are and the window start here;
+	// everything that reads a timestamp (Avail, WaitWindow, Sink, the
+	// eager arrival gate) applies the offset, so latencies and emitted
+	// results stay window-relative.
+	BaseTS  int64
+	Threads int
 	// Window tags a windowed-sweep run with its window identity; the
 	// per-window journal ledger and span analytics attribute through it.
 	Window WindowTag
@@ -177,7 +184,12 @@ func (ctx *ExecContext) TraceWorker(tid int) *trace.Worker {
 }
 
 // Avail reports whether a tuple with timestamp ts has arrived.
-func (ctx *ExecContext) Avail(ts int64) bool { return ctx.Clock.Avail(ts) }
+func (ctx *ExecContext) Avail(ts int64) bool { return ctx.Clock.Avail(ts - ctx.BaseTS) }
+
+// GateMs is the arrival gate of this instant: a tuple has arrived when its
+// timestamp is <= GateMs. Eager pull loops sample it once per round and
+// compare raw timestamps against it, with no per-tuple subtraction.
+func (ctx *ExecContext) GateMs() int64 { return ctx.Clock.NowMs() + ctx.BaseTS }
 
 // WaitWindow blocks until the window has fully arrived, crediting the
 // elapsed time to the wait phase of thread tid. Lazy algorithms call this
@@ -186,10 +198,7 @@ func (ctx *ExecContext) WaitWindow(tid int) {
 	if ctx.Clock.AtRest() {
 		return
 	}
-	last := ctx.R.MaxTS()
-	if s := ctx.S.MaxTS(); s > last {
-		last = s
-	}
+	last := max(ctx.R.MaxTS(), ctx.S.MaxTS()) - ctx.BaseTS
 	if ctx.WindowMs > last {
 		last = ctx.WindowMs
 	}
@@ -248,6 +257,9 @@ type RunConfig struct {
 	// Window tags the run with its windowed-sweep identity; stamped into
 	// the Result so journal window records can be written downstream.
 	Window WindowTag
+	// BaseTS is the timestamp the inputs count from (ExecContext.BaseTS);
+	// zero for inputs that start at their window's opening.
+	BaseTS int64
 	// WrapClock, when non-nil, wraps the run's time source before any
 	// worker sees it. The conformance harness injects clock.Perturb here
 	// to vary arrival schedules and goroutine interleavings without
@@ -306,6 +318,7 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		R:        r,
 		S:        s,
 		WindowMs: windowMs,
+		BaseTS:   cfg.BaseTS,
 		Threads:  threads,
 		Window:   cfg.Window,
 		Clock:    src,
@@ -316,6 +329,7 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		Emit:     cfg.Emit,
 		Pool:     cfg.Pool,
 	}
+	poolBefore := cfg.Pool.Stats()
 	sw := clock.StartStopwatch()
 	if err := alg.Run(ctx); err != nil {
 		return metrics.Result{}, fmt.Errorf("core: %s: %w", alg.Name(), err)
@@ -325,5 +339,6 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	res.WindowID = cfg.Window.ID
 	res.WindowStartMs = cfg.Window.StartMs
 	res.WindowEndMs = cfg.Window.EndMs
+	res.Pool = cfg.Pool.Stats().Since(poolBefore)
 	return res, nil
 }

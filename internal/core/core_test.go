@@ -272,3 +272,54 @@ func TestBeginForwardsPhaseToTracer(t *testing.T) {
 		t.Fatalf("phases = %v", rec.phases)
 	}
 }
+
+// TestBaseTSOffsetsEveryTimestampReader drives the four context-level
+// timestamp readers with inputs that count from a window start of 300: the
+// arrival gate, Avail, WaitWindow and the sink must all see window-relative
+// time, as they would on a copy rebased to zero.
+func TestBaseTSOffsetsEveryTimestampReader(t *testing.T) {
+	mc := clock.NewManual()
+	mc.Set(5)
+	ctx := &ExecContext{
+		R:        tuple.Relation{{TS: 302, Key: 1, Payload: 7}},
+		S:        tuple.Relation{{TS: 304, Key: 1, Payload: 9}},
+		WindowMs: 10,
+		BaseTS:   300,
+		Threads:  1,
+		Clock:    mc,
+		M:        metrics.NewCollector(1),
+	}
+	if got := ctx.GateMs(); got != 305 {
+		t.Fatalf("GateMs = %d, want 305", got)
+	}
+	if !ctx.Avail(305) || ctx.Avail(306) {
+		t.Fatal("Avail must compare window-relative arrival: 305 has arrived at t=5, 306 has not")
+	}
+
+	var emitted []tuple.JoinResult
+	ctx.Emit = func(jr tuple.JoinResult) { emitted = append(emitted, jr) }
+	NewSink(ctx, 0).Match(ctx.R[0], ctx.S[0])
+	if want := (tuple.JoinResult{TS: 4, Key: 1, PayloadR: 7, PayloadS: 9}); len(emitted) != 1 || emitted[0] != want {
+		t.Fatalf("emitted %+v, want the window-relative %+v", emitted, want)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		ctx.WaitWindow(0)
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("WaitWindow returned at t=5 of a 10 ms window")
+	case <-time.After(5 * time.Millisecond):
+	}
+	mc.Set(10) // the window has fully arrived; absolute time 310 never comes
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("WaitWindow waited for the absolute timestamp, not the window-relative one")
+	}
+	if res := ctx.M.Snapshot("x", 2, 1); res.LatencyMaxMs != 1 {
+		t.Fatalf("latency = %d ms, want 1 (emitted at t=5, last input due at t=4)", res.LatencyMaxMs)
+	}
+}

@@ -13,8 +13,10 @@ const MatchBatch = 1024
 // Sink records join matches for one worker thread: it timestamps matches
 // with a batched clock sample, computes the paper's latency definition
 // (emission time minus the larger input arrival timestamp), and forwards
-// materialized results when the run requests them. A Sink must only be
-// used by its owning goroutine.
+// materialized results when the run requests them. Timestamps count from
+// ExecContext.BaseTS: the sink subtracts it, so latencies and emitted
+// results are window-relative whatever the inputs' origin. A Sink must
+// only be used by its owning goroutine.
 type Sink struct {
 	ctx *ExecContext
 	tm  *metrics.ThreadMetrics
@@ -30,13 +32,12 @@ func NewSink(ctx *ExecContext, tid int) *Sink {
 
 // Match records one match between r and s.
 func (k *Sink) Match(r, s tuple.Tuple) {
-	last := r.TS
-	if s.TS > last {
-		last = s.TS
-	}
+	last := max(r.TS, s.TS) - k.ctx.BaseTS
 	k.tm.Matches(1, k.nowMs, last)
 	if k.ctx.Emit != nil {
-		k.ctx.Emit(tuple.ResultOf(r, s))
+		jr := tuple.ResultOf(r, s)
+		jr.TS = last
+		k.ctx.Emit(jr)
 	}
 	k.pending++
 	if k.pending >= MatchBatch {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/trace"
 	"repro/internal/tuple"
 )
@@ -33,9 +34,9 @@ type distribution struct {
 
 	// status is the JB router's dispatch bookkeeping: after each tuple
 	// is dispatched the system records the result for future reference
-	// (Section 5.3.3); this per-tuple map maintenance is the overhead
+	// (Section 5.3.3); this per-tuple status maintenance is the overhead
 	// the paper identifies.
-	status map[int32]int32
+	status statusTable
 
 	// tracer models the router's memory traffic in profile runs: the
 	// content-sensitive JB scheme accesses per-key state whose footprint
@@ -52,13 +53,13 @@ func (d *distribution) trace(k int32) {
 	if d.tracer == nil {
 		return
 	}
-	if d.status == nil {
+	if d.groups == 0 {
 		d.tracer.Op(1) // JM: a modulo, no state
 		return
 	}
 	h := hash32(k) % statusRegion
 	d.tracer.Access(1<<52 + uint64(h)*16)
-	d.tracer.Op(3) // hash + map update
+	d.tracer.Op(3) // hash + status update
 }
 
 // newJM builds the join-matrix assignment: content-insensitive, R
@@ -71,8 +72,9 @@ func newJM(threads, tid int) *distribution {
 // content-sensitive routing of keys to core groups; within a group R is
 // replicated among the g members and S is partitioned round-robin.
 // g == 1 degenerates to strict hash partitioning; g == threads to JM with
-// an extra routing layer.
-func newJB(threads, tid, g int) *distribution {
+// an extra routing layer. The router's status table is sized for maxKeys
+// distinct keys and taken from p; release hands it back.
+func newJB(threads, tid, g, maxKeys int, p *pool.Pool) *distribution {
 	if g < 1 {
 		g = 1
 	}
@@ -88,9 +90,13 @@ func newJB(threads, tid, g int) *distribution {
 		tid:       tid,
 		groups:    groups,
 		groupSize: g,
-		status:    make(map[int32]int32),
+		status:    newStatusTable(maxKeys, p),
 	}
 }
+
+// release returns the router's pooled state; the distribution must not be
+// used afterwards.
+func (d *distribution) release(p *pool.Pool) { d.status.release(p) }
 
 // hash32 matches the hash used by the hash tables so routing and
 // placement agree.
@@ -109,8 +115,9 @@ func (d *distribution) ownsR(i int, t tuple.Tuple) bool {
 	if d.groups == 0 {
 		return true // JM replicates R everywhere
 	}
-	g := int32(hash32(t.Key) % uint32(d.groups))
-	d.status[t.Key] = g // router status maintenance
+	h := hash32(t.Key)
+	g := int32(h % uint32(d.groups))
+	d.status.set(t.Key, h, g) // router status maintenance
 	return int(g) == d.tid/d.groupSize
 }
 
@@ -120,8 +127,9 @@ func (d *distribution) ownsS(i int, t tuple.Tuple) bool {
 	if d.groups == 0 {
 		return i%d.threads == d.tid
 	}
-	g := int32(hash32(t.Key) % uint32(d.groups))
-	d.status[t.Key] = g
+	h := hash32(t.Key)
+	g := int32(h % uint32(d.groups))
+	d.status.set(t.Key, h, g)
 	if int(g) != d.tid/d.groupSize {
 		return false
 	}
@@ -130,12 +138,7 @@ func (d *distribution) ownsS(i int, t tuple.Tuple) bool {
 
 // statusBytes estimates the router bookkeeping footprint for memory
 // accounting.
-func (d *distribution) statusBytes() int64 {
-	if d.status == nil {
-		return 0
-	}
-	return int64(len(d.status)) * 16
-}
+func (d *distribution) statusBytes() int64 { return int64(d.status.n) * 16 }
 
 // cursor walks one stream with arrival gating.
 type cursor struct {
@@ -152,11 +155,12 @@ func (c *cursor) done() bool { return c.idx >= len(c.rel) }
 
 // batch collects up to max owned, already-arrived tuples starting at the
 // cursor, appending them to buf and advancing past non-owned tuples too.
-// It returns the filled buffer and whether the scan stopped because the
-// next tuple has not arrived yet.
+// gateMs is the round's arrival gate (core.ExecContext.GateMs): a tuple
+// stamped later has not arrived. It returns the filled buffer and whether
+// the scan stopped because the next tuple has not arrived yet.
 //
 //iawj:hotpath
-func (c *cursor) batch(buf []tuple.Tuple, max int, nowMs int64, atRest bool, owns func(i int, t tuple.Tuple) bool, physical bool) ([]tuple.Tuple, bool) {
+func (c *cursor) batch(buf []tuple.Tuple, max int, gateMs int64, atRest bool, owns func(i int, t tuple.Tuple) bool, physical bool) ([]tuple.Tuple, bool) {
 	taken := 0
 	// The cursor fields are staged into locals for the scan: indexing
 	// through c.idx keeps a bounds check per tuple because the prover
@@ -165,7 +169,7 @@ func (c *cursor) batch(buf []tuple.Tuple, max int, nowMs int64, atRest bool, own
 	i := c.idx
 	for i >= 0 && i < len(rel) && taken < max {
 		t := rel[i]
-		if !atRest && t.TS > nowMs {
+		if !atRest && t.TS > gateMs {
 			c.idx = i
 			return buf, true
 		}
@@ -203,11 +207,12 @@ func batchSize(ctx *core.ExecContext) int {
 	return 64
 }
 
-// makeDist constructs the distribution for a worker given the scheme.
+// makeDist constructs the distribution for a worker given the scheme. A
+// JB router sees every tuple of both streams, which bounds its keys.
 func makeDist(jb bool, ctx *core.ExecContext, tid int) *distribution {
 	var d *distribution
 	if jb {
-		d = newJB(ctx.Threads, tid, ctx.Knobs.GroupSize)
+		d = newJB(ctx.Threads, tid, ctx.Knobs.GroupSize, len(ctx.R)+len(ctx.S), ctx.Pool)
 	} else {
 		d = newJM(ctx.Threads, tid)
 	}

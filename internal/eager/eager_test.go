@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/tuple"
 )
 
@@ -178,7 +180,7 @@ func TestDistributionOwnership(t *testing.T) {
 		t.Run(fmt.Sprintf("JB/g=%d", g), func(t *testing.T) {
 			dists := make([]*distribution, threads)
 			for tid := range dists {
-				dists[tid] = newJB(threads, tid, g)
+				dists[tid] = newJB(threads, tid, g, len(tuples), nil)
 			}
 			for i, x := range tuples {
 				rOwners, sOwners := 0, 0
@@ -202,12 +204,12 @@ func TestDistributionOwnership(t *testing.T) {
 }
 
 func TestJBStatusMaintenance(t *testing.T) {
-	d := newJB(4, 0, 2)
+	d := newJB(4, 0, 2, 50, nil)
 	for i := 0; i < 50; i++ {
 		d.ownsR(i, tuple.Tuple{Key: int32(i % 10)})
 	}
-	if len(d.status) != 10 {
-		t.Fatalf("router status must track dispatched keys: %d", len(d.status))
+	if d.status.n != 10 {
+		t.Fatalf("router status must track dispatched keys: %d", d.status.n)
 	}
 	if d.statusBytes() == 0 {
 		t.Fatal("status bytes must be accounted")
@@ -250,24 +252,42 @@ func TestPMJSpillToDisk(t *testing.T) {
 	want := expected(w.R, w.S)
 	dir := t.TempDir()
 	for _, jb := range []bool{false, true} {
-		res, err := core.Run(PMJ{JB: jb}, w.R, w.S, 0, core.RunConfig{
-			Threads: 2, AtRest: true,
-			Knobs: core.Knobs{SortStepFrac: 0.1, SpillDir: dir},
-		})
-		if err != nil {
-			t.Fatalf("jb=%v: %v", jb, err)
+		for _, threads := range []int{2, 1} {
+			// Two windows over one pool: the first takes its run, scratch
+			// and reload buffers cold; the second must find every one of
+			// them released — a spilled run's as soon as it is on disk —
+			// and leave no file behind either. How many buffers two
+			// workers hold at once depends on how they interleave, so the
+			// count is pinned on the single-worker run.
+			p := pool.New()
+			for window := 0; window < 2; window++ {
+				res, err := core.Run(PMJ{JB: jb}, w.R, w.S, 0, core.RunConfig{
+					Threads: threads, AtRest: true, Pool: p,
+					Knobs: core.Knobs{SortStepFrac: 0.1, SpillDir: dir},
+				})
+				if err != nil {
+					t.Fatalf("jb=%v threads=%d window %d: %v", jb, threads, window, err)
+				}
+				if res.Matches != want {
+					t.Fatalf("jb=%v threads=%d window %d: matches = %d, want %d", jb, threads, window, res.Matches, want)
+				}
+				misses := res.Pool.Misses[metrics.PoolTuples]
+				if window == 0 && misses == 0 {
+					t.Fatalf("jb=%v threads=%d: the cold window took no tuple buffer from the pool", jb, threads)
+				}
+				if window == 1 && threads == 1 && misses != 0 {
+					t.Fatalf("jb=%v: the second pooled window allocated %d run buffers", jb, misses)
+				}
+				// Spill files must be cleaned up after the run.
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(entries) != 0 {
+					t.Fatalf("jb=%v threads=%d window %d: %d spill files left behind", jb, threads, window, len(entries))
+				}
+			}
 		}
-		if res.Matches != want {
-			t.Fatalf("jb=%v: matches = %d, want %d", jb, res.Matches, want)
-		}
-	}
-	// Spill files must be cleaned up after the run.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("%d spill files left behind", len(entries))
 	}
 }
 
@@ -279,5 +299,40 @@ func TestPMJSpillBadDir(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unwritable spill dir must surface an error")
+	}
+}
+
+// TestStatusTableRecordsLikeAMap checks the router's flat status table
+// against the Go map it replaced: same distinct-key count, last write wins,
+// negative keys and colliding slots included, on pooled arrays that come
+// back dirty.
+func TestStatusTableRecordsLikeAMap(t *testing.T) {
+	p := pool.New()
+	for round := 0; round < 3; round++ {
+		const n = 3000
+		st := newStatusTable(n, p)
+		want := map[int32]int32{}
+		for i := 0; i < n; i++ {
+			key := int32(i*2654435761) % 977 // repeats, both signs
+			g := int32(i % 5)
+			st.set(key, hash32(key), g)
+			want[key] = g
+		}
+		if st.n != len(want) {
+			t.Fatalf("round %d: %d distinct keys recorded, want %d", round, st.n, len(want))
+		}
+		for key, g := range want {
+			i := hash32(key) & st.mask
+			for st.vals[i] != 0 && st.keys[i] != uint32(key) {
+				i = (i + 1) & st.mask
+			}
+			if st.vals[i] != uint32(g)+1 {
+				t.Fatalf("round %d: key %d records group %d, want %d", round, key, int32(st.vals[i])-1, g)
+			}
+		}
+		st.release(p)
+	}
+	if misses := p.Stats().Misses[metrics.PoolU32]; misses != 2 {
+		t.Fatalf("three rounds allocated %d arrays, want the first round's two", misses)
 	}
 }

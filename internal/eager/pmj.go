@@ -3,12 +3,14 @@ package eager
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/sortmerge"
 	"repro/internal/tuple"
 )
@@ -24,6 +26,11 @@ import (
 // With Knobs.SpillDir set, sealed runs are written to disk and re-read in
 // the merge phase — the original PMJ's behaviour before the paper moved
 // runs to main memory for modern hardware.
+//
+// The accumulation buffers (which become the runs), the sort scratch and
+// the spill reload buffers come from the window pool when one is attached
+// and go back to it when the worker finishes — a spilled run's as soon as
+// it is on disk — so steady-state windows allocate none of them.
 type PMJ struct {
 	// JB selects the join-biclique scheme; false selects join-matrix.
 	JB bool
@@ -46,56 +53,94 @@ func (PMJ) Method() core.JoinMethod { return core.SortJoin }
 // run holds one sealed pair of sorted subsets, in memory or spilled.
 type run struct {
 	r, s tuple.Relation
-	path string // non-empty when spilled to disk
+	// A spilled run keeps its file path and subset sizes instead of r, s.
+	path   string
+	nr, ns int
 }
 
-// spill writes the run pair to a temp file and drops the in-memory
-// copies, as the original disk-based PMJ does.
-func (ru *run) spill(dir string) error {
+// spill writes the run pair to a temp file and hands the in-memory copies
+// back to the pool, as the original disk-based PMJ frees its memory. On
+// failure the run stays in memory.
+func (ru *run) spill(dir string, p *pool.Pool) error {
 	f, err := os.CreateTemp(dir, "pmjrun-*.bin")
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(f)
-	if err := tuple.WriteBinary(bw, ru.r); err == nil {
+	if err = tuple.WriteBinary(bw, ru.r); err == nil {
 		err = tuple.WriteBinary(bw, ru.s)
-	} else {
-		f.Close()
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(f.Name())
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	ru.path = f.Name()
+	ru.path, ru.nr, ru.ns = f.Name(), len(ru.r), len(ru.s)
+	p.PutTuples(ru.r)
+	p.PutTuples(ru.s)
 	ru.r, ru.s = nil, nil
 	return nil
 }
 
-// load reads a spilled run pair back; in-memory runs return themselves.
-func (ru *run) load() (r, s tuple.Relation, err error) {
-	if ru.path == "" {
-		return ru.r, ru.s, nil
+// spillReader re-reads spilled runs in the merge phase into two buffers a
+// worker takes from the pool once, sized for its largest run.
+type spillReader struct {
+	br         *bufio.Reader
+	bufR, bufS tuple.Relation
+}
+
+// newSpillReader sizes the reload buffers for runs; without a spilled run
+// it takes nothing from the pool.
+func newSpillReader(runs []run, p *pool.Pool) spillReader {
+	maxR, maxS := 0, 0
+	for i := range runs {
+		maxR, maxS = max(maxR, runs[i].nr), max(maxS, runs[i].ns)
 	}
-	f, err := os.Open(ru.path)
+	if maxR+maxS == 0 {
+		return spillReader{}
+	}
+	return spillReader{br: bufio.NewReader(nil), bufR: p.Tuples(maxR), bufS: p.Tuples(maxS)}
+}
+
+func (sr *spillReader) release(p *pool.Pool) {
+	p.PutTuples(sr.bufR)
+	p.PutTuples(sr.bufS)
+}
+
+// loadR returns the run's R subset: itself for an in-memory run, re-read
+// into the reader's R buffer for a spilled one, valid until the next loadR.
+func (sr *spillReader) loadR(ru *run) (tuple.Relation, error) {
+	if ru.path == "" {
+		return ru.r, nil
+	}
+	return sr.read(ru.path, 0, sr.bufR)
+}
+
+// loadS is loadR for the S subset, which follows R's count-prefixed
+// encoding in the run file.
+func (sr *spillReader) loadS(ru *run) (tuple.Relation, error) {
+	if ru.path == "" {
+		return ru.s, nil
+	}
+	return sr.read(ru.path, 8+int64(ru.nr)*tuple.BinarySize, sr.bufS)
+}
+
+func (sr *spillReader) read(path string, offset int64, dst tuple.Relation) (tuple.Relation, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	if r, err = tuple.ReadBinary(br); err != nil {
-		return nil, nil, err
+	if _, err := f.Seek(offset, io.SeekStart); err != nil {
+		return nil, err
 	}
-	if s, err = tuple.ReadBinary(br); err != nil {
-		return nil, nil, err
-	}
-	return r, s, nil
+	sr.br.Reset(f)
+	return tuple.ReadBinaryInto(sr.br, dst)
 }
 
 // Run implements core.Algorithm. The worker loop covers the sort-seal
@@ -133,6 +178,10 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 			step = 2 * bsz
 		}
 
+		// Every run is sealed from a pair of buffers of this capacity: a
+		// seal happens once both hold step tuples between them, and the
+		// pull before it adds at most a batch to each.
+		runCap := step + 2*bsz
 		var runs []run
 		defer func() {
 			// Shadow the captured slice: indexing the closure variable
@@ -142,16 +191,19 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 				if rs[i].path != "" {
 					os.Remove(rs[i].path)
 				}
+				ctx.Pool.PutTuples(rs[i].r)
+				ctx.Pool.PutTuples(rs[i].s)
 			}
 		}()
-		var curR, curS tuple.Relation
+		curR, curS := ctx.Pool.Tuples(runCap), ctx.Pool.Tuples(runCap)
+		scratch := ctx.Pool.Tuples(runCap)
 		rcur := &cursor{rel: ctx.R, tracer: ctx.Tracer, base: 1 << 47}
 		scur := &cursor{rel: ctx.S, tracer: ctx.Tracer, base: 1<<47 | 1<<45}
 
 		// Hoisted loop state and closures: the accumulate loop and the
 		// merge-phase scan reuse these instead of constructing fresh
 		// closures every iteration.
-		var now int64
+		var gate int64
 		var rWaiting, sWaiting bool
 		nR, nS := 0, 0
 		ownsR, ownsS := dist.ownsR, dist.ownsS
@@ -159,10 +211,10 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 		emit := func(r, s tuple.Tuple) { sink.Match(r, s) }
 		pull := func() int64 {
 			before := len(curR)
-			curR, rWaiting = rcur.batch(curR, bsz, now, atRest, ownsR, physical)
+			curR, rWaiting = rcur.batch(curR, bsz, gate, atRest, ownsR, physical)
 			nR = len(curR) - before
 			before = len(curS)
-			curS, sWaiting = scur.batch(curS, bsz, now, atRest, ownsS, physical)
+			curS, sWaiting = scur.batch(curS, bsz, gate, atRest, ownsS, physical)
 			nS = len(curS) - before
 			return int64(nR + nS)
 		}
@@ -174,8 +226,8 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 			}
 			// Sort the accumulated subsets into a run pair.
 			pt.timeCount(metrics.PhaseBuildSort, func() int64 {
-				sortmerge.SortByKey(curR, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<40|uint64(len(runs))<<24)
-				sortmerge.SortByKey(curS, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<40|uint64(len(runs))<<24|1<<23)
+				sortmerge.SortByKeyScratch(curR, scratch, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<40|uint64(len(runs))<<24)
+				sortmerge.SortByKeyScratch(curS, scratch, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<40|uint64(len(runs))<<24|1<<23)
 				return int64(len(curR) + len(curS))
 			})
 			// Join the fresh run pair immediately: early results.
@@ -187,7 +239,7 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 			ru := run{r: curR, s: curS}
 			if spillDir != "" {
 				pt.time(metrics.PhaseOther, func() {
-					if err := ru.spill(spillDir); err != nil {
+					if err := ru.spill(spillDir, ctx.Pool); err != nil {
 						fail(fmt.Errorf("eager: pmj spill: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
 					}
 				})
@@ -196,13 +248,16 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 			}
 			runs = append(runs, ru)
 			curR, curS = nil, nil
+			if !rcur.done() || !scur.done() {
+				curR, curS = ctx.Pool.Tuples(runCap), ctx.Pool.Tuples(runCap)
+			}
 			if tid == 0 {
 				ctx.M.MemSampleNow(ctx.NowMs())
 			}
 		}
 
 		for !rcur.done() || !scur.done() {
-			now = ctx.NowMs()
+			gate = ctx.GateMs()
 			rWaiting, sWaiting = false, false
 			pt.timeCount(metrics.PhasePartition, pull)
 			if len(curR)+len(curS) >= step {
@@ -214,6 +269,9 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 			}
 		}
 		seal() // the final partial run
+		ctx.Pool.PutTuples(curR)
+		ctx.Pool.PutTuples(curS)
+		ctx.Pool.PutTuples(scratch)
 
 		// Merge phase: revisit stored runs and join the remaining pairs
 		// of subsets (run i's R against run j's S for i != j; the i == j
@@ -224,8 +282,10 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 			// Shadow the captured slice: indexing the closure variable
 			// directly re-checks bounds per run (LINTING.md §BCE).
 			rs := runs
+			sr := newSpillReader(rs, ctx.Pool)
+			defer sr.release(ctx.Pool)
 			for i := range rs {
-				ri, _, err := rs[i].load()
+				ri, err := sr.loadR(&rs[i])
 				if err != nil {
 					fail(fmt.Errorf("eager: pmj reload: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
 					return
@@ -234,7 +294,7 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 					if i == j {
 						continue
 					}
-					_, sj, err := rs[j].load()
+					sj, err := sr.loadS(&rs[j])
 					if err != nil {
 						fail(fmt.Errorf("eager: pmj reload: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
 						return
@@ -245,6 +305,7 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 			}
 		})
 		ctx.M.MemAdd(dist.statusBytes())
+		dist.release(ctx.Pool)
 		ctx.EndPhase(tid)
 	})
 	ctx.M.MemSampleNow(ctx.NowMs())

@@ -78,17 +78,17 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 		scur := &cursor{rel: ctx.S, tracer: ctx.Tracer, base: 1<<46 | 1<<45}
 		rbuf := ctx.Pool.Tuples(bsz)
 		sbuf := ctx.Pool.Tuples(bsz)
-		pairs := ctx.Pool.Tuples(2 * bsz)
+		pairs := ctx.Pool.Pairs(2 * bsz)
 		rounds := 0
 
 		// Hoisted loop state and phase closures: the round loop reuses
 		// these instead of constructing fresh closures every iteration.
-		var now int64
+		var gate int64
 		var rWaiting, sWaiting bool
 		ownsR, ownsS := dist.ownsR, dist.ownsS
 		physical := ctx.Knobs.PhysicalPartition
 		pullR := func() int64 {
-			rbuf, rWaiting = rcur.batch(rbuf[:0], bsz, now, atRest, ownsR, physical)
+			rbuf, rWaiting = rcur.batch(rbuf[:0], bsz, gate, atRest, ownsR, physical)
 			return int64(len(rbuf))
 		}
 		buildR := func() int64 {
@@ -107,7 +107,7 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 			return int64(len(rbuf))
 		}
 		pullS := func() int64 {
-			sbuf, sWaiting = scur.batch(sbuf[:0], bsz, now, atRest, ownsS, physical)
+			sbuf, sWaiting = scur.batch(sbuf[:0], bsz, gate, atRest, ownsS, physical)
 			return int64(len(sbuf))
 		}
 		buildS := func() int64 {
@@ -124,7 +124,7 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 		stallFn := func() { time.Sleep(stall) }
 
 		for !rcur.done() || !scur.done() {
-			now = ctx.NowMs()
+			gate = ctx.GateMs()
 			sink.Refresh()
 			rWaiting, sWaiting = false, false
 
@@ -160,9 +160,10 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 		}
 		ctx.Pool.PutTuples(rbuf)
 		ctx.Pool.PutTuples(sbuf)
-		ctx.Pool.PutTuples(pairs)
+		ctx.Pool.PutPairs(pairs)
 		ctx.Pool.PutTable(rtab)
 		ctx.Pool.PutTable(stab)
+		dist.release(ctx.Pool)
 		ctx.EndPhase(tid)
 	})
 	ctx.M.MemSampleNow(ctx.NowMs())

@@ -8,16 +8,23 @@ import (
 )
 
 // FuzzReadStream hardens the wire-format parser against hostile or
-// corrupted peers: parse or error, never panic; accepted streams must
-// re-encode to the same bytes.
+// corrupted peers: parse or error, never panic; the bulk decoder must
+// agree with the tuple-at-a-time reference — tag, tuples, error text —
+// whatever the reader's shape and bound; accepted streams must re-encode
+// to the same bytes.
 func FuzzReadStream(f *testing.F) {
 	var seed bytes.Buffer
 	_ = WriteStream(&seed, TagR, tuple.Relation{{TS: 1, Key: 2, Payload: 3}})
-	f.Add(seed.Bytes())
-	f.Add([]byte{'S'})
-	f.Add([]byte{'X', 0, 0})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(seed.Bytes(), uint8(0), uint16(0))
+	f.Add(wireOf(f, 5000), uint8(3), uint16(4999))
+	f.Add([]byte{'S'}, uint8(1), uint16(0))
+	f.Add([]byte{'X', 0, 0}, uint8(2), uint16(1))
+	f.Add([]byte{}, uint8(4), uint16(0))
+	shapes := []string{"bytes.Reader", "noLen", "oneByte", "half", "dataErr", "lenTooSmall", "lenNegative"}
+	f.Fuzz(func(t *testing.T, data []byte, shape uint8, maxTuples uint16) {
+		name := shapes[int(shape)%len(shapes)]
+		agree(t, name, data, int(maxTuples), readerShapes[name])
+
 		tag, rel, err := ReadStream(bytes.NewReader(data), 1<<16)
 		if err != nil {
 			return

@@ -48,10 +48,37 @@ func WriteStream(w io.Writer, tag byte, rel tuple.Relation) error {
 	return bw.Flush()
 }
 
+// readBufBytes is ReadStream's buffer: frames are decoded in bulk straight
+// from it, 2048 per refill.
+const readBufBytes = 32 << 10
+
+// chunkTuples is how many tuples ReadStream allocates at a time once it
+// has no size hint left to go by.
+const chunkTuples = 4096
+
+// maxHintTuples caps what a reader's Len() may make ReadStream allocate up
+// front (64 MiB), so an absurd length costs chunked collection, not the
+// process.
+const maxHintTuples = 1 << 22
+
 // ReadStream consumes a tagged stream until EOF, returning the tag and
 // tuples. maxTuples bounds memory for untrusted peers (0 = no bound).
+//
+// The result is allocated once when r reports its remaining length
+// (Len() int, as *bytes.Reader and *bytes.Buffer do); the hint is only a
+// first capacity, never past maxTuples or maxHintTuples, and a stream
+// longer than it — or a reader without one — is collected in fixed-size
+// chunks concatenated once at EOF.
 func ReadStream(r io.Reader, maxTuples int) (byte, tuple.Relation, error) {
-	br := bufio.NewReader(r)
+	hint := 0
+	if l, ok := r.(interface{ Len() int }); ok {
+		hint = (l.Len() - 1) / tuple.BinarySize // less the tag byte
+	}
+	hint = min(hint, maxHintTuples)
+	if maxTuples > 0 {
+		hint = min(hint, maxTuples)
+	}
+	br := bufio.NewReaderSize(r, readBufBytes)
 	tag, err := br.ReadByte()
 	if err != nil {
 		return 0, nil, fmt.Errorf("ingest: reading tag: %w", err)
@@ -59,21 +86,57 @@ func ReadStream(r io.Reader, maxTuples int) (byte, tuple.Relation, error) {
 	if tag != TagR && tag != TagS {
 		return 0, nil, ErrBadTag
 	}
-	var rel tuple.Relation
-	frame := make([]byte, tuple.BinarySize)
+	var (
+		full [][]tuple.Tuple // filled buffers before cur, in stream order
+		cur  []tuple.Tuple
+		n    int // tuples decoded so far
+	)
+	if hint > 0 {
+		cur = make([]tuple.Tuple, 0, hint)
+	}
 	for {
-		if _, err := io.ReadFull(br, frame); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return tag, nil, fmt.Errorf("ingest: truncated frame after %d tuples: %w", len(rel), err)
-		}
-		rel = append(rel, tuple.DecodeBinary(frame))
-		if maxTuples > 0 && len(rel) > maxTuples {
+		buf, rerr := br.Peek(readBufBytes)
+		frames := len(buf) / tuple.BinarySize
+		if maxTuples > 0 && n+frames > maxTuples {
 			return tag, nil, fmt.Errorf("ingest: stream exceeds %d tuples", maxTuples)
 		}
+		n += frames
+		for rest := buf[:frames*tuple.BinarySize]; len(rest) > 0; {
+			if len(cur) == cap(cur) {
+				if len(cur) > 0 {
+					full = append(full, cur)
+				}
+				cur = make([]tuple.Tuple, 0, chunkTuples)
+			}
+			k := min(len(rest)/tuple.BinarySize, cap(cur)-len(cur))
+			dst := cur[len(cur) : len(cur)+k]
+			for i := range dst {
+				dst[i] = tuple.DecodeBinary(rest[i*tuple.BinarySize:])
+			}
+			cur = cur[:len(cur)+k]
+			rest = rest[k*tuple.BinarySize:]
+		}
+		// Discard cannot fail: Peek just showed these bytes buffered.
+		_, _ = br.Discard(frames * tuple.BinarySize)
+		if rerr == nil {
+			continue
+		}
+		if partial := len(buf) % tuple.BinarySize; rerr != io.EOF || partial != 0 {
+			if rerr == io.EOF {
+				rerr = io.ErrUnexpectedEOF
+			}
+			return tag, nil, fmt.Errorf("ingest: truncated frame after %d tuples: %w", n, rerr)
+		}
+		break
 	}
-	return tag, rel, nil
+	if len(full) == 0 {
+		return tag, cur, nil
+	}
+	rel := make(tuple.Relation, 0, n)
+	for _, c := range full {
+		rel = append(rel, c...)
+	}
+	return tag, append(rel, cur...), nil
 }
 
 // Replay calls emit for every tuple at (approximately) its arrival time:

@@ -88,7 +88,7 @@ func (a NPJ) Run(ctx *core.ExecContext) error {
 		lo, hi = core.Chunk(len(ctx.S), ctx.Threads, tid)
 		tw.AddTuples(int64(hi - lo))
 		chunk := ctx.S[lo:hi]
-		pairs := ctx.Pool.Tuples(2 * matchBatch)
+		pairs := ctx.Pool.Pairs(2 * matchBatch)
 		// Constant-length blocks with a short final block; the match walk
 		// advances a slice two tuples at a time. Both shapes are
 		// bounds-check free (LINTING.md §BCE) where the start/end cursor
@@ -108,7 +108,7 @@ func (a NPJ) Run(ctx *core.ExecContext) error {
 				k.Match(ps[0], ps[1])
 			}
 		}
-		ctx.Pool.PutTuples(pairs)
+		ctx.Pool.PutPairs(pairs)
 		ctx.EndPhase(tid)
 	})
 	ctx.M.MemAdd(table.MemBytes() - baseMem) // overflow chains grown at build

@@ -102,7 +102,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 		// Phase 2: cache-resident hash join per partition, partitions
 		// handed out dynamically.
 		k := core.NewSink(ctx, tid)
-		pairs := ctx.Pool.Tuples(2 * matchBatch)
+		pairs := ctx.Pool.Pairs(2 * matchBatch)
 		for {
 			p := int(next.Add(1)) - 1
 			if p < 0 || p >= fanout {
@@ -184,7 +184,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 			ctx.M.MemAdd(-table.MemBytes()) // partition table released
 			ctx.Pool.PutTable(table)
 		}
-		ctx.Pool.PutTuples(pairs)
+		ctx.Pool.PutPairs(pairs)
 		ctx.EndPhase(tid)
 	})
 	// The partition slices alias the partitioners' buffers; every worker

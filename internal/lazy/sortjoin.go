@@ -50,15 +50,18 @@ func (MPass) Run(ctx *core.ExecContext) error { return runSortJoin(ctx, false) }
 // runSortJoin is the shared sort-join skeleton: partition (physical chunk
 // copies), sort (per-thread, SIMD-substitute optional), merge (multi-way
 // for MWay, successive two-way passes for MPass, parallel across key
-// ranges), and a final parallel merge join. The physical chunk copies —
-// the sort joins' dominant per-window allocation — come from the window
-// pool when one is attached and are recycled once all workers finish.
+// ranges), and a final parallel merge join. Everything that scales with
+// the window — the physical chunk copies, the sort scratch, the merge
+// outputs (two ping-pong buffers a side for MPass once a range spans more
+// than two runs) — comes from the window pool when one is attached and is
+// recycled once all workers finish.
 func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 	tcount := ctx.Threads
 	runsR := make([]tuple.Relation, tcount)
 	runsS := make([]tuple.Relation, tcount)
-	mergedR := make([]tuple.Relation, tcount)
-	mergedS := make([]tuple.Relation, tcount)
+	// mergeBufs holds four merge buffers per worker: the ping-pong pair
+	// of R, then of S (MWay, and MPass up to two runs, use one of a pair).
+	mergeBufs := make([][]tuple.Tuple, 4*tcount)
 	var splitters []uint32
 	var splitOnce sync.Once
 
@@ -85,8 +88,10 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		// Sort the local runs.
 		ctx.Begin(tid, metrics.PhaseBuildSort)
 		tw.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
-		sortmerge.SortByKey(runsR[tid], ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<32)
-		sortmerge.SortByKey(runsS[tid], ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<32|1<<31)
+		scratch := ctx.Pool.Tuples(max(len(runsR[tid]), len(runsS[tid])))
+		sortmerge.SortByKeyScratch(runsR[tid], scratch, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<32)
+		sortmerge.SortByKeyScratch(runsS[tid], scratch, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<32|1<<31)
+		ctx.Pool.PutTuples(scratch)
 		ctx.Begin(tid, metrics.PhaseOther)
 		barrier.Done()
 		barrier.Wait()
@@ -94,32 +99,42 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 
 		// Merge this thread's key range across all runs.
 		ctx.Begin(tid, metrics.PhaseMerge)
-		sliceR := rangeSlices(runsR, splitters, tid)
-		sliceS := rangeSlices(runsS, splitters, tid)
-		if multiway {
-			mergedR[tid] = sortmerge.MultiwayMerge(sliceR, ctx.Knobs.SIMD)
-			mergedS[tid] = sortmerge.MultiwayMerge(sliceS, ctx.Knobs.SIMD)
-		} else {
-			mergedR[tid] = sortmerge.TwoWayMergePasses(sliceR, ctx.Knobs.SIMD)
-			mergedS[tid] = sortmerge.TwoWayMergePasses(sliceS, ctx.Knobs.SIMD)
+		merge := func(ranges []tuple.Relation, buf [][]tuple.Tuple) tuple.Relation {
+			total := 0
+			for _, rg := range ranges {
+				total += len(rg)
+			}
+			buf[0] = ctx.Pool.Tuples(total)
+			if multiway {
+				return sortmerge.MultiwayMergeInto(buf[0], ranges, ctx.Knobs.SIMD)
+			}
+			if len(ranges) > 2 {
+				buf[1] = ctx.Pool.Tuples(total) // a second pass needs the other buffer
+			}
+			return sortmerge.TwoWayMergePassesInto(buf[0], buf[1], ranges, ctx.Knobs.SIMD)
 		}
-		tw.AddTuples(int64(len(mergedR[tid]) + len(mergedS[tid])))
-		ctx.M.MemAdd(int64(len(mergedR[tid])+len(mergedS[tid])) * 16)
+		mergedR := merge(rangeSlices(runsR, splitters, tid), mergeBufs[4*tid:4*tid+2])
+		mergedS := merge(rangeSlices(runsS, splitters, tid), mergeBufs[4*tid+2:4*tid+4])
+		tw.AddTuples(int64(len(mergedR) + len(mergedS)))
+		ctx.M.MemAdd(int64(len(mergedR)+len(mergedS)) * 16)
 
 		// Match the aligned key range with a single-pass merge join.
 		ctx.Begin(tid, metrics.PhaseProbe)
-		tw.AddTuples(int64(len(mergedR[tid]) + len(mergedS[tid])))
+		tw.AddTuples(int64(len(mergedR) + len(mergedS)))
 		k := core.NewSink(ctx, tid)
-		sortmerge.MergeJoin(mergedR[tid], mergedS[tid], func(r, s tuple.Tuple) {
+		sortmerge.MergeJoin(mergedR, mergedS, func(r, s tuple.Tuple) {
 			k.Match(r, s)
 		}, ctx.Tracer, uint64(tid)<<33, uint64(tid)<<33|1<<32)
 		ctx.EndPhase(tid)
 	})
-	// Merged ranges may alias the runs, so the run buffers are recycled
-	// only after every worker has finished matching.
+	// Every worker's merge read every worker's runs, so all buffers are
+	// recycled only after the last worker has finished.
 	for tid := 0; tid < tcount; tid++ {
 		ctx.Pool.PutTuples(runsR[tid])
 		ctx.Pool.PutTuples(runsS[tid])
+	}
+	for _, buf := range mergeBufs {
+		ctx.Pool.PutTuples(buf)
 	}
 	ctx.M.MemSampleNow(ctx.NowMs())
 	return nil

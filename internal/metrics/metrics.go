@@ -199,6 +199,12 @@ type Result struct {
 	// MemPeakBytes and MemCurve describe logical memory consumption.
 	MemPeakBytes int64
 	MemCurve     []MemSample
+	// Pool is the window-state pool's traffic during the run — which
+	// kinds were served from a freelist and which had to allocate — and
+	// the bytes its freelists retained when the run ended; all zero
+	// without a pool. Runs sharing a pool concurrently see each other's
+	// traffic.
+	Pool PoolStats
 }
 
 // Snapshot merges all thread metrics into a Result. inputs is |R|+|S|.

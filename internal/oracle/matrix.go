@@ -24,6 +24,15 @@ type Outcome struct {
 // identical entry path users do.
 func runJoin(c Case, r, s tuple.Relation, windowMs int64, atRest bool) (Digest, int64, error) {
 	sink := NewSink()
+	res, err := iawj.Join(r, s, c.config(sink, windowMs, atRest))
+	if err != nil {
+		return Digest{}, 0, err
+	}
+	return sink.Digest(), res.Matches, nil
+}
+
+// config is the production configuration of the case, emitting into sink.
+func (c Case) config(sink *Sink, windowMs int64, atRest bool) iawj.Config {
 	cfg := iawj.Config{
 		Algorithm: c.Algorithm,
 		Threads:   c.Threads,
@@ -41,11 +50,7 @@ func runJoin(c Case, r, s tuple.Relation, windowMs int64, atRest bool) (Digest, 
 			return clock.Perturb(src, clock.PerturbConfig{Seed: seed})
 		}
 	}
-	res, err := iawj.Join(r, s, cfg)
-	if err != nil {
-		return Digest{}, 0, err
-	}
-	return sink.Digest(), res.Matches, nil
+	return cfg
 }
 
 // inputs materializes the case's workload with its ingest jitter applied.

@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 
+	iawj "repro"
 	"repro/internal/tuple"
 )
 
@@ -15,8 +16,9 @@ import (
 //	symmetry    R⋈S mirrored equals S⋈R
 //	split       the window's join equals the merge of its quadrant joins
 //	relabel     a key bijection changes keys but no pairing
+//	shift       a window that opens later in time joins the same
 //
-// CheckMetamorphic runs all three; a failure embeds the case seed string.
+// CheckMetamorphic runs all four; a failure embeds the case seed string.
 func CheckMetamorphic(c Case) error {
 	r, s, windowMs, atRest, err := c.inputs()
 	if err != nil {
@@ -32,7 +34,10 @@ func CheckMetamorphic(c Case) error {
 	if err := checkWindowSplit(c, r, s, base); err != nil {
 		return err
 	}
-	return checkRelabel(c, r, s, windowMs, atRest, base)
+	if err := checkRelabel(c, r, s, windowMs, atRest, base); err != nil {
+		return err
+	}
+	return checkShift(c, r, s, windowMs, atRest, base)
 }
 
 // checkSymmetry joins the streams in swapped roles. The intra-window join
@@ -96,6 +101,33 @@ func checkRelabel(c Case, r, s tuple.Relation, windowMs int64, atRest bool, base
 	}
 	if !d.Keyless.Equal(base.Keyless) {
 		return fmt.Errorf("[%s] key relabeling: keyless digest %s, want %s", c, d.Keyless, base.Keyless)
+	}
+	return nil
+}
+
+// checkShift moves both streams three window lengths into the future and
+// joins them through the windowed driver as the one tumbling window they
+// fill. The driver hands the join the shifted tuples in place plus the
+// window start, and every timestamp reader subtracts it: arrival replays
+// the window in isolation and emitted timestamps are window-relative, so
+// the digest must not move. This is the zero-copy offset path of
+// stream.go under the same schedules as every other cell.
+func checkShift(c Case, r, s tuple.Relation, windowMs int64, atRest bool, base Digest) error {
+	length := windowMs + 1 // [0, windowMs] fits one window
+	shift := func(rel tuple.Relation) tuple.Relation {
+		out := rel.Clone()
+		for i := range out {
+			out[i].TS += 3 * length
+		}
+		return out
+	}
+	sink := NewSink()
+	spec := iawj.WindowSpec{Kind: iawj.Tumbling, LengthMs: length}
+	if _, err := iawj.JoinWindowed(shift(r), shift(s), spec, c.config(sink, 0, atRest)); err != nil {
+		return fmt.Errorf("[%s] meta shift run: %w", c, err)
+	}
+	if d := sink.Digest(); !d.Full.Equal(base.Full) {
+		return fmt.Errorf("[%s] time shift: windowed digest %s, want %s", c, d.Full, base.Full)
 	}
 	return nil
 }

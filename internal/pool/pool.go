@@ -18,18 +18,70 @@
 // Tables are free-listed per directory size class: handing a 2^16-bucket
 // NPJ directory to a radix join that asked for 2^6 buckets would make its
 // per-partition Reset walk five orders of magnitude too much memory.
+// Buffers are free-listed per power-of-two capacity class for the same
+// reason in the other direction: a 64-tuple batch request must not walk
+// off with a 16 MB run buffer and leave the next run to allocate afresh.
+//
+// The pool counts every acquire as a hit or a miss per kind and keeps the
+// bytes its freelists retain (Stats), so an allocation regression can be
+// traced to the kind that missed (OBSERVABILITY.md).
 package pool
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/hashtable"
+	"repro/internal/metrics"
 	"repro/internal/radix"
 	"repro/internal/tuple"
 )
 
-// classes is the number of power-of-two directory size classes tracked.
+// classes is the number of power-of-two size classes tracked, for table
+// directories and buffer capacities alike.
 const classes = 32
+
+// bufs holds the freelists of one buffer kind: class c keeps buffers with
+// 2^c <= cap < 2^(c+1), so every buffer of a class >= bufClass(n) serves a
+// request for n.
+type bufs[T any] [classes][][]T
+
+// bufClass is the smallest class whose every buffer holds n elements.
+func bufClass(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return min(bits.Len(uint(n-1)), classes-1)
+}
+
+// get pops a buffer from the smallest non-empty class that serves n, or
+// returns nil: a batch request must not hold a run buffer while one of its
+// own size is free.
+func (b *bufs[T]) get(n int) []T {
+	for c := bufClass(n); c < classes; c++ {
+		l := len(b[c])
+		if l == 0 || cap(b[c][l-1]) < n { // the capacity check only ever fails in the clamped top class
+			continue
+		}
+		buf := b[c][l-1]
+		b[c] = b[c][:l-1]
+		return buf[:0]
+	}
+	return nil
+}
+
+// put files buf under the class of its capacity, which must be non-zero.
+func (b *bufs[T]) put(buf []T) {
+	c := min(bits.Len(uint(cap(buf)))-1, classes-1)
+	b[c] = append(b[c], buf[:0])
+}
+
+// newBuf allocates an empty buffer for a missed request of n: the whole
+// class capacity, so that its release lands in the class the next request
+// for n looks in.
+func newBuf[T any](n int) []T {
+	return make([]T, 0, max(n, 1<<bufClass(n)))
+}
 
 // Pool is a reusable-state arena for window joins. The zero value and nil
 // are both ready to use; nil never pools.
@@ -38,8 +90,32 @@ type Pool struct {
 	tables  [classes][]*hashtable.Table
 	shared  [classes][]*hashtable.Shared
 	parters []*radix.Partitioner
-	tuples  [][]tuple.Tuple
-	u32s    [][]uint32
+	tuples  bufs[tuple.Tuple]
+	pairs   [][]tuple.Tuple
+	u32s    bufs[uint32]
+	stats   metrics.PoolStats
+}
+
+// Stats reads the pool's hit/miss counters and retained bytes; the zero
+// reading for a nil pool. It allocates nothing.
+func (p *Pool) Stats() metrics.PoolStats {
+	if p == nil {
+		return metrics.PoolStats{}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
+}
+
+// acquired counts one acquire of kind k, a hit that took bytes off the
+// freelists or a miss. Call with mu held.
+func (p *Pool) acquired(k metrics.PoolKind, hit bool, bytes int64) {
+	if hit {
+		p.stats.Hits[k]++
+		p.stats.RetainedBytes -= bytes
+	} else {
+		p.stats.Misses[k]++
+	}
 }
 
 // calibrateOnce runs the probe-prefetch distance calibration the first
@@ -93,6 +169,9 @@ func (p *Pool) Table(n, shift int) *hashtable.Table {
 	if l := len(p.tables[c]); l > 0 {
 		t = p.tables[c][l-1]
 		p.tables[c] = p.tables[c][:l-1]
+		p.acquired(metrics.PoolTable, true, t.MemBytes())
+	} else {
+		p.acquired(metrics.PoolTable, false, 0)
 	}
 	p.mu.Unlock()
 	if t == nil {
@@ -113,6 +192,7 @@ func (p *Pool) PutTable(t *hashtable.Table) {
 	c := sizeClass(t.DirBuckets())
 	p.mu.Lock()
 	p.tables[c] = append(p.tables[c], t)
+	p.stats.RetainedBytes += t.MemBytes()
 	p.mu.Unlock()
 }
 
@@ -127,6 +207,9 @@ func (p *Pool) Shared(n int) *hashtable.Shared {
 	if l := len(p.shared[c]); l > 0 {
 		t = p.shared[c][l-1]
 		p.shared[c] = p.shared[c][:l-1]
+		p.acquired(metrics.PoolShared, true, t.MemBytes())
+	} else {
+		p.acquired(metrics.PoolShared, false, 0)
 	}
 	p.mu.Unlock()
 	if t == nil {
@@ -147,6 +230,7 @@ func (p *Pool) PutShared(t *hashtable.Shared) {
 	c := sizeClass(t.DirBuckets())
 	p.mu.Lock()
 	p.shared[c] = append(p.shared[c], t)
+	p.stats.RetainedBytes += t.MemBytes()
 	p.mu.Unlock()
 }
 
@@ -160,6 +244,9 @@ func (p *Pool) Partitioner() *radix.Partitioner {
 	if l := len(p.parters); l > 0 {
 		pr = p.parters[l-1]
 		p.parters = p.parters[:l-1]
+		p.acquired(metrics.PoolPartitioner, true, pr.MemBytes())
+	} else {
+		p.acquired(metrics.PoolPartitioner, false, 0)
 	}
 	p.mu.Unlock()
 	if pr == nil {
@@ -177,6 +264,7 @@ func (p *Pool) PutPartitioner(pr *radix.Partitioner) {
 	}
 	p.mu.Lock()
 	p.parters = append(p.parters, pr)
+	p.stats.RetainedBytes += pr.MemBytes()
 	p.mu.Unlock()
 }
 
@@ -186,27 +274,61 @@ func (p *Pool) Tuples(n int) []tuple.Tuple {
 		return make([]tuple.Tuple, 0, n)
 	}
 	p.mu.Lock()
-	for i := len(p.tuples) - 1; i >= 0; i-- {
-		if cap(p.tuples[i]) >= n {
-			buf := p.tuples[i]
-			p.tuples[i] = p.tuples[len(p.tuples)-1]
-			p.tuples = p.tuples[:len(p.tuples)-1]
-			p.mu.Unlock()
-			return buf[:0]
-		}
-	}
+	buf := p.tuples.get(n)
+	p.acquired(metrics.PoolTuples, buf != nil, int64(cap(buf))*tuple.Bytes)
 	p.mu.Unlock()
-	return make([]tuple.Tuple, 0, n)
+	if buf == nil {
+		buf = newBuf[tuple.Tuple](n)
+	}
+	return buf
 }
 
-// PutTuples returns a buffer taken with Tuples (possibly grown) to the
-// freelist.
+// PutTuples returns a buffer taken with Tuples to the freelist of its
+// capacity class.
 func (p *Pool) PutTuples(buf []tuple.Tuple) {
 	if p == nil || cap(buf) == 0 {
 		return
 	}
 	p.mu.Lock()
-	p.tuples = append(p.tuples, buf[:0])
+	p.tuples.put(buf)
+	p.stats.RetainedBytes += int64(cap(buf)) * tuple.Bytes
+	p.mu.Unlock()
+}
+
+// Pairs returns an empty match-pair buffer with capacity at least n. Pair
+// buffers are kept apart from Tuples because their size is not known when
+// they are asked for: ProbeBatch grows one by appending to whatever its
+// probe block's duplicate keys produce, and the next window needs that
+// grown buffer back — any of them, the most recently released first —
+// not the smallest buffer that happens to hold n.
+func (p *Pool) Pairs(n int) []tuple.Tuple {
+	if p == nil {
+		return make([]tuple.Tuple, 0, n)
+	}
+	p.mu.Lock()
+	var buf []tuple.Tuple
+	if l := len(p.pairs); l > 0 {
+		buf = p.pairs[l-1]
+		p.pairs = p.pairs[:l-1]
+		p.stats.RetainedBytes -= int64(cap(buf)) * tuple.Bytes
+	}
+	hit := buf != nil && cap(buf) >= n
+	p.acquired(metrics.PoolPairs, hit, 0)
+	p.mu.Unlock()
+	if !hit {
+		buf = make([]tuple.Tuple, 0, n) // a too-small one is dropped: its user would only grow it again
+	}
+	return buf
+}
+
+// PutPairs returns a buffer taken with Pairs, grown or not.
+func (p *Pool) PutPairs(buf []tuple.Tuple) {
+	if p == nil || cap(buf) == 0 {
+		return
+	}
+	p.mu.Lock()
+	p.pairs = append(p.pairs, buf[:0])
+	p.stats.RetainedBytes += int64(cap(buf)) * tuple.Bytes
 	p.mu.Unlock()
 }
 
@@ -216,25 +338,23 @@ func (p *Pool) U32(n int) []uint32 {
 		return make([]uint32, 0, n)
 	}
 	p.mu.Lock()
-	for i := len(p.u32s) - 1; i >= 0; i-- {
-		if cap(p.u32s[i]) >= n {
-			buf := p.u32s[i]
-			p.u32s[i] = p.u32s[len(p.u32s)-1]
-			p.u32s = p.u32s[:len(p.u32s)-1]
-			p.mu.Unlock()
-			return buf[:0]
-		}
-	}
+	buf := p.u32s.get(n)
+	p.acquired(metrics.PoolU32, buf != nil, int64(cap(buf))*4)
 	p.mu.Unlock()
-	return make([]uint32, 0, n)
+	if buf == nil {
+		buf = newBuf[uint32](n)
+	}
+	return buf
 }
 
-// PutU32 returns a scratch slice taken with U32 to the freelist.
+// PutU32 returns a scratch slice taken with U32 to the freelist of its
+// capacity class.
 func (p *Pool) PutU32(buf []uint32) {
 	if p == nil || cap(buf) == 0 {
 		return
 	}
 	p.mu.Lock()
-	p.u32s = append(p.u32s, buf[:0])
+	p.u32s.put(buf)
+	p.stats.RetainedBytes += int64(cap(buf)) * 4
 	p.mu.Unlock()
 }

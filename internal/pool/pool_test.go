@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/tuple"
 )
 
@@ -32,6 +33,9 @@ func TestNilPoolFallsBack(t *testing.T) {
 	if buf := p.Tuples(10); cap(buf) < 10 || len(buf) != 0 {
 		t.Fatal("nil pool returned unusable tuple buffer")
 	}
+	if buf := p.Pairs(10); cap(buf) < 10 || len(buf) != 0 {
+		t.Fatal("nil pool returned unusable pair buffer")
+	}
 	if buf := p.U32(10); cap(buf) < 10 || len(buf) != 0 {
 		t.Fatal("nil pool returned unusable u32 buffer")
 	}
@@ -40,6 +44,7 @@ func TestNilPoolFallsBack(t *testing.T) {
 	p.PutShared(p.Shared(10))
 	p.PutPartitioner(p.Partitioner())
 	p.PutTuples(p.Tuples(4))
+	p.PutPairs(p.Pairs(4))
 	p.PutU32(p.U32(4))
 }
 
@@ -93,11 +98,11 @@ func TestPooledNPJWindowZeroAllocs(t *testing.T) {
 	window := func() {
 		tab := p.Shared(len(build))
 		tab.InsertBatch(build)
-		pairs := p.Tuples(2 * 1024)
+		pairs := p.Pairs(2 * 1024)
 		for lo := 0; lo < len(probes); lo += 256 {
 			pairs, _ = tab.ProbeBatch(probes[lo:lo+256], pairs[:0])
 		}
-		p.PutTuples(pairs)
+		p.PutPairs(pairs)
 		p.PutShared(tab)
 	}
 	window() // first window sizes directory, chains, and pair buffer
@@ -119,7 +124,7 @@ func TestPooledSHJWindowZeroAllocs(t *testing.T) {
 	window := func() {
 		rtab := p.Table(len(rs)+16, 0)
 		stab := p.Table(len(ss)+16, 0)
-		pairs := p.Tuples(2 * bsz)
+		pairs := p.Pairs(2 * bsz)
 		for lo := 0; lo < len(rs); lo += bsz {
 			rb, sb := rs[lo:lo+bsz], ss[lo:lo+bsz]
 			rtab.InsertBatch(rb)
@@ -127,7 +132,7 @@ func TestPooledSHJWindowZeroAllocs(t *testing.T) {
 			stab.InsertBatch(sb)
 			pairs, _ = rtab.ProbeBatch(sb, pairs[:0])
 		}
-		p.PutTuples(pairs)
+		p.PutPairs(pairs)
 		p.PutTable(rtab)
 		p.PutTable(stab)
 	}
@@ -152,7 +157,7 @@ func TestPooledPRJWindowZeroAllocs(t *testing.T) {
 		ps := p.Partitioner()
 		partsR, hashR := pr.PartitionHashed(rs, bits, nil, 0)
 		partsS, hashS := ps.PartitionHashed(ss, bits, nil, 0)
-		pairs := p.Tuples(256)
+		pairs := p.Pairs(256)
 		for pi := range partsR {
 			if len(partsR[pi]) == 0 {
 				continue
@@ -162,7 +167,7 @@ func TestPooledPRJWindowZeroAllocs(t *testing.T) {
 			pairs, _ = tab.ProbeBatchHashed(partsS[pi], hashS[pi], pairs[:0])
 			p.PutTable(tab)
 		}
-		p.PutTuples(pairs)
+		p.PutPairs(pairs)
 		p.PutPartitioner(pr)
 		p.PutPartitioner(ps)
 	}
@@ -198,5 +203,101 @@ func TestPoolCorrectnessUnderReuse(t *testing.T) {
 		}
 		p.PutTuples(pairs)
 		p.PutTable(tab)
+	}
+}
+
+// TestBufferSizeClasses pins the freelist discipline of Tuples and U32: a
+// small request must not walk off with a large buffer while one of its own
+// class is free, so an interleaved small/large get–put sequence — a batch
+// buffer and a run buffer, in either release order — allocates nothing
+// after its first cycle.
+func TestBufferSizeClasses(t *testing.T) {
+	const small, large = 64, 1 << 16
+	p := New()
+	cycle := func() {
+		run := p.Tuples(large)
+		batch := p.Tuples(small)
+		scratch := p.U32(large)
+		idx := p.U32(small)
+		if cap(run) < large || cap(batch) < small || cap(scratch) < large || cap(idx) < small {
+			t.Fatalf("undersized buffers: %d %d %d %d", cap(run), cap(batch), cap(scratch), cap(idx))
+		}
+		if cap(batch) >= large || cap(idx) >= large {
+			t.Fatalf("a %d-element request took a %d-element buffer", small, large)
+		}
+		// Release large-last, so a LIFO first-fit list would hand the run
+		// buffer to the next small request.
+		p.PutTuples(batch)
+		p.PutTuples(run)
+		p.PutU32(idx)
+		p.PutU32(scratch)
+		// And the other interleaving: small taken while large is out.
+		batch = p.Tuples(small)
+		run = p.Tuples(large)
+		p.PutTuples(run)
+		p.PutTuples(batch)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("interleaved small/large cycle allocates %.1f times after the first, want 0", allocs)
+	}
+	st := p.Stats()
+	if st.Misses[metrics.PoolTuples] != 2 || st.Misses[metrics.PoolU32] != 2 {
+		t.Fatalf("want exactly the first cycle's four misses, got tuples=%d u32=%d",
+			st.Misses[metrics.PoolTuples], st.Misses[metrics.PoolU32])
+	}
+}
+
+// TestGrownPairBufferIsFoundAgain: a match-pair buffer its user grew by
+// appending (duplicate keys) must be what the next pair request gets, of
+// whatever size — and a sized Tuples request of the same size must not get
+// it, nor a pair request a run buffer.
+func TestGrownPairBufferIsFoundAgain(t *testing.T) {
+	p := New()
+	run := p.Tuples(1 << 16)
+	p.PutTuples(run)
+	buf := p.Pairs(128)
+	buf = append(buf, make([]tuple.Tuple, 5000)...)
+	p.PutPairs(buf)
+	if got := p.Tuples(128); cap(got) == cap(buf) {
+		t.Fatal("a sized request took the grown pair buffer")
+	}
+	if got := p.Pairs(128); cap(got) != cap(buf) {
+		t.Fatalf("pair request after growth got cap %d, want the grown buffer (cap %d)", cap(got), cap(buf))
+	}
+	if got := p.Pairs(128); cap(got) >= 1<<16 {
+		t.Fatal("a pair request took the run buffer")
+	}
+}
+
+// TestStatsCountAndRetain checks the observability counters: hits and
+// misses per kind, retained bytes rising on release and falling on reuse,
+// a nil pool reading zero, and Stats itself allocating nothing.
+func TestStatsCountAndRetain(t *testing.T) {
+	if (*Pool)(nil).Stats() != (metrics.PoolStats{}) {
+		t.Fatal("nil pool must read zero stats")
+	}
+	p := New()
+	tab := p.Table(1000, 0)
+	buf := p.Tuples(100)
+	if st := p.Stats(); st.Misses[metrics.PoolTable] != 1 || st.Misses[metrics.PoolTuples] != 1 || st.RetainedBytes != 0 {
+		t.Fatalf("after two cold acquires: %+v", st)
+	}
+	p.PutTable(tab)
+	p.PutTuples(buf)
+	held := p.Stats().RetainedBytes
+	if want := tab.MemBytes() + int64(cap(buf))*tuple.Bytes; held != want {
+		t.Fatalf("retained %d bytes, want %d", held, want)
+	}
+	p.Tuples(100)
+	st := p.Stats()
+	if st.Hits[metrics.PoolTuples] != 1 || st.RetainedBytes != tab.MemBytes() {
+		t.Fatalf("after one warm acquire: %+v", st)
+	}
+	if d := st.Since(metrics.PoolStats{Misses: st.Misses}); d.Misses != ([metrics.NumPoolKinds]int64{}) || d.Hits != st.Hits {
+		t.Fatalf("Since: %+v", d)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = p.Stats() }); allocs != 0 {
+		t.Fatalf("Stats allocates %.1f times", allocs)
 	}
 }

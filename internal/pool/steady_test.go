@@ -1,0 +1,79 @@
+package pool_test
+
+import (
+	"math/rand/v2"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/eager"
+	"repro/internal/lazy"
+	"repro/internal/pool"
+	"repro/internal/tuple"
+)
+
+// stream returns n time-ordered tuples with dupe duplicates per key.
+func stream(n, dupe int, seed uint64) tuple.Relation {
+	rng := rand.New(rand.NewPCG(seed, seed^11))
+	out := make(tuple.Relation, n)
+	for i := range out {
+		out[i] = tuple.Tuple{TS: int64(i / 64), Key: int32(rng.IntN(n/dupe + 1)), Payload: int32(i)}
+	}
+	return out
+}
+
+// allocatedBytes is the least number of bytes f allocates over a few
+// calls: the least, because a collection cycle that starts mid-call may
+// add its own small allocations to any one of them.
+func allocatedBytes(f func()) uint64 {
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestPooledWindowAllocsDoNotScale runs whole windows — core.Run, two
+// workers — of the algorithms whose steady state was never covered, on a
+// warmed pool, at two window sizes eight times apart. A window may
+// allocate its per-run constant (collector, goroutines, k-sized
+// bookkeeping); it must not allocate anything that grows with its tuples:
+// run copies, sort scratch, merge outputs, PMJ runs, the JB router's
+// status table all come from the pool.
+func TestPooledWindowAllocsDoNotScale(t *testing.T) {
+	algs := []core.Algorithm{
+		lazy.MWay{}, lazy.MPass{},
+		eager.PMJ{JB: false}, eager.PMJ{JB: true}, eager.SHJ{JB: true},
+	}
+	const small, large = 4096, 8 * 4096
+	for _, alg := range algs {
+		for _, simd := range []bool{false, true} {
+			window := func(n int) uint64 {
+				r, s := stream(n, 4, 1), stream(n, 4, 2)
+				p := pool.New()
+				run := func() {
+					cfg := core.RunConfig{Threads: 2, AtRest: true, Pool: p, Knobs: core.Knobs{SIMD: simd}}
+					if _, err := core.Run(alg, r, s, 0, cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				run() // sizes every buffer
+				run() // settles the freelists
+				return allocatedBytes(run)
+			}
+			atSmall, atLarge := window(small), window(large)
+			// The larger window holds 2×28672 more tuples; one copy of
+			// them is 917 KB. Allow a sixteenth of that for noise in the
+			// per-run constant.
+			const slack = (large - small) * 2 * tuple.Bytes / 16
+			if atLarge > atSmall+slack {
+				t.Errorf("%s simd=%v: a warmed pooled window allocates %d B at %d tuples and %d B at %d: it scales with the window",
+					alg.Name(), simd, atSmall, small, atLarge, large)
+			}
+		}
+	}
+}

@@ -82,6 +82,14 @@ type Partitioner struct {
 // NewPartitioner returns an empty Partitioner; buffers grow on first use.
 func NewPartitioner() *Partitioner { return &Partitioner{} }
 
+// MemBytes reports the bytes held by the buffers that scale with the input
+// (hash scratch, output, staging) — what a pooled Partitioner retains
+// between windows.
+func (p *Partitioner) MemBytes() int64 {
+	return int64(cap(p.hashes)+cap(p.outH)+cap(p.hstage))*4 +
+		int64(cap(p.out)+cap(p.stage))*tuple.Bytes
+}
+
 // DefaultGeometry returns the package-default SWWCB geometry: staging
 // slots per partition, and the fanout below which the scatter bypasses
 // staging entirely.

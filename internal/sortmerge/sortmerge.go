@@ -28,10 +28,22 @@ func SortByKey(rel []tuple.Tuple, simd bool, tr cachesim.Tracer, base uint64) {
 	if len(rel) < 2 {
 		return
 	}
+	SortByKeyScratch(rel, make([]tuple.Tuple, len(rel)), simd, tr, base)
+}
+
+// SortByKeyScratch is SortByKey with the sort's temporary buffer supplied
+// by the caller: scratch must have capacity for len(rel) tuples (its
+// contents are overwritten) and must not overlap rel. It allocates
+// nothing, which is what lets the windowed sort joins run on pooled state.
+func SortByKeyScratch(rel, scratch []tuple.Tuple, simd bool, tr cachesim.Tracer, base uint64) {
+	if len(rel) < 2 {
+		return
+	}
+	scratch = scratch[:len(rel)]
 	if simd {
-		radixSort(rel, tr, base)
+		radixSort(rel, scratch, tr, base)
 	} else {
-		scalarSort(rel, tr, base)
+		scalarSort(rel, scratch, 0, len(rel), tr, base)
 	}
 }
 
@@ -47,10 +59,9 @@ func keyRank(k int32) uint32 { return uint32(k) ^ 0x80000000 }
 func KeyRank(k int32) uint32 { return keyRank(k) }
 
 // radixSort is the vectorized-path substitute: four 8-bit LSD passes over
-// the key, ping-ponging between rel and a temporary buffer.
-func radixSort(rel []tuple.Tuple, tr cachesim.Tracer, base uint64) {
+// the key, ping-ponging between rel and the equally long tmp.
+func radixSort(rel, tmp []tuple.Tuple, tr cachesim.Tracer, base uint64) {
 	n := len(rel)
-	tmp := make([]tuple.Tuple, n)
 	src, dst := rel, tmp
 	srcBase, dstBase := base, base+uint64(n)*tupleBytes
 	var counts [256]int
@@ -88,35 +99,31 @@ func radixSort(rel []tuple.Tuple, tr cachesim.Tracer, base uint64) {
 	}
 }
 
-// scalarSort is a conventional top-down merge sort with a branchy merge.
-func scalarSort(rel []tuple.Tuple, tr cachesim.Tracer, base uint64) {
-	tmp := make([]tuple.Tuple, len(rel))
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo < 24 {
-			insertionSort(rel[lo:hi], tr, base+uint64(lo)*tupleBytes)
-			return
+// scalarSort is a conventional top-down merge sort of rel[lo:hi] with a
+// branchy merge through the equally long tmp.
+func scalarSort(rel, tmp []tuple.Tuple, lo, hi int, tr cachesim.Tracer, base uint64) {
+	if hi-lo < 24 {
+		insertionSort(rel[lo:hi], tr, base+uint64(lo)*tupleBytes)
+		return
+	}
+	mid := (lo + hi) / 2
+	scalarSort(rel, tmp, lo, mid, tr, base)
+	scalarSort(rel, tmp, mid, hi, tr, base)
+	copy(tmp[lo:hi], rel[lo:hi])
+	i, j := lo, mid
+	for k := lo; k < hi; k++ {
+		if tr != nil {
+			tr.Access(base + uint64(k)*tupleBytes)
+			tr.Op(3)
 		}
-		mid := (lo + hi) / 2
-		rec(lo, mid)
-		rec(mid, hi)
-		copy(tmp[lo:hi], rel[lo:hi])
-		i, j := lo, mid
-		for k := lo; k < hi; k++ {
-			if tr != nil {
-				tr.Access(base + uint64(k)*tupleBytes)
-				tr.Op(3)
-			}
-			if i < mid && (j >= hi || keyRank(tmp[i].Key) <= keyRank(tmp[j].Key)) {
-				rel[k] = tmp[i]
-				i++
-			} else {
-				rel[k] = tmp[j]
-				j++
-			}
+		if i < mid && (j >= hi || keyRank(tmp[i].Key) <= keyRank(tmp[j].Key)) {
+			rel[k] = tmp[i]
+			i++
+		} else {
+			rel[k] = tmp[j]
+			j++
 		}
 	}
-	rec(0, len(rel))
 }
 
 func insertionSort(a []tuple.Tuple, tr cachesim.Tracer, base uint64) {
@@ -138,7 +145,11 @@ func insertionSort(a []tuple.Tuple, tr cachesim.Tracer, base uint64) {
 // Merge merges two key-sorted runs into out (which must have capacity for
 // both). With simd the branch-free selection variant is used.
 func Merge(a, b, out []tuple.Tuple, simd bool) []tuple.Tuple {
-	out = out[:0]
+	return mergeAppend(out[:0], a, b, simd)
+}
+
+// mergeAppend appends the merge of the key-sorted runs a and b to out.
+func mergeAppend(out, a, b []tuple.Tuple, simd bool) []tuple.Tuple {
 	i, j := 0, 0
 	if simd {
 		// Branch-free core loop: select via arithmetic on the
@@ -173,27 +184,41 @@ func Merge(a, b, out []tuple.Tuple, simd bool) []tuple.Tuple {
 	return out
 }
 
-// MultiwayMerge merges k key-sorted runs in a single pass using a loser
-// tree-style selection (MWay's shuffling/merging phase). Empty runs are
-// skipped.
-func MultiwayMerge(runs []tuple.Relation, simd bool) []tuple.Tuple {
-	live := make([][]tuple.Tuple, 0, len(runs))
-	total := 0
+// liveRuns returns the non-empty runs and their total length.
+func liveRuns(runs []tuple.Relation) (live [][]tuple.Tuple, total int) {
+	live = make([][]tuple.Tuple, 0, len(runs))
 	for _, r := range runs {
 		if len(r) > 0 {
 			live = append(live, r)
 			total += len(r)
 		}
 	}
-	switch len(live) {
-	case 0:
+	return live, total
+}
+
+// MultiwayMerge merges k key-sorted runs in a single pass using a loser
+// tree-style selection (MWay's shuffling/merging phase). Empty runs are
+// skipped. The result is freshly allocated and never aliases a run.
+func MultiwayMerge(runs []tuple.Relation, simd bool) []tuple.Tuple {
+	return MultiwayMergeInto(nil, runs, simd)
+}
+
+// MultiwayMergeInto is MultiwayMerge writing into dst, which must not
+// overlap any run: the result is dst[:total] when dst has the capacity
+// and a fresh allocation otherwise. Beyond k-sized bookkeeping it then
+// allocates nothing.
+func MultiwayMergeInto(dst []tuple.Tuple, runs []tuple.Relation, simd bool) []tuple.Tuple {
+	live, total := liveRuns(runs)
+	if total == 0 {
 		return nil
-	case 1:
-		out := make([]tuple.Tuple, len(live[0]))
-		copy(out, live[0])
-		return out
 	}
-	out := make([]tuple.Tuple, 0, total)
+	out := dst[:0]
+	if cap(out) < total {
+		out = make([]tuple.Tuple, 0, total)
+	}
+	if len(live) == 1 {
+		return append(out, live[0]...)
+	}
 	// Simple binary-heap k-way merge; k is small (== thread count).
 	type head struct {
 		run int
@@ -245,37 +270,48 @@ func MultiwayMerge(runs []tuple.Relation, simd bool) []tuple.Tuple {
 
 // TwoWayMergePasses merges runs with successive pairwise merges, MPass's
 // multi-iteration strategy that scales better than a single wide multi-way
-// merge for large inputs.
+// merge for large inputs. The result is freshly allocated and never
+// aliases a run.
 func TwoWayMergePasses(runs []tuple.Relation, simd bool) []tuple.Tuple {
-	live := make([][]tuple.Tuple, 0, len(runs))
-	for _, r := range runs {
-		if len(r) > 0 {
-			live = append(live, r)
-		}
-	}
-	if len(live) == 0 {
+	return TwoWayMergePassesInto(nil, nil, runs, simd)
+}
+
+// TwoWayMergePassesInto is TwoWayMergePasses ping-ponging between the
+// buffers a and b, which must overlap neither each other nor any run:
+// odd passes write a, even passes b, and the result lies in whichever the
+// last pass wrote. A buffer without the capacity for the total is
+// replaced by a fresh allocation when a pass first needs it (b only from
+// three runs up), so nil buffers work and sized ones make the merge
+// allocation-free beyond k-sized bookkeeping.
+func TwoWayMergePassesInto(a, b []tuple.Tuple, runs []tuple.Relation, simd bool) []tuple.Tuple {
+	live, total := liveRuns(runs)
+	if total == 0 {
 		return nil
 	}
-	merged := false
-	for len(live) > 1 {
-		merged = true
-		next := make([][]tuple.Tuple, 0, (len(live)+1)/2)
-		for i := 0; i+1 < len(live); i += 2 {
-			out := make([]tuple.Tuple, 0, len(live[i])+len(live[i+1]))
-			next = append(next, Merge(live[i], live[i+1], out, simd))
+	dst, other := a[:0], b[:0]
+	for {
+		if cap(dst) < total {
+			dst = make([]tuple.Tuple, 0, total)
 		}
-		if len(live)%2 == 1 {
-			next = append(next, live[len(live)-1])
+		// One pass: every run of this round lands in dst — pairs merged,
+		// an odd last run copied — so the next pass reads one buffer and
+		// may overwrite the other.
+		dst = dst[:0]
+		next := live[:0]
+		for i := 0; i < len(live); i += 2 {
+			start := len(dst)
+			if i+1 < len(live) {
+				dst = mergeAppend(dst, live[i], live[i+1], simd)
+			} else {
+				dst = append(dst, live[i]...)
+			}
+			next = append(next, dst[start:])
 		}
-		live = next
+		if live = next; len(live) == 1 {
+			return live[0]
+		}
+		dst, other = other, dst
 	}
-	if !merged {
-		// Single original run: return a copy so callers own the result.
-		out := make([]tuple.Tuple, len(live[0]))
-		copy(out, live[0])
-		return out
-	}
-	return live[0]
 }
 
 // JoinEmit receives every matching pair found by MergeJoin.

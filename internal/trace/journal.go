@@ -43,6 +43,14 @@ type JournalEntry struct {
 	PhaseNs       map[string]int64 `json:"phase_ns,omitempty"`
 	Progress      []ProgressPoint  `json:"progress,omitempty"`
 
+	// PoolHits / PoolMisses count the run's window-pool acquires served
+	// from a freelist / by allocating, per pooled kind (kinds at zero are
+	// left out); PoolRetainedBytes is what the freelists held when the
+	// run ended. All absent for a run without a pool.
+	PoolHits          map[string]int64 `json:"pool_hits,omitempty"`
+	PoolMisses        map[string]int64 `json:"pool_misses,omitempty"`
+	PoolRetainedBytes int64            `json:"pool_retained_bytes,omitempty"`
+
 	// DroppedSpans is the attached recorder's cumulative dropped-span
 	// count at write time; zero (and omitted) when no recorder is
 	// attached or nothing was dropped.
@@ -114,6 +122,10 @@ func EntryOf(res metrics.Result) JournalEntry {
 		CPUUtil:       res.CPUUtil,
 		MemPeakBytes:  res.MemPeakBytes,
 		PhaseNs:       make(map[string]int64, len(res.PhaseNs)),
+
+		PoolHits:          poolCounts(res.Pool.Hits),
+		PoolMisses:        poolCounts(res.Pool.Misses),
+		PoolRetainedBytes: res.Pool.RetainedBytes,
 	}
 	for i, ns := range res.PhaseNs {
 		e.PhaseNs[metrics.Phase(i).String()] = ns
@@ -122,6 +134,22 @@ func EntryOf(res metrics.Result) JournalEntry {
 		e.Progress = append(e.Progress, ProgressPoint{Ms: p.V, Frac: p.Frac})
 	}
 	return e
+}
+
+// poolCounts names the non-zero per-kind pool counters; nil when all are
+// zero, so the field is omitted.
+func poolCounts(counts [metrics.NumPoolKinds]int64) map[string]int64 {
+	var out map[string]int64
+	for k, n := range counts {
+		if n == 0 {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]int64, len(counts))
+		}
+		out[metrics.PoolKind(k).String()] = n
+	}
+	return out
 }
 
 // WindowEntryOf flattens one window's result into a window journal entry.

@@ -231,3 +231,39 @@ func TestNilJournalWriterIsInert(t *testing.T) {
 		t.Errorf("nil WriteWindow: %v", err)
 	}
 }
+
+// TestJournalCarriesPoolTraffic: a window record names the pooled kinds
+// that hit and missed during its run and the bytes the pool retained, and
+// says nothing at all about a run that had no pool.
+func TestJournalCarriesPoolTraffic(t *testing.T) {
+	res := metricsResultFixture()
+	res.Pool.Hits[metrics.PoolTuples] = 12
+	res.Pool.Hits[metrics.PoolTable] = 4
+	res.Pool.Misses[metrics.PoolU32] = 2
+	res.Pool.RetainedBytes = 1 << 16
+
+	var buf bytes.Buffer
+	jw := NewJournalWriter(&buf)
+	if err := jw.WriteWindow(res, 3, 300, 400); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Write(metricsResultFixture()); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	for _, want := range []string{`"pool_hits":{"table":4,"tuples":12}`, `"pool_misses":{"u32":2}`, `"pool_retained_bytes":65536`} {
+		if !strings.Contains(lines[0], want) {
+			t.Errorf("window record missing %s:\n%s", want, lines[0])
+		}
+	}
+	if strings.Contains(lines[1], "pool_") {
+		t.Errorf("a run without a pool must not mention one:\n%s", lines[1])
+	}
+	j, err := ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Windows[0]; got.PoolHits["tuples"] != 12 || got.PoolMisses["u32"] != 2 || got.PoolRetainedBytes != 1<<16 {
+		t.Errorf("pool fields did not round-trip: %+v", got)
+	}
+}

@@ -50,6 +50,10 @@ type algStats struct {
 	p50, p95, p99, max int64
 	cpuUtil            float64
 	memPeak            int64
+
+	// Window-pool traffic summed over the runs, and the retained bytes
+	// the most recent run saw.
+	pool metrics.PoolStats
 }
 
 // NewRegistry returns an empty registry.
@@ -79,6 +83,11 @@ func (g *Registry) Observe(res metrics.Result) {
 	st.p50, st.p95, st.p99, st.max = res.LatencyP50Ms, res.LatencyP95Ms, res.LatencyP99Ms, res.LatencyMaxMs
 	st.cpuUtil = res.CPUUtil
 	st.memPeak = res.MemPeakBytes
+	for k := range res.Pool.Hits {
+		st.pool.Hits[k] += res.Pool.Hits[k]
+		st.pool.Misses[k] += res.Pool.Misses[k]
+	}
+	st.pool.RetainedBytes = res.Pool.RetainedBytes
 }
 
 // Attach exposes a live recorder's span totals on /metrics; pass nil to
@@ -166,6 +175,22 @@ func (g *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	writeHeader("iawj_mem_peak_bytes", "gauge", "Last-run peak logical memory per algorithm.")
 	for _, name := range names {
 		fmt.Fprintf(&b, "iawj_mem_peak_bytes{algorithm=%q} %d\n", escapeLabel(name), g.algs[name].memPeak)
+	}
+	writeHeader("iawj_pool_hits_total", "counter", "Window-pool acquires served from a freelist, per algorithm and pooled kind.")
+	for _, name := range names {
+		for k, n := range g.algs[name].pool.Hits {
+			fmt.Fprintf(&b, "iawj_pool_hits_total{algorithm=%q,kind=%q} %d\n", escapeLabel(name), metrics.PoolKind(k).String(), n)
+		}
+	}
+	writeHeader("iawj_pool_misses_total", "counter", "Window-pool acquires that had to allocate, per algorithm and pooled kind.")
+	for _, name := range names {
+		for k, n := range g.algs[name].pool.Misses {
+			fmt.Fprintf(&b, "iawj_pool_misses_total{algorithm=%q,kind=%q} %d\n", escapeLabel(name), metrics.PoolKind(k).String(), n)
+		}
+	}
+	writeHeader("iawj_pool_retained_bytes", "gauge", "Bytes the window pool's freelists held after the algorithm's last run.")
+	for _, name := range names {
+		fmt.Fprintf(&b, "iawj_pool_retained_bytes{algorithm=%q} %d\n", escapeLabel(name), g.algs[name].pool.RetainedBytes)
 	}
 	g.mu.Unlock()
 

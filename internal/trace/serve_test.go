@@ -6,12 +6,18 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func TestRegistryMetricsExposition(t *testing.T) {
 	g := NewRegistry()
-	g.Observe(metricsResultFixture())
-	g.Observe(metricsResultFixture()) // second run accumulates counters
+	pooled := metricsResultFixture()
+	pooled.Pool.Hits[metrics.PoolTuples] = 6
+	pooled.Pool.Misses[metrics.PoolShared] = 1
+	pooled.Pool.RetainedBytes = 4096
+	g.Observe(pooled)
+	g.Observe(pooled) // second run accumulates counters
 
 	rec := NewRecorder(1, 8)
 	rec.StartRun("SHJ_JM")
@@ -28,6 +34,9 @@ func TestRegistryMetricsExposition(t *testing.T) {
 		`iawj_matches_total{algorithm="SHJ_JM"} 3000`,
 		`iawj_phase_ns_total{algorithm="SHJ_JM",phase="probe"} 1000`,
 		`iawj_latency_ms{algorithm="SHJ_JM",quantile="0.99"} 9`,
+		`iawj_pool_hits_total{algorithm="SHJ_JM",kind="tuples"} 12`,
+		`iawj_pool_misses_total{algorithm="SHJ_JM",kind="shared"} 2`,
+		`iawj_pool_retained_bytes{algorithm="SHJ_JM"} 4096`,
 		`iawj_trace_spans 1`,
 		`iawj_trace_span_ns_total{algorithm="SHJ_JM",phase="probe"} 5000`,
 		"# TYPE iawj_runs_total counter",

@@ -52,7 +52,11 @@ func WriteBinary(w io.Writer, rel Relation) error {
 }
 
 // ReadBinary reads a count-prefixed relation written by WriteBinary.
-func ReadBinary(r io.Reader) (Relation, error) {
+func ReadBinary(r io.Reader) (Relation, error) { return ReadBinaryInto(r, nil) }
+
+// ReadBinaryInto is ReadBinary decoding into dst[:0] when dst has the
+// capacity for the relation, and into a fresh allocation otherwise.
+func ReadBinaryInto(r io.Reader, dst Relation) (Relation, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -62,13 +66,16 @@ func ReadBinary(r io.Reader) (Relation, error) {
 	if n > maxTuples {
 		return nil, fmt.Errorf("tuple: implausible relation size %d", n)
 	}
-	rel := make(Relation, 0, n)
-	buf := make([]byte, BinarySize)
+	rel := dst[:0]
+	if uint64(cap(rel)) < n {
+		rel = make(Relation, 0, n)
+	}
+	var buf [BinarySize]byte
 	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return nil, fmt.Errorf("tuple: truncated relation after %d of %d tuples: %w", i, n, err)
 		}
-		rel = append(rel, DecodeBinary(buf))
+		rel = append(rel, DecodeBinary(buf[:]))
 	}
 	return rel, nil
 }

@@ -37,6 +37,11 @@
 #                   examples/specs/, then a short open-loop run of the
 #                   mixed multi-client spec whose journal must carry the
 #                   per-class openloop/* run records (WORKLOADS.md)
+#  14. bench harness  go vet + go test inside benchmark/ — its own module,
+#                   which the root ./... patterns skip, compiling against
+#                   internal/ APIs (ingest.ReadStream, sortmerge, core,
+#                   window) and the windowed driver; tier-1 must notice a
+#                   break there before a benchmark run does
 #
 # Any stage failing aborts the gate with a non-zero exit.
 #
@@ -158,6 +163,9 @@ if [ "$class_lines" -lt 2 ]; then
 fi
 go run ./cmd/iawjreport -self "$loadledger" >/dev/null
 echo "ok ($(ls examples/specs/*.json | wc -l) specs validated, $class_lines class records, self-compare clean)"
+
+step "bench harness (go vet + go test in benchmark/)"
+(cd benchmark && go vet ./... && go test ./...)
 
 stage_done
 printf '\ncheck: all stages passed\n'

@@ -36,8 +36,13 @@ type WindowResult struct {
 // JoinWindowed slices r and s with the spec, aligns the windows of both
 // streams, and runs the configured IaWJ per window pair. Windows with
 // input on only one side produce zero matches without running a join.
-// Timestamps inside each window are rebased to the window start so the
-// arrival simulation of each join replays that window in isolation.
+//
+// No window is copied: each join reads its slices of r and s in place
+// (a tuple of a sliding stream is shared by every window covering it) and
+// is told the window start, which it subtracts wherever it reads a
+// timestamp. Arrival simulation, latencies and the timestamps of emitted
+// results are therefore relative to the window start — each join replays
+// its window in isolation — and r and s are never written.
 //
 // Successive windows are exactly the state-reuse pattern the window pool
 // exists for, so when cfg.Pool is nil the driver creates one shared by
@@ -61,19 +66,27 @@ func JoinWindowed(r, s Relation, spec WindowSpec, cfg Config) ([]WindowResult, e
 		if len(p.R) == 0 || len(p.S) == 0 {
 			continue
 		}
-		wcfg := cfg
-		wcfg.WindowMs = p.Window.Length()
-		wcfg.Window = WindowTag{ID: i, StartMs: p.Window.Start, EndMs: p.Window.End}
-		res, err := Join(rebase(p.R, p.Window.Start), rebase(p.S, p.Window.Start), wcfg)
-		if err != nil {
-			return out[:i], fmt.Errorf("window [%d,%d): %w", p.Window.Start, p.Window.End, err)
-		}
-		out[i].Result = res
-		if err := cfg.Journal.WriteWindow(res, i, p.Window.Start, p.Window.End); err != nil {
-			return out[:i+1], fmt.Errorf("window [%d,%d): journal: %w", p.Window.Start, p.Window.End, err)
+		if err := joinWindow(i, p, cfg, &out[i]); err != nil {
+			return out[:i+1], err
 		}
 	}
 	return out, nil
+}
+
+// joinWindow runs window i's join over the pair's slices in place, stores
+// the result in out and appends the window's journal record.
+func joinWindow(i int, p window.Pair, cfg Config, out *WindowResult) error {
+	cfg.WindowMs = p.Window.Length()
+	cfg.Window = WindowTag{ID: i, StartMs: p.Window.Start, EndMs: p.Window.End}
+	res, err := join(p.R, p.S, cfg, p.Window.Start)
+	if err != nil {
+		return fmt.Errorf("window [%d,%d): %w", p.Window.Start, p.Window.End, err)
+	}
+	out.Result = res
+	if err := cfg.Journal.WriteWindow(res, i, p.Window.Start, p.Window.End); err != nil {
+		return fmt.Errorf("window [%d,%d): journal: %w", p.Window.Start, p.Window.End, err)
+	}
+	return nil
 }
 
 // JoinWindowedParallel is JoinWindowed with up to workers window pairs
@@ -107,20 +120,9 @@ func JoinWindowedParallel(r, s Relation, spec WindowSpec, cfg Config, workers in
 		sem <- struct{}{}
 		go func(i int, p window.Pair) {
 			defer func() { <-sem; wg.Done() }()
-			wcfg := cfg
-			wcfg.WindowMs = p.Window.Length()
-			wcfg.Window = WindowTag{ID: i, StartMs: p.Window.Start, EndMs: p.Window.End}
-			res, err := Join(rebase(p.R, p.Window.Start), rebase(p.S, p.Window.Start), wcfg)
-			if err != nil {
-				errs[i] = fmt.Errorf("window [%d,%d): %w", p.Window.Start, p.Window.End, err)
-				return
-			}
-			out[i].Result = res
 			// The journal writer serializes internally; window records of
 			// in-flight windows may interleave out of order but carry ids.
-			if err := cfg.Journal.WriteWindow(res, i, p.Window.Start, p.Window.End); err != nil {
-				errs[i] = fmt.Errorf("window [%d,%d): journal: %w", p.Window.Start, p.Window.End, err)
-			}
+			errs[i] = joinWindow(i, p, cfg, &out[i])
 		}(i, p)
 	}
 	wg.Wait()
@@ -130,19 +132,6 @@ func JoinWindowedParallel(r, s Relation, spec WindowSpec, cfg Config, workers in
 		}
 	}
 	return out, nil
-}
-
-// rebase shifts timestamps so the window starts at zero; a copy keeps the
-// caller's stream untouched.
-func rebase(rel Relation, start int64) Relation {
-	if start == 0 {
-		return rel
-	}
-	out := rel.Clone()
-	for i := range out {
-		out[i].TS -= start
-	}
-	return out
 }
 
 // TotalMatches sums the matches over a windowed join's results.
