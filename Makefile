@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check build test lint lint-json lint-sarif lint-race escapegate bcegate inlinegate lint-gates race trace-smoke bench bench-kernels bench-smoke bench-gate bench-harness fuzz-smoke conform conform-full report-smoke load-smoke fmt
+.PHONY: check build test lint lint-json lint-sarif lint-race escapegate bcegate inlinegate lint-gates race trace-smoke bench bench-kernels bench-smoke bench-gate bench-harness fuzz-smoke conform conform-full report-smoke load-smoke fmt loc
 
 ## check: run the full CI gate (fmt, vet, build, lint, test, race, fuzz)
 check:
@@ -121,3 +121,15 @@ load-smoke:
 ## fmt: apply gofmt to the tree
 fmt:
 	gofmt -w .
+
+## loc: the two size numbers every PR reports in CHANGES.md — non-test Go
+## lines of the root module (benchmark/, .bench_build/ and lint fixtures
+## excluded) and its exported top-level names (funcs, methods, types, and
+## vars/consts incl. grouped ones)
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' ! -path './internal/lint/testdata/*' -print0
+loc:
+	@printf 'non-test Go LOC:      %d\n' $$($(LOC_FILES) | xargs -0 cat | wc -l)
+	@printf 'exported identifiers: %d\n' $$($(LOC_FILES) | xargs -0 awk ' \
+		/^(const|var) \($$/ {blk=1; next} /^\)/ {blk=0} \
+		/^func (\([^)]*\) )?[A-Z]/ || /^type [A-Z]/ || /^(var|const) [A-Z]/ || (blk && /^\t[A-Z][A-Za-z0-9_]*( |,|$$)/) {n++} \
+		END {print n}')

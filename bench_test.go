@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/gen"
-	"repro/internal/radix"
 )
 
 // benchOpts shrinks the experiments so a full -bench=. pass stays fast;
@@ -216,23 +215,6 @@ func BenchmarkHandshakeBaseline(b *testing.B) {
 	b.SetBytes(int64(len(w.R)+len(w.S)) * 16)
 }
 
-// BenchmarkAblationNPJTable compares the shared-table synchronization
-// designs: per-bucket latches (the paper's NPJ) against a CAS-based
-// lock-free chain (NPJ_LF).
-func BenchmarkAblationNPJTable(b *testing.B) {
-	w := MicroStatic(100_000, 100_000, 32, 0, 42) // high dupe: contended buckets
-	for _, algo := range []string{"NPJ", "NPJ_LF"} {
-		b.Run(algo, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Join(w.R, w.S, Config{Algorithm: algo, Threads: 2, AtRest: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(len(w.R)+len(w.S)) * 16)
-		})
-	}
-}
-
 // BenchmarkAblationPMJSpill compares PMJ's modernized in-memory runs with
 // the original disk-spilled runs.
 func BenchmarkAblationPMJSpill(b *testing.B) {
@@ -252,26 +234,6 @@ func BenchmarkAblationPMJSpill(b *testing.B) {
 				}
 			}
 			b.SetBytes(int64(len(w.R)+len(w.S)) * 16)
-		})
-	}
-}
-
-// BenchmarkAblationRadixPasses compares single-pass radix partitioning
-// against the TLB-friendly multi-pass scheme at a large bit budget.
-func BenchmarkAblationRadixPasses(b *testing.B) {
-	w := MicroStatic(200_000, 1, 1, 0, 42)
-	for _, bits := range []int{14} {
-		b.Run("single", func(b *testing.B) {
-			b.SetBytes(int64(len(w.R)) * 16)
-			for i := 0; i < b.N; i++ {
-				radix.Partition(w.R, bits, nil, 0)
-			}
-		})
-		b.Run("multi", func(b *testing.B) {
-			b.SetBytes(int64(len(w.R)) * 16)
-			for i := 0; i < b.N; i++ {
-				radix.PartitionMultiPass(w.R, bits, nil, 0)
-			}
 		})
 	}
 }

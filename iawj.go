@@ -166,9 +166,6 @@ func NewAlgorithm(name string) (core.Algorithm, error) {
 	switch name {
 	case "NPJ":
 		return lazy.NPJ{}, nil
-	case "NPJ_LF":
-		// Ablation variant: CAS-based shared table instead of latches.
-		return lazy.NPJ{LockFree: true}, nil
 	case "PRJ":
 		return lazy.PRJ{}, nil
 	case "MWAY", "MWay":

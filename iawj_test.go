@@ -2,6 +2,7 @@ package iawj
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -74,9 +75,14 @@ func TestHandshakeBaselineMatches(t *testing.T) {
 }
 
 func TestUnknownAlgorithm(t *testing.T) {
-	_, err := Join(nil, nil, Config{Algorithm: "NOPE"})
-	if err == nil {
-		t.Fatal("expected error for unknown algorithm")
+	// NPJ_LF named the retired lock-free build-table ablation.
+	for _, name := range []string{"NOPE", "NPJ_LF"} {
+		if _, err := Join(nil, nil, Config{Algorithm: name}); err == nil {
+			t.Fatalf("expected error for unknown algorithm %q", name)
+		}
+		if _, err := NewAlgorithm(name); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Fatalf("NewAlgorithm(%q) = %v, want the unknown-algorithm error", name, err)
+		}
 	}
 }
 
@@ -136,18 +142,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestLockFreeNPJAblation(t *testing.T) {
-	w := MicroStatic(4000, 4000, 16, 0.5, 99)
-	want := ExpectedMatches(w.R, w.S)
-	for _, algo := range []string{"NPJ", "NPJ_LF"} {
-		res, err := Join(w.R, w.S, Config{Algorithm: algo, Threads: 4, AtRest: true})
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if res.Matches != want {
-			t.Fatalf("%s: matches = %d, want %d", algo, res.Matches, want)
-		}
-	}
 }

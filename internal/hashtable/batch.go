@@ -2,177 +2,128 @@ package hashtable
 
 // Batched build/probe kernels.
 //
-// The scalar Insert/Probe APIs charge a function call per tuple and — when
-// the caller needs the matched tuples — a closure construction per probe,
-// which the escape analyzer heap-allocates because the closure captures
-// loop state. The batch APIs below amortize the call overhead over a
-// caller-sized batch and replace the emit closure with appends into a
-// caller-owned pair buffer, so the NPJ/PRJ/SHJ inner loops run without a
-// single per-tuple allocation (PERFORMANCE.md). The *Hashed variants take
-// hash values precomputed by the hash-once partitioning kernel
-// (radix.Partitioner), so a tuple that was already hashed for partition
-// selection is never hashed again for bucket placement.
+// The joins drive the tables a batch at a time: one call per worker chunk
+// instead of one per tuple, and matches appended to a caller-owned pair
+// buffer instead of handed to a per-probe emit closure, so the NPJ/PRJ/SHJ
+// inner loops run without a single per-tuple allocation (PERFORMANCE.md).
+// The *Hashed entries take hash values precomputed by the hash-once
+// partitioning kernel (radix.Partitioner), so a tuple that was already
+// hashed for partition selection is never hashed again for bucket
+// placement.
 //
-// Two further levers make the batched probes dominate the scalar loop
-// (PERFORMANCE.md §7):
+// There is one build kernel and one probe kernel. Each is a two-stage
+// software-prefetch pipeline over blocks of D tuples (prefetch.go has the
+// distance model and its calibration): stage one hashes — or reads the
+// precomputed hash — and issues an early load of every bucket head in the
+// block; stage two works in input order against lines already in flight.
 //
-//   - Software prefetch: probes run as a two-stage pipeline per block of
-//     D tuples — stage one hashes and issues early loads of every bucket
-//     head in the block, stage two resolves matches against lines that
-//     are already in flight. See prefetch.go for the distance model and
-//     its calibration.
-//   - Monomorphic resolve loops: the chain-walk branch is hoisted out of
-//     the inner loop. A table whose build produced no overflow buckets
-//     (Chained() == 0 — the unique-key regime) resolves with a flat walk
-//     of the head bucket, no pointer chase; duplicate-heavy tables take
-//     the chain walk. Tracer instrumentation lives only in the unpipelined
-//     fallback, so profile runs see the classic access sequence.
+//   - build: stageHeads, then commit (Table.insert drives them);
+//   - probe: probeStage.table or probeStage.shared — the two directory
+//     layouts — then probeStage.resolve, shared by both tables.
+//
+// The per-tuple loops are the //iawj:hotpath spans; the block drivers
+// around them run once per 16-64 tuples and are plain code (LINTING.md
+// §BCE). Profile runs (a tracer attached) and distance 1 take the
+// unpipelined walks instead — insertOne and walk — so the cache simulator
+// sees the classic per-tuple access sequence.
 //
 // ProbeBatch appends matches as consecutive (stored, probe) tuple pairs:
 // dst[2i] is the stored build-side tuple, dst[2i+1] the probing tuple.
-// Matches keep the scalar order — probe order first, chain order second —
-// so batched and scalar kernels are differentially testable pair by pair,
-// at every prefetch distance.
+// Matches come in probe order first, chain order second, at every
+// prefetch distance — the order of the scalar reference walk the
+// differential tests compare against pair by pair (reference_test.go).
 
-import "repro/internal/tuple"
+import (
+	"repro/internal/cachesim"
+	"repro/internal/tuple"
+)
 
-// InsertBatch inserts every tuple of xs, equivalent to calling Insert in a
-// loop but with the per-call overhead amortized over the batch.
+// hashAt is the optional-hash read of the kernels: the precomputed hash
+// when the caller supplied one for position i, the key's hash otherwise.
+// The length compare doubles as the bounds proof, so one per-tuple loop
+// serves the hashed and unhashed entries without a residual check.
 //
-//iawj:hotpath
-func (t *Table) InsertBatch(xs []tuple.Tuple) {
-	if t.tracer != nil {
-		for i := range xs {
-			t.insertHashed(xs[i], Hash(xs[i].Key))
-		}
-		t.size += int64(len(xs))
-		return
+//iawj:inline
+func hashAt(hashes []uint32, i int, key int32) uint32 {
+	if i < len(hashes) {
+		return hashes[i]
 	}
-	if t.pref > 1 {
-		t.insertPipelined(xs, nil)
-		return
-	}
-	for i := range xs {
-		t.InsertHashed(xs[i], Hash(xs[i].Key))
-	}
+	return Hash(key)
 }
+
+// maxShift bounds Table.shift (SetShift clamps to it). The stage-one
+// loops restate the bound as shift &= maxShift so the compiler emits a
+// bare shift: for an unbounded count it appends a CMP/SBB/AND fix-up, and
+// Intel cores treat SBB r,r as reading r — when the register allocator
+// hands that r to the bucket-header load, every iteration's address waits
+// on the previous iteration's cache miss and the pipeline serializes
+// (measured 4x on an out-of-cache probe, PERFORMANCE.md §7).
+const maxShift = 31
+
+// InsertBatch inserts every tuple of xs in input order.
+func (t *Table) InsertBatch(xs []tuple.Tuple) { t.insert(xs, nil) }
 
 // InsertBatchHashed inserts xs using precomputed hashes (aligned with xs),
 // the hash-once fast path fed by radix.Partitioner.PartitionHashed.
-//
-//iawj:hotpath
 func (t *Table) InsertBatchHashed(xs []tuple.Tuple, hashes []uint32) {
-	hashes = hashes[:len(xs)] // hoisted proof: hashes aligns with xs (bcegate)
-	if t.tracer != nil {
-		for i := range xs {
-			t.insertHashed(xs[i], hashes[i])
-		}
-		t.size += int64(len(xs))
-		return
-	}
-	if t.pref > 1 {
-		t.insertPipelined(xs, hashes)
-		return
-	}
-	for i := range xs {
-		t.InsertHashed(xs[i], hashes[i])
-	}
+	t.insert(xs, hashes[:len(xs)])
 }
 
-// insertPipelined is the two-stage batched build: stage one hashes a block
-// of up to t.pref tuples and issues an early load of every target bucket's
-// header line, stage two performs the inserts in input order against lines
-// already in flight. Builds are write-heavy, but the ownership miss on a
-// cold bucket line costs the same latency as a read miss, so the same
-// distance-D pipeline that hides probe misses hides them too. Insert order
-// — and therefore chain layout — is identical to the scalar loop. hashes
-// may be nil.
-//
-// The loop shape is dictated by bcegate (LINTING.md §BCE): the block
-// length n is the clamped prefetch distance and is never derived from
-// len(rest), so the if-break guard that opens each iteration survives to
-// the prove pass and makes the block advance (rest[n:]) check-free; full
-// blocks index rest[j] under j < n; the short remainder runs once after
-// the loop with indices bounded by len directly; the stage scratch is
-// masked (j & prefBlockMask, a no-op for j < n ≤ prefBlockMax); the
-// directory length is proven once against a hoisted local
-// (_ = buckets[mask]); and the insert slot is guarded by a compare
-// against bucketCap, which the spill invariant makes always-true.
+// insert is the build kernel; hashes is nil or aligned with xs. Builds are
+// write-heavy, but the ownership miss on a cold bucket line costs the same
+// latency as a read miss, so the distance-D pipeline that hides probe
+// misses hides them too. Insert order — and therefore chain layout — is
+// input order on every path.
+func (t *Table) insert(xs []tuple.Tuple, hashes []uint32) {
+	d := min(int(t.pref), prefBlockMax)
+	if t.tracer != nil || d <= 1 {
+		for i := range xs {
+			t.insertOne(xs[i], hashAt(hashes, i, xs[i].Key))
+		}
+	} else {
+		var heads [prefBlockMax]*bucket
+		for off := 0; off < len(xs); off += d {
+			end := min(off+d, len(xs))
+			var hblk []uint32
+			if hashes != nil {
+				hblk = hashes[off:end]
+			}
+			t.tick |= stageHeads(t.buckets, t.shift, t.mask, xs[off:end], hblk, &heads)
+			t.commit(xs[off:end], &heads)
+		}
+	}
+	t.size += int64(len(xs))
+}
+
+// stageHeads is build stage one: resolve every tuple of blk to its head
+// bucket and load the header, so the line is in flight before commit
+// writes it. The returned accumulator keeps the b.n loads observable
+// (commit re-reads them, since an earlier insert in the block may hit the
+// same bucket). hashes is nil or aligned with blk; len(blk) is at most
+// prefBlockMax.
 //
 //iawj:hotpath
-func (t *Table) insertPipelined(xs []tuple.Tuple, hashes []uint32) {
-	n := clampPref(int(t.pref))
-	if n < 1 {
-		// Unreachable: clampPref lower-bounds to 1. Restated because the
-		// prover loses the bound through the int32 conversion, and the
-		// block advance below needs n >= 0 (LINTING.md §BCE).
-		return
-	}
-	var heads [prefBlockMax]*bucket
-	var tick int32
-	buckets, shift, mask := t.buckets, t.shift, t.mask
+func stageHeads(buckets []bucket, shift, mask uint32, blk []tuple.Tuple, hashes []uint32, heads *[prefBlockMax]*bucket) int32 {
 	_ = buckets[mask] // hoisted proof: the directory spans every masked index
-	rest := xs
-	hrest := hashes
-	for {
-		if len(rest) < n {
-			break // short remainder: handled below with len-bounded indices
-		}
-		next := rest[n:]
-		// Stage 1: hash + early header loads. The tick accumulator keeps
-		// the b.n loads observable (they re-read in stage two, since an
-		// earlier insert in the block may hit the same bucket).
-		if hashes == nil {
-			for j := 0; j < n; j++ {
-				b := &buckets[(Hash(rest[j].Key)>>shift)&mask]
-				heads[j&prefBlockMask] = b
-				tick |= b.n
-			}
-		} else {
-			if len(hrest) < n {
-				break // unreachable: callers align hashes with xs
-			}
-			hnext := hrest[n:]
-			for j := 0; j < n; j++ {
-				b := &buckets[(hrest[j]>>shift)&mask]
-				heads[j&prefBlockMask] = b
-				tick |= b.n
-			}
-			hrest = hnext
-		}
-		// Stage 2: insert, in input order. Spill empties the head bucket
-		// in place, so the staged head pointers stay valid.
-		for j := 0; j < n; j++ {
-			b := heads[j&prefBlockMask]
-			if b.n == 0 && b.next == nil {
-				t.dirty = append(t.dirty, b)
-			}
-			if b.n == bucketCap {
-				b = t.spill(b)
-			}
-			if bn := int(b.n); bn >= 0 && bn < bucketCap {
-				b.tuples[bn] = rest[j]
-				b.n = int32(bn + 1)
-			}
-		}
-		rest = next
+	shift &= maxShift // bounded count: see maxShift
+	var tick int32
+	for j := range blk {
+		b := &buckets[(hashAt(hashes, j, blk[j].Key)>>shift)&mask]
+		heads[j&prefBlockMask] = b
+		tick |= b.n
 	}
-	// Remainder block (len(rest) < n): same two stages, len-bounded.
-	if hashes == nil {
-		for j := 0; j < len(rest); j++ {
-			b := &buckets[(Hash(rest[j].Key)>>shift)&mask]
-			heads[j&prefBlockMask] = b
-			tick |= b.n
-		}
-	} else if len(hrest) >= len(rest) {
-		hr := hrest[:len(rest)]
-		for j := 0; j < len(rest); j++ {
-			b := &buckets[(hr[j]>>shift)&mask]
-			heads[j&prefBlockMask] = b
-			tick |= b.n
-		}
-	}
-	for j := 0; j < len(rest); j++ {
+	return tick
+}
+
+// commit is build stage two: insert blk into the staged heads, in input
+// order. Spill empties the head bucket in place, so the staged pointers
+// stay valid across a block. The slot compare against bucketCap is
+// always true by the spill invariant; it tells the prover (LINTING.md
+// §BCE).
+//
+//iawj:hotpath
+func (t *Table) commit(blk []tuple.Tuple, heads *[prefBlockMax]*bucket) {
+	for j := range blk {
 		b := heads[j&prefBlockMask]
 		if b.n == 0 && b.next == nil {
 			t.dirty = append(t.dirty, b)
@@ -181,12 +132,10 @@ func (t *Table) insertPipelined(xs []tuple.Tuple, hashes []uint32) {
 			b = t.spill(b)
 		}
 		if bn := int(b.n); bn >= 0 && bn < bucketCap {
-			b.tuples[bn] = rest[j]
+			b.tuples[bn] = blk[j]
 			b.n = int32(bn + 1)
 		}
 	}
-	t.size += int64(len(xs))
-	t.tick = tick
 }
 
 // ScatterBuild performs the fused partition+build scatter for
@@ -194,14 +143,14 @@ func (t *Table) insertPipelined(xs []tuple.Tuple, hashes []uint32) {
 // inserted into tabs[hashes[i]&mask] — the caller guarantees that table
 // exists (it sized one per non-empty partition) and carries
 // SetShift(bits). The loop lives here rather than in package radix so the
-// bucket walk is direct field access instead of a non-inlinable
-// per-tuple InsertHashed call (cost 119 vs the 80 inline budget — the
-// call overhead alone erased the fusion win on cache-resident windows).
+// bucket walk is direct field access instead of a per-tuple call across
+// the package boundary (the call overhead alone erased the fusion win on
+// cache-resident windows).
 //
-// Like insertPipelined, the scatter runs the two-stage distance-D
-// pipeline: stage one resolves a block of table and bucket heads and
-// issues early header loads — across tables, exactly the random directory
-// traffic fusion is exposed to — and stage two inserts in input order, so
+// Like Table.insert, the scatter runs the two-stage distance-D pipeline:
+// stage one resolves a block of table and bucket heads and issues early
+// header loads — across tables, exactly the random directory traffic
+// fusion is exposed to — and stage two inserts in input order, so
 // per-table insertion order (and chain layout) matches the unfused
 // PartitionHashed + InsertBatchHashed pipeline tuple for tuple.
 //
@@ -257,29 +206,12 @@ func ScatterBuild(tabs []*Table, mask uint32, xs []tuple.Tuple, hashes []uint32)
 	}
 }
 
-// InsertHashed is the monomorphic single-tuple insert of the untraced hot
-// loops: no tracer branch, and the rare overflow spill is outlined to
-// keep the common path short; per-tuple scatter loops that need it
-// inlined live in this package instead (ScatterBuild).
-//
-//iawj:hotpath
-func (t *Table) InsertHashed(x tuple.Tuple, h uint32) {
-	idx := (h >> t.shift) & t.mask
-	b := &t.buckets[idx]
-	if b.n == 0 && b.next == nil {
-		t.dirty = append(t.dirty, b)
-	}
-	if b.n == bucketCap {
-		b = t.spill(b)
-	}
-	b.tuples[b.n] = x
-	b.n++
-	t.size++
-}
-
 // spill moves a full head bucket's contents to an overflow bucket pushed
-// onto the chain and returns the emptied head — Insert's head-insertion
-// scheme, outlined to keep InsertHashed inlinable.
+// onto the chain and returns the emptied head, so an insert stays O(1) —
+// the head-insertion scheme of the original bucket-chain design. High key
+// duplication still produces long chains, whose cost is paid where the
+// paper measures it: during probe walks. Outlined to keep the insert
+// loops short.
 //
 //go:noinline
 func (t *Table) spill(b *bucket) *bucket {
@@ -287,13 +219,12 @@ func (t *Table) spill(b *bucket) *bucket {
 	*nb = *b
 	b.next = nb
 	b.n = 0
-	t.chained++
 	return b
 }
 
-// insertHashed is Insert with the hash supplied and tracer instrumentation
-// kept; size accounting is left to the traced batch wrappers.
-func (t *Table) insertHashed(x tuple.Tuple, h uint32) {
+// insertOne is the unpipelined, tracer-aware insert; size accounting is
+// left to Table.insert.
+func (t *Table) insertOne(x tuple.Tuple, h uint32) {
 	idx := (h >> t.shift) & t.mask
 	b := &t.buckets[idx]
 	if b.n == 0 && b.next == nil {
@@ -304,11 +235,7 @@ func (t *Table) insertHashed(x tuple.Tuple, h uint32) {
 		t.tracer.Op(4)
 	}
 	if b.n == bucketCap {
-		nb := t.newBucket()
-		*nb = *b
-		b.next = nb
-		b.n = 0
-		t.chained++
+		b = t.spill(b)
 		if t.tracer != nil {
 			t.tracer.Access(t.base + uint64(idx)*bucketBytes + uint64(t.extra)*(1<<20))
 			t.tracer.Op(4)
@@ -320,171 +247,111 @@ func (t *Table) insertHashed(x tuple.Tuple, h uint32) {
 
 // ProbeBatch probes every tuple of probes and appends each match to dst as
 // a (stored, probe) pair. It returns the grown buffer and the match count.
-//
-//iawj:hotpath
 func (t *Table) ProbeBatch(probes []tuple.Tuple, dst []tuple.Tuple) ([]tuple.Tuple, int) {
-	n0 := len(dst)
-	if t.tracer != nil || t.pref <= 1 {
-		for i := range probes {
-			dst = t.probeHashed(probes[i], Hash(probes[i].Key), dst)
-		}
-		return dst, (len(dst) - n0) / 2
-	}
-	dst = t.probePipelined(probes, nil, dst)
-	return dst, (len(dst) - n0) / 2
+	return t.probe(probes, nil, dst)
 }
 
 // ProbeBatchHashed is ProbeBatch with precomputed hashes aligned with
 // probes.
-//
-//iawj:hotpath
 func (t *Table) ProbeBatchHashed(probes []tuple.Tuple, hashes []uint32, dst []tuple.Tuple) ([]tuple.Tuple, int) {
+	return t.probe(probes, hashes[:len(probes)], dst)
+}
+
+// probe drives the probe kernel over Table's directory; hashes is nil or
+// aligned with probes.
+func (t *Table) probe(probes []tuple.Tuple, hashes []uint32, dst []tuple.Tuple) ([]tuple.Tuple, int) {
 	n0 := len(dst)
-	hashes = hashes[:len(probes)] // hoisted proof: hashes aligns with probes (bcegate)
-	if t.tracer != nil || t.pref <= 1 {
+	d := min(int(t.pref), prefBlockMax)
+	if t.tracer != nil || d <= 1 {
 		for i := range probes {
-			dst = t.probeHashed(probes[i], hashes[i], dst)
+			idx := (hashAt(hashes, i, probes[i].Key) >> t.shift) & t.mask
+			if t.tracer != nil {
+				t.tracer.Op(4) // hash + directory index
+			}
+			dst = walk(&t.buckets[idx], probes[i], dst, t.tracer, t.base+uint64(idx)*bucketBytes)
 		}
 		return dst, (len(dst) - n0) / 2
 	}
-	dst = t.probePipelined(probes, hashes, dst)
+	var st probeStage
+	for off := 0; off < len(probes); off += d {
+		end := min(off+d, len(probes))
+		var hblk []uint32
+		if hashes != nil {
+			hblk = hashes[off:end]
+		}
+		st.table(t.buckets, t.shift, t.mask, probes[off:end], hblk)
+		dst = st.resolve(probes[off:end], dst)
+	}
 	return dst, (len(dst) - n0) / 2
 }
 
-// probePipelined is the two-stage materializing probe. Stage one hashes a
-// block of up to t.pref probes and loads every bucket head's count and
-// overflow pointer — independent loads the core overlaps, hiding the
-// directory's random-access latency behind the block. Stage two resolves
-// in probe order from the staged heads, through the monomorphic flat or
-// chain walk. hashes may be nil (keys are hashed in stage one).
-//
-// Loop shape per bcegate (LINTING.md §BCE): the block length n is the
-// clamped prefetch distance, never derived from len(rest), so the
-// if-break guard keeps every block advance check-free; the remainder
-// runs once after the loop with len-bounded indices; scratch indices are
-// masked; and the per-bucket count is clamped to bucketCap by an
-// int-typed compare so the tuple scan indexes a proven range — the clamp
-// never fires (b.n ≤ bucketCap is the bucket invariant), it only tells
-// the prover.
+// probeStage is the stage-one scratch of the probe kernel: per probe of
+// the current block, the head bucket with its count and overflow pointer
+// — both lines of the 80-byte bucket, loaded early so they are in flight
+// when resolve reaches them. It lives on the caller's stack.
+type probeStage struct {
+	heads  [prefBlockMax]*bucket
+	counts [prefBlockMax]int32
+	nexts  [prefBlockMax]*bucket
+}
+
+// load stages bucket b as the head of block position j.
+func (s *probeStage) load(j int, b *bucket) {
+	k := j & prefBlockMask
+	s.heads[k] = b
+	s.counts[k] = b.n
+	s.nexts[k] = b.next
+}
+
+// table is probe stage one over a Table directory: hash (or read the
+// precomputed hash of) every probe of blk and load its bucket head —
+// independent loads the core overlaps, hiding the directory's
+// random-access latency behind the block. hashes is nil or aligned with
+// blk; len(blk) is at most prefBlockMax.
 //
 //iawj:hotpath
-func (t *Table) probePipelined(probes []tuple.Tuple, hashes []uint32, dst []tuple.Tuple) []tuple.Tuple {
-	n := clampPref(int(t.pref))
-	if n < 1 {
-		// Unreachable: clampPref lower-bounds to 1. Restated because the
-		// prover loses the bound through the int32 conversion, and the
-		// block advance below needs n >= 0 (LINTING.md §BCE).
-		return dst
-	}
-	var heads [prefBlockMax]*bucket
-	var counts [prefBlockMax]int32
-	var nexts [prefBlockMax]*bucket
-	flat := t.chained == 0
-	buckets, shift, mask := t.buckets, t.shift, t.mask
+func (s *probeStage) table(buckets []bucket, shift, mask uint32, blk []tuple.Tuple, hashes []uint32) {
 	_ = buckets[mask] // hoisted proof: the directory spans every masked index
-	rest := probes
-	hrest := hashes
-	for {
-		if len(rest) < n {
-			break // short remainder: handled below with len-bounded indices
-		}
-		next := rest[n:]
-		// Stage 1: hash + early bucket-head loads (the prefetch).
-		if hashes == nil {
-			for j := 0; j < n; j++ {
-				b := &buckets[(Hash(rest[j].Key)>>shift)&mask]
-				k := j & prefBlockMask
-				heads[k] = b
-				counts[k] = b.n
-				nexts[k] = b.next
-			}
-		} else {
-			if len(hrest) < n {
-				break // unreachable: callers align hashes with probes
-			}
-			hnext := hrest[n:]
-			for j := 0; j < n; j++ {
-				b := &buckets[(hrest[j]>>shift)&mask]
-				k := j & prefBlockMask
-				heads[k] = b
-				counts[k] = b.n
-				nexts[k] = b.next
-			}
-			hrest = hnext
-		}
-		// Stage 2: resolve, in probe order.
-		if flat {
-			for j := 0; j < n; j++ {
-				key := rest[j].Key
-				b := heads[j&prefBlockMask]
-				bn := int(counts[j&prefBlockMask])
-				if bn > bucketCap {
-					bn = bucketCap
-				}
-				for i := 0; i < bn; i++ {
-					if b.tuples[i].Key == key {
-						dst = append(dst, b.tuples[i], rest[j])
-					}
-				}
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				key := rest[j].Key
-				k := j & prefBlockMask
-				b, bn, nxt := heads[k], int(counts[k]), nexts[k]
-				for {
-					if bn > bucketCap {
-						bn = bucketCap
-					}
-					for i := 0; i < bn; i++ {
-						if b.tuples[i].Key == key {
-							dst = append(dst, b.tuples[i], rest[j])
-						}
-					}
-					if nxt == nil {
-						break
-					}
-					b = nxt
-					bn = int(b.n)
-					nxt = b.next
-				}
-			}
-		}
-		rest = next
+	shift &= maxShift // bounded count: see maxShift
+	for j := range blk {
+		s.load(j, &buckets[(hashAt(hashes, j, blk[j].Key)>>shift)&mask])
 	}
-	// Remainder block (len(rest) < n): same two stages, len-bounded.
-	if hashes == nil {
-		for j := 0; j < len(rest); j++ {
-			b := &buckets[(Hash(rest[j].Key)>>shift)&mask]
-			k := j & prefBlockMask
-			heads[k] = b
-			counts[k] = b.n
-			nexts[k] = b.next
-		}
-	} else if len(hrest) >= len(rest) {
-		hr := hrest[:len(rest)]
-		for j := 0; j < len(rest); j++ {
-			b := &buckets[(hr[j]>>shift)&mask]
-			k := j & prefBlockMask
-			heads[k] = b
-			counts[k] = b.n
-			nexts[k] = b.next
-		}
+}
+
+// shared is probe stage one over a Shared directory, latch-free: NPJ
+// separates build and probe by a barrier, so probes see a quiesced table.
+//
+//iawj:hotpath
+func (s *probeStage) shared(buckets []sharedBucket, mask uint32, blk []tuple.Tuple) {
+	// Hoisted proof, address-of only: indexing by value would copy the
+	// bucket latch.
+	_ = &buckets[mask]
+	for j := range blk {
+		s.load(j, &buckets[Hash(blk[j].Key)&mask].bucket)
 	}
-	for j := 0; j < len(rest); j++ {
-		key := rest[j].Key
+}
+
+// resolve is probe stage two: match every probe of blk against its staged
+// head and the chain behind it, in probe order, appending (stored, probe)
+// pairs to dst. The count clamp never fires (b.n <= bucketCap is the
+// bucket invariant); it tells the prover (LINTING.md §BCE).
+//
+//iawj:hotpath
+func (s *probeStage) resolve(blk []tuple.Tuple, dst []tuple.Tuple) []tuple.Tuple {
+	for j := range blk {
+		p := blk[j]
 		k := j & prefBlockMask
-		b, bn, nxt := heads[k], int(counts[k]), nexts[k]
+		b, bn, nxt := s.heads[k], int(s.counts[k]), s.nexts[k]
 		for {
 			if bn > bucketCap {
 				bn = bucketCap
 			}
 			for i := 0; i < bn; i++ {
-				if b.tuples[i].Key == key {
-					dst = append(dst, b.tuples[i], rest[j])
+				if b.tuples[i].Key == p.Key {
+					dst = append(dst, b.tuples[i], p)
 				}
 			}
-			if flat || nxt == nil {
+			if nxt == nil {
 				break
 			}
 			b = nxt
@@ -495,236 +362,25 @@ func (t *Table) probePipelined(probes []tuple.Tuple, hashes []uint32, dst []tupl
 	return dst
 }
 
-// ProbeBatchCount probes every tuple of probes and returns the match count
-// without materializing pairs — the count-only path of runs with no Emit.
-//
-//iawj:hotpath
-func (t *Table) ProbeBatchCount(probes []tuple.Tuple) int {
-	if t.tracer != nil || t.pref <= 1 {
-		matches := 0
-		buckets, shift, mask := t.buckets, t.shift, t.mask
-		_ = buckets[mask] // hoisted proof: the directory spans every masked index
-		for i := range probes {
-			key := probes[i].Key
-			idx := (Hash(key) >> shift) & mask
-			t.traceChainWalk(idx)
-			for b := &buckets[idx]; b != nil; b = b.next {
-				bn := int(b.n)
-				if bn > bucketCap {
-					bn = bucketCap
-				}
-				for j := 0; j < bn; j++ {
-					if b.tuples[j].Key == key {
-						matches++
-					}
-				}
-			}
+// walk is the unpipelined, tracer-aware chain walk for one probe from head
+// bucket b, whose logical address is addr: the profile-run path of both
+// tables, and what distance 1 runs.
+func walk(b *bucket, probe tuple.Tuple, dst []tuple.Tuple, tr cachesim.Tracer, addr uint64) []tuple.Tuple {
+	for hop := uint64(0); b != nil; b, hop = b.next, hop+1 {
+		if tr != nil {
+			tr.Access(addr + hop*(1<<20))
+			tr.Op(uint64(b.n) + 1)
 		}
-		return matches
-	}
-	return t.probeCountPipelined(probes, nil)
-}
-
-// ProbeBatchCountHashed is ProbeBatchCount with precomputed hashes aligned
-// with probes, the count-only leg of the hash-once pipeline.
-//
-//iawj:hotpath
-func (t *Table) ProbeBatchCountHashed(probes []tuple.Tuple, hashes []uint32) int {
-	hashes = hashes[:len(probes)] // hoisted proof: hashes aligns with probes (bcegate)
-	if t.tracer != nil || t.pref <= 1 {
-		matches := 0
-		buckets, shift, mask := t.buckets, t.shift, t.mask
-		_ = buckets[mask] // hoisted proof: the directory spans every masked index
-		for i := range probes {
-			key := probes[i].Key
-			idx := (hashes[i] >> shift) & mask
-			t.traceChainWalk(idx)
-			for b := &buckets[idx]; b != nil; b = b.next {
-				bn := int(b.n)
-				if bn > bucketCap {
-					bn = bucketCap
-				}
-				for j := 0; j < bn; j++ {
-					if b.tuples[j].Key == key {
-						matches++
-					}
-				}
-			}
-		}
-		return matches
-	}
-	return t.probeCountPipelined(probes, hashes)
-}
-
-// probeCountPipelined is probePipelined's count-only twin, same bcegate
-// loop shape.
-//
-//iawj:hotpath
-func (t *Table) probeCountPipelined(probes []tuple.Tuple, hashes []uint32) int {
-	n := clampPref(int(t.pref))
-	if n < 1 {
-		// Unreachable: clampPref lower-bounds to 1. Restated because the
-		// prover loses the bound through the int32 conversion, and the
-		// block advance below needs n >= 0 (LINTING.md §BCE).
-		return 0
-	}
-	var heads [prefBlockMax]*bucket
-	var counts [prefBlockMax]int32
-	var nexts [prefBlockMax]*bucket
-	flat := t.chained == 0
-	matches := 0
-	buckets, shift, mask := t.buckets, t.shift, t.mask
-	_ = buckets[mask] // hoisted proof: the directory spans every masked index
-	rest := probes
-	hrest := hashes
-	for {
-		if len(rest) < n {
-			break // short remainder: handled below with len-bounded indices
-		}
-		next := rest[n:]
-		if hashes == nil {
-			for j := 0; j < n; j++ {
-				b := &buckets[(Hash(rest[j].Key)>>shift)&mask]
-				k := j & prefBlockMask
-				heads[k] = b
-				counts[k] = b.n
-				nexts[k] = b.next
-			}
-		} else {
-			if len(hrest) < n {
-				break // unreachable: callers align hashes with probes
-			}
-			hnext := hrest[n:]
-			for j := 0; j < n; j++ {
-				b := &buckets[(hrest[j]>>shift)&mask]
-				k := j & prefBlockMask
-				heads[k] = b
-				counts[k] = b.n
-				nexts[k] = b.next
-			}
-			hrest = hnext
-		}
-		if flat {
-			for j := 0; j < n; j++ {
-				key := rest[j].Key
-				b := heads[j&prefBlockMask]
-				bn := int(counts[j&prefBlockMask])
-				if bn > bucketCap {
-					bn = bucketCap
-				}
-				for i := 0; i < bn; i++ {
-					if b.tuples[i].Key == key {
-						matches++
-					}
-				}
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				key := rest[j].Key
-				k := j & prefBlockMask
-				b, bn, nxt := heads[k], int(counts[k]), nexts[k]
-				for {
-					if bn > bucketCap {
-						bn = bucketCap
-					}
-					for i := 0; i < bn; i++ {
-						if b.tuples[i].Key == key {
-							matches++
-						}
-					}
-					if nxt == nil {
-						break
-					}
-					b = nxt
-					bn = int(b.n)
-					nxt = b.next
-				}
-			}
-		}
-		rest = next
-	}
-	// Remainder block (len(rest) < n): same two stages, len-bounded.
-	if hashes == nil {
-		for j := 0; j < len(rest); j++ {
-			b := &buckets[(Hash(rest[j].Key)>>shift)&mask]
-			k := j & prefBlockMask
-			heads[k] = b
-			counts[k] = b.n
-			nexts[k] = b.next
-		}
-	} else if len(hrest) >= len(rest) {
-		hr := hrest[:len(rest)]
-		for j := 0; j < len(rest); j++ {
-			b := &buckets[(hr[j]>>shift)&mask]
-			k := j & prefBlockMask
-			heads[k] = b
-			counts[k] = b.n
-			nexts[k] = b.next
-		}
-	}
-	for j := 0; j < len(rest); j++ {
-		key := rest[j].Key
-		k := j & prefBlockMask
-		b, bn, nxt := heads[k], int(counts[k]), nexts[k]
-		for {
-			if bn > bucketCap {
-				bn = bucketCap
-			}
-			for i := 0; i < bn; i++ {
-				if b.tuples[i].Key == key {
-					matches++
-				}
-			}
-			if flat || nxt == nil {
-				break
-			}
-			b = nxt
-			bn = int(b.n)
-			nxt = b.next
-		}
-	}
-	return matches
-}
-
-// probeHashed walks the chain for one probe tuple, appending (stored,
-// probe) pairs to dst — the unpipelined, tracer-aware walk.
-func (t *Table) probeHashed(probe tuple.Tuple, h uint32, dst []tuple.Tuple) []tuple.Tuple {
-	key := probe.Key
-	idx := (h >> t.shift) & t.mask
-	b := &t.buckets[idx]
-	if t.tracer != nil {
-		t.tracer.Access(t.base + uint64(idx)*bucketBytes)
-		t.tracer.Op(4)
-	}
-	hop := uint64(0)
-	for b != nil {
 		for i := int32(0); i < b.n; i++ {
-			if b.tuples[i].Key == key {
+			if b.tuples[i].Key == probe.Key {
 				dst = append(dst, b.tuples[i], probe)
 			}
 		}
-		if t.tracer != nil {
-			t.tracer.Op(uint64(b.n) + 1)
-		}
-		b = b.next
-		hop++
-		if b != nil && t.tracer != nil {
-			t.tracer.Access(t.base + uint64(idx)*bucketBytes + hop*(1<<20))
-		}
 	}
 	return dst
 }
 
-// traceChainWalk records the directory access of a count-only probe.
-func (t *Table) traceChainWalk(idx uint32) {
-	if t.tracer != nil {
-		t.tracer.Access(t.base + uint64(idx)*bucketBytes)
-		t.tracer.Op(4)
-	}
-}
-
-// InsertBatch inserts every tuple of xs under the per-bucket latches,
-// equivalent to calling Insert in a loop.
+// InsertBatch inserts every tuple of xs under the per-bucket latches.
 //
 //iawj:hotpath
 func (t *Shared) InsertBatch(xs []tuple.Tuple) {
@@ -736,174 +392,30 @@ func (t *Shared) InsertBatch(xs []tuple.Tuple) {
 // ProbeBatch probes every tuple of probes latch-free (build and probe are
 // separated by a barrier in NPJ) and appends each match to dst as a
 // (stored, probe) pair. It returns the grown buffer and the match count.
-// Untraced probes run the same two-stage prefetch pipeline as
-// Table.ProbeBatch.
-//
-//iawj:hotpath
 func (t *Shared) ProbeBatch(probes []tuple.Tuple, dst []tuple.Tuple) ([]tuple.Tuple, int) {
 	n0 := len(dst)
-	bks, mask := t.buckets, t.mask
-	// Hoisted proof: the directory spans every masked index (address-of
-	// only — indexing by value would copy the bucket latch).
-	_ = &bks[mask]
-	if t.tracer != nil || t.pref <= 1 {
-		for pi := range probes {
-			key := probes[pi].Key
-			idx := Hash(key) & mask
-			hop := uint64(0)
-			for b := &bks[idx].bucket; b != nil; b = b.next {
-				if t.tracer != nil {
-					t.tracer.Access(t.base + uint64(idx)*bucketBytes + hop*(1<<20))
-					t.tracer.Op(uint64(b.n) + 1)
-				}
-				bn := int(b.n)
-				if bn > bucketCap {
-					bn = bucketCap
-				}
-				for i := 0; i < bn; i++ {
-					if b.tuples[i].Key == key {
-						dst = append(dst, b.tuples[i], probes[pi])
-					}
-				}
-				hop++
-			}
+	d := min(int(t.pref), prefBlockMax)
+	if t.tracer != nil || d <= 1 {
+		for i := range probes {
+			idx := Hash(probes[i].Key) & t.mask
+			dst = walk(&t.buckets[idx].bucket, probes[i], dst, t.tracer, t.base+uint64(idx)*bucketBytes)
 		}
 		return dst, (len(dst) - n0) / 2
 	}
-
-	n := clampPref(int(t.pref))
-	if n < 1 {
-		// Unreachable: clampPref lower-bounds to 1. Restated because the
-		// prover loses the bound through the int32 conversion, and the
-		// block advance below needs n >= 0 (LINTING.md §BCE).
-		return dst, 0
-	}
-	var heads [prefBlockMax]*bucket
-	var counts [prefBlockMax]int32
-	var nexts [prefBlockMax]*bucket
-	flat := t.chained.Load() == 0
-	rest := probes
-	for {
-		if len(rest) < n {
-			break // short remainder: handled below with len-bounded indices
-		}
-		next := rest[n:]
-		for j := 0; j < n; j++ {
-			b := &bks[Hash(rest[j].Key)&mask].bucket
-			k := j & prefBlockMask
-			heads[k] = b
-			counts[k] = b.n
-			nexts[k] = b.next
-		}
-		if flat {
-			for j := 0; j < n; j++ {
-				key := rest[j].Key
-				b := heads[j&prefBlockMask]
-				bn := int(counts[j&prefBlockMask])
-				if bn > bucketCap {
-					bn = bucketCap
-				}
-				for i := 0; i < bn; i++ {
-					if b.tuples[i].Key == key {
-						dst = append(dst, b.tuples[i], rest[j])
-					}
-				}
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				key := rest[j].Key
-				k := j & prefBlockMask
-				b, bn, nxt := heads[k], int(counts[k]), nexts[k]
-				for {
-					if bn > bucketCap {
-						bn = bucketCap
-					}
-					for i := 0; i < bn; i++ {
-						if b.tuples[i].Key == key {
-							dst = append(dst, b.tuples[i], rest[j])
-						}
-					}
-					if nxt == nil {
-						break
-					}
-					b = nxt
-					bn = int(b.n)
-					nxt = b.next
-				}
-			}
-		}
-		rest = next
-	}
-	// Remainder block (len(rest) < n): same two stages, len-bounded.
-	for j := 0; j < len(rest); j++ {
-		b := &bks[Hash(rest[j].Key)&mask].bucket
-		k := j & prefBlockMask
-		heads[k] = b
-		counts[k] = b.n
-		nexts[k] = b.next
-	}
-	for j := 0; j < len(rest); j++ {
-		key := rest[j].Key
-		k := j & prefBlockMask
-		b, bn, nxt := heads[k], int(counts[k]), nexts[k]
-		for {
-			if bn > bucketCap {
-				bn = bucketCap
-			}
-			for i := 0; i < bn; i++ {
-				if b.tuples[i].Key == key {
-					dst = append(dst, b.tuples[i], rest[j])
-				}
-			}
-			if flat || nxt == nil {
-				break
-			}
-			b = nxt
-			bn = int(b.n)
-			nxt = b.next
-		}
-	}
-	return dst, (len(dst) - n0) / 2
-}
-
-// InsertBatch inserts every tuple of xs with the CAS push of Insert.
-//
-//iawj:hotpath
-func (t *LockFree) InsertBatch(xs []tuple.Tuple) {
-	for i := range xs {
-		t.Insert(xs[i])
-	}
-}
-
-// ProbeBatch probes every tuple of probes over the quiesced chains and
-// appends each match to dst as a (stored, probe) pair.
-//
-//iawj:hotpath
-func (t *LockFree) ProbeBatch(probes []tuple.Tuple, dst []tuple.Tuple) ([]tuple.Tuple, int) {
-	n0 := len(dst)
-	//lint:allow atomicmix staging the directory slice header reads no slot; slot values stay behind their atomic Loads, and probes run on quiesced chains behind the build/probe barrier
-	heads, mask := t.heads, t.mask
-	// Hoisted proof: the directory spans every masked index (address-of
-	// only, LINTING.md §BCE).
-	_ = &heads[mask]
-	for pi := range probes {
-		key := probes[pi].Key
-		idx := Hash(key) & mask
-		for n := heads[idx].Load(); n != nil; n = n.next {
-			if n.t.Key == key {
-				dst = append(dst, n.t, probes[pi])
-			}
-		}
+	var st probeStage
+	for off := 0; off < len(probes); off += d {
+		blk := probes[off:min(off+d, len(probes))]
+		st.shared(t.buckets, t.mask, blk)
+		dst = st.resolve(blk, dst)
 	}
 	return dst, (len(dst) - n0) / 2
 }
 
 // ProbeBytesProcessed is the bytes-processed definition shared by every
 // probe benchmark and throughput report: the probing tuple stream plus the
-// (stored, probe) pairs the probe logically emits, 16 bytes per tuple.
-// Count-only and materializing probes over the same streams therefore
-// report throughput against identical byte totals, and their MB/s figures
-// differ only by time — not by accounting (PERFORMANCE.md §7).
+// (stored, probe) pairs the probe emits, 16 bytes per tuple, so the MB/s
+// figures of two probe variants over the same streams differ only by time
+// — not by accounting (PERFORMANCE.md §7).
 func ProbeBytesProcessed(probes, matches int) int64 {
 	return int64(probes+2*matches) * tuple.Bytes
 }

@@ -2,8 +2,12 @@ package hashtable
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/tuple"
@@ -45,6 +49,14 @@ func scalarPairs(tab *Table, probes []tuple.Tuple) []tuple.Tuple {
 	return out
 }
 
+func hashesOf(xs []tuple.Tuple) []uint32 {
+	hs := make([]uint32, len(xs))
+	for i := range xs {
+		hs[i] = Hash(xs[i].Key)
+	}
+	return hs
+}
+
 func equalPairs(t *testing.T, name string, got, want []tuple.Tuple) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -81,9 +93,6 @@ func TestBatchMatchesScalar(t *testing.T) {
 				t.Fatalf("%s: match count %d does not cover %d pair tuples", name, n, len(got))
 			}
 			equalPairs(t, name, got, want)
-			if c := batchTab.ProbeBatchCount(probes); c != n {
-				t.Fatalf("%s: ProbeBatchCount = %d, ProbeBatch = %d", name, c, n)
-			}
 		}
 	}
 }
@@ -92,13 +101,6 @@ func TestBatchMatchesScalar(t *testing.T) {
 // precomputed hashes and a nonzero shift, as the radix join does.
 func TestBatchHashedMatchesScalar(t *testing.T) {
 	sets := diffKeySets()
-	hashesOf := func(xs []tuple.Tuple) []uint32 {
-		hs := make([]uint32, len(xs))
-		for i := range xs {
-			hs[i] = Hash(xs[i].Key)
-		}
-		return hs
-	}
 	for _, shift := range []int{0, 6, 10} {
 		build, probes := sets["highdup"], sets["skewed"]
 		ref := New(len(build))
@@ -115,27 +117,53 @@ func TestBatchHashedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestSharedAndLockFreeBatchCounts checks the concurrent tables' batch
-// kernels against the scalar Table reference by match count and pair
-// multiset size (chain order differs by design across implementations).
+// sortedPairs returns the (stored, probe) pairs of ps in a canonical
+// order, for comparing probe results as multisets.
+func sortedPairs(ps []tuple.Tuple) [][2]tuple.Tuple {
+	out := make([][2]tuple.Tuple, 0, len(ps)/2)
+	for ; len(ps) >= 2; ps = ps[2:] {
+		out = append(out, [2]tuple.Tuple{ps[0], ps[1]})
+	}
+	slices.SortFunc(out, func(a, b [2]tuple.Tuple) int {
+		return cmp.Or(
+			cmp.Compare(a[1].Payload, b[1].Payload), cmp.Compare(a[0].Payload, b[0].Payload),
+			cmp.Compare(a[1].Key, b[1].Key), cmp.Compare(a[0].Key, b[0].Key))
+	})
+	return out
+}
+
+// TestSharedAndLockFreeBatchCounts checks Shared's batch kernels against
+// the Table reference where exact order is not defined: after a
+// two-writer build the chain order depends on the interleaving, so the
+// pairs must agree as a multiset (single-writer builds are compared in
+// exact order by TestProbePrefetchDistanceDiff). The name predates the
+// removal of the lock-free table.
 func TestSharedAndLockFreeBatchCounts(t *testing.T) {
 	sets := diffKeySets()
 	build, probes := sets["skewed"], sets["highdup"]
 	ref := New(len(build))
 	ref.InsertBatch(build)
-	_, want := ref.ProbeBatch(probes, nil)
+	wantPairs, want := ref.ProbeBatch(probes, nil)
 
 	sh := NewShared(len(build))
-	sh.InsertBatch(build)
+	var wg sync.WaitGroup
+	for _, half := range [][]tuple.Tuple{build[:len(build)/2], build[len(build)/2:]} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh.InsertBatch(half)
+		}()
+	}
+	wg.Wait()
+	if sh.Size() != int64(len(build)) {
+		t.Fatalf("Shared holds %d tuples after a two-writer build, want %d", sh.Size(), len(build))
+	}
 	pairs, n := sh.ProbeBatch(probes, nil)
 	if n != want || len(pairs) != 2*want {
 		t.Fatalf("Shared batch found %d matches, want %d", n, want)
 	}
-	lf := NewLockFree(len(build))
-	lf.InsertBatch(build)
-	pairs, n = lf.ProbeBatch(probes, nil)
-	if n != want || len(pairs) != 2*want {
-		t.Fatalf("LockFree batch found %d matches, want %d", n, want)
+	if !slices.Equal(sortedPairs(pairs), sortedPairs(wantPairs)) {
+		t.Fatal("Shared two-writer build: pair multiset differs from the single-writer Table's")
 	}
 }
 
@@ -196,18 +224,23 @@ func TestGrowKeepsFreeList(t *testing.T) {
 
 // TestZeroAllocSteadyState is the kernel-level allocation contract: once
 // a pooled table has sized its chains and the pair buffer has grown, a
-// window's build+probe cycle allocates nothing.
+// window's build+probe cycle allocates nothing — on Table and on Shared.
 func TestZeroAllocSteadyState(t *testing.T) {
 	build := diffKeySets()["highdup"]
 	tab := New(len(build))
+	sh := NewShared(len(build))
 	pairs := make([]tuple.Tuple, 0, 4*len(build))
 	// Warmup sizes chains and the pair buffer.
 	tab.InsertBatch(build)
+	sh.InsertBatch(build)
 	pairs, _ = tab.ProbeBatch(build[:64], pairs[:0])
 	allocs := testing.AllocsPerRun(20, func() {
 		tab.Reset()
 		tab.InsertBatch(build)
 		pairs, _ = tab.ProbeBatch(build[:64], pairs[:0])
+		sh.Reset()
+		sh.InsertBatch(build)
+		pairs, _ = sh.ProbeBatch(build[:64], pairs[:0])
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state build+probe allocates %.1f times per window, want 0", allocs)
@@ -215,33 +248,37 @@ func TestZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestProbePipelinedZeroAlloc pins the allocation contract of the
-// prefetched probe across pipeline depths: the two-stage probe (and its
-// counting form) stages bucket heads in fixed stack arrays, so no
-// distance may allocate in steady state.
+// prefetched probe across pipeline depths: the probe kernel stages bucket
+// heads in a fixed scratch on the caller's stack, so no distance may
+// allocate in steady state, whichever directory stage one walks.
 func TestProbePipelinedZeroAlloc(t *testing.T) {
 	build := diffKeySets()["highdup"]
 	probes := diffKeySets()["skewed"]
-	for _, d := range []int{1, 8, 16, prefBlockMax} {
+	hashes := hashesOf(probes)
+	for _, d := range []int32{1, 8, 16, prefBlockMax} {
 		tab := New(len(build))
-		tab.SetProbePrefetch(d)
+		tab.pref = d
 		tab.InsertBatch(build)
+		sh := NewShared(len(build))
+		sh.pref = d
+		sh.InsertBatch(build)
 		pairs := make([]tuple.Tuple, 0, 4*len(build))
 		pairs, _ = tab.ProbeBatch(probes, pairs[:0]) // size the pair buffer
-		var n int
 		if allocs := testing.AllocsPerRun(10, func() {
 			pairs, _ = tab.ProbeBatch(probes, pairs[:0])
-			n = tab.ProbeBatchCount(probes)
+			pairs, _ = tab.ProbeBatchHashed(probes, hashes, pairs[:0])
+			pairs, _ = sh.ProbeBatch(probes, pairs[:0])
 		}); allocs != 0 {
 			t.Fatalf("distance %d: probe allocates %.1f per run, want 0", d, allocs)
 		}
-		_ = n
 	}
 }
 
-// TestProbePrefetchDistanceDiff compares the prefetched probe against the
-// plain scalar walk at every pipeline depth: identical (stored, probe)
-// pairs in identical order, identical counts. Distance is the one knob
-// that must never change results.
+// TestProbePrefetchDistanceDiff compares the prefetched build and probe
+// against the scalar reference at every pipeline depth: identical (stored,
+// probe) pairs in identical order, from Table and — after a single-writer
+// build, which lays chains out exactly as Table's — from Shared. Distance
+// is the one knob that must never change results.
 func TestProbePrefetchDistanceDiff(t *testing.T) {
 	sets := diffKeySets()
 	for buildName, build := range sets {
@@ -251,24 +288,79 @@ func TestProbePrefetchDistanceDiff(t *testing.T) {
 				ref.Insert(x)
 			}
 			want := scalarPairs(ref, probes)
-			for _, d := range []int{1, 2, 8, 16, 32, prefBlockMax} {
+			for _, d := range []int32{1, 2, 7, 16, 32, prefBlockMax} {
+				name := fmt.Sprintf("%s->%s d=%d", buildName, probeName, d)
 				tab := New(len(build))
-				tab.SetProbePrefetch(d)
+				tab.pref = d
 				tab.InsertBatch(build)
-				got, n := tab.ProbeBatch(probes, nil)
-				equalPairs(t, buildName+"->"+probeName, got, want)
-				if c := tab.ProbeBatchCount(probes); c != n {
-					t.Fatalf("%s->%s d=%d: count %d != materialized %d", buildName, probeName, d, c, n)
-				}
+				got, _ := tab.ProbeBatch(probes, nil)
+				equalPairs(t, name, got, want)
+				sh := NewShared(len(build))
+				sh.pref = d
+				sh.InsertBatch(build)
+				got, _ = sh.ProbeBatch(probes, nil)
+				equalPairs(t, name+" shared", got, want)
 			}
 		}
 	}
 }
 
-// FuzzBatchDiff drives batch build+probe against the scalar reference
-// with arbitrary key bytes and an arbitrary prefetch distance, so the
-// pipelined insert and probe paths are fuzzed at every depth (dRaw is
-// clamped into [1, prefBlockMax]; 1 selects the unpipelined loops).
+// TestBlockBoundaryLengths walks build and probe lengths across the block
+// boundaries of the pipelined kernels — empty, one tuple, and one short
+// of, exactly, and one past one and two full blocks — for each distance,
+// with and without precomputed hashes. Keys repeat within and across
+// blocks, so a block's inserts hit buckets staged earlier in the same
+// block and chains spill mid-block.
+func TestBlockBoundaryLengths(t *testing.T) {
+	all := diffKeySets()["highdup"]
+	for _, n := range []int{1, 2, 16, prefBlockMax} {
+		lengths := []int{0, 1, n - 1, n, n + 1, 2*n - 1, 2*n + 1}
+		for _, buildLen := range lengths {
+			build := all[:buildLen]
+			ref := New(buildLen)
+			for _, x := range build {
+				ref.Insert(x)
+			}
+			for _, probeLen := range lengths {
+				probes := all[len(all)-probeLen:]
+				want := scalarPairs(ref, probes)
+				for _, hashed := range []bool{false, true} {
+					name := fmt.Sprintf("d=%d build=%d probe=%d hashed=%v", n, buildLen, probeLen, hashed)
+					tab := New(buildLen)
+					tab.pref = int32(n)
+					var got []tuple.Tuple
+					var m int
+					if hashed {
+						tab.InsertBatchHashed(build, hashesOf(build))
+						got, m = tab.ProbeBatchHashed(probes, hashesOf(probes), nil)
+					} else {
+						tab.InsertBatch(build)
+						got, m = tab.ProbeBatch(probes, nil)
+					}
+					if tab.Size() != ref.Size() || tab.extra != ref.extra {
+						t.Fatalf("%s: table holds %d tuples in %d overflow buckets, reference %d in %d",
+							name, tab.Size(), tab.extra, ref.Size(), ref.extra)
+					}
+					if 2*m != len(got) {
+						t.Fatalf("%s: match count %d does not cover %d pair tuples", name, m, len(got))
+					}
+					equalPairs(t, name, got, want)
+				}
+				sh := NewShared(buildLen)
+				sh.pref = int32(n)
+				sh.InsertBatch(build)
+				got, _ := sh.ProbeBatch(probes, nil)
+				equalPairs(t, fmt.Sprintf("d=%d build=%d probe=%d shared", n, buildLen, probeLen), got, want)
+			}
+		}
+	}
+}
+
+// FuzzBatchDiff drives batch build+probe, on Table and on a
+// single-writer Shared, against the scalar reference with arbitrary key
+// bytes and an arbitrary prefetch distance, so the pipelined kernels are
+// fuzzed at every depth (dRaw is clamped into [1, prefBlockMax]; 1
+// selects the unpipelined walks).
 func FuzzBatchDiff(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 4}, []byte{1, 2, 3, 4}, uint8(16))
 	f.Add([]byte{}, []byte{9, 9, 9, 9}, uint8(1))
@@ -290,22 +382,21 @@ func FuzzBatchDiff(f *testing.F) {
 		for _, x := range build {
 			ref.Insert(x)
 		}
+		d := int32(clampPref(int(dRaw)))
 		tab := New(len(build))
-		tab.SetProbePrefetch(int(dRaw))
+		tab.pref = d
 		tab.InsertBatch(build)
 		want := scalarPairs(ref, probes)
 		got, n := tab.ProbeBatch(probes, nil)
-		if len(got) != len(want) || n*2 != len(got) {
-			t.Fatalf("batch found %d pair tuples, want %d", len(got), len(want))
+		if n*2 != len(got) {
+			t.Fatalf("match count %d does not cover %d pair tuples", n, len(got))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pair tuple %d differs", i)
-			}
-		}
-		if c := tab.ProbeBatchCount(probes); c != n {
-			t.Fatalf("ProbeBatchCount = %d, ProbeBatch = %d", c, n)
-		}
+		equalPairs(t, "table", got, want)
+		sh := NewShared(len(build))
+		sh.pref = d
+		sh.InsertBatch(build)
+		got, _ = sh.ProbeBatch(probes, nil)
+		equalPairs(t, "shared", got, want)
 	})
 }
 
@@ -360,10 +451,11 @@ func BenchmarkKernelProbe(b *testing.B) {
 	tab := New(len(tuples))
 	tab.InsertBatch(tuples)
 	probes := tuples[:10_000]
-	// One bytes-processed definition for every probe benchmark: the probe
-	// stream plus the pairs it logically emits (ProbeBytesProcessed), so
-	// probe and probecount MB/s differ only by time, never by accounting.
-	bytesProcessed := ProbeBytesProcessed(len(probes), tab.ProbeBatchCount(probes))
+	// One bytes-processed definition for both rows: the probe stream plus
+	// the pairs it emits (ProbeBytesProcessed), so their MB/s differ only
+	// by time, never by accounting.
+	_, matches := tab.ProbeBatch(probes, nil)
+	bytesProcessed := ProbeBytesProcessed(len(probes), matches)
 	var sink benchSink
 	b.Run("scalar", func(b *testing.B) {
 		b.SetBytes(bytesProcessed)
@@ -394,46 +486,10 @@ func BenchmarkKernelProbe(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkKernelProbeCount measures the match-counting probe — the
-// harness default (Emit == nil), and the paper's measurement mode:
-// joins are timed by throughput, matches counted but not materialized.
-// scalar is the pre-kernel shape (a counting closure per probe);
-// batched is ProbeBatchCount, which walks chains with no per-match
-// indirect call at all.
-func BenchmarkKernelProbeCount(b *testing.B) {
-	tuples := benchTuples(100_000, 10_000)
-	tab := New(len(tuples))
-	tab.InsertBatch(tuples)
-	probes := tuples[:10_000]
-	// Same bytes-processed definition as BenchmarkKernelProbe: counting
-	// probes walk the same chains and logically process the same pairs,
-	// they just skip materializing them.
-	bytesProcessed := ProbeBytesProcessed(len(probes), tab.ProbeBatchCount(probes))
-	var total int
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(bytesProcessed)
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, p := range probes {
-				n += tab.Probe(p.Key, func(tuple.Tuple) {})
-			}
-			total = n
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		b.SetBytes(bytesProcessed)
-		for i := 0; i < b.N; i++ {
-			total = tab.ProbeBatchCount(probes)
-		}
-	})
-	_ = total
-}
-
 // TestProbeBytesProcessedFormula pins the shared throughput accounting:
 // bytes processed = (probes + 2*matches) * tuple.Bytes — the probing
-// stream plus both tuples of every logically emitted (stored, probe)
-// pair. Every probe benchmark's SetBytes must agree with it, whether the
-// variant materializes pairs or only counts them.
+// stream plus both tuples of every emitted (stored, probe) pair. Every
+// probe benchmark's SetBytes must agree with it.
 func TestProbeBytesProcessedFormula(t *testing.T) {
 	for _, tc := range []struct {
 		probes, matches int
@@ -449,16 +505,13 @@ func TestProbeBytesProcessedFormula(t *testing.T) {
 		}
 	}
 
-	// The materializing and counting probes must agree on the match count
-	// that feeds the formula — the two benchmarks account identical bytes.
+	// The formula applied to a real probe equals the bytes that crossed
+	// the kernel: the probe stream in, the pair buffer out.
 	tuples := benchTuples(10_000, 1000)
 	tab := New(len(tuples))
 	tab.InsertBatch(tuples)
 	probes := tuples[:1000]
 	pairs, m := tab.ProbeBatch(probes, nil)
-	if cnt := tab.ProbeBatchCount(probes); cnt != m {
-		t.Fatalf("ProbeBatchCount = %d, ProbeBatch matches = %d", cnt, m)
-	}
 	if got, want := ProbeBytesProcessed(len(probes), m), int64(len(probes)+len(pairs))*tuple.Bytes; got != want {
 		t.Errorf("bytes processed %d != probe stream plus emitted pairs %d", got, want)
 	}

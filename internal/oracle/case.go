@@ -12,8 +12,7 @@ import (
 // matrix is reported as one token that `iawjconform -seed <token>`
 // replays exactly — same tuples, same jitter, same perturbation envelope.
 type Case struct {
-	// Algorithm is a studied algorithm name (iawj.Algorithms plus the
-	// NPJ_LF ablation).
+	// Algorithm is a studied algorithm name (iawj.Algorithms).
 	Algorithm string
 	// Workload names a conformance workload shape (Workloads).
 	Workload string

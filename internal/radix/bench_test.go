@@ -18,9 +18,10 @@ func BenchmarkPartition(b *testing.B) {
 	}
 	for _, bits := range []int{4, 8, 10, 12, 14} {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			p := NewPartitioner()
 			b.SetBytes(int64(len(rel)) * 16)
 			for i := 0; i < b.N; i++ {
-				Partition(rel, bits, nil, 0)
+				p.Partition(rel, bits, nil, 0)
 			}
 		})
 	}

@@ -11,8 +11,8 @@ package radix
 //
 // PartitionBuild fuses the two: after the histogram pass sizes one table
 // per partition, the scatter inserts each tuple directly into its
-// partition's table using the already-computed hash (InsertHashed inlines
-// into the loop; the rare overflow spill is outlined). Per-table insertion
+// partition's table using the already-computed hash
+// (hashtable.ScatterBuild). Per-table insertion
 // order is input order — exactly the order the unfused pipeline produces —
 // so fused and unfused builds yield byte-identical tables and the
 // differential suite compares them pair by pair (fused_test.go).
@@ -83,7 +83,7 @@ func (p *Partitioner) PartitionBuild(rel tuple.Relation, bits int, newTable func
 	// Pass 2: scatter straight into the tables — no intermediate
 	// partition array, no re-read. The loop lives in package hashtable
 	// (direct bucket access plus the distance-D header-load pipeline; a
-	// per-tuple InsertHashed call here would not inline).
+	// per-tuple insert call across the package boundary would not inline).
 	hashtable.ScatterBuild(tabs, mask, rel, hashes)
 	return tabs
 }

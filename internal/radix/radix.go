@@ -7,208 +7,13 @@
 // cache-resident hash join runs per partition. The number of radix bits
 // (#r) is the algorithm's key tuning knob (Figure 18): more bits mean a
 // higher partitioning cost but smaller, cache-friendlier partitions.
+//
+// Partitioning is single-pass at every #r: the Partitioner (swwcb.go)
+// scatters directly while the open write cursors fit the cache hierarchy
+// and through software write-combining buffers beyond.
 package radix
-
-import (
-	"sync"
-
-	"repro/internal/cachesim"
-	"repro/internal/hashtable"
-	"repro/internal/tuple"
-)
 
 const tupleBytes = 16
 
-// partKey selects the partition for a key given bits radix bits. It hashes
-// first, as PRJ does, so partitioning and bucket placement decorrelate.
-func partKey(key int32, bits int) uint32 {
-	return hashtable.Hash(key) & (uint32(1)<<bits - 1)
-}
-
-// Partition splits rel into 2^bits physically contiguous partitions using
-// a histogram pass followed by a scatter pass (software-managed buffers in
-// the original; a dense prefix-sum scatter here). Each key is hashed
-// exactly once: the histogram pass stores the hashes in a scratch slice
-// and the scatter derives partition indices from it instead of rehashing.
-// tr may be nil.
-func Partition(rel tuple.Relation, bits int, tr cachesim.Tracer, base uint64) []tuple.Relation {
-	return partitionShifted(rel, bits, 0, tr, base)
-}
-
-// PartitionOf exposes the partition index for a key, so both relations are
-// split consistently.
-func PartitionOf(key int32, bits int) int { return int(partKey(key, bits)) }
-
 // Fanout returns the number of partitions produced for a bit count.
 func Fanout(bits int) int { return 1 << bits }
-
-// MaxBitsPerPass bounds the fanout of one partitioning pass. A scatter
-// with 2^b open output streams touches 2^b distinct cache lines and pages
-// concurrently; the original PRJ keeps b at or below the TLB entry count
-// and recurses for larger #r. 8 bits (256-way) is the classic choice.
-const MaxBitsPerPass = 8
-
-// PartitionMultiPass splits rel into 2^bits partitions using multiple
-// passes of at most MaxBitsPerPass bits each, as PRJ does for large radix
-// budgets: the first pass partitions on the high-order radix bits, then
-// each partition is re-partitioned on the next bits, keeping every
-// scatter's write fanout TLB-friendly. The resulting partition order and
-// contents are identical to a single-pass Partition with the same bits.
-func PartitionMultiPass(rel tuple.Relation, bits int, tr cachesim.Tracer, base uint64) []tuple.Relation {
-	if bits <= MaxBitsPerPass {
-		return Partition(rel, bits, tr, base)
-	}
-	loBits := bits - MaxBitsPerPass
-	// Pass 1: split on the high-order bits of the radix.
-	coarse := partitionShifted(rel, MaxBitsPerPass, loBits, tr, base)
-	// Pass 2 (recursive): refine each coarse partition on the low bits.
-	out := make([]tuple.Relation, 0, Fanout(bits))
-	for i, part := range coarse {
-		sub := PartitionMultiPass(part, loBits, tr, base+uint64(i)<<40)
-		out = append(out, sub...)
-	}
-	return out
-}
-
-// partitionShifted partitions on bits [shift, shift+bits) of the hashed
-// key, the building block of the single- and multi-pass schemes. The
-// histogram pass hashes each key once and stores the resulting partition
-// id in a scratch slice; the scatter pass reads the id back instead of
-// recomputing the hash (the rehash the pre-kernel implementation paid on
-// every scatter). The scratch holds uint16 partition ids, not uint32
-// hashes: half the scratch allocation and traffic, which is what lets
-// hash-once beat rehashing — the multiplicative hash costs a handful of
-// ALU ops, so the win has to come from memory, not arithmetic.
-func partitionShifted(rel tuple.Relation, bits, shift int, tr cachesim.Tracer, base uint64) []tuple.Relation {
-	if bits < 0 {
-		bits = 0
-	}
-	if tr == nil && bits <= 16 {
-		return partitionUntraced(rel, bits, shift)
-	}
-	fanout := 1 << bits
-	mask := uint32(fanout - 1)
-	hashes := make([]uint32, len(rel))
-	hist := make([]int, fanout)
-	for i := range rel {
-		h := hashtable.Hash(rel[i].Key)
-		hashes[i] = h
-		hist[(h>>shift)&mask]++
-		if tr != nil {
-			tr.Access(base + uint64(i)*tupleBytes)
-			tr.Op(2)
-		}
-	}
-	offsets := make([]int, fanout)
-	sum := 0
-	for p, c := range hist {
-		offsets[p] = sum
-		sum += c
-	}
-	out := make(tuple.Relation, len(rel))
-	outBase := base + uint64(len(rel))*tupleBytes
-	pos := make([]int, fanout)
-	copy(pos, offsets)
-	for i := range rel {
-		p := (hashes[i] >> shift) & mask
-		out[pos[p]] = rel[i]
-		if tr != nil {
-			tr.Access(base + uint64(i)*tupleBytes)
-			tr.Access(outBase + uint64(pos[p])*tupleBytes)
-			tr.Op(3)
-		}
-		pos[p]++
-	}
-	parts := make([]tuple.Relation, fanout)
-	for p := 0; p < fanout; p++ {
-		parts[p] = out[offsets[p] : offsets[p]+hist[p]]
-	}
-	return parts
-}
-
-// partPool recycles the write-cursor scratch of partitionUntraced across
-// calls. Partition stays a pure function — only scratch that never
-// escapes is pooled; the returned partitions are freshly allocated.
-var partPool = sync.Pool{New: func() any { return new([]int) }}
-
-// partitionUntraced is partitionShifted with the tracer hooks compiled
-// out, the cursor scratch recycled, and the prefix sum done in place (one
-// array serves as histogram, write cursor, and partition-end index). It
-// recomputes the hash in the scatter pass instead of staging hashes (or
-// narrowed partition ids) in a per-tuple scratch: the multiplicative hash
-// is a handful of ALU ops that overlap the scatter's memory traffic,
-// measurably cheaper on real hardware than streaming even a uint16
-// scratch through the cache twice — the surprise that killed the original
-// stored-hash design of this path (PERFORMANCE.md §"Winning back the
-// kernels"). The hash-once discipline lives where it pays: in the
-// Partitioner, whose callers consume the hashes downstream.
-//
-//iawj:hotpath
-func partitionUntraced(rel tuple.Relation, bits, shift int) []tuple.Relation {
-	fanout := 1 << bits
-	mask := uint32(fanout - 1)
-	sp := partPool.Get().(*[]int)
-	pos := *sp
-	if cap(pos) < fanout {
-		pos = make([]int, fanout)
-	} else {
-		pos = pos[:fanout]
-		for i := range pos {
-			pos[i] = 0
-		}
-	}
-	// Hoisted proof: the cursor array spans every masked partition id, so
-	// the histogram and scatter loops below index it check-free
-	// (LINTING.md §BCE).
-	_ = pos[mask]
-	// The shift==0 specialization matters: a variable shift in these two
-	// loops keeps the count in a shift register across every iteration
-	// and measures ~30% slower than the masked form, which is the whole
-	// margin of this path. Single-pass callers always have shift == 0;
-	// only the multi-pass recursion takes the general loops.
-	if shift == 0 {
-		for i := range rel {
-			pos[hashtable.Hash(rel[i].Key)&mask]++
-		}
-	} else {
-		for i := range rel {
-			pos[(hashtable.Hash(rel[i].Key)>>shift)&mask]++
-		}
-	}
-	// Prefix-sum the counts into write cursors in place; after the
-	// scatter, pos[p] is partition p's end offset — no separate offset
-	// or histogram array needed.
-	sum := 0
-	for p, c := range pos {
-		pos[p] = sum
-		sum += c
-	}
-	out := make(tuple.Relation, len(rel))
-	if shift == 0 {
-		for i := range rel {
-			p := hashtable.Hash(rel[i].Key) & mask
-			d := pos[p]
-			//lint:allow bcegate scatter destination is the prefix-sum cursor; d < len(out) by the histogram invariant, which no local fact can prove
-			out[d] = rel[i]
-			pos[p] = d + 1
-		}
-	} else {
-		for i := range rel {
-			p := (hashtable.Hash(rel[i].Key) >> shift) & mask
-			d := pos[p]
-			//lint:allow bcegate scatter destination is the prefix-sum cursor; d < len(out) by the histogram invariant, which no local fact can prove
-			out[d] = rel[i]
-			pos[p] = d + 1
-		}
-	}
-	parts := make([]tuple.Relation, 0, fanout)
-	lo := 0
-	for _, hi := range pos {
-		//lint:allow bcegate partition boundaries are prefix-sum offsets; lo <= hi <= len(out) by the histogram invariant, once per partition not per tuple
-		parts = append(parts, out[lo:hi])
-		lo = hi
-	}
-	*sp = pos
-	partPool.Put(sp)
-	return parts
-}

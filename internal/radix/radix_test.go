@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hashtable"
 	"repro/internal/tuple"
 )
 
@@ -17,9 +18,14 @@ func randomRel(n int, seed uint64) tuple.Relation {
 	return rel
 }
 
+// partitionOf is the partition a key belongs to: the low bits of its hash.
+func partitionOf(key int32, bits int) int {
+	return int(hashtable.Hash(key) & (uint32(1)<<bits - 1))
+}
+
 func TestPartitionPreservesTuples(t *testing.T) {
 	rel := randomRel(5000, 1)
-	parts := Partition(rel, 6, nil, 0)
+	parts := NewPartitioner().Partition(rel, 6, nil, 0)
 	if len(parts) != 64 {
 		t.Fatalf("fanout = %d, want 64", len(parts))
 	}
@@ -28,7 +34,7 @@ func TestPartitionPreservesTuples(t *testing.T) {
 	for p, part := range parts {
 		total += len(part)
 		for _, x := range part {
-			if PartitionOf(x.Key, 6) != p {
+			if partitionOf(x.Key, 6) != p {
 				t.Fatalf("tuple key %d landed in wrong partition %d", x.Key, p)
 			}
 			seen[x.Payload] = true
@@ -37,15 +43,40 @@ func TestPartitionPreservesTuples(t *testing.T) {
 	if total != len(rel) || len(seen) != len(rel) {
 		t.Fatalf("partitioning lost tuples: total=%d unique=%d want=%d", total, len(seen), len(rel))
 	}
+	equalParts(t, "bits=6", parts, partitionRehash(rel, 6))
 }
 
 func TestPartitionConsistencyAcrossRelations(t *testing.T) {
 	// R and S tuples with the same key must land in the same partition
 	// index, or the per-partition joins would miss matches.
-	f := func(key int32, bitsRaw uint8) bool {
+	pr, ps := NewPartitioner(), NewPartitioner()
+	f := func(keys []int32, bitsRaw uint8) bool {
 		bits := int(bitsRaw%14) + 1
-		return PartitionOf(key, bits) == PartitionOf(key, bits) &&
-			PartitionOf(key, bits) < Fanout(bits)
+		r := make(tuple.Relation, len(keys))
+		s := make(tuple.Relation, len(keys))
+		for i, k := range keys {
+			r[i] = tuple.Tuple{Key: k, Payload: int32(i)}
+			s[len(keys)-1-i] = tuple.Tuple{Key: k, Payload: int32(-i)}
+		}
+		partsR := pr.Partition(r, bits, nil, 0)
+		partsS := ps.Partition(s, bits, nil, 0)
+		if len(partsR) != Fanout(bits) || len(partsS) != Fanout(bits) {
+			return false
+		}
+		where := map[int32]int{}
+		for p, part := range partsR {
+			for _, x := range part {
+				where[x.Key] = p
+			}
+		}
+		for p, part := range partsS {
+			for _, x := range part {
+				if where[x.Key] != p {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -54,14 +85,15 @@ func TestPartitionConsistencyAcrossRelations(t *testing.T) {
 
 func TestPartitionZeroBits(t *testing.T) {
 	rel := randomRel(100, 2)
-	parts := Partition(rel, 0, nil, 0)
+	parts := NewPartitioner().Partition(rel, 0, nil, 0)
 	if len(parts) != 1 || len(parts[0]) != 100 {
 		t.Fatalf("0 bits must produce one full partition, got %d parts", len(parts))
 	}
+	equalParts(t, "bits=0", parts, partitionRehash(rel, 0))
 }
 
 func TestPartitionEmptyRelation(t *testing.T) {
-	parts := Partition(nil, 4, nil, 0)
+	parts := NewPartitioner().Partition(nil, 4, nil, 0)
 	if len(parts) != 16 {
 		t.Fatalf("fanout = %d, want 16", len(parts))
 	}
@@ -78,50 +110,6 @@ func TestFanout(t *testing.T) {
 	}
 }
 
-func TestMultiPassMatchesSinglePass(t *testing.T) {
-	rel := randomRel(20000, 5)
-	for _, bits := range []int{4, 8, 10, 12, 14, 16} {
-		single := Partition(rel, bits, nil, 0)
-		multi := PartitionMultiPass(rel, bits, nil, 0)
-		if len(single) != len(multi) {
-			t.Fatalf("bits=%d: fanout %d vs %d", bits, len(single), len(multi))
-		}
-		for p := range single {
-			if len(single[p]) != len(multi[p]) {
-				t.Fatalf("bits=%d partition %d: %d vs %d tuples",
-					bits, p, len(single[p]), len(multi[p]))
-			}
-			// Same multiset of payloads per partition (order within a
-			// partition may differ between the strategies).
-			seen := map[int32]int{}
-			for _, x := range single[p] {
-				seen[x.Payload]++
-			}
-			for _, x := range multi[p] {
-				seen[x.Payload]--
-			}
-			for _, c := range seen {
-				if c != 0 {
-					t.Fatalf("bits=%d partition %d: contents differ", bits, p)
-				}
-			}
-		}
-	}
-}
-
-func TestMultiPassKeepsPartitionInvariant(t *testing.T) {
-	rel := randomRel(5000, 6)
-	const bits = 12
-	parts := PartitionMultiPass(rel, bits, nil, 0)
-	for p, part := range parts {
-		for _, x := range part {
-			if PartitionOf(x.Key, bits) != p {
-				t.Fatalf("key %d in partition %d, want %d", x.Key, p, PartitionOf(x.Key, bits))
-			}
-		}
-	}
-}
-
 type countTracer struct{ accesses, ops uint64 }
 
 func (c *countTracer) Access(uint64) { c.accesses++ }
@@ -130,7 +118,7 @@ func (c *countTracer) Op(n uint64)   { c.ops += n }
 func TestPartitionTracesAccesses(t *testing.T) {
 	rel := randomRel(200, 4)
 	tr := &countTracer{}
-	Partition(rel, 4, tr, 0)
+	NewPartitioner().Partition(rel, 4, tr, 0)
 	if tr.accesses == 0 || tr.ops == 0 {
 		t.Fatal("tracer must observe partition traffic")
 	}

@@ -2,11 +2,11 @@ package radix
 
 // Software write-combining partitioning (SWWCB).
 //
-// The dense prefix-sum scatter of Partition keeps 2^bits open output
-// cursors: every tuple lands on a different partition's write frontier, so
-// the scatter touches up to 2^bits distinct cache lines and pages
-// concurrently — the TLB pressure that forces the scalar path into
-// multiple passes (MaxBitsPerPass). The original PRJ of Balkesen et al.
+// A dense prefix-sum scatter keeps 2^bits open output cursors: every
+// tuple lands on a different partition's write frontier, so the scatter
+// touches up to 2^bits distinct cache lines and pages concurrently — the
+// TLB pressure that classically forces radix partitioning into multiple
+// passes of at most ~8 bits. The original PRJ of Balkesen et al.
 // (inherited by the paper) instead stages tuples in per-partition
 // cache-line-sized software write-combining buffers and flushes a full
 // line at a time, so the working set of the scatter is the staging array
@@ -121,10 +121,10 @@ func (p *Partitioner) SetGeometry(flushTuples, directBelow int) {
 }
 
 // Partition splits rel into 2^bits physically contiguous partitions with
-// the SWWCB scatter. Partition order and contents are identical to the
-// scalar Partition / PartitionMultiPass. tr may be nil. Unlike
-// PartitionHashed, Partition's product is the tuple partitions alone, so
-// its untraced direct leg skips the per-partition hash output entirely.
+// the SWWCB scatter; within a partition tuples keep input order. tr may be
+// nil. Unlike PartitionHashed, Partition's product is the tuple partitions
+// alone, so its untraced direct leg skips the per-partition hash output
+// entirely.
 //
 //iawj:hotpath
 func (p *Partitioner) Partition(rel tuple.Relation, bits int, tr cachesim.Tracer, base uint64) []tuple.Relation {

@@ -60,17 +60,16 @@ func equalParts(t *testing.T, name string, got, want []tuple.Relation) {
 
 // TestPartitionerMatchesScalar is the differential heart: the SWWCB
 // scatter must produce byte-identical partitions to the scalar reference
-// across key regimes and fanouts, including fanout 1 and bits past
-// MaxBitsPerPass (where the scalar side goes multi-pass).
+// (partitionRehash) across key regimes and fanouts, including fanout 1,
+// on both the tuple-only and the hashed entry.
 func TestPartitionerMatchesScalar(t *testing.T) {
 	p := NewPartitioner()
 	for name, rel := range diffRelations() {
 		for _, bits := range []int{0, 1, 4, 8, 12} {
-			want := Partition(rel, bits, nil, 0)
-			got := p.Partition(rel, bits, nil, 0)
-			equalParts(t, fmt.Sprintf("%s/bits=%d", name, bits), got, want)
-			wantMP := PartitionMultiPass(rel, bits, nil, 0)
-			equalParts(t, fmt.Sprintf("%s/bits=%d/multipass", name, bits), got, wantMP)
+			want := partitionRehash(rel, bits)
+			equalParts(t, fmt.Sprintf("%s/bits=%d", name, bits), p.Partition(rel, bits, nil, 0), want)
+			got, _ := p.PartitionHashed(rel, bits, nil, 0)
+			equalParts(t, fmt.Sprintf("%s/bits=%d/hashed", name, bits), got, want)
 		}
 	}
 }
@@ -109,7 +108,7 @@ func TestPartitionerReuse(t *testing.T) {
 		rel := rels[name]
 		for _, bits := range []int{10, 2} {
 			got := p.Partition(rel, bits, nil, 0)
-			equalParts(t, fmt.Sprintf("reuse/%s/bits=%d", name, bits), got, Partition(rel, bits, nil, 0))
+			equalParts(t, fmt.Sprintf("reuse/%s/bits=%d", name, bits), got, partitionRehash(rel, bits))
 		}
 	}
 }
@@ -154,7 +153,7 @@ func FuzzPartitionerDiff(f *testing.F) {
 			}
 			rel = append(rel, tuple.Tuple{Key: k, Payload: int32(len(rel))})
 		}
-		want := Partition(rel, bits, nil, 0)
+		want := partitionRehash(rel, bits)
 		p := NewPartitioner()
 		p.SetGeometry(ft, db)
 		got := p.Partition(rel, bits, nil, 0)
@@ -208,9 +207,10 @@ func FuzzPartitionerDiff(f *testing.F) {
 	})
 }
 
-// partitionRehash is the pre-kernel scatter kept as a benchmark baseline:
-// it hashes every key twice, once in the histogram pass and again in the
-// scatter — the duplicated work the hash-once kernel removed.
+// partitionRehash is the scalar reference the Partitioner is compared
+// against, and the benchmark baseline: the pre-kernel histogram + dense
+// prefix-sum scatter with fresh scratch per call, hashing every key twice
+// — once in the histogram pass and again in the scatter.
 func partitionRehash(rel tuple.Relation, bits int) []tuple.Relation {
 	fanout := 1 << bits
 	mask := uint32(fanout - 1)
@@ -244,11 +244,7 @@ func partitionRehash(rel tuple.Relation, bits int) []tuple.Relation {
 // pre-kernel scatter with fresh scratch, swwcb the tuned Partitioner
 // kernel (pooled buffers, direct scatter at this fanout per the measured
 // geometry). scripts/bench.sh compares them into BENCH_3.json; swwcb must
-// beat rehash. The old hashonce row — a stored-hash scalar scatter — is
-// retired: recomputing the multiplicative hash beats streaming a
-// per-tuple hash scratch through the cache, so the scalar Partition now
-// recomputes too and the row measured nothing the other two don't
-// (PERFORMANCE.md §"Winning back the kernels").
+// beat rehash.
 func BenchmarkKernelPartition(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	rel := make(tuple.Relation, 1<<20)

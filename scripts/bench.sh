@@ -14,10 +14,9 @@
 # The kernels mode runs the BenchmarkKernel* microbenchmarks of
 # internal/radix and internal/hashtable — partition (rehash / swwcb),
 # partition_build (unfused / fused), build (scalar / batched), probe
-# (scalar / batched), probecount (scalar / batched) — and writes
-# per-variant results plus the speedup of every variant over its kernel's
-# baseline (rehash for partition, unfused for partition_build, scalar
-# elsewhere). See PERFORMANCE.md for how to read BENCH_3.json.
+# (scalar / batched) — and writes per-variant results plus the speedup of
+# every variant over its kernel's baseline (rehash for partition, unfused
+# for partition_build, scalar elsewhere). See PERFORMANCE.md for how to read BENCH_3.json.
 #
 # Sweeps are intentionally short (BENCHTIME defaults to 1x for algorithms,
 # 100x for kernels): regression tripwires and JSON schema anchors, not
@@ -94,7 +93,6 @@ if [ "${1:-}" = "-compare" ]; then
         base["partition_build"] = "unfused"
         base["build"] = "scalar"
         base["probe"] = "scalar"
-        base["probecount"] = "scalar"
     }
     FNR == 1 { fi++ }
     $0 !~ /"kernel"/ { next }
@@ -200,7 +198,6 @@ if [ "$MODE" = "kernels" ]; then
         base["partition_build"] = "unfused"
         base["build"] = "scalar"
         base["probe"] = "scalar"
-        base["probecount"] = "scalar"
         printf "{\n"
         printf "  \"schema\": \"iawj-kernelbench/v1\",\n"
         printf "  \"benchtime\": \"%s\",\n", benchtime
