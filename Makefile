@@ -67,14 +67,14 @@ trace-smoke:
 bench:
 	./scripts/bench.sh
 
-## bench-kernels: kernel-layer sweep (partition/partition_build/build/probe),
+## bench-kernels: kernel-layer sweep (partition/partition_build/build/probe/sink),
 ## writes BENCH_3.json; 300 iterations per variant for recordable numbers
 bench-kernels:
 	BENCHTIME=$${BENCHTIME:-300x} ./scripts/bench.sh kernels
 
 ## bench-smoke: every kernel microbenchmark once, under the race detector
 bench-smoke:
-	$(GO) test -race -run '^$$' -bench '^BenchmarkKernel' -benchtime=1x ./internal/radix ./internal/hashtable
+	$(GO) test -race -run '^$$' -bench '^BenchmarkKernel' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core
 
 ## bench-gate: kernel sweep vs recorded BENCH_3.json, exit 1 on >10% regression
 bench-gate:

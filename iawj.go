@@ -78,7 +78,14 @@ type Config struct {
 	Objective Objective
 
 	// Emit receives materialized join results; nil counts matches only.
-	// Emit may be called concurrently from worker goroutines.
+	// Emit is never entered concurrently: the workers hand their results
+	// over in batches and one of them at a time runs Emit over a batch,
+	// so a consumer needs no lock of its own. It runs on the workers'
+	// goroutines while the join goes on — an eager join's results arrive
+	// within one pull round of being found — and every result has been
+	// delivered when Join or JoinWindowed* returns, whether or not the
+	// join failed. A consumer slower than the join holds the workers back
+	// once a bounded backlog of batches is full (Result.Output).
 	Emit func(JoinResult)
 
 	// Tracer feeds a cache simulation during profile runs; use
@@ -202,13 +209,15 @@ func EagerAlgorithms() []string { return []string{"SHJ_JM", "SHJ_JB", "PMJ_JM", 
 // and returns the merged metrics. With Algorithm set to AdaptiveName the
 // workload is profiled first and the decision tree picks the concrete
 // algorithm (reported in Result.Algorithm).
-func Join(r, s Relation, cfg Config) (Result, error) { return join(r, s, cfg, 0) }
+func Join(r, s Relation, cfg Config) (Result, error) { return join(r, s, cfg, 0, nil) }
 
 // join is Join over inputs whose timestamps count from baseTS: the
 // windowed drivers pass each window's slices of the caller's streams as
 // they are, with the window start as baseTS, and every timestamp reader
-// below applies the offset (core.ExecContext.BaseTS).
-func join(r, s Relation, cfg Config, baseTS int64) (Result, error) {
+// below applies the offset (core.ExecContext.BaseTS). out is the outbox
+// of a call that joins many windows for one Emit; nil gives the join its
+// own.
+func join(r, s Relation, cfg Config, baseTS int64, out *core.Outbox) (Result, error) {
 	if cfg.Algorithm == AdaptiveName {
 		cfg.Algorithm, _ = resolveAdaptive(r, s, cfg, baseTS)
 	}
@@ -236,6 +245,7 @@ func join(r, s Relation, cfg Config, baseTS int64) (Result, error) {
 		Tracer:    cfg.Tracer,
 		Trace:     cfg.Trace,
 		Emit:      cfg.Emit,
+		Out:       out,
 		Pool:      cfg.Pool,
 		WrapClock: cfg.WrapClock,
 		Window:    cfg.Window,
@@ -259,32 +269,23 @@ func ExpectedMatches(r, s Relation) int64 {
 }
 
 // CollectResults is a convenience Emit sink that materializes all join
-// results; use only when the expected match count is manageable.
+// results; use only when the expected match count is manageable. Like any
+// Emit consumer it relies on Emit never being entered concurrently, so
+// give one collector to one Join or JoinWindowed* call at a time.
 type CollectResults struct {
-	mu  chan struct{}
 	out []JoinResult
 }
 
-// NewCollectResults returns an empty concurrent-safe result collector.
-func NewCollectResults() *CollectResults {
-	c := &CollectResults{mu: make(chan struct{}, 1)}
-	c.mu <- struct{}{}
-	return c
-}
+// NewCollectResults returns an empty result collector.
+func NewCollectResults() *CollectResults { return &CollectResults{} }
 
 // Emit implements the Config.Emit contract.
-func (c *CollectResults) Emit(jr JoinResult) {
-	<-c.mu
-	c.out = append(c.out, jr)
-	c.mu <- struct{}{}
-}
+func (c *CollectResults) Emit(jr JoinResult) { c.out = append(c.out, jr) }
 
 // Results returns the collected join output sorted by (key, ts) for
-// deterministic comparison.
+// deterministic comparison; call it after the join has returned.
 func (c *CollectResults) Results() []JoinResult {
-	<-c.mu
 	out := append([]JoinResult(nil), c.out...)
-	c.mu <- struct{}{}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Key != out[j].Key {
 			return out[i].Key < out[j].Key

@@ -131,10 +131,10 @@ type ExecContext struct {
 	// methods are no-ops, so the hot path carries no branch and no
 	// allocation per span.
 	Trace *trace.Recorder
-	// Emit materializes join outputs; nil counts only (the paper
-	// measures the join process, not downstream consumption). Emit may
-	// be called concurrently from worker goroutines.
-	Emit func(tuple.JoinResult)
+	// Out takes the run's materialized results to the caller's consumer;
+	// nil counts only (the paper measures the join process, not downstream
+	// consumption). Workers reach it through their Sink.
+	Out *Outbox
 	// Pool recycles per-window kernel state (hash tables, partitioner
 	// scratch, match buffers) across windows; nil disables pooling, and
 	// every pool method accepts the nil receiver, so algorithms call it
@@ -250,7 +250,15 @@ type RunConfig struct {
 	// Trace records per-worker phase spans into the given recorder; the
 	// run is tagged with the algorithm name via StartRun.
 	Trace *trace.Recorder
-	Emit  func(tuple.JoinResult)
+	// Emit receives the materialized results, a batch of them at a time
+	// and never from two goroutines at once (Outbox); nil counts only.
+	// Everything is delivered when Run returns.
+	Emit func(tuple.JoinResult)
+	// Out, when non-nil, is the outbox of a call that makes several runs
+	// for one consumer (the windows of JoinWindowed*): the run delivers
+	// through it instead of one of its own, Emit is ignored, and the
+	// caller Closes it after its last run.
+	Out *Outbox
 	// Pool recycles per-window kernel state across runs; nil allocates
 	// fresh state per run (the pre-pool behaviour).
 	Pool *pool.Pool
@@ -326,12 +334,23 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		Knobs:    knobs,
 		Tracer:   cfg.Tracer,
 		Trace:    cfg.Trace,
-		Emit:     cfg.Emit,
+		Out:      cfg.Out,
 		Pool:     cfg.Pool,
 	}
-	poolBefore := cfg.Pool.Stats()
+	if ctx.Out == nil {
+		ctx.Out = NewOutbox(cfg.Emit, cfg.Pool)
+	}
+	poolBefore, outBefore := cfg.Pool.Stats(), ctx.Out.stats()
 	sw := clock.StartStopwatch()
-	if err := alg.Run(ctx); err != nil {
+	err := alg.Run(ctx)
+	// Every worker has closed its sink, so whatever it parked last is
+	// delivered here at the latest — also when the algorithm failed.
+	if cfg.Out == nil {
+		ctx.Out.Close()
+	} else {
+		ctx.Out.drain()
+	}
+	if err != nil {
 		return metrics.Result{}, fmt.Errorf("core: %s: %w", alg.Name(), err)
 	}
 	wall := sw.ElapsedNs()
@@ -340,5 +359,6 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	res.WindowStartMs = cfg.Window.StartMs
 	res.WindowEndMs = cfg.Window.EndMs
 	res.Pool = cfg.Pool.Stats().Since(poolBefore)
+	res.Output = ctx.Out.stats().Since(outBefore)
 	return res, nil
 }

@@ -189,11 +189,11 @@ func TestSinkRecordsMatches(t *testing.T) {
 		M:       metrics.NewCollector(1),
 	}
 	var emitted []tuple.JoinResult
-	ctx.Emit = func(jr tuple.JoinResult) { emitted = append(emitted, jr) }
+	ctx.Out = NewOutbox(func(jr tuple.JoinResult) { emitted = append(emitted, jr) }, nil)
 	k := NewSink(ctx, 0)
 	k.Match(ctx.R[0], ctx.S[0])
 	k.Refresh()
-	if got := ctx.M.T(0).MatchCount(); got != 1 {
+	if got := ctx.M.Snapshot("x", 2, 1).Matches; got != 1 {
 		t.Fatalf("match count = %d", got)
 	}
 	if len(emitted) != 1 || emitted[0].TS != 2 {
@@ -297,8 +297,10 @@ func TestBaseTSOffsetsEveryTimestampReader(t *testing.T) {
 	}
 
 	var emitted []tuple.JoinResult
-	ctx.Emit = func(jr tuple.JoinResult) { emitted = append(emitted, jr) }
-	NewSink(ctx, 0).Match(ctx.R[0], ctx.S[0])
+	ctx.Out = NewOutbox(func(jr tuple.JoinResult) { emitted = append(emitted, jr) }, nil)
+	k := NewSink(ctx, 0)
+	k.Match(ctx.R[0], ctx.S[0])
+	k.Close() // a sink keeps its last matches and results until a clock sample or Close
 	if want := (tuple.JoinResult{TS: 4, Key: 1, PayloadR: 7, PayloadS: 9}); len(emitted) != 1 || emitted[0] != want {
 		t.Fatalf("emitted %+v, want the window-relative %+v", emitted, want)
 	}

@@ -92,6 +92,7 @@ func (Handshake) Run(ctx *core.ExecContext) error {
 				}
 				chans[next] <- msg
 			}
+			sink.Close()
 			ctx.EndPhase(cell)
 			done <- struct{}{}
 		}(c)

@@ -208,7 +208,7 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 		nR, nS := 0, 0
 		ownsR, ownsS := dist.ownsR, dist.ownsS
 		physical := ctx.Knobs.PhysicalPartition
-		emit := func(r, s tuple.Tuple) { sink.Match(r, s) }
+		rect := sink.Rect
 		pull := func() int64 {
 			before := len(curR)
 			curR, rWaiting = rcur.batch(curR, bsz, gate, atRest, ownsR, physical)
@@ -233,7 +233,7 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 			// Join the fresh run pair immediately: early results.
 			pt.timeCount(metrics.PhaseProbe, func() int64 {
 				sink.Refresh()
-				sortmerge.MergeJoin(curR, curS, emit, ctx.Tracer, 0, 0)
+				sortmerge.MergeJoinRuns(curR, curS, rect, ctx.Tracer, 0, 0)
 				return int64(len(curR) + len(curS))
 			})
 			ru := run{r: curR, s: curS}
@@ -258,6 +258,10 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 
 		for !rcur.done() || !scur.done() {
 			gate = ctx.GateMs()
+			// Every round, as SHJ does: a sealed run's results leave within
+			// a round, and a worker still accumulating delivers what the
+			// others have parked.
+			sink.Refresh()
 			rWaiting, sWaiting = false, false
 			pt.timeCount(metrics.PhasePartition, pull)
 			if len(curR)+len(curS) >= step {
@@ -299,11 +303,12 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 						fail(fmt.Errorf("eager: pmj reload: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
 						return
 					}
-					sortmerge.MergeJoin(ri, sj, emit, ctx.Tracer, 0, 0)
+					sortmerge.MergeJoinRuns(ri, sj, rect, ctx.Tracer, 0, 0)
 					sink.Refresh()
 				}
 			}
 		})
+		sink.Close()
 		ctx.M.MemAdd(dist.statusBytes())
 		dist.release(ctx.Pool)
 		ctx.EndPhase(tid)

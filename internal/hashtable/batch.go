@@ -385,8 +385,9 @@ func walk(b *bucket, probe tuple.Tuple, dst []tuple.Tuple, tr cachesim.Tracer, a
 //iawj:hotpath
 func (t *Shared) InsertBatch(xs []tuple.Tuple) {
 	for i := range xs {
-		t.Insert(xs[i])
+		t.insertLatched(xs[i])
 	}
+	t.size.Add(int64(len(xs)))
 }
 
 // ProbeBatch probes every tuple of probes latch-free (build and probe are

@@ -179,7 +179,7 @@ type Shared struct {
 	// different bucket latches may race on it. Overflows are rare (once
 	// per bucketCap inserts per chain), so the extra lock is off the
 	// common path. The pad keeps it off the cache line of the size/extra
-	// counters, which every insert touches.
+	// counters, which every batch and every overflow bumps.
 	_      [16]byte
 	freeMu sync.Mutex
 	free   *bucket
@@ -271,9 +271,17 @@ func NewShared(n int) *Shared {
 
 // Insert adds a tuple under the bucket latch with the same O(1)
 // head-insertion scheme as Table (see Table.spill).
+func (t *Shared) Insert(x tuple.Tuple) {
+	t.insertLatched(x)
+	t.size.Add(1)
+}
+
+// insertLatched is Insert without the size count, which InsertBatch adds
+// once per batch: the counter is one cache line every writer would
+// otherwise fight over per tuple.
 //
 //iawj:hotpath
-func (t *Shared) Insert(x tuple.Tuple) {
+func (t *Shared) insertLatched(x tuple.Tuple) {
 	idx := Hash(x.Key) & t.mask
 	sb := &t.buckets[idx]
 	sb.mu.Lock()
@@ -295,7 +303,6 @@ func (t *Shared) Insert(x tuple.Tuple) {
 	b.tuples[b.n] = x
 	b.n++
 	sb.mu.Unlock()
-	t.size.Add(1)
 }
 
 // Size returns the number of stored tuples.

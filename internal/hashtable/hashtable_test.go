@@ -66,33 +66,49 @@ func TestProbeMatchesMapSemantics(t *testing.T) {
 	}
 }
 
+// TestSharedConcurrentBuild builds one table from eight writers, tuple by
+// tuple and in batches of uneven length: Size counts once per Insert and
+// once per InsertBatch, and either way it must add up to the tuples stored.
 func TestSharedConcurrentBuild(t *testing.T) {
 	const threads, perThread = 8, 2000
-	tab := NewShared(threads * perThread)
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(uint64(th), 99))
-			for i := 0; i < perThread; i++ {
-				tab.Insert(tuple.Tuple{Key: int32(rng.IntN(500)), Payload: int32(th)})
-			}
-		}(th)
-	}
-	wg.Wait()
-	if tab.Size() != threads*perThread {
-		t.Fatalf("Size = %d, want %d", tab.Size(), threads*perThread)
-	}
-	total := 0
-	for k := int32(0); k < 500; k++ {
-		total += tab.Probe(k, nil)
-	}
-	if total != threads*perThread {
-		t.Fatalf("probes found %d tuples, want %d", total, threads*perThread)
-	}
-	if tab.MemBytes() <= 0 {
-		t.Fatal("MemBytes must be positive")
+	for _, batched := range []bool{false, true} {
+		tab := NewShared(threads * perThread)
+		var wg sync.WaitGroup
+		for th := 0; th < threads; th++ {
+			wg.Add(1)
+			go func(th int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewPCG(uint64(th), 99))
+				xs := make([]tuple.Tuple, perThread)
+				for i := range xs {
+					xs[i] = tuple.Tuple{Key: int32(rng.IntN(500)), Payload: int32(th)}
+				}
+				for len(xs) > 0 {
+					if !batched {
+						tab.Insert(xs[0])
+						xs = xs[1:]
+						continue
+					}
+					n := min(len(xs), 1+rng.IntN(300))
+					tab.InsertBatch(xs[:n])
+					xs = xs[n:]
+				}
+			}(th)
+		}
+		wg.Wait()
+		if tab.Size() != threads*perThread {
+			t.Fatalf("batched=%v: Size = %d, want %d", batched, tab.Size(), threads*perThread)
+		}
+		total := 0
+		for k := int32(0); k < 500; k++ {
+			total += tab.Probe(k, nil)
+		}
+		if total != threads*perThread {
+			t.Fatalf("batched=%v: probes found %d tuples, want %d", batched, total, threads*perThread)
+		}
+		if tab.MemBytes() <= 0 {
+			t.Fatal("MemBytes must be positive")
+		}
 	}
 }
 

@@ -12,22 +12,10 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/tuple"
 )
 
 // matchBatch aliases the shared clock-sampling batch size.
 const matchBatch = core.MatchBatch
-
-// matchPairs feeds the (stored, probe) pairs of one probe batch to the
-// sink. The slice-advance walk is bounds-check free where a stride-2 index
-// walk is not (LINTING.md §BCE).
-//
-//iawj:hotpath
-func matchPairs(k *core.Sink, pairs []tuple.Tuple) {
-	for ps := pairs; len(ps) >= 2; ps = ps[2:] {
-		k.Match(ps[0], ps[1])
-	}
-}
 
 // parallel runs fn on threads worker goroutines and waits for all.
 func parallel(threads int, fn func(tid int)) {

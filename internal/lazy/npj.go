@@ -32,7 +32,7 @@ func (NPJ) Approach() core.Approach { return core.Lazy }
 func (NPJ) Method() core.JoinMethod { return core.HashJoin }
 
 // Run implements core.Algorithm. The per-tuple work is in the table
-// kernels and matchPairs; this is per-chunk orchestration.
+// kernels and the sink's pair walk; this is per-chunk orchestration.
 func (NPJ) Run(ctx *core.ExecContext) error {
 	table := ctx.Pool.Shared(len(ctx.R))
 	if ctx.Tracer != nil {
@@ -65,8 +65,9 @@ func (NPJ) Run(ctx *core.ExecContext) error {
 			rest = rest[len(blk):]
 			k.Refresh()
 			pairs, _ = table.ProbeBatch(blk, pairs[:0])
-			matchPairs(k, pairs)
+			k.Pairs(pairs, true)
 		}
+		k.Close()
 		ctx.Pool.PutPairs(pairs)
 		ctx.EndPhase(tid)
 	})

@@ -39,7 +39,8 @@ func (PRJ) Approach() core.Approach { return core.Lazy }
 func (PRJ) Method() core.JoinMethod { return core.HashJoin }
 
 // Run implements core.Algorithm. The per-tuple work is in the partition
-// and table kernels and matchPairs; this is per-partition orchestration.
+// and table kernels and the sink's pair walk; this is per-partition
+// orchestration.
 func (PRJ) Run(ctx *core.ExecContext) error {
 	bits := ctx.Knobs.RadixBits
 	fanout := radix.Fanout(bits)
@@ -142,13 +143,14 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 					n := min(matchBatch, len(probes))
 					k.Refresh()
 					pairs, _ = table.ProbeBatchHashed(probes[:n], hashes[:n], pairs[:0])
-					matchPairs(k, pairs)
+					k.Pairs(pairs, true)
 					probes, hashes = probes[n:], hashes[n:]
 				}
 			}
 			ctx.M.MemAdd(-table.MemBytes()) // partition table released
 			ctx.Pool.PutTable(table)
 		}
+		k.Close()
 		ctx.Pool.PutPairs(pairs)
 		ctx.EndPhase(tid)
 	})

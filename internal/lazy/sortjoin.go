@@ -122,9 +122,8 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		ctx.Begin(tid, metrics.PhaseProbe)
 		tw.AddTuples(int64(len(mergedR) + len(mergedS)))
 		k := core.NewSink(ctx, tid)
-		sortmerge.MergeJoin(mergedR, mergedS, func(r, s tuple.Tuple) {
-			k.Match(r, s)
-		}, ctx.Tracer, uint64(tid)<<33, uint64(tid)<<33|1<<32)
+		sortmerge.MergeJoinRuns(mergedR, mergedS, k.Rect, ctx.Tracer, uint64(tid)<<33, uint64(tid)<<33|1<<32)
+		k.Close()
 		ctx.EndPhase(tid)
 	})
 	// Every worker's merge read every worker's runs, so all buffers are

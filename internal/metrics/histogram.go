@@ -44,6 +44,40 @@ func bucketLow(i int) int64 {
 	return (1 << uint(msb)) | int64(sub)<<(uint(msb)-4)
 }
 
+// Bucket returns the bucket Record files v in and the least and the
+// greatest value that share it, so a caller recording many values can tell
+// without a bucket computation that the next one lands where the last did,
+// and add a whole run of them to the bucket at once (AddTo). Negative
+// values clamp to 0, so the bucket of any v <= 0 reaches down to
+// math.MinInt64.
+func Bucket(v int64) (idx int, lo, hi int64) {
+	if v <= 0 {
+		return 0, math.MinInt64, 0
+	}
+	if v < subBuckets {
+		return int(v), v, v
+	}
+	u := uint64(v)
+	msb := uint(63 - bits.LeadingZeros64(u))
+	sub := (u >> (msb - 4)) & (subBuckets - 1)
+	lo = int64(1)<<msb | int64(sub)<<(msb-4)
+	return (int(msb)-3)*subBuckets + int(sub), lo, lo + int64(1)<<(msb-4) - 1
+}
+
+// AddTo adds n observations to bucket idx (as Bucket names it), the
+// largest of them maxV: what n Record calls on values of that bucket add
+// up to.
+func (h *Histogram) AddTo(idx int, n, maxV int64) {
+	if n <= 0 {
+		return
+	}
+	h.counts[idx] += n
+	h.total += n
+	if maxV > h.maxV {
+		h.maxV = maxV
+	}
+}
+
 // Record adds n observations of value v (negative values clamp to 0).
 func (h *Histogram) Record(v, n int64) {
 	if n <= 0 {

@@ -87,25 +87,31 @@ func (t *ThreadMetrics) AddPhaseNs(p Phase, d int64) { t.phaseNs[p] += d }
 
 // Matches records n join matches generated at simulated time nowMs whose
 // last corresponding input arrived at lastInputMs. Latency follows the
-// paper: emission time minus the larger input arrival timestamp.
+// paper: emission time minus the larger input arrival timestamp. This is
+// the per-match definition; the sink books whole runs through Latencies
+// and Emitted, which must add up to the same histograms.
 func (t *ThreadMetrics) Matches(n int64, nowMs, lastInputMs int64) {
+	t.latency.Record(nowMs-lastInputMs, n)
+	t.Emitted(n, nowMs)
+}
+
+// Latencies records the latencies of n matches that fall in histogram
+// bucket idx (Bucket), maxLat being the largest among them; a negative
+// latency — a match emitted before its input was due — is in bucket 0.
+func (t *ThreadMetrics) Latencies(idx int, n, maxLat int64) { t.latency.AddTo(idx, n, maxLat) }
+
+// Emitted counts n matches generated at simulated time nowMs towards the
+// match total, the progressiveness curve and the time of the last match.
+func (t *ThreadMetrics) Emitted(n, nowMs int64) {
 	if n <= 0 {
 		return
 	}
 	t.matches += n
-	lat := nowMs - lastInputMs
-	if lat < 0 {
-		lat = 0
-	}
-	t.latency.Record(lat, n)
 	t.progress.Record(nowMs, n)
 	if nowMs > t.lastMatchMs {
 		t.lastMatchMs = nowMs
 	}
 }
-
-// MatchCount returns the matches recorded so far.
-func (t *ThreadMetrics) MatchCount() int64 { return t.matches }
 
 // Collector owns the per-thread metrics of one run plus run-wide state.
 type Collector struct {
@@ -205,6 +211,12 @@ type Result struct {
 	// without a pool. Runs sharing a pool concurrently see each other's
 	// traffic.
 	Pool PoolStats
+	// Output is the output path's traffic during the run, in result
+	// batches: delivered, parked for another worker to deliver, the peak
+	// backlog and the flushes that waited at its bound; all zero when the
+	// run only counted. Runs sharing a consumer (the windows of one
+	// JoinWindowedParallel call) see each other's traffic.
+	Output OutputStats
 }
 
 // Snapshot merges all thread metrics into a Result. inputs is |R|+|S|.

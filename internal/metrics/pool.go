@@ -7,8 +7,9 @@ type PoolKind int
 
 // The pooled kinds: single-writer and latched hash tables, SWWCB
 // partitioners, sized tuple buffers (run copies, merge outputs, sort
-// scratch, pull batches), grow-only match-pair buffers, and uint32 arrays
-// (the JB router's status table).
+// scratch, pull batches), grow-only match-pair buffers, uint32 arrays
+// (the JB router's status table), and the result batches of the output
+// path.
 const (
 	PoolTable PoolKind = iota
 	PoolShared
@@ -16,10 +17,11 @@ const (
 	PoolTuples
 	PoolPairs
 	PoolU32
+	PoolResults
 	NumPoolKinds
 )
 
-var poolKindNames = [NumPoolKinds]string{"table", "shared", "partitioner", "tuples", "pairs", "u32"}
+var poolKindNames = [NumPoolKinds]string{"table", "shared", "partitioner", "tuples", "pairs", "u32", "results"}
 
 // String names the kind as the journal and /metrics label it.
 func (k PoolKind) String() string {

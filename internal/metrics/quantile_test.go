@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -155,5 +156,39 @@ func TestQuantileMonotonicityEmpty(t *testing.T) {
 	}
 	if h.Max() != 0 {
 		t.Errorf("empty Max() = %d, want 0", h.Max())
+	}
+}
+
+// TestBucketNamesRecordsBucketAndItsEdges: Bucket's index is where Record
+// files the value, its bounds are in that bucket and their outer
+// neighbours are not, and AddTo on it adds up to as many Records.
+func TestBucketNamesRecordsBucketAndItsEdges(t *testing.T) {
+	vals := []int64{-5, 0, 1, 15, 16, 17, 31, 32, 33, 1000, 1 << 20, 1<<40 + 12345}
+	for v := int64(0); v < 5000; v += 7 {
+		vals = append(vals, v)
+	}
+	var recorded, added Histogram
+	for _, v := range vals {
+		idx, lo, hi := Bucket(v)
+		if idx != bucketOf(max(v, 0)) {
+			t.Fatalf("Bucket(%d) names bucket %d, Record files it in %d", v, idx, bucketOf(max(v, 0)))
+		}
+		recorded.Record(v, 3)
+		added.AddTo(idx, 3, v)
+		if v <= 0 {
+			if lo != math.MinInt64 || hi != 0 {
+				t.Fatalf("Bucket(%d) spans [%d, %d], want everything up to 0", v, lo, hi)
+			}
+			continue
+		}
+		if v < lo || v > hi || bucketOf(lo) != idx || bucketOf(hi) != idx {
+			t.Fatalf("Bucket(%d) = [%d, %d] is not within bucket %d", v, lo, hi, idx)
+		}
+		if bucketOf(lo-1) == idx || bucketOf(hi+1) == idx {
+			t.Fatalf("Bucket(%d) = [%d, %d] stops short of bucket %d's edge", v, lo, hi, idx)
+		}
+	}
+	if recorded != added {
+		t.Fatal("AddTo per bucket and Record per value built different histograms")
 	}
 }

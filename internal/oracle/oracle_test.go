@@ -46,6 +46,7 @@ func (m mutant) Run(ctx *core.ExecContext) error {
 			sink.Match(rt, st)
 		}
 	}
+	sink.Close()
 	ctx.EndPhase(0)
 	return nil
 }

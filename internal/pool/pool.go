@@ -2,7 +2,8 @@
 //
 // Every window of a streaming join needs the same transient structures:
 // hash-table directories and overflow buckets, partitioner scratch, the
-// physical partition copies of the sort joins, and match-pair buffers.
+// physical partition copies of the sort joins, match-pair buffers, and the
+// result batches of the output path.
 // Allocating them fresh per window makes a memory-bound kernel GC-bound —
 // the overhead partition-based stream joins like PanJoin explicitly
 // engineer away. Pool keeps freelists of all of them behind a Reset
@@ -93,6 +94,7 @@ type Pool struct {
 	tuples  bufs[tuple.Tuple]
 	pairs   [][]tuple.Tuple
 	u32s    bufs[uint32]
+	results bufs[tuple.JoinResult]
 	stats   metrics.PoolStats
 }
 
@@ -329,6 +331,36 @@ func (p *Pool) PutPairs(buf []tuple.Tuple) {
 	p.mu.Lock()
 	p.pairs = append(p.pairs, buf[:0])
 	p.stats.RetainedBytes += int64(cap(buf)) * tuple.Bytes
+	p.mu.Unlock()
+}
+
+// resultBytes is the in-memory size of one tuple.JoinResult.
+const resultBytes = 24
+
+// Results returns an empty result batch with capacity at least n.
+func (p *Pool) Results(n int) []tuple.JoinResult {
+	if p == nil {
+		return make([]tuple.JoinResult, 0, n)
+	}
+	p.mu.Lock()
+	buf := p.results.get(n)
+	p.acquired(metrics.PoolResults, buf != nil, int64(cap(buf))*resultBytes)
+	p.mu.Unlock()
+	if buf == nil {
+		buf = newBuf[tuple.JoinResult](n)
+	}
+	return buf
+}
+
+// PutResults returns a batch taken with Results to the freelist of its
+// capacity class.
+func (p *Pool) PutResults(buf []tuple.JoinResult) {
+	if p == nil || cap(buf) == 0 {
+		return
+	}
+	p.mu.Lock()
+	p.results.put(buf)
+	p.stats.RetainedBytes += int64(cap(buf)) * resultBytes
 	p.mu.Unlock()
 }
 

@@ -317,23 +317,65 @@ func TwoWayMergePassesInto(a, b []tuple.Tuple, runs []tuple.Relation, simd bool)
 // JoinEmit receives every matching pair found by MergeJoin.
 type JoinEmit func(r, s tuple.Tuple)
 
-// MergeJoin performs a single-pass merge join over two key-sorted inputs,
-// expanding duplicate-key runs as a nested loop over the run pair (the
-// behaviour whose cache friendliness under high duplication Section 5.4
-// highlights). It returns the number of matches. emit may be nil to count
-// only. tr may be nil.
-//
-//iawj:hotpath
+// MergeJoin is MergeJoinRuns handing emit one pair at a time, each run
+// rectangle in row order; emit may be nil to count only.
 func MergeJoin(r, s []tuple.Tuple, emit JoinEmit, tr cachesim.Tracer, baseR, baseS uint64) int64 {
+	if emit == nil {
+		return MergeJoinRuns(r, s, nil, tr, baseR, baseS)
+	}
+	return MergeJoinRuns(r, s, func(rRun, sRun []tuple.Tuple) {
+		for _, a := range rRun {
+			for _, b := range sRun {
+				emit(a, b)
+			}
+		}
+	}, tr, baseR, baseS)
+}
+
+// MergeJoinRuns performs a single-pass merge join over two key-sorted
+// inputs. Where both hold a run of one key, every tuple of r's run matches
+// every tuple of s's (the nested-loop expansion whose cache friendliness
+// under high duplication Section 5.4 highlights), and emit receives the
+// two runs once, as a rectangle. It returns the number of matches. emit
+// may be nil to count only. tr may be nil.
+//
+// The per-tuple work — skipping to the next common key, measuring a run —
+// is in seekMatch and runEnd; this loop turns once per common key.
+func MergeJoinRuns(r, s []tuple.Tuple, emit func(rRun, sRun []tuple.Tuple), tr cachesim.Tracer, baseR, baseS uint64) int64 {
 	var matches int64
 	i, j := 0, 0
-	for i < len(r) && j < len(s) {
-		if i < 0 || j < 0 {
-			// Unreachable: both cursors only ever advance. Restated because
-			// the prover loses the lower bound through the run-expansion
-			// phis, and the loads below need it (LINTING.md §BCE).
-			break
+	for {
+		i, j = seekMatch(r, s, i, j, tr, baseR, baseS)
+		if i >= len(r) || j >= len(s) {
+			return matches
 		}
+		i2, j2 := runEnd(r, i), runEnd(s, j)
+		matches += int64(i2-i) * int64(j2-j)
+		if emit != nil {
+			emit(r[i:i2], s[j:j2])
+		}
+		if tr != nil {
+			tr.Op(uint64(i2-i) * uint64(j2-j))
+			// Sequential revisits of the run: one access per line's
+			// worth of tuples approximates the cache reuse benefit.
+			for a := i; a < i2; a += 4 {
+				tr.Access(baseR + uint64(a)*tupleBytes)
+			}
+			for b := j; b < j2; b += 4 {
+				tr.Access(baseS + uint64(b)*tupleBytes)
+			}
+		}
+		i, j = i2, j2
+	}
+}
+
+// seekMatch advances the cursors i into r and j into s past every key the
+// other side lacks and returns them at the next common key, or with one of
+// them at its input's end.
+//
+//iawj:hotpath
+func seekMatch(r, s []tuple.Tuple, i, j int, tr cachesim.Tracer, baseR, baseS uint64) (int, int) {
+	for i >= 0 && j >= 0 && i < len(r) && j < len(s) {
 		kr, ks := keyRank(r[i].Key), keyRank(s[j].Key)
 		if tr != nil {
 			tr.Access(baseR + uint64(i)*tupleBytes)
@@ -346,42 +388,23 @@ func MergeJoin(r, s []tuple.Tuple, emit JoinEmit, tr cachesim.Tracer, baseR, bas
 		case kr > ks:
 			j++
 		default:
-			// Expand the duplicate run on both sides.
-			i2 := i
-			for i2 < len(r) && r[i2].Key == r[i].Key {
-				i2++
-			}
-			j2 := j
-			for j2 < len(s) && s[j2].Key == s[j].Key {
-				j2++
-			}
-			matches += int64(i2-i) * int64(j2-j)
-			if emit != nil {
-				// The redundant len bounds re-prove the run rectangle:
-				// i2 ≤ len(r) and j2 ≤ len(s) hold by construction, but
-				// the nested loop drops those facts (LINTING.md §BCE).
-				for a := i; a < i2 && a < len(r); a++ {
-					for b := j; b < j2 && b < len(s); b++ {
-						//lint:allow hotpathalloc the scalar emit reference path is deliberately indirect
-						emit(r[a], s[b])
-					}
-				}
-			}
-			if tr != nil {
-				tr.Op(uint64(i2-i) * uint64(j2-j))
-				// Sequential revisits of the run: one access per line's
-				// worth of tuples approximates the cache reuse benefit.
-				for a := i; a < i2; a += 4 {
-					tr.Access(baseR + uint64(a)*tupleBytes)
-				}
-				for b := j; b < j2; b += 4 {
-					tr.Access(baseS + uint64(b)*tupleBytes)
-				}
-			}
-			i, j = i2, j2
+			return i, j
 		}
 	}
-	return matches
+	return i, j
+}
+
+// runEnd returns the end of the run of run[i]'s key that starts at i.
+//
+//iawj:hotpath
+func runEnd(run []tuple.Tuple, i int) int {
+	if i < 0 || i >= len(run) {
+		return i
+	}
+	key := run[i].Key
+	for i++; i < len(run) && run[i].Key == key; i++ {
+	}
+	return i
 }
 
 // Sorted reports whether rel is sorted by key (test helper shared by

@@ -51,6 +51,16 @@ type JournalEntry struct {
 	PoolMisses        map[string]int64 `json:"pool_misses,omitempty"`
 	PoolRetainedBytes int64            `json:"pool_retained_bytes,omitempty"`
 
+	// The output path's traffic during the run, in result batches
+	// (metrics.OutputStats): handed to the Emit consumer, left for
+	// another worker to hand over, the most ever waiting at once, and
+	// the flushes that had to wait at the backlog's bound. All absent
+	// for a count-only run.
+	OutputDelivered   int64 `json:"output_batches_delivered,omitempty"`
+	OutputParked      int64 `json:"output_batches_parked,omitempty"`
+	OutputPeakBacklog int64 `json:"output_peak_backlog,omitempty"`
+	OutputWaits       int64 `json:"output_waits,omitempty"`
+
 	// DroppedSpans is the attached recorder's cumulative dropped-span
 	// count at write time; zero (and omitted) when no recorder is
 	// attached or nothing was dropped.
@@ -126,6 +136,11 @@ func EntryOf(res metrics.Result) JournalEntry {
 		PoolHits:          poolCounts(res.Pool.Hits),
 		PoolMisses:        poolCounts(res.Pool.Misses),
 		PoolRetainedBytes: res.Pool.RetainedBytes,
+
+		OutputDelivered:   res.Output.Delivered,
+		OutputParked:      res.Output.Parked,
+		OutputPeakBacklog: res.Output.PeakBacklog,
+		OutputWaits:       res.Output.Waits,
 	}
 	for i, ns := range res.PhaseNs {
 		e.PhaseNs[metrics.Phase(i).String()] = ns

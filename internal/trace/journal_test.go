@@ -233,14 +233,16 @@ func TestNilJournalWriterIsInert(t *testing.T) {
 }
 
 // TestJournalCarriesPoolTraffic: a window record names the pooled kinds
-// that hit and missed during its run and the bytes the pool retained, and
-// says nothing at all about a run that had no pool.
+// that hit and missed during its run, the bytes the pool retained and the
+// output path's batch counters, and says nothing at all about a run that
+// had no pool and only counted.
 func TestJournalCarriesPoolTraffic(t *testing.T) {
 	res := metricsResultFixture()
 	res.Pool.Hits[metrics.PoolTuples] = 12
 	res.Pool.Hits[metrics.PoolTable] = 4
 	res.Pool.Misses[metrics.PoolU32] = 2
 	res.Pool.RetainedBytes = 1 << 16
+	res.Output = metrics.OutputStats{Delivered: 40, Parked: 9, Waits: 2, PeakBacklog: 16}
 
 	var buf bytes.Buffer
 	jw := NewJournalWriter(&buf)
@@ -251,19 +253,21 @@ func TestJournalCarriesPoolTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	for _, want := range []string{`"pool_hits":{"table":4,"tuples":12}`, `"pool_misses":{"u32":2}`, `"pool_retained_bytes":65536`} {
+	for _, want := range []string{`"pool_hits":{"table":4,"tuples":12}`, `"pool_misses":{"u32":2}`, `"pool_retained_bytes":65536`,
+		`"output_batches_delivered":40`, `"output_batches_parked":9`, `"output_peak_backlog":16`, `"output_waits":2`} {
 		if !strings.Contains(lines[0], want) {
 			t.Errorf("window record missing %s:\n%s", want, lines[0])
 		}
 	}
-	if strings.Contains(lines[1], "pool_") {
-		t.Errorf("a run without a pool must not mention one:\n%s", lines[1])
+	if strings.Contains(lines[1], "pool_") || strings.Contains(lines[1], "output_") {
+		t.Errorf("a count-only run without a pool must mention neither:\n%s", lines[1])
 	}
 	j, err := ReadJournal(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Windows[0]; got.PoolHits["tuples"] != 12 || got.PoolMisses["u32"] != 2 || got.PoolRetainedBytes != 1<<16 {
-		t.Errorf("pool fields did not round-trip: %+v", got)
+	if got := j.Windows[0]; got.PoolHits["tuples"] != 12 || got.PoolMisses["u32"] != 2 || got.PoolRetainedBytes != 1<<16 ||
+		got.OutputDelivered != 40 || got.OutputParked != 9 || got.OutputPeakBacklog != 16 || got.OutputWaits != 2 {
+		t.Errorf("pool and output fields did not round-trip: %+v", got)
 	}
 }

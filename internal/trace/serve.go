@@ -54,6 +54,10 @@ type algStats struct {
 	// Window-pool traffic summed over the runs, and the retained bytes
 	// the most recent run saw.
 	pool metrics.PoolStats
+
+	// Output-path traffic summed over the runs, and the peak backlog the
+	// most recent run saw.
+	output metrics.OutputStats
 }
 
 // NewRegistry returns an empty registry.
@@ -88,6 +92,10 @@ func (g *Registry) Observe(res metrics.Result) {
 		st.pool.Misses[k] += res.Pool.Misses[k]
 	}
 	st.pool.RetainedBytes = res.Pool.RetainedBytes
+	st.output.Delivered += res.Output.Delivered
+	st.output.Parked += res.Output.Parked
+	st.output.Waits += res.Output.Waits
+	st.output.PeakBacklog = res.Output.PeakBacklog
 }
 
 // Attach exposes a live recorder's span totals on /metrics; pass nil to
@@ -191,6 +199,20 @@ func (g *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	writeHeader("iawj_pool_retained_bytes", "gauge", "Bytes the window pool's freelists held after the algorithm's last run.")
 	for _, name := range names {
 		fmt.Fprintf(&b, "iawj_pool_retained_bytes{algorithm=%q} %d\n", escapeLabel(name), g.algs[name].pool.RetainedBytes)
+	}
+	writeHeader("iawj_output_batches_total", "counter", "Result batches on the output path per algorithm: delivered to the Emit consumer, and of those parked for another worker to deliver.")
+	for _, name := range names {
+		out := g.algs[name].output
+		fmt.Fprintf(&b, "iawj_output_batches_total{algorithm=%q,fate=\"delivered\"} %d\n", escapeLabel(name), out.Delivered)
+		fmt.Fprintf(&b, "iawj_output_batches_total{algorithm=%q,fate=\"parked\"} %d\n", escapeLabel(name), out.Parked)
+	}
+	writeHeader("iawj_output_waits_total", "counter", "Flushes that found the output backlog at its bound and waited: the consumer is slower than the join.")
+	for _, name := range names {
+		fmt.Fprintf(&b, "iawj_output_waits_total{algorithm=%q} %d\n", escapeLabel(name), g.algs[name].output.Waits)
+	}
+	writeHeader("iawj_output_peak_backlog", "gauge", "Most result batches parked at once during the algorithm's last run.")
+	for _, name := range names {
+		fmt.Fprintf(&b, "iawj_output_peak_backlog{algorithm=%q} %d\n", escapeLabel(name), g.algs[name].output.PeakBacklog)
 	}
 	g.mu.Unlock()
 

@@ -16,6 +16,7 @@ func TestRegistryMetricsExposition(t *testing.T) {
 	pooled.Pool.Hits[metrics.PoolTuples] = 6
 	pooled.Pool.Misses[metrics.PoolShared] = 1
 	pooled.Pool.RetainedBytes = 4096
+	pooled.Output = metrics.OutputStats{Delivered: 30, Parked: 7, Waits: 1, PeakBacklog: 16}
 	g.Observe(pooled)
 	g.Observe(pooled) // second run accumulates counters
 
@@ -37,6 +38,10 @@ func TestRegistryMetricsExposition(t *testing.T) {
 		`iawj_pool_hits_total{algorithm="SHJ_JM",kind="tuples"} 12`,
 		`iawj_pool_misses_total{algorithm="SHJ_JM",kind="shared"} 2`,
 		`iawj_pool_retained_bytes{algorithm="SHJ_JM"} 4096`,
+		`iawj_output_batches_total{algorithm="SHJ_JM",fate="delivered"} 60`,
+		`iawj_output_batches_total{algorithm="SHJ_JM",fate="parked"} 14`,
+		`iawj_output_waits_total{algorithm="SHJ_JM"} 2`,
+		`iawj_output_peak_backlog{algorithm="SHJ_JM"} 16`,
 		`iawj_trace_spans 1`,
 		`iawj_trace_span_ns_total{algorithm="SHJ_JM",phase="probe"} 5000`,
 		"# TYPE iawj_runs_total counter",

@@ -12,11 +12,14 @@
 # JSON, one object per algorithm with ns/op, MB/s, and the match count.
 #
 # The kernels mode runs the BenchmarkKernel* microbenchmarks of
-# internal/radix and internal/hashtable — partition (rehash / swwcb),
-# partition_build (unfused / fused), build (scalar / batched), probe
-# (scalar / batched) — and writes per-variant results plus the speedup of
+# internal/radix, internal/hashtable and internal/core — partition (rehash
+# / swwcb), partition_build (unfused / fused), build (scalar / batched),
+# probe (scalar / batched), sink_count and sink_emit (match / run: the
+# match sink's single-match entry against its run form, counting only and
+# materializing) — and writes per-variant results plus the speedup of
 # every variant over its kernel's baseline (rehash for partition, unfused
-# for partition_build, scalar elsewhere). See PERFORMANCE.md for how to read BENCH_3.json.
+# for partition_build, match for the sink rows, scalar elsewhere). See
+# PERFORMANCE.md for how to read BENCH_3.json.
 #
 # Sweeps are intentionally short (BENCHTIME defaults to 1x for algorithms,
 # 100x for kernels): regression tripwires and JSON schema anchors, not
@@ -93,6 +96,8 @@ if [ "${1:-}" = "-compare" ]; then
         base["partition_build"] = "unfused"
         base["build"] = "scalar"
         base["probe"] = "scalar"
+        base["sink_count"] = "match"
+        base["sink_emit"] = "match"
     }
     FNR == 1 { fi++ }
     $0 !~ /"kernel"/ { next }
@@ -166,7 +171,7 @@ if [ "$MODE" = "kernels" ]; then
     BENCHTIME="${BENCHTIME:-100x}"
 
     raw="$(go test -run '^$' -bench '^BenchmarkKernel' -benchtime="$BENCHTIME" \
-        ./internal/radix ./internal/hashtable)"
+        ./internal/radix ./internal/hashtable ./internal/core)"
 
     echo "$raw" | awk -v benchtime="$BENCHTIME" \
         -v go_version="$GO_VERSION" -v num_cpu="$NUM_CPU" -v gomaxprocs="$GOMAXPROCS_VAL" '
@@ -184,6 +189,13 @@ if [ "$MODE" = "kernels" ]; then
         # word break for multi-word kernels.
         if (kern[n] == "partitionbuild") kern[n] = "partition_build"
         variant[n] = parts[2]
+        # BenchmarkKernelSink{Match,Run}/{count,emit}: the mode names the
+        # kernel and the entry point is the variant, so that run is gated
+        # against match within a mode.
+        if (kern[n] ~ /^sink/) {
+            variant[n] = substr(kern[n], 5)
+            kern[n] = "sink_" parts[2]
+        }
         nsop[n] = ""; mbs[n] = ""
         for (i = 3; i < NF; i++) {
             if ($(i+1) == "ns/op") nsop[n] = $i
@@ -198,6 +210,8 @@ if [ "$MODE" = "kernels" ]; then
         base["partition_build"] = "unfused"
         base["build"] = "scalar"
         base["probe"] = "scalar"
+        base["sink_count"] = "match"
+        base["sink_emit"] = "match"
         printf "{\n"
         printf "  \"schema\": \"iawj-kernelbench/v1\",\n"
         printf "  \"benchtime\": \"%s\",\n", benchtime

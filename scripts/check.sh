@@ -118,7 +118,7 @@ go test -run='^$' -fuzz='^FuzzConformance$' -fuzztime="$FUZZTIME" ./internal/ora
 
 step "bench smoke (kernel microbenchmarks, 1x under -race)"
 go test -race -run '^$' -bench '^BenchmarkKernel' -benchtime=1x \
-    ./internal/radix ./internal/hashtable
+    ./internal/radix ./internal/hashtable ./internal/core
 # The recorded kernel sweep must parse and show no batched kernel losing
 # to its scalar baseline: every speedup_vs_baseline entry >= 1.0
 # (PERFORMANCE.md §"Winning back the kernels"). Re-record with

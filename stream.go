@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/window"
 )
 
@@ -52,6 +53,10 @@ type WindowResult struct {
 // When cfg.Journal is non-nil, every window that runs a join appends one
 // iawj-journal/v2 window record (windows with input on only one side are
 // skipped — they have no run to summarize).
+//
+// cfg.Emit receives every window's results through one outbox, so it is
+// never entered concurrently by this call, and a window's results have
+// all been delivered when its journal record is written.
 func JoinWindowed(r, s Relation, spec WindowSpec, cfg Config) ([]WindowResult, error) {
 	pairs, err := window.AssignPair(r, s, spec)
 	if err != nil {
@@ -60,25 +65,28 @@ func JoinWindowed(r, s Relation, spec WindowSpec, cfg Config) ([]WindowResult, e
 	if cfg.Pool == nil {
 		cfg.Pool = NewStatePool()
 	}
+	outbox := core.NewOutbox(cfg.Emit, cfg.Pool) // nil when only counting
+	defer outbox.Close()
 	out := make([]WindowResult, len(pairs))
 	for i, p := range pairs {
 		out[i] = WindowResult{Start: p.Window.Start, End: p.Window.End}
 		if len(p.R) == 0 || len(p.S) == 0 {
 			continue
 		}
-		if err := joinWindow(i, p, cfg, &out[i]); err != nil {
+		if err := joinWindow(i, p, cfg, outbox, &out[i]); err != nil {
 			return out[:i+1], err
 		}
 	}
 	return out, nil
 }
 
-// joinWindow runs window i's join over the pair's slices in place, stores
-// the result in out and appends the window's journal record.
-func joinWindow(i int, p window.Pair, cfg Config, out *WindowResult) error {
+// joinWindow runs window i's join over the pair's slices in place,
+// delivering through outbox, stores the result in out and appends the
+// window's journal record.
+func joinWindow(i int, p window.Pair, cfg Config, outbox *core.Outbox, out *WindowResult) error {
 	cfg.WindowMs = p.Window.Length()
 	cfg.Window = WindowTag{ID: i, StartMs: p.Window.Start, EndMs: p.Window.End}
-	res, err := join(p.R, p.S, cfg, p.Window.Start)
+	res, err := join(p.R, p.S, cfg, p.Window.Start, outbox)
 	if err != nil {
 		return fmt.Errorf("window [%d,%d): %w", p.Window.Start, p.Window.End, err)
 	}
@@ -93,7 +101,9 @@ func joinWindow(i int, p window.Pair, cfg Config, out *WindowResult) error {
 // in flight concurrently — the replay pattern for recorded (at rest)
 // streams where window order does not gate arrival. Each window's join
 // still uses cfg.Threads workers internally, so the effective parallelism
-// is workers × cfg.Threads; choose the split to fit the machine.
+// is workers × cfg.Threads; choose the split to fit the machine. The
+// windows in flight share one outbox: cfg.Emit is still never entered
+// concurrently, and sees their results interleaved batch by batch.
 func JoinWindowedParallel(r, s Relation, spec WindowSpec, cfg Config, workers int) ([]WindowResult, error) {
 	if workers <= 1 {
 		return JoinWindowed(r, s, spec, cfg)
@@ -107,6 +117,8 @@ func JoinWindowedParallel(r, s Relation, spec WindowSpec, cfg Config, workers in
 		// concurrency-safe and a window's released state seeds the next.
 		cfg.Pool = NewStatePool()
 	}
+	outbox := core.NewOutbox(cfg.Emit, cfg.Pool) // nil when only counting
+	defer outbox.Close()
 	out := make([]WindowResult, len(pairs))
 	errs := make([]error, len(pairs))
 	sem := make(chan struct{}, workers)
@@ -122,7 +134,7 @@ func JoinWindowedParallel(r, s Relation, spec WindowSpec, cfg Config, workers in
 			defer func() { <-sem; wg.Done() }()
 			// The journal writer serializes internally; window records of
 			// in-flight windows may interleave out of order but carry ids.
-			errs[i] = joinWindow(i, p, cfg, &out[i])
+			errs[i] = joinWindow(i, p, cfg, outbox, &out[i])
 		}(i, p)
 	}
 	wg.Wait()

@@ -85,7 +85,7 @@ func TestWindowOffsetEqualsRebasedCopy(t *testing.T) {
 						wcfg.WindowMs = p.Window.Length()
 						inPlace, copied := NewCollectResults(), NewCollectResults()
 						wcfg.Emit = inPlace.Emit
-						if _, err := join(p.R, p.S, wcfg, p.Window.Start); err != nil {
+						if _, err := join(p.R, p.S, wcfg, p.Window.Start, nil); err != nil {
 							t.Fatal(err)
 						}
 						wcfg.Emit = copied.Emit
@@ -200,7 +200,7 @@ func TestWindowOffsetArrivalIsWindowRelative(t *testing.T) {
 	r, s := shift(w.R), shift(w.S)
 	for _, alg := range append(Algorithms(), "HANDSHAKE", AdaptiveName) {
 		cfg := Config{Algorithm: alg, Threads: 2, WindowMs: length, NsPerSimMs: 20e3}
-		res, err := join(r, s, cfg, start)
+		res, err := join(r, s, cfg, start, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
