@@ -84,9 +84,11 @@ bench-gate:
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-## fuzz-smoke: short fuzz run on the gen/ingest parsers + conformance
+## fuzz-smoke: short fuzz run on the gen/ingest parsers, the workload
+## profile (differential against its map-and-sort reference) + conformance
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/gen
+	$(GO) test -run='^$$' -fuzz='^FuzzSummarize$$' -fuzztime=$(FUZZTIME) ./internal/tuple
 	$(GO) test -run='^$$' -fuzz='^FuzzReadStream$$' -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run='^$$' -fuzz='^FuzzConformance$$' -fuzztime=$(FUZZTIME) ./internal/oracle

@@ -17,6 +17,11 @@ const AdaptiveName = "ADAPTIVE"
 // profile the first arrivals of a window.
 const adaptiveSample = 4096
 
+// profileScratch is the uint32 scratch that lets SummarizeScratch profile
+// a prefix of up to adaptiveSample (a power of two) tuples without
+// allocating; resolveAdaptive takes it from the window pool.
+const profileScratch = 4 * adaptiveSample
+
 // resolveAdaptive profiles the inputs, whose timestamps count from baseTS,
 // and returns the concrete algorithm the decision tree recommends, along
 // with the advice for explainability.
@@ -25,8 +30,10 @@ func resolveAdaptive(r, s Relation, cfg Config, baseTS int64) (string, Advice) {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	rs := Summarize(prefix(r, adaptiveSample))
-	ss := Summarize(prefix(s, adaptiveSample))
+	scratch := cfg.Pool.U32(profileScratch)
+	rs := prefix(r, adaptiveSample).SummarizeScratch(scratch)
+	ss := prefix(s, adaptiveSample).SummarizeScratch(scratch)
+	cfg.Pool.PutU32(scratch)
 	p := Profile{
 		Dupe:      minF(rs.Dupe, ss.Dupe),
 		KeySkew:   maxF(rs.KeySkew, ss.KeySkew),

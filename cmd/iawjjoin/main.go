@@ -98,6 +98,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", addr)
 	}
 
+	if *windowMs > 0 {
+		// Before the journal header: the first pool of the process
+		// calibrates the probe-prefetch distance the header records.
+		cfg.Pool = iawj.NewStatePool()
+	}
 	var jw *trace.JournalWriter
 	var jf *os.File
 	if *journal != "" {

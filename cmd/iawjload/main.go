@@ -88,6 +88,9 @@ func main() {
 	}
 	reports := ingest.ClassReports(events, res, c.Classes, planSpanMs(sp, events))
 
+	// Before the journal header: the first pool of the process calibrates
+	// the probe-prefetch distance the header records.
+	statePool := iawj.NewStatePool()
 	var jw *trace.JournalWriter
 	var jf *os.File
 	if *journal != "" {
@@ -119,6 +122,7 @@ func main() {
 		Threads:   *threads,
 		AtRest:    true,
 		Journal:   jw,
+		Pool:      statePool,
 	}
 	results, err := iawj.JoinWindowedParallel(r, s, iawj.WindowSpec{Kind: iawj.Tumbling, LengthMs: windowMs}, cfg, *workers)
 	if err != nil {

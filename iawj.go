@@ -99,10 +99,11 @@ type Config struct {
 
 	// Pool recycles per-window state (hash tables, partitioner scratch,
 	// run copies, sort scratch, merge outputs, match buffers, router
-	// status) across joins sharing the pool. Create one with
-	// NewStatePool and reuse it across the windows of a stream;
-	// steady-state windows then allocate nothing that scales with their
-	// tuples (PERFORMANCE.md §4). Nil allocates fresh state per join.
+	// status, the run's metrics collector, ADAPTIVE's profile scratch)
+	// across joins sharing the pool. Create one with NewStatePool and
+	// reuse it across the windows of a stream; a steady-state window then
+	// allocates little more than the Result it returns (PERFORMANCE.md
+	// §4). Nil allocates fresh state per join.
 	Pool *StatePool
 
 	// WrapClock, when non-nil, wraps the run's virtual time source

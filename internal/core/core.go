@@ -322,6 +322,7 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	if cfg.Trace != nil {
 		cfg.Trace.StartRun(alg.Name())
 	}
+	poolBefore := cfg.Pool.Stats()
 	ctx := &ExecContext{
 		R:        r,
 		S:        s,
@@ -330,7 +331,7 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		Threads:  threads,
 		Window:   cfg.Window,
 		Clock:    src,
-		M:        metrics.NewCollector(threads),
+		M:        cfg.Pool.Collector(threads),
 		Knobs:    knobs,
 		Tracer:   cfg.Tracer,
 		Trace:    cfg.Trace,
@@ -340,7 +341,7 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	if ctx.Out == nil {
 		ctx.Out = NewOutbox(cfg.Emit, cfg.Pool)
 	}
-	poolBefore, outBefore := cfg.Pool.Stats(), ctx.Out.stats()
+	outBefore := ctx.Out.stats()
 	sw := clock.StartStopwatch()
 	err := alg.Run(ctx)
 	// Every worker has closed its sink, so whatever it parked last is
@@ -351,10 +352,14 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		ctx.Out.drain()
 	}
 	if err != nil {
+		cfg.Pool.PutCollector(ctx.M)
 		return metrics.Result{}, fmt.Errorf("core: %s: %w", alg.Name(), err)
 	}
 	wall := sw.ElapsedNs()
 	res := ctx.M.Snapshot(alg.Name(), int64(len(r)+len(s)), wall)
+	// The Result shares no memory with the collector, which goes back for
+	// the next run — as it did above when the algorithm failed.
+	cfg.Pool.PutCollector(ctx.M)
 	res.WindowID = cfg.Window.ID
 	res.WindowStartMs = cfg.Window.StartMs
 	res.WindowEndMs = cfg.Window.EndMs

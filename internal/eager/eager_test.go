@@ -302,6 +302,35 @@ func TestPMJSpillBadDir(t *testing.T) {
 	}
 }
 
+// TestStatusTableSize pins the table to the smallest power of two that
+// holds maxKeys at load one half: a window of 2^k keys gets 2^(k+1) slots,
+// not the 2^(k+2) an off-by-one in the rounding used to hand out (64 MB
+// cleared and random-written per JB worker on 2^20+2^20 tuples).
+func TestStatusTableSize(t *testing.T) {
+	for _, c := range []struct{ maxKeys, slots int }{
+		{0, 1}, {1, 2}, {2, 4}, {3, 8}, {4, 8}, {5, 16},
+		{1023, 2048}, {1024, 2048}, {1025, 4096},
+		{1 << 20, 1 << 21}, {1<<20 + 1, 1 << 22}, {1 << 21, 1 << 22},
+	} {
+		if got := statusSlots(c.maxKeys); got != c.slots {
+			t.Errorf("maxKeys %d: %d slots, want %d", c.maxKeys, got, c.slots)
+		}
+	}
+	// At the documented worst case — every key distinct, load exactly one
+	// half — every set still finds a slot.
+	const n = 1024
+	st := newStatusTable(n, nil)
+	if len(st.keys) != 2*n || len(st.vals) != 2*n || st.mask != 2*n-1 {
+		t.Fatalf("%d keys: %d key / %d value slots, mask %#x; want %d slots", n, len(st.keys), len(st.vals), st.mask, 2*n)
+	}
+	for i := 0; i < n; i++ {
+		st.set(int32(i), hash32(int32(i)), 0)
+	}
+	if st.n != n {
+		t.Fatalf("%d of %d distinct keys recorded", st.n, n)
+	}
+}
+
 // TestStatusTableRecordsLikeAMap checks the router's flat status table
 // against the Go map it replaced: same distinct-key count, last write wins,
 // negative keys and colliding slots included, on pooled arrays that come

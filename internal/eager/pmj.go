@@ -182,7 +182,9 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 		// seal happens once both hold step tuples between them, and the
 		// pull before it adds at most a batch to each.
 		runCap := step + 2*bsz
-		var runs []run
+		// A run is sealed per step tuples of the expected input, plus the
+		// final partial one: sized once, not grown run by run.
+		runs := make([]run, 0, expected/step+2)
 		defer func() {
 			// Shadow the captured slice: indexing the closure variable
 			// directly re-checks bounds per run (LINTING.md §BCE).

@@ -17,11 +17,16 @@ type statusTable struct {
 	n    int // distinct keys recorded
 }
 
+// statusSlots is the smallest power of two that holds maxKeys distinct
+// keys at a load factor of at most one half.
+func statusSlots(maxKeys int) int {
+	return 1 << bits.Len(uint(max(2*maxKeys, 1)-1))
+}
+
 // newStatusTable takes a table for up to maxKeys distinct keys from p. It
-// is sized once for a load factor of at most one half, so set never grows
-// or fails to find a slot.
+// is sized once (statusSlots), so set never grows or fails to find a slot.
 func newStatusTable(maxKeys int, p *pool.Pool) statusTable {
-	size := 1 << bits.Len(uint(2*maxKeys))
+	size := statusSlots(maxKeys)
 	t := statusTable{keys: p.U32(size)[:size], vals: p.U32(size)[:size], mask: uint32(size - 1)}
 	clear(t.vals)
 	return t

@@ -156,8 +156,8 @@ func TestComputeSplittersDeterministic(t *testing.T) {
 		// splitters assume key-sorted runs
 		staticSort(runs[i])
 	}
-	a := computeSplitters(runs, runs, 4)
-	b := computeSplitters(runs, runs, 4)
+	a := computeSplitters(runs, runs, 4, nil)
+	b := computeSplitters(runs, runs, 4, nil)
 	if len(a) != 3 || len(b) != 3 {
 		t.Fatalf("splitter count: %d", len(a))
 	}
@@ -185,7 +185,7 @@ func staticSort(rel tuple.Relation) {
 func TestRangeSlicesPartitionRuns(t *testing.T) {
 	run := tuple.Relation{{Key: 1}, {Key: 3}, {Key: 5}, {Key: 7}, {Key: 9}}
 	runs := []tuple.Relation{run}
-	splitters := computeSplitters(runs, nil, 2)
+	splitters := computeSplitters(runs, nil, 2, nil)
 	lo := rangeSlices(runs, splitters, 0)
 	hi := rangeSlices(runs, splitters, 1)
 	total := 0

@@ -1,6 +1,7 @@
 package lazy
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -95,7 +96,11 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		ctx.Begin(tid, metrics.PhaseOther)
 		barrier.Done()
 		barrier.Wait()
-		splitOnce.Do(func() { splitters = computeSplitters(runsR, runsS, tcount) })
+		splitOnce.Do(func() {
+			sample := ctx.Pool.U32(2 * tcount * samplesPerRun)
+			splitters = computeSplitters(runsR, runsS, tcount, sample)
+			ctx.Pool.PutU32(sample)
+		})
 
 		// Merge this thread's key range across all runs.
 		ctx.Begin(tid, metrics.PhaseMerge)
@@ -139,18 +144,21 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 	return nil
 }
 
+// samplesPerRun bounds the keys computeSplitters samples from one run.
+const samplesPerRun = 64
+
 // computeSplitters samples the sorted runs and returns tcount-1 key-rank
 // splitters defining the per-thread key ranges. Every thread derives the
-// same splitters deterministically.
-func computeSplitters(runsR, runsS []tuple.Relation, tcount int) []uint32 {
-	const perRun = 64
-	var sample []uint32
+// same splitters deterministically. The samples are appended to sample[:0]:
+// with room for samplesPerRun per run it does not grow.
+func computeSplitters(runsR, runsS []tuple.Relation, tcount int, sample []uint32) []uint32 {
+	sample = sample[:0]
 	collect := func(runs []tuple.Relation) {
 		for _, run := range runs {
 			if len(run) == 0 {
 				continue
 			}
-			step := len(run)/perRun + 1
+			step := len(run)/samplesPerRun + 1
 			for i := 0; i < len(run); i += step {
 				sample = append(sample, sortmerge.KeyRank(run[i].Key))
 			}
@@ -158,7 +166,7 @@ func computeSplitters(runsR, runsS []tuple.Relation, tcount int) []uint32 {
 	}
 	collect(runsR)
 	collect(runsS)
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
+	slices.Sort(sample)
 	splitters := make([]uint32, tcount-1)
 	for i := 1; i < tcount; i++ {
 		if len(sample) == 0 {

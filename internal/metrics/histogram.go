@@ -151,7 +151,13 @@ func (h *Histogram) CDF() []CumulativePoint {
 	if h.total == 0 {
 		return nil
 	}
-	var out []CumulativePoint
+	points := 0
+	for _, c := range h.counts {
+		if c != 0 {
+			points++
+		}
+	}
+	out := make([]CumulativePoint, 0, points)
 	var cum int64
 	for i, c := range h.counts {
 		if c == 0 {

@@ -141,6 +141,20 @@ func NewCollector(n int) *Collector {
 	return &Collector{threads: make([]ThreadMetrics, n)}
 }
 
+// Reset returns the collector to the state NewCollector left it in, in
+// place: the window pool hands a finished run's collector to the next run
+// of the same thread count. Call it only once the run's workers have
+// quiesced; a Result snapshotted earlier shares no memory with the
+// collector and is unaffected.
+func (c *Collector) Reset() {
+	clear(c.threads)
+	c.memCur.Store(0)
+	c.memPeak.Store(0)
+	c.memMu.Lock()
+	c.memSamples = c.memSamples[:0]
+	c.memMu.Unlock()
+}
+
 // T returns the metrics handle of worker tid.
 func (c *Collector) T(tid int) *ThreadMetrics { return &c.threads[tid] }
 

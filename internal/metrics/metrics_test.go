@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -188,5 +189,44 @@ func TestAddPhaseNs(t *testing.T) {
 	res := c.Snapshot("x", 1, 1)
 	if res.PhaseNs[PhaseMerge] != 12345 {
 		t.Fatalf("merge ns = %d", res.PhaseNs[PhaseMerge])
+	}
+}
+
+// TestCollectorResetEqualsNew: after Reset a collector snapshots exactly
+// as a new one does — every worker's phases, histograms and last-match
+// time, the memory gauge, peak and samples are back to zero — and then
+// records like a new one.
+func TestCollectorResetEqualsNew(t *testing.T) {
+	dirty := func(c *Collector, k int64) {
+		for tid := 0; tid < c.Threads(); tid++ {
+			tm := c.T(tid)
+			tm.Begin(PhaseProbe) // left open: Reset must close it
+			tm.AddPhaseNs(PhaseMerge, k*7)
+			tm.Matches(k, k*30, k*10)
+			tm.Latencies(40, k, k*50)
+			tm.Emitted(k, k*60)
+		}
+		c.MemAdd(k * 4096)
+		c.MemSampleNow(k)
+		c.MemAdd(-k * 1024)
+	}
+	script := func(c *Collector) Result {
+		c.T(1).AddPhaseNs(PhaseBuildSort, 11)
+		c.T(0).Matches(5, 20, 3)
+		c.MemAdd(64)
+		c.MemSampleNow(2)
+		return c.Snapshot("X", 10, 1000)
+	}
+
+	used := NewCollector(2)
+	dirty(used, 9)
+	used.Reset()
+	if got, want := used.Snapshot("X", 10, 1000), NewCollector(2).Snapshot("X", 10, 1000); !reflect.DeepEqual(got, want) {
+		t.Errorf("after Reset: %+v\nnew collector: %+v", got, want)
+	}
+	dirty(used, 4)
+	used.Reset()
+	if got, want := script(used), script(NewCollector(2)); !reflect.DeepEqual(got, want) {
+		t.Errorf("script on a reset collector: %+v\non a new one: %+v", got, want)
 	}
 }

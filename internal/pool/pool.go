@@ -2,8 +2,8 @@
 //
 // Every window of a streaming join needs the same transient structures:
 // hash-table directories and overflow buckets, partitioner scratch, the
-// physical partition copies of the sort joins, match-pair buffers, and the
-// result batches of the output path.
+// physical partition copies of the sort joins, match-pair buffers, the
+// result batches of the output path, and the run's metrics collector.
 // Allocating them fresh per window makes a memory-bound kernel GC-bound —
 // the overhead partition-based stream joins like PanJoin explicitly
 // engineer away. Pool keeps freelists of all of them behind a Reset
@@ -31,6 +31,7 @@ package pool
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"repro/internal/hashtable"
 	"repro/internal/metrics"
@@ -95,6 +96,7 @@ type Pool struct {
 	pairs   [][]tuple.Tuple
 	u32s    bufs[uint32]
 	results bufs[tuple.JoinResult]
+	collect []*metrics.Collector
 	stats   metrics.PoolStats
 }
 
@@ -388,5 +390,49 @@ func (p *Pool) PutU32(buf []uint32) {
 	p.mu.Lock()
 	p.u32s.put(buf)
 	p.stats.RetainedBytes += int64(cap(buf)) * 4
+	p.mu.Unlock()
+}
+
+// collectorBytes is what a collector for the given worker count holds:
+// two histograms and the phase clock per worker.
+func collectorBytes(threads int) int64 {
+	return int64(threads) * int64(unsafe.Sizeof(metrics.ThreadMetrics{}))
+}
+
+// Collector returns a zeroed metrics collector for a run of the given
+// worker count (at least one), recycled when a run of that count has
+// returned one.
+func (p *Pool) Collector(threads int) *metrics.Collector {
+	if p == nil {
+		return metrics.NewCollector(threads)
+	}
+	threads = max(threads, 1)
+	p.mu.Lock()
+	var c *metrics.Collector
+	for i := len(p.collect) - 1; i >= 0; i-- {
+		if p.collect[i].Threads() == threads {
+			c = p.collect[i]
+			p.collect = append(p.collect[:i], p.collect[i+1:]...)
+			break
+		}
+	}
+	p.acquired(metrics.PoolCollector, c != nil, collectorBytes(threads))
+	p.mu.Unlock()
+	if c == nil {
+		c = metrics.NewCollector(threads)
+	}
+	return c
+}
+
+// PutCollector resets c and returns it to the freelist. Call only after
+// the run's workers have quiesced and its Result has been snapshotted.
+func (p *Pool) PutCollector(c *metrics.Collector) {
+	if p == nil || c == nil {
+		return
+	}
+	c.Reset()
+	p.mu.Lock()
+	p.collect = append(p.collect, c)
+	p.stats.RetainedBytes += collectorBytes(c.Threads())
 	p.mu.Unlock()
 }

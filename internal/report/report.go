@@ -238,6 +238,10 @@ func envMismatch(a, b *trace.EnvInfo) []string {
 	if a.GOMAXPROCS != b.GOMAXPROCS {
 		out = append(out, fmt.Sprintf("gomaxprocs %d vs %d", a.GOMAXPROCS, b.GOMAXPROCS))
 	}
+	// Zero is a journal from before the field: unknown, not different.
+	if a.ProbePrefetch != b.ProbePrefetch && a.ProbePrefetch != 0 && b.ProbePrefetch != 0 {
+		out = append(out, fmt.Sprintf("probe_prefetch %d vs %d", a.ProbePrefetch, b.ProbePrefetch))
+	}
 	return out
 }
 

@@ -151,6 +151,25 @@ func TestCompareEnvMismatchGatesOnlyStrict(t *testing.T) {
 	}
 }
 
+// TestCompareFlagsDifferentPrefetchDistances: two journals from one host
+// whose processes calibrated to different probe-prefetch distances ran
+// different kernels and are flagged; a journal from before the field
+// (zero) is unknown, not different.
+func TestCompareFlagsDifferentPrefetchDistances(t *testing.T) {
+	env16 := trace.EnvInfo{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", NumCPU: 8, GOMAXPROCS: 8, ProbePrefetch: 16}
+	env64, envOld := env16, env16
+	env64.ProbePrefetch, envOld.ProbePrefetch = 64, 0
+	runs := []trace.JournalEntry{runEntry("NPJ", 100, 8, nil)}
+	rep := Compare(trace.Journal{Env: &env16, Runs: runs}, trace.Journal{Env: &env64, Runs: runs}, Options{})
+	if len(rep.EnvMismatch) != 1 || rep.EnvMismatch[0] != "probe_prefetch 16 vs 64" {
+		t.Errorf("distances 16 and 64: mismatch = %v", rep.EnvMismatch)
+	}
+	rep = Compare(trace.Journal{Env: &envOld, Runs: runs}, trace.Journal{Env: &env64, Runs: runs}, Options{})
+	if len(rep.EnvMismatch) != 0 {
+		t.Errorf("a journal without the field mismatched: %v", rep.EnvMismatch)
+	}
+}
+
 func TestCompareV1JournalsWithoutHeaders(t *testing.T) {
 	// v1 journals carry no env header; nil env must compare cleanly.
 	base := trace.Journal{Runs: []trace.JournalEntry{runEntry("NPJ", 100, 8, nil)}}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/hashtable"
 	"repro/internal/metrics"
 )
 
@@ -86,16 +87,23 @@ type EnvInfo struct {
 	GOARCH     string `json:"goarch"`
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	// ProbePrefetch is the hash kernels' prefetch distance at the moment
+	// of the stamp: the compiled-in default until the process built its
+	// first window pool, which calibrates it on the host — so stamp after
+	// that. Two runs on one host that drew different distances ran
+	// different probe pipelines. Zero in journals older than the field.
+	ProbePrefetch int `json:"probe_prefetch,omitempty"`
 }
 
 // CurrentEnv captures the running process's environment metadata.
 func CurrentEnv() EnvInfo {
 	return EnvInfo{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:     runtime.Version(),
+		GOOS:          runtime.GOOS,
+		GOARCH:        runtime.GOARCH,
+		NumCPU:        runtime.NumCPU(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		ProbePrefetch: hashtable.ProbePrefetchDistance(),
 	}
 }
 
@@ -217,20 +225,24 @@ func (jw *JournalWriter) WriteHeader() error {
 }
 
 // Write appends one run summary. Nil-safe, so callers can keep an optional
-// journal without branching.
+// journal without branching; a nil journal builds no entry.
 func (jw *JournalWriter) Write(res metrics.Result) error {
+	if jw == nil {
+		return nil
+	}
 	return jw.write(EntryOf(res))
 }
 
-// WriteWindow appends one window summary of a windowed sweep.
+// WriteWindow appends one window summary of a windowed sweep; nil-safe
+// like Write.
 func (jw *JournalWriter) WriteWindow(res metrics.Result, id int, startMs, endMs int64) error {
+	if jw == nil {
+		return nil
+	}
 	return jw.write(WindowEntryOf(res, id, startMs, endMs))
 }
 
 func (jw *JournalWriter) write(e JournalEntry) error {
-	if jw == nil {
-		return nil
-	}
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
 	if jw.rec != nil {

@@ -15,6 +15,7 @@ func TestRegistryMetricsExposition(t *testing.T) {
 	pooled := metricsResultFixture()
 	pooled.Pool.Hits[metrics.PoolTuples] = 6
 	pooled.Pool.Misses[metrics.PoolShared] = 1
+	pooled.Pool.Hits[metrics.PoolCollector] = 1
 	pooled.Pool.RetainedBytes = 4096
 	pooled.Output = metrics.OutputStats{Delivered: 30, Parked: 7, Waits: 1, PeakBacklog: 16}
 	g.Observe(pooled)
@@ -37,6 +38,7 @@ func TestRegistryMetricsExposition(t *testing.T) {
 		`iawj_latency_ms{algorithm="SHJ_JM",quantile="0.99"} 9`,
 		`iawj_pool_hits_total{algorithm="SHJ_JM",kind="tuples"} 12`,
 		`iawj_pool_misses_total{algorithm="SHJ_JM",kind="shared"} 2`,
+		`iawj_pool_hits_total{algorithm="SHJ_JM",kind="collector"} 2`,
 		`iawj_pool_retained_bytes{algorithm="SHJ_JM"} 4096`,
 		`iawj_output_batches_total{algorithm="SHJ_JM",fate="delivered"} 60`,
 		`iawj_output_batches_total{algorithm="SHJ_JM",fate="parked"} 14`,

@@ -68,7 +68,11 @@ func ReadBinaryInto(r io.Reader, dst Relation) (Relation, error) {
 	}
 	rel := dst[:0]
 	if uint64(cap(rel)) < n {
-		rel = make(Relation, 0, n)
+		// The count is input: it sizes only the first allocation, up to
+		// 1 MiB of tuples; a relation that really is longer grows as it
+		// is read (a header claiming 2^31 tuples used to reserve 32 GiB
+		// before the first frame was looked at).
+		rel = make(Relation, 0, min(n, 1<<16))
 	}
 	var buf [BinarySize]byte
 	for i := uint64(0); i < n; i++ {

@@ -9,7 +9,6 @@ package tuple
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -83,75 +82,6 @@ func (r Relation) Clone() Relation {
 	c := make(Relation, len(r))
 	copy(c, r)
 	return c
-}
-
-// Stats summarizes the workload characteristics the paper reports in
-// Table 3: arrival rate, key duplication, and an estimated Zipf key skew.
-type Stats struct {
-	Tuples    int     // |R|
-	UniqueKey int     // distinct keys
-	Dupe      float64 // average duplicates per key
-	Rate      float64 // tuples per millisecond over the observed span
-	SpanMs    int64   // last TS - first TS + 1
-	KeySkew   float64 // estimated Zipf theta of the key frequencies
-}
-
-// Summarize computes Stats for the relation.
-func (r Relation) Summarize() Stats {
-	s := Stats{Tuples: len(r)}
-	if len(r) == 0 {
-		return s
-	}
-	freq := make(map[int32]int, len(r))
-	minTS, maxTS := r[0].TS, r[0].TS
-	for _, t := range r {
-		freq[t.Key]++
-		if t.TS < minTS {
-			minTS = t.TS
-		}
-		if t.TS > maxTS {
-			maxTS = t.TS
-		}
-	}
-	s.UniqueKey = len(freq)
-	s.Dupe = float64(len(r)) / float64(len(freq))
-	s.SpanMs = maxTS - minTS + 1
-	s.Rate = float64(len(r)) / float64(s.SpanMs)
-	s.KeySkew = estimateZipf(freq)
-	return s
-}
-
-// estimateZipf fits a Zipf exponent to the key-frequency distribution using
-// a least-squares fit of log(rank) against log(frequency), the standard
-// rank-size regression. A uniform distribution yields ~0.
-func estimateZipf(freq map[int32]int) float64 {
-	if len(freq) < 2 {
-		return 0
-	}
-	counts := make([]int, 0, len(freq))
-	for _, c := range freq {
-		counts = append(counts, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	var sx, sy, sxx, sxy float64
-	n := float64(len(counts))
-	for i, c := range counts {
-		x := math.Log(float64(i + 1))
-		y := math.Log(float64(c))
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0
-	}
-	theta := -(n*sxy - sx*sy) / den
-	if theta < 0 {
-		theta = 0
-	}
-	return theta
 }
 
 // String renders a tuple for debugging.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -178,6 +180,43 @@ func TestBinaryCodecRejectsImplausibleSize(t *testing.T) {
 	binary.LittleEndian.PutUint64(hdr[:], 1<<40)
 	if _, err := ReadBinary(bytes.NewReader(hdr[:])); err == nil {
 		t.Fatal("implausible size must error")
+	}
+}
+
+// TestBinaryCodecLyingCountAllocatesLittle: a header that claims just
+// under the plausibility bound followed by two tuples must fail as
+// truncated without reserving the claimed 28 GiB first (found by
+// FuzzReadBinary; its input is in internal/ingest/testdata), and a
+// relation longer than the first allocation still reads whole.
+func TestBinaryCodecLyingCountAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, Relation{{TS: 1}, {TS: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	lying := buf.Bytes()
+	binary.LittleEndian.PutUint64(lying[:8], 0x6a6a0001)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(lying))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a count past the data must error")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 4<<20 {
+		t.Fatalf("a lying count made ReadBinary allocate %d bytes", d)
+	}
+
+	long := make(Relation, 1<<16+5)
+	for i := range long {
+		long[i] = Tuple{TS: int64(i), Key: int32(i)}
+	}
+	buf.Reset()
+	if err := WriteBinary(&buf, long); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBinary(&buf)
+	if err != nil || !slices.Equal(got, long) {
+		t.Fatalf("a relation past the first allocation: err %v, %d of %d tuples", err, len(got), len(long))
 	}
 }
 

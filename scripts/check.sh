@@ -18,7 +18,8 @@
 #   8. trace smoke  a scaled-down fig7 sweep with -trace must yield valid
 #                   Chrome trace JSON with spans for every phase
 #   9. fuzz smoke   5s per existing fuzz target on the gen/ingest parsers
-#                   plus the kernel differential fuzzers and the
+#                   plus the kernel differential fuzzers, the workload
+#                   profile against its map-and-sort reference, and the
 #                   whole-join conformance fuzzer
 #  10. bench smoke  every BenchmarkKernel* microbenchmark runs once under
 #                   the race detector, so the batched kernels stay
@@ -112,6 +113,7 @@ step "fuzz smoke (${FUZZTIME} per target)"
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime="$FUZZTIME" ./internal/gen
 go test -run='^$' -fuzz='^FuzzReadStream$' -fuzztime="$FUZZTIME" ./internal/ingest
 go test -run='^$' -fuzz='^FuzzReadBinary$' -fuzztime="$FUZZTIME" ./internal/ingest
+go test -run='^$' -fuzz='^FuzzSummarize$' -fuzztime="$FUZZTIME" ./internal/tuple
 go test -run='^$' -fuzz='^FuzzPartitionerDiff$' -fuzztime="$FUZZTIME" ./internal/radix
 go test -run='^$' -fuzz='^FuzzBatchDiff$' -fuzztime="$FUZZTIME" ./internal/hashtable
 go test -run='^$' -fuzz='^FuzzConformance$' -fuzztime="$FUZZTIME" ./internal/oracle

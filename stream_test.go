@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/hashtable"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -156,6 +158,46 @@ func TestJoinWindowedParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelWindowsRecycleCollectors: three windows in flight on one
+// pool hand each other's metrics collectors on (run under -race by the
+// gate), every window still books exactly its own matches, and the pool
+// never builds more collectors than there were windows in flight.
+func TestParallelWindowsRecycleCollectors(t *testing.T) {
+	w := Micro(MicroConfig{RateR: 40, RateS: 40, WindowMs: 600, Dupe: 4, Seed: 47})
+	spec := WindowSpec{Kind: Sliding, LengthMs: 100, SlideMs: 50}
+	for _, alg := range append(Algorithms(), AdaptiveName) {
+		seq, err := JoinWindowed(w.R, w.S, spec, Config{Algorithm: alg, Threads: 2, AtRest: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Algorithm: alg, Threads: 2, AtRest: true, Pool: NewStatePool()}
+		runs := 0
+		for sweep := 0; sweep < 2; sweep++ {
+			par, err := JoinWindowedParallel(w.R, w.S, spec, cfg, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(par) != len(seq) {
+				t.Fatalf("%s: %d windows in parallel, %d in sequence", alg, len(par), len(seq))
+			}
+			for i := range par {
+				if par[i].Result.Matches != seq[i].Result.Matches || par[i].Result.Inputs != seq[i].Result.Inputs {
+					t.Fatalf("%s sweep %d window %d: %d matches of %d inputs on a shared pool, %d of %d alone",
+						alg, sweep, i, par[i].Result.Matches, par[i].Result.Inputs, seq[i].Result.Matches, seq[i].Result.Inputs)
+				}
+				if par[i].Result.Algorithm != "" {
+					runs++
+				}
+			}
+		}
+		st := cfg.Pool.Stats()
+		hits, misses := st.Hits[metrics.PoolCollector], st.Misses[metrics.PoolCollector]
+		if misses < 1 || misses > 3 || hits+misses != int64(runs) {
+			t.Errorf("%s: %d runs, three at a time, took %d collectors from the pool and built %d", alg, runs, hits, misses)
+		}
+	}
+}
+
 func TestJoinWindowedParallelPropagatesErrors(t *testing.T) {
 	r := Relation{{TS: 0, Key: 1}, {TS: 60, Key: 2}}
 	s := Relation{{TS: 1, Key: 1}, {TS: 61, Key: 2}}
@@ -174,11 +216,12 @@ func TestJoinWindowedJournalRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	jw := NewJournalWriter(&buf)
+	statePool := NewStatePool() // before the header: the first pool calibrates what the header records
 	if err := jw.WriteHeader(); err != nil {
 		t.Fatal(err)
 	}
 	results, err := JoinWindowed(w.R, w.S, WindowSpec{Kind: Tumbling, LengthMs: winLen}, Config{
-		Algorithm: "SHJ_JM", Threads: 2, AtRest: true, Journal: jw,
+		Algorithm: "SHJ_JM", Threads: 2, AtRest: true, Journal: jw, Pool: statePool,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +268,18 @@ func TestJoinWindowedJournalRoundTrip(t *testing.T) {
 		if e.Algorithm != wr.Result.Algorithm || e.Matches != wr.Result.Matches {
 			t.Errorf("window %d: journal %s/%d, result %s/%d", i, e.Algorithm, e.Matches, wr.Result.Algorithm, wr.Result.Matches)
 		}
+	}
+	// The ledger says where each window's metrics collector came from —
+	// the first window built it, every later one took it from the pool —
+	// and the header which probe-prefetch distance the process ran at.
+	for n, e := range j.Windows {
+		built, reused := e.PoolMisses["collector"], e.PoolHits["collector"]
+		if (n == 0 && (built != 1 || reused != 0)) || (n > 0 && (built != 0 || reused != 1)) {
+			t.Errorf("window record %d: collector built %d times, reused %d", n, built, reused)
+		}
+	}
+	if j.Env != nil && j.Env.ProbePrefetch != hashtable.ProbePrefetchDistance() {
+		t.Errorf("header records probe_prefetch %d, the process runs at %d", j.Env.ProbePrefetch, hashtable.ProbePrefetchDistance())
 	}
 	// The result side carries the same identity via core.ExecContext.
 	for i, wr := range results {

@@ -145,40 +145,46 @@ func TestWindowedJoinLeavesInputsUntouched(t *testing.T) {
 	}
 }
 
-// TestWindowedDriverSteadyStateAllocs: over a warmed pool, a sliding sweep
-// of 20 windows must allocate less than one window-side tuple buffer per
-// window — the per-run constant, not the two copies per window the driver
-// used to make.
+// TestWindowedDriverSteadyStateAllocs: over a warmed pool, a settled window
+// of a sliding sweep allocates less than 8 KB whatever the algorithm,
+// ADAPTIVE's profile included — the Result the caller keeps, the run's
+// goroutines and a few words of bookkeeping. The tuples, the kernel state,
+// the metrics collector and the profile scratch all come from the pool
+// (a window side here is 128 KB, a collector 33 KB).
 func TestWindowedDriverSteadyStateAllocs(t *testing.T) {
-	w := Micro(MicroConfig{RateR: 100, RateS: 100, WindowMs: 2100, Dupe: 10, Seed: 3})
+	w := Micro(MicroConfig{RateR: 40, RateS: 40, WindowMs: 2100, Dupe: 10, Seed: 3})
 	spec := WindowSpec{Kind: Sliding, LengthMs: 200, SlideMs: 100}
-	cfg := Config{Algorithm: "NPJ", Threads: 2, AtRest: true, Pool: NewStatePool()}
-	var windows int
-	sweep := func() {
-		results, err := JoinWindowedParallel(w.R, w.S, spec, cfg, 2)
-		if err != nil {
-			t.Fatal(err)
+	for _, alg := range append(Algorithms(), AdaptiveName) {
+		cfg := Config{Algorithm: alg, Threads: 2, AtRest: true, Pool: NewStatePool()}
+		var windows int
+		sweep := func() {
+			results, err := JoinWindowedParallel(w.R, w.S, spec, cfg, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			windows = len(results)
 		}
-		windows = len(results)
-	}
-	sweep() // every window past the first two already runs on released state
-	sweep()
-	least := ^uint64(0)
-	var before, after runtime.MemStats
-	for i := 0; i < 3; i++ {
-		runtime.ReadMemStats(&before)
+		sweep() // every window past the first two already runs on released state
 		sweep()
-		runtime.ReadMemStats(&after)
-		if d := after.TotalAlloc - before.TotalAlloc; d < least {
-			least = d
+		least := ^uint64(0)
+		var before, after runtime.MemStats
+		for i := 0; i < 3; i++ {
+			runtime.ReadMemStats(&before)
+			sweep()
+			runtime.ReadMemStats(&after)
+			if d := after.TotalAlloc - before.TotalAlloc; d < least {
+				least = d
+			}
 		}
-	}
-	if windows < 20 {
-		t.Fatalf("sweep has %d windows, want at least 20", windows)
-	}
-	const windowSide = 200 * 100 * 16 // one stream's tuples in one window, in bytes
-	if perWindow := least / uint64(windows); perWindow >= windowSide {
-		t.Fatalf("a settled window allocates %d B, a window side is %d B", perWindow, windowSide)
+		if windows < 20 {
+			t.Fatalf("sweep has %d windows, want at least 20", windows)
+		}
+		const bound = 8 << 10
+		if perWindow := least / uint64(windows); perWindow >= bound {
+			t.Errorf("%s: a settled window allocates %d B, want under %d", alg, perWindow, bound)
+		} else {
+			t.Logf("%s: %d B per settled window", alg, perWindow)
+		}
 	}
 }
 
