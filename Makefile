@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check build test lint lint-json lint-sarif lint-race escapegate bcegate inlinegate lint-gates race trace-smoke bench bench-kernels bench-smoke bench-gate bench-harness fuzz-smoke conform conform-full report-smoke load-smoke fmt loc
+.PHONY: check build test lint race trace-smoke bench-kernels bench-smoke bench-gate bench-harness fuzz-smoke conform conform-full report-smoke load-smoke fmt loc
 
 ## check: run the full CI gate (fmt, vet, build, lint, test, race, fuzz)
 check:
@@ -20,38 +20,10 @@ build:
 test:
 	$(GO) test ./...
 
-## lint: repo-specific static analysis (cmd/iawjlint)
+## lint: repo-specific static analysis, every rule incl. the three build
+## gates; one rule is `go run ./cmd/iawjlint -rules <name> ./...`
 lint:
 	$(GO) run ./cmd/iawjlint ./...
-
-## lint-json: machine-readable findings — SARIF to lint.sarif, JSON to stdout
-lint-json:
-	$(GO) run ./cmd/iawjlint -sarif ./... > lint.sarif
-	$(GO) run ./cmd/iawjlint -json ./...
-
-## lint-sarif: SARIF 2.1.0 findings on stdout (for code-scanning upload)
-lint-sarif:
-	$(GO) run ./cmd/iawjlint -sarif ./...
-
-## lint-race: only the whole-program race rules (guardinfer, atomicmix, goescape)
-lint-race:
-	$(GO) run ./cmd/iawjlint -rules guardinfer,atomicmix,goescape ./...
-
-## escapegate: only the escape-analysis stage of the lint gate
-escapegate:
-	$(GO) run ./cmd/iawjlint -rules escapegate ./...
-
-## bcegate: only the bounds-check-elimination gate (-d=ssa/check_bce verdicts)
-bcegate:
-	$(GO) run ./cmd/iawjlint -rules bcegate ./...
-
-## inlinegate: only the //iawj:inline budget gate (-m=2 inliner verdicts)
-inlinegate:
-	$(GO) run ./cmd/iawjlint -rules inlinegate ./...
-
-## lint-gates: all three build-diagnostics gates off one shared -gcflags build
-lint-gates:
-	$(GO) run ./cmd/iawjlint -rules escapegate,bcegate,inlinegate ./...
 
 ## race: full test suite under the race detector
 race:
@@ -62,10 +34,6 @@ trace-smoke:
 	$(GO) run ./cmd/iawjbench -exp fig7 -scale 0.01 -spancap 65536 -trace /tmp/iawj-trace-smoke.json >/dev/null
 	$(GO) run ./cmd/iawjtrace -q -want "wait,partition,build/sort,merge,probe,others" /tmp/iawj-trace-smoke.json
 	rm -f /tmp/iawj-trace-smoke.json
-
-## bench: short per-algorithm benchmark sweep, writes BENCH_2.json
-bench:
-	./scripts/bench.sh
 
 ## bench-kernels: kernel-layer sweep (partition/partition_build/build/probe/sink),
 ## writes BENCH_3.json; 300 iterations per variant for recordable numbers

@@ -3,7 +3,8 @@ package iawj
 // This file is the benchmark harness required by the study: one testing.B
 // benchmark per table and figure of the evaluation section, each executing
 // the exp package's regeneration of that experiment at a bench-friendly
-// scale, plus per-algorithm join microbenchmarks. Run everything with
+// scale. Whole-join numbers per algorithm come from the harness in
+// benchmark/ (bash benchmark/run.sh). Run everything with
 //
 //	go test -bench=. -benchmem
 //
@@ -179,32 +180,10 @@ func BenchmarkFigure21SIMD(b *testing.B) {
 	b.ReportMetric(speedup, "simd-speedup")
 }
 
-// BenchmarkJoin measures raw static-join throughput of every studied
-// algorithm on a shared workload (the per-algorithm microbenchmark the
-// experiment tables build on).
-func BenchmarkJoin(b *testing.B) {
-	w := MicroStatic(50_000, 50_000, 8, 0, 42)
-	for _, algo := range Algorithms() {
-		b.Run(algo, func(b *testing.B) {
-			var matches int64
-			for i := 0; i < b.N; i++ {
-				res, err := Join(w.R, w.S, Config{
-					Algorithm: algo, Threads: 2, AtRest: true, SIMD: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				matches = res.Matches
-			}
-			b.SetBytes(int64(len(w.R)+len(w.S)) * 16)
-			b.ReportMetric(float64(matches), "matches")
-		})
-	}
-}
-
 // BenchmarkHandshakeBaseline quantifies the related-work validation: the
 // handshake join's per-tuple pipeline hops cost orders of magnitude of
-// throughput next to BenchmarkJoin.
+// throughput next to the eight studied algorithms (whose whole-join
+// numbers come from benchmark/).
 func BenchmarkHandshakeBaseline(b *testing.B) {
 	w := MicroStatic(2_000, 2_000, 8, 0, 42)
 	for i := 0; i < b.N; i++ {

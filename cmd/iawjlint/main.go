@@ -18,33 +18,22 @@
 //	-list              print the available rules and exit
 //	-explain RULE      print the rule's contract (what it proves, why, and
 //	                   the sanctioned escape hatches) and exit
-//	-json              emit findings as JSON (schema version 1)
-//	-sarif             emit findings as SARIF 2.1.0
-//	-baseline FILE     suppress findings recorded in FILE
-//	-update-baseline   merge the current findings into FILE and exit 0
 //
-// Beyond the per-package analyzers, the driver runs the whole-program
-// analyzers (lockorder, falseshare, guardinfer, atomicmix, goescape,
-// maporder) over every resolved package at once, and the build-diagnostics
-// gates (escapegate, bcegate, inlinegate) over the module: one shared
-// `go build -gcflags="-m=2 -d=ssa/check_bce/debug=1"` run feeds all three,
-// anchoring compiler escape, bounds-check, and inliner verdicts to
-// //iawj:hotpath and //iawj:inline spans.
+// Every rule is one row of lint.Rules and checks the resolved packages as
+// one program: the per-package AST rules, the whole-program rules
+// (lockorder, falseshare, guardinfer, atomicmix, goescape, maporder), and
+// the build-diagnostics gates (escapegate, bcegate, inlinegate), which
+// share one `go build -gcflags="-m=2 -d=ssa/check_bce/debug=1"` run over
+// the module and anchor compiler escape, bounds-check, and inliner
+// verdicts to //iawj:hotpath and //iawj:inline spans.
 //
 // Escape hatches: a `//lint:allow <rule> <reason>` comment on (or directly
 // above) the offending line, or the per-rule path allowlist baked into
-// internal/lint for sanctioned packages such as internal/clock. A baseline
-// file is for staged adoption of new rules on large trees only — this
-// repo's gate runs without one. -update-baseline merges: keys already in
-// FILE survive even when the finding is currently absent (flaky or
-// configuration-dependent findings stay suppressed), except that keys
-// naming files which no longer exist are pruned. See LINTING.md for the
-// rule catalogue.
+// internal/lint for sanctioned packages such as internal/clock. See
+// LINTING.md for the rule catalogue.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -69,41 +58,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tests := fs.Bool("tests", false, "also lint _test.go files")
 	list := fs.Bool("list", false, "print the available rules and exit")
 	explain := fs.String("explain", "", "print the named rule's contract and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	baseline := fs.String("baseline", "", "baseline file of accepted findings to suppress")
-	updateBaseline := fs.Bool("update-baseline", false, "merge the current findings into the -baseline file and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "iawjlint: %v\n", err)
+		return 2
+	}
 	if *list {
-		for _, r := range lint.Catalogue() {
+		for _, r := range lint.Rules {
 			fmt.Fprintf(stdout, "%-16s %s\n", r.Name, r.Doc)
 		}
 		return 0
 	}
 	if *explain != "" {
-		text, ok := lint.Explain(*explain)
-		if !ok {
-			fmt.Fprintf(stderr, "iawjlint: unknown rule %q; available rules: %s\n",
-				*explain, strings.Join(lint.RuleNames(), ", "))
-			return 2
+		r, err := findRule(*explain)
+		if err != nil {
+			return fail(err)
 		}
-		fmt.Fprintln(stdout, text)
+		fmt.Fprintf(stdout, "%s: %s\n\n%s\n", r.Name, r.Doc, r.Contract)
 		return 0
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "iawjlint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-	if *updateBaseline && *baseline == "" {
-		fmt.Fprintln(stderr, "iawjlint: -update-baseline requires -baseline FILE")
-		return 2
-	}
-	sel, err := selectRules(*rules)
+	selected, err := selectRules(*rules)
 	if err != nil {
-		fmt.Fprintf(stderr, "iawjlint: %v\n", err)
-		return 2
+		return fail(err)
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
@@ -111,98 +89,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintf(stderr, "iawjlint: %v\n", err)
-		return 2
+		return fail(err)
 	}
 	root := moduleRoot(cwd)
 	dirs, err := resolve(patterns, cwd)
 	if err != nil {
-		fmt.Fprintf(stderr, "iawjlint: %v\n", err)
-		return 2
+		return fail(err)
 	}
-
 	var pkgs []*lint.Package
-	var findings []lint.Finding
-	runner := &lint.Runner{Analyzers: sel.pkg}
 	for _, dir := range dirs {
 		pkg, err := lint.Load(dir, root, *tests)
 		if err != nil {
-			fmt.Fprintf(stderr, "iawjlint: %v\n", err)
-			return 2
-		}
-		if pkg == nil {
-			continue
+			return fail(err)
 		}
 		pkgs = append(pkgs, pkg)
-		if len(sel.pkg) > 0 {
-			findings = append(findings, runner.Check(pkg)...)
-		}
 	}
-	prog := lint.NewProgram(pkgs)
-	if len(sel.prog) > 0 {
-		pr := &lint.Runner{ProgramAnalyzers: sel.prog}
-		findings = append(findings, pr.CheckProgram(prog)...)
+	findings, err := lint.Run(lint.NewProgram(root, pkgs), selected)
+	if err != nil {
+		return fail(err)
 	}
-	if sel.escape || sel.bce || sel.inline {
-		// One -gcflags diagnostics build serves all three gates.
-		diag := lint.NewBuildDiag(root, "")
-		type gate interface {
-			CheckDiag(*lint.BuildDiag, *lint.Program, map[string][]string) ([]lint.Finding, error)
-		}
-		var gates []gate
-		if sel.escape {
-			gates = append(gates, lint.EscapeGate{})
-		}
-		if sel.bce {
-			gates = append(gates, lint.BCEGate{})
-		}
-		if sel.inline {
-			gates = append(gates, lint.InlineGate{})
-		}
-		for _, g := range gates {
-			fs, err := g.CheckDiag(diag, prog, nil)
-			if err != nil {
-				fmt.Fprintf(stderr, "iawjlint: %v\n", err)
-				return 2
-			}
-			findings = append(findings, fs...)
-		}
-	}
-	lint.SortFindings(findings)
-
-	if *baseline != "" && !*updateBaseline {
-		known, err := readBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "iawjlint: %v\n", err)
-			return 2
-		}
-		var kept []lint.Finding
-		for _, f := range findings {
-			if !known[baselineKey(root, f)] {
-				kept = append(kept, f)
-			}
-		}
-		findings = kept
-	}
-	if *updateBaseline {
-		if err := writeBaseline(*baseline, root, findings); err != nil {
-			fmt.Fprintf(stderr, "iawjlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "iawjlint: baselined %d finding(s) to %s\n", len(findings), *baseline)
-		return 0
-	}
-
-	switch {
-	case *jsonOut:
-		writeJSON(stdout, cwd, findings)
-	case *sarifOut:
-		writeSARIF(stdout, cwd, findings)
-	default:
-		for _, f := range findings {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s [%s]: %s\n",
-				relPath(cwd, f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Sev, f.Rule, f.Msg)
-		}
+	for _, f := range findings {
+		fmt.Fprintf(stdout, "%s:%d:%d: %s [%s]: %s\n",
+			relPath(cwd, f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Sev, f.Rule, f.Msg)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "iawjlint: %d finding(s)\n", len(findings))
@@ -211,33 +119,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// selection is the resolved -rules flag: which per-package analyzers,
-// which whole-program analyzers, and which of the build-diagnostics gates
-// run.
-type selection struct {
-	pkg    []lint.Analyzer
-	prog   []lint.ProgramAnalyzer
-	escape bool
-	bce    bool
-	inline bool
+// findRule looks one name up in the rule table. An unknown name is a
+// usage error and carries the table's names so the caller does not have
+// to run -list separately.
+func findRule(name string) (lint.Rule, error) {
+	var names []string
+	for _, r := range lint.Rules {
+		if r.Name == name {
+			return r, nil
+		}
+		names = append(names, r.Name)
+	}
+	return lint.Rule{}, fmt.Errorf("unknown rule %q; available rules: %s", name, strings.Join(names, ", "))
 }
 
-// selectRules filters the full catalogue by the -rules flag. An unknown
-// name is a usage error and carries the catalogue so the caller does not
-// have to run -list separately.
-func selectRules(rules string) (selection, error) {
+// selectRules resolves the -rules flag against the rule table; empty
+// selects every row.
+func selectRules(rules string) ([]lint.Rule, error) {
 	if rules == "" {
-		return selection{pkg: lint.All(), prog: lint.AllProgram(), escape: true, bce: true, inline: true}, nil
+		return lint.Rules, nil
 	}
-	byName := map[string]lint.Analyzer{}
-	for _, a := range lint.All() {
-		byName[a.Name()] = a
-	}
-	progByName := map[string]lint.ProgramAnalyzer{}
-	for _, a := range lint.AllProgram() {
-		progByName[a.Name()] = a
-	}
-	var sel selection
+	var selected []lint.Rule
 	seen := map[string]bool{}
 	for _, name := range strings.Split(rules, ",") {
 		name = strings.TrimSpace(name)
@@ -245,218 +147,13 @@ func selectRules(rules string) (selection, error) {
 			continue
 		}
 		seen[name] = true
-		switch {
-		case byName[name] != nil:
-			sel.pkg = append(sel.pkg, byName[name])
-		case progByName[name] != nil:
-			sel.prog = append(sel.prog, progByName[name])
-		case name == (lint.EscapeGate{}).Name():
-			sel.escape = true
-		case name == (lint.BCEGate{}).Name():
-			sel.bce = true
-		case name == (lint.InlineGate{}).Name():
-			sel.inline = true
-		default:
-			return selection{}, fmt.Errorf("unknown rule %q; available rules: %s",
-				name, strings.Join(lint.RuleNames(), ", "))
+		r, err := findRule(name)
+		if err != nil {
+			return nil, err
 		}
+		selected = append(selected, r)
 	}
-	return sel, nil
-}
-
-// jsonFinding is the machine-readable schema, pinned by the golden test.
-type jsonFinding struct {
-	Rule     string `json:"rule"`
-	Severity string `json:"severity"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// jsonReport is the -json document: schema version, findings, count.
-type jsonReport struct {
-	Version  int           `json:"version"`
-	Findings []jsonFinding `json:"findings"`
-	Count    int           `json:"count"`
-}
-
-func writeJSON(w io.Writer, cwd string, findings []lint.Finding) {
-	rep := jsonReport{Version: 1, Findings: []jsonFinding{}, Count: len(findings)}
-	for _, f := range findings {
-		rep.Findings = append(rep.Findings, jsonFinding{
-			Rule:     f.Rule,
-			Severity: f.Sev.String(),
-			File:     relPath(cwd, f.Pos.Filename),
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Message:  f.Msg,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(rep)
-}
-
-// SARIF 2.1.0 subset: one run, the rule catalogue as reportingDescriptors,
-// one result per finding.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string    `json:"id"`
-	ShortDescription sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-func writeSARIF(w io.Writer, cwd string, findings []lint.Finding) {
-	var rules []sarifRule
-	for _, r := range lint.Catalogue() {
-		rules = append(rules, sarifRule{ID: r.Name, ShortDescription: sarifText{Text: r.Doc}})
-	}
-	results := []sarifResult{}
-	for _, f := range findings {
-		level := "warning"
-		if f.Sev == lint.Error {
-			level = "error"
-		}
-		results = append(results, sarifResult{
-			RuleID:  f.Rule,
-			Level:   level,
-			Message: sarifText{Text: f.Msg},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: relPath(cwd, f.Pos.Filename)},
-				Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-			}}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: sarifDriver{Name: "iawjlint", Rules: rules}}, Results: results}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(log)
-}
-
-// baselineKey identifies a finding across line drift: rule, file, and
-// message, but not position. The file component is rendered relative to
-// the module root — not the invocation directory — so a baseline written
-// from one cwd suppresses the same findings from any other and never
-// embeds absolute or ../ paths.
-func baselineKey(root string, f lint.Finding) string {
-	return f.Rule + "\t" + relPath(root, f.Pos.Filename) + "\t" + f.Msg
-}
-
-// readBaseline loads the accepted-finding keys, one per line.
-func readBaseline(path string) (map[string]bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	keys := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimRight(sc.Text(), "\r\n")
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		keys[line] = true
-	}
-	return keys, sc.Err()
-}
-
-// writeBaseline merges the current findings' keys into the baseline at
-// path: existing keys survive even when the finding is currently absent
-// (so a baseline accumulated across configurations keeps suppressing
-// findings that only fire under some of them) — except keys whose file no
-// longer exists under root, which are pruned as dead weight. The result is
-// written sorted and deduped.
-func writeBaseline(path, root string, findings []lint.Finding) error {
-	seen := map[string]bool{}
-	if existing, err := readBaseline(path); err == nil {
-		for k := range existing {
-			seen[k] = true
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	for _, f := range findings {
-		seen[baselineKey(root, f)] = true
-	}
-	var keys []string
-	for k := range seen {
-		if file := baselineKeyFile(k); file != "" {
-			if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(file))); err != nil {
-				continue // the file is gone; its accepted findings are too
-			}
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("# iawjlint baseline: rule<TAB>module-relative file<TAB>message, one accepted finding per line.\n")
-	for _, k := range keys {
-		b.WriteString(k + "\n")
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-// baselineKeyFile extracts the module-relative file component of a
-// baseline key, or "" for malformed lines (kept as-is rather than judged).
-func baselineKeyFile(key string) string {
-	parts := strings.SplitN(key, "\t", 3)
-	if len(parts) != 3 {
-		return ""
-	}
-	return parts[1]
+	return selected, nil
 }
 
 // resolve expands patterns into package directories.

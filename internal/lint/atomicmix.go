@@ -2,10 +2,10 @@ package lint
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// AtomicMix flags fields accessed both through sync/atomic and through
+// atomicMix flags fields accessed both through sync/atomic and through
 // plain loads or stores — the classic silent-corruption bug in lock-free
 // structures. Two shapes are caught:
 //
@@ -23,42 +23,21 @@ import (
 // field's address outside a sync/atomic call is deliberately ignored —
 // `h := &t.heads[i]` followed by h.Load() is the normal idiom and the
 // alias's uses are out of syntactic reach.
-type AtomicMix struct{}
-
-// Name implements ProgramAnalyzer.
-func (AtomicMix) Name() string { return "atomicmix" }
-
-// Doc implements ProgramAnalyzer.
-func (AtomicMix) Doc() string {
-	return "no field is accessed both through sync/atomic and through plain loads/stores outside a common latch"
+var atomicMix = Rule{
+	Name:     "atomicmix",
+	Doc:      "no field is accessed both through sync/atomic and through plain loads/stores outside a common latch",
+	Contract: "A word accessed atomically anywhere must be accessed atomically everywhere; mixing atomic.Load with plain reads is undefined under the Go memory model even when it happens to work on amd64.",
+	Sev:      Error,
+	Check:    checkAtomicMix,
 }
 
-// Severity implements ProgramAnalyzer.
-func (AtomicMix) Severity() Severity { return Error }
-
-// CheckProgram implements ProgramAnalyzer.
-func (AtomicMix) CheckProgram(prog *Program) []Finding {
-	ls := prog.lockSets()
-	type fieldKey struct{ owner, field string }
-	groups := map[fieldKey][]*lsAccess{}
-	var keys []fieldKey
-	for _, a := range ls.accesses {
-		k := fieldKey{a.owner, a.field}
-		if _, ok := groups[k]; !ok {
-			keys = append(keys, k)
-		}
-		groups[k] = append(groups[k], a)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].owner != keys[j].owner {
-			return keys[i].owner < keys[j].owner
-		}
-		return keys[i].field < keys[j].field
-	})
+func checkAtomicMix(prog *Program) []Finding {
+	lf := prog.lockFacts()
+	keys, groups := lf.fieldGroups(func(*fieldAccess) bool { return true })
 
 	var out []Finding
 	for _, k := range keys {
-		var atomics, plains []*lsAccess
+		var atomics, plains []*fieldAccess
 		for _, a := range groups[k] {
 			switch {
 			case a.atomic:
@@ -72,19 +51,19 @@ func (AtomicMix) CheckProgram(prog *Program) []Finding {
 		}
 		// The only latch that can order a plain access against the atomic
 		// sites is one held at every atomic site.
-		common := ls.effectiveHeld(atomics[0])
+		common := lf.effectiveHeld(atomics[0])
 		for _, a := range atomics[1:] {
-			eff := ls.effectiveHeld(a)
+			eff := lf.effectiveHeld(a)
 			var keep []string
 			for _, l := range common {
-				if containsStr(eff, l) {
+				if slices.Contains(eff, l) {
 					keep = append(keep, l)
 				}
 			}
 			common = keep
 		}
 		for _, p := range plains {
-			if len(common) > 0 && intersectsStr(ls.effectiveHeld(p), common) {
+			if len(common) > 0 && intersectsStr(lf.effectiveHeld(p), common) {
 				continue
 			}
 			verb := "read"
@@ -92,11 +71,9 @@ func (AtomicMix) CheckProgram(prog *Program) []Finding {
 				verb = "written"
 			}
 			out = append(out, Finding{
-				Rule: "atomicmix",
-				Sev:  Error,
-				Pos:  p.fset.Position(p.pos),
+				Pos: p.pos,
 				Msg: fmt.Sprintf("%s.%s is accessed through sync/atomic (%d sites) but %s plainly here with no latch ordering it against them; mixed atomic/plain access corrupts silently — use atomic ops for every access, or guard them all with one latch, or justify with //lint:allow atomicmix",
-					k.owner, k.field, len(atomics), verb),
+					k[0], k[1], len(atomics), verb),
 			})
 		}
 	}

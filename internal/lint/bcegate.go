@@ -1,14 +1,9 @@
 package lint
 
-import (
-	"fmt"
-	"regexp"
-	"strconv"
-	"strings"
-)
+import "strings"
 
-// BCEGate turns bounds-check elimination — which the single-digit-ns/tuple
-// kernels silently depend on — into a compile-time contract: it runs the
+// bceGate turns bounds-check elimination — which the single-digit-ns/tuple
+// kernels silently depend on — into a compile-time contract: it reads the
 // compiler's own BCE debug pass (`-d=ssa/check_bce/debug=1`), parses the
 // "Found IsInBounds" / "Found IsSliceInBounds" diagnostics, and fails when
 // a residual bounds check sits inside a loop body of an //iawj:hotpath
@@ -27,98 +22,36 @@ import (
 // allow in the hotpath's doc comment for loops whose bounds are genuinely
 // data-dependent (chain walks bounded by a per-bucket count the prover
 // cannot see).
-type BCEGate struct {
-	// GoTool overrides the go executable; empty means "go" from PATH.
-	GoTool string
+var bceGate = Rule{
+	Name:     "bcegate",
+	Doc:      "no residual bounds checks in //iawj:hotpath loops, proven by -d=ssa/check_bce/debug=1",
+	Contract: "The compiler's BCE debug pass (-d=ssa/check_bce/debug=1) proves no //iawj:hotpath loop body retains a bounds check. Recipes, in order of preference: slice-to-length staging (blk := xs[lo:lo+n]; hs := heads[:len(blk)]; index both by j := range blk), the `_ = s[n-1]` hoist before the loop, and uint comparison against a constant capacity (if uint32(i) >= cap). Data-dependent bounds the prover cannot see (chain walks bounded by a stored count) take a function-scope //lint:allow bcegate with the invariant written out.",
+	Sev:      Error,
+	Check: func(prog *Program) []Finding {
+		return matchBounds(prog.Root, parseBCEOutput(prog.buildDiag()), prog.hotSpans())
+	},
 }
 
-// Name implements the rule catalogue.
-func (BCEGate) Name() string { return "bcegate" }
-
-// Doc implements the rule catalogue.
-func (BCEGate) Doc() string {
-	return "no residual bounds checks in //iawj:hotpath loops, proven by -d=ssa/check_bce/debug=1"
+// parseBCEOutput extracts the check_bce debug lines from the diagnostics
+// build's output — file.go:line:col: Found IsInBounds — keeping the kind
+// of check as the message.
+func parseBCEOutput(out string) []diagLine {
+	return diagLines(out, func(msg string) (string, bool) {
+		kind, ok := strings.CutPrefix(msg, "Found ")
+		return kind, ok && (kind == "IsInBounds" || kind == "IsSliceInBounds")
+	})
 }
 
-// Severity implements the rule catalogue.
-func (BCEGate) Severity() Severity { return Error }
-
-// BCEDiag is one residual-bounds-check diagnostic from the compiler.
-type BCEDiag struct {
-	File string // as printed (relative to the build directory)
-	Line int
-	Col  int
-	Kind string // "IsInBounds" or "IsSliceInBounds"
-}
-
-// bceRe matches the check_bce debug lines: file.go:line:col: Found IsInBounds.
-var bceRe = regexp.MustCompile(`^(.*\.go):(\d+):(\d+): Found (IsInBounds|IsSliceInBounds)$`)
-
-// ParseBCEOutput extracts bounds-check diagnostics from the combined
-// output of a BuildDiag run. The compiler emits the same diagnostic once
-// per build unit that compiles the package, so duplicates are collapsed.
-func ParseBCEOutput(out string) []BCEDiag {
-	var diags []BCEDiag
-	seen := map[BCEDiag]bool{}
-	for _, line := range strings.Split(out, "\n") {
-		m := bceRe.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		ln, err1 := strconv.Atoi(m[2])
-		col, err2 := strconv.Atoi(m[3])
-		if err1 != nil || err2 != nil {
-			continue
-		}
-		d := BCEDiag{File: m[1], Line: ln, Col: col, Kind: m[4]}
-		if seen[d] {
-			continue
-		}
-		seen[d] = true
-		diags = append(diags, d)
-	}
-	return diags
-}
-
-// MatchBounds anchors bounds-check diagnostics (paths relative to root) to
+// matchBounds anchors bounds-check diagnostics (paths relative to root) to
 // hotpath spans, one finding per check inside a loop body. Checks in the
 // straight-line part of a hotpath function are per-run cost and pass, as
 // do spans whose doc comment carries a function-scope allow.
-func MatchBounds(root string, diags []BCEDiag, spans []HotSpan) []Finding {
+func matchBounds(root string, diags []diagLine, spans []hotSpan) []Finding {
 	var out []Finding
 	for _, d := range diags {
-		file := absAgainst(root, d.File)
-		for _, s := range spans {
-			if s.File != file || d.Line < s.StartLine || d.Line > s.EndLine || !s.inLoop(d.Line) {
-				continue
-			}
-			if s.allowsRule("bcegate") {
-				break // function-scope contract covers the whole span
-			}
-			out = append(out, Finding{
-				Rule: "bcegate",
-				Sev:  Error,
-				Pos:  positionAt(file, d.Line, d.Col),
-				Msg:  fmt.Sprintf("%s is //iawj:hotpath but the compiler keeps a bounds check (%s) in a loop; prove the index with the LINTING.md BCE recipes (slice-to-length staging, `_ = s[n-1]` hoist, uint compare) or justify the data-dependent bound with //lint:allow bcegate", s.Name, d.Kind),
-			})
-			break
+		if s := spanInLoop(spans, "bcegate", absAgainst(root, d.File), d.Line); s != nil {
+			out = append(out, s.finding(d.Line, d.Col, "%s is //iawj:hotpath but the compiler keeps a bounds check (%s) in a loop; prove the index with the LINTING.md BCE recipes (slice-to-length staging, `_ = s[n-1]` hoist, uint compare) or justify the data-dependent bound with //lint:allow bcegate", s.Name, d.Msg))
 		}
 	}
 	return out
-}
-
-// Check runs the full gate over the module at root.
-func (g BCEGate) Check(root string, prog *Program, pathAllow map[string][]string) ([]Finding, error) {
-	return g.CheckDiag(NewBuildDiag(root, g.GoTool), prog, pathAllow)
-}
-
-// CheckDiag is Check against a shared diagnostics run, so the driver pays
-// for one `go build` across escapegate, bcegate, and inlinegate.
-func (g BCEGate) CheckDiag(diag *BuildDiag, prog *Program, pathAllow map[string][]string) ([]Finding, error) {
-	out, err := diag.Output()
-	if err != nil {
-		return nil, fmt.Errorf("bcegate: %w", err)
-	}
-	findings := MatchBounds(diag.Root, ParseBCEOutput(out), HotPathSpans(prog))
-	return filterGateFindings(prog, findings, pathAllow), nil
 }

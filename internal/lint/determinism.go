@@ -1,28 +1,20 @@
 package lint
 
-import (
-	"fmt"
-	"go/ast"
-)
+import "go/ast"
 
-// Determinism flags raw wall-clock reads and global math/rand draws in
+// determinism flags raw wall-clock reads and global math/rand draws in
 // algorithm code. A single stray time.Now in a join kernel silently breaks
 // the simulated-arrival model (every experiment assumes time flows through
 // internal/clock), and an unseeded global rand makes a benchmark sweep
 // unrepeatable. Sanctioned wall-clock call sites (internal/clock itself,
 // the metrics harness) are path-allowlisted.
-type Determinism struct{}
-
-// Name implements Analyzer.
-func (Determinism) Name() string { return "determinism" }
-
-// Doc implements Analyzer.
-func (Determinism) Doc() string {
-	return "no time.Now/time.Since/global math/rand outside internal/clock and internal/metrics"
+var determinism = Rule{
+	Name:     "determinism",
+	Doc:      "no time.Now/time.Since/global math/rand outside internal/clock and internal/metrics",
+	Contract: "Replays and golden files require run-to-run byte stability. Wall-clock reads (time.Now) and unseeded randomness are banned outside internal/clock and the metrics harness; derive time from the run ledger and randomness from the seeded workload spec.",
+	Sev:      Error,
+	Check:    perPackage(checkDeterminism),
 }
-
-// Severity implements Analyzer.
-func (Determinism) Severity() Severity { return Error }
 
 // wallClockFuncs are the time package reads that leak real time into
 // algorithm state. time.Sleep is deliberately absent: sleeping is pacing,
@@ -48,8 +40,7 @@ var globalRandFuncs = map[string]bool{
 	"Perm": true, "Shuffle": true, "Seed": true,
 }
 
-// Check implements Analyzer.
-func (Determinism) Check(p *Package) []Finding {
+func checkDeterminism(p *Package) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
 		imports := importNames(f)
@@ -59,20 +50,10 @@ func (Determinism) Check(p *Package) []Finding {
 				return true
 			}
 			if name, ok := pkgCall(call, imports, "time"); ok && wallClockFuncs[name] {
-				out = append(out, Finding{
-					Rule: "determinism",
-					Sev:  Error,
-					Pos:  p.Fset.Position(call.Pos()),
-					Msg:  fmt.Sprintf("time.%s reads the wall clock; algorithms must consume internal/clock", name),
-				})
+				out = append(out, p.finding(call.Pos(), "time.%s reads the wall clock; algorithms must consume internal/clock", name))
 			}
 			if name, ok := pkgCall(call, imports, "math/rand", "math/rand/v2"); ok && globalRandFuncs[name] {
-				out = append(out, Finding{
-					Rule: "determinism",
-					Sev:  Error,
-					Pos:  p.Fset.Position(call.Pos()),
-					Msg:  fmt.Sprintf("rand.%s draws from the global source; use a seeded rand.New generator", name),
-				})
+				out = append(out, p.finding(call.Pos(), "rand.%s draws from the global source; use a seeded rand.New generator", name))
 			}
 			return true
 		})

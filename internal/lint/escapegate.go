@@ -6,12 +6,13 @@ import (
 	"go/token"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// EscapeGate turns the runtime AllocsPerRun==0 guarantee of the
-// //iawj:hotpath kernels into a static one: it runs the real compiler's
+// escapeGate turns the runtime AllocsPerRun==0 guarantee of the
+// //iawj:hotpath kernels into a static one: it reads the real compiler's
 // escape analysis (`go build -gcflags=-m=2`), parses the heap-allocation
 // diagnostics, and fails when any annotated hotpath function allocates
 // inside one of its loops — every hotpath, not just the ones with an
@@ -25,29 +26,23 @@ import (
 // (a barrier WaitGroup, per-thread slices, the worker closures handed to
 // parallel) allocates once per run by design and is exempt.
 //
-// Unlike the AST analyzers this is a driver stage: it shells out to the
-// go tool (diagnostics replay from the build cache, so repeat runs are
-// cheap) and anchors diagnostics to hotpath function spans parsed from
-// the loaded program. `//lint:allow escapegate <reason>` on or above the
-// allocation line suppresses a finding, as does the path allowlist.
-type EscapeGate struct {
-	// GoTool overrides the go executable; empty means "go" from PATH.
-	GoTool string
+// Unlike the AST rules this one shells out to the go tool (diagnostics
+// replay from the build cache, so repeat runs are cheap) and anchors
+// diagnostics to hotpath function spans parsed from the loaded program.
+// `//lint:allow escapegate <reason>` on or above the allocation line
+// suppresses a finding, as does the path allowlist.
+var escapeGate = Rule{
+	Name:     "escapegate",
+	Doc:      "no heap allocation in //iawj:hotpath functions, proven by go build -gcflags=-m=2",
+	Contract: "The compiler's own escape analysis (-m=2) proves no //iawj:hotpath loop body heap-allocates. Per-run setup allocations in straight-line code pass; per-iteration allocations fail. Fix by hoisting or pooling; function-scope //lint:allow escapegate in the doc comment sanctions a span whose allocations are by design.",
+	Sev:      Error,
+	Check: func(prog *Program) []Finding {
+		return matchEscapes(prog.Root, parseEscapeOutput(prog.buildDiag()), prog.hotSpans())
+	},
 }
 
-// Name implements the rule catalogue.
-func (EscapeGate) Name() string { return "escapegate" }
-
-// Doc implements the rule catalogue.
-func (EscapeGate) Doc() string {
-	return "no heap allocation in //iawj:hotpath functions, proven by go build -gcflags=-m=2"
-}
-
-// Severity implements the rule catalogue.
-func (EscapeGate) Severity() Severity { return Error }
-
-// EscapeDiag is one heap-allocation diagnostic from the compiler.
-type EscapeDiag struct {
+// diagLine is one positioned line of compiler output.
+type diagLine struct {
 	File string // as printed (relative to the build directory)
 	Line int
 	Col  int
@@ -57,46 +52,50 @@ type EscapeDiag struct {
 // diagRe matches compiler diagnostic lines: file.go:line:col: message.
 var diagRe = regexp.MustCompile(`^(.*\.go):(\d+):(\d+): (.*)$`)
 
-// allocRe matches the messages that report an actual heap allocation.
-// "leaking param", "can inline", flow-explanation lines and friends do
-// not allocate and are excluded.
-var allocRe = regexp.MustCompile(`^(.*escapes to heap:?|moved to heap: .*)$`)
-
-// ParseEscapeOutput extracts heap-allocation diagnostics from the stderr
-// of `go build -gcflags=-m=2`. The compiler emits the same diagnostic
+// diagLines splits the diagnostics build's output into the positioned
+// lines a gate understands: keep says whether a message is one of them
+// and returns the form to store. The compiler emits the same diagnostic
 // once per build unit that compiles the package (binary, test import,
 // ...), so duplicates are collapsed.
-func ParseEscapeOutput(out string) []EscapeDiag {
-	var diags []EscapeDiag
-	seen := map[EscapeDiag]bool{}
+func diagLines(out string, keep func(msg string) (string, bool)) []diagLine {
+	var diags []diagLine
+	seen := map[diagLine]bool{}
 	for _, line := range strings.Split(out, "\n") {
 		m := diagRe.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		msg := m[4]
-		if strings.HasPrefix(msg, " ") || !allocRe.MatchString(msg) {
-			continue
-		}
+		msg, ok := keep(m[4])
 		ln, err1 := strconv.Atoi(m[2])
 		col, err2 := strconv.Atoi(m[3])
-		if err1 != nil || err2 != nil {
+		if !ok || err1 != nil || err2 != nil {
 			continue
 		}
-		d := EscapeDiag{File: m[1], Line: ln, Col: col, Msg: strings.TrimSuffix(msg, ":")}
-		if seen[d] {
-			continue
+		d := diagLine{File: m[1], Line: ln, Col: col, Msg: msg}
+		if !seen[d] {
+			seen[d] = true
+			diags = append(diags, d)
 		}
-		seen[d] = true
-		diags = append(diags, d)
 	}
 	return diags
 }
 
-// HotSpan is the extent of one //iawj:hotpath function, plus the line
-// ranges of every for/range body inside it (including bodies of nested
-// closures — a worker FuncLit's probe loop is still the hot loop).
-type HotSpan struct {
+// allocRe matches the messages that report an actual heap allocation.
+// "leaking param", "can inline", flow-explanation lines and friends do
+// not allocate and are excluded.
+var allocRe = regexp.MustCompile(`^(.*escapes to heap:?|moved to heap: .*)$`)
+
+// parseEscapeOutput extracts heap-allocation diagnostics from the output
+// of `go build -gcflags=-m=2`.
+func parseEscapeOutput(out string) []diagLine {
+	return diagLines(out, func(msg string) (string, bool) {
+		return strings.TrimSuffix(msg, ":"), !strings.HasPrefix(msg, " ") && allocRe.MatchString(msg)
+	})
+}
+
+// hotSpan is the extent of one //iawj:hotpath function, plus the line
+// ranges of every for/range body inside it (loopBodies).
+type hotSpan struct {
 	Name      string
 	File      string // absolute path
 	StartLine int
@@ -111,162 +110,76 @@ type HotSpan struct {
 	Allows []string
 }
 
-// allowsRule reports whether the span's doc comment allows the rule.
-func (s HotSpan) allowsRule(rule string) bool {
-	for _, r := range s.Allows {
-		if r == rule {
-			return true
-		}
-	}
-	return false
+// finding reports a compiler diagnostic inside the span. The position is
+// fabricated: it originates in the compiler's output, not in the loader's
+// FileSet.
+func (s *hotSpan) finding(line, col int, format string, args ...any) Finding {
+	return Finding{Pos: token.Position{Filename: s.File, Line: line, Column: col}, Msg: fmt.Sprintf(format, args...)}
 }
 
-// docAllows extracts the rules allowed by //lint:allow lines of a doc
-// comment group.
-func docAllows(doc *ast.CommentGroup) []string {
-	if doc == nil {
-		return nil
-	}
-	var rules []string
-	for _, c := range doc.List {
-		if m := allowRe.FindStringSubmatch(c.Text); m != nil {
-			rules = append(rules, m[1])
+// spanInLoop returns the span whose loop body holds file:line, or nil
+// when none does or when that span's doc comment allows the rule (the
+// function-scope contract covers the whole span).
+func spanInLoop(spans []hotSpan, rule, file string, line int) *hotSpan {
+	for i := range spans {
+		s := &spans[i]
+		if s.File != file || line < s.StartLine || line > s.EndLine {
+			continue
 		}
-	}
-	return rules
-}
-
-// inLoop reports whether a line falls inside one of the span's loop bodies.
-func (s HotSpan) inLoop(line int) bool {
-	for _, r := range s.Loops {
-		if line >= r[0] && line <= r[1] {
-			return true
-		}
-	}
-	return false
-}
-
-// HotPathSpans collects every annotated function's span in the program.
-func HotPathSpans(prog *Program) []HotSpan {
-	var spans []HotSpan
-	for _, p := range prog.Packages {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil || !isHotPath(fn) {
-					continue
-				}
-				start := p.Fset.Position(fn.Pos())
-				end := p.Fset.Position(fn.End())
-				name := fn.Name.Name
-				if r := recvTypeName(fn); r != "" {
-					name = r + "." + name
-				}
-				var loops [][2]int
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					var body *ast.BlockStmt
-					switch s := n.(type) {
-					case *ast.ForStmt:
-						body = s.Body
-					case *ast.RangeStmt:
-						body = s.Body
-					default:
-						return true
-					}
-					loops = append(loops, [2]int{p.Fset.Position(body.Pos()).Line, p.Fset.Position(body.End()).Line})
-					return true
-				})
-				spans = append(spans, HotSpan{Name: name, File: start.Filename, StartLine: start.Line, EndLine: end.Line, Loops: loops, Allows: docAllows(fn.Doc)})
-			}
-		}
-	}
-	return spans
-}
-
-// MatchEscapes anchors allocation diagnostics (paths relative to root) to
-// hotpath spans, returning one finding per allocation that sits inside a
-// loop body of a span. Allocations in the straight-line part of a hotpath
-// function are per-run setup (barriers, worker closures, per-thread
-// output slices) and pass the gate; the AllocsPerRun contract the gate
-// enforces is about the per-iteration path.
-func MatchEscapes(root string, diags []EscapeDiag, spans []HotSpan) []Finding {
-	var out []Finding
-	for _, d := range diags {
-		file := d.File
-		if !filepath.IsAbs(file) {
-			file = filepath.Join(root, file)
-		}
-		for _, s := range spans {
-			if s.File != file || d.Line < s.StartLine || d.Line > s.EndLine || !s.inLoop(d.Line) {
+		for _, r := range s.Loops {
+			if line < r[0] || line > r[1] {
 				continue
 			}
-			if s.allowsRule("escapegate") {
-				break // function-scope contract covers the whole span
+			if slices.Contains(s.Allows, rule) {
+				return nil
 			}
-			out = append(out, Finding{
-				Rule: "escapegate",
-				Sev:  Error,
-				Pos:  positionAt(file, d.Line, d.Col),
-				Msg:  fmt.Sprintf("%s is //iawj:hotpath but heap-allocates in a loop: %s (escape analysis; hoist the allocation or take it from the pool)", s.Name, d.Msg),
-			})
-			break
-		}
-	}
-	return out
-}
-
-// Check runs the full gate over the module at root: build every package,
-// parse the escape diagnostics, and report allocations inside hotpath
-// functions of the loaded program, after the standard escape hatches.
-func (g EscapeGate) Check(root string, prog *Program, pathAllow map[string][]string) ([]Finding, error) {
-	return g.CheckDiag(NewBuildDiag(root, g.GoTool), prog, pathAllow)
-}
-
-// CheckDiag is Check against a shared diagnostics run, so the driver pays
-// for one `go build` across escapegate, bcegate, and inlinegate.
-func (g EscapeGate) CheckDiag(diag *BuildDiag, prog *Program, pathAllow map[string][]string) ([]Finding, error) {
-	out, err := diag.Output()
-	if err != nil {
-		return nil, fmt.Errorf("escapegate: %w", err)
-	}
-	findings := MatchEscapes(diag.Root, ParseEscapeOutput(out), HotPathSpans(prog))
-	return filterGateFindings(prog, findings, pathAllow), nil
-}
-
-// filterGateFindings applies the standard escape hatches (path allowlist
-// and line-level allow comments) to gate findings and sorts the survivors.
-func filterGateFindings(prog *Program, findings []Finding, pathAllow map[string][]string) []Finding {
-	if pathAllow == nil {
-		pathAllow = DefaultPathAllow
-	}
-	var kept []Finding
-	for _, f := range findings {
-		if p := packageOf(prog, f.Pos.Filename); p != nil {
-			if pathAllowed(pathAllow, f.Rule, p.Rel) || allowed(p.allows(), f.Rule, f.Pos) {
-				continue
-			}
-		}
-		kept = append(kept, f)
-	}
-	SortFindings(kept)
-	return kept
-}
-
-// packageOf finds the loaded package containing a file.
-func packageOf(prog *Program, filename string) *Package {
-	dir := filepath.Dir(filename)
-	for _, p := range prog.Packages {
-		if p.Dir == dir {
-			return p
+			return s
 		}
 	}
 	return nil
 }
 
-// positionAt fabricates a token.Position for diagnostics that originate
-// outside the loader's FileSet (the compiler's output).
-func positionAt(file string, line, col int) token.Position {
-	return token.Position{Filename: file, Line: line, Column: col}
+// hotSpans collects (once) every annotated function's span in the program.
+func (prog *Program) hotSpans() []hotSpan {
+	if prog.spans != nil {
+		return prog.spans
+	}
+	prog.spans = []hotSpan{}
+	prog.funcDecls(func(p *Package, _ map[string]string, fn *ast.FuncDecl) {
+		if !isHotPath(fn) {
+			return
+		}
+		start := p.Fset.Position(fn.Pos())
+		s := hotSpan{Name: qualifiedName(fn), File: start.Filename, StartLine: start.Line, EndLine: p.Fset.Position(fn.End()).Line}
+		for _, body := range loopBodies(fn.Body) {
+			s.Loops = append(s.Loops, [2]int{p.Fset.Position(body.Pos()).Line, p.Fset.Position(body.End()).Line})
+		}
+		if fn.Doc != nil {
+			for _, c := range fn.Doc.List {
+				if rule, reasoned, ok := parseAllow(c); ok && reasoned {
+					s.Allows = append(s.Allows, rule)
+				}
+			}
+		}
+		prog.spans = append(prog.spans, s)
+	})
+	return prog.spans
+}
+
+// matchEscapes anchors allocation diagnostics (paths relative to root) to
+// hotpath spans, returning one finding per allocation that sits inside a
+// loop body of a span. Allocations in the straight-line part of a hotpath
+// function are per-run setup (barriers, worker closures, per-thread
+// output slices) and pass the gate; the AllocsPerRun contract the gate
+// enforces is about the per-iteration path.
+func matchEscapes(root string, diags []diagLine, spans []hotSpan) []Finding {
+	var out []Finding
+	for _, d := range diags {
+		if s := spanInLoop(spans, "escapegate", absAgainst(root, d.File), d.Line); s != nil {
+			out = append(out, s.finding(d.Line, d.Col, "%s is //iawj:hotpath but heap-allocates in a loop: %s (escape analysis; hoist the allocation or take it from the pool)", s.Name, d.Msg))
+		}
+	}
+	return out
 }
 
 // absAgainst resolves a compiler-printed path (relative to the build

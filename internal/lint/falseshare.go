@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
-	"runtime"
 	"strings"
 )
 
@@ -14,10 +12,10 @@ import (
 // and arm64 server parts use 64-byte lines.
 const cacheLine = 64
 
-// FalseShare is the whole-program cache-line layout analyzer. For every
+// falseShare is the whole-program cache-line layout analyzer. For every
 // struct type it computes field offsets — go/types sizing via
-// types.SizesFor("gc", arch) for resolvable types, plus a fixed table for
-// the sync/atomic primitives the permissive type-checker sees only as
+// types.SizesFor for resolvable types, plus a fixed table for the
+// sync/atomic primitives the permissive type-checker sees only as
 // stubs — and flags layouts where concurrently mutated state lands on a
 // shared 64-byte line:
 //
@@ -38,36 +36,19 @@ const cacheLine = 64
 // Each finding carries the concrete padding fix. Structs whose layout
 // cannot be fully resolved (unknown external field types) are skipped
 // rather than guessed.
-type FalseShare struct {
-	sizes types.Sizes
-	arch  string
+var falseShare = Rule{
+	Name:     "falseshare",
+	Doc:      "no latch/atomic fields sharing a 64-byte cache line within or across slice elements (layout analysis)",
+	Contract: "Per-thread counters and heads must be padded to a cache line; adjacent hot fields from different threads in one line serialize the memory system and flatten the scalability curves the paper is about.",
+	Sev:      Error,
+	Check:    checkFalseShare,
 }
 
-// NewFalseShare builds the analyzer for the host architecture, falling
-// back to amd64 when the toolchain does not know the host.
-func NewFalseShare() FalseShare { return NewFalseShareArch(runtime.GOARCH) }
-
-// NewFalseShareArch builds the analyzer for an explicit GOARCH, which
-// tests pin to amd64 for deterministic offsets.
-func NewFalseShareArch(arch string) FalseShare {
-	sizes := types.SizesFor("gc", arch)
-	if sizes == nil {
-		arch = "amd64"
-		sizes = types.SizesFor("gc", arch)
-	}
-	return FalseShare{sizes: sizes, arch: arch}
-}
-
-// Name implements ProgramAnalyzer.
-func (FalseShare) Name() string { return "falseshare" }
-
-// Doc implements ProgramAnalyzer.
-func (FalseShare) Doc() string {
-	return "no latch/atomic fields sharing a 64-byte cache line within or across slice elements (layout analysis)"
-}
-
-// Severity implements ProgramAnalyzer.
-func (FalseShare) Severity() Severity { return Error }
+// layoutSizes sizes every layout for gc/amd64 whatever the host: the
+// knownTypes table below is pinned to the 64-bit gc targets (amd64 and
+// arm64 agree on every entry), and a report that moved with the machine
+// running the linter could not be checked in as a golden.
+var layoutSizes = types.SizesFor("gc", "amd64")
 
 // fsKind classifies a field's synchronization role.
 type fsKind int
@@ -123,42 +104,21 @@ var knownTypes = map[string]fsEntry{
 	"time.Duration": {8, 8, fsPlain},
 }
 
-// CheckProgram implements ProgramAnalyzer.
-func (a FalseShare) CheckProgram(prog *Program) []Finding {
-	ly := &fsLayouter{prog: prog, sizes: a.sizes, cache: map[string]*fsLayout{}}
+func checkFalseShare(prog *Program) []Finding {
+	ly := &fsLayouter{prog: prog, cache: map[string]*fsLayout{}}
 	elems := sliceElementTypes(prog)
 	var out []Finding
-	for _, p := range prog.Packages {
-		for _, f := range p.Files {
-			imports := importNames(f)
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					layout := ly.structLayout(p, imports, st)
-					if layout == nil {
-						continue // unresolvable field type: skip, do not guess
-					}
-					out = append(out, a.checkStruct(p, ts, layout, elems)...)
-				}
-			}
+	prog.structDecls(func(p *Package, imports map[string]string, ts *ast.TypeSpec, st *ast.StructType) {
+		// An unresolvable field type yields no layout: skip, do not guess.
+		if layout := ly.structLayout(p, imports, st); layout != nil {
+			out = append(out, checkStruct(p, ts, layout, elems)...)
 		}
-	}
+	})
 	return out
 }
 
 // checkStruct applies both line-sharing rules to one resolved struct.
-func (a FalseShare) checkStruct(p *Package, ts *ast.TypeSpec, layout *fsLayout, elems map[string]bool) []Finding {
+func checkStruct(p *Package, ts *ast.TypeSpec, layout *fsLayout, elems map[string]bool) []Finding {
 	var hot []fsField
 	for _, f := range layout.fields {
 		if f.kind != fsPlain {
@@ -174,13 +134,8 @@ func (a FalseShare) checkStruct(p *Package, ts *ast.TypeSpec, layout *fsLayout, 
 	// is not a multiple of the cache line.
 	if elems[p.Rel+"."+ts.Name.Name] && layout.size > 0 && layout.size%cacheLine != 0 {
 		pad := cacheLine - layout.size%cacheLine
-		out = append(out, Finding{
-			Rule: "falseshare",
-			Sev:  Error,
-			Pos:  p.Fset.Position(ts.Name.Pos()),
-			Msg: fmt.Sprintf("%s is %d bytes, carries %s, and is used as a slice/array element: adjacent elements false-share a %d-byte cache line; pad the struct with _ [%d]byte (to %d) or justify with //lint:allow falseshare",
-				ts.Name.Name, layout.size, fieldList(hot), cacheLine, pad, layout.size+pad),
-		})
+		out = append(out, p.finding(ts.Name.Pos(), "%s is %d bytes, carries %s, and is used as a slice/array element: adjacent elements false-share a %d-byte cache line; pad the struct with _ [%d]byte (to %d) or justify with //lint:allow falseshare",
+			ts.Name.Name, layout.size, fieldList(hot), cacheLine, pad, layout.size+pad))
 	}
 
 	// Rule B: a mutex and an atomic (or two distinct mutexes) on one line
@@ -197,15 +152,10 @@ func (a FalseShare) checkStruct(p *Package, ts *ast.TypeSpec, layout *fsLayout, 
 			if x.off > y.off {
 				x, y = y, x
 			}
-			out = append(out, Finding{
-				Rule: "falseshare",
-				Sev:  Error,
-				Pos:  p.Fset.Position(ts.Name.Pos()),
-				Msg: fmt.Sprintf("%s.%s (%s, offset %d) and %s.%s (%s, offset %d) share a %d-byte cache line: traffic on one invalidates the other; move %s to its own line (insert _ [%d]byte before it) or justify with //lint:allow falseshare",
-					ts.Name.Name, x.path, kindName(x.kind), x.off,
-					ts.Name.Name, y.path, kindName(y.kind), y.off,
-					cacheLine, y.path, cacheLine-y.off%cacheLine),
-			})
+			out = append(out, p.finding(ts.Name.Pos(), "%s.%s (%s, offset %d) and %s.%s (%s, offset %d) share a %d-byte cache line: traffic on one invalidates the other; move %s to its own line (insert _ [%d]byte before it) or justify with //lint:allow falseshare",
+				ts.Name.Name, x.path, kindName(x.kind), x.off,
+				ts.Name.Name, y.path, kindName(y.kind), y.off,
+				cacheLine, y.path, cacheLine-y.off%cacheLine))
 		}
 	}
 	return out
@@ -225,8 +175,7 @@ func fieldList(hot []fsField) string {
 	for _, f := range hot {
 		names = append(names, f.path)
 	}
-	s := "latch/atomic field(s) " + strings.Join(names, ", ")
-	return s
+	return "latch/atomic field(s) " + strings.Join(names, ", ")
 }
 
 func kindName(k fsKind) string {
@@ -257,7 +206,7 @@ func sliceElementTypes(prog *Program) map[string]bool {
 				case *ast.SelectorExpr:
 					if x, ok := elt.X.(*ast.Ident); ok {
 						if path, isImport := imports[x.Name]; isImport {
-							if tp := prog.ByImportPath(path); tp != nil {
+							if tp := prog.byImportPath(path); tp != nil {
 								out[tp.Rel+"."+elt.Sel.Name] = true
 							}
 						}
@@ -273,21 +222,12 @@ func sliceElementTypes(prog *Program) map[string]bool {
 // fsLayouter computes struct layouts across packages with memoization.
 type fsLayouter struct {
 	prog  *Program
-	sizes types.Sizes
 	cache map[string]*fsLayout // "pkgRel.TypeName" -> layout (nil = failed)
-
-	depth int
 }
 
 // structLayout lays out a struct type expression in package p (whose file
 // imports are given). Returns nil when any field's size is unknown.
 func (ly *fsLayouter) structLayout(p *Package, imports map[string]string, st *ast.StructType) *fsLayout {
-	if ly.depth > 16 {
-		return nil // defensive: recursive type
-	}
-	ly.depth++
-	defer func() { ly.depth-- }()
-
 	layout := &fsLayout{align: 1}
 	var off int64
 	for _, field := range st.Fields.List {
@@ -353,7 +293,7 @@ func embeddedName(t ast.Expr) string {
 // typeLayout resolves one type expression to (size, align, kind, nested
 // fields). size < 0 signals an unresolvable type.
 func (ly *fsLayouter) typeLayout(p *Package, imports map[string]string, t ast.Expr) (int64, int64, fsKind, []fsField) {
-	word := ly.sizes.Sizeof(types.Typ[types.Uintptr])
+	word := layoutSizes.Sizeof(types.Typ[types.Uintptr])
 	switch x := t.(type) {
 	case *ast.Ident:
 		if size, align, ok := ly.basicLayout(x.Name); ok {
@@ -376,10 +316,9 @@ func (ly *fsLayouter) typeLayout(p *Package, imports map[string]string, t ast.Ex
 		if e, ok := knownTypes[path+"."+x.Sel.Name]; ok {
 			return e.size, e.align, e.kind, nil
 		}
-		if tp := ly.prog.ByImportPath(path); tp != nil {
+		if tp := ly.prog.byImportPath(path); tp != nil {
 			if ts, tsImports := findTypeSpec(tp, x.Sel.Name); ts != nil {
-				size, align, kind, sub := ly.namedLayoutIn(tp, tsImports, tp.Rel+"."+x.Sel.Name, ts)
-				return size, align, kind, sub
+				return ly.namedLayout(tp, tsImports, tp.Rel+"."+x.Sel.Name, ts)
 			}
 		}
 		return -1, 0, fsPlain, nil
@@ -389,7 +328,7 @@ func (ly *fsLayouter) typeLayout(p *Package, imports map[string]string, t ast.Ex
 		if x.Len == nil {
 			return 3 * word, word, fsPlain, nil // slice header
 		}
-		n, ok := ly.constInt(p, x.Len)
+		n, ok := ly.constInt(p, imports, x.Len)
 		if !ok {
 			return -1, 0, fsPlain, nil
 		}
@@ -430,12 +369,8 @@ func (ly *fsLayouter) typeLayout(p *Package, imports map[string]string, t ast.Ex
 	return -1, 0, fsPlain, nil
 }
 
-// namedLayout resolves a named type declared in package p.
+// namedLayout resolves a named type declared in package p, memoized by key.
 func (ly *fsLayouter) namedLayout(p *Package, imports map[string]string, key string, ts *ast.TypeSpec) (int64, int64, fsKind, []fsField) {
-	return ly.namedLayoutIn(p, imports, key, ts)
-}
-
-func (ly *fsLayouter) namedLayoutIn(p *Package, imports map[string]string, key string, ts *ast.TypeSpec) (int64, int64, fsKind, []fsField) {
 	if cached, ok := ly.cache[key]; ok {
 		if cached == nil {
 			return -1, 0, fsPlain, nil
@@ -460,70 +395,51 @@ func (ly *fsLayouter) namedLayoutIn(p *Package, imports map[string]string, key s
 	return size, align, kind, sub
 }
 
-// basicLayout sizes Go's predeclared types through types.SizesFor.
+// basicLayout sizes Go's predeclared types (error and any included).
 func (ly *fsLayouter) basicLayout(name string) (int64, int64, bool) {
-	kinds := map[string]types.BasicKind{
-		"bool": types.Bool, "byte": types.Byte, "rune": types.Rune,
-		"int": types.Int, "int8": types.Int8, "int16": types.Int16,
-		"int32": types.Int32, "int64": types.Int64,
-		"uint": types.Uint, "uint8": types.Uint8, "uint16": types.Uint16,
-		"uint32": types.Uint32, "uint64": types.Uint64,
-		"uintptr": types.Uintptr, "float32": types.Float32,
-		"float64": types.Float64, "complex64": types.Complex64,
-		"complex128": types.Complex128, "string": types.String,
-	}
-	k, ok := kinds[name]
+	tn, ok := types.Universe.Lookup(name).(*types.TypeName)
 	if !ok {
-		if name == "error" || name == "any" {
-			word := ly.sizes.Sizeof(types.Typ[types.Uintptr])
-			return 2 * word, word, true
-		}
 		return 0, 0, false
 	}
-	t := types.Typ[k]
-	return ly.sizes.Sizeof(t), ly.sizes.Alignof(t), true
+	return layoutSizes.Sizeof(tn.Type()), layoutSizes.Alignof(tn.Type()), true
 }
 
 // constInt evaluates a compile-time integer length expression: literals
 // and locally declared constants via the permissive check's constant
-// values, cross-package constants via the target package's definitions.
-func (ly *fsLayouter) constInt(p *Package, e ast.Expr) (int64, bool) {
+// values, a cross-package constant (pkg.Name) via the scope of the loaded
+// package the file imports under that name.
+func (ly *fsLayouter) constInt(p *Package, imports map[string]string, e ast.Expr) (int64, bool) {
+	var val constant.Value
 	if tv, ok := p.Info.Types[e]; ok && tv.Value != nil {
-		if v, ok := constant.Int64Val(constant.ToInt(tv.Value)); ok {
-			return v, true
+		val = tv.Value
+	} else if sel, ok := e.(*ast.SelectorExpr); ok {
+		if c := ly.prog.importedConst(imports, sel); c != nil {
+			val = c.Val()
 		}
 	}
-	if sel, ok := e.(*ast.SelectorExpr); ok {
-		// Cross-package constant (pkg.Name): scan loaded packages in
-		// deterministic order for a top-level const of that name.
-		for _, tp := range ly.prog.Packages {
-			for _, f := range tp.Files {
-				for _, decl := range f.Decls {
-					gd, ok := decl.(*ast.GenDecl)
-					if !ok || gd.Tok != token.CONST {
-						continue
-					}
-					for _, spec := range gd.Specs {
-						vs, ok := spec.(*ast.ValueSpec)
-						if !ok {
-							continue
-						}
-						for _, id := range vs.Names {
-							if id.Name != sel.Sel.Name {
-								continue
-							}
-							if c, ok := tp.Info.Defs[id].(*types.Const); ok {
-								if v, ok := constant.Int64Val(constant.ToInt(c.Val())); ok {
-									return v, true
-								}
-							}
-						}
-					}
-				}
-			}
-		}
+	if val == nil {
+		return 0, false
 	}
-	return 0, false
+	return constant.Int64Val(constant.ToInt(val))
+}
+
+// importedConst resolves pkg.Name to a constant declared at the top level
+// of a loaded package, or nil.
+func (prog *Program) importedConst(imports map[string]string, sel *ast.SelectorExpr) *types.Const {
+	x, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	path, ok := imports[x.Name]
+	if !ok {
+		return nil
+	}
+	tp := prog.byImportPath(path)
+	if tp == nil || tp.Types == nil {
+		return nil
+	}
+	c, _ := tp.Types.Scope().Lookup(sel.Sel.Name).(*types.Const)
+	return c
 }
 
 // findTypeSpec locates a named type's declaration in p, returning the

@@ -23,14 +23,14 @@ func TestParseBCEOutput(t *testing.T) {
 		"# repro/internal/hashtable [repro/internal/hashtable.test]",
 		"internal/hashtable/batch.go:107:12: Found IsInBounds",
 	}, "\n")
-	got := ParseBCEOutput(out)
-	want := []BCEDiag{
-		{File: "internal/hashtable/batch.go", Line: 107, Col: 12, Kind: "IsInBounds"},
-		{File: "internal/hashtable/batch.go", Line: 107, Col: 22, Kind: "IsInBounds"},
-		{File: "internal/hashtable/batch.go", Line: 121, Col: 10, Kind: "IsSliceInBounds"},
+	got := parseBCEOutput(out)
+	want := []diagLine{
+		{File: "internal/hashtable/batch.go", Line: 107, Col: 12, Msg: "IsInBounds"},
+		{File: "internal/hashtable/batch.go", Line: 107, Col: 22, Msg: "IsInBounds"},
+		{File: "internal/hashtable/batch.go", Line: 121, Col: 10, Msg: "IsSliceInBounds"},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ParseBCEOutput = %+v, want %+v", got, want)
+		t.Errorf("parseBCEOutput = %+v, want %+v", got, want)
 	}
 }
 
@@ -49,24 +49,24 @@ func TestParseInlineOutput(t *testing.T) {
 		"# repro/internal/hashtable [repro/internal/hashtable.test]",
 		"internal/hashtable/hashtable.go:42:6: can inline Hash with cost 21 as: func(tuple.Key, uint32) uint32 { ... }",
 	}, "\n")
-	got := ParseInlineOutput(out)
-	want := []InlineDiag{
+	got := parseInlineOutput(out)
+	want := []inlineDiag{
 		{File: "internal/hashtable/hashtable.go", Line: 42, Col: 6, Name: "Hash", CanInline: true, Cost: 21},
 		{File: "internal/hashtable/hashtable.go", Line: 90, Col: 6, Name: "(*Table).Reset", CanInline: true},
 		{File: "internal/hashtable/batch.go", Line: 200, Col: 6, Name: "(*Table).InsertHashed", Cost: 119, Budget: 80, Reason: "function too complex: cost 119 exceeds budget 80"},
 		{File: "internal/hashtable/batch.go", Line: 219, Col: 6, Name: "(*Table).spill", Reason: "marked go:noinline"},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ParseInlineOutput = %+v, want %+v", got, want)
+		t.Errorf("parseInlineOutput = %+v, want %+v", got, want)
 	}
 }
 
 // buildFixtureDiag compiles one testdata package with the shared gate
 // flags and returns its combined diagnostics plus the loaded program.
-func buildFixtureDiag(t *testing.T, pkgdir string) (string, string, *Program) {
+func buildFixtureDiag(t *testing.T, pkgdir string) (string, *Program) {
 	t.Helper()
 	root := repoRoot(t)
-	cmd := exec.Command("go", "build", "-gcflags="+BuildDiagFlags, "./internal/lint/testdata/src/"+pkgdir)
+	cmd := exec.Command("go", "build", "-gcflags="+buildDiagFlags, "./internal/lint/testdata/src/"+pkgdir)
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -76,7 +76,15 @@ func buildFixtureDiag(t *testing.T, pkgdir string) (string, string, *Program) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return root, string(out), NewProgram([]*Package{pkg})
+	return string(out), NewProgram(root, []*Package{pkg})
+}
+
+// kept is what Run does to one rule's raw findings: stamp, drop the
+// allowed, sort.
+func kept(prog *Program, r Rule, found []Finding) []Finding {
+	out := prog.keep(r, found)
+	sortFindings(out)
+	return out
 }
 
 // TestBCEGateFixture is the positive control: exactly HotUnproven's two
@@ -84,12 +92,12 @@ func buildFixtureDiag(t *testing.T, pkgdir string) (string, string, *Program) {
 // straight-line check in HotSetupCheck passes the loop-only scope, and
 // HotAllowed's function-scope allow covers its data-dependent loop.
 func TestBCEGateFixture(t *testing.T) {
-	root, out, prog := buildFixtureDiag(t, "bcefixture")
-	spans := HotPathSpans(prog)
+	out, prog := buildFixtureDiag(t, "bcefixture")
+	spans := prog.hotSpans()
 	if len(spans) != 4 {
 		t.Fatalf("expected 4 hotpath spans in bcefixture, got %+v", spans)
 	}
-	findings := filterGateFindings(prog, MatchBounds(root, ParseBCEOutput(out), spans), nil)
+	findings := kept(prog, bceGate, matchBounds(prog.Root, parseBCEOutput(out), spans))
 	if len(findings) != 2 {
 		t.Fatalf("expected exactly 2 bcegate findings, got %+v", findings)
 	}
@@ -107,12 +115,12 @@ func TestBCEGateFixture(t *testing.T) {
 // over-by delta, SmallMix passes, and BigMixAllowed's final-doc-line allow
 // suppresses the refusal.
 func TestInlineGateFixture(t *testing.T) {
-	root, out, prog := buildFixtureDiag(t, "inlfixture")
-	spans := InlineSpans(prog)
+	out, prog := buildFixtureDiag(t, "inlfixture")
+	spans := inlineSpans(prog)
 	if len(spans) != 3 {
 		t.Fatalf("expected 3 inline spans in inlfixture, got %+v", spans)
 	}
-	findings := filterGateFindings(prog, MatchInline(root, ParseInlineOutput(out), spans), nil)
+	findings := kept(prog, inlineGate, matchInline(prog.Root, parseInlineOutput(out), spans))
 	if len(findings) != 1 {
 		t.Fatalf("expected exactly 1 inlinegate finding, got %+v", findings)
 	}
@@ -120,55 +128,26 @@ func TestInlineGateFixture(t *testing.T) {
 	if !strings.Contains(msg, "BigMix") || !strings.Contains(msg, "exceeds budget 80") || !strings.Contains(msg, "over by") {
 		t.Errorf("refusal message lacks cost/budget delta: %s", msg)
 	}
-	costs := InlineCosts(root, ParseInlineOutput(out), spans)
-	if len(costs) != 3 {
-		t.Fatalf("expected 3 inline costs, got %+v", costs)
-	}
-	for _, c := range costs {
-		if c.Name == "SmallMix" && (!c.Inlined || c.Headroom <= 0) {
-			t.Errorf("SmallMix should be inlined with headroom: %+v", c)
-		}
-		if c.Name == "BigMix" && (c.Inlined || c.Headroom >= 0) {
-			t.Errorf("BigMix should be refused with negative headroom: %+v", c)
-		}
-	}
 }
 
-// TestBCEGateRepoTree runs the full driver stage over the module: every
-// hotpath loop is either proven bounds-check free or carries a written
+// TestBCEGateRepoTree runs the gate over the module: every hotpath loop is
+// either proven bounds-check free or carries a written
 // data-dependent-bound contract.
 func TestBCEGateRepoTree(t *testing.T) {
-	root := repoRoot(t)
-	prog, err := LoadProgram(root, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := (BCEGate{}).Check(root, prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
+	for _, f := range run(t, loadTree(t), bceGate) {
 		t.Errorf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 	}
 }
 
 // TestInlineGateRepoTree: every //iawj:inline contract in the tree holds.
 func TestInlineGateRepoTree(t *testing.T) {
-	root := repoRoot(t)
-	prog, err := LoadProgram(root, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := (InlineGate{}).Check(root, prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
+	prog := loadTree(t)
+	for _, f := range run(t, prog, inlineGate) {
 		t.Errorf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 	}
 	// The tree must actually carry contracts — the gate watching nothing
 	// would pass vacuously.
-	if spans := InlineSpans(prog); len(spans) == 0 {
+	if spans := inlineSpans(prog); len(spans) == 0 {
 		t.Error("no //iawj:inline contracts in the tree; inlinegate guards nothing")
 	}
 }
@@ -177,30 +156,30 @@ func TestInlineGateRepoTree(t *testing.T) {
 // must not change the (sorted) findings of either matcher — the driver
 // output is byte-stable no matter how the compiler orders its build units.
 func TestGateMatchersOrderInsensitive(t *testing.T) {
-	rootB, outB, progB := buildFixtureDiag(t, "bcefixture")
-	bceDiags := ParseBCEOutput(outB)
-	bceSpans := HotPathSpans(progB)
-	wantB := filterGateFindings(progB, MatchBounds(rootB, bceDiags, bceSpans), nil)
+	outB, progB := buildFixtureDiag(t, "bcefixture")
+	bceDiags := parseBCEOutput(outB)
+	bceSpans := progB.hotSpans()
+	wantB := kept(progB, bceGate, matchBounds(progB.Root, bceDiags, bceSpans))
 
-	rootI, outI, progI := buildFixtureDiag(t, "inlfixture")
-	inlDiags := ParseInlineOutput(outI)
-	inlSpans := InlineSpans(progI)
-	wantI := filterGateFindings(progI, MatchInline(rootI, inlDiags, inlSpans), nil)
+	outI, progI := buildFixtureDiag(t, "inlfixture")
+	inlDiags := parseInlineOutput(outI)
+	inlSpans := inlineSpans(progI)
+	wantI := kept(progI, inlineGate, matchInline(progI.Root, inlDiags, inlSpans))
 
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		db := append([]BCEDiag(nil), bceDiags...)
-		sb := append([]HotSpan(nil), bceSpans...)
+		db := append([]diagLine(nil), bceDiags...)
+		sb := append([]hotSpan(nil), bceSpans...)
 		rng.Shuffle(len(db), func(i, j int) { db[i], db[j] = db[j], db[i] })
 		rng.Shuffle(len(sb), func(i, j int) { sb[i], sb[j] = sb[j], sb[i] })
-		if got := filterGateFindings(progB, MatchBounds(rootB, db, sb), nil); !reflect.DeepEqual(got, wantB) {
+		if got := kept(progB, bceGate, matchBounds(progB.Root, db, sb)); !reflect.DeepEqual(got, wantB) {
 			t.Errorf("seed %d: shuffled bcegate findings differ:\ngot  %+v\nwant %+v", seed, got, wantB)
 		}
-		di := append([]InlineDiag(nil), inlDiags...)
-		si := append([]InlineSpan(nil), inlSpans...)
+		di := append([]inlineDiag(nil), inlDiags...)
+		si := append([]inlineSpan(nil), inlSpans...)
 		rng.Shuffle(len(di), func(i, j int) { di[i], di[j] = di[j], di[i] })
 		rng.Shuffle(len(si), func(i, j int) { si[i], si[j] = si[j], si[i] })
-		if got := filterGateFindings(progI, MatchInline(rootI, di, si), nil); !reflect.DeepEqual(got, wantI) {
+		if got := kept(progI, inlineGate, matchInline(progI.Root, di, si)); !reflect.DeepEqual(got, wantI) {
 			t.Errorf("seed %d: shuffled inlinegate findings differ:\ngot  %+v\nwant %+v", seed, got, wantI)
 		}
 	}
@@ -210,13 +189,13 @@ func TestGateMatchersOrderInsensitive(t *testing.T) {
 // are handed, so running from an unrelated working directory yields
 // byte-identical findings.
 func TestGatesCrossCwd(t *testing.T) {
-	root, out, prog := buildFixtureDiag(t, "bcefixture")
-	want := filterGateFindings(prog, MatchBounds(root, ParseBCEOutput(out), HotPathSpans(prog)), nil)
+	out, prog := buildFixtureDiag(t, "bcefixture")
+	want := kept(prog, bceGate, matchBounds(prog.Root, parseBCEOutput(out), prog.hotSpans()))
 	if len(want) == 0 {
 		t.Fatal("expected seeded findings")
 	}
 	t.Chdir(t.TempDir())
-	got := filterGateFindings(prog, MatchBounds(root, ParseBCEOutput(out), HotPathSpans(prog)), nil)
+	got := kept(prog, bceGate, matchBounds(prog.Root, parseBCEOutput(out), prog.hotSpans()))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("findings differ across cwd:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -225,35 +204,19 @@ func TestGatesCrossCwd(t *testing.T) {
 			t.Errorf("finding path %q is not absolute (module-root anchored)", f.Pos.Filename)
 		}
 	}
-	// The shared BuildDiag itself must also be cwd-independent: it runs in
+	// The diagnostics build itself must also be cwd-independent: it runs in
 	// Root, not in the process working directory.
-	diag := NewBuildDiag(root, "")
-	if _, err := diag.Output(); err != nil {
-		t.Fatalf("BuildDiag from foreign cwd: %v", err)
+	if prog.buildDiag(); prog.diagErr != nil {
+		t.Fatalf("diagnostics build from foreign cwd: %v", prog.diagErr)
 	}
 }
 
-// TestSharedBuildDiagRunsOnce: all three driver gates consuming one
-// BuildDiag trigger exactly one compile.
+// TestSharedBuildDiagRunsOnce: all three gates on one program trigger
+// exactly one compile.
 func TestSharedBuildDiagRunsOnce(t *testing.T) {
-	root := repoRoot(t)
-	prog, err := LoadProgram(root, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diag := NewBuildDiag(root, "")
-	if _, err := (EscapeGate{}).CheckDiag(diag, prog, nil); err != nil {
-		t.Fatal(err)
-	}
-	out1, _ := diag.Output()
-	if _, err := (BCEGate{}).CheckDiag(diag, prog, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (InlineGate{}).CheckDiag(diag, prog, nil); err != nil {
-		t.Fatal(err)
-	}
-	out2, _ := diag.Output()
-	if out1 != out2 {
-		t.Error("shared BuildDiag re-ran between gates; output changed")
+	prog := loadTree(t)
+	run(t, prog, escapeGate, bceGate, inlineGate)
+	if prog.diagRuns != 1 {
+		t.Errorf("diagnostics build ran %d times across the three gates, want 1", prog.diagRuns)
 	}
 }

@@ -1,13 +1,12 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// GoEscape flags closures handed to goroutine spawn sites that capture
+// goEscape flags closures handed to goroutine spawn sites that capture
 // addressable locals written inside the closure while the spawning
 // function keeps touching them — the shared-counter race every eager
 // worker loop is one typo away from:
@@ -26,173 +25,144 @@ import (
 // An access after the spawn is accepted when a join operation (a Wait
 // call, a channel receive, or a select) lies between the spawn and the
 // access, or when the goroutine's writes and the outer access hold a
-// common latch (per the lockset layer's held map). Loop variables
-// captured by a spawned closure are reported as hygiene (Warn): go.mod
-// says 1.22 so iterations get distinct variables, but the pattern still
-// races when the variable is written after the spawn, and the code
-// breaks silently when vendored into a pre-1.22 module.
-type GoEscape struct{}
-
-// Name implements ProgramAnalyzer.
-func (GoEscape) Name() string { return "goescape" }
-
-// Doc implements ProgramAnalyzer.
-func (GoEscape) Doc() string {
-	return "no goroutine closure captures a local written on both sides of the spawn without a join or common latch"
+// common latch (per the held-lock walk's per-identifier held sets). A
+// loop variable that the closure only reads is not reported: go.mod says
+// go 1.22, so every iteration has its own variable.
+var goEscape = Rule{
+	Name:     "goescape",
+	Doc:      "no goroutine closure captures a local written on both sides of the spawn without a join or common latch",
+	Contract: "A closure handed to a goroutine — a go statement, a g.Go call, or a same-module helper that launches its func argument and returns without joining it — may capture a local of the spawning function. If the closure writes that local, every later use of it in the spawning function races with the goroutine unless something orders the two: a join between the spawn and the use (a Wait call, a channel receive, a select), or one latch held around both the closure's writes and the outer use. Read-only captures are not reported, and neither are helpers that join before returning (parallel(threads, fn)): their argument has finished by the time they return. Pass results over a channel or join first; a race that is ordered by something the rule cannot see takes //lint:allow goescape naming it.",
+	Sev:      Error,
+	Check:    checkGoEscape,
 }
-
-// Severity implements ProgramAnalyzer.
-func (GoEscape) Severity() Severity { return Error }
 
 // geSpawn is one spawn site inside a function body.
 type geSpawn struct {
-	lit   *ast.FuncLit
-	pos   token.Pos  // spawn statement position, for messages
-	end   token.Pos  // code after this runs concurrently with the closure
-	loops []ast.Node // enclosing for/range statements at the spawn
+	lit *ast.FuncLit
+	pos token.Pos // spawn statement position, for messages
+	end token.Pos // code after this runs concurrently with the closure
 }
 
-// CheckProgram implements ProgramAnalyzer.
-func (GoEscape) CheckProgram(prog *Program) []Finding {
-	ls := prog.lockSets()
+// geFunc is one function declaration under analysis.
+type geFunc struct {
+	lf         *lockFacts
+	p          *Package
+	fn         *ast.FuncDecl
+	spawnedLit map[*ast.FuncLit]bool
+	joins      []token.Pos
+}
+
+func checkGoEscape(prog *Program) []Finding {
+	lf := prog.lockFacts()
 	helpers := collectSpawnHelpers(prog)
 	var out []Finding
-	for _, p := range prog.Packages {
-		for _, f := range p.Files {
-			imports := importNames(f)
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				out = append(out, checkSpawns(ls, helpers, p, imports, fn)...)
-			}
+	prog.funcDecls(func(p *Package, imports map[string]string, fn *ast.FuncDecl) {
+		g := &geFunc{lf: lf, p: p, fn: fn, spawnedLit: map[*ast.FuncLit]bool{}}
+		spawns := g.findSpawns(helpers, imports)
+		if len(spawns) == 0 {
+			return
 		}
-	}
+		for _, sp := range spawns {
+			g.spawnedLit[sp.lit] = true
+		}
+		// Join operations in the outer body order the spawn against later
+		// accesses. Joins inside spawned closures synchronize nothing for the
+		// spawner, and a deferred Wait runs after every body access.
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				if g.spawnedLit[n] {
+					return false
+				}
+			case *ast.DeferStmt:
+				return false
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
+					g.joins = append(g.joins, n.Pos())
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW {
+					g.joins = append(g.joins, n.Pos())
+				}
+			case *ast.SelectStmt:
+				g.joins = append(g.joins, n.Pos())
+			}
+			return true
+		})
+		for _, sp := range spawns {
+			out = append(out, g.checkSpawn(sp)...)
+		}
+	})
 	return out
 }
 
 // collectSpawnHelpers finds same-module functions that launch a
 // func-typed parameter in a goroutine and return without joining it —
 // callers of such helpers are spawn sites for their closure arguments.
-func collectSpawnHelpers(prog *Program) map[loFuncID]bool {
-	out := map[loFuncID]bool{}
-	for _, p := range prog.Packages {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil || fn.Type.Params == nil {
-					continue
+func collectSpawnHelpers(prog *Program) map[funcID]bool {
+	out := map[funcID]bool{}
+	prog.funcDecls(func(p *Package, _ map[string]string, fn *ast.FuncDecl) {
+		params := map[types.Object]bool{}
+		for _, fld := range fn.Type.Params.List {
+			if _, isFunc := fld.Type.(*ast.FuncType); !isFunc {
+				continue
+			}
+			for _, name := range fld.Names {
+				if obj := p.Info.Defs[name]; obj != nil {
+					params[obj] = true
 				}
-				params := map[types.Object]bool{}
-				for _, fld := range fn.Type.Params.List {
-					if _, isFunc := fld.Type.(*ast.FuncType); !isFunc {
-						continue
-					}
-					for _, name := range fld.Names {
-						if obj := p.Info.Defs[name]; obj != nil {
-							params[obj] = true
-						}
-					}
-				}
-				if len(params) == 0 {
-					continue
-				}
-				var lastSpawn token.Pos = token.NoPos
-				joined := false
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.GoStmt:
-						uses := false
-						ast.Inspect(n, func(m ast.Node) bool {
-							if id, ok := m.(*ast.Ident); ok && params[objOf(p, id)] {
-								uses = true
-							}
-							return true
-						})
-						if uses && n.Pos() > lastSpawn {
-							lastSpawn = n.Pos()
-							joined = false
-						}
-					case *ast.CallExpr:
-						if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" &&
-							lastSpawn != token.NoPos && n.Pos() > lastSpawn {
-							joined = true
-						}
-					case *ast.UnaryExpr:
-						if n.Op == token.ARROW && lastSpawn != token.NoPos && n.Pos() > lastSpawn {
-							joined = true
-						}
+			}
+		}
+		if len(params) == 0 {
+			return
+		}
+		lastSpawn := token.NoPos
+		joined := false
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				uses := false
+				ast.Inspect(n, func(m ast.Node) bool {
+					if id, ok := m.(*ast.Ident); ok && params[objOf(p, id)] {
+						uses = true
 					}
 					return true
 				})
-				if lastSpawn != token.NoPos && !joined {
-					out[loFuncID{pkg: p.Rel, recv: recvTypeName(fn), name: fn.Name.Name}] = true
+				if uses && n.Pos() > lastSpawn {
+					lastSpawn = n.Pos()
+					joined = false
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" &&
+					lastSpawn != token.NoPos && n.Pos() > lastSpawn {
+					joined = true
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW && lastSpawn != token.NoPos && n.Pos() > lastSpawn {
+					joined = true
 				}
 			}
+			return true
+		})
+		if lastSpawn != token.NoPos && !joined {
+			out[declID(p, fn)] = true
 		}
-	}
-	return out
-}
-
-// checkSpawns analyzes one function's spawn sites for captured-write
-// races and loop-variable capture.
-func checkSpawns(ls *lockSets, helpers map[loFuncID]bool, p *Package, imports map[string]string, fn *ast.FuncDecl) []Finding {
-	spawns := findSpawns(ls, helpers, p, imports, fn)
-	if len(spawns) == 0 {
-		return nil
-	}
-	spawnedLit := map[*ast.FuncLit]bool{}
-	for _, sp := range spawns {
-		spawnedLit[sp.lit] = true
-	}
-	// Join operations in the outer body order the spawn against later
-	// accesses. Joins inside spawned closures synchronize nothing for the
-	// spawner, and a deferred Wait runs after every body access.
-	var joins []token.Pos
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			if spawnedLit[n] {
-				return false
-			}
-		case *ast.DeferStmt:
-			return false
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
-				joins = append(joins, n.Pos())
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				joins = append(joins, n.Pos())
-			}
-		case *ast.SelectStmt:
-			joins = append(joins, n.Pos())
-		}
-		return true
 	})
-
-	var out []Finding
-	for _, sp := range spawns {
-		out = append(out, checkOneSpawn(ls, p, fn, sp, spawnedLit, joins)...)
-	}
 	return out
 }
 
-// findSpawns collects the function's spawn sites with their enclosing
-// loops.
-func findSpawns(ls *lockSets, helpers map[loFuncID]bool, p *Package, imports map[string]string, fn *ast.FuncDecl) []geSpawn {
-	exists := func(id loFuncID) bool { _, ok := ls.sums[id]; return ok }
+// findSpawns collects the function's spawn sites.
+func (g *geFunc) findSpawns(helpers map[funcID]bool, imports map[string]string) []geSpawn {
 	var spawns []geSpawn
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(g.fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				spawns = append(spawns, geSpawn{lit: lit, pos: n.Pos(), end: n.End(), loops: enclosingLoops(fn, n.Pos())})
+				spawns = append(spawns, geSpawn{lit: lit, pos: n.Pos(), end: n.End()})
 			}
 		case *ast.CallExpr:
 			spawning := false
-			callees := resolveCalleesIn(ls.prog, p, imports, exists, ls.byMethod, n)
+			callees := g.lf.resolve(g.p, imports, n)
 			for _, c := range callees {
 				if helpers[c] {
 					spawning = true
@@ -208,7 +178,7 @@ func findSpawns(ls *lockSets, helpers map[loFuncID]bool, p *Package, imports map
 			if spawning {
 				for _, arg := range n.Args {
 					if lit, ok := arg.(*ast.FuncLit); ok {
-						spawns = append(spawns, geSpawn{lit: lit, pos: n.Pos(), end: n.End(), loops: enclosingLoops(fn, n.Pos())})
+						spawns = append(spawns, geSpawn{lit: lit, pos: n.Pos(), end: n.End()})
 					}
 				}
 			}
@@ -218,66 +188,35 @@ func findSpawns(ls *lockSets, helpers map[loFuncID]bool, p *Package, imports map
 	return spawns
 }
 
-// enclosingLoops returns the for/range statements of fn containing pos.
-func enclosingLoops(fn *ast.FuncDecl, pos token.Pos) []ast.Node {
-	var out []ast.Node
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if n == nil {
-			return true
-		}
-		switch n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			if n.Pos() <= pos && pos < n.End() {
-				out = append(out, n)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// checkOneSpawn reports the races of one spawn site.
-func checkOneSpawn(ls *lockSets, p *Package, fn *ast.FuncDecl, sp geSpawn, spawnedLit map[*ast.FuncLit]bool, joins []token.Pos) []Finding {
-	spawnLine := p.Fset.Position(sp.pos).Line
-
+// checkSpawn reports the races of one spawn site.
+func (g *geFunc) checkSpawn(sp geSpawn) []Finding {
 	// Captured objects: locals of fn (params included) used inside the
-	// closure but declared outside it.
-	type capture struct {
-		obj    types.Object
-		first  *ast.Ident
-		writes []*ast.Ident
-	}
-	caps := map[types.Object]*capture{}
+	// closure but declared outside it, with the closure's writes to each.
+	writes := map[types.Object][]*ast.Ident{}
 	var order []types.Object
 	ast.Inspect(sp.lit.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		obj := p.Info.Uses[id]
+		obj := g.p.Info.Uses[id]
 		v, ok := obj.(*types.Var)
 		if !ok || v.IsField() {
 			return true
 		}
 		pos := obj.Pos()
-		if pos < fn.Pos() || pos > fn.End() {
+		if pos < g.fn.Pos() || pos > g.fn.End() {
 			return true // package-level or foreign
 		}
 		if pos >= sp.lit.Pos() && pos <= sp.lit.End() {
 			return true // the closure's own params/locals
 		}
-		c := caps[obj]
-		if c == nil {
-			c = &capture{obj: obj, first: id}
-			caps[obj] = c
+		if _, seen := writes[obj]; !seen {
+			writes[obj] = nil
 			order = append(order, obj)
 		}
 		return true
 	})
-	if len(order) == 0 {
-		return nil
-	}
-	// Writes inside the closure targeting a captured object.
 	ast.Inspect(sp.lit.Body, func(n ast.Node) bool {
 		var targets []ast.Expr
 		switch n := n.(type) {
@@ -289,72 +228,25 @@ func checkOneSpawn(ls *lockSets, p *Package, fn *ast.FuncDecl, sp geSpawn, spawn
 			return true
 		}
 		for _, t := range targets {
-			root := rootIdent(t)
-			if root == nil {
-				continue
-			}
-			if c := caps[p.Info.Uses[root]]; c != nil {
-				c.writes = append(c.writes, root)
+			if root := rootIdent(t); root != nil {
+				if obj := g.p.Info.Uses[root]; obj != nil {
+					if _, captured := writes[obj]; captured {
+						writes[obj] = append(writes[obj], root)
+					}
+				}
 			}
 		}
 		return true
 	})
 
-	loopVars := loopVarObjects(p, sp.loops)
 	var out []Finding
 	for _, obj := range order {
-		c := caps[obj]
-		if loopVars[obj] {
-			out = append(out, Finding{
-				Rule: "goescape",
-				Sev:  Warn,
-				Pos:  p.Fset.Position(c.first.Pos()),
-				Msg: fmt.Sprintf("loop variable %s captured by the goroutine closure spawned at line %d; pass it as an argument — per-iteration semantics (go 1.22) still race if the variable is written after the spawn, and pre-1.22 builds share one variable across iterations",
-					obj.Name(), spawnLine),
-			})
-			continue
-		}
-		if len(c.writes) == 0 {
+		if len(writes[obj]) == 0 {
 			continue // read-only capture: the closure cannot corrupt it
 		}
-		racy := findRacyAccess(ls, p, fn, sp, spawnedLit, joins, obj, c.writes)
-		if racy == nil {
-			continue
-		}
-		out = append(out, Finding{
-			Rule: "goescape",
-			Sev:  Error,
-			Pos:  p.Fset.Position(racy.Pos()),
-			Msg: fmt.Sprintf("%s is written by the goroutine closure spawned at line %d and accessed here with no join (Wait/receive/select) or common latch between; the access races with the goroutine — join first, guard both sides, or pass results over a channel (//lint:allow goescape to justify)",
-				obj.Name(), spawnLine),
-		})
-	}
-	return out
-}
-
-// loopVarObjects resolves the loop variables of the enclosing loops.
-func loopVarObjects(p *Package, loops []ast.Node) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	for _, l := range loops {
-		switch l := l.(type) {
-		case *ast.RangeStmt:
-			for _, e := range []ast.Expr{l.Key, l.Value} {
-				if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-					if obj := objOf(p, id); obj != nil {
-						out[obj] = true
-					}
-				}
-			}
-		case *ast.ForStmt:
-			if ini, ok := l.Init.(*ast.AssignStmt); ok {
-				for _, e := range ini.Lhs {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-						if obj := objOf(p, id); obj != nil {
-							out[obj] = true
-						}
-					}
-				}
-			}
+		if racy := g.findRacyAccess(sp, obj, writes[obj]); racy != nil {
+			out = append(out, g.p.finding(racy.Pos(), "%s is written by the goroutine closure spawned at line %d and accessed here with no join (Wait/receive/select) or common latch between; the access races with the goroutine — join first, guard both sides, or pass results over a channel (//lint:allow goescape to justify)",
+				obj.Name(), g.p.Fset.Position(sp.pos).Line))
 		}
 	}
 	return out
@@ -362,31 +254,31 @@ func loopVarObjects(p *Package, loops []ast.Node) map[types.Object]bool {
 
 // findRacyAccess returns the first outer-body use of obj after the spawn
 // that no join and no common latch orders against the closure's writes.
-func findRacyAccess(ls *lockSets, p *Package, fn *ast.FuncDecl, sp geSpawn, spawnedLit map[*ast.FuncLit]bool, joins []token.Pos, obj types.Object, innerWrites []*ast.Ident) *ast.Ident {
+func (g *geFunc) findRacyAccess(sp geSpawn, obj types.Object, innerWrites []*ast.Ident) *ast.Ident {
 	var racy *ast.Ident
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(g.fn.Body, func(n ast.Node) bool {
 		if racy != nil {
 			return false
 		}
-		if lit, ok := n.(*ast.FuncLit); ok && spawnedLit[lit] {
+		if lit, ok := n.(*ast.FuncLit); ok && g.spawnedLit[lit] {
 			return false
 		}
 		id, ok := n.(*ast.Ident)
-		if !ok || p.Info.Uses[id] != obj {
+		if !ok || g.p.Info.Uses[id] != obj {
 			return true
 		}
 		if id.Pos() <= sp.end {
 			return true
 		}
-		for _, j := range joins {
+		for _, j := range g.joins {
 			if sp.end < j && j <= id.Pos() {
 				return true // a join orders spawn -> access
 			}
 		}
-		if outerHeld := ls.identHeld[id]; len(outerHeld) > 0 {
+		if outerHeld := g.lf.identHeld[id]; len(outerHeld) > 0 {
 			ordered := true
 			for _, w := range innerWrites {
-				if !intersectsStr(ls.identHeld[w], outerHeld) {
+				if !intersectsStr(g.lf.identHeld[w], outerHeld) {
 					ordered = false
 					break
 				}

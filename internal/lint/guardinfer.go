@@ -2,14 +2,14 @@ package lint
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// GuardInfer is the Eraser-style static lockset rule. For every plain
+// guardInfer is the Eraser-style static lockset rule. For every plain
 // data field of a latch-carrying struct it infers the guarding mutex from
 // the held-sets observed across the field's writes — locally simulated
-// plus the interprocedural must-hold entry sets of the lockset layer —
+// plus the interprocedural must-hold entry sets of the held-lock walk —
 // and reports every write reached with an empty or disjoint lockset:
 //
 //   - a field written under a latch somewhere must be written under that
@@ -23,47 +23,22 @@ import (
 // determinism. Fields never written under any lock carry no inferable
 // discipline — stack-confined or quiesced-phase state — and are skipped;
 // constructor writes are exempt via the publication heuristic (see
-// locksets.go); atomic-typed fields belong to atomicmix. Reads are out of
+// lockwalk.go); atomic-typed fields belong to atomicmix. Reads are out of
 // scope: the write side is where corruption starts, and flagging reads
 // would double every finding.
-type GuardInfer struct{}
-
-// Name implements ProgramAnalyzer.
-func (GuardInfer) Name() string { return "guardinfer" }
-
-// Doc implements ProgramAnalyzer.
-func (GuardInfer) Doc() string {
-	return "fields of latch-carrying structs are written under their inferred guarding latch (static lockset analysis)"
+var guardInfer = Rule{
+	Name:     "guardinfer",
+	Doc:      "fields of latch-carrying structs are written under their inferred guarding latch (static lockset analysis)",
+	Contract: "Fields consistently accessed under one mutex are inferred to be guarded by it; an access outside that mutex is a data race the race detector only finds if the schedule cooperates. Declare intentional unguarded access with //lint:allow guardinfer.",
+	Sev:      Error,
+	Check:    checkGuardInfer,
 }
 
-// Severity implements ProgramAnalyzer.
-func (GuardInfer) Severity() Severity { return Error }
-
-// CheckProgram implements ProgramAnalyzer.
-func (GuardInfer) CheckProgram(prog *Program) []Finding {
-	ls := prog.lockSets()
-	type fieldKey struct{ owner, field string }
-	groups := map[fieldKey][]*lsAccess{}
-	var keys []fieldKey
-	for _, a := range ls.accesses {
-		st := ls.structs[a.owner]
-		if st == nil || !st.latched || st.fields[a.field] != lsPlain {
-			continue
-		}
-		if !a.write || a.atomic || a.exempt {
-			continue
-		}
-		k := fieldKey{a.owner, a.field}
-		if _, ok := groups[k]; !ok {
-			keys = append(keys, k)
-		}
-		groups[k] = append(groups[k], a)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].owner != keys[j].owner {
-			return keys[i].owner < keys[j].owner
-		}
-		return keys[i].field < keys[j].field
+func checkGuardInfer(prog *Program) []Finding {
+	lf := prog.lockFacts()
+	keys, groups := lf.fieldGroups(func(a *fieldAccess) bool {
+		st := lf.structs[a.owner]
+		return st.latched && st.fields[a.field] == plainField && a.write && !a.atomic && !a.exempt
 	})
 
 	var out []Finding
@@ -73,7 +48,7 @@ func (GuardInfer) CheckProgram(prog *Program) []Finding {
 		guarded := 0
 		heldSets := make([][]string, len(writes))
 		for i, a := range writes {
-			eff := ls.effectiveHeld(a)
+			eff := lf.effectiveHeld(a)
 			heldSets[i] = eff
 			if len(eff) > 0 {
 				guarded++
@@ -92,18 +67,18 @@ func (GuardInfer) CheckProgram(prog *Program) []Finding {
 			}
 		}
 		for i, a := range writes {
-			if containsStr(heldSets[i], guard) {
+			if slices.Contains(heldSets[i], guard) {
 				continue
 			}
 			var msg string
 			if len(heldSets[i]) == 0 {
 				msg = fmt.Sprintf("%s.%s is written without its inferred guard %s (held at %d of %d writes); take the latch or justify with //lint:allow guardinfer",
-					k.owner, k.field, guard, votes[guard], len(writes))
+					k[0], k[1], guard, votes[guard], len(writes))
 			} else {
 				msg = fmt.Sprintf("%s.%s is written holding only %s, disjoint from its inferred guard %s (held at %d of %d writes); disjoint locksets order nothing — one latch must own the field",
-					k.owner, k.field, strings.Join(heldSets[i], ", "), guard, votes[guard], len(writes))
+					k[0], k[1], strings.Join(heldSets[i], ", "), guard, votes[guard], len(writes))
 			}
-			out = append(out, Finding{Rule: "guardinfer", Sev: Error, Pos: a.fset.Position(a.pos), Msg: msg})
+			out = append(out, Finding{Pos: a.pos, Msg: msg})
 		}
 	}
 	return out

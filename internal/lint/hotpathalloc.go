@@ -7,7 +7,7 @@ import (
 	"go/types"
 )
 
-// HotPathAlloc flags heap-allocating constructs inside functions annotated
+// hotPathAlloc flags heap-allocating constructs inside functions annotated
 // `//iawj:hotpath` — the probe/build inner loops of the join kernels,
 // where a per-tuple allocation turns a memory-bound kernel into a
 // GC-bound one and skews every Figure the harness reproduces.
@@ -43,62 +43,66 @@ import (
 // outside any loop. The slice check is syntactic: make of a named slice
 // type spelled through a selector (e.g. make(pkg.Alias, n)) is not
 // recognized.
-type HotPathAlloc struct{}
-
-// Name implements Analyzer.
-func (HotPathAlloc) Name() string { return "hotpathalloc" }
-
-// Doc implements Analyzer.
-func (HotPathAlloc) Doc() string {
-	return "no captured-slice append, fmt.Sprintf, map creation, per-loop closure/scratch/string/interface-boxing allocation, or per-loop function-value calls in //iawj:hotpath functions"
+var hotPathAlloc = Rule{
+	Name:     "hotpathalloc",
+	Doc:      "no captured-slice append, fmt.Sprintf, map creation, per-loop closure/scratch/string/interface-boxing allocation, or per-loop function-value calls in //iawj:hotpath functions",
+	Contract: "//iawj:hotpath bodies must not allocate per iteration: no captured-slice append, fmt.Sprintf, map literals, closure creation, string conversion, or interface boxing inside loops. The kernels' ns/tuple figures assume zero GC pressure; take scratch from the pool.",
+	Sev:      Error,
+	Check:    perPackage(checkHotPathAlloc),
 }
 
-// Severity implements Analyzer.
-func (HotPathAlloc) Severity() Severity { return Error }
-
-// HotPathMarker is the annotation that opts a function into this rule.
-const HotPathMarker = "//iawj:hotpath"
+// hotPathMarker is the annotation that opts a function into this rule,
+// tracering, and the escape and bounds-check gates.
+const hotPathMarker = "//iawj:hotpath"
 
 // fmtAllocFuncs are the fmt formatters that always allocate their result.
 var fmtAllocFuncs = map[string]bool{
 	"Sprintf": true, "Sprint": true, "Sprintln": true, "Errorf": true,
 }
 
-// Check implements Analyzer.
-func (a HotPathAlloc) Check(p *Package) []Finding {
+func checkHotPathAlloc(p *Package) []Finding {
 	var out []Finding
+	p.hotFuncs(func(imports map[string]string, fn *ast.FuncDecl) {
+		out = append(out, checkHotFunc(p, fn, imports)...)
+	})
+	return out
+}
+
+// hotFuncs visits the package's //iawj:hotpath function declarations with
+// the import map of the file declaring each.
+func (p *Package) hotFuncs(visit func(imports map[string]string, fn *ast.FuncDecl)) {
 	for _, f := range p.Files {
 		imports := importNames(f)
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !isHotPath(fn) {
-				continue
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil && isHotPath(fn) {
+				visit(imports, fn)
 			}
-			out = append(out, a.checkHotFunc(p, fn, imports)...)
 		}
 	}
-	return out
 }
 
 // isHotPath reports whether the declaration carries the hotpath marker in
 // its doc comment.
 func isHotPath(fn *ast.FuncDecl) bool {
-	return hasMarker(fn, HotPathMarker)
+	return hasMarker(fn, hotPathMarker)
 }
 
 // checkHotFunc scans one annotated function, including its nested
 // closures, which execute on the same hot path.
-func (HotPathAlloc) checkHotFunc(p *Package, fn *ast.FuncDecl, imports map[string]string) []Finding {
+func checkHotFunc(p *Package, fn *ast.FuncDecl, imports map[string]string) []Finding {
 	var out []Finding
 	flag := func(pos token.Pos, msg string) {
-		out = append(out, Finding{
-			Rule: "hotpathalloc",
-			Sev:  Error,
-			Pos:  p.Fset.Position(pos),
-			Msg:  msg,
-		})
+		out = append(out, Finding{Pos: p.Fset.Position(pos), Msg: msg})
 	}
-	inLoop := loopRanges(fn.Body)
+	loops := loopBodies(fn.Body)
+	inLoop := func(pos token.Pos) bool {
+		for _, body := range loops {
+			if pos >= body.Pos() && pos < body.End() {
+				return true
+			}
+		}
+		return false
+	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -154,33 +158,21 @@ func (HotPathAlloc) checkHotFunc(p *Package, fn *ast.FuncDecl, imports map[strin
 	return out
 }
 
-// loopRanges collects the body spans of every for/range statement under
-// root (including those inside nested closures — the whole annotated
-// function is the hot path) and returns a position predicate for them.
-func loopRanges(root ast.Node) func(token.Pos) bool {
-	type span struct{ lo, hi token.Pos }
-	var spans []span
+// loopBodies collects the body of every for/range statement under root,
+// including those inside nested closures — the whole annotated function is
+// the hot path, and a worker FuncLit's probe loop is still the hot loop.
+func loopBodies(root ast.Node) []*ast.BlockStmt {
+	var bodies []*ast.BlockStmt
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch l := n.(type) {
 		case *ast.ForStmt:
-			if l.Body != nil {
-				spans = append(spans, span{l.Body.Pos(), l.Body.End()})
-			}
+			bodies = append(bodies, l.Body)
 		case *ast.RangeStmt:
-			if l.Body != nil {
-				spans = append(spans, span{l.Body.Pos(), l.Body.End()})
-			}
+			bodies = append(bodies, l.Body)
 		}
 		return true
 	})
-	return func(pos token.Pos) bool {
-		for _, s := range spans {
-			if pos >= s.lo && pos < s.hi {
-				return true
-			}
-		}
-		return false
-	}
+	return bodies
 }
 
 // isStringExpr reports whether the expression's resolved static type has
@@ -307,35 +299,9 @@ func capturedTarget(p *Package, fn *ast.FuncDecl, target ast.Expr) bool {
 	if id == nil {
 		return false
 	}
-	obj := p.Info.Uses[id]
-	if obj == nil {
-		obj = p.Info.Defs[id]
-	}
+	obj := objOf(p, id)
 	if obj == nil {
 		return false
 	}
 	return obj.Pos() < fn.Pos() || obj.Pos() > fn.End()
-}
-
-// rootIdent unwraps selector/index/slice expressions to the base
-// identifier, e.g. s.runs[i] -> s.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

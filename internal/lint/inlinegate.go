@@ -3,18 +3,18 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// InlineGate makes inlinability a checked-in contract instead of a silent
+// inlineGate makes inlinability a checked-in contract instead of a silent
 // compiler mood. PR 8 lost the fused partition+build kernel to an inliner
 // refusal (InsertHashed, cost 119 over the 80 budget) and only noticed by
 // benchmarking; the fix moved the scatter loop, but nothing guarded the
 // helpers that must keep inlining into the hot loops (Hash, the pool/pref
-// accessors). InlineGate parses the inliner's own verdicts from the shared
+// accessors). The gate parses the inliner's own verdicts from the shared
 // -m=2 diagnostics run and fails when a function annotated //iawj:inline
 // is refused — reporting the cost and the budget delta, so a review that
 // grows a helper sees "over by 12", not a benchmark regression three PRs
@@ -23,33 +23,21 @@ import (
 // The finding anchors at the function declaration, so a line-level
 // `//lint:allow inlinegate <reason>` as the final doc-comment line is the
 // escape hatch; the path allowlist applies as usual.
-type InlineGate struct {
-	// GoTool overrides the go executable; empty means "go" from PATH.
-	GoTool string
+var inlineGate = Rule{
+	Name:     "inlinegate",
+	Doc:      "//iawj:inline functions stay within the inliner budget, proven by go build -gcflags=-m=2",
+	Contract: "Functions annotated //iawj:inline are contracts: the inliner must accept them (budget 80). The gate parses -m=2 verdicts and fails on refusal, reporting cost and the over-by delta so budget creep is visible in the diff that caused it. Fix by trimming the body or outlining the cold path behind //go:noinline; or drop the annotation if inlining no longer matters there.",
+	Sev:      Error,
+	Check: func(prog *Program) []Finding {
+		return matchInline(prog.Root, parseInlineOutput(prog.buildDiag()), inlineSpans(prog))
+	},
 }
 
-// InlineMarker annotates a function that must stay inlinable.
-const InlineMarker = "//iawj:inline"
+// inlineMarker annotates a function that must stay inlinable.
+const inlineMarker = "//iawj:inline"
 
-// inlineBudget is the gc inliner's default cost budget for non-leaf
-// callers (cmd/compile/internal/inline.inlineMaxBudget). The failure
-// diagnostic carries the authoritative budget; this constant only feeds
-// headroom reporting for functions that pass.
-const inlineBudget = 80
-
-// Name implements the rule catalogue.
-func (InlineGate) Name() string { return "inlinegate" }
-
-// Doc implements the rule catalogue.
-func (InlineGate) Doc() string {
-	return "//iawj:inline functions stay within the inliner budget, proven by go build -gcflags=-m=2"
-}
-
-// Severity implements the rule catalogue.
-func (InlineGate) Severity() Severity { return Error }
-
-// InlineDiag is one inliner verdict from the compiler.
-type InlineDiag struct {
+// inlineDiag is one inliner verdict from the compiler.
+type inlineDiag struct {
 	File      string // as printed (relative to the build directory)
 	Line      int
 	Col       int
@@ -61,94 +49,55 @@ type InlineDiag struct {
 }
 
 var (
-	canInlineRe    = regexp.MustCompile(`^(.*\.go):(\d+):(\d+): can inline (\S+)(?: with cost (\d+))?(?: as:.*)?$`)
-	cannotInlineRe = regexp.MustCompile(`^(.*\.go):(\d+):(\d+): cannot inline (\S+): (.*)$`)
+	canInlineRe    = regexp.MustCompile(`^can inline (\S+)(?: with cost (\d+))?(?: as:.*)?$`)
+	cannotInlineRe = regexp.MustCompile(`^cannot inline (\S+): (.*)$`)
 	costBudgetRe   = regexp.MustCompile(`cost (\d+) exceeds budget (\d+)`)
 )
 
-// ParseInlineOutput extracts inliner verdicts from the combined output of
-// a BuildDiag run, collapsing duplicates from multiple build units. The
-// trailing colon of "cannot inline f:" reasons like "function too complex:
-// cost 119 exceeds budget 80" is parsed into Cost/Budget.
-func ParseInlineOutput(out string) []InlineDiag {
-	var diags []InlineDiag
-	type key struct {
-		file string
-		line int
-		name string
-	}
-	seen := map[key]bool{}
-	for _, line := range strings.Split(out, "\n") {
-		var d InlineDiag
-		if m := canInlineRe.FindStringSubmatch(line); m != nil {
-			d = InlineDiag{File: m[1], Name: m[4], CanInline: true}
-			d.Line, _ = strconv.Atoi(m[2])
-			d.Col, _ = strconv.Atoi(m[3])
-			if m[5] != "" {
-				d.Cost, _ = strconv.Atoi(m[5])
-			}
-		} else if m := cannotInlineRe.FindStringSubmatch(line); m != nil {
-			d = InlineDiag{File: m[1], Name: m[4], Reason: m[5]}
-			d.Line, _ = strconv.Atoi(m[2])
-			d.Col, _ = strconv.Atoi(m[3])
-			if cb := costBudgetRe.FindStringSubmatch(m[5]); cb != nil {
+// parseInlineOutput extracts inliner verdicts from the combined output of
+// the diagnostics build. The trailing colon of "cannot inline f:" reasons
+// like "function too complex: cost 119 exceeds budget 80" is parsed into
+// Cost/Budget.
+func parseInlineOutput(out string) []inlineDiag {
+	var diags []inlineDiag
+	for _, l := range diagLines(out, func(msg string) (string, bool) {
+		return msg, strings.HasPrefix(msg, "can inline ") || strings.HasPrefix(msg, "cannot inline ")
+	}) {
+		d := inlineDiag{File: l.File, Line: l.Line, Col: l.Col}
+		if m := canInlineRe.FindStringSubmatch(l.Msg); m != nil {
+			d.Name, d.CanInline = m[1], true
+			d.Cost, _ = strconv.Atoi(m[2])
+		} else if m := cannotInlineRe.FindStringSubmatch(l.Msg); m != nil {
+			d.Name, d.Reason = m[1], m[2]
+			if cb := costBudgetRe.FindStringSubmatch(m[2]); cb != nil {
 				d.Cost, _ = strconv.Atoi(cb[1])
 				d.Budget, _ = strconv.Atoi(cb[2])
 			}
 		} else {
 			continue
 		}
-		k := key{d.File, d.Line, d.Name}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
 		diags = append(diags, d)
 	}
 	return diags
 }
 
-// InlineSpan is one //iawj:inline-annotated function declaration.
-type InlineSpan struct {
+// inlineSpan is one //iawj:inline-annotated function declaration.
+type inlineSpan struct {
 	Name string // receiver-qualified, e.g. Table.InsertHashed
 	File string // absolute path
 	Line int    // declaration line (where the inliner anchors its verdict)
 }
 
-// InlineSpans collects every annotated function declaration in the program.
-func InlineSpans(prog *Program) []InlineSpan {
-	var spans []InlineSpan
-	for _, p := range prog.Packages {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil || !hasMarker(fn, InlineMarker) {
-					continue
-				}
-				name := fn.Name.Name
-				if r := recvTypeName(fn); r != "" {
-					name = r + "." + name
-				}
-				pos := p.Fset.Position(fn.Pos())
-				spans = append(spans, InlineSpan{Name: name, File: pos.Filename, Line: pos.Line})
-			}
+// inlineSpans collects every annotated function declaration in the program.
+func inlineSpans(prog *Program) []inlineSpan {
+	var spans []inlineSpan
+	prog.funcDecls(func(p *Package, _ map[string]string, fn *ast.FuncDecl) {
+		if hasMarker(fn, inlineMarker) {
+			pos := p.Fset.Position(fn.Pos())
+			spans = append(spans, inlineSpan{Name: qualifiedName(fn), File: pos.Filename, Line: pos.Line})
 		}
-	}
+	})
 	return spans
-}
-
-// hasMarker reports whether the function's doc comment carries the marker
-// line.
-func hasMarker(fn *ast.FuncDecl, marker string) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if strings.TrimSpace(c.Text) == marker {
-			return true
-		}
-	}
-	return false
 }
 
 // normalizeInlineName strips the compiler's pointer-receiver syntax:
@@ -158,16 +107,16 @@ func normalizeInlineName(name string) string {
 	return strings.ReplaceAll(name, ")", "")
 }
 
-// MatchInline checks every annotated span against the inliner verdicts:
+// matchInline checks every annotated span against the inliner verdicts:
 // a refusal, or a missing verdict, is a finding. Verdicts are matched by
 // file and declaration line, with the normalized name as a tie-break when
 // one line somehow carries several verdicts.
-func MatchInline(root string, diags []InlineDiag, spans []InlineSpan) []Finding {
+func matchInline(root string, diags []inlineDiag, spans []inlineSpan) []Finding {
 	type key struct {
 		file string
 		line int
 	}
-	byPos := map[key][]InlineDiag{}
+	byPos := map[key][]inlineDiag{}
 	for _, d := range diags {
 		k := key{absAgainst(root, d.File), d.Line}
 		byPos[k] = append(byPos[k], d)
@@ -175,7 +124,10 @@ func MatchInline(root string, diags []InlineDiag, spans []InlineSpan) []Finding 
 	var out []Finding
 	for _, s := range spans {
 		candidates := byPos[key{s.File, s.Line}]
-		var verdict *InlineDiag
+		flag := func(format string, args ...any) {
+			out = append(out, Finding{Pos: token.Position{Filename: s.File, Line: s.Line, Column: 1}, Msg: fmt.Sprintf(format, args...)})
+		}
+		var verdict *inlineDiag
 		for i := range candidates {
 			if len(candidates) == 1 || normalizeInlineName(candidates[i].Name) == s.Name {
 				verdict = &candidates[i]
@@ -184,87 +136,13 @@ func MatchInline(root string, diags []InlineDiag, spans []InlineSpan) []Finding 
 		}
 		switch {
 		case verdict == nil:
-			out = append(out, Finding{
-				Rule: "inlinegate",
-				Sev:  Error,
-				Pos:  positionAt(s.File, s.Line, 1),
-				Msg:  fmt.Sprintf("%s is //iawj:inline but the build diagnostics carry no inliner verdict for it; the contract cannot be verified (is the package built by ./...?)", s.Name),
-			})
+			flag("%s is //iawj:inline but the build diagnostics carry no inliner verdict for it; the contract cannot be verified (is the package built by ./...?)", s.Name)
 		case !verdict.CanInline && verdict.Budget > 0:
-			out = append(out, Finding{
-				Rule: "inlinegate",
-				Sev:  Error,
-				Pos:  positionAt(s.File, s.Line, 1),
-				Msg: fmt.Sprintf("%s is //iawj:inline but the inliner refuses it: cost %d exceeds budget %d (over by %d); trim the body, outline the cold path with //go:noinline, or drop the contract",
-					s.Name, verdict.Cost, verdict.Budget, verdict.Cost-verdict.Budget),
-			})
+			flag("%s is //iawj:inline but the inliner refuses it: cost %d exceeds budget %d (over by %d); trim the body, outline the cold path with //go:noinline, or drop the contract",
+				s.Name, verdict.Cost, verdict.Budget, verdict.Cost-verdict.Budget)
 		case !verdict.CanInline:
-			out = append(out, Finding{
-				Rule: "inlinegate",
-				Sev:  Error,
-				Pos:  positionAt(s.File, s.Line, 1),
-				Msg:  fmt.Sprintf("%s is //iawj:inline but the inliner refuses it: %s", s.Name, verdict.Reason),
-			})
+			flag("%s is //iawj:inline but the inliner refuses it: %s", s.Name, verdict.Reason)
 		}
 	}
 	return out
-}
-
-// InlineCost is one annotated function's verdict for -inline-report.
-type InlineCost struct {
-	Name     string
-	File     string
-	Line     int
-	Cost     int
-	Budget   int // authoritative on refusals, inlineBudget otherwise
-	Inlined  bool
-	Headroom int // Budget - Cost; negative when over
-}
-
-// InlineCosts reports the cost of every annotated function, inlined or
-// not, sorted by name — the review-time view of budget creep.
-func InlineCosts(root string, diags []InlineDiag, spans []InlineSpan) []InlineCost {
-	type key struct {
-		file string
-		line int
-	}
-	byPos := map[key][]InlineDiag{}
-	for _, d := range diags {
-		byPos[key{absAgainst(root, d.File), d.Line}] = append(byPos[key{absAgainst(root, d.File), d.Line}], d)
-	}
-	var out []InlineCost
-	for _, s := range spans {
-		c := InlineCost{Name: s.Name, File: s.File, Line: s.Line, Budget: inlineBudget}
-		for _, d := range byPos[key{s.File, s.Line}] {
-			if len(byPos[key{s.File, s.Line}]) > 1 && normalizeInlineName(d.Name) != s.Name {
-				continue
-			}
-			c.Cost = d.Cost
-			c.Inlined = d.CanInline
-			if d.Budget > 0 {
-				c.Budget = d.Budget
-			}
-			break
-		}
-		c.Headroom = c.Budget - c.Cost
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Check runs the full gate over the module at root.
-func (g InlineGate) Check(root string, prog *Program, pathAllow map[string][]string) ([]Finding, error) {
-	return g.CheckDiag(NewBuildDiag(root, g.GoTool), prog, pathAllow)
-}
-
-// CheckDiag is Check against a shared diagnostics run, so the driver pays
-// for one `go build` across escapegate, bcegate, and inlinegate.
-func (g InlineGate) CheckDiag(diag *BuildDiag, prog *Program, pathAllow map[string][]string) ([]Finding, error) {
-	out, err := diag.Output()
-	if err != nil {
-		return nil, fmt.Errorf("inlinegate: %w", err)
-	}
-	findings := MatchInline(diag.Root, ParseInlineOutput(out), InlineSpans(prog))
-	return filterGateFindings(prog, findings, pathAllow), nil
 }

@@ -4,29 +4,40 @@
 // goroutine join discipline, allocation-free hot paths, and the panic
 // policy for library code.
 //
-// The engine is stdlib-only (go/ast, go/parser, go/types). Analyzers are
-// syntactic-first with best-effort type information: each package is
-// type-checked in isolation against stub imports, which resolves all
-// locally declared objects — enough for scope questions like "is this
-// append target captured?" — without needing export data for dependencies.
+// The engine is stdlib-only (go/ast, go/parser, go/types). Every rule is
+// one row of the Rules table: a name, a one-line doc, the contract
+// paragraph `iawjlint -explain` prints, a severity, and a check over the
+// whole Program. Rules are syntactic-first with best-effort type
+// information: each package is type-checked in isolation against stub
+// imports, which resolves all locally declared objects — enough for scope
+// questions like "is this append target captured?" — without needing
+// export data for dependencies. What several rules need is built once and
+// owned by the Program: the held-lock walk (lockwalk.go), the
+// //iawj:hotpath spans, and the compiler-diagnostics build the three
+// gates parse.
 //
 // Two escape hatches exist for sanctioned violations:
 //
 //   - a `//lint:allow <rule> <reason>` comment on the offending line or
-//     the line directly above it, and
-//   - a per-rule path allowlist (DefaultPathAllow) for whole packages
-//     whose job is the violation, e.g. internal/clock wrapping time.Now.
+//     the line directly above it (the reason is mandatory: a reasonless
+//     allow suppresses nothing and is reported by the `allow` rule), and
+//   - a per-rule path allowlist (pathAllow) for whole packages whose job
+//     is the violation, e.g. internal/clock wrapping time.Now.
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -48,7 +59,8 @@ func (s Severity) String() string {
 	return "warn"
 }
 
-// Finding is one diagnostic with a stable position.
+// Finding is one diagnostic with a stable position. A rule's check fills
+// Pos and Msg; Run stamps Rule and Sev from the table row.
 type Finding struct {
 	Rule string
 	Sev  Severity
@@ -56,142 +68,147 @@ type Finding struct {
 	Msg  string
 }
 
-// Analyzer is one repo-specific rule.
-type Analyzer interface {
-	// Name is the rule identifier used by //lint:allow and -rules.
-	Name() string
-	// Doc is a one-line description for the driver's -help output.
-	Doc() string
-	// Severity is the default rank of this rule's findings.
-	Severity() Severity
-	// Check reports the rule's findings for one package.
-	Check(p *Package) []Finding
-}
-
-// ProgramAnalyzer is a rule that needs the whole program at once —
-// callgraphs, cross-package type layouts — rather than one package at a
-// time.
-type ProgramAnalyzer interface {
-	// Name is the rule identifier used by //lint:allow and -rules.
-	Name() string
-	// Doc is a one-line description for the driver's -help output.
-	Doc() string
-	// Severity is the default rank of this rule's findings.
-	Severity() Severity
-	// CheckProgram reports the rule's findings over every package.
-	CheckProgram(prog *Program) []Finding
-}
-
-// All returns every per-package analyzer in reporting order.
-func All() []Analyzer {
-	return []Analyzer{
-		Determinism{},
-		LockDiscipline{},
-		GoroutineLeak{},
-		HotPathAlloc{},
-		PanicPolicy{},
-		TraceRing{},
-	}
-}
-
-// AllProgram returns every whole-program analyzer in reporting order.
-func AllProgram() []ProgramAnalyzer {
-	return []ProgramAnalyzer{
-		LockOrder{},
-		NewFalseShare(),
-		GuardInfer{},
-		AtomicMix{},
-		GoEscape{},
-		MapOrder{},
-	}
-}
-
-// RuleInfo is one catalogue entry for -list and error messages.
-type RuleInfo struct {
+// Rule is one row of the rule table.
+type Rule struct {
+	// Name is the identifier used by //lint:allow and -rules.
 	Name string
-	Doc  string
+	// Doc is the one-line description -list prints.
+	Doc string
+	// Contract is the paragraph -explain prints: what the rule proves, why
+	// the repro depends on it, and which escape hatches are sanctioned —
+	// what a reviewer reads before writing a //lint:allow.
+	Contract string
+	// Sev ranks every finding of the rule.
+	Sev Severity
+	// Check reports the rule's findings over every loaded package.
+	Check func(*Program) []Finding
 }
 
-// Catalogue lists every rule the driver can run: per-package analyzers,
-// whole-program analyzers, and the driver-stage build gates (escapegate,
-// bcegate, inlinegate — all fed by one shared -gcflags diagnostics run).
-func Catalogue() []RuleInfo {
-	var out []RuleInfo
-	for _, a := range All() {
-		out = append(out, RuleInfo{a.Name(), a.Doc()})
+// Rules is the table, in -list order: the per-package AST rules, the
+// whole-program rules, the three compiler-diagnostics gates, and the
+// check on the escape hatch itself.
+var Rules = []Rule{
+	determinism, lockDiscipline, goroutineLeak, hotPathAlloc, panicPolicy, traceRing,
+	lockOrder, falseShare, guardInfer, atomicMix, goEscape, mapOrder,
+	escapeGate, bceGate, inlineGate,
+	allowReason,
+}
+
+// Run applies the rules to the program and returns the findings that no
+// escape hatch covers, sorted by position. The error is a failed
+// diagnostics build: the gates cannot report on a tree that does not
+// compile.
+func Run(prog *Program, rules []Rule) ([]Finding, error) {
+	var out []Finding
+	for _, r := range rules {
+		out = append(out, prog.keep(r, r.Check(prog))...)
 	}
-	for _, a := range AllProgram() {
-		out = append(out, RuleInfo{a.Name(), a.Doc()})
+	sortFindings(out)
+	return out, prog.diagErr
+}
+
+// keep stamps a rule's findings with its name and severity and drops
+// those its path allowlist or an allow comment covers. A finding is
+// attributed to the loaded package whose directory holds its file.
+func (prog *Program) keep(r Rule, found []Finding) []Finding {
+	var out []Finding
+	for _, f := range found {
+		f.Rule, f.Sev = r.Name, r.Sev
+		if p := prog.byDir[filepath.Dir(f.Pos.Filename)]; p != nil {
+			if pathAllowed(r.Name, p.Rel) || p.allowed(r.Name, f.Pos) {
+				continue
+			}
+		}
+		out = append(out, f)
 	}
-	eg, bg, ig := EscapeGate{}, BCEGate{}, InlineGate{}
-	out = append(out,
-		RuleInfo{eg.Name(), eg.Doc()},
-		RuleInfo{bg.Name(), bg.Doc()},
-		RuleInfo{ig.Name(), ig.Doc()},
-	)
 	return out
 }
 
-// RuleNames returns the catalogue names, for "unknown rule" errors.
-func RuleNames() []string {
-	var names []string
-	for _, r := range Catalogue() {
-		names = append(names, r.Name)
-	}
-	return names
-}
-
-// Contracts holds the long-form contract text behind each rule, printed by
-// `iawjlint -explain <rule>`: what the rule proves, why the repro depends
-// on it, and which escape hatches are sanctioned. The one-line Doc is the
-// catalogue summary; this is the paragraph a reviewer reads before writing
-// a //lint:allow.
-var Contracts = map[string]string{
-	"determinism":    "Replays and golden files require run-to-run byte stability. Wall-clock reads (time.Now) and unseeded randomness are banned outside internal/clock and the metrics harness; derive time from the run ledger and randomness from the seeded workload spec.",
-	"lockdiscipline": "Every mutex acquire must have a statically-paired release on all paths: defer immediately after Lock, or an unlock on every return. A leaked lock in a partition worker deadlocks the barrier, which presents as a hang, not a failure.",
-	"goroutineleak":  "Worker goroutines must be joined: every `go` statement needs a matching WaitGroup.Add/Done or a bounded channel join. Leaked workers skew the next measurement window's CPU accounting.",
-	"hotpathalloc":   "//iawj:hotpath bodies must not allocate per iteration: no captured-slice append, fmt.Sprintf, map literals, closure creation, string conversion, or interface boxing inside loops. The kernels' ns/tuple figures assume zero GC pressure; take scratch from the pool.",
-	"panicpolicy":    "Kernels and workers never panic on data; panics are reserved for programmer errors caught at construction time. A panic in a worker tears down the process mid-measurement and poisons the ledger.",
-	"tracering":      "Trace emission in hot code goes through the fixed-size ring, never through a growing slice or unbuffered channel; the ring's overwrite semantics are the sanctioned loss model.",
-	"lockorder":      "Locks must be acquired in one global order (the order of first acquisition in the program). A cycle between partition locks and the ledger lock is a deadlock that only fires under the open-loop harness's contention.",
-	"falseshare":     "Per-thread counters and heads must be padded to a cache line; adjacent hot fields from different threads in one line serialize the memory system and flatten the scalability curves the paper is about.",
-	"guardinfer":     "Fields consistently accessed under one mutex are inferred to be guarded by it; an access outside that mutex is a data race the race detector only finds if the schedule cooperates. Declare intentional unguarded access with //lint:allow guardinfer.",
-	"atomicmix":      "A word accessed atomically anywhere must be accessed atomically everywhere; mixing atomic.Load with plain reads is undefined under the Go memory model even when it happens to work on amd64.",
-	"goescape":       "Closures passed to `go` must not capture loop variables by reference or retain per-iteration scratch; the escape is both a correctness hazard and a hidden allocation.",
-	"maporder":       "Go randomizes map iteration order per run. Any value whose ORDER derives from ranging over a map (keys collected in the range body, appends inside it, maps.Keys iterators) must pass a sort barrier (sort.*, slices.Sort*, or a local *sort* helper) before reaching an emission sink: fmt output, Write*/Encode stream methods, digest updates, or a slice returned from an exported function. Order-independent sinks (a commutative digest) are sanctioned violations — justify with //lint:allow maporder and say WHY order cannot matter.",
-	"escapegate":     "The compiler's own escape analysis (-m=2) proves no //iawj:hotpath loop body heap-allocates. Per-run setup allocations in straight-line code pass; per-iteration allocations fail. Fix by hoisting or pooling; function-scope //lint:allow escapegate in the doc comment sanctions a span whose allocations are by design.",
-	"bcegate":        "The compiler's BCE debug pass (-d=ssa/check_bce/debug=1) proves no //iawj:hotpath loop body retains a bounds check. Recipes, in order of preference: slice-to-length staging (blk := xs[lo:lo+n]; hs := heads[:len(blk)]; index both by j := range blk), the `_ = s[n-1]` hoist before the loop, and uint comparison against a constant capacity (if uint32(i) >= cap). Data-dependent bounds the prover cannot see (chain walks bounded by a stored count) take a function-scope //lint:allow bcegate with the invariant written out.",
-	"inlinegate":     "Functions annotated //iawj:inline are contracts: the inliner must accept them (budget 80). The gate parses -m=2 verdicts and fails on refusal, reporting cost and the over-by delta so budget creep is visible in the diff that caused it. Fix by trimming the body or outlining the cold path behind //go:noinline; or drop the annotation if inlining no longer matters there.",
-}
-
-// Explain returns the -explain text for a rule: its one-line Doc plus the
-// long-form contract. ok is false for names outside the catalogue.
-func Explain(name string) (string, bool) {
-	var doc string
-	found := false
-	for _, r := range Catalogue() {
-		if r.Name == name {
-			doc, found = r.Doc, true
-			break
-		}
-	}
-	if !found {
-		return "", false
-	}
-	text := name + ": " + doc
-	if c, ok := Contracts[name]; ok {
-		text += "\n\n" + c
-	}
-	return text, true
-}
-
-// DefaultPathAllow maps rule name to slash-separated path prefixes
-// (relative to the module root) where the rule does not apply: sanctioned
-// call sites whose whole purpose is the flagged construct.
-var DefaultPathAllow = map[string][]string{
+// pathAllow maps rule name to slash-separated path prefixes (relative to
+// the module root) where the rule does not apply: sanctioned call sites
+// whose whole purpose is the flagged construct.
+var pathAllow = map[string][]string{
 	// internal/clock is the one sanctioned wall-clock wrapper; the
 	// metrics harness measures real elapsed time by design.
 	"determinism": {"internal/clock", "internal/metrics"},
+}
+
+// pathAllowed reports whether the rule is allowlisted for the package's
+// module-relative path.
+func pathAllowed(rule, rel string) bool {
+	for _, prefix := range pathAllow[rule] {
+		if rel == prefix || strings.HasPrefix(rel, prefix+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// allowRe matches the escape-hatch comment: //lint:allow <rule> <reason>.
+var allowRe = regexp.MustCompile(`^//lint:allow\s+([a-z]+)(?:\s+(.*))?$`)
+
+// parseAllow matches one comment against the escape hatch, returning the
+// rule it names and whether it states a reason.
+func parseAllow(c *ast.Comment) (rule string, reasoned, ok bool) {
+	m := allowRe.FindStringSubmatch(c.Text)
+	if m == nil {
+		return "", false, false
+	}
+	return m[1], strings.TrimSpace(m[2]) != "", true
+}
+
+// allowComments visits every escape-hatch comment of the package.
+func (p *Package) allowComments(visit func(c *ast.Comment, rule string, reasoned bool)) {
+	for _, f := range p.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if rule, reasoned, ok := parseAllow(c); ok {
+					visit(c, rule, reasoned)
+				}
+			}
+		}
+	}
+}
+
+// allowed reports whether a reasoned allow comment for the rule sits on
+// the finding's line or the line directly above it.
+func (p *Package) allowed(rule string, pos token.Position) bool {
+	if p.allows == nil {
+		p.allows = map[string]map[int][]string{}
+		p.allowComments(func(c *ast.Comment, r string, reasoned bool) {
+			if !reasoned {
+				return
+			}
+			at := p.Fset.Position(c.Pos())
+			if p.allows[at.Filename] == nil {
+				p.allows[at.Filename] = map[int][]string{}
+			}
+			p.allows[at.Filename][at.Line] = append(p.allows[at.Filename][at.Line], r)
+		})
+	}
+	byLine := p.allows[pos.Filename]
+	return slices.Contains(byLine[pos.Line], rule) || slices.Contains(byLine[pos.Line-1], rule)
+}
+
+// allowReason is the rule on the escape hatch itself: LINTING.md says
+// "always state the reason", and an allow that does not is worth nothing
+// to the reviewer who meets it later.
+var allowReason = Rule{
+	Name:     "allow",
+	Doc:      "every //lint:allow states its reason; a reasonless allow suppresses nothing",
+	Contract: "An allow comment is a reviewed exception, and the review is the reason written next to it: `//lint:allow <rule> <reason>`. A comment that names a rule but gives no reason does not suppress the finding it sits on and is itself reported, so a sanctioned violation can never enter the tree without saying why it is sanctioned.",
+	Sev:      Error,
+	Check: func(prog *Program) []Finding {
+		var out []Finding
+		for _, p := range prog.Packages {
+			p.allowComments(func(c *ast.Comment, rule string, reasoned bool) {
+				if !reasoned {
+					out = append(out, p.finding(c.Pos(), "//lint:allow %s states no reason and suppresses nothing; write //lint:allow %s <why this finding is sanctioned>", rule, rule))
+				}
+			})
+		}
+		return out
+	},
 }
 
 // Package is one parsed directory of non-test Go files plus best-effort
@@ -209,6 +226,16 @@ type Package struct {
 	// Info carries Defs/Uses from the permissive type-check; lookups
 	// may miss for identifiers that depend on unresolved imports.
 	Info *types.Info
+	// Types is the permissively checked package; its scope resolves
+	// package-level names for other packages' rules.
+	Types *types.Package
+
+	allows map[string]map[int][]string // file -> line -> rules with a reasoned allow
+}
+
+// finding positions one diagnostic in the package's file set.
+func (p *Package) finding(pos token.Pos, format string, args ...any) Finding {
+	return Finding{Pos: p.Fset.Position(pos), Msg: fmt.Sprintf(format, args...)}
 }
 
 // stubImporter satisfies go/types with empty placeholder packages so a
@@ -279,53 +306,56 @@ func Load(dir, root string, includeTests bool) (*Package, error) {
 	}
 	// The check is best-effort: local declarations resolve even when
 	// imported names cannot, so its error is expected and discarded.
-	conf.Check(p.Rel, fset, files, p.Info)
+	p.Types, _ = conf.Check(p.Rel, fset, files, p.Info)
 	return p, nil
 }
 
-// Program is the whole-program view: every loaded package, indexed by its
-// module-relative path. Whole-program analyzers (lockorder, falseshare)
-// resolve cross-package references through it.
+// Program is the whole-program view every rule checks: the loaded
+// packages, indexed by module-relative path and by directory, plus the
+// three things more than one rule needs, each built on first use and at
+// most once.
 type Program struct {
+	// Root is the module root; the gates' diagnostics build runs there.
+	Root string
 	// Packages holds the loaded packages in Rel order.
 	Packages []*Package
 
 	byRel map[string]*Package
-	// locksets caches the shared access-summary layer (locksets.go) so
-	// guardinfer, atomicmix, and goescape walk the program once.
-	locksets *lockSets
+	byDir map[string]*Package
+
+	// locks is the held-lock walk (lockwalk.go) under lockorder,
+	// lockdiscipline, guardinfer, atomicmix and goescape.
+	locks *lockFacts
+	// spans are the //iawj:hotpath function extents escapegate and
+	// bcegate anchor compiler diagnostics to.
+	spans []hotSpan
+	// diagOut is the output of the one -gcflags diagnostics build the
+	// three gates parse; diagErr is its failure, which Run returns.
+	diagOut  string
+	diagErr  error
+	diagRuns int
 }
 
 // NewProgram assembles a Program from loaded packages (nils are skipped).
-func NewProgram(pkgs []*Package) *Program {
-	prog := &Program{byRel: map[string]*Package{}}
+func NewProgram(root string, pkgs []*Package) *Program {
+	prog := &Program{Root: root, byRel: map[string]*Package{}, byDir: map[string]*Package{}}
 	for _, p := range pkgs {
 		if p == nil {
 			continue
 		}
 		prog.Packages = append(prog.Packages, p)
 		prog.byRel[p.Rel] = p
+		prog.byDir[p.Dir] = p
 	}
 	sort.Slice(prog.Packages, func(i, j int) bool { return prog.Packages[i].Rel < prog.Packages[j].Rel })
 	return prog
 }
 
-// ByRel returns the package with the given module-relative path, or nil.
-func (prog *Program) ByRel(rel string) *Package {
-	if prog == nil {
-		return nil
-	}
-	return prog.byRel[rel]
-}
-
-// ByImportPath resolves an import path to a loaded package by matching the
+// byImportPath resolves an import path to a loaded package by matching the
 // path's module-relative suffix (the module name prefix is unknown to the
 // loader, so "repro/internal/tuple" matches the package at Rel
 // "internal/tuple"). Stdlib and unloaded paths return nil.
-func (prog *Program) ByImportPath(path string) *Package {
-	if prog == nil {
-		return nil
-	}
+func (prog *Program) byImportPath(path string) *Package {
 	for {
 		if p, ok := prog.byRel[path]; ok {
 			return p
@@ -338,23 +368,69 @@ func (prog *Program) ByImportPath(path string) *Package {
 	}
 }
 
-// LoadProgram loads every package directory under root into a Program.
-func LoadProgram(root string, includeTests bool) (*Program, error) {
-	dirs, err := Walk(root)
-	if err != nil {
-		return nil, err
+// funcDecls visits every function declaration that has a body, in
+// package, file and source order, with the import map of its file.
+func (prog *Program) funcDecls(visit func(p *Package, imports map[string]string, fn *ast.FuncDecl)) {
+	for _, p := range prog.Packages {
+		for _, f := range p.Files {
+			imports := importNames(f)
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+					visit(p, imports, fn)
+				}
+			}
+		}
 	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		p, err := Load(dir, root, includeTests)
+}
+
+// structDecls visits every named struct type declaration with the import
+// map of the file declaring it.
+func (prog *Program) structDecls(visit func(p *Package, imports map[string]string, ts *ast.TypeSpec, st *ast.StructType)) {
+	for _, p := range prog.Packages {
+		for _, f := range p.Files {
+			imports := importNames(f)
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							visit(p, imports, ts, st)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// buildDiagFlags is the one gcflags string behind all three gates: -m=2
+// feeds escapegate (heap-allocation diagnostics) and inlinegate (inliner
+// verdicts with costs), -d=ssa/check_bce/debug=1 feeds bcegate (residual
+// bounds checks). One compiler invocation means `make check` pays the
+// diagnostics build once, and repeat runs replay it from the build cache.
+const buildDiagFlags = "-m=2 -d=ssa/check_bce/debug=1"
+
+// buildDiag runs `go build -gcflags="-m=2 -d=ssa/check_bce/debug=1" ./...`
+// in the module root on first call and returns the combined compiler
+// output; later calls return the same text. It runs in Root, not in the
+// process working directory, so the gates do not depend on where the
+// driver was started. A failed build yields no output and sets diagErr.
+func (prog *Program) buildDiag() string {
+	if prog.diagRuns == 0 {
+		prog.diagRuns++
+		cmd := exec.Command("go", "build", "-gcflags="+buildDiagFlags, "./...")
+		cmd.Dir = prog.Root
+		out, err := cmd.CombinedOutput()
 		if err != nil {
-			return nil, err
-		}
-		if p != nil {
-			pkgs = append(pkgs, p)
+			prog.diagErr = fmt.Errorf("lint: go build -gcflags=%q failed: %v\n%s", buildDiagFlags, err, out)
+		} else {
+			prog.diagOut = string(out)
 		}
 	}
-	return NewProgram(pkgs), nil
+	return prog.diagOut
 }
 
 // Walk returns every package directory under root, skipping testdata,
@@ -387,166 +463,38 @@ func Walk(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// allowRe matches the escape-hatch comment: //lint:allow <rule> <reason>.
-var allowRe = regexp.MustCompile(`^//lint:allow\s+([a-z]+)(?:\s+(.*))?$`)
-
-// allows collects, per file line, the set of rules allowed by escape-hatch
-// comments in the package. An allow comment suppresses findings on its own
-// line and on the line directly below it.
-func (p *Package) allows() map[string]map[int][]string {
-	out := map[string]map[int][]string{}
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				byLine := out[pos.Filename]
-				if byLine == nil {
-					byLine = map[int][]string{}
-					out[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = append(byLine[pos.Line], m[1])
-			}
-		}
-	}
-	return out
-}
-
-// allowed reports whether rule is suppressed at the finding position.
-func allowed(allows map[string]map[int][]string, rule string, pos token.Position) bool {
-	byLine := allows[pos.Filename]
-	if byLine == nil {
-		return false
-	}
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		for _, r := range byLine[line] {
-			if r == rule {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// pathAllowed reports whether the rule is allowlisted for the package's
-// module-relative path.
-func pathAllowed(pathAllow map[string][]string, rule, rel string) bool {
-	for _, prefix := range pathAllow[rule] {
-		if rel == prefix || strings.HasPrefix(rel, prefix+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// Runner applies a set of analyzers with the escape-hatch filters.
-type Runner struct {
-	Analyzers []Analyzer
-	// ProgramAnalyzers feeds CheckProgram; nil selects AllProgram.
-	ProgramAnalyzers []ProgramAnalyzer
-	// PathAllow overrides DefaultPathAllow when non-nil.
-	PathAllow map[string][]string
-}
-
-// Check runs every analyzer over the package and returns the surviving
-// findings sorted by position.
-func (r *Runner) Check(p *Package) []Finding {
-	if p == nil {
-		return nil
-	}
-	analyzers := r.Analyzers
-	if analyzers == nil {
-		analyzers = All()
-	}
-	pathAllow := r.PathAllow
-	if pathAllow == nil {
-		pathAllow = DefaultPathAllow
-	}
-	allows := p.allows()
-	var out []Finding
-	for _, a := range analyzers {
-		if pathAllowed(pathAllow, a.Name(), p.Rel) {
-			continue
-		}
-		for _, f := range a.Check(p) {
-			if allowed(allows, f.Rule, f.Pos) {
-				continue
-			}
-			out = append(out, f)
-		}
-	}
-	SortFindings(out)
-	return out
-}
-
-// CheckProgram runs every whole-program analyzer over the program and
-// returns the surviving findings sorted by position. The per-package
-// escape hatches apply: a finding positioned in package P is dropped when
-// P's path allowlist covers the rule or an allow comment covers the line.
-func (r *Runner) CheckProgram(prog *Program) []Finding {
-	if prog == nil || len(prog.Packages) == 0 {
-		return nil
-	}
-	analyzers := r.ProgramAnalyzers
-	if analyzers == nil {
-		analyzers = AllProgram()
-	}
-	pathAllow := r.PathAllow
-	if pathAllow == nil {
-		pathAllow = DefaultPathAllow
-	}
-	// Index every package's allow comments and directory so each finding
-	// can be attributed to the package that contains it.
-	type pkgFilter struct {
-		rel    string
-		allows map[string]map[int][]string
-	}
-	byDir := map[string]pkgFilter{}
-	for _, p := range prog.Packages {
-		byDir[p.Dir] = pkgFilter{rel: p.Rel, allows: p.allows()}
-	}
-	var out []Finding
-	for _, a := range analyzers {
-		for _, f := range a.CheckProgram(prog) {
-			pf, ok := byDir[filepath.Dir(f.Pos.Filename)]
-			if ok {
-				if pathAllowed(pathAllow, f.Rule, pf.rel) || allowed(pf.allows, f.Rule, f.Pos) {
-					continue
-				}
-			}
-			out = append(out, f)
-		}
-	}
-	SortFindings(out)
-	return out
-}
-
-// SortFindings stable-sorts findings by (file, line, column, rule,
-// message) — the one report order shared by the engine and every driver
-// emission path (text, JSON, SARIF, baselines), so goldens and baselines
-// never churn on map-iteration order. The message tie-break matters when
-// one rule reports twice at one position (e.g. two lock-order cycles
-// anchored at the same edge).
-func SortFindings(out []Finding) {
+// sortFindings stable-sorts findings by (file, line, column, rule,
+// message) — the one report order, so the golden never churns on
+// map-iteration order. The message tie-break matters when one rule
+// reports twice at one position (e.g. two lock-order cycles anchored at
+// the same edge).
+func sortFindings(out []Finding) {
 	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
+		if c := comparePos(out[i].Pos, out[j].Pos); c != 0 {
+			return c < 0
 		}
 		if out[i].Rule != out[j].Rule {
 			return out[i].Rule < out[j].Rule
 		}
 		return out[i].Msg < out[j].Msg
 	})
+}
+
+// comparePos orders positions by file, line, then column.
+func comparePos(a, b token.Position) int {
+	return cmp.Or(strings.Compare(a.Filename, b.Filename), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Column, b.Column))
+}
+
+// perPackage lifts a check that needs one package at a time into a table
+// row's Check.
+func perPackage(check func(*Package) []Finding) func(*Program) []Finding {
+	return func(prog *Program) []Finding {
+		var out []Finding
+		for _, p := range prog.Packages {
+			out = append(out, check(p)...)
+		}
+		return out
+	}
 }
 
 // importNames maps each file-local import name to its import path,
@@ -591,4 +539,87 @@ func pkgCall(call *ast.CallExpr, imports map[string]string, wantPath ...string) 
 		}
 	}
 	return "", false
+}
+
+// exprString renders an expression for textual matching.
+func exprString(e ast.Expr) string {
+	var buf strings.Builder
+	printer.Fprint(&buf, token.NewFileSet(), e)
+	return buf.String()
+}
+
+// hasMarker reports whether the function's doc comment carries the marker
+// line.
+func hasMarker(fn *ast.FuncDecl, marker string) bool {
+	if fn.Doc == nil {
+		return false
+	}
+	for _, c := range fn.Doc.List {
+		if strings.TrimSpace(c.Text) == marker {
+			return true
+		}
+	}
+	return false
+}
+
+// recvTypeName extracts a method's receiver type name, "" for functions.
+func recvTypeName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return ""
+	}
+	t := fn.Recv.List[0].Type
+	for {
+		switch x := t.(type) {
+		case *ast.StarExpr:
+			t = x.X
+		case *ast.ParenExpr:
+			t = x.X
+		case *ast.IndexExpr: // generic receiver
+			t = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// qualifiedName renders a declaration as Recv.Name or Name, the form the
+// gates print.
+func qualifiedName(fn *ast.FuncDecl) string {
+	if r := recvTypeName(fn); r != "" {
+		return r + "." + fn.Name.Name
+	}
+	return fn.Name.Name
+}
+
+// rootIdent unwraps selector/index/slice expressions to the base
+// identifier, e.g. s.runs[i] -> s.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// objOf resolves an identifier to its object via Uses then Defs.
+func objOf(p *Package, id *ast.Ident) types.Object {
+	if obj := p.Info.Uses[id]; obj != nil {
+		return obj
+	}
+	return p.Info.Defs[id]
 }

@@ -42,16 +42,77 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-func loadFixture(t *testing.T) *Package {
+// loadFixture wraps the fixture package as a one-package program.
+func loadFixture(t *testing.T) *Program {
 	t.Helper()
-	p, err := Load(fixtureDir(t), repoRoot(t), false)
+	root := repoRoot(t)
+	p, err := Load(fixtureDir(t), root, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p == nil {
 		t.Fatal("fixture package is empty")
 	}
-	return p
+	return NewProgram(root, []*Package{p})
+}
+
+// loadTree loads every package of the repository as one program.
+func loadTree(t *testing.T) *Program {
+	t.Helper()
+	root := repoRoot(t)
+	dirs, err := Walk(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*Package
+	for _, dir := range dirs {
+		p, err := Load(dir, root, false)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return NewProgram(root, pkgs)
+}
+
+// run applies the rules and fails the test on a diagnostics-build error.
+func run(t *testing.T, prog *Program, rules ...Rule) []Finding {
+	t.Helper()
+	found, err := Run(prog, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return found
+}
+
+// checkFixtureTable runs each rule alone over the fixture package: it must
+// report exactly the `// want <rule>` markers of its fixture file — no
+// misses, no extras.
+func checkFixtureTable(t *testing.T, rules ...Rule) {
+	prog := loadFixture(t)
+	for _, rule := range rules {
+		file := rule.Name + ".go"
+		t.Run(rule.Name, func(t *testing.T) {
+			var got []int
+			for _, f := range run(t, prog, rule) {
+				if filepath.Base(f.Pos.Filename) != file {
+					continue
+				}
+				if f.Rule != rule.Name || f.Sev != rule.Sev {
+					t.Errorf("finding carries %s [%s], want %s [%s]", f.Sev, f.Rule, rule.Sev, rule.Name)
+				}
+				got = append(got, f.Pos.Line)
+			}
+			sort.Ints(got)
+			want := wantLines(t, file, rule.Name)
+			if len(want) == 0 {
+				t.Fatalf("fixture %s has no // want %s markers", file, rule.Name)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s findings at lines %v, want %v", rule.Name, got, want)
+			}
+		})
+	}
 }
 
 var wantRe = regexp.MustCompile(`// want ([a-z]+)`)
@@ -79,93 +140,60 @@ func wantLines(t *testing.T, file, rule string) []int {
 	return lines
 }
 
-// TestAnalyzersAgainstFixtures is the table-driven core: every analyzer
-// must report exactly the `// want <rule>` markers of its fixture file —
-// no misses, no extras.
+// TestAnalyzersAgainstFixtures is the table-driven core for the rules that
+// look at one package at a time.
 func TestAnalyzersAgainstFixtures(t *testing.T) {
-	pkg := loadFixture(t)
-	table := []struct {
-		analyzer Analyzer
-		file     string
-	}{
-		{Determinism{}, "determinism.go"},
-		{LockDiscipline{}, "lockdiscipline.go"},
-		{GoroutineLeak{}, "goroutineleak.go"},
-		{HotPathAlloc{}, "hotpathalloc.go"},
-		{PanicPolicy{}, "panicpolicy.go"},
-		{TraceRing{}, "tracering.go"},
-	}
-	for _, tc := range table {
-		t.Run(tc.analyzer.Name(), func(t *testing.T) {
-			runner := &Runner{Analyzers: []Analyzer{tc.analyzer}}
-			var got []int
-			for _, f := range runner.Check(pkg) {
-				if filepath.Base(f.Pos.Filename) != tc.file {
-					continue
-				}
-				if f.Rule != tc.analyzer.Name() {
-					t.Errorf("finding carries rule %q, want %q", f.Rule, tc.analyzer.Name())
-				}
-				got = append(got, f.Pos.Line)
-			}
-			sort.Ints(got)
-			want := wantLines(t, tc.file, tc.analyzer.Name())
-			if len(want) == 0 {
-				t.Fatalf("fixture %s has no // want %s markers", tc.file, tc.analyzer.Name())
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s findings at lines %v, want %v", tc.analyzer.Name(), got, want)
-			}
-		})
-	}
+	checkFixtureTable(t, determinism, lockDiscipline, goroutineLeak, hotPathAlloc, panicPolicy, traceRing)
 }
 
 // TestAllowEscapeHatch checks both //lint:allow placements suppress a
-// finding while an allow for the wrong rule does not.
+// finding, while an allow for the wrong rule and an allow with no reason
+// do not — and the reasonless one is itself reported, at the comment.
 func TestAllowEscapeHatch(t *testing.T) {
-	pkg := loadFixture(t)
-	runner := &Runner{Analyzers: []Analyzer{Determinism{}}}
-	var got []int
-	for _, f := range runner.Check(pkg) {
+	prog := loadFixture(t)
+	got := map[string][]int{}
+	for _, f := range run(t, prog, determinism, allowReason) {
 		if filepath.Base(f.Pos.Filename) == "allow.go" {
-			got = append(got, f.Pos.Line)
+			got[f.Rule] = append(got[f.Rule], f.Pos.Line)
 		}
 	}
 	want := wantLines(t, "allow.go", "determinism")
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("allow.go findings at lines %v, want only the wrong-rule line %v", got, want)
+	if len(want) != 1 {
+		t.Fatalf("allow.go should carry one // want determinism marker, has %v", want)
+	}
+	if !reflect.DeepEqual(got["determinism"], want) {
+		t.Errorf("allow.go determinism findings at lines %v, want only the wrong-rule, reasonless-allow line %v", got["determinism"], want)
+	}
+	// The reasonless allow sits directly above that line.
+	if bare := []int{want[0] - 1}; !reflect.DeepEqual(got["allow"], bare) {
+		t.Errorf("allow.go allow findings at lines %v, want the reasonless comment at %v", got["allow"], bare)
 	}
 }
 
-// TestPathAllowlist checks a whole package can be exempted per rule.
+// TestPathAllowlist checks a whole package is exempted per rule:
+// internal/clock wraps time.Now by design, so the raw check finds reads
+// there and Run drops every one.
 func TestPathAllowlist(t *testing.T) {
-	pkg := loadFixture(t)
-	runner := &Runner{
-		Analyzers: []Analyzer{Determinism{}},
-		PathAllow: map[string][]string{"determinism": {pkg.Rel}},
+	root := repoRoot(t)
+	clock, err := Load(filepath.Join(root, "internal", "clock"), root, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := runner.Check(pkg); len(got) != 0 {
+	if len(checkDeterminism(clock)) == 0 {
+		t.Fatal("internal/clock reads no wall clock; the allowlist is tested against nothing")
+	}
+	if got := run(t, NewProgram(root, []*Package{clock}), determinism); len(got) != 0 {
 		t.Errorf("path-allowlisted package still has %d findings: %+v", len(got), got)
 	}
 }
 
 // TestRepoTreeIsClean is the in-process CI gate: the real tree must lint
-// clean, so any new violation fails go test, not just scripts/check.sh.
+// clean under the rules that look at one package at a time, so any new
+// violation fails go test, not just scripts/check.sh.
 func TestRepoTreeIsClean(t *testing.T) {
-	root := repoRoot(t)
-	dirs, err := Walk(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := &Runner{}
-	for _, dir := range dirs {
-		pkg, err := Load(dir, root, false)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		for _, f := range runner.Check(pkg) {
-			t.Errorf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
-		}
+	prog := loadTree(t)
+	for _, f := range run(t, prog, determinism, lockDiscipline, goroutineLeak, hotPathAlloc, panicPolicy, traceRing, allowReason) {
+		t.Errorf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 	}
 }
 
@@ -199,26 +227,26 @@ func TestSeverityString(t *testing.T) {
 }
 
 // TestSortFindingsDeterministic shuffles a finding list with position and
-// rule collisions through several seeds: SortFindings must always land on
-// the identical total order, or goldens and baselines churn run to run.
+// rule collisions through several seeds: sortFindings must always land on
+// the identical total order, or the golden churns run to run.
 func TestSortFindingsDeterministic(t *testing.T) {
 	base := []Finding{
 		{Rule: "lockorder", Sev: Error, Msg: "cycle a->b", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
 		{Rule: "lockorder", Sev: Error, Msg: "cycle b->a", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
 		{Rule: "guardinfer", Sev: Error, Msg: "unguarded", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
 		{Rule: "atomicmix", Sev: Error, Msg: "mixed", Pos: token.Position{Filename: "a.go", Line: 10, Column: 9}},
-		{Rule: "goescape", Sev: Warn, Msg: "loop var", Pos: token.Position{Filename: "a.go", Line: 3, Column: 1}},
+		{Rule: "panicpolicy", Sev: Warn, Msg: "bare panic", Pos: token.Position{Filename: "a.go", Line: 3, Column: 1}},
 		{Rule: "falseshare", Sev: Warn, Msg: "hot line", Pos: token.Position{Filename: "b.go", Line: 1, Column: 1}},
 		{Rule: "tracering", Sev: Error, Msg: "ring", Pos: token.Position{Filename: "b.go", Line: 1, Column: 1}},
 	}
 	want := append([]Finding(nil), base...)
-	SortFindings(want)
+	sortFindings(want)
 	for seed := int64(0); seed < 8; seed++ {
 		got := append([]Finding(nil), base...)
 		rand.New(rand.NewSource(seed)).Shuffle(len(got), func(i, j int) {
 			got[i], got[j] = got[j], got[i]
 		})
-		SortFindings(got)
+		sortFindings(got)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: shuffled input sorted to a different order:\ngot  %+v\nwant %+v", seed, got, want)
 		}

@@ -1,37 +1,24 @@
 package lint
 
-import (
-	"bytes"
-	"fmt"
-	"go/ast"
-	"go/printer"
-	"go/token"
-)
+import "go/token"
 
-// LockDiscipline flags two classes of latching bugs that -race cannot
-// reliably surface:
+// lockDiscipline flags a latching bug that -race cannot reliably surface:
+// a Lock()/RLock() whose matching unlock is neither deferred nor present
+// at all, or with a return statement between the lock and the first
+// matching unlock (a leak on that path).
 //
-//   - a Lock()/RLock() whose matching unlock is neither deferred nor
-//     present at all, or with a return statement between the lock and the
-//     first matching unlock (a leak on that path);
-//   - sync.Mutex/RWMutex/WaitGroup/Once passed or returned by value, which
-//     silently copies the lock state.
-//
-// The matching is per innermost function body and textual on the receiver
+// The matching is per innermost function body, over the lock events the
+// held-lock walk records for it (lockwalk.go), and textual on the receiver
 // expression, which is exactly right for the repo's style (named mutex
-// fields, no lock aliasing).
-type LockDiscipline struct{}
-
-// Name implements Analyzer.
-func (LockDiscipline) Name() string { return "lockdiscipline" }
-
-// Doc implements Analyzer.
-func (LockDiscipline) Doc() string {
-	return "unlocks must be deferred or on every return path; sync primitives must not be copied"
+// fields, no lock aliasing). Sync primitives copied by value are `go
+// vet`'s copylocks check, stage 2 of `make check`.
+var lockDiscipline = Rule{
+	Name:     "lockdiscipline",
+	Doc:      "unlocks must be deferred or on every return path",
+	Contract: "Every mutex acquire must have a statically-paired release on all paths: defer immediately after Lock, or an unlock on every return. A leaked lock in a partition worker deadlocks the barrier, which presents as a hang, not a failure.",
+	Sev:      Error,
+	Check:    checkLockDiscipline,
 }
-
-// Severity implements Analyzer.
-func (LockDiscipline) Severity() Severity { return Error }
 
 // lockPairs maps each acquire method to its release.
 var lockPairs = map[string]string{
@@ -39,195 +26,42 @@ var lockPairs = map[string]string{
 	"RLock": "RUnlock",
 }
 
-// copiedSyncTypes are the sync primitives that must never travel by value.
-var copiedSyncTypes = map[string]bool{
-	"Mutex":     true,
-	"RWMutex":   true,
-	"WaitGroup": true,
-	"Once":      true,
-	"Cond":      true,
-}
-
-// lockEvent is one acquire/release call inside a function body.
-type lockEvent struct {
-	recv     string // printed receiver expression, e.g. "c.mu"
-	method   string
-	pos      token.Pos
-	deferred bool
-}
-
-// Check implements Analyzer.
-func (a LockDiscipline) Check(p *Package) []Finding {
+func checkLockDiscipline(prog *Program) []Finding {
+	lf := prog.lockFacts()
 	var out []Finding
-	for _, f := range p.Files {
-		imports := importNames(f)
-		syncName := "" // file-local name of the sync import
-		for name, path := range imports {
-			if path == "sync" {
-				syncName = name
-			}
-		}
-		forEachFuncBody(f, func(fn ast.Node, ftype *ast.FuncType, body *ast.BlockStmt) {
-			out = append(out, a.checkSignature(p, ftype, fn, syncName)...)
-			out = append(out, a.checkBody(p, body)...)
-		})
-	}
-	return out
-}
-
-// checkSignature flags bare sync primitives in parameters, results, and
-// receivers.
-func (LockDiscipline) checkSignature(p *Package, ftype *ast.FuncType, fn ast.Node, syncName string) []Finding {
-	if syncName == "" {
-		return nil
-	}
-	var out []Finding
-	flag := func(field *ast.Field) {
-		sel, ok := field.Type.(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || id.Name != syncName || !copiedSyncTypes[sel.Sel.Name] {
-			return
-		}
-		out = append(out, Finding{
-			Rule: "lockdiscipline",
-			Sev:  Error,
-			Pos:  p.Fset.Position(field.Type.Pos()),
-			Msg:  fmt.Sprintf("sync.%s passed by value copies the lock state; use a pointer", sel.Sel.Name),
-		})
-	}
-	lists := []*ast.FieldList{ftype.Params, ftype.Results}
-	if decl, ok := fn.(*ast.FuncDecl); ok {
-		lists = append(lists, decl.Recv)
-	}
-	for _, list := range lists {
-		if list == nil {
-			continue
-		}
-		for _, field := range list.List {
-			flag(field)
-		}
-	}
-	return out
-}
-
-// checkBody flags unbalanced or leak-prone lock/unlock pairs inside one
-// function body (nested function literals are checked separately).
-func (LockDiscipline) checkBody(p *Package, body *ast.BlockStmt) []Finding {
-	var locks, unlocks []lockEvent
-	var returns []token.Pos
-	walkShallow(body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			returns = append(returns, n.Pos())
-		case *ast.DeferStmt:
-			if ev, ok := asLockEvent(n.Call); ok {
-				ev.deferred = true
-				if _, acquire := lockPairs[ev.method]; !acquire {
-					unlocks = append(unlocks, ev)
+	for _, id := range lf.order {
+		s := lf.funcs[id]
+		for _, body := range s.bodies {
+			for _, lk := range body.locks {
+				release := lockPairs[lk.method]
+				first := token.NoPos
+				deferred := false
+				for _, ul := range body.unlocks {
+					if ul.recv != lk.recv || ul.method != release {
+						continue
+					}
+					if ul.deferred {
+						deferred = true
+						break
+					}
+					if ul.pos > lk.pos && (first == token.NoPos || ul.pos < first) {
+						first = ul.pos
+					}
 				}
-			}
-		case *ast.CallExpr:
-			if ev, ok := asLockEvent(n); ok {
-				if _, acquire := lockPairs[ev.method]; acquire {
-					locks = append(locks, ev)
-				} else {
-					unlocks = append(unlocks, ev)
-				}
-			}
-		}
-	})
-	var out []Finding
-	for _, lk := range locks {
-		release := lockPairs[lk.method]
-		first := token.Pos(-1)
-		deferred := false
-		for _, ul := range unlocks {
-			if ul.recv != lk.recv || ul.method != release {
-				continue
-			}
-			if ul.deferred {
-				deferred = true
-				break
-			}
-			if ul.pos > lk.pos && (first < 0 || ul.pos < first) {
-				first = ul.pos
-			}
-		}
-		switch {
-		case deferred:
-		case first < 0:
-			out = append(out, Finding{
-				Rule: "lockdiscipline",
-				Sev:  Error,
-				Pos:  p.Fset.Position(lk.pos),
-				Msg:  fmt.Sprintf("%s.%s has no matching %s in this function", lk.recv, lk.method, release),
-			})
-		default:
-			for _, ret := range returns {
-				if ret > lk.pos && ret < first {
-					out = append(out, Finding{
-						Rule: "lockdiscipline",
-						Sev:  Error,
-						Pos:  p.Fset.Position(lk.pos),
-						Msg:  fmt.Sprintf("return between %s.%s and its %s leaks the lock; defer the unlock", lk.recv, lk.method, release),
-					})
-					break
+				switch {
+				case deferred:
+				case first == token.NoPos:
+					out = append(out, s.pkg.finding(lk.pos, "%s.%s has no matching %s in this function", lk.recv, lk.method, release))
+				default:
+					for _, ret := range body.returns {
+						if ret > lk.pos && ret < first {
+							out = append(out, s.pkg.finding(lk.pos, "return between %s.%s and its %s leaks the lock; defer the unlock", lk.recv, lk.method, release))
+							break
+						}
+					}
 				}
 			}
 		}
 	}
 	return out
-}
-
-// asLockEvent matches recv.Lock()/RLock()/Unlock()/RUnlock() calls.
-func asLockEvent(call *ast.CallExpr) (lockEvent, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return lockEvent{}, false
-	}
-	m := sel.Sel.Name
-	if _, acquire := lockPairs[m]; !acquire && m != "Unlock" && m != "RUnlock" {
-		return lockEvent{}, false
-	}
-	return lockEvent{recv: exprString(sel.X), method: m, pos: call.Pos()}, true
-}
-
-// exprString renders a receiver expression for textual matching.
-func exprString(e ast.Expr) string {
-	var buf bytes.Buffer
-	printer.Fprint(&buf, token.NewFileSet(), e)
-	return buf.String()
-}
-
-// forEachFuncBody visits every function declaration and function literal
-// in the file with its type and body.
-func forEachFuncBody(f *ast.File, visit func(fn ast.Node, ftype *ast.FuncType, body *ast.BlockStmt)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				visit(n, n.Type, n.Body)
-			}
-		case *ast.FuncLit:
-			visit(n, n.Type, n.Body)
-		}
-		return true
-	})
-}
-
-// walkShallow walks the statements of one function body without
-// descending into nested function literals, which own their statements.
-func walkShallow(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
 }

@@ -2,18 +2,13 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
 
-// LockOrder is the whole-program deadlock analyzer. It builds a callgraph
-// over every loaded package, summarizes which locks each function
-// acquires (sync.Mutex/RWMutex methods, including the per-bucket latches
-// in internal/hashtable), propagates held-lock sets through call chains,
-// and reports:
+// lockOrder is the whole-program deadlock rule. From the held-lock walk's
+// per-function summaries and callgraph (lockwalk.go) it reports:
 //
 //   - lock-order cycles: lock A is (possibly transitively) acquired while
 //     B is held on one path and B while A is held on another — the classic
@@ -27,228 +22,80 @@ import (
 //     across a blocking point stalls every worker contending for it, and
 //     deadlocks outright when the unblocking party needs the latch.
 //
-// Lock identity is the owning struct type plus field name
-// (e.g. "internal/hashtable.Shared.freeMu"), resolved through the
-// package's best-effort type information; locals fall back to a
-// function-scoped name. Identity is per type, not per instance, so the
-// analyzer intentionally does not flag two different instances of the same
-// type locked in sequence by distinct syntactic receivers (lock-coupling
-// patterns); a direct re-lock of the identical expression is flagged.
-type LockOrder struct{}
-
-// Name implements ProgramAnalyzer.
-func (LockOrder) Name() string { return "lockorder" }
-
-// Doc implements ProgramAnalyzer.
-func (LockOrder) Doc() string {
-	return "no lock-order cycles, recursive acquisition, or locks held across blocking ops (interprocedural)"
+// Lock identity is per type, not per instance, so the rule intentionally
+// does not flag two different instances of the same type locked in
+// sequence by distinct syntactic receivers (lock-coupling patterns); a
+// direct re-lock of the identical expression is flagged.
+var lockOrder = Rule{
+	Name:     "lockorder",
+	Doc:      "no lock-order cycles, recursive acquisition, or locks held across blocking ops (interprocedural)",
+	Contract: "Every pair of locks is acquired in one order program-wide: if any path takes B while holding A — directly or through a call chain — no path may take A while holding B, because two goroutines on those paths deadlock as soon as they interleave, which the race detector only sees on the run where it happens. The same held sets give two more reports: a call chain that re-acquires a lock its caller already holds (Go mutexes are not reentrant: self-deadlock), and a lock held across a blocking operation — channel send or receive, select without default, a Wait call, time.Sleep, a busy-wait on the simulated clock — which stalls every contender for as long as the operation blocks and deadlocks if the party that would unblock it needs the lock. Locks are identified per owning type and field, not per instance, so lock coupling over two instances of one type is not reported.",
+	Sev:      Error,
+	Check:    checkLockOrder,
 }
 
-// Severity implements ProgramAnalyzer.
-func (LockOrder) Severity() Severity { return Error }
-
-// loFuncID identifies one function declaration program-wide.
-type loFuncID struct {
-	pkg  string // Package.Rel
-	recv string // receiver type name, "" for plain functions
-	name string
-}
-
-func (id loFuncID) String() string {
-	if id.recv != "" {
-		return id.pkg + "." + id.recv + "." + id.name
-	}
-	return id.pkg + "." + id.name
-}
-
-// loCall is one call site with the lock set held when it executes.
-type loCall struct {
-	callees []loFuncID
-	held    []string
-	pos     token.Pos
-}
-
-// loBlock is one synchronous blocking operation and the locks held there;
-// msg, when set, overrides the standard held-across phrasing.
-type loBlock struct {
-	desc string
-	held []string
-	pos  token.Pos
-	msg  string
-}
-
-// loEdge is one observed acquisition order: to was acquired while from was
-// held.
-type loEdge struct {
+// lockEdge is one observed acquisition order: to was acquired while from
+// was held.
+type lockEdge struct {
 	from, to string
-	pos      token.Pos
-	fset     *token.FileSet
+	pos      token.Position
 }
 
-// loSummary is one function's lock behaviour.
-type loSummary struct {
-	id       loFuncID
-	pkg      *Package
-	acquires map[string]bool // locks acquired synchronously in the body
-	blocks   bool            // body contains a synchronous blocking op
-	calls    []loCall
-	edges    []loEdge
-	blockOps []loBlock
-}
-
-// CheckProgram implements ProgramAnalyzer.
-func (lo LockOrder) CheckProgram(prog *Program) []Finding {
-	sums, order := lo.summarize(prog)
-	lo.propagate(sums, order)
-
+func checkLockOrder(prog *Program) []Finding {
+	lf := prog.lockFacts()
 	var findings []Finding
-	var edges []loEdge
-	for _, id := range order {
-		s := sums[id]
-		edges = append(edges, s.edges...)
-		// Direct blocking ops under a held lock.
-		for _, b := range s.blockOps {
-			msg := b.msg
-			if msg == "" {
-				msg = fmt.Sprintf("%s held across %s; unlock first or restructure (blocks every contender, deadlocks if the unblocking party needs the lock)", strings.Join(b.held, ", "), b.desc)
+	var edges []lockEdge
+	for _, id := range lf.order {
+		s := lf.funcs[id]
+		for _, a := range s.acquires {
+			for _, h := range a.held {
+				switch {
+				case h.key != a.key:
+					edges = append(edges, lockEdge{h.key, a.key, s.pkg.Fset.Position(a.pos)})
+				case h.expr == a.expr:
+					findings = append(findings, s.pkg.finding(a.pos, "%s acquired again while already held; Go mutexes are not reentrant (self-deadlock)", a.key))
+				}
+				// Same type-key, different instance: lock coupling, not
+				// modeled (see the rule's doc).
 			}
-			findings = append(findings, Finding{
-				Rule: "lockorder",
-				Sev:  Error,
-				Pos:  s.pkg.Fset.Position(b.pos),
-				Msg:  msg,
-			})
+		}
+		for _, b := range s.blockOps {
+			findings = append(findings, s.pkg.finding(b.pos, "%s held across %s; unlock first or restructure (blocks every contender, deadlocks if the unblocking party needs the lock)", strings.Join(b.held, ", "), b.desc))
 		}
 		// Interprocedural: calls made with locks held.
 		for _, c := range s.calls {
 			if len(c.held) == 0 {
 				continue
 			}
-			for _, calleeID := range c.callees {
-				callee := sums[calleeID]
-				if callee == nil {
-					continue
+			for _, callee := range c.callees {
+				acquires, blocks := lf.reach(callee)
+				if blocks {
+					findings = append(findings, s.pkg.finding(c.pos, "%s held across call to %s, which may block; unlock first or restructure", strings.Join(c.held, ", "), callee))
 				}
-				if callee.blocks {
-					findings = append(findings, Finding{
-						Rule: "lockorder",
-						Sev:  Error,
-						Pos:  s.pkg.Fset.Position(c.pos),
-						Msg:  fmt.Sprintf("%s held across call to %s, which may block; unlock first or restructure", strings.Join(c.held, ", "), calleeID),
-					})
-				}
-				// Iterate acquires sorted: the findings and edges appended
-				// below must be byte-stable run to run (maporder — acquires
-				// is a map, and findings escape through the exported API).
-				acqs := make([]string, 0, len(callee.acquires))
-				for acq := range callee.acquires {
-					acqs = append(acqs, acq)
-				}
-				sort.Strings(acqs)
-				for _, acq := range acqs {
+				for _, acq := range acquires {
 					for _, h := range c.held {
 						if h == acq {
-							findings = append(findings, Finding{
-								Rule: "lockorder",
-								Sev:  Error,
-								Pos:  s.pkg.Fset.Position(c.pos),
-								Msg:  fmt.Sprintf("call to %s re-acquires %s already held here; Go mutexes are not reentrant (self-deadlock)", calleeID, h),
-							})
+							findings = append(findings, s.pkg.finding(c.pos, "call to %s re-acquires %s already held here; Go mutexes are not reentrant (self-deadlock)", callee, h))
 							continue
 						}
-						edges = append(edges, loEdge{from: h, to: acq, pos: c.pos, fset: s.pkg.Fset})
+						edges = append(edges, lockEdge{h, acq, s.pkg.Fset.Position(c.pos)})
 					}
 				}
 			}
 		}
 	}
-	findings = append(findings, lo.cycles(edges)...)
-	return findings
-}
-
-// summarize builds per-function summaries for every package, returning
-// them with a deterministic traversal order.
-func (lo LockOrder) summarize(prog *Program) (map[loFuncID]*loSummary, []loFuncID) {
-	sums := map[loFuncID]*loSummary{}
-	var order []loFuncID
-	byMethod := map[string][]loFuncID{}
-	for _, p := range prog.Packages {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				id := loFuncID{pkg: p.Rel, recv: recvTypeName(fn), name: fn.Name.Name}
-				s := &loSummary{id: id, pkg: p, acquires: map[string]bool{}}
-				sums[id] = s
-				order = append(order, id)
-				if id.recv != "" {
-					byMethod[id.name] = append(byMethod[id.name], id)
-				}
-			}
-		}
-	}
-	for _, p := range prog.Packages {
-		for _, f := range p.Files {
-			imports := importNames(f)
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				id := loFuncID{pkg: p.Rel, recv: recvTypeName(fn), name: fn.Name.Name}
-				w := &loWalker{
-					prog: prog, p: p, imports: imports,
-					fnName: funcScopeName(id), sum: sums[id],
-					sums: sums, byMethod: byMethod,
-				}
-				w.walkBody(fn.Body, nil, false)
-			}
-		}
-	}
-	return sums, order
-}
-
-// propagate closes acquires and blocks over the callgraph: a function
-// acquires (may block on) whatever its synchronous callees acquire (block
-// on). Fixpoint iteration; the graph is small.
-func (LockOrder) propagate(sums map[loFuncID]*loSummary, order []loFuncID) {
-	for changed := true; changed; {
-		changed = false
-		for _, id := range order {
-			s := sums[id]
-			for _, c := range s.calls {
-				for _, calleeID := range c.callees {
-					callee := sums[calleeID]
-					if callee == nil || callee == s {
-						continue
-					}
-					if callee.blocks && !s.blocks {
-						s.blocks = true
-						changed = true
-					}
-					for acq := range callee.acquires {
-						if !s.acquires[acq] {
-							s.acquires[acq] = true
-							changed = true
-						}
-					}
-				}
-			}
-		}
-	}
+	return append(findings, lockCycles(edges)...)
 }
 
 // cycles finds strongly connected components in the acquisition-order
 // graph and reports one finding per cycle, anchored at the lexically first
 // participating edge.
-func (LockOrder) cycles(edges []loEdge) []Finding {
-	adj := map[string]map[string]loEdge{}
+func lockCycles(edges []lockEdge) []Finding {
+	adj := map[string]map[string]lockEdge{}
 	var nodes []string
 	addNode := func(n string) {
 		if _, ok := adj[n]; !ok {
-			adj[n] = map[string]loEdge{}
+			adj[n] = map[string]lockEdge{}
 			nodes = append(nodes, n)
 		}
 	}
@@ -312,9 +159,8 @@ func (LockOrder) cycles(edges []loEdge) []Finding {
 
 	var findings []Finding
 	for _, scc := range sccs {
-		selfLoop := len(scc) == 1 && func() bool { _, ok := adj[scc[0]][scc[0]]; return ok }()
-		if len(scc) < 2 && !selfLoop {
-			continue
+		if len(scc) < 2 {
+			continue // an edge never joins a lock to itself: no self loops
 		}
 		sort.Strings(scc)
 		in := map[string]bool{}
@@ -340,349 +186,19 @@ func (LockOrder) cycles(edges []loEdge) []Finding {
 				break
 			}
 		}
-		var anchor *loEdge
-		var anchorPos token.Position
+		var anchor *lockEdge
 		for _, from := range scc {
 			for to, e := range adj[from] {
-				if !in[to] {
-					continue
-				}
-				pos := e.fset.Position(e.pos)
-				if anchor == nil || lessPosition(pos, anchorPos) {
-					ec := e
-					anchor = &ec
-					anchorPos = pos
+				if in[to] && (anchor == nil || comparePos(e.pos, anchor.pos) < 0) {
+					anchor = &e
 				}
 			}
 		}
 		findings = append(findings, Finding{
-			Rule: "lockorder",
-			Sev:  Error,
-			Pos:  anchorPos,
+			Pos: anchor.pos,
 			Msg: fmt.Sprintf("lock-order cycle: %s; this edge acquires %s while %s is held, another path acquires them in reverse order (ABBA deadlock)",
 				strings.Join(path, " -> "), anchor.to, anchor.from),
 		})
 	}
 	return findings
-}
-
-// lessPosition orders positions file-first, for deterministic anchors.
-func lessPosition(a, b token.Position) bool {
-	if a.Filename != b.Filename {
-		return a.Filename < b.Filename
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Column < b.Column
-}
-
-// loWalker simulates held locks through one function body in syntactic
-// order. Branches are merged (an unlock on any path releases), mirroring
-// lockdiscipline's textual approximation, which matches the repo's style
-// of straight-line latch sections.
-type loWalker struct {
-	prog     *Program
-	p        *Package
-	imports  map[string]string
-	fnName   string
-	sum      *loSummary
-	sums     map[loFuncID]*loSummary
-	byMethod map[string][]loFuncID
-
-	held []heldLock
-}
-
-// heldLock is one currently-held acquisition.
-type heldLock struct {
-	key  string
-	expr string // printed mutex expression, for exact re-lock detection
-}
-
-// walkBody walks stmts of one body. async marks go-launched closures:
-// their held set starts empty and their acquisitions/blocking ops do not
-// count toward the enclosing function's synchronous summary, but their
-// internal ordering edges still hold program-wide.
-func (w *loWalker) walkBody(body ast.Node, held []heldLock, async bool) {
-	prevHeld := w.held
-	w.held = held
-	w.walkNode(body, async)
-	w.held = prevHeld
-}
-
-func (w *loWalker) heldKeys() []string {
-	var keys []string
-	for _, h := range w.held {
-		keys = append(keys, h.key)
-	}
-	return keys
-}
-
-func (w *loWalker) walkNode(n ast.Node, async bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			// The goroutine body runs concurrently: empty held set,
-			// async summary. Call arguments evaluate synchronously but
-			// carry no lock events worth modeling here.
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				w.walkBody(lit.Body, nil, true)
-			}
-			return false
-		case *ast.DeferStmt:
-			// Deferred unlocks release at return; for held-set purposes
-			// the lock stays held for the rest of the body, so ignore.
-			return false
-		case *ast.FuncLit:
-			// Non-go closures are treated as executing inline (sort
-			// callbacks, hoisted kernels): same held set.
-			w.walkNode(n.Body, async)
-			return false
-		case *ast.SendStmt:
-			w.block("a channel send", n.Pos(), async)
-			return true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				w.block("a channel receive", n.Pos(), async)
-			}
-			return true
-		case *ast.SelectStmt:
-			blocking := true
-			for _, cl := range n.Body.List {
-				if c, ok := cl.(*ast.CommClause); ok && c.Comm == nil {
-					blocking = false // default clause: nonblocking poll
-				}
-			}
-			if blocking {
-				w.block("a select with no default", n.Pos(), async)
-			}
-			return true
-		case *ast.ForStmt:
-			if n.Cond != nil && isClockGate(n.Cond) {
-				w.block("a clock-gating busy-wait loop", n.Pos(), async)
-			}
-			return true
-		case *ast.CallExpr:
-			w.call(n, async)
-			return false // call() recurses into arguments itself
-		}
-		return true
-	})
-}
-
-// block records one synchronous blocking operation.
-func (w *loWalker) block(desc string, pos token.Pos, async bool) {
-	if !async {
-		w.sum.blocks = true
-	}
-	if len(w.held) > 0 {
-		w.sum.blockOps = append(w.sum.blockOps, loBlock{desc: desc, held: w.heldKeys(), pos: pos})
-	}
-}
-
-// call handles one call expression: lock events mutate the held set,
-// Wait/Sleep are blocking ops, everything else becomes a callgraph edge.
-func (w *loWalker) call(call *ast.CallExpr, async bool) {
-	// Arguments may contain closures and receives; walk them first.
-	for _, arg := range call.Args {
-		w.walkNode(arg, async)
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		switch sel.Sel.Name {
-		case "Lock", "RLock":
-			key, expr := w.lockKey(sel.X)
-			if !async {
-				w.sum.acquires[key] = true
-			}
-			for _, h := range w.held {
-				if h.key == key {
-					if h.expr == expr {
-						w.sum.blockOps = append(w.sum.blockOps, loBlock{
-							held: []string{key}, pos: call.Pos(),
-							msg: fmt.Sprintf("%s acquired again while already held; Go mutexes are not reentrant (self-deadlock)", key),
-						})
-					}
-					// Same type-key, different instance: lock coupling,
-					// not modeled (see type doc).
-					continue
-				}
-				w.sum.edges = append(w.sum.edges, loEdge{from: h.key, to: key, pos: call.Pos(), fset: w.p.Fset})
-			}
-			w.held = append(w.held, heldLock{key: key, expr: expr})
-			return
-		case "Unlock", "RUnlock":
-			key, _ := w.lockKey(sel.X)
-			for i := len(w.held) - 1; i >= 0; i-- {
-				if w.held[i].key == key {
-					w.held = append(w.held[:i:i], w.held[i+1:]...)
-					break
-				}
-			}
-			return
-		case "Wait":
-			w.block("a Wait call", call.Pos(), async)
-			return
-		}
-		if name, ok := pkgCall(call, w.imports, "time"); ok && name == "Sleep" {
-			w.block("time.Sleep", call.Pos(), async)
-			return
-		}
-	}
-	callees := w.resolveCallees(call)
-	if len(callees) > 0 {
-		w.sum.calls = append(w.sum.calls, loCall{callees: callees, held: w.heldKeys(), pos: call.Pos()})
-	}
-}
-
-// resolveCallees maps a call expression to candidate function summaries.
-func (w *loWalker) resolveCallees(call *ast.CallExpr) []loFuncID {
-	exists := func(id loFuncID) bool { _, ok := w.sums[id]; return ok }
-	return resolveCalleesIn(w.prog, w.p, w.imports, exists, w.byMethod, call)
-}
-
-// resolveCalleesIn maps a call expression to candidate declared functions.
-// Resolution is best-effort and conservative: same-package functions and
-// import-qualified module functions resolve exactly; method calls resolve
-// by receiver type when the permissive check knows it, otherwise by unique
-// method name across the program (capped, to avoid promiscuous names like
-// String linking everything to everything). Shared by lockorder and the
-// lockset layer.
-func resolveCalleesIn(prog *Program, p *Package, imports map[string]string, exists func(loFuncID) bool, byMethod map[string][]loFuncID, call *ast.CallExpr) []loFuncID {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id := loFuncID{pkg: p.Rel, name: fun.Name}
-		if exists(id) {
-			return []loFuncID{id}
-		}
-	case *ast.SelectorExpr:
-		if x, ok := fun.X.(*ast.Ident); ok {
-			if path, isImport := imports[x.Name]; isImport {
-				if obj := p.Info.Uses[x]; obj != nil {
-					if _, isPkg := obj.(*types.PkgName); isPkg {
-						if tp := prog.ByImportPath(path); tp != nil {
-							id := loFuncID{pkg: tp.Rel, name: fun.Sel.Name}
-							if exists(id) {
-								return []loFuncID{id}
-							}
-						}
-						return nil // stdlib or unloaded package
-					}
-				}
-			}
-		}
-		if named := namedTypeName(p, fun.X); named != "" {
-			id := loFuncID{pkg: p.Rel, recv: named, name: fun.Sel.Name}
-			if exists(id) {
-				return []loFuncID{id}
-			}
-		}
-		// Unresolved receiver (cross-package value): all same-name
-		// methods, capped.
-		const maxCandidates = 8
-		cands := byMethod[fun.Sel.Name]
-		if len(cands) > 0 && len(cands) <= maxCandidates {
-			return cands
-		}
-	}
-	return nil
-}
-
-// lockKey names the mutex behind an acquisition receiver expression.
-func (w *loWalker) lockKey(mutex ast.Expr) (key, expr string) {
-	return lockKeyIn(w.p, w.fnName, mutex)
-}
-
-// lockKeyIn names a mutex expression program-wide. The preferred identity
-// is package.OwnerType.field; package-level vars are package.var; locals
-// fall back to a function-scoped textual name. Shared by lockorder and the
-// lockset layer (guardinfer/atomicmix/goescape) so held-set keys agree
-// across rules.
-func lockKeyIn(p *Package, fnName string, mutex ast.Expr) (key, expr string) {
-	expr = exprString(mutex)
-	switch m := mutex.(type) {
-	case *ast.SelectorExpr:
-		if owner := namedTypeName(p, m.X); owner != "" {
-			return p.Rel + "." + owner + "." + m.Sel.Name, expr
-		}
-	case *ast.Ident:
-		obj := p.Info.Uses[m]
-		if obj == nil {
-			obj = p.Info.Defs[m]
-		}
-		if obj != nil && obj.Parent() == obj.Pkg().Scope() {
-			return p.Rel + "." + m.Name, expr
-		}
-	}
-	return p.Rel + "." + fnName + ":" + expr, expr
-}
-
-// namedTypeName resolves an expression's type to its named struct type,
-// unwrapping pointers; "" when the permissive check could not type it.
-func namedTypeName(p *Package, e ast.Expr) string {
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	t := tv.Type
-	for {
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-			continue
-		}
-		break
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// recvTypeName extracts a method's receiver type name, "" for functions.
-func recvTypeName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return ""
-	}
-	t := fn.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.ParenExpr:
-			t = x.X
-		case *ast.IndexExpr: // generic receiver
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// funcScopeName renders the function id for local-lock keys.
-func funcScopeName(id loFuncID) string {
-	if id.recv != "" {
-		return id.recv + "." + id.name
-	}
-	return id.name
-}
-
-// isClockGate reports whether a for-loop condition polls simulated time —
-// the arrival-gating busy-wait of the eager algorithms (clock.Source.Avail
-// / NowMs / NowUs). Spinning on the clock while holding a latch stalls
-// every contender for real milliseconds.
-func isClockGate(cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				switch sel.Sel.Name {
-				case "Avail", "NowMs", "NowUs":
-					found = true
-				}
-			}
-		}
-		return true
-	})
-	return found
 }

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// MapOrder is the map-iteration-order determinism rule: a whole-program,
+// mapOrder is the map-iteration-order determinism rule: a whole-program,
 // flow-sensitive dataflow pass that taints values whose ORDER derives from
 // ranging over a Go map (iteration order is randomized per run) and flags
 // when that order reaches an emission surface without passing through a
@@ -45,31 +45,26 @@ import (
 //     sortedKeys, ...) — the repo convention is that such helpers
 //     establish the one deterministic order;
 //   - reassignment from an untainted value.
-type MapOrder struct{}
-
-// Name implements ProgramAnalyzer.
-func (MapOrder) Name() string { return "maporder" }
-
-// Doc implements ProgramAnalyzer.
-func (MapOrder) Doc() string {
-	return "map-iteration order must not reach journals, digests, fmt output, or exported returns without a sort barrier"
+var mapOrder = Rule{
+	Name:     "maporder",
+	Doc:      "map-iteration order must not reach journals, digests, fmt output, or exported returns without a sort barrier",
+	Contract: "Go randomizes map iteration order per run. Any value whose ORDER derives from ranging over a map (keys collected in the range body, appends inside it, maps.Keys iterators) must pass a sort barrier (sort.*, slices.Sort*, or a local *sort* helper) before reaching an emission sink: fmt output, Write*/Encode stream methods, digest updates, or a slice returned from an exported function. Order-independent sinks (a commutative digest) are sanctioned violations — justify with //lint:allow maporder and say WHY order cannot matter.",
+	Sev:      Error,
+	Check:    checkMapOrder,
 }
-
-// Severity implements ProgramAnalyzer.
-func (MapOrder) Severity() Severity { return Error }
 
 // moSummaries records, per package-level function (key "rel:Name"),
 // whether it can return a map-ordered slice.
 type moSummaries map[string]bool
 
-// CheckProgram implements ProgramAnalyzer: a summary fixpoint over every
-// package-level function, then one reporting pass.
-func (MapOrder) CheckProgram(prog *Program) []Finding {
+// checkMapOrder is a summary fixpoint over every package-level function,
+// then one reporting pass.
+func checkMapOrder(prog *Program) []Finding {
 	sums := moSummaries{}
 	for round := 0; round < 4; round++ {
 		changed := false
-		forEachMoFunc(prog, func(p *Package, f *ast.File, fn *ast.FuncDecl) {
-			a := newMoWalker(p, prog, f, sums, nil)
+		prog.funcDecls(func(p *Package, imports map[string]string, fn *ast.FuncDecl) {
+			a := newMoWalker(p, prog, imports, sums, nil)
 			a.walkBody(fn)
 			if k := moFuncKey(p, fn); k != "" && a.returnTainted && !sums[k] {
 				sums[k] = true
@@ -81,25 +76,12 @@ func (MapOrder) CheckProgram(prog *Program) []Finding {
 		}
 	}
 	var out []Finding
-	forEachMoFunc(prog, func(p *Package, f *ast.File, fn *ast.FuncDecl) {
-		a := newMoWalker(p, prog, f, sums, &out)
+	prog.funcDecls(func(p *Package, imports map[string]string, fn *ast.FuncDecl) {
+		a := newMoWalker(p, prog, imports, sums, &out)
 		a.exported = fn.Name.IsExported()
 		a.walkBody(fn)
 	})
 	return out
-}
-
-// forEachMoFunc visits every function declaration with a body.
-func forEachMoFunc(prog *Program, visit func(*Package, *ast.File, *ast.FuncDecl)) {
-	for _, p := range prog.Packages {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-					visit(p, f, fn)
-				}
-			}
-		}
-	}
 }
 
 // moFuncKey keys package-level functions for the summary table; methods
@@ -126,11 +108,11 @@ type moWalker struct {
 	returnTainted bool
 }
 
-func newMoWalker(p *Package, prog *Program, f *ast.File, sums moSummaries, out *[]Finding) *moWalker {
+func newMoWalker(p *Package, prog *Program, imports map[string]string, sums moSummaries, out *[]Finding) *moWalker {
 	return &moWalker{
 		p:       p,
 		prog:    prog,
-		imports: importNames(f),
+		imports: imports,
 		sums:    sums,
 		tainted: map[types.Object]token.Pos{},
 		out:     out,
@@ -145,19 +127,13 @@ func (a *moWalker) walkBody(fn *ast.FuncDecl) {
 
 // report emits a finding unless running a summary round.
 func (a *moWalker) report(pos token.Pos, msg string) {
-	if a.out == nil {
-		return
+	if a.out != nil {
+		*a.out = append(*a.out, Finding{Pos: a.p.Fset.Position(pos), Msg: msg})
 	}
-	*a.out = append(*a.out, Finding{Rule: "maporder", Sev: Error, Pos: a.p.Fset.Position(pos), Msg: msg})
 }
 
 // obj resolves an identifier to its object, definition or use.
-func (a *moWalker) obj(id *ast.Ident) types.Object {
-	if o := a.p.Info.Defs[id]; o != nil {
-		return o
-	}
-	return a.p.Info.Uses[id]
-}
+func (a *moWalker) obj(id *ast.Ident) types.Object { return objOf(a.p, id) }
 
 // baseObj resolves the storage object behind an assignable expression:
 // the identifier, or the field object of a selector (coarse: one taint
@@ -232,7 +208,7 @@ func (a *moWalker) callTainted(call *ast.CallExpr) (token.Pos, bool) {
 	case *ast.SelectorExpr:
 		if id, ok := fun.X.(*ast.Ident); ok {
 			if path, isPkg := a.imports[id.Name]; isPkg {
-				if dep := a.prog.ByImportPath(path); dep != nil && a.sums[dep.Rel+":"+fun.Sel.Name] {
+				if dep := a.prog.byImportPath(path); dep != nil && a.sums[dep.Rel+":"+fun.Sel.Name] {
 					return call.Pos(), true
 				}
 			}

@@ -5,27 +5,21 @@ import (
 	"strings"
 )
 
-// PanicPolicy flags bare panic calls in internal/* library code. The join
+// panicPolicy flags bare panic calls in internal/* library code. The join
 // kernels run inside long-lived worker goroutines; a panic there tears
 // down the whole benchmark process instead of failing one run, so library
 // code must return errors. Invariant helpers — functions whose name starts
 // with "must"/"Must" or contains "assert"/"invariant" — are the sanctioned
 // home for panics on impossible states.
-type PanicPolicy struct{}
-
-// Name implements Analyzer.
-func (PanicPolicy) Name() string { return "panicpolicy" }
-
-// Doc implements Analyzer.
-func (PanicPolicy) Doc() string {
-	return "no bare panic in internal/* outside invariant helpers (must*/assert*/invariant*)"
+var panicPolicy = Rule{
+	Name:     "panicpolicy",
+	Doc:      "no bare panic in internal/* outside invariant helpers (must*/assert*/invariant*)",
+	Contract: "Kernels and workers never panic on data; panics are reserved for programmer errors caught at construction time. A panic in a worker tears down the process mid-measurement and poisons the ledger.",
+	Sev:      Warn,
+	Check:    perPackage(checkPanicPolicy),
 }
 
-// Severity implements Analyzer.
-func (PanicPolicy) Severity() Severity { return Warn }
-
-// Check implements Analyzer.
-func (PanicPolicy) Check(p *Package) []Finding {
+func checkPanicPolicy(p *Package) []Finding {
 	if p.Rel != "internal" && !strings.HasPrefix(p.Rel, "internal/") {
 		return nil
 	}
@@ -42,12 +36,7 @@ func (PanicPolicy) Check(p *Package) []Finding {
 					return true
 				}
 				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-					out = append(out, Finding{
-						Rule: "panicpolicy",
-						Sev:  Warn,
-						Pos:  p.Fset.Position(call.Pos()),
-						Msg:  "bare panic in internal library code; return an error or move into a must*/assert* invariant helper",
-					})
+					out = append(out, p.finding(call.Pos(), "bare panic in internal library code; return an error or move into a must*/assert* invariant helper"))
 				}
 				return true
 			})

@@ -1,74 +1,44 @@
 package lint
 
 import (
-	"os/exec"
+	"go/ast"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 )
 
-// loadFixtureProgram wraps the fixture package as a one-package program
-// for the whole-program analyzers.
-func loadFixtureProgram(t *testing.T) *Program {
-	t.Helper()
-	return NewProgram([]*Package{loadFixture(t)})
-}
-
 // TestProgramAnalyzersAgainstFixtures mirrors the per-package fixture
-// table for the whole-program analyzers: each must report exactly its
-// `// want <rule>` markers. falseshare pins amd64 so the expected layout
-// does not depend on the host.
+// table for the whole-program rules: each must report exactly its
+// `// want <rule>` markers.
 func TestProgramAnalyzersAgainstFixtures(t *testing.T) {
-	prog := loadFixtureProgram(t)
-	table := []struct {
-		analyzer ProgramAnalyzer
-		file     string
-	}{
-		{LockOrder{}, "lockorder.go"},
-		{NewFalseShareArch("amd64"), "falseshare.go"},
-		{GuardInfer{}, "guardinfer.go"},
-		{AtomicMix{}, "atomicmix.go"},
-		{GoEscape{}, "goescape.go"},
-		{MapOrder{}, "maporder.go"},
-	}
-	for _, tc := range table {
-		t.Run(tc.analyzer.Name(), func(t *testing.T) {
-			runner := &Runner{ProgramAnalyzers: []ProgramAnalyzer{tc.analyzer}}
-			var got []int
-			for _, f := range runner.CheckProgram(prog) {
-				if filepath.Base(f.Pos.Filename) != tc.file {
-					continue
-				}
-				if f.Rule != tc.analyzer.Name() {
-					t.Errorf("finding carries rule %q, want %q", f.Rule, tc.analyzer.Name())
-				}
-				got = append(got, f.Pos.Line)
-			}
-			sort.Ints(got)
-			want := wantLines(t, tc.file, tc.analyzer.Name())
-			if len(want) == 0 {
-				t.Fatalf("fixture %s has no // want %s markers", tc.file, tc.analyzer.Name())
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s findings at lines %v, want %v", tc.analyzer.Name(), got, want)
-			}
-		})
-	}
+	checkFixtureTable(t, lockOrder, falseShare, guardInfer, atomicMix, goEscape, mapOrder)
 }
 
 // TestRepoProgramIsClean extends the in-process CI gate to the
-// whole-program analyzers: lockorder and falseshare must pass on the real
-// tree (fixed or justified with //lint:allow, never baselined).
+// whole-program rules: they must pass on the real tree (fixed or justified
+// with //lint:allow).
 func TestRepoProgramIsClean(t *testing.T) {
-	prog, err := LoadProgram(repoRoot(t), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := &Runner{}
-	for _, f := range runner.CheckProgram(prog) {
+	for _, f := range run(t, loadTree(t), lockOrder, falseShare, guardInfer, atomicMix, goEscape, mapOrder) {
 		t.Errorf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
+	}
+}
+
+// TestLockRulesWalkOnce: the five rules that read held-lock sets, run
+// together, share one walk — every function body visited exactly once,
+// the callgraph built once.
+func TestLockRulesWalkOnce(t *testing.T) {
+	prog := loadTree(t)
+	decls := 0
+	prog.funcDecls(func(*Package, map[string]string, *ast.FuncDecl) { decls++ })
+	run(t, prog, lockOrder)
+	lf := prog.locks
+	run(t, prog, lockDiscipline, guardInfer, atomicMix, goEscape)
+	if lf == nil || prog.locks != lf || prog.lockFacts() != lf {
+		t.Error("the lock rules did not share one set of facts and one callgraph")
+	}
+	if lf.walks != decls || decls == 0 {
+		t.Errorf("walked %d function bodies, want each of the %d declarations once", lf.walks, decls)
 	}
 }
 
@@ -88,14 +58,14 @@ func TestParseEscapeOutput(t *testing.T) {
 		"internal/lazy/npj.go:71:6: moved to heap: barrier",
 		"internal/eager/shj.go:65:13: make(map[int32]int32) escapes to heap",
 	}, "\n")
-	got := ParseEscapeOutput(out)
-	want := []EscapeDiag{
+	got := parseEscapeOutput(out)
+	want := []diagLine{
 		{File: "internal/hashtable/hashtable.go", Line: 152, Col: 14, Msg: "&bucket{} escapes to heap"},
 		{File: "internal/lazy/npj.go", Line: 71, Col: 6, Msg: "moved to heap: barrier"},
 		{File: "internal/eager/shj.go", Line: 65, Col: 13, Msg: "make(map[int32]int32) escapes to heap"},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ParseEscapeOutput = %+v, want %+v", got, want)
+		t.Errorf("parseEscapeOutput = %+v, want %+v", got, want)
 	}
 }
 
@@ -103,22 +73,12 @@ func TestParseEscapeOutput(t *testing.T) {
 // escfixture package with -m=2 and check exactly the in-loop allocation
 // is reported — the per-run setup allocation in HotSetupOnly must pass.
 func TestEscapeGateFixture(t *testing.T) {
-	root := repoRoot(t)
-	cmd := exec.Command("go", "build", "-gcflags=-m=2", "./internal/lint/testdata/src/escfixture")
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build escfixture: %v\n%s", err, out)
-	}
-	pkg, err := Load(filepath.Join(root, "internal", "lint", "testdata", "src", "escfixture"), root, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := HotPathSpans(NewProgram([]*Package{pkg}))
+	out, prog := buildFixtureDiag(t, "escfixture")
+	spans := prog.hotSpans()
 	if len(spans) != 2 {
 		t.Fatalf("expected 2 hotpath spans in escfixture, got %+v", spans)
 	}
-	findings := MatchEscapes(root, ParseEscapeOutput(string(out)), spans)
+	findings := matchEscapes(prog.Root, parseEscapeOutput(out), spans)
 	if len(findings) != 1 {
 		t.Fatalf("expected exactly 1 escapegate finding, got %+v", findings)
 	}
@@ -131,19 +91,10 @@ func TestEscapeGateFixture(t *testing.T) {
 	}
 }
 
-// TestEscapeGateRepoTree runs the full driver stage over the module: the
-// annotated kernels must not allocate in their loops.
+// TestEscapeGateRepoTree runs the gate over the module: the annotated
+// kernels must not allocate in their loops.
 func TestEscapeGateRepoTree(t *testing.T) {
-	root := repoRoot(t)
-	prog, err := LoadProgram(root, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := (EscapeGate{}).Check(root, prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
+	for _, f := range run(t, loadTree(t), escapeGate) {
 		t.Errorf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 	}
 }

@@ -11,8 +11,8 @@ func sanctioned() int64 {
 	return ns + ms
 }
 
-// wrongRuleAllowed shows that an allow for a different rule does not
-// suppress the finding.
+// wrongRuleAllowed: neither an allow naming another rule nor one giving no reason suppresses the finding; the reasonless one is itself reported.
 func wrongRuleAllowed() int64 {
+	//lint:allow determinism
 	return time.Now().UnixNano() //lint:allow goroutineleak wrong rule, finding survives // want determinism
 }

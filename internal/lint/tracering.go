@@ -1,12 +1,8 @@
 package lint
 
-import (
-	"fmt"
-	"go/ast"
-	"go/token"
-)
+import "go/ast"
 
-// TraceRing verifies that span recording inside `//iawj:hotpath` functions
+// traceRing verifies that span recording inside `//iawj:hotpath` functions
 // goes through the preallocated per-worker ring API of internal/trace:
 // the nil-safe *trace.Worker methods (Begin/End/AddTuples/Record/NowNs),
 // which are a struct store plus one atomic publish. Everything else the
@@ -21,18 +17,13 @@ import (
 //   - any package-level trace.* call (NewRecorder, WriteChrome, ...);
 //   - method calls named StartRun, Snapshot, Algorithms, AlgName, or
 //     Workers — the locking Recorder surface.
-type TraceRing struct{}
-
-// Name implements Analyzer.
-func (TraceRing) Name() string { return "tracering" }
-
-// Doc implements Analyzer.
-func (TraceRing) Doc() string {
-	return "span recording in //iawj:hotpath functions must use the preallocated *trace.Worker ring API"
+var traceRing = Rule{
+	Name:     "tracering",
+	Doc:      "span recording in //iawj:hotpath functions must use the preallocated *trace.Worker ring API",
+	Contract: "Trace emission in hot code goes through the fixed-size ring, never through a growing slice or unbuffered channel; the ring's overwrite semantics are the sanctioned loss model.",
+	Sev:      Error,
+	Check:    perPackage(checkTraceRing),
 }
-
-// Severity implements Analyzer.
-func (TraceRing) Severity() Severity { return Error }
 
 // tracePkgPath is the import path of the span recorder package.
 const tracePkgPath = "repro/internal/trace"
@@ -50,63 +41,35 @@ var recorderMethods = map[string]bool{
 	"SampleNow": true, "Latest": true, "Samples": true,
 }
 
-// Check implements Analyzer.
-func (a TraceRing) Check(p *Package) []Finding {
+func checkTraceRing(p *Package) []Finding {
 	var out []Finding
-	for _, f := range p.Files {
-		imports := importNames(f)
+	p.hotFuncs(func(imports map[string]string, fn *ast.FuncDecl) {
 		usesTrace := false
 		for _, path := range imports {
-			if path == tracePkgPath {
-				usesTrace = true
-				break
-			}
+			usesTrace = usesTrace || path == tracePkgPath
 		}
 		if !usesTrace {
-			continue
+			return
 		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !isHotPath(fn) {
-				continue
+		// Nested closures execute on the same hot path and are scanned too.
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-			out = append(out, a.checkHotFunc(p, fn, imports)...)
-		}
-	}
-	return out
-}
-
-// checkHotFunc scans one annotated function, including nested closures,
-// which execute on the same hot path.
-func (TraceRing) checkHotFunc(p *Package, fn *ast.FuncDecl, imports map[string]string) []Finding {
-	var out []Finding
-	flag := func(pos token.Pos, msg string) {
-		out = append(out, Finding{
-			Rule: "tracering",
-			Sev:  Error,
-			Pos:  p.Fset.Position(pos),
-			Msg:  msg,
+			if name, ok := pkgCall(call, imports, tracePkgPath); ok {
+				out = append(out, p.finding(call.Pos(), "trace.%s in a //iawj:hotpath function; record spans through a preallocated *trace.Worker handle", name))
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && recorderMethods[sel.Sel.Name] {
+				// The receiver is a local expression; with the trace package
+				// imported in this file, a locking Recorder method name on a
+				// hot path is flagged regardless of receiver type (syntactic,
+				// conservative toward the invariant).
+				out = append(out, p.finding(call.Pos(), "%s call in a //iawj:hotpath function; use the *trace.Worker ring API (Begin/End/AddTuples/Record)", sel.Sel.Name))
+			}
+			return true
 		})
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if name, ok := pkgCall(call, imports, tracePkgPath); ok {
-			flag(call.Pos(), fmt.Sprintf(
-				"trace.%s in a //iawj:hotpath function; record spans through a preallocated *trace.Worker handle", name))
-			return true
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && recorderMethods[sel.Sel.Name] {
-			// The receiver is a local expression; with the trace package
-			// imported in this file, a locking Recorder method name on a
-			// hot path is flagged regardless of receiver type (syntactic,
-			// conservative toward the invariant).
-			flag(call.Pos(), fmt.Sprintf(
-				"%s call in a //iawj:hotpath function; use the *trace.Worker ring API (Begin/End/AddTuples/Record)", sel.Sel.Name))
-		}
-		return true
 	})
 	return out
 }

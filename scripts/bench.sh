@@ -1,15 +1,11 @@
 #!/usr/bin/env bash
-# bench.sh — short benchmark sweeps, machine-readable.
+# bench.sh — short kernel benchmark sweeps, machine-readable. Whole-join
+# numbers come from benchmark/ (bash benchmark/run.sh), not from here.
 #
-# Three modes:
+# Two modes:
 #
-#   ./scripts/bench.sh [out.json]           # algorithms -> BENCH_2.json
 #   ./scripts/bench.sh kernels [out.json]   # kernel layer -> BENCH_3.json
 #   ./scripts/bench.sh -compare BENCH.json  # kernel sweep vs recorded JSON
-#
-# The default mode runs the BenchmarkJoin microbenchmark over the eight
-# studied algorithms (see bench_test.go) and writes the parsed results as
-# JSON, one object per algorithm with ns/op, MB/s, and the match count.
 #
 # The kernels mode runs the BenchmarkKernel* microbenchmarks of
 # internal/radix, internal/hashtable and internal/core — partition (rehash
@@ -21,9 +17,9 @@
 # for partition_build, match for the sink rows, scalar elsewhere). See
 # PERFORMANCE.md for how to read BENCH_3.json.
 #
-# Sweeps are intentionally short (BENCHTIME defaults to 1x for algorithms,
-# 100x for kernels): regression tripwires and JSON schema anchors, not
-# rigorous measurements — raise BENCHTIME for one.
+# Sweeps are intentionally short (BENCHTIME defaults to 100x): regression
+# tripwires and JSON schema anchors, not rigorous measurements — raise
+# BENCHTIME for one.
 #
 # The -compare mode is the perf-regression gate (`make bench-gate`): it
 # runs COMPARE_SWEEPS fresh kernel sweeps (default 2) at the recorded
@@ -160,96 +156,17 @@ if [ "${1:-}" = "-compare" ]; then
     exit 0
 fi
 
-MODE="algorithms"
-if [ "${1:-}" = "kernels" ]; then
-    MODE="kernels"
-    shift
+if [ "${1:-}" != "kernels" ]; then
+    echo "usage: bench.sh kernels [out.json] | bench.sh -compare BENCH.json" >&2
+    exit 2
 fi
+shift
 
-if [ "$MODE" = "kernels" ]; then
-    OUT="${1:-BENCH_3.json}"
-    BENCHTIME="${BENCHTIME:-100x}"
+OUT="${1:-BENCH_3.json}"
+BENCHTIME="${BENCHTIME:-100x}"
 
-    raw="$(go test -run '^$' -bench '^BenchmarkKernel' -benchtime="$BENCHTIME" \
-        ./internal/radix ./internal/hashtable ./internal/core)"
-
-    echo "$raw" | awk -v benchtime="$BENCHTIME" \
-        -v go_version="$GO_VERSION" -v num_cpu="$NUM_CPU" -v gomaxprocs="$GOMAXPROCS_VAL" '
-    BEGIN { n = 0 }
-    /^goos:/    { goos = $2 }
-    /^goarch:/  { goarch = $2 }
-    /^cpu:/     { sub(/^cpu: /, ""); cpu = $0 }
-    /^BenchmarkKernel[A-Za-z]+\// {
-        # BenchmarkKernelPartition/swwcb-8  100  123456 ns/op  1234.56 MB/s
-        split($1, parts, "/")
-        sub(/^BenchmarkKernel/, "", parts[1])
-        sub(/-[0-9]+$/, "", parts[2])
-        kern[n] = tolower(parts[1])
-        # CamelCase benchmark names flatten under tolower; restore the
-        # word break for multi-word kernels.
-        if (kern[n] == "partitionbuild") kern[n] = "partition_build"
-        variant[n] = parts[2]
-        # BenchmarkKernelSink{Match,Run}/{count,emit}: the mode names the
-        # kernel and the entry point is the variant, so that run is gated
-        # against match within a mode.
-        if (kern[n] ~ /^sink/) {
-            variant[n] = substr(kern[n], 5)
-            kern[n] = "sink_" parts[2]
-        }
-        nsop[n] = ""; mbs[n] = ""
-        for (i = 3; i < NF; i++) {
-            if ($(i+1) == "ns/op") nsop[n] = $i
-            if ($(i+1) == "MB/s")  mbs[n] = $i
-        }
-        ns[kern[n] "/" variant[n]] = nsop[n]
-        n++
-    }
-    END {
-        if (n == 0) { print "bench.sh: no BenchmarkKernel results parsed" > "/dev/stderr"; exit 1 }
-        base["partition"] = "rehash"
-        base["partition_build"] = "unfused"
-        base["build"] = "scalar"
-        base["probe"] = "scalar"
-        base["sink_count"] = "match"
-        base["sink_emit"] = "match"
-        printf "{\n"
-        printf "  \"schema\": \"iawj-kernelbench/v1\",\n"
-        printf "  \"benchtime\": \"%s\",\n", benchtime
-        printf "  \"goos\": \"%s\",\n", goos
-        printf "  \"goarch\": \"%s\",\n", goarch
-        printf "  \"cpu\": \"%s\",\n", cpu
-        printf "  \"go_version\": \"%s\",\n", go_version
-        printf "  \"num_cpu\": %d,\n", num_cpu
-        printf "  \"gomaxprocs\": %d,\n", gomaxprocs
-        printf "  \"results\": [\n"
-        for (i = 0; i < n; i++) {
-            printf "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"ns_per_op\": %s, \"mb_per_s\": %s}%s\n", \
-                kern[i], variant[i], nsop[i], (mbs[i] == "" ? "null" : mbs[i]), (i < n-1 ? "," : "")
-        }
-        printf "  ],\n"
-        printf "  \"speedup_vs_baseline\": {\n"
-        m = 0
-        for (i = 0; i < n; i++) {
-            b = base[kern[i]]
-            if (b == "" || variant[i] == b) continue
-            if (ns[kern[i] "/" b] == "" || nsop[i] == 0) continue
-            sp[m] = sprintf("    \"%s_%s\": %.3f", kern[i], variant[i], ns[kern[i] "/" b] / nsop[i])
-            m++
-        }
-        for (i = 0; i < m; i++) printf "%s%s\n", sp[i], (i < m-1 ? "," : "")
-        printf "  }\n"
-        printf "}\n"
-    }' > "$OUT"
-
-    count="$(grep -c '"kernel"' "$OUT")"
-    echo "bench.sh: wrote $OUT ($count kernel variants)"
-    exit 0
-fi
-
-OUT="${1:-BENCH_2.json}"
-BENCHTIME="${BENCHTIME:-1x}"
-
-raw="$(go test -run '^$' -bench '^BenchmarkJoin$' -benchtime="$BENCHTIME" .)"
+raw="$(go test -run '^$' -bench '^BenchmarkKernel' -benchtime="$BENCHTIME" \
+    ./internal/radix ./internal/hashtable ./internal/core)"
 
 echo "$raw" | awk -v benchtime="$BENCHTIME" \
     -v go_version="$GO_VERSION" -v num_cpu="$NUM_CPU" -v gomaxprocs="$GOMAXPROCS_VAL" '
@@ -257,25 +174,41 @@ BEGIN { n = 0 }
 /^goos:/    { goos = $2 }
 /^goarch:/  { goarch = $2 }
 /^cpu:/     { sub(/^cpu: /, ""); cpu = $0 }
-/^BenchmarkJoin\// {
-    # BenchmarkJoin/NPJ-8  1  123456 ns/op  12.34 MB/s  29119 matches
+/^BenchmarkKernel[A-Za-z]+\// {
+    # BenchmarkKernelPartition/swwcb-8  100  123456 ns/op  1234.56 MB/s
     split($1, parts, "/")
+    sub(/^BenchmarkKernel/, "", parts[1])
     sub(/-[0-9]+$/, "", parts[2])
-    alg[n] = parts[2]
-    iters[n] = $2
-    nsop[n] = ""; mbs[n] = ""; matches[n] = ""
-    for (i = 3; i < NF; i++) {
-        if ($(i+1) == "ns/op")   nsop[n] = $i
-        if ($(i+1) == "MB/s")    mbs[n] = $i
-        if ($(i+1) == "matches") matches[n] = $i
+    kern[n] = tolower(parts[1])
+    # CamelCase benchmark names flatten under tolower; restore the
+    # word break for multi-word kernels.
+    if (kern[n] == "partitionbuild") kern[n] = "partition_build"
+    variant[n] = parts[2]
+    # BenchmarkKernelSink{Match,Run}/{count,emit}: the mode names the
+    # kernel and the entry point is the variant, so that run is gated
+    # against match within a mode.
+    if (kern[n] ~ /^sink/) {
+        variant[n] = substr(kern[n], 5)
+        kern[n] = "sink_" parts[2]
     }
+    nsop[n] = ""; mbs[n] = ""
+    for (i = 3; i < NF; i++) {
+        if ($(i+1) == "ns/op") nsop[n] = $i
+        if ($(i+1) == "MB/s")  mbs[n] = $i
+    }
+    ns[kern[n] "/" variant[n]] = nsop[n]
     n++
 }
 END {
-    if (n == 0) { print "bench.sh: no BenchmarkJoin results parsed" > "/dev/stderr"; exit 1 }
+    if (n == 0) { print "bench.sh: no BenchmarkKernel results parsed" > "/dev/stderr"; exit 1 }
+    base["partition"] = "rehash"
+    base["partition_build"] = "unfused"
+    base["build"] = "scalar"
+    base["probe"] = "scalar"
+    base["sink_count"] = "match"
+    base["sink_emit"] = "match"
     printf "{\n"
-    printf "  \"schema\": \"iawj-bench/v1\",\n"
-    printf "  \"benchmark\": \"BenchmarkJoin\",\n"
+    printf "  \"schema\": \"iawj-kernelbench/v1\",\n"
     printf "  \"benchtime\": \"%s\",\n", benchtime
     printf "  \"goos\": \"%s\",\n", goos
     printf "  \"goarch\": \"%s\",\n", goarch
@@ -285,12 +218,23 @@ END {
     printf "  \"gomaxprocs\": %d,\n", gomaxprocs
     printf "  \"results\": [\n"
     for (i = 0; i < n; i++) {
-        printf "    {\"algorithm\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"mb_per_s\": %s, \"matches\": %s}%s\n", \
-            alg[i], iters[i], nsop[i], mbs[i], matches[i], (i < n-1 ? "," : "")
+        printf "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"ns_per_op\": %s, \"mb_per_s\": %s}%s\n", \
+            kern[i], variant[i], nsop[i], (mbs[i] == "" ? "null" : mbs[i]), (i < n-1 ? "," : "")
     }
-    printf "  ]\n"
+    printf "  ],\n"
+    printf "  \"speedup_vs_baseline\": {\n"
+    m = 0
+    for (i = 0; i < n; i++) {
+        b = base[kern[i]]
+        if (b == "" || variant[i] == b) continue
+        if (ns[kern[i] "/" b] == "" || nsop[i] == 0) continue
+        sp[m] = sprintf("    \"%s_%s\": %.3f", kern[i], variant[i], ns[kern[i] "/" b] / nsop[i])
+        m++
+    }
+    for (i = 0; i < m; i++) printf "%s%s\n", sp[i], (i < m-1 ? "," : "")
+    printf "  }\n"
     printf "}\n"
 }' > "$OUT"
 
-count="$(grep -c '"algorithm"' "$OUT")"
-echo "bench.sh: wrote $OUT ($count algorithms)"
+count="$(grep -c '"kernel"' "$OUT")"
+echo "bench.sh: wrote $OUT ($count kernel variants)"

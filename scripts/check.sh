@@ -5,40 +5,40 @@
 #   1. gofmt        formatting drift fails fast
 #   2. go vet       stdlib static analysis
 #   3. go build     the tree compiles
-#   4. iawjlint     repo-specific analyzers: per-package rules plus the
-#                   whole-program lockorder/falseshare/maporder passes and
-#                   the static race rules guardinfer/atomicmix/goescape
-#                   (LINTING.md; `make lint-race` runs just the latter)
-#   5. build gates  escapegate + bcegate + inlinegate off one shared
+#   4. iawjlint     every row of the rule table (LINTING.md) over the tree
+#                   as one program: the per-package AST rules, the
+#                   whole-program rules on one held-lock walk, and the
+#                   three build gates — escapegate, bcegate, inlinegate —
+#                   off one shared
 #                   `go build -gcflags="-m=2 -d=ssa/check_bce/debug=1"`
-#                   run: escape, bounds-check, and inliner verdicts
-#                   anchored to //iawj:hotpath and //iawj:inline spans
-#   6. go test      tier-1 verify
-#   7. go test -race  concurrency correctness, incl. the eager stress test
-#   8. trace smoke  a scaled-down fig7 sweep with -trace must yield valid
+#                   run whose escape, bounds-check, and inliner verdicts
+#                   are anchored to //iawj:hotpath and //iawj:inline spans
+#   5. go test      tier-1 verify
+#   6. go test -race  concurrency correctness, incl. the eager stress test
+#   7. trace smoke  a scaled-down fig7 sweep with -trace must yield valid
 #                   Chrome trace JSON with spans for every phase
-#   9. fuzz smoke   5s per existing fuzz target on the gen/ingest parsers
+#   8. fuzz smoke   5s per existing fuzz target on the gen/ingest parsers
 #                   plus the kernel differential fuzzers, the workload
 #                   profile against its map-and-sort reference, and the
 #                   whole-join conformance fuzzer
-#  10. bench smoke  every BenchmarkKernel* microbenchmark runs once under
+#   9. bench smoke  every BenchmarkKernel* microbenchmark runs once under
 #                   the race detector, so the batched kernels stay
 #                   runnable and race-clean without a full measurement;
 #                   the checked-in BENCH_3.json must also parse and record
 #                   no kernel variant below 1.0x of its baseline
-#  11. conformance smoke  iawjconform -smoke under the race detector:
+#  10. conformance smoke  iawjconform -smoke under the race detector:
 #                   the differential matrix (all 8 algorithms x threads x
 #                   workloads x schedule perturbations vs the reference
 #                   oracle) plus the metamorphic checks; see TESTING.md
-#  12. report smoke a two-algorithm windowed sweep appends iawj-journal/v2
+#  11. report smoke a two-algorithm windowed sweep appends iawj-journal/v2
 #                   window records to one journal; iawjreport -self on it
 #                   must parse the ledger and exit 0 (a journal is never a
 #                   regression against itself)
-#  13. load smoke   iawjload -validate on every checked-in spec under
+#  12. load smoke   iawjload -validate on every checked-in spec under
 #                   examples/specs/, then a short open-loop run of the
 #                   mixed multi-client spec whose journal must carry the
 #                   per-class openloop/* run records (WORKLOADS.md)
-#  14. bench harness  go vet + go test inside benchmark/ — its own module,
+#  13. bench harness  go vet + go test inside benchmark/ — its own module,
 #                   which the root ./... patterns skip, compiling against
 #                   internal/ APIs (ingest.ReadStream, sortmerge, core,
 #                   window) and the windowed driver; tier-1 must notice a
@@ -85,9 +85,6 @@ go build ./...
 
 step "iawjlint ./..."
 go run ./cmd/iawjlint ./...
-
-step "build gates (escapegate+bcegate+inlinegate, one shared -gcflags build)"
-go run ./cmd/iawjlint -rules escapegate,bcegate,inlinegate ./...
 
 step "go test ./..."
 go test ./...
