@@ -141,12 +141,6 @@ func BenchmarkFigure16GroupSize(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure17PhysicalPartitioning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure17(benchOpts())
-	}
-}
-
 func BenchmarkFigure18RadixBits(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		exp.Figure18(benchOpts())

@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/exp"
@@ -57,63 +56,31 @@ func main() {
 		Seed:          *seed,
 	}
 
-	var rec *trace.Recorder
-	if *traceOut != "" || *listen != "" {
-		tids := *traceTIDs
-		if tids <= 0 {
-			tids = runtime.GOMAXPROCS(0)
-			if opts.Threads > tids {
-				tids = opts.Threads
-			}
-			// Thread-sweep experiments (e.g. fig20) exceed the default
-			// thread count; leave headroom so their workers are traced too.
-			if tids < 16 {
-				tids = 16
-			}
-		}
-		rec = trace.NewRecorder(tids, *spanCap)
-		opts.Trace = rec
+	tids := *traceTIDs
+	if tids <= 0 {
+		// Thread-sweep experiments (e.g. fig20) exceed the default
+		// thread count; leave headroom so their workers are traced too.
+		tids = max(opts.Threads, 16)
 	}
-
-	var smp *trace.Sampler
-	if *sample > 0 {
-		smp = trace.NewSampler(*sample, 0)
-		smp.Start()
-		defer smp.Stop()
+	obs := &trace.Session{
+		TracePath:    *traceOut,
+		JournalPath:  *journal,
+		ServeAddr:    *listen,
+		SampleEvery:  *sample,
+		TraceWorkers: tids,
+		SpanCap:      *spanCap,
 	}
-	reg := trace.NewRegistry()
-	reg.AttachSampler(smp)
-	var jw *trace.JournalWriter
-	if *journal != "" {
-		f, err := os.Create(*journal)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		jw = trace.NewJournalWriter(f)
-		jw.Attach(rec, smp)
-		if err := jw.WriteHeader(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if err := obs.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
+	opts.Trace = obs.Recorder
 	if *journal != "" || *listen != "" {
 		opts.OnResult = func(res metrics.Result) {
-			reg.Observe(res)
-			if err := jw.Write(res); err != nil {
+			if err := obs.Record(res); err != nil {
 				fmt.Fprintln(os.Stderr, "iawjbench: journal:", err)
 			}
 		}
-	}
-	if *listen != "" {
-		reg.Attach(rec)
-		addr, err := trace.Serve(*listen, reg, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", addr)
 	}
 
 	switch {
@@ -130,22 +97,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := trace.WriteChrome(f, rec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if d := rec.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "iawjbench: %d spans dropped to full rings (raise -spancap)\n", d)
-		}
+	if err := obs.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -10,16 +10,16 @@
 //
 //	iawjload -spec examples/specs/mixed.json
 //	iawjload -spec examples/specs/stock.json -algorithm SHJ_JM -journal runs.jsonl
-//	iawjload -spec examples/specs/mixed.json -validate
 //
 // With -journal the run appends per-class "openloop/<class>" run records
 // plus the per-window ledger (iawj-journal/v2), so two load runs diff
-// with cmd/iawjreport. -closed runs the closed-loop foil instead, for
-// measuring the coordinated-omission gap on one plan (see WORKLOADS.md).
+// with cmd/iawjinspect; -format json prints the same records on stdout.
+// -closed runs the closed-loop foil instead, for measuring the
+// coordinated-omission gap on one plan (see WORKLOADS.md). To check a
+// spec without running it, hand the file to cmd/iawjinspect.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,7 +34,6 @@ import (
 func main() {
 	var (
 		specPath  = flag.String("spec", "", "workload spec JSON file (required)")
-		validate  = flag.Bool("validate", false, "parse and compile the spec, print a summary, and exit")
 		algorithm = flag.String("algorithm", iawj.AdaptiveName, "join algorithm name or ADAPTIVE")
 		threads   = flag.Int("threads", 0, "worker threads per window join (0 = GOMAXPROCS)")
 		workers   = flag.Int("workers", 1, "window pairs joined concurrently")
@@ -48,6 +47,9 @@ func main() {
 
 	if *specPath == "" {
 		fatal(fmt.Errorf("iawjload: -spec is required"))
+	}
+	if *format != "text" && *format != "json" {
+		fatal(fmt.Errorf("iawjload: unknown format %q", *format))
 	}
 	data, err := os.ReadFile(*specPath)
 	if err != nil {
@@ -64,18 +66,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *validate {
-		fmt.Printf("spec        %s (version %d, seed %d)\n", sp.Name, sp.Version, sp.Seed)
-		if sp.Preset != nil {
-			fmt.Printf("preset      %s at scale %v\n", sp.Preset.Name, sp.Preset.Scale)
-		} else {
-			fmt.Printf("clients     %d\n", len(sp.Clients))
-		}
-		fmt.Printf("compiled    |R|=%d |S|=%d window=%dms classes=%v\n",
-			len(c.Workload.R), len(c.Workload.S), c.Workload.WindowMs, c.Classes)
-		return
-	}
-
 	events := c.Events()
 	var res ingest.LoadResult
 	if *closed {
@@ -88,25 +78,13 @@ func main() {
 	}
 	reports := ingest.ClassReports(events, res, c.Classes, planSpanMs(sp, events))
 
-	// Before the journal header: the first pool of the process calibrates
-	// the probe-prefetch distance the header records.
-	statePool := iawj.NewStatePool()
-	var jw *trace.JournalWriter
-	var jf *os.File
-	if *journal != "" {
-		jf, err = os.OpenFile(*journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+	obs := &trace.Session{JournalPath: *journal, Stdout: *format == "json", WantPool: true}
+	if err := obs.Start(); err != nil {
+		fatal(err)
+	}
+	for _, rep := range reports {
+		if err := obs.Journal.Write(ingest.ClassResult(rep)); err != nil {
 			fatal(err)
-		}
-		defer jf.Close()
-		jw = trace.NewJournalWriter(jf)
-		if err := jw.WriteHeader(); err != nil {
-			fatal(err)
-		}
-		for _, rep := range reports {
-			if err := jw.Write(ingest.ClassResult(rep)); err != nil {
-				fatal(err)
-			}
 		}
 	}
 
@@ -121,21 +99,19 @@ func main() {
 		Algorithm: *algorithm,
 		Threads:   *threads,
 		AtRest:    true,
-		Journal:   jw,
-		Pool:      statePool,
+		Journal:   obs.Journal,
+		Pool:      obs.Pool,
 	}
 	results, err := iawj.JoinWindowedParallel(r, s, iawj.WindowSpec{Kind: iawj.Tumbling, LengthMs: windowMs}, cfg, *workers)
 	if err != nil {
 		fatal(err)
 	}
+	if err := obs.Close(); err != nil {
+		fatal(err)
+	}
 
-	switch *format {
-	case "json":
-		printJSON(sp, c, res, reports, results)
-	case "text":
+	if *format == "text" {
 		printText(sp, c, res, reports, results)
-	default:
-		fatal(fmt.Errorf("iawjload: unknown format %q", *format))
 	}
 }
 
@@ -179,41 +155,6 @@ func printText(sp *workloadspec.Spec, c *workloadspec.Compiled, res ingest.LoadR
 	}
 	fmt.Printf("join        %d/%d windows joined, %d matches\n",
 		joined, len(results), iawj.TotalMatches(results))
-}
-
-func printJSON(sp *workloadspec.Spec, c *workloadspec.Compiled, res ingest.LoadResult, reports []ingest.ClassReport, results []iawj.WindowResult) {
-	type windowSummary struct {
-		Window    int    `json:"window"`
-		StartMs   int64  `json:"start_ms"`
-		EndMs     int64  `json:"end_ms"`
-		Algorithm string `json:"algorithm,omitempty"`
-		Matches   int64  `json:"matches"`
-	}
-	out := struct {
-		Spec    string               `json:"spec"`
-		Seed    uint64               `json:"seed"`
-		Loop    string               `json:"loop"`
-		Classes []ingest.ClassReport `json:"classes"`
-		Windows []windowSummary      `json:"windows"`
-		Matches int64                `json:"matches"`
-	}{
-		Spec:    sp.Name,
-		Seed:    sp.Seed,
-		Loop:    loopName(res),
-		Classes: reports,
-		Matches: iawj.TotalMatches(results),
-	}
-	for i, wr := range results {
-		out.Windows = append(out.Windows, windowSummary{
-			Window: i, StartMs: wr.Start, EndMs: wr.End,
-			Algorithm: wr.Result.Algorithm, Matches: wr.Result.Matches,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
 }
 
 func fatal(err error) {

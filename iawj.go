@@ -65,13 +65,12 @@ type Config struct {
 	AtRest bool
 
 	// Algorithm knobs of Section 5.5.
-	RadixBits         int     // PRJ #r (default 10)
-	SortStepFrac      float64 // PMJ δ (default 0.2)
-	GroupSize         int     // JB g (default 1)
-	PhysicalPartition bool    // eager value-vs-pointer passing
-	SIMD              bool    // vectorized-substitute sort kernels
-	BatchSize         int     // eager pull batch (default 64)
-	SpillDir          string  // PMJ disk-spill directory ("" = in-memory runs)
+	RadixBits    int     // PRJ #r (default 10)
+	SortStepFrac float64 // PMJ δ (default 0.2)
+	GroupSize    int     // JB g (default 1)
+	SIMD         bool    // vectorized-substitute sort kernels
+	BatchSize    int     // eager pull batch (default 64)
+	SpillDir     string  // PMJ disk-spill directory ("" = in-memory runs)
 
 	// Objective guides the ADAPTIVE dispatcher (see AdaptiveName); it is
 	// ignored by the concrete algorithms.
@@ -235,13 +234,12 @@ func join(r, s Relation, cfg Config, baseTS int64, out *core.Outbox) (Result, er
 		NsPerSimMs: cfg.NsPerSimMs,
 		AtRest:     cfg.AtRest,
 		Knobs: core.Knobs{
-			RadixBits:         cfg.RadixBits,
-			SortStepFrac:      cfg.SortStepFrac,
-			GroupSize:         cfg.GroupSize,
-			PhysicalPartition: cfg.PhysicalPartition,
-			SIMD:              cfg.SIMD,
-			BatchSize:         cfg.BatchSize,
-			SpillDir:          cfg.SpillDir,
+			RadixBits:    cfg.RadixBits,
+			SortStepFrac: cfg.SortStepFrac,
+			GroupSize:    cfg.GroupSize,
+			SIMD:         cfg.SIMD,
+			BatchSize:    cfg.BatchSize,
+			SpillDir:     cfg.SpillDir,
 		},
 		Tracer:    cfg.Tracer,
 		Trace:     cfg.Trace,

@@ -67,9 +67,6 @@ type Knobs struct {
 	// GroupSize is the JB scheme's g (Figure 16). Zero selects 1
 	// (strict hash partitioning); g == Threads degenerates to JM.
 	GroupSize int
-	// PhysicalPartition makes the eager distribution pass tuple values
-	// instead of pointers (Figure 17).
-	PhysicalPartition bool
 	// SIMD toggles the vectorized-substitute sort kernels (Figure 21).
 	SIMD bool
 	// BatchSize bounds how many tuples an eager worker pulls from one

@@ -160,7 +160,7 @@ func (c *cursor) done() bool { return c.idx >= len(c.rel) }
 // the scan stopped because the next tuple has not arrived yet.
 //
 //iawj:hotpath
-func (c *cursor) batch(buf []tuple.Tuple, max int, gateMs int64, atRest bool, owns func(i int, t tuple.Tuple) bool, physical bool) ([]tuple.Tuple, bool) {
+func (c *cursor) batch(buf []tuple.Tuple, max int, gateMs int64, atRest bool, owns func(i int, t tuple.Tuple) bool) ([]tuple.Tuple, bool) {
 	taken := 0
 	// The cursor fields are staged into locals for the scan: indexing
 	// through c.idx keeps a bounds check per tuple because the prover
@@ -179,15 +179,7 @@ func (c *cursor) batch(buf []tuple.Tuple, max int, gateMs int64, atRest bool, ow
 		}
 		//lint:allow hotpathalloc the ownership predicate is the partitioning-strategy hook, per-tuple by design
 		if owns(i, t) {
-			if physical {
-				// Pass by value: the copy below is the physical
-				// partitioning cost of Figure 17. (Pointer passing
-				// shares the underlying stream storage instead.)
-				tt := t
-				buf = append(buf, tt)
-			} else {
-				buf = append(buf, t)
-			}
+			buf = append(buf, t)
 			taken++
 		}
 		i++

@@ -86,19 +86,6 @@ func TestPMJSortStepVariationsAgree(t *testing.T) {
 	}
 }
 
-func TestPhysicalPartitioningEquivalence(t *testing.T) {
-	w := gen.MicroStatic(4000, 4000, 6, 0.2, 31)
-	want := expected(w.R, w.S)
-	for _, alg := range []core.Algorithm{SHJ{}, SHJ{JB: true}, PMJ{}, PMJ{JB: true}} {
-		for _, phys := range []bool{false, true} {
-			got := staticRun(t, alg, w, 4, core.Knobs{PhysicalPartition: phys})
-			if got != want {
-				t.Fatalf("%s physical=%v: matches = %d, want %d", alg.Name(), phys, got, want)
-			}
-		}
-	}
-}
-
 func TestEagerSingleThread(t *testing.T) {
 	w := gen.MicroStatic(2000, 2000, 4, 0, 5)
 	want := expected(w.R, w.S)
@@ -224,11 +211,11 @@ func TestCursorBatchGating(t *testing.T) {
 	rel := tuple.Relation{{TS: 0}, {TS: 5}, {TS: 10}}
 	c := &cursor{rel: rel}
 	all := func(int, tuple.Tuple) bool { return true }
-	buf, waiting := c.batch(nil, 10, 4, false, all, false)
+	buf, waiting := c.batch(nil, 10, 4, false, all)
 	if len(buf) != 1 || !waiting {
 		t.Fatalf("at t=4 only ts=0 has arrived: got %d waiting=%v", len(buf), waiting)
 	}
-	buf, waiting = c.batch(buf[:0], 10, 100, false, all, false)
+	buf, waiting = c.batch(buf[:0], 10, 100, false, all)
 	if len(buf) != 2 || waiting {
 		t.Fatalf("at t=100 the rest must arrive: got %d waiting=%v", len(buf), waiting)
 	}
@@ -241,7 +228,7 @@ func TestCursorBatchLimit(t *testing.T) {
 	rel := make(tuple.Relation, 100)
 	c := &cursor{rel: rel}
 	all := func(int, tuple.Tuple) bool { return true }
-	buf, _ := c.batch(nil, 7, 0, true, all, true)
+	buf, _ := c.batch(nil, 7, 0, true, all)
 	if len(buf) != 7 {
 		t.Fatalf("batch must respect max: %d", len(buf))
 	}

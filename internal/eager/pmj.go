@@ -209,14 +209,13 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 		var rWaiting, sWaiting bool
 		nR, nS := 0, 0
 		ownsR, ownsS := dist.ownsR, dist.ownsS
-		physical := ctx.Knobs.PhysicalPartition
 		rect := sink.Rect
 		pull := func() int64 {
 			before := len(curR)
-			curR, rWaiting = rcur.batch(curR, bsz, gate, atRest, ownsR, physical)
+			curR, rWaiting = rcur.batch(curR, bsz, gate, atRest, ownsR)
 			nR = len(curR) - before
 			before = len(curS)
-			curS, sWaiting = scur.batch(curS, bsz, gate, atRest, ownsS, physical)
+			curS, sWaiting = scur.batch(curS, bsz, gate, atRest, ownsS)
 			nS = len(curS) - before
 			return int64(nR + nS)
 		}

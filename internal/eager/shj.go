@@ -86,9 +86,8 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 		var gate int64
 		var rWaiting, sWaiting bool
 		ownsR, ownsS := dist.ownsR, dist.ownsS
-		physical := ctx.Knobs.PhysicalPartition
 		pullR := func() int64 {
-			rbuf, rWaiting = rcur.batch(rbuf[:0], bsz, gate, atRest, ownsR, physical)
+			rbuf, rWaiting = rcur.batch(rbuf[:0], bsz, gate, atRest, ownsR)
 			return int64(len(rbuf))
 		}
 		buildR := func() int64 {
@@ -103,7 +102,7 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 			return int64(len(rbuf))
 		}
 		pullS := func() int64 {
-			sbuf, sWaiting = scur.batch(sbuf[:0], bsz, gate, atRest, ownsS, physical)
+			sbuf, sWaiting = scur.batch(sbuf[:0], bsz, gate, atRest, ownsS)
 			return int64(len(sbuf))
 		}
 		buildS := func() int64 {

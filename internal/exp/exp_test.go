@@ -157,10 +157,6 @@ func TestKnobExperiments(t *testing.T) {
 	if rows := Figure16(o); len(rows) == 0 {
 		t.Fatal("fig16 empty")
 	}
-	rows17 := Figure17(o)
-	if len(rows17) != 2 {
-		t.Fatalf("fig17 rows = %d", len(rows17))
-	}
 	if rows := Figure18(o); len(rows) != 6 {
 		t.Fatalf("fig18 rows = %d", len(rows))
 	}
@@ -300,15 +296,17 @@ func TestSparkline(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(IDs()) != 24 {
-		t.Fatalf("ids = %d, want 24 experiments", len(IDs()))
+	if len(IDs()) != 23 {
+		t.Fatalf("ids = %d, want 23 experiments", len(IDs()))
 	}
 	var buf bytes.Buffer
 	o := tinyOpts(&buf)
 	if err := Run("fig4", o); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run("nope", o); err == nil {
-		t.Fatal("unknown id must error")
+	for _, id := range []string{"nope", "fig17"} { // fig17 is not reproduced (EXPERIMENTS.md)
+		if err := Run(id, o); err == nil {
+			t.Fatalf("unknown id %q must error", id)
+		}
 	}
 }

@@ -138,30 +138,6 @@ func Figure16(o Options) []KnobRow {
 	return rows
 }
 
-// Figure17 regenerates the physical-partitioning comparison of SHJ_JM:
-// passing tuple values (w/ partitioning) against passing pointers.
-func Figure17(o Options) []KnobRow {
-	o.defaults()
-	header(&o, "Figure 17", "impact of physical partitioning of SHJ_JM (ns per input tuple)")
-	printKnobHeader(&o)
-	w := staticMicro(&o, 4, 0)
-	var rows []KnobRow
-	for i, physical := range []bool{true, false} {
-		res, err := runBest(&o, w, "SHJ_JM", core.Knobs{PhysicalPartition: physical})
-		if err != nil {
-			continue
-		}
-		label := "w/ part"
-		if !physical {
-			label = "w/o part"
-		}
-		row := knobRow(label, float64(1-i), res)
-		rows = append(rows, row)
-		printKnobRow(&o, row)
-	}
-	return rows
-}
-
 // Figure18 regenerates the PRJ radix-bits sweep: #r from 8 to 18,
 // reporting partition and probe cost per tuple.
 func Figure18(o Options) []KnobRow {

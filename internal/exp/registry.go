@@ -61,7 +61,6 @@ var runners = map[string]func(Options){
 	"fig14":   func(o Options) { Figure14(o) },
 	"fig15":   func(o Options) { Figure15(o) },
 	"fig16":   func(o Options) { Figure16(o) },
-	"fig17":   func(o Options) { Figure17(o) },
 	"fig18":   func(o Options) { Figure18(o) },
 	"fig19a":  func(o Options) { Figure19a(o) },
 	"fig19b":  func(o Options) { Figure19b(o) },

@@ -206,7 +206,7 @@ func ClassReports(events []OpenEvent, res LoadResult, classes []string, spanMs i
 // ClassResult flattens a class report into a metrics.Result so the
 // existing journal writer records it: per-class entries journal as run
 // records under the "openloop/<class>" algorithm key, which is what lets
-// cmd/iawjreport diff per-class throughput and lateness quantiles between
+// cmd/iawjinspect diff per-class throughput and lateness quantiles between
 // two load runs.
 func ClassResult(r ClassReport) metrics.Result {
 	return metrics.Result{

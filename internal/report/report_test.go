@@ -37,11 +37,11 @@ func TestCompareSelfIsClean(t *testing.T) {
 		runEntry("SHJ_JM", 120, 6, map[string]int64{"probe": 4_000_000}),
 	}}
 	rep := Compare(j, j, Options{})
-	if rep.Failed() {
-		t.Fatalf("self-compare failed: %+v", rep.Regressions())
+	if rep.Failed {
+		t.Fatalf("self-compare failed: %+v", rep.regressions())
 	}
-	if len(rep.Regressions()) != 0 {
-		t.Errorf("self-compare found regressions: %+v", rep.Regressions())
+	if len(rep.regressions()) != 0 {
+		t.Errorf("self-compare found regressions: %+v", rep.regressions())
 	}
 }
 
@@ -58,10 +58,10 @@ func TestCompareSeededThroughputRegression(t *testing.T) {
 		runEntry("SHJ_JM", 121, 6, map[string]int64{"probe": 4_000_000}),
 	}}
 	rep := Compare(base, cur, Options{})
-	if !rep.Failed() {
+	if !rep.Failed {
 		t.Fatal("2x throughput drop did not fail the report")
 	}
-	regs := rep.Regressions()
+	regs := rep.regressions()
 	if len(regs) != 1 {
 		t.Fatalf("got %d regressions, want 1: %+v", len(regs), regs)
 	}
@@ -86,7 +86,7 @@ func TestComparePhaseRegressionNamesPhase(t *testing.T) {
 		runEntry("PRJ", 100, 8, map[string]int64{"partition": 30_000_000, "probe": 5_000_000}),
 	}}
 	rep := Compare(base, cur, Options{})
-	regs := rep.Regressions()
+	regs := rep.regressions()
 	if len(regs) != 1 || regs[0].Metric != "phase:partition_ns" {
 		t.Fatalf("got %+v, want one phase:partition_ns regression", regs)
 	}
@@ -103,8 +103,8 @@ func TestCompareNoiseFloors(t *testing.T) {
 		runEntry("NPJ", 100, 2, map[string]int64{"others": 2_000}),
 	}
 	rep := Compare(base, cur, Options{})
-	if rep.Failed() {
-		t.Errorf("sub-floor movement gated: %+v", rep.Regressions())
+	if rep.Failed {
+		t.Errorf("sub-floor movement gated: %+v", rep.regressions())
 	}
 }
 
@@ -116,7 +116,7 @@ func TestCompareMissingAlgorithmFails(t *testing.T) {
 		runEntry("NPJ", 100, 8, nil), runEntry("PMJ_JM", 95, 8, nil),
 	}}
 	rep := Compare(base, cur, Options{})
-	if !rep.Failed() {
+	if !rep.Failed {
 		t.Fatal("vanished algorithm did not fail")
 	}
 	if len(rep.MissingKeys) != 1 || rep.MissingKeys[0] != "MWAY" {
@@ -138,15 +138,15 @@ func TestCompareEnvMismatchGatesOnlyStrict(t *testing.T) {
 	if len(rep.EnvMismatch) == 0 {
 		t.Fatal("cpu-count mismatch not flagged")
 	}
-	if rep.Failed() {
+	if rep.Failed {
 		t.Error("cross-machine regression gated without -strict")
 	}
-	if len(rep.Regressions()) == 0 {
+	if len(rep.regressions()) == 0 {
 		t.Error("cross-machine regression not reported at all")
 	}
 
 	strict := Compare(base, cur, Options{Strict: true})
-	if !strict.Failed() {
+	if !strict.Failed {
 		t.Error("strict mode did not gate on env mismatch")
 	}
 }
@@ -174,7 +174,7 @@ func TestCompareV1JournalsWithoutHeaders(t *testing.T) {
 	// v1 journals carry no env header; nil env must compare cleanly.
 	base := trace.Journal{Runs: []trace.JournalEntry{runEntry("NPJ", 100, 8, nil)}}
 	rep := Compare(base, base, Options{})
-	if len(rep.EnvMismatch) != 0 || rep.Failed() {
+	if len(rep.EnvMismatch) != 0 || rep.Failed {
 		t.Errorf("headerless journals mismatched: %+v", rep.EnvMismatch)
 	}
 }
@@ -187,14 +187,14 @@ func TestCompareWindowScope(t *testing.T) {
 		windowEntry("NPJ", 0, 100), windowEntry("NPJ", 1, 40), // window 1 regressed
 	}}
 	rep := Compare(base, cur, Options{})
-	regs := rep.Regressions()
+	regs := rep.regressions()
 	if len(regs) != 1 {
 		t.Fatalf("got %d regressions, want 1: %+v", len(regs), regs)
 	}
 	if regs[0].Scope != "window" || regs[0].WindowID != 1 {
 		t.Errorf("regression scope = %s window %d, want window 1", regs[0].Scope, regs[0].WindowID)
 	}
-	if got := regs[0].Key(); got != "NPJ window 1" {
+	if got := keyName(regs[0].Scope, regs[0].Algorithm, regs[0].WindowID); got != "NPJ window 1" {
 		t.Errorf("key = %q, want %q", got, "NPJ window 1")
 	}
 }
@@ -205,12 +205,12 @@ func TestCompareWindowsWithinOneJournal(t *testing.T) {
 		windowEntry("NPJ", 5, 45),
 	}}
 	rep := CompareWindows(j, 0, 5, Options{})
-	if !rep.Failed() {
+	if !rep.Failed {
 		t.Fatal("window 5 at 45% of window 0 throughput did not fail")
 	}
 	rep = CompareWindows(j, 0, 0, Options{})
-	if rep.Failed() {
-		t.Errorf("window self-compare failed: %+v", rep.Regressions())
+	if rep.Failed {
+		t.Errorf("window self-compare failed: %+v", rep.regressions())
 	}
 }
 
@@ -222,12 +222,12 @@ func TestRepeatedRunsAverage(t *testing.T) {
 	}}
 	cur := trace.Journal{Runs: []trace.JournalEntry{runEntry("NPJ", 95, 8, nil)}}
 	rep := Compare(base, cur, Options{})
-	if rep.Failed() {
-		t.Errorf("averaged runs gated on jitter: %+v", rep.Regressions())
+	if rep.Failed {
+		t.Errorf("averaged runs gated on jitter: %+v", rep.regressions())
 	}
 }
 
-func TestWriteMarkdownAndJSON(t *testing.T) {
+func TestWriteMarkdown(t *testing.T) {
 	envA := trace.EnvInfo{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", NumCPU: 8, GOMAXPROCS: 8}
 	envB := envA
 	envB.GoVersion = "go1.25.0"
@@ -241,16 +241,6 @@ func TestWriteMarkdownAndJSON(t *testing.T) {
 	for _, want := range []string{"cross-machine", "go1.24.0 vs go1.25.0", "Missing from new journal", "MWAY", "NPJ", "throughput_tuples_per_ms", "+50.0%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-
-	var js bytes.Buffer
-	if err := rep.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"env_mismatch"`, `"missing_keys"`, `"delta_pct"`} {
-		if !strings.Contains(js.String(), want) {
-			t.Errorf("json missing %q", want)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // into verdicts — which phase is imbalanced, how long workers stalled at
 // barriers, which worker carries the critical path, and which workers are
 // stragglers and why. It is the data layer the ROADMAP's online
-// performance model / autoscaler consumes, and what `iawjtrace -stats`
+// performance model / autoscaler consumes, and what `iawjinspect trace.json`
 // and the /metrics imbalance gauges render.
 
 // StragglerFactor is the default busy-time multiple over the per-phase
@@ -247,7 +247,7 @@ func (r *Recorder) Analyze() *Analysis {
 }
 
 // SpansOfChrome reconstructs a span snapshot from a parsed Chrome trace
-// (the offline analysis path of `iawjtrace -stats`). The returned resolver
+// (the offline analysis path of `iawjinspect trace.json`). The returned resolver
 // maps the rebuilt algorithm indices back to names.
 func SpansOfChrome(ct ChromeTrace) ([]Span, func(int32) string) {
 	algIdx := map[string]int32{}
@@ -304,7 +304,7 @@ func phaseIndex(name string) metrics.Phase {
 }
 
 // WriteText renders the analysis as the human-readable report of
-// `iawjtrace -stats`.
+// `iawjinspect trace.json`.
 func (a *Analysis) WriteText(w io.Writer) {
 	if a.DroppedSpans > 0 {
 		fmt.Fprintf(w, "warning: %d spans were dropped to full rings; totals undercount\n\n", a.DroppedSpans)

@@ -79,7 +79,7 @@ type WindowInfo struct {
 }
 
 // EnvInfo records the environment a journal was produced on, so journal
-// consumers (iawjreport, bench-gate) can flag cross-machine comparisons
+// consumers (iawjinspect, bench-gate) can flag cross-machine comparisons
 // instead of reporting false regressions.
 type EnvInfo struct {
 	GoVersion  string `json:"go_version"`

@@ -58,26 +58,7 @@ type WindowResult struct {
 // never entered concurrently by this call, and a window's results have
 // all been delivered when its journal record is written.
 func JoinWindowed(r, s Relation, spec WindowSpec, cfg Config) ([]WindowResult, error) {
-	pairs, err := window.AssignPair(r, s, spec)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Pool == nil {
-		cfg.Pool = NewStatePool()
-	}
-	outbox := core.NewOutbox(cfg.Emit, cfg.Pool) // nil when only counting
-	defer outbox.Close()
-	out := make([]WindowResult, len(pairs))
-	for i, p := range pairs {
-		out[i] = WindowResult{Start: p.Window.Start, End: p.Window.End}
-		if len(p.R) == 0 || len(p.S) == 0 {
-			continue
-		}
-		if err := joinWindow(i, p, cfg, outbox, &out[i]); err != nil {
-			return out[:i+1], err
-		}
-	}
-	return out, nil
+	return JoinWindowedParallel(r, s, spec, cfg, 1)
 }
 
 // joinWindow runs window i's join over the pair's slices in place,
@@ -102,40 +83,55 @@ func joinWindow(i int, p window.Pair, cfg Config, outbox *core.Outbox, out *Wind
 // streams where window order does not gate arrival. Each window's join
 // still uses cfg.Threads workers internally, so the effective parallelism
 // is workers × cfg.Threads; choose the split to fit the machine. The
-// windows in flight share one outbox: cfg.Emit is still never entered
-// concurrently, and sees their results interleaved batch by batch.
+// windows in flight share one pool and one outbox: cfg.Emit is still
+// never entered concurrently, and sees their results interleaved batch by
+// batch.
+//
+// With workers <= 1 every window runs inline on the caller's goroutine,
+// in order, and the first failing window ends the call with the results
+// up to and including it. With more, every window is attempted and the
+// error of the lowest-numbered failing one is returned with all results.
 func JoinWindowedParallel(r, s Relation, spec WindowSpec, cfg Config, workers int) ([]WindowResult, error) {
-	if workers <= 1 {
-		return JoinWindowed(r, s, spec, cfg)
-	}
 	pairs, err := window.AssignPair(r, s, spec)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Pool == nil {
-		// One pool shared by all in-flight windows: the pool is
-		// concurrency-safe and a window's released state seeds the next.
+		// The pool is concurrency-safe and a window's released state
+		// seeds the next.
 		cfg.Pool = NewStatePool()
 	}
 	outbox := core.NewOutbox(cfg.Emit, cfg.Pool) // nil when only counting
 	defer outbox.Close()
 	out := make([]WindowResult, len(pairs))
-	errs := make([]error, len(pairs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
+	var (
+		errs []error
+		sem  chan struct{}
+		wg   sync.WaitGroup
+	)
+	if workers > 1 {
+		errs = make([]error, len(pairs))
+		sem = make(chan struct{}, workers)
+	}
 	for i, p := range pairs {
 		out[i] = WindowResult{Start: p.Window.Start, End: p.Window.End}
 		if len(p.R) == 0 || len(p.S) == 0 {
 			continue
 		}
+		if workers <= 1 {
+			if err := joinWindow(i, p, cfg, outbox, &out[i]); err != nil {
+				return out[:i+1], err
+			}
+			continue
+		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, p window.Pair) {
+		go func(i int, p window.Pair, cfg Config) {
 			defer func() { <-sem; wg.Done() }()
 			// The journal writer serializes internally; window records of
 			// in-flight windows may interleave out of order but carry ids.
 			errs[i] = joinWindow(i, p, cfg, outbox, &out[i])
-		}(i, p)
+		}(i, p, cfg)
 	}
 	wg.Wait()
 	for _, err := range errs {

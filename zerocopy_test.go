@@ -133,13 +133,13 @@ func TestWindowedJoinLeavesInputsUntouched(t *testing.T) {
 	r0, s0 := r.Clone(), s.Clone()
 	spec := WindowSpec{Kind: Sliding, LengthMs: 120, SlideMs: 50}
 	for _, alg := range append(Algorithms(), AdaptiveName) {
-		for _, physical := range []bool{false, true} {
-			cfg := Config{Algorithm: alg, Threads: 2, AtRest: true, SIMD: physical, PhysicalPartition: physical}
+		for _, simd := range []bool{false, true} {
+			cfg := Config{Algorithm: alg, Threads: 2, AtRest: true, SIMD: simd}
 			if _, err := JoinWindowedParallel(r, s, spec, cfg, 3); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(r, r0) || !slices.Equal(s, s0) {
-				t.Fatalf("%s (physical=%v) wrote to the caller's streams", alg, physical)
+				t.Fatalf("%s (simd=%v) wrote to the caller's streams", alg, simd)
 			}
 		}
 	}
