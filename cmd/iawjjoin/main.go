@@ -42,9 +42,9 @@ func main() {
 		threads   = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		atRest    = flag.Bool("atrest", false, "treat inputs as data at rest (no arrival simulation)")
 		simd      = flag.Bool("simd", true, "use the vectorized-substitute sort kernels")
-		radixBits = flag.Int("radixbits", 0, "PRJ #r (0 = default)")
+		radixBits = flag.Int("radixbits", 0, "PRJ #r (0 = default 10, at most 20)")
 		sortStep  = flag.Float64("sortstep", 0, "PMJ δ as a fraction (0 = default)")
-		groupSize = flag.Int("groupsize", 0, "JB group size g (0 = default)")
+		groupSize = flag.Int("groupsize", 0, "JB group size g (0 = default 1, at most -threads)")
 		spillDir  = flag.String("spill", "", "PMJ disk-spill directory")
 		format    = flag.String("format", "text", "output format: text | json")
 		seed      = flag.Uint64("seed", 42, "seed for synthetic workloads")

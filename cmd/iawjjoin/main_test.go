@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os/exec"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -43,5 +44,21 @@ func TestFormatJSONIsAJournal(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRadixBitsOutOfRange: -radixbits 64 used to reach the partitioner,
+// where 1<<64 == 0 partitions is an index-out-of-range panic (and 40 an
+// out-of-memory death). It is a knob error now, reported like any other.
+func TestRadixBitsOutOfRange(t *testing.T) {
+	cmd := exec.Command("go", "run", ".", "-workload", "Stock", "-scale", "0.002", "-algorithm", "PRJ", "-radixbits", "64")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("-radixbits 64 must exit non-zero")
+	}
+	got := stderr.String()
+	if !strings.Contains(got, "core: PRJ: radix bits 64 exceed the maximum 20") || strings.Contains(got, "panic") {
+		t.Fatalf("stderr = %q, want the knob error and no panic", got)
 	}
 }

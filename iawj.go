@@ -25,8 +25,7 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/eager"
-	"repro/internal/lazy"
+	"repro/internal/joins"
 	"repro/internal/metrics"
 	"repro/internal/pool"
 	"repro/internal/trace"
@@ -65,9 +64,9 @@ type Config struct {
 	AtRest bool
 
 	// Algorithm knobs of Section 5.5.
-	RadixBits    int     // PRJ #r (default 10)
+	RadixBits    int     // PRJ #r (default 10, at most 20)
 	SortStepFrac float64 // PMJ δ (default 0.2)
-	GroupSize    int     // JB g (default 1)
+	GroupSize    int     // JB g (default 1, at most Threads)
 	SIMD         bool    // vectorized-substitute sort kernels
 	BatchSize    int     // eager pull batch (default 64)
 	SpillDir     string  // PMJ disk-spill directory ("" = in-memory runs)
@@ -116,17 +115,7 @@ type Config struct {
 	// completed window (OBSERVABILITY.md). Single-window Join calls
 	// ignore it — their callers write run records directly.
 	Journal *JournalWriter
-
-	// Window tags this run with its windowed-sweep identity; the
-	// JoinWindowed* drivers set it per window, other callers leave it
-	// zero. The tag is stamped into Result.WindowID/WindowStartMs/
-	// WindowEndMs.
-	Window WindowTag
 }
-
-// WindowTag identifies the source window of a windowed-sweep run; see
-// Config.Window.
-type WindowTag = core.WindowTag
 
 // JournalWriter appends iawj-journal/v2 JSONL records; see
 // NewJournalWriter, Config.Journal, and OBSERVABILITY.md.
@@ -168,42 +157,26 @@ func NewCacheSim() *cachesim.Hierarchy {
 	return cachesim.New(cachesim.DefaultConfig())
 }
 
-// NewAlgorithm instantiates a studied algorithm by its paper name.
+// NewAlgorithm instantiates an algorithm by its paper name: one of
+// Algorithms(), or HANDSHAKE for the related-work baseline. The names and
+// their implementations are one table, internal/joins.
 func NewAlgorithm(name string) (core.Algorithm, error) {
-	switch name {
-	case "NPJ":
-		return lazy.NPJ{}, nil
-	case "PRJ":
-		return lazy.PRJ{}, nil
-	case "MWAY", "MWay":
-		return lazy.MWay{}, nil
-	case "MPASS", "MPass":
-		return lazy.MPass{}, nil
-	case "SHJ_JM":
-		return eager.SHJ{JB: false}, nil
-	case "SHJ_JB":
-		return eager.SHJ{JB: true}, nil
-	case "PMJ_JM":
-		return eager.PMJ{JB: false}, nil
-	case "PMJ_JB":
-		return eager.PMJ{JB: true}, nil
-	case "HANDSHAKE":
-		return eager.Handshake{}, nil
+	alg, err := joins.New(name)
+	if err != nil {
+		return nil, fmt.Errorf("iawj: %w", err)
 	}
-	return nil, fmt.Errorf("iawj: unknown algorithm %q (want one of %v)", name, Algorithms())
+	return alg, nil
 }
 
 // Algorithms lists the eight studied algorithms in the paper's Table 2
 // order.
-func Algorithms() []string {
-	return []string{"NPJ", "PRJ", "MWAY", "MPASS", "SHJ_JM", "SHJ_JB", "PMJ_JM", "PMJ_JB"}
-}
+func Algorithms() []string { return joins.All() }
 
 // LazyAlgorithms lists the lazy subset.
-func LazyAlgorithms() []string { return []string{"NPJ", "PRJ", "MWAY", "MPASS"} }
+func LazyAlgorithms() []string { return joins.Lazy() }
 
 // EagerAlgorithms lists the eager subset.
-func EagerAlgorithms() []string { return []string{"SHJ_JM", "SHJ_JB", "PMJ_JM", "PMJ_JB"} }
+func EagerAlgorithms() []string { return joins.Eager() }
 
 // Join runs the configured intra-window join over one window of r and s
 // and returns the merged metrics. With Algorithm set to AdaptiveName the
@@ -247,7 +220,6 @@ func join(r, s Relation, cfg Config, baseTS int64, out *core.Outbox) (Result, er
 		Out:       out,
 		Pool:      cfg.Pool,
 		WrapClock: cfg.WrapClock,
-		Window:    cfg.Window,
 		BaseTS:    baseTS,
 	})
 }

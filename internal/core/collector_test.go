@@ -21,9 +21,7 @@ type scriptAlg struct {
 	fail bool
 }
 
-func (scriptAlg) Name() string       { return "SCRIPT" }
-func (scriptAlg) Approach() Approach { return Lazy }
-func (scriptAlg) Method() JoinMethod { return HashJoin }
+func (scriptAlg) Name() string { return "SCRIPT" }
 func (a scriptAlg) Run(ctx *ExecContext) error {
 	for tid := 0; tid < ctx.Threads; tid++ {
 		tm := ctx.M.T(tid)

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/cachesim"
@@ -23,49 +24,17 @@ import (
 	"repro/internal/tuple"
 )
 
-// Approach classifies an algorithm's execution approach (Section 3).
-type Approach int
-
-// Lazy algorithms buffer the window then join; eager algorithms join
-// aggressively on arrival.
-const (
-	Lazy Approach = iota
-	Eager
-)
-
-func (a Approach) String() string {
-	if a == Lazy {
-		return "lazy"
-	}
-	return "eager"
-}
-
-// JoinMethod classifies the join method design aspect.
-type JoinMethod int
-
-// Hash- or sort-based matching.
-const (
-	HashJoin JoinMethod = iota
-	SortJoin
-)
-
-func (m JoinMethod) String() string {
-	if m == HashJoin {
-		return "hash"
-	}
-	return "sort"
-}
-
 // Knobs carries the per-algorithm tuning parameters studied in Section 5.5.
 type Knobs struct {
-	// RadixBits is PRJ's #r (Figure 18). Zero selects the default (10,
-	// the experimentally determined sweet spot on the paper's machine).
+	// RadixBits is PRJ's #r (Figure 18), at most maxRadixBits. Zero selects
+	// the default (10, the experimentally determined sweet spot on the
+	// paper's machine).
 	RadixBits int
 	// SortStepFrac is PMJ's δ as a fraction of the expected input per
 	// stream (Figure 15). Zero selects the default 0.2 (20%).
 	SortStepFrac float64
-	// GroupSize is the JB scheme's g (Figure 16). Zero selects 1
-	// (strict hash partitioning); g == Threads degenerates to JM.
+	// GroupSize is the JB scheme's g (Figure 16), at most Threads. Zero
+	// selects 1 (strict hash partitioning); g == Threads degenerates to JM.
 	GroupSize int
 	// SIMD toggles the vectorized-substitute sort kernels (Figure 21).
 	SIMD bool
@@ -93,13 +62,20 @@ func (k *Knobs) defaults() {
 	}
 }
 
-// WindowTag identifies the source window of a run inside a windowed
-// sweep. The zero value means "not a windowed run" (or the first window
-// starting at 0 — disambiguated by the driver that sets it).
-type WindowTag struct {
-	ID      int
-	StartMs int64
-	EndMs   int64
+// maxRadixBits bounds Knobs.RadixBits: Figure 18 sweeps #r to 18, and a
+// fanout of 2^#r is allocated per worker whatever the input size.
+const maxRadixBits = 20
+
+// validate rejects, after defaults, the knob values no run of threads
+// workers can honour.
+func (k *Knobs) validate(threads int) error {
+	if k.RadixBits > maxRadixBits {
+		return fmt.Errorf("radix bits %d exceed the maximum %d", k.RadixBits, maxRadixBits)
+	}
+	if k.GroupSize > threads {
+		return fmt.Errorf("group size %d exceeds %d threads", k.GroupSize, threads)
+	}
+	return nil
 }
 
 // ExecContext is everything an algorithm needs for one run.
@@ -114,12 +90,9 @@ type ExecContext struct {
 	// results stay window-relative.
 	BaseTS  int64
 	Threads int
-	// Window tags a windowed-sweep run with its window identity; the
-	// per-window journal ledger and span analytics attribute through it.
-	Window WindowTag
-	Clock  clock.Source
-	M      *metrics.Collector
-	Knobs  Knobs
+	Clock   clock.Source
+	M       *metrics.Collector
+	Knobs   Knobs
 	// Tracer, when non-nil, feeds the cache simulator; profile runs are
 	// single-threaded so the trace is deterministic.
 	Tracer cachesim.Tracer
@@ -199,15 +172,11 @@ func (ctx *ExecContext) WaitWindow(tid int) {
 	if ctx.WindowMs > last {
 		last = ctx.WindowMs
 	}
-	tm := ctx.M.T(tid)
-	tw := ctx.TraceWorker(tid)
-	tm.Begin(metrics.PhaseWait)
-	tw.Begin(int(metrics.PhaseWait))
+	ctx.Begin(tid, metrics.PhaseWait)
 	for !ctx.Clock.Avail(last) {
 		time.Sleep(50 * time.Microsecond)
 	}
-	tm.End()
-	tw.End()
+	ctx.EndPhase(tid)
 }
 
 // Chunk returns the [lo, hi) bounds of thread tid's equisized portion of n
@@ -220,14 +189,25 @@ func Chunk(n, threads, tid int) (lo, hi int) {
 	return lo, hi
 }
 
-// Algorithm is one of the eight studied intra-window-join algorithms.
+// Parallel runs fn on threads worker goroutines, tid 0 to threads-1, and
+// waits for all of them.
+func Parallel(threads int, fn func(tid int)) {
+	var wg sync.WaitGroup
+	wg.Add(threads)
+	for t := 0; t < threads; t++ {
+		go func(tid int) {
+			defer wg.Done()
+			fn(tid)
+		}(t)
+	}
+	wg.Wait()
+}
+
+// Algorithm is one of the eight studied intra-window-join algorithms
+// (internal/joins is the table of them).
 type Algorithm interface {
 	// Name is the paper's identifier, e.g. "NPJ" or "SHJ_JM".
 	Name() string
-	// Approach reports lazy or eager execution.
-	Approach() Approach
-	// Method reports hash- or sort-based matching.
-	Method() JoinMethod
 	// Run executes the join to completion.
 	Run(ctx *ExecContext) error
 }
@@ -259,9 +239,6 @@ type RunConfig struct {
 	// Pool recycles per-window kernel state across runs; nil allocates
 	// fresh state per run (the pre-pool behaviour).
 	Pool *pool.Pool
-	// Window tags the run with its windowed-sweep identity; stamped into
-	// the Result so journal window records can be written downstream.
-	Window WindowTag
 	// BaseTS is the timestamp the inputs count from (ExecContext.BaseTS);
 	// zero for inputs that start at their window's opening.
 	BaseTS int64
@@ -300,6 +277,9 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	}
 	knobs := cfg.Knobs
 	knobs.defaults()
+	if err := knobs.validate(threads); err != nil {
+		return metrics.Result{}, fmt.Errorf("core: %s: %w", alg.Name(), err)
+	}
 	ns := cfg.NsPerSimMs
 	if ns <= 0 {
 		ns = DefaultNsPerSimMs
@@ -326,7 +306,6 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		WindowMs: windowMs,
 		BaseTS:   cfg.BaseTS,
 		Threads:  threads,
-		Window:   cfg.Window,
 		Clock:    src,
 		M:        cfg.Pool.Collector(threads),
 		Knobs:    knobs,
@@ -357,9 +336,6 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	// The Result shares no memory with the collector, which goes back for
 	// the next run — as it did above when the algorithm failed.
 	cfg.Pool.PutCollector(ctx.M)
-	res.WindowID = cfg.Window.ID
-	res.WindowStartMs = cfg.Window.StartMs
-	res.WindowEndMs = cfg.Window.EndMs
 	res.Pool = cfg.Pool.Stats().Since(poolBefore)
 	res.Output = ctx.Out.stats().Since(outBefore)
 	return res, nil

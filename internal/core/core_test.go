@@ -35,9 +35,7 @@ func TestChunkCoversAll(t *testing.T) {
 // countAlg is a trivial Algorithm used to exercise the runner.
 type countAlg struct{ ran *bool }
 
-func (countAlg) Name() string       { return "COUNT" }
-func (countAlg) Approach() Approach { return Lazy }
-func (countAlg) Method() JoinMethod { return HashJoin }
+func (countAlg) Name() string { return "COUNT" }
 func (c countAlg) Run(ctx *ExecContext) error {
 	*c.ran = true
 	if ctx.Threads < 1 {
@@ -82,12 +80,30 @@ func TestKnobDefaults(t *testing.T) {
 	}
 }
 
-func TestApproachAndMethodStrings(t *testing.T) {
-	if Lazy.String() != "lazy" || Eager.String() != "eager" {
-		t.Fatal("approach strings")
-	}
-	if HashJoin.String() != "hash" || SortJoin.String() != "sort" {
-		t.Fatal("method strings")
+// TestRunValidatesKnobs pins the two bounded knobs at their bound and one
+// past it: past it the run fails before the algorithm starts, as every
+// other core.Run failure reads, instead of panicking in a kernel
+// (1<<64 == 0 partitions) or exhausting memory (2^40 of them).
+func TestRunValidatesKnobs(t *testing.T) {
+	r := tuple.Relation{{TS: 0, Key: 1}}
+	for _, c := range []struct {
+		knobs Knobs
+		want  string // "" = runs
+	}{
+		{Knobs{RadixBits: maxRadixBits}, ""},
+		{Knobs{RadixBits: maxRadixBits + 1}, "core: COUNT: radix bits 21 exceed the maximum 20"},
+		{Knobs{RadixBits: 64}, "core: COUNT: radix bits 64 exceed the maximum 20"},
+		{Knobs{GroupSize: 2}, ""},
+		{Knobs{GroupSize: 3}, "core: COUNT: group size 3 exceeds 2 threads"},
+	} {
+		ran := false
+		_, err := Run(countAlg{&ran}, r, r, 10, RunConfig{Threads: 2, AtRest: true, Knobs: c.knobs})
+		switch {
+		case c.want == "" && (err != nil || !ran):
+			t.Errorf("%+v: err = %v, ran = %v; want a clean run", c.knobs, err, ran)
+		case c.want != "" && (err == nil || err.Error() != c.want || ran):
+			t.Errorf("%+v: err = %v, ran = %v; want %q before the algorithm runs", c.knobs, err, ran, c.want)
+		}
 	}
 }
 

@@ -7,20 +7,30 @@
 // Every worker thread continuously and alternately pulls available tuples
 // from its assigned subsets of both input streams — exactly the paper's
 // execution model, where a thread stalls only when it consumes tuples
-// faster than they arrive.
+// faster than they arrive. The four algorithms are a product and the code
+// is its two factors: worker is the pulling half (scheme × cursors × gate),
+// SHJ.Run and PMJ.Run are what happens to the tuples between two pulls.
 package eager
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/cachesim"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/hashtable"
 	"repro/internal/metrics"
 	"repro/internal/pool"
 	"repro/internal/trace"
 	"repro/internal/tuple"
+)
+
+// side names an input stream: a scheme replicates R and partitions S.
+type side uint8
+
+const (
+	sideR side = iota
+	sideS
 )
 
 // distribution captures a stream distribution scheme's assignment logic
@@ -38,9 +48,10 @@ type distribution struct {
 	// the paper identifies.
 	status statusTable
 
-	// tracer models the router's memory traffic in profile runs: the
-	// content-sensitive JB scheme accesses per-key state whose footprint
-	// exceeds L2 but fits L3, the Figure 8 partition-phase signature.
+	// tracer models the router's memory traffic (and the cursors' stream
+	// reads) in profile runs: the content-sensitive JB scheme accesses
+	// per-key state whose footprint exceeds L2 but fits L3, the Figure 8
+	// partition-phase signature.
 	tracer cachesim.Tracer
 }
 
@@ -57,38 +68,29 @@ func (d *distribution) trace(k int32) {
 		d.tracer.Op(1) // JM: a modulo, no state
 		return
 	}
-	h := hash32(k) % statusRegion
+	h := hashtable.Hash(k) % statusRegion
 	d.tracer.Access(1<<52 + uint64(h)*16)
 	d.tracer.Op(3) // hash + status update
 }
 
 // newJM builds the join-matrix assignment: content-insensitive, R
 // replicated to every thread, S partitioned round-robin.
-func newJM(threads, tid int) *distribution {
-	return &distribution{threads: threads, tid: tid}
+func newJM(threads, tid int) distribution {
+	return distribution{threads: threads, tid: tid}
 }
 
-// newJB builds the join-biclique assignment with group size g:
-// content-sensitive routing of keys to core groups; within a group R is
-// replicated among the g members and S is partitioned round-robin.
-// g == 1 degenerates to strict hash partitioning; g == threads to JM with
-// an extra routing layer. The router's status table is sized for maxKeys
-// distinct keys and taken from p; release hands it back.
-func newJB(threads, tid, g, maxKeys int, p *pool.Pool) *distribution {
-	if g < 1 {
-		g = 1
-	}
-	if g > threads {
-		g = threads
-	}
-	groups := threads / g
-	if groups < 1 {
-		groups = 1
-	}
-	return &distribution{
+// newJB builds the join-biclique assignment with group size g (in
+// [1, threads]: core.Run validates the knob): content-sensitive routing of
+// keys to core groups; within a group R is replicated among the g members
+// and S is partitioned round-robin. g == 1 degenerates to strict hash
+// partitioning; g == threads to JM with an extra routing layer. The
+// router's status table is sized for maxKeys distinct keys and taken from
+// p; release hands it back.
+func newJB(threads, tid, g, maxKeys int, p *pool.Pool) distribution {
+	return distribution{
 		threads:   threads,
 		tid:       tid,
-		groups:    groups,
+		groups:    threads / g,
 		groupSize: g,
 		status:    newStatusTable(maxKeys, p),
 	}
@@ -98,43 +100,27 @@ func newJB(threads, tid, g, maxKeys int, p *pool.Pool) *distribution {
 // used afterwards.
 func (d *distribution) release(p *pool.Pool) { d.status.release(p) }
 
-// hash32 matches the hash used by the hash tables so routing and
-// placement agree.
-func hash32(key int32) uint32 {
-	x := uint32(key)
-	x ^= x >> 16
-	x *= 0x45d9f3b
-	x ^= x >> 16
-	return x
-}
-
-// ownsR reports whether this worker processes R tuple t (at stream
-// position i).
-func (d *distribution) ownsR(i int, t tuple.Tuple) bool {
+// owns reports whether this worker processes the tuple t at position i of
+// stream sd. Keys route by the hash the hash tables place them with, so
+// routing and placement agree.
+func (d *distribution) owns(sd side, i int, t tuple.Tuple) bool {
 	d.trace(t.Key)
 	if d.groups == 0 {
-		return true // JM replicates R everywhere
+		// JM replicates R everywhere and deals S round-robin.
+		return sd == sideR || i%d.threads == d.tid
 	}
-	h := hash32(t.Key)
+	h := hashtable.Hash(t.Key)
 	g := int32(h % uint32(d.groups))
 	d.status.set(t.Key, h, g) // router status maintenance
-	return int(g) == d.tid/d.groupSize
-}
-
-// ownsS reports whether this worker processes S tuple t (at position i).
-func (d *distribution) ownsS(i int, t tuple.Tuple) bool {
-	d.trace(t.Key)
-	if d.groups == 0 {
-		return i%d.threads == d.tid
-	}
-	h := hash32(t.Key)
-	g := int32(h % uint32(d.groups))
-	d.status.set(t.Key, h, g)
 	if int(g) != d.tid/d.groupSize {
 		return false
 	}
-	return i%d.groupSize == d.tid%d.groupSize
+	return sd == sideR || i%d.groupSize == d.tid%d.groupSize
 }
+
+// estOwnersR estimates how many ways R is split, to size a worker's share
+// of it: JM replicates R to all workers, JB splits R across groups.
+func (d *distribution) estOwnersR() int { return max(1, d.groups) }
 
 // statusBytes estimates the router bookkeeping footprint for memory
 // accounting.
@@ -142,30 +128,30 @@ func (d *distribution) statusBytes() int64 { return int64(d.status.n) * 16 }
 
 // cursor walks one stream with arrival gating.
 type cursor struct {
-	rel tuple.Relation
-	idx int
-
-	// tracer/base model the sequential stream reads in profile runs.
-	tracer cachesim.Tracer
-	base   uint64
+	rel  tuple.Relation
+	side side
+	idx  int
+	base uint64 // the stream's place in a profile run's address space
 }
 
 // done reports whether the stream is exhausted.
 func (c *cursor) done() bool { return c.idx >= len(c.rel) }
 
-// batch collects up to max owned, already-arrived tuples starting at the
-// cursor, appending them to buf and advancing past non-owned tuples too.
-// gateMs is the round's arrival gate (core.ExecContext.GateMs): a tuple
-// stamped later has not arrived. It returns the filled buffer and whether
-// the scan stopped because the next tuple has not arrived yet.
+// batch collects up to max tuples that d owns and that have already
+// arrived, starting at the cursor, appending them to buf and advancing
+// past non-owned tuples too. gateMs is the round's arrival gate
+// (core.ExecContext.GateMs): a tuple stamped later has not arrived. It
+// returns the filled buffer and whether the scan stopped because the next
+// tuple has not arrived yet. d is an argument, not a cursor field: a cursor
+// pointing into the worker that holds it would move the worker to the heap.
 //
 //iawj:hotpath
-func (c *cursor) batch(buf []tuple.Tuple, max int, gateMs int64, atRest bool, owns func(i int, t tuple.Tuple) bool) ([]tuple.Tuple, bool) {
+func (c *cursor) batch(buf []tuple.Tuple, max int, gateMs int64, atRest bool, d *distribution) ([]tuple.Tuple, bool) {
 	taken := 0
-	// The cursor fields are staged into locals for the scan: indexing
-	// through c.idx keeps a bounds check per tuple because the prover
-	// must assume the owns callback mutates the cursor (LINTING.md §BCE).
-	rel := c.rel
+	// The fields are staged into locals for the scan: indexing through
+	// c.idx keeps a bounds check per tuple because the prover must assume
+	// the owns call mutates the cursor (LINTING.md §BCE).
+	rel, tr := c.rel, d.tracer
 	i := c.idx
 	for i >= 0 && i < len(rel) && taken < max {
 		t := rel[i]
@@ -173,12 +159,11 @@ func (c *cursor) batch(buf []tuple.Tuple, max int, gateMs int64, atRest bool, ow
 			c.idx = i
 			return buf, true
 		}
-		if c.tracer != nil {
-			c.tracer.Access(c.base + uint64(i)*16)
-			c.tracer.Op(2)
+		if tr != nil {
+			tr.Access(c.base + uint64(i)*16)
+			tr.Op(2)
 		}
-		//lint:allow hotpathalloc the ownership predicate is the partitioning-strategy hook, per-tuple by design
-		if owns(i, t) {
+		if d.owns(c.side, i, t) {
 			buf = append(buf, t)
 			taken++
 		}
@@ -191,69 +176,105 @@ func (c *cursor) batch(buf []tuple.Tuple, max int, gateMs int64, atRest bool, ow
 // stall is how long a starved eager worker sleeps before re-polling.
 const stall = 20 * time.Microsecond
 
-// eagerBatch is the per-pull batch bound (Knobs.BatchSize overrides).
-func batchSize(ctx *core.ExecContext) int {
-	if ctx.Knobs.BatchSize > 0 {
-		return ctx.Knobs.BatchSize
-	}
-	return 64
+// worker is the pulling half of an eager join, the same for every
+// algorithm × scheme: a worker's distribution, its cursors over both
+// streams, the current round's arrival gate, and the timing of what happens
+// between pulls. It lives on its goroutine's stack — built by value,
+// holding no pointer to itself — so a window allocates nothing for it.
+type worker struct {
+	ctx  *core.ExecContext
+	tid  int
+	tm   *metrics.ThreadMetrics
+	tw   *trace.Worker // nil — and free — when tracing is disabled
+	sink *core.Sink
+	dist distribution
+	r, s cursor
+
+	atRest  bool
+	gate    int64 // this round's arrival gate
+	waiting bool  // a pull of this round stopped at a tuple yet to arrive
+
+	// The open phase: begin starts it, end books it.
+	phase metrics.Phase
+	start int64
+	sw    clock.Stopwatch
 }
 
-// makeDist constructs the distribution for a worker given the scheme. A
+// newWorker builds worker tid of a join under the JB or the JM scheme.
+// base places its stream reads in a profile run's traced address space. A
 // JB router sees every tuple of both streams, which bounds its keys.
-func makeDist(jb bool, ctx *core.ExecContext, tid int) *distribution {
-	var d *distribution
+func newWorker(ctx *core.ExecContext, tid int, jb bool, base uint64) worker {
+	w := worker{
+		ctx: ctx, tid: tid, tm: ctx.M.T(tid), tw: ctx.TraceWorker(tid),
+		sink:   core.NewSink(ctx, tid),
+		dist:   newJM(ctx.Threads, tid),
+		r:      cursor{rel: ctx.R, side: sideR, base: base},
+		s:      cursor{rel: ctx.S, side: sideS, base: base | 1<<45},
+		atRest: ctx.Clock.AtRest(),
+	}
 	if jb {
-		d = newJB(ctx.Threads, tid, ctx.Knobs.GroupSize, len(ctx.R)+len(ctx.S), ctx.Pool)
-	} else {
-		d = newJM(ctx.Threads, tid)
+		w.dist = newJB(ctx.Threads, tid, ctx.Knobs.GroupSize, len(ctx.R)+len(ctx.S), ctx.Pool)
 	}
-	d.tracer = ctx.Tracer
-	return d
+	w.dist.tracer = ctx.Tracer
+	return w
 }
 
-// parallel runs fn on threads workers and waits.
-func parallel(threads int, fn func(tid int)) {
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for t := 0; t < threads; t++ {
-		go func(tid int) {
-			defer wg.Done()
-			fn(tid)
-		}(t)
+// next opens a pull round unless both streams are exhausted. The arrival
+// gate is sampled once for the round's pulls and the sink refreshed every
+// round: a worker's results leave within a round of being found, and a
+// worker that found none delivers what the others have parked.
+func (w *worker) next() bool {
+	if w.r.done() && w.s.done() {
+		return false
 	}
-	wg.Wait()
+	w.gate = w.ctx.GateMs()
+	w.sink.Refresh()
+	w.waiting = false
+	return true
 }
 
-// phaseTimer measures sub-batch phases with explicit start/stop pairs so
-// the eager loops avoid two Begin calls per tuple. Each measured stretch
-// is also published as one trace span through the worker's preallocated
-// ring (tw is nil — and free — when tracing is disabled).
-type phaseTimer struct {
-	tm  *metrics.ThreadMetrics
-	ctx *core.ExecContext
-	tw  *trace.Worker
+// pull appends up to a batch (Knobs.BatchSize) of cursor c's owned and
+// arrived tuples to buf.
+func (w *worker) pull(c *cursor, buf []tuple.Tuple) []tuple.Tuple {
+	buf, waiting := c.batch(buf, w.ctx.Knobs.BatchSize, w.gate, w.atRest, &w.dist)
+	w.waiting = w.waiting || waiting
+	return buf
 }
 
-// newPhaseTimer binds the timer to worker tid's metrics and trace handles.
-func newPhaseTimer(ctx *core.ExecContext, tid int) phaseTimer {
-	return phaseTimer{tm: ctx.M.T(tid), ctx: ctx, tw: ctx.TraceWorker(tid)}
-}
-
-func (p phaseTimer) time(ph metrics.Phase, fn func()) {
-	p.timeCount(ph, func() int64 { fn(); return 0 })
-}
-
-// timeCount measures fn like time and attributes its returned tuple count
-// to the published span.
-func (p phaseTimer) timeCount(ph metrics.Phase, fn func() int64) {
-	if p.ctx.Tracer != nil {
-		p.ctx.SetPhase(ph)
+// begin opens a measured stretch of phase ph: the eager loops measure
+// sub-batch phases with explicit begin/end pairs — no Begin call per tuple,
+// no closure per phase — and publish each as one trace span through the
+// worker's preallocated ring.
+func (w *worker) begin(ph metrics.Phase) {
+	if w.ctx.Tracer != nil {
+		w.ctx.SetPhase(ph)
 	}
-	start := p.tw.NowNs()
-	sw := clock.StartStopwatch()
-	n := fn()
-	d := sw.ElapsedNs()
-	p.tm.AddPhaseNs(ph, d)
-	p.tw.Record(int(ph), start, d, n)
+	w.phase = ph
+	w.start = w.tw.NowNs()
+	w.sw = clock.StartStopwatch()
+}
+
+// end books the stretch begin opened and attributes n tuples to its span.
+func (w *worker) end(n int) {
+	d := w.sw.ElapsedNs()
+	w.tm.AddPhaseNs(w.phase, d)
+	w.tw.Record(int(w.phase), w.start, d, int64(n))
+}
+
+// starved stalls a worker whose round pulled nothing because it consumes
+// tuples faster than they arrive.
+func (w *worker) starved(pulled int) {
+	if pulled == 0 && w.waiting {
+		w.begin(metrics.PhaseWait)
+		time.Sleep(stall)
+		w.end(0)
+	}
+}
+
+// close books and delivers the worker's last matches and returns the
+// router's pooled state.
+func (w *worker) close() {
+	w.sink.Close()
+	w.dist.release(w.ctx.Pool)
+	w.ctx.EndPhase(w.tid)
 }

@@ -21,12 +21,6 @@ type Handshake struct{}
 // Name implements core.Algorithm.
 func (Handshake) Name() string { return "HANDSHAKE" }
 
-// Approach implements core.Algorithm.
-func (Handshake) Approach() core.Approach { return core.Eager }
-
-// Method implements core.Algorithm.
-func (Handshake) Method() core.JoinMethod { return core.HashJoin }
-
 // hsMsg is one tuple traveling through the pipeline.
 type hsMsg struct {
 	t     tuple.Tuple

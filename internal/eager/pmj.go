@@ -2,11 +2,10 @@ package eager
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -43,12 +42,6 @@ func (a PMJ) Name() string {
 	}
 	return "PMJ_JM"
 }
-
-// Approach implements core.Algorithm.
-func (PMJ) Approach() core.Approach { return core.Eager }
-
-// Method implements core.Algorithm.
-func (PMJ) Method() core.JoinMethod { return core.SortJoin }
 
 // run holds one sealed pair of sorted subsets, in memory or spilled.
 type run struct {
@@ -143,177 +136,148 @@ func (sr *spillReader) read(path string, offset int64, dst tuple.Relation) (tupl
 	return tuple.ReadBinaryInto(sr.br, dst)
 }
 
-// Run implements core.Algorithm. The worker loop covers the sort-seal
-// inner loop and the run-pair merge of Figure 1b.
-//
-//iawj:hotpath
+// pmjWorker is one worker's PMJ state on top of the pulling half: the
+// pair of subsets being accumulated and the runs sealed from them.
+type pmjWorker struct {
+	worker
+	// step is how many tuples accumulate before a sort step; every run is
+	// sealed from a pair of buffers of capacity runCap.
+	step, runCap        int
+	runs                []run
+	curR, curS, scratch tuple.Relation
+	rect                func(rRun, sRun []tuple.Tuple) // the sink's Rect
+	// err is the first spill or reload failure. The worker carries on past
+	// it, so every buffer and file it holds is still released.
+	err error
+}
+
+// Run implements core.Algorithm: between two pulls a worker accumulates,
+// and seals a run once a step's worth is in (the sort-seal inner loop of
+// Figure 1b); when the streams are exhausted it merges the run pairs.
 func (a PMJ) Run(ctx *core.ExecContext) error {
-	if g := ctx.Knobs.GroupSize; g > ctx.Threads {
-		return fmt.Errorf("eager: group size %d exceeds %d threads", g, ctx.Threads) //lint:allow hotpathalloc entry validation, not per-tuple
-	}
-	atRest := ctx.Clock.AtRest()
-	bsz := batchSize(ctx)
-	spillDir := ctx.Knobs.SpillDir
-
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
-	parallel(ctx.Threads, func(tid int) {
-		pt := newPhaseTimer(ctx, tid)
-		dist := makeDist(a.JB, ctx, tid)
-		sink := core.NewSink(ctx, tid)
-
-		// δ controls how many tuples accumulate before each sort step,
-		// as a fraction of this worker's expected input (Section 3.2.1).
-		expected := len(ctx.R)/dist.estOwnersR(ctx) + len(ctx.S)/ctx.Threads
-		step := int(ctx.Knobs.SortStepFrac * float64(expected))
-		if step < 2*bsz {
-			step = 2 * bsz
-		}
-
-		// Every run is sealed from a pair of buffers of this capacity: a
-		// seal happens once both hold step tuples between them, and the
-		// pull before it adds at most a batch to each.
-		runCap := step + 2*bsz
-		// A run is sealed per step tuples of the expected input, plus the
-		// final partial one: sized once, not grown run by run.
-		runs := make([]run, 0, expected/step+2)
-		defer func() {
-			// Shadow the captured slice: indexing the closure variable
-			// directly re-checks bounds per run (LINTING.md §BCE).
-			rs := runs
-			for i := range rs {
-				if rs[i].path != "" {
-					os.Remove(rs[i].path)
-				}
-				ctx.Pool.PutTuples(rs[i].r)
-				ctx.Pool.PutTuples(rs[i].s)
-			}
-		}()
-		curR, curS := ctx.Pool.Tuples(runCap), ctx.Pool.Tuples(runCap)
-		scratch := ctx.Pool.Tuples(runCap)
-		rcur := &cursor{rel: ctx.R, tracer: ctx.Tracer, base: 1 << 47}
-		scur := &cursor{rel: ctx.S, tracer: ctx.Tracer, base: 1<<47 | 1<<45}
-
-		// Hoisted loop state and closures: the accumulate loop and the
-		// merge-phase scan reuse these instead of constructing fresh
-		// closures every iteration.
-		var gate int64
-		var rWaiting, sWaiting bool
-		nR, nS := 0, 0
-		ownsR, ownsS := dist.ownsR, dist.ownsS
-		rect := sink.Rect
-		pull := func() int64 {
-			before := len(curR)
-			curR, rWaiting = rcur.batch(curR, bsz, gate, atRest, ownsR)
-			nR = len(curR) - before
-			before = len(curS)
-			curS, sWaiting = scur.batch(curS, bsz, gate, atRest, ownsS)
-			nS = len(curS) - before
-			return int64(nR + nS)
-		}
-		stallFn := func() { time.Sleep(stall) }
-
-		seal := func() {
-			if len(curR) == 0 && len(curS) == 0 {
-				return
-			}
-			// Sort the accumulated subsets into a run pair.
-			pt.timeCount(metrics.PhaseBuildSort, func() int64 {
-				sortmerge.SortByKeyScratch(curR, scratch, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<40|uint64(len(runs))<<24)
-				sortmerge.SortByKeyScratch(curS, scratch, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<40|uint64(len(runs))<<24|1<<23)
-				return int64(len(curR) + len(curS))
-			})
-			// Join the fresh run pair immediately: early results.
-			pt.timeCount(metrics.PhaseProbe, func() int64 {
-				sink.Refresh()
-				sortmerge.MergeJoinRuns(curR, curS, rect, ctx.Tracer, 0, 0)
-				return int64(len(curR) + len(curS))
-			})
-			ru := run{r: curR, s: curS}
-			if spillDir != "" {
-				pt.time(metrics.PhaseOther, func() {
-					if err := ru.spill(spillDir, ctx.Pool); err != nil {
-						fail(fmt.Errorf("eager: pmj spill: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
-					}
-				})
-			} else {
-				ctx.M.MemAdd(int64(len(curR)+len(curS)) * 16)
-			}
-			runs = append(runs, ru)
-			curR, curS = nil, nil
-			if !rcur.done() || !scur.done() {
-				curR, curS = ctx.Pool.Tuples(runCap), ctx.Pool.Tuples(runCap)
-			}
-			if tid == 0 {
-				ctx.M.MemSampleNow(ctx.NowMs())
-			}
-		}
-
-		for !rcur.done() || !scur.done() {
-			gate = ctx.GateMs()
-			// Every round, as SHJ does: a sealed run's results leave within
-			// a round, and a worker still accumulating delivers what the
-			// others have parked.
-			sink.Refresh()
-			rWaiting, sWaiting = false, false
-			pt.timeCount(metrics.PhasePartition, pull)
-			if len(curR)+len(curS) >= step {
-				//lint:allow hotpathalloc seal runs once per sealed run, not per tuple
-				seal()
-			}
-			if nR == 0 && nS == 0 && (rWaiting || sWaiting) {
-				pt.time(metrics.PhaseWait, stallFn)
-			}
-		}
-		seal() // the final partial run
-		ctx.Pool.PutTuples(curR)
-		ctx.Pool.PutTuples(curS)
-		ctx.Pool.PutTuples(scratch)
-
-		// Merge phase: revisit stored runs and join the remaining pairs
-		// of subsets (run i's R against run j's S for i != j; the i == j
-		// pairs were joined when sealed). Spilled runs are re-read here,
-		// paying the original PMJ's disk revisit cost.
-		pt.time(metrics.PhaseMerge, func() {
-			sink.Refresh()
-			// Shadow the captured slice: indexing the closure variable
-			// directly re-checks bounds per run (LINTING.md §BCE).
-			rs := runs
-			sr := newSpillReader(rs, ctx.Pool)
-			defer sr.release(ctx.Pool)
-			for i := range rs {
-				ri, err := sr.loadR(&rs[i])
-				if err != nil {
-					fail(fmt.Errorf("eager: pmj reload: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
-					return
-				}
-				for j := range rs {
-					if i == j {
-						continue
-					}
-					sj, err := sr.loadS(&rs[j])
-					if err != nil {
-						fail(fmt.Errorf("eager: pmj reload: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
-						return
-					}
-					sortmerge.MergeJoinRuns(ri, sj, rect, ctx.Tracer, 0, 0)
-					sink.Refresh()
-				}
-			}
-		})
-		sink.Close()
-		ctx.M.MemAdd(dist.statusBytes())
-		dist.release(ctx.Pool)
-		ctx.EndPhase(tid)
-	})
+	errs := make([]error, ctx.Threads)
+	core.Parallel(ctx.Threads, func(tid int) { errs[tid] = a.work(ctx, tid) })
 	ctx.M.MemSampleNow(ctx.NowMs())
-	return firstErr
+	// Every worker has run to its end and released what it held.
+	return errors.Join(errs...)
+}
+
+// work is worker tid's whole join; it returns the worker's first failure.
+func (a PMJ) work(ctx *core.ExecContext, tid int) error {
+	p := pmjWorker{worker: newWorker(ctx, tid, a.JB, 1<<47)}
+	bsz := ctx.Knobs.BatchSize
+
+	// δ controls how many tuples accumulate before each sort step, as a
+	// fraction of this worker's expected input (Section 3.2.1).
+	expected := len(ctx.R)/p.dist.estOwnersR() + len(ctx.S)/ctx.Threads
+	p.step = max(int(ctx.Knobs.SortStepFrac*float64(expected)), 2*bsz)
+	// A seal happens once both buffers hold step tuples between them, and
+	// the pull before it adds at most a batch to each.
+	p.runCap = p.step + 2*bsz
+	// A run is sealed per step tuples of the expected input, plus the
+	// final partial one: sized once, not grown run by run.
+	p.runs = make([]run, 0, expected/p.step+2)
+	p.curR, p.curS = ctx.Pool.Tuples(p.runCap), ctx.Pool.Tuples(p.runCap)
+	p.scratch = ctx.Pool.Tuples(p.runCap)
+	p.rect = p.sink.Rect
+
+	for p.next() {
+		before := len(p.curR) + len(p.curS)
+		p.begin(metrics.PhasePartition)
+		p.curR = p.pull(&p.r, p.curR)
+		p.curS = p.pull(&p.s, p.curS)
+		pulled := len(p.curR) + len(p.curS) - before
+		p.end(pulled)
+		if before+pulled >= p.step {
+			p.seal()
+		}
+		p.starved(pulled)
+	}
+	p.seal() // the final partial run
+	ctx.Pool.PutTuples(p.curR)
+	ctx.Pool.PutTuples(p.curS)
+	ctx.Pool.PutTuples(p.scratch)
+
+	p.begin(metrics.PhaseMerge)
+	if err := p.merge(); err != nil && p.err == nil {
+		p.err = fmt.Errorf("eager: pmj reload: %w", err)
+	}
+	p.end(0)
+
+	for i := range p.runs {
+		if p.runs[i].path != "" {
+			os.Remove(p.runs[i].path)
+		}
+		ctx.Pool.PutTuples(p.runs[i].r)
+		ctx.Pool.PutTuples(p.runs[i].s)
+	}
+	ctx.M.MemAdd(p.dist.statusBytes())
+	p.close()
+	return p.err
+}
+
+// seal sorts the accumulated subsets into a run pair, joins the pair
+// immediately — early results — and stores it, in memory or spilled.
+func (p *pmjWorker) seal() {
+	n := len(p.curR) + len(p.curS)
+	if n == 0 {
+		return
+	}
+	ctx := p.ctx
+	base := uint64(p.tid)<<40 | uint64(len(p.runs))<<24
+	p.begin(metrics.PhaseBuildSort)
+	sortmerge.SortByKeyScratch(p.curR, p.scratch, ctx.Knobs.SIMD, ctx.Tracer, base)
+	sortmerge.SortByKeyScratch(p.curS, p.scratch, ctx.Knobs.SIMD, ctx.Tracer, base|1<<23)
+	p.end(n)
+	p.begin(metrics.PhaseProbe)
+	p.sink.Refresh()
+	sortmerge.MergeJoinRuns(p.curR, p.curS, p.rect, ctx.Tracer, 0, 0)
+	p.end(n)
+
+	ru := run{r: p.curR, s: p.curS}
+	if dir := ctx.Knobs.SpillDir; dir != "" {
+		p.begin(metrics.PhaseOther)
+		if err := ru.spill(dir, ctx.Pool); err != nil && p.err == nil {
+			p.err = fmt.Errorf("eager: pmj spill: %w", err)
+		}
+		p.end(0)
+	} else {
+		ctx.M.MemAdd(int64(n) * 16)
+	}
+	p.runs = append(p.runs, ru)
+	p.curR, p.curS = nil, nil
+	if !p.r.done() || !p.s.done() {
+		p.curR, p.curS = ctx.Pool.Tuples(p.runCap), ctx.Pool.Tuples(p.runCap)
+	}
+	if p.tid == 0 {
+		ctx.M.MemSampleNow(ctx.NowMs())
+	}
+}
+
+// merge revisits the stored runs and joins the remaining pairs of subsets
+// (run i's R against run j's S for i != j; the i == j pairs were joined
+// when sealed). Spilled runs are re-read here, paying the original PMJ's
+// disk revisit cost.
+func (p *pmjWorker) merge() error {
+	p.sink.Refresh()
+	sr := newSpillReader(p.runs, p.ctx.Pool)
+	defer sr.release(p.ctx.Pool)
+	for i := range p.runs {
+		ri, err := sr.loadR(&p.runs[i])
+		if err != nil {
+			return err
+		}
+		for j := range p.runs {
+			if i == j {
+				continue
+			}
+			sj, err := sr.loadS(&p.runs[j])
+			if err != nil {
+				return err
+			}
+			sortmerge.MergeJoinRuns(ri, sj, p.rect, p.ctx.Tracer, 0, 0)
+			p.sink.Refresh()
+		}
+	}
+	return nil
 }

@@ -1,11 +1,10 @@
 package eager
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/core"
+	"repro/internal/hashtable"
 	"repro/internal/metrics"
+	"repro/internal/tuple"
 )
 
 // SHJ is the Symmetric Hash Join combined with a stream distribution
@@ -33,39 +32,14 @@ func (a SHJ) Name() string {
 	return "SHJ_JM"
 }
 
-// Approach implements core.Algorithm.
-func (SHJ) Approach() core.Approach { return core.Eager }
-
-// Method implements core.Algorithm.
-func (SHJ) Method() core.JoinMethod { return core.HashJoin }
-
-// validate rejects impossible knob combinations before spawning workers.
-func (SHJ) validate(ctx *core.ExecContext) error {
-	if g := ctx.Knobs.GroupSize; g > ctx.Threads {
-		return fmt.Errorf("eager: group size %d exceeds %d threads", g, ctx.Threads)
-	}
-	return nil
-}
-
-// Run implements core.Algorithm. The worker loop is the interleaved
-// build/probe inner loop of Figure 1a. All phase closures and ownership
-// predicates are constructed once per worker, outside the round loop —
-// constructing them per round would allocate on every iteration.
-//
-//iawj:hotpath
+// Run implements core.Algorithm: between two pulls a worker runs the
+// interleaved build/probe of Figure 1a over the batch it pulled.
 func (a SHJ) Run(ctx *core.ExecContext) error {
-	if err := a.validate(ctx); err != nil {
-		return err
-	}
-	atRest := ctx.Clock.AtRest()
-	bsz := batchSize(ctx)
+	bsz := ctx.Knobs.BatchSize
+	core.Parallel(ctx.Threads, func(tid int) {
+		w := newWorker(ctx, tid, a.JB, 1<<46)
 
-	parallel(ctx.Threads, func(tid int) {
-		pt := newPhaseTimer(ctx, tid)
-		dist := makeDist(a.JB, ctx, tid)
-		sink := core.NewSink(ctx, tid)
-
-		rtab := ctx.Pool.Table(len(ctx.R)/maxInt(1, dist.estOwnersR(ctx))+16, 0)
+		rtab := ctx.Pool.Table(len(ctx.R)/w.dist.estOwnersR()+16, 0)
 		stab := ctx.Pool.Table(len(ctx.S)/ctx.Threads+16, 0)
 		if ctx.Tracer != nil {
 			rtab.SetTracer(ctx.Tracer, uint64(tid)<<40|1<<48)
@@ -74,76 +48,27 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 		memLast := rtab.MemBytes() + stab.MemBytes()
 		ctx.M.MemAdd(memLast)
 
-		rcur := &cursor{rel: ctx.R, tracer: ctx.Tracer, base: 1 << 46}
-		scur := &cursor{rel: ctx.S, tracer: ctx.Tracer, base: 1<<46 | 1<<45}
 		rbuf := ctx.Pool.Tuples(bsz)
 		sbuf := ctx.Pool.Tuples(bsz)
 		pairs := ctx.Pool.Pairs(2 * bsz)
-		rounds := 0
-
-		// Hoisted loop state and phase closures: the round loop reuses
-		// these instead of constructing fresh closures every iteration.
-		var gate int64
-		var rWaiting, sWaiting bool
-		ownsR, ownsS := dist.ownsR, dist.ownsS
-		pullR := func() int64 {
-			rbuf, rWaiting = rcur.batch(rbuf[:0], bsz, gate, atRest, ownsR)
-			return int64(len(rbuf))
-		}
-		buildR := func() int64 {
-			rtab.InsertBatch(rbuf)
-			return int64(len(rbuf))
-		}
-		probeR := func() int64 {
-			// ProbeBatch pairs are (stored, probe): stored is the S-side
-			// tuple here, the probe is from R.
-			pairs, _ = stab.ProbeBatch(rbuf, pairs[:0])
-			sink.Pairs(pairs, false)
-			return int64(len(rbuf))
-		}
-		pullS := func() int64 {
-			sbuf, sWaiting = scur.batch(sbuf[:0], bsz, gate, atRest, ownsS)
-			return int64(len(sbuf))
-		}
-		buildS := func() int64 {
-			stab.InsertBatch(sbuf)
-			return int64(len(sbuf))
-		}
-		probeS := func() int64 {
-			pairs, _ = rtab.ProbeBatch(sbuf, pairs[:0])
-			sink.Pairs(pairs, true)
-			return int64(len(sbuf))
-		}
-		stallFn := func() { time.Sleep(stall) }
-
-		for !rcur.done() || !scur.done() {
-			gate = ctx.GateMs()
-			sink.Refresh()
-			rWaiting, sWaiting = false, false
-
+		for rounds := 1; w.next(); rounds++ {
 			// Pull a batch from R: insert into the R table, probe the
 			// S table (interleaved build and probe).
-			pt.timeCount(metrics.PhasePartition, pullR)
-			if len(rbuf) > 0 {
-				pt.timeCount(metrics.PhaseBuildSort, buildR)
-				pt.timeCount(metrics.PhaseProbe, probeR)
-			}
+			w.begin(metrics.PhasePartition)
+			rbuf = w.pull(&w.r, rbuf[:0])
+			w.end(len(rbuf))
+			pairs = w.insertProbe(rbuf, rtab, stab, pairs, false)
 
 			// Then alternate: pull a batch from S.
-			pt.timeCount(metrics.PhasePartition, pullS)
-			if len(sbuf) > 0 {
-				pt.timeCount(metrics.PhaseBuildSort, buildS)
-				pt.timeCount(metrics.PhaseProbe, probeS)
-			}
+			w.begin(metrics.PhasePartition)
+			sbuf = w.pull(&w.s, sbuf[:0])
+			w.end(len(sbuf))
+			pairs = w.insertProbe(sbuf, stab, rtab, pairs, true)
 
-			if len(rbuf) == 0 && len(sbuf) == 0 && (rWaiting || sWaiting) {
-				// Consumed faster than arrival: the worker stalls.
-				pt.time(metrics.PhaseWait, stallFn)
-			}
+			w.starved(len(rbuf) + len(sbuf))
 
-			rounds++
-			if rounds&0xff == 0 || (rcur.done() && scur.done()) {
-				mem := rtab.MemBytes() + stab.MemBytes() + dist.statusBytes()
+			if rounds&0xff == 0 || w.r.done() && w.s.done() {
+				mem := rtab.MemBytes() + stab.MemBytes() + w.dist.statusBytes()
 				ctx.M.MemAdd(mem - memLast)
 				memLast = mem
 				if tid == 0 {
@@ -151,32 +76,31 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 				}
 			}
 		}
-		sink.Close()
 		ctx.Pool.PutTuples(rbuf)
 		ctx.Pool.PutTuples(sbuf)
 		ctx.Pool.PutPairs(pairs)
 		ctx.Pool.PutTable(rtab)
 		ctx.Pool.PutTable(stab)
-		dist.release(ctx.Pool)
-		ctx.EndPhase(tid)
+		w.close()
 	})
 	ctx.M.MemSampleNow(ctx.NowMs())
 	return nil
 }
 
-// estOwnersR estimates how many workers share each R tuple, to size the
-// per-worker R table: JM replicates R to all workers (1 owner share each),
-// JB splits R across groups.
-func (d *distribution) estOwnersR(ctx *core.ExecContext) int {
-	if d.groups == 0 {
-		return 1
+// insertProbe inserts a pulled batch into its own stream's table, then
+// probes the opposite stream's with it; probedR says the probed table
+// holds R. pairs is the reused match buffer, handed back.
+func (w *worker) insertProbe(batch []tuple.Tuple, own, probed *hashtable.Table, pairs []tuple.Tuple, probedR bool) []tuple.Tuple {
+	if len(batch) == 0 {
+		return pairs
 	}
-	return d.groups
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	w.begin(metrics.PhaseBuildSort)
+	own.InsertBatch(batch)
+	w.end(len(batch))
+	w.begin(metrics.PhaseProbe)
+	// ProbeBatch pairs are (stored, probe).
+	pairs, _ = probed.ProbeBatch(batch, pairs[:0])
+	w.sink.Pairs(pairs, probedR)
+	w.end(len(batch))
+	return pairs
 }

@@ -16,9 +16,8 @@ import (
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/eager"
 	"repro/internal/gen"
-	"repro/internal/lazy"
+	"repro/internal/joins"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -69,31 +68,15 @@ func (o *Options) defaults() {
 }
 
 // Algorithms lists the eight studied algorithms in Table 2 order.
-var Algorithms = []string{"NPJ", "PRJ", "MWAY", "MPASS", "SHJ_JM", "SHJ_JB", "PMJ_JM", "PMJ_JB"}
+var Algorithms = joins.All()
 
 // mustAlg instantiates an algorithm by name; exp only uses known names.
 func mustAlg(name string) core.Algorithm {
-	switch name {
-	case "NPJ":
-		return lazy.NPJ{}
-	case "PRJ":
-		return lazy.PRJ{}
-	case "MWAY":
-		return lazy.MWay{}
-	case "MPASS":
-		return lazy.MPass{}
-	case "SHJ_JM":
-		return eager.SHJ{}
-	case "SHJ_JB":
-		return eager.SHJ{JB: true}
-	case "PMJ_JM":
-		return eager.PMJ{}
-	case "PMJ_JB":
-		return eager.PMJ{JB: true}
-	case "HANDSHAKE":
-		return eager.Handshake{}
+	alg, err := joins.New(name)
+	if err != nil {
+		panic("exp: " + err.Error())
 	}
-	panic("exp: unknown algorithm " + name)
+	return alg
 }
 
 // run executes one algorithm over a workload with the options' defaults.

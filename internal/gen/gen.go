@@ -275,7 +275,7 @@ func Rovio(sc Scale, seed uint64) Workload {
 	n := scaled(3000*1000, sc)
 	// Preserve the paper's duplication *ratio* dupe/|R| ≈ 17960/3e6 so
 	// the scaled-down key domain stays proportionally tiny.
-	domain := maxInt(n/maxInt(n*17960/3000000, 1), 1)
+	domain := max(n/max(n*17960/3000000, 1), 1)
 	r := make(tuple.Relation, n)
 	s := make(tuple.Relation, n)
 	uniformTS(r, w)
@@ -402,11 +402,4 @@ func domainFloor(n int) int {
 		return 64
 	}
 	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,24 +8,7 @@
 // Balkesen et al. benchmark the paper builds on.
 package lazy
 
-import (
-	"sync"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // matchBatch aliases the shared clock-sampling batch size.
 const matchBatch = core.MatchBatch
-
-// parallel runs fn on threads worker goroutines and waits for all.
-func parallel(threads int, fn func(tid int)) {
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for t := 0; t < threads; t++ {
-		go func(tid int) {
-			defer wg.Done()
-			fn(tid)
-		}(t)
-	}
-	wg.Wait()
-}

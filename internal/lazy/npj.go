@@ -25,12 +25,6 @@ type NPJ struct{}
 // Name implements core.Algorithm.
 func (NPJ) Name() string { return "NPJ" }
 
-// Approach implements core.Algorithm.
-func (NPJ) Approach() core.Approach { return core.Lazy }
-
-// Method implements core.Algorithm.
-func (NPJ) Method() core.JoinMethod { return core.HashJoin }
-
 // Run implements core.Algorithm. The per-tuple work is in the table
 // kernels and the sink's pair walk; this is per-chunk orchestration.
 func (NPJ) Run(ctx *core.ExecContext) error {
@@ -43,7 +37,7 @@ func (NPJ) Run(ctx *core.ExecContext) error {
 	var barrier sync.WaitGroup
 	barrier.Add(ctx.Threads)
 
-	parallel(ctx.Threads, func(tid int) {
+	core.Parallel(ctx.Threads, func(tid int) {
 		tw := ctx.TraceWorker(tid)
 		ctx.WaitWindow(tid)
 

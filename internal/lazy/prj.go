@@ -32,12 +32,6 @@ type PRJ struct{}
 // Name implements core.Algorithm.
 func (PRJ) Name() string { return "PRJ" }
 
-// Approach implements core.Algorithm.
-func (PRJ) Approach() core.Approach { return core.Lazy }
-
-// Method implements core.Algorithm.
-func (PRJ) Method() core.JoinMethod { return core.HashJoin }
-
 // Run implements core.Algorithm. The per-tuple work is in the partition
 // and table kernels and the sink's pair walk; this is per-partition
 // orchestration.
@@ -67,7 +61,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 	var barrier sync.WaitGroup
 	barrier.Add(ctx.Threads)
 
-	parallel(ctx.Threads, func(tid int) {
+	core.Parallel(ctx.Threads, func(tid int) {
 		tw := ctx.TraceWorker(tid)
 		ctx.WaitWindow(tid)
 

@@ -21,12 +21,6 @@ type MWay struct{}
 // Name implements core.Algorithm.
 func (MWay) Name() string { return "MWAY" }
 
-// Approach implements core.Algorithm.
-func (MWay) Approach() core.Approach { return core.Lazy }
-
-// Method implements core.Algorithm.
-func (MWay) Method() core.JoinMethod { return core.SortJoin }
-
 // Run implements core.Algorithm.
 func (MWay) Run(ctx *core.ExecContext) error { return runSortJoin(ctx, true) }
 
@@ -38,12 +32,6 @@ type MPass struct{}
 
 // Name implements core.Algorithm.
 func (MPass) Name() string { return "MPASS" }
-
-// Approach implements core.Algorithm.
-func (MPass) Approach() core.Approach { return core.Lazy }
-
-// Method implements core.Algorithm.
-func (MPass) Method() core.JoinMethod { return core.SortJoin }
 
 // Run implements core.Algorithm.
 func (MPass) Run(ctx *core.ExecContext) error { return runSortJoin(ctx, false) }
@@ -69,7 +57,7 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 	var barrier sync.WaitGroup
 	barrier.Add(tcount)
 
-	parallel(tcount, func(tid int) {
+	core.Parallel(tcount, func(tid int) {
 		tw := ctx.TraceWorker(tid)
 		ctx.WaitWindow(tid)
 

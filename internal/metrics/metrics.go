@@ -189,9 +189,9 @@ type Result struct {
 	Matches   int64
 
 	// WindowID / WindowStartMs / WindowEndMs identify the source window
-	// when the run is one window of a windowed sweep (stream.go); all
-	// zero for single-window joins. The journal's window records carry
-	// them downstream.
+	// when the run is one window of a windowed sweep (stream.go stamps
+	// them); all zero for single-window joins. The journal's window records
+	// carry them downstream.
 	WindowID      int
 	WindowStartMs int64
 	WindowEndMs   int64

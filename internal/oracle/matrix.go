@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 
 	iawj "repro"
 	"repro/internal/clock"
@@ -154,8 +155,8 @@ func SmokeMatrix() Matrix {
 	}
 }
 
-// eagerSet marks the algorithms whose pull loop honours BatchSize.
-var eagerSet = map[string]bool{"SHJ_JM": true, "SHJ_JB": true, "PMJ_JM": true, "PMJ_JB": true}
+// eagerPull reports whether alg has a pull loop, which honours BatchSize.
+func eagerPull(alg string) bool { return slices.Contains(iawj.EagerAlgorithms(), alg) }
 
 // Cases expands the matrix into its cell list, skipping batch variants
 // for lazy algorithms (the knob is inert there: the cell would duplicate
@@ -164,7 +165,7 @@ func (m Matrix) Cases() []Case {
 	var out []Case
 	for _, alg := range m.Algorithms {
 		batches := m.Batches
-		if !eagerSet[alg] || len(batches) == 0 {
+		if !eagerPull(alg) || len(batches) == 0 {
 			batches = batches[:min(1, len(batches))]
 			if len(batches) == 0 {
 				batches = []int{0}

@@ -15,9 +15,7 @@ import (
 // preserves cardinality and so would slip past a count-only test.
 type mutant struct{ mode string }
 
-func (m mutant) Name() string          { return "MUTANT_" + m.mode }
-func (mutant) Approach() core.Approach { return core.Lazy }
-func (mutant) Method() core.JoinMethod { return core.HashJoin }
+func (m mutant) Name() string { return "MUTANT_" + m.mode }
 func (m mutant) Run(ctx *core.ExecContext) error {
 	sink := core.NewSink(ctx, 0)
 	ctx.Begin(0, metrics.PhaseProbe)
@@ -175,7 +173,7 @@ func TestMatrixCasesSkipInertLazyBatches(t *testing.T) {
 		t.Fatalf("full matrix (%d) must exceed the smoke subset (%d)", len(full), len(cases))
 	}
 	for _, c := range full {
-		if !eagerSet[c.Algorithm] && c.BatchSize != full[0].BatchSize && c.BatchSize != 0 {
+		if !eagerPull(c.Algorithm) && c.BatchSize != full[0].BatchSize && c.BatchSize != 0 {
 			t.Fatalf("lazy algorithm %s got a batch variant: %+v", c.Algorithm, c)
 		}
 	}

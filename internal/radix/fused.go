@@ -51,7 +51,7 @@ func (p *Partitioner) PartitionBuild(rel tuple.Relation, bits int, newTable func
 	fanout := 1 << bits
 	mask := uint32(fanout - 1)
 	n := len(rel)
-	ft, _ := p.Geometry()
+	ft, _ := p.geometry()
 	p.ensure(n, fanout, ft)
 
 	// Pass 1: hash once, histogram from the scratch.

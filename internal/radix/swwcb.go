@@ -18,9 +18,10 @@ package radix
 // scatter's open-cursor working set outgrows the cache and TLB reach. The
 // partitioner therefore carries an explicit geometry — the staging slots
 // per partition and the fanout threshold below which it falls back to a
-// straight scatter into the pooled output buffers (see DefaultGeometry).
-// The cachesim geometry test pins the crossover in the simulated
-// hierarchy; PERFORMANCE.md compares it against the measured one.
+// straight scatter into the pooled output buffers (defaultFlushTuples,
+// defaultDirectBelow). The cachesim geometry test pins the crossover in
+// the simulated hierarchy; PERFORMANCE.md compares it against the measured
+// one.
 //
 // Partitioner bundles the scatter with the hash-once discipline and
 // reusable scratch: hashes are computed once into a scratch slice, the
@@ -90,15 +91,11 @@ func (p *Partitioner) MemBytes() int64 {
 		int64(cap(p.out)+cap(p.stage))*tuple.Bytes
 }
 
-// DefaultGeometry returns the package-default SWWCB geometry: staging
-// slots per partition, and the fanout below which the scatter bypasses
-// staging entirely.
-func DefaultGeometry() (flushTuples, directBelow int) {
-	return defaultFlushTuples, defaultDirectBelow
-}
-
-// Geometry reports the partitioner's effective geometry.
-func (p *Partitioner) Geometry() (flushTuples, directBelow int) {
+// geometry reports the partitioner's effective geometry. It affects layout
+// work only, never output: partition order and contents are identical
+// across every configuration (directBelow = 1 stages at every fanout,
+// which is how the in-package tests reach the staged leg at small ones).
+func (p *Partitioner) geometry() (flushTuples, directBelow int) {
 	flushTuples, directBelow = p.flushT, p.directBelow
 	if flushTuples <= 0 {
 		flushTuples = defaultFlushTuples
@@ -107,17 +104,6 @@ func (p *Partitioner) Geometry() (flushTuples, directBelow int) {
 		directBelow = defaultDirectBelow
 	}
 	return flushTuples, directBelow
-}
-
-// SetGeometry overrides the SWWCB geometry: flushTuples staging slots per
-// partition, direct scatter for fanouts below directBelow. Zero or
-// negative restores the package default for that knob (directBelow = 1
-// forces staging at every fanout). Geometry affects layout work only,
-// never output: partition order and contents are identical across every
-// configuration.
-func (p *Partitioner) SetGeometry(flushTuples, directBelow int) {
-	p.flushT = flushTuples
-	p.directBelow = directBelow
 }
 
 // Partition splits rel into 2^bits physically contiguous partitions with
@@ -132,7 +118,7 @@ func (p *Partitioner) Partition(rel tuple.Relation, bits int, tr cachesim.Tracer
 		bits = 0
 	}
 	fanout := 1 << bits
-	ft, directBelow := p.Geometry()
+	ft, directBelow := p.geometry()
 	if tr == nil && fanout < directBelow {
 		p.ensure(len(rel), fanout, ft)
 		parts, _ := p.partitionDirect(rel, fanout, uint32(fanout-1), false)
@@ -155,7 +141,7 @@ func (p *Partitioner) PartitionHashed(rel tuple.Relation, bits int, tr cachesim.
 	fanout := 1 << bits
 	mask := uint32(fanout - 1)
 	n := len(rel)
-	ft, directBelow := p.Geometry()
+	ft, directBelow := p.geometry()
 	p.ensure(n, fanout, ft)
 
 	if tr == nil && fanout < directBelow {

@@ -30,7 +30,7 @@ func geometryRel(n int) tuple.Relation {
 // hierarchy and returns the counters.
 func simCounters(rel tuple.Relation, bits, flushT, directBelow int) cachesim.Counters {
 	p := NewPartitioner()
-	p.SetGeometry(flushT, directBelow)
+	p.flushT, p.directBelow = flushT, directBelow
 	h := cachesim.New(cachesim.DefaultConfig())
 	p.PartitionHashed(rel, bits, h, 0)
 	return h.Counters()
@@ -113,7 +113,7 @@ func TestGeometryInvariance(t *testing.T) {
 		base, baseH := NewPartitioner().PartitionHashed(rel, bits, nil, 0)
 		for _, cfg := range [][2]int{{4, 1}, {8, 1}, {16, 1}, {8, 1 << 30}} {
 			p := NewPartitioner()
-			p.SetGeometry(cfg[0], cfg[1])
+			p.flushT, p.directBelow = cfg[0], cfg[1]
 			got, gotH := p.PartitionHashed(rel, bits, nil, 0)
 			if len(got) != len(base) {
 				t.Fatalf("bits=%d geom=%v: fanout %d != %d", bits, cfg, len(got), len(base))

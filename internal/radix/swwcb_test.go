@@ -155,7 +155,7 @@ func FuzzPartitionerDiff(f *testing.F) {
 		}
 		want := partitionRehash(rel, bits)
 		p := NewPartitioner()
-		p.SetGeometry(ft, db)
+		p.flushT, p.directBelow = ft, db
 		got := p.Partition(rel, bits, nil, 0)
 		if len(got) != len(want) {
 			t.Fatalf("fanout %d, want %d", len(got), len(want))
@@ -172,7 +172,7 @@ func FuzzPartitionerDiff(f *testing.F) {
 		}
 		// Hashed product: hashes must align with the partitioned tuples.
 		ph := NewPartitioner()
-		ph.SetGeometry(ft, db)
+		ph.flushT, ph.directBelow = ft, db
 		hparts, hhash := ph.PartitionHashed(rel, bits, nil, 0)
 		for pi := range want {
 			for i := range want[pi] {
@@ -187,7 +187,7 @@ func FuzzPartitionerDiff(f *testing.F) {
 		// Fused product: per-partition tables sized and filled like the
 		// partitions themselves.
 		pf := NewPartitioner()
-		pf.SetGeometry(ft, db)
+		pf.flushT, pf.directBelow = ft, db
 		tabs := pf.PartitionBuild(rel, bits, func(n int) *hashtable.Table {
 			tab := hashtable.New(n)
 			tab.SetShift(bits)

@@ -62,15 +62,15 @@ func JoinWindowed(r, s Relation, spec WindowSpec, cfg Config) ([]WindowResult, e
 }
 
 // joinWindow runs window i's join over the pair's slices in place,
-// delivering through outbox, stores the result in out and appends the
-// window's journal record.
+// delivering through outbox, stores the result, stamped with the window's
+// identity, in out and appends the window's journal record.
 func joinWindow(i int, p window.Pair, cfg Config, outbox *core.Outbox, out *WindowResult) error {
 	cfg.WindowMs = p.Window.Length()
-	cfg.Window = WindowTag{ID: i, StartMs: p.Window.Start, EndMs: p.Window.End}
 	res, err := join(p.R, p.S, cfg, p.Window.Start, outbox)
 	if err != nil {
 		return fmt.Errorf("window [%d,%d): %w", p.Window.Start, p.Window.End, err)
 	}
+	res.WindowID, res.WindowStartMs, res.WindowEndMs = i, p.Window.Start, p.Window.End
 	out.Result = res
 	if err := cfg.Journal.WriteWindow(res, i, p.Window.Start, p.Window.End); err != nil {
 		return fmt.Errorf("window [%d,%d): journal: %w", p.Window.Start, p.Window.End, err)
