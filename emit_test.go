@@ -107,3 +107,32 @@ func TestEmitWindowsAfterTheFirstMissNoResultBatch(t *testing.T) {
 		t.Fatalf("%d results delivered, %d matches booked", n, want)
 	}
 }
+
+// TestSinkRunsSayWhichPathMatchesTook: Result.SinkRuns counts the runs the
+// matches reached the sink in. Over duplicate keys every algorithm hands
+// its sink runs — a probe tuple with the stored run of its key, a
+// merge-join row — so runs are several times fewer than matches (by the
+// duplication where the whole window is joined at once, by less where PMJ
+// joins it a sorted run at a time); over unique keys every match is its
+// own run.
+func TestSinkRunsSayWhichPathMatchesTook(t *testing.T) {
+	for _, dupe := range []int{1, 12} {
+		w := Micro(MicroConfig{RateR: 40, RateS: 40, WindowMs: 100, Dupe: dupe, Seed: 3})
+		for _, alg := range Algorithms() {
+			res, err := Join(w.R, w.S, Config{Algorithm: alg, Threads: 2, WindowMs: w.WindowMs, AtRest: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Matches == 0 || res.Matches != ExpectedMatches(w.R, w.S) {
+				t.Fatalf("%s dupe %d: %d matches, want %d", alg, dupe, res.Matches, ExpectedMatches(w.R, w.S))
+			}
+			perRun := float64(res.Matches) / float64(res.SinkRuns)
+			if dupe == 1 && res.SinkRuns != res.Matches {
+				t.Errorf("%s over unique keys: %d matches in %d runs", alg, res.Matches, res.SinkRuns)
+			}
+			if dupe > 1 && perRun < 2 {
+				t.Errorf("%s at dupe %d: %d matches in %d runs, %.1f a run", alg, dupe, res.Matches, res.SinkRuns, perRun)
+			}
+		}
+	}
+}

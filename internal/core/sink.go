@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/hashtable"
 	"repro/internal/metrics"
 	"repro/internal/tuple"
 )
@@ -21,15 +22,17 @@ const MatchBatch = 1024
 // ExecContext.BaseTS: the sink subtracts it, so latencies and emitted
 // results are window-relative whatever the inputs' origin.
 //
-// Matches arrive a run at a time — the pairs of one probe batch (Pairs) or
-// one merge-join rectangle (Rect); Match is the run of length one. A run
-// is booked as the per-match definition (metrics.ThreadMetrics.Matches)
-// would book it, match by match in the run's order, with the clock sampled
-// after every MatchBatch-th match: what differs is the cost, one latency
-// bucket computation per stretch of matches that share a bucket and one
-// progress update per clock sample. The counts reach the collector at
-// clock samples, so a worker must Close its sink when it has produced its
-// last match. A Sink must only be used by its owning goroutine.
+// Matches arrive a run at a time: one tuple of one input with a run of
+// tuples of the other that all match it — a probe tuple with the stored run
+// of its key (Hits), a row or the column of a merge-join rectangle (Rect);
+// Match is the run of length one. A run is booked as the per-match
+// definition (metrics.ThreadMetrics.Matches) would book it, match by match
+// in the run's order, with the clock sampled after every MatchBatch-th
+// match: what differs is the cost, one latency bucket computation per
+// stretch of matches that share a bucket and one progress update per clock
+// sample. The counts reach the collector at clock samples, so a worker must
+// Close its sink when it has produced its last match. A Sink must only be
+// used by its owning goroutine.
 type Sink struct {
 	ctx  *ExecContext
 	tm   *metrics.ThreadMetrics
@@ -38,6 +41,7 @@ type Sink struct {
 	nowMs   int64
 	pending int   // matches since the last MatchBatch-driven clock sample
 	atNow   int64 // matches timestamped nowMs not yet booked as emitted
+	runs    int64 // runs they arrived in
 
 	// The open latency run: n matches whose later input was due within
 	// [lo, lo+span], the times that share one latency bucket at nowMs;
@@ -89,8 +93,8 @@ func (k *Sink) reopen(n, minLast, last int64) (lo int64, span uint64) {
 func (k *Sink) book() {
 	k.tm.Latencies(k.bucket, k.n, k.nowMs-k.minLast)
 	k.n, k.minLast = 0, math.MaxInt64
-	k.tm.Emitted(k.atNow, k.nowMs)
-	k.atNow = 0
+	k.tm.Emitted(k.atNow, k.runs, k.nowMs)
+	k.atNow, k.runs = 0, 0
 }
 
 // sample books what was recorded at the old clock sample and takes a new
@@ -128,72 +132,105 @@ func (k *Sink) Match(r, s tuple.Tuple) {
 		jr.TS = last
 		k.buf = append(k.buf, jr)
 	}
+	k.runs++
 	k.advance(1)
 }
 
-// Pairs records the matches of one probe batch. pairs holds a (stored,
-// probe) tuple pair per match, as the hash tables' ProbeBatch appends
-// them; storedR tells whether the stored tuples are R's.
-func (k *Sink) Pairs(pairs []tuple.Tuple, storedR bool) {
-	for len(pairs) >= 2 {
-		take := min(len(pairs)/2, MatchBatch-k.pending) // up to the next clock sample
-		k.countPairs(pairs[:2*take])
-		if k.out != nil {
-			k.emitPairs(pairs[:2*take], storedR)
+// Hits records the matches of one probe batch: every hit's probe tuple
+// with each tuple of its stored run, in run order. storedR tells whether
+// the stored tuples are R's.
+func (k *Sink) Hits(hits []hashtable.Hit, storedR bool) {
+	k.runs += int64(len(hits))
+	for len(hits) > 0 {
+		// The whole hits that fit before the next clock sample go through
+		// the counting loop together; at unique keys that is all of them.
+		room, n, m := MatchBatch-k.pending, 0, 0
+		for n < len(hits) && m+len(hits[n].Stored) <= room {
+			m += len(hits[n].Stored)
+			n++
 		}
-		pairs = pairs[2*take:]
-		k.advance(take)
+		if n == 0 { // a run the sample falls in: run splits it there
+			k.run(hits[0].Probe, hits[0].Stored, storedR)
+			hits = hits[1:]
+			continue
+		}
+		k.count(hits[:n])
+		if k.out != nil {
+			for i := range hits[:n] {
+				k.emit(hits[i].Probe, hits[i].Stored, storedR)
+			}
+		}
+		hits = hits[n:]
+		k.advance(m)
 	}
 }
 
 // Rect records the matches of one merge-join rectangle: every tuple of
 // rRun matches every tuple of sRun, in row order — rRun[0] with all of
-// sRun first.
+// sRun first. A rectangle one S tuple wide is a single run down its
+// column, which is its row order.
 func (k *Sink) Rect(rRun, sRun []tuple.Tuple) {
-	if len(rRun) == 1 && len(sRun) == 1 {
-		// Unique keys: a merge join over them calls once per match, and
-		// the row walk's set-up costs twice what Match does.
-		k.Match(rRun[0], sRun[0])
-		return
-	}
-	for _, r := range rRun {
-		for row := sRun; len(row) > 0; {
-			take := min(len(row), MatchBatch-k.pending)
-			k.countRow(r, row[:take])
-			if k.out != nil {
-				k.emitRow(r, row[:take])
-			}
-			row = row[take:]
-			k.advance(take)
+	switch {
+	case len(rRun) == 0 || len(sRun) == 0:
+	case len(sRun) > 1:
+		k.runs += int64(len(rRun))
+		for _, r := range rRun {
+			k.run(r, sRun, false)
 		}
+	case len(rRun) > 1:
+		k.runs++
+		k.run(sRun[0], rRun, true)
+	default:
+		// Unique keys: a merge join over them calls once per match, and
+		// the run walk's set-up costs twice what Match does.
+		k.Match(rRun[0], sRun[0])
 	}
 }
 
-// countPairs adds the pairs to the open latency run, reopening it where a
-// match leaves the bracket.
+// run records one with every tuple of row, in order, sampling the clock
+// where it falls due; rowR tells whether row's tuples are R's.
+func (k *Sink) run(one tuple.Tuple, row []tuple.Tuple, rowR bool) {
+	for len(row) > 0 {
+		take := min(len(row), MatchBatch-k.pending)
+		k.countRow(one, row[:take])
+		if k.out != nil {
+			k.emit(one, row[:take], rowR)
+		}
+		row = row[take:]
+		k.advance(take)
+	}
+}
+
+// count adds the matches of hits — every probe tuple with each tuple of its
+// stored run — to the open latency run, reopening it where a match leaves
+// the bracket.
 //
 //iawj:hotpath
-func (k *Sink) countPairs(pairs []tuple.Tuple) {
+func (k *Sink) count(hits []hashtable.Hit) {
 	base, lo, span, n, minLast := k.base, k.lo, k.span, k.n, k.minLast
-	for ps := pairs; len(ps) >= 2; ps = ps[2:] {
-		last := max(ps[0].TS, ps[1].TS) - base
-		if uint64(last-lo) > span {
-			lo, span = k.reopen(n, minLast, last)
-			n, minLast = 0, last
+	for i := range hits {
+		pts := hits[i].Probe.TS
+		for _, s := range hits[i].Stored {
+			last := max(pts, s.TS) - base
+			if uint64(last-lo) > span {
+				lo, span = k.reopen(n, minLast, last)
+				n, minLast = 0, last
+			}
+			n++
+			minLast = min(minLast, last)
 		}
-		n++
-		minLast = min(minLast, last)
 	}
 	k.n, k.minLast = n, minLast
 }
 
-// countRow is countPairs for one R tuple against a stretch of its S run.
+// countRow is count for one tuple against a stretch of a run: what a
+// merge-join row is, without a hit made of it.
 //
 //iawj:hotpath
-func (k *Sink) countRow(r tuple.Tuple, row []tuple.Tuple) {
-	rts, base, lo, span, n, minLast := r.TS, k.base, k.lo, k.span, k.n, k.minLast
+func (k *Sink) countRow(one tuple.Tuple, row []tuple.Tuple) {
+	ots, base, lo, span, n, minLast := one.TS, k.base, k.lo, k.span, k.n, k.minLast
 	for _, s := range row {
-		last := max(rts, s.TS) - base
+		last := max(ots, s.TS) - base
 		if uint64(last-lo) > span {
 			lo, span = k.reopen(n, minLast, last)
 			n, minLast = 0, last
@@ -213,52 +250,30 @@ func (k *Sink) room() []tuple.JoinResult {
 	return k.buf[len(k.buf):cap(k.buf)]
 }
 
-// emitPairs materializes the pairs into the worker's batch.
-func (k *Sink) emitPairs(pairs []tuple.Tuple, storedR bool) {
-	for len(pairs) >= 2 {
-		room := k.room()
-		n := min(len(room), len(pairs)/2)
-		fillPairs(room[:n], pairs[:2*n], k.base, storedR)
-		k.buf = k.buf[:len(k.buf)+n]
-		pairs = pairs[2*n:]
-	}
-}
-
-// emitRow is emitPairs for one R tuple against a stretch of its S run.
-func (k *Sink) emitRow(r tuple.Tuple, row []tuple.Tuple) {
+// emit materializes one with every tuple of row into the worker's batch.
+func (k *Sink) emit(one tuple.Tuple, row []tuple.Tuple, rowR bool) {
 	for len(row) > 0 {
 		room := k.room()
 		n := min(len(room), len(row))
-		fillRow(room[:n], r, row[:n], k.base)
+		fillRow(room[:n], one, row[:n], k.base, rowR)
 		k.buf = k.buf[:len(k.buf)+n]
 		row = row[n:]
 	}
 }
 
-// fillPairs writes the result of each (stored, probe) pair into dst, which
-// holds one slot per pair. The slice-advance walk is bounds-check free
-// where an index walk is not (LINTING.md §BCE).
+// fillRow writes the result of one with each tuple of row into dst, which
+// holds one slot per tuple of row; rowR tells whether row's tuples are R's
+// (and one is S's). The slice-advance walk is bounds-check free where an
+// index walk is not (LINTING.md §BCE).
 //
 //iawj:hotpath
-func fillPairs(dst []tuple.JoinResult, pairs []tuple.Tuple, base int64, storedR bool) {
-	for ps := pairs; len(ps) >= 2 && len(dst) > 0; ps, dst = ps[2:], dst[1:] {
-		r, s := ps[0], ps[1]
-		if !storedR {
+func fillRow(dst []tuple.JoinResult, one tuple.Tuple, row []tuple.Tuple, base int64, rowR bool) {
+	for ; len(row) > 0 && len(dst) > 0; row, dst = row[1:], dst[1:] {
+		r, s := one, row[0]
+		if rowR {
 			r, s = s, r
 		}
 		jr := tuple.ResultOf(r, s)
-		jr.TS -= base
-		dst[0] = jr
-	}
-}
-
-// fillRow writes the result of r with each tuple of row into dst, which
-// holds one slot per tuple of row.
-//
-//iawj:hotpath
-func fillRow(dst []tuple.JoinResult, r tuple.Tuple, row []tuple.Tuple, base int64) {
-	for ; len(row) > 0 && len(dst) > 0; row, dst = row[1:], dst[1:] {
-		jr := tuple.ResultOf(r, row[0])
 		jr.TS -= base
 		dst[0] = jr
 	}

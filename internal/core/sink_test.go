@@ -6,13 +6,16 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/hashtable"
 	"repro/internal/metrics"
 	"repro/internal/tuple"
 )
 
 // refSink is the per-match form the run-form Sink replaced, kept as the
 // reference: two histogram updates and one consumer call per match, the
-// clock sampled after every MatchBatch-th match and on refresh.
+// clock sampled after every MatchBatch-th match and on refresh. It books
+// what ThreadMetrics.Matches books, except that the caller says which
+// matches start a run.
 type refSink struct {
 	ctx     *ExecContext
 	tm      *metrics.ThreadMetrics
@@ -25,9 +28,15 @@ func newRefSink(ctx *ExecContext, emit func(tuple.JoinResult)) *refSink {
 	return &refSink{ctx: ctx, tm: ctx.M.T(0), emit: emit, nowMs: ctx.Clock.NowMs()}
 }
 
-func (k *refSink) match(r, s tuple.Tuple) {
+func (k *refSink) match(r, s tuple.Tuple, startsRun bool) {
 	last := max(r.TS, s.TS) - k.ctx.BaseTS
-	k.tm.Matches(1, k.nowMs, last)
+	idx, _, _ := metrics.Bucket(k.nowMs - last)
+	k.tm.Latencies(idx, 1, k.nowMs-last)
+	runs := int64(0)
+	if startsRun {
+		runs = 1
+	}
+	k.tm.Emitted(1, runs, k.nowMs)
 	jr := tuple.ResultOf(r, s)
 	jr.TS = last
 	k.emit(jr)
@@ -67,10 +76,11 @@ func (c *stepClock) Avail(ts int64) bool { return ts <= c.now }
 func (c *stepClock) AtRest() bool        { return false }
 
 // TestRunFormEqualsPerMatchForm drives the sink and the reference with the
-// same seeded stream of probe batches (both orientations), merge-join
-// rectangles, single matches and refreshes — timestamps before, at and
-// after the clock, counted from a non-zero base — and requires the same
-// Result and the same results in the same order.
+// same seeded stream of probe batches (both orientations; unique keys,
+// short runs and runs longer than a clock sample), merge-join rectangles
+// (one match, one column, many rows), single matches and refreshes —
+// timestamps before, at and after the clock, counted from a non-zero base
+// — and requires the same Result and the same results in the same order.
 func TestRunFormEqualsPerMatchForm(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		const base = 1000
@@ -110,27 +120,36 @@ func TestRunFormEqualsPerMatchForm(t *testing.T) {
 			case 0:
 				r, s := tup(), tup()
 				k.Match(r, s)
-				ref.match(r, s)
+				ref.match(r, s, true)
 			case 1, 2:
-				// Up to a few clock samples' worth of pairs in one batch.
-				pairs, storedR := run(2*rng.IntN(1500)), rng.IntN(2) == 0
-				k.Pairs(pairs, storedR)
-				for ps := pairs; len(ps) >= 2; ps = ps[2:] {
-					if storedR {
-						ref.match(ps[0], ps[1])
-					} else {
-						ref.match(ps[1], ps[0])
+				// Up to a few clock samples' worth of matches in one batch.
+				hits, storedR := make([]hashtable.Hit, rng.IntN(40)), rng.IntN(2) == 0
+				longest := []int{1, 5, 90, 2500}[rng.IntN(4)]
+				for i := range hits {
+					hits[i] = hashtable.Hit{Probe: tup(), Stored: run(1 + rng.IntN(longest))}
+				}
+				k.Hits(hits, storedR)
+				for _, h := range hits {
+					for i, stored := range h.Stored {
+						if storedR {
+							ref.match(stored, h.Probe, i == 0)
+						} else {
+							ref.match(h.Probe, stored, i == 0)
+						}
 					}
 				}
 			case 3:
 				rRun, sRun := run(rng.IntN(40)), run(rng.IntN(90))
-				if rng.IntN(4) == 0 { // unique keys: Rect's one-match entry
+				switch rng.IntN(4) {
+				case 0: // unique keys: Rect's one-match entry
 					rRun, sRun = run(1), run(1)
+				case 1: // one S tuple: the column is the run
+					sRun = run(1)
 				}
 				k.Rect(rRun, sRun)
-				for _, r := range rRun {
-					for _, s := range sRun {
-						ref.match(r, s)
+				for i, r := range rRun {
+					for j, s := range sRun {
+						ref.match(r, s, j == 0 && (i == 0 || len(sRun) > 1))
 					}
 				}
 			case 4:
@@ -164,9 +183,15 @@ func TestCountOnlySinkAllocatesNothingPerRun(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = tuple.Tuple{TS: int64(i % 97), Key: 1}
 	}
+	hits := make([]hashtable.Hit, 64)
+	for i := range hits {
+		hits[i] = hashtable.Hit{Probe: pairs[i], Stored: pairs[i : i+1+37*(i%3)]}
+	}
 	if n := testing.AllocsPerRun(20, func() {
-		k.Pairs(pairs, true)
+		k.Hits(hits, true)
+		k.Hits([]hashtable.Hit{{Probe: pairs[0], Stored: pairs}}, false)
 		k.Rect(pairs[:60], pairs[60:200])
+		k.Rect(pairs[:60], pairs[60:61])
 		k.Match(pairs[0], pairs[1])
 		k.Refresh()
 	}); n != 0 {

@@ -15,7 +15,7 @@ import (
 // routes keys to core groups (content-sensitive).
 //
 // Each pulled batch runs through the batched kernel APIs (InsertBatch /
-// ProbeBatch): one call per batch instead of one per tuple, and no
+// ProbeRuns): one call per batch instead of one per tuple, and no
 // per-probe emit closure. Both per-worker tables and all batch buffers
 // come from the window pool when one is attached, so steady-state windows
 // join with zero allocations (PERFORMANCE.md).
@@ -50,20 +50,20 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 
 		rbuf := ctx.Pool.Tuples(bsz)
 		sbuf := ctx.Pool.Tuples(bsz)
-		pairs := ctx.Pool.Pairs(2 * bsz)
+		hits := ctx.Pool.Hits(bsz)
 		for rounds := 1; w.next(); rounds++ {
 			// Pull a batch from R: insert into the R table, probe the
 			// S table (interleaved build and probe).
 			w.begin(metrics.PhasePartition)
 			rbuf = w.pull(&w.r, rbuf[:0])
 			w.end(len(rbuf))
-			pairs = w.insertProbe(rbuf, rtab, stab, pairs, false)
+			hits = w.insertProbe(rbuf, rtab, stab, hits, false)
 
 			// Then alternate: pull a batch from S.
 			w.begin(metrics.PhasePartition)
 			sbuf = w.pull(&w.s, sbuf[:0])
 			w.end(len(sbuf))
-			pairs = w.insertProbe(sbuf, stab, rtab, pairs, true)
+			hits = w.insertProbe(sbuf, stab, rtab, hits, true)
 
 			w.starved(len(rbuf) + len(sbuf))
 
@@ -78,7 +78,7 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 		}
 		ctx.Pool.PutTuples(rbuf)
 		ctx.Pool.PutTuples(sbuf)
-		ctx.Pool.PutPairs(pairs)
+		ctx.Pool.PutHits(hits)
 		ctx.Pool.PutTable(rtab)
 		ctx.Pool.PutTable(stab)
 		w.close()
@@ -89,18 +89,17 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 
 // insertProbe inserts a pulled batch into its own stream's table, then
 // probes the opposite stream's with it; probedR says the probed table
-// holds R. pairs is the reused match buffer, handed back.
-func (w *worker) insertProbe(batch []tuple.Tuple, own, probed *hashtable.Table, pairs []tuple.Tuple, probedR bool) []tuple.Tuple {
+// holds R. hits is the reused hit buffer, handed back.
+func (w *worker) insertProbe(batch []tuple.Tuple, own, probed *hashtable.Table, hits []hashtable.Hit, probedR bool) []hashtable.Hit {
 	if len(batch) == 0 {
-		return pairs
+		return hits
 	}
 	w.begin(metrics.PhaseBuildSort)
 	own.InsertBatch(batch)
 	w.end(len(batch))
 	w.begin(metrics.PhaseProbe)
-	// ProbeBatch pairs are (stored, probe).
-	pairs, _ = probed.ProbeBatch(batch, pairs[:0])
-	w.sink.Pairs(pairs, probedR)
+	hits = probed.ProbeRuns(batch, nil, hits[:0])
+	w.sink.Hits(hits, probedR)
 	w.end(len(batch))
-	return pairs
+	return hits
 }

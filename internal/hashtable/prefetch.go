@@ -22,8 +22,8 @@ package hashtable
 // synthetic out-of-cache probe at each candidate distance and moving off
 // the default only for a clear win (pickPrefetch). Tables snapshot
 // the package default at construction. The differential and fuzz tests
-// sweep the distance — every one must produce byte-identical (stored,
-// probe) pair order.
+// sweep the distance — every one must produce identical hits in identical
+// order.
 
 import (
 	"math/rand/v2"
@@ -79,15 +79,15 @@ const calibrationReps = 5
 // calibration loops are never dead code.
 var calibrationSink atomic.Int64
 
-// CalibrateProbePrefetch times ProbeBatch — what the joins run — over a
+// CalibrateProbePrefetch times ProbeRuns — what the joins run — over a
 // synthetic out-of-L2 table at every candidate distance and returns the
 // distance pickPrefetch chooses from the timings. The pool runs it once
 // per process at construction; building the table and sweeping it take a
 // few milliseconds. The choice only affects speed, never results: every
-// distance produces identical (stored, probe) pair order.
+// distance produces identical hits in identical order.
 func CalibrateProbePrefetch() int {
 	// A table past L2: 32k tuples -> 16384 buckets * 80 B = 1.3 MiB
-	// directory, with dup ~4 so the resolve walks heads and chains alike.
+	// directory, with dup ~4 so the resolve reads slots and runs alike.
 	const buildN, probeN, domain = 32_768, 4_096, 8_192
 	rng := rand.New(rand.NewPCG(0x9e3779b9, 0x85ebca87))
 	build := make([]tuple.Tuple, buildN)
@@ -100,9 +100,7 @@ func CalibrateProbePrefetch() int {
 	}
 	tab := New(buildN)
 	tab.InsertBatch(build)
-	// One pair buffer for the whole sweep, sized for the expected
-	// buildN/domain matches per probe with room to spare.
-	pairs := make([]tuple.Tuple, 0, 4*probeN*buildN/domain)
+	hits := make([]Hit, 0, probeN) // one hit buffer for the whole sweep
 
 	// Rounds over all candidates rather than all reps of one candidate: a
 	// burst of host noise then slows one round of every candidate, not
@@ -114,12 +112,11 @@ func CalibrateProbePrefetch() int {
 			for i, cand := range prefCandidates {
 				tab.pref = int32(cand)
 				sw := clock.StartStopwatch()
-				var n int
-				pairs, n = tab.ProbeBatch(probes, pairs[:0])
+				hits = tab.ProbeRuns(probes, nil, hits[:0])
 				if e := sw.ElapsedNs(); rep == 1 || (rep > 1 && e < timings[i]) {
 					timings[i] = e
 				}
-				sink += n
+				sink += len(hits)
 			}
 		}
 		return timings

@@ -15,9 +15,10 @@ import (
 // L3 drives NPJ's memory-bound profile (Section 5.6).
 //
 // Build and probe run through the batched kernel APIs (InsertBatch /
-// ProbeBatch): one call per worker chunk instead of one per tuple, and no
-// per-probe emit closure. With a window-state pool attached
-// (core.RunConfig.Pool) the shared table and the per-worker match buffers
+// ProbeRuns): one call per worker chunk instead of one per tuple, and a
+// probe's matches handed to the sink as one run — the stored tuples of its
+// key — not one at a time. With a window-state pool attached
+// (core.RunConfig.Pool) the shared table and the per-worker hit buffers
 // are recycled across windows, so steady-state windows build and probe
 // with zero allocations (PERFORMANCE.md).
 type NPJ struct{}
@@ -26,7 +27,7 @@ type NPJ struct{}
 func (NPJ) Name() string { return "NPJ" }
 
 // Run implements core.Algorithm. The per-tuple work is in the table
-// kernels and the sink's pair walk; this is per-chunk orchestration.
+// kernels and the sink's run walk; this is per-chunk orchestration.
 func (NPJ) Run(ctx *core.ExecContext) error {
 	table := ctx.Pool.Shared(len(ctx.R))
 	if ctx.Tracer != nil {
@@ -53,19 +54,19 @@ func (NPJ) Run(ctx *core.ExecContext) error {
 		k := core.NewSink(ctx, tid)
 		lo, hi = core.Chunk(len(ctx.S), ctx.Threads, tid)
 		tw.AddTuples(int64(hi - lo))
-		pairs := ctx.Pool.Pairs(2 * matchBatch)
+		hits := ctx.Pool.Hits(matchBatch)
 		for rest := ctx.S[lo:hi]; len(rest) > 0; {
 			blk := rest[:min(matchBatch, len(rest))]
 			rest = rest[len(blk):]
 			k.Refresh()
-			pairs, _ = table.ProbeBatch(blk, pairs[:0])
-			k.Pairs(pairs, true)
+			hits = table.ProbeRuns(blk, hits[:0])
+			k.Hits(hits, true)
 		}
 		k.Close()
-		ctx.Pool.PutPairs(pairs)
+		ctx.Pool.PutHits(hits)
 		ctx.EndPhase(tid)
 	})
-	ctx.M.MemAdd(table.MemBytes() - baseMem) // overflow chains grown at build
+	ctx.M.MemAdd(table.MemBytes() - baseMem) // overflow buckets and the arena, grown at build
 	ctx.M.MemSampleNow(ctx.NowMs())
 	ctx.Pool.PutShared(table)
 	return nil

@@ -22,7 +22,7 @@ import (
 // The partition phase runs the hash-once SWWCB kernel
 // (radix.Partitioner): each key is hashed exactly once and the hash rides
 // along with the tuple, so the per-partition build and probe
-// (InsertBatchHashed / ProbeBatchHashed with SetShift) never rehash. The
+// (InsertBatchHashed / ProbeRuns with SetShift) never rehash. The
 // per-partition tables index on the hash bits *above* the radix — every
 // key in a partition shares the low #r hash bits, so indexing on them
 // would collapse the partition into a handful of chains. All kernel state
@@ -95,7 +95,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 		// Phase 2: cache-resident hash join per partition, partitions
 		// handed out dynamically.
 		k := core.NewSink(ctx, tid)
-		pairs := ctx.Pool.Pairs(2 * matchBatch)
+		hits := ctx.Pool.Hits(matchBatch)
 		for {
 			p := int(next.Add(1)) - 1
 			if p >= fanout {
@@ -136,8 +136,8 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 				for len(probes) > 0 {
 					n := min(matchBatch, len(probes))
 					k.Refresh()
-					pairs, _ = table.ProbeBatchHashed(probes[:n], hashes[:n], pairs[:0])
-					k.Pairs(pairs, true)
+					hits = table.ProbeRuns(probes[:n], hashes[:n], hits[:0])
+					k.Hits(hits, true)
 					probes, hashes = probes[n:], hashes[n:]
 				}
 			}
@@ -145,7 +145,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 			ctx.Pool.PutTable(table)
 		}
 		k.Close()
-		ctx.Pool.PutPairs(pairs)
+		ctx.Pool.PutHits(hits)
 		ctx.EndPhase(tid)
 	})
 	// The partition slices alias the partitioners' buffers; every worker

@@ -21,7 +21,7 @@ import (
 //   - a func literal constructed inside a loop (a per-iteration closure —
 //     the per-match emit closures the batched kernel APIs exist to
 //     eliminate; hoist the closure before the loop or use
-//     InsertBatch/ProbeBatch);
+//     InsertBatch/ProbeRuns);
 //   - make of a slice inside a loop (per-iteration scratch; allocate the
 //     scratch once before the loop or take it from the window pool);
 //   - non-constant string concatenation inside a loop (+ or += on

@@ -38,7 +38,7 @@ package lint
 // reach them freely).
 //
 // Lock identity is the owning struct type plus field name
-// (e.g. "internal/hashtable.Shared.freeMu"), resolved through the
+// (e.g. "internal/hashtable.Shared.storeMu"), resolved through the
 // package's best-effort type information; locals fall back to a
 // function-scoped name. Identity is per type, not per instance.
 

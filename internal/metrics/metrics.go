@@ -55,6 +55,7 @@ type ThreadMetrics struct {
 	curStart  time.Time
 
 	matches     int64
+	runs        int64     // runs the sink received the matches in
 	latency     Histogram // latency in simulated ms
 	progress    Histogram // match emission time in simulated ms
 	lastMatchMs int64
@@ -92,7 +93,7 @@ func (t *ThreadMetrics) AddPhaseNs(p Phase, d int64) { t.phaseNs[p] += d }
 // and Emitted, which must add up to the same histograms.
 func (t *ThreadMetrics) Matches(n int64, nowMs, lastInputMs int64) {
 	t.latency.Record(nowMs-lastInputMs, n)
-	t.Emitted(n, nowMs)
+	t.Emitted(n, n, nowMs)
 }
 
 // Latencies records the latencies of n matches that fall in histogram
@@ -102,11 +103,14 @@ func (t *ThreadMetrics) Latencies(idx int, n, maxLat int64) { t.latency.AddTo(id
 
 // Emitted counts n matches generated at simulated time nowMs towards the
 // match total, the progressiveness curve and the time of the last match.
-func (t *ThreadMetrics) Emitted(n, nowMs int64) {
+// runs is how many runs the sink received them in (Result.SinkRuns): n when
+// every match arrived on its own.
+func (t *ThreadMetrics) Emitted(n, runs, nowMs int64) {
 	if n <= 0 {
 		return
 	}
 	t.matches += n
+	t.runs += runs
 	t.progress.Record(nowMs, n)
 	if nowMs > t.lastMatchMs {
 		t.lastMatchMs = nowMs
@@ -187,6 +191,10 @@ type Result struct {
 	Threads   int
 	Inputs    int64
 	Matches   int64
+	// SinkRuns is how many runs — one tuple of one input with the tuples of
+	// the other that match it — the matches reached the sink in:
+	// Matches/SinkRuns is what one sink call amortizes over.
+	SinkRuns int64
 
 	// WindowID / WindowStartMs / WindowEndMs identify the source window
 	// when the run is one window of a windowed sweep (stream.go stamps
@@ -247,6 +255,7 @@ func (c *Collector) Snapshot(algorithm string, inputs int64, wallNs int64) Resul
 		t := &c.threads[i]
 		t.End()
 		res.Matches += t.matches
+		res.SinkRuns += t.runs
 		if t.lastMatchMs > res.LastMatchMs {
 			res.LastMatchMs = t.lastMatchMs
 		}

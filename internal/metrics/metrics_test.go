@@ -204,7 +204,7 @@ func TestCollectorResetEqualsNew(t *testing.T) {
 			tm.AddPhaseNs(PhaseMerge, k*7)
 			tm.Matches(k, k*30, k*10)
 			tm.Latencies(40, k, k*50)
-			tm.Emitted(k, k*60)
+			tm.Emitted(k, 3, k*60)
 		}
 		c.MemAdd(k * 4096)
 		c.MemSampleNow(k)

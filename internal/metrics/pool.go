@@ -7,7 +7,7 @@ type PoolKind int
 
 // The pooled kinds: single-writer and latched hash tables, SWWCB
 // partitioners, sized tuple buffers (run copies, merge outputs, sort
-// scratch, pull batches), grow-only match-pair buffers, uint32 arrays
+// scratch, pull batches), the hit buffers of probe batches, uint32 arrays
 // (the JB router's status table, ADAPTIVE's profile scratch), the result
 // batches of the output path, and the metrics collectors of whole runs.
 const (
@@ -15,14 +15,14 @@ const (
 	PoolShared
 	PoolPartitioner
 	PoolTuples
-	PoolPairs
+	PoolHits
 	PoolU32
 	PoolResults
 	PoolCollector
 	NumPoolKinds
 )
 
-var poolKindNames = [NumPoolKinds]string{"table", "shared", "partitioner", "tuples", "pairs", "u32", "results", "collector"}
+var poolKindNames = [NumPoolKinds]string{"table", "shared", "partitioner", "tuples", "hits", "u32", "results", "collector"}
 
 // String names the kind as the journal and /metrics label it.
 func (k PoolKind) String() string {

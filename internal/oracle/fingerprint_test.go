@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -144,5 +145,65 @@ func TestParseCaseRejectsMalformed(t *testing.T) {
 		if _, err := ParseCase(s); err == nil {
 			t.Fatalf("ParseCase(%q) must fail", s)
 		}
+	}
+}
+
+// definitionDigest folds results through hashResult, the written
+// definition of the three digests.
+func definitionDigest(results []tuple.JoinResult) Digest {
+	var d Digest
+	for _, jr := range results {
+		d.Full.add(hashResult(jr.TS, jr.Key, jr.PayloadR, jr.PayloadS, true))
+		d.Keyless.add(hashResult(jr.TS, jr.Key, jr.PayloadR, jr.PayloadS, false))
+		d.Swapped.add(hashResult(jr.TS, jr.Key, jr.PayloadS, jr.PayloadR, true))
+	}
+	return d
+}
+
+// edgeResults are the inputs on which a widening or sign-extension slip in
+// the shared-prefix form would show: negative and extreme timestamps, key
+// -1, extreme payloads, and payloads that only differ by which side they
+// are on.
+func edgeResults() []tuple.JoinResult {
+	return []tuple.JoinResult{
+		{},
+		{TS: -1, Key: -1, PayloadR: -1, PayloadS: -1},
+		{TS: math.MinInt64, Key: math.MinInt32, PayloadR: math.MinInt32, PayloadS: math.MaxInt32},
+		{TS: math.MaxInt64, Key: math.MaxInt32, PayloadR: math.MaxInt32, PayloadS: math.MinInt32},
+		{TS: -7, Key: 3, PayloadR: math.MinInt32, PayloadS: 0},
+		{TS: 5, Key: -1, PayloadR: 0, PayloadS: math.MinInt32},
+		{TS: 5, Key: 0, PayloadR: 1, PayloadS: 2},
+		{TS: 5, Key: 0, PayloadR: 2, PayloadS: 1},
+	}
+}
+
+// TestAddResultEqualsDefinition holds AddResult, which shares the hash
+// chain's prefixes, to hashResult field for field — one result at a time,
+// so a slip cannot cancel in the folds — and pins the digest of a fixed
+// input, so that the definition itself cannot drift: every recorded
+// conformance digest depends on it.
+func TestAddResultEqualsDefinition(t *testing.T) {
+	inputs := append(edgeResults(), randomResults(2000, 29)...)
+	for _, jr := range inputs {
+		var got Digest
+		got.AddResult(jr)
+		if want := definitionDigest([]tuple.JoinResult{jr}); got != want {
+			t.Fatalf("AddResult(%+v) = %+v, hashResult gives %+v", jr, got, want)
+		}
+	}
+	var got Digest
+	for _, jr := range inputs {
+		got.AddResult(jr)
+	}
+	if want := definitionDigest(inputs); got != want {
+		t.Fatalf("folded: AddResult %+v, hashResult %+v", got, want)
+	}
+	golden := Digest{
+		Full:    Fingerprint{Count: 2008, Sum: 0xcf9022934f3029e2, Xor: 0x36dbcc0b9c63d4ba},
+		Keyless: Fingerprint{Count: 2008, Sum: 0x080b6284c3522a8b, Xor: 0xcedd2ebca766ea11},
+		Swapped: Fingerprint{Count: 2008, Sum: 0xbf5f46b5db71d2e9, Xor: 0x63f0102e297ac2bf},
+	}
+	if got != golden {
+		t.Fatalf("digest of the pinned input moved:\n got %#v\nwant %#v", got, golden)
 	}
 }

@@ -2,7 +2,7 @@
 //
 // Every window of a streaming join needs the same transient structures:
 // hash-table directories and overflow buckets, partitioner scratch, the
-// physical partition copies of the sort joins, match-pair buffers, the
+// physical partition copies of the sort joins, probe hit buffers, the
 // result batches of the output path, and the run's metrics collector.
 // Allocating them fresh per window makes a memory-bound kernel GC-bound —
 // the overhead partition-based stream joins like PanJoin explicitly
@@ -93,7 +93,7 @@ type Pool struct {
 	shared  [classes][]*hashtable.Shared
 	parters []*radix.Partitioner
 	tuples  bufs[tuple.Tuple]
-	pairs   [][]tuple.Tuple
+	hits    bufs[hashtable.Hit]
 	u32s    bufs[uint32]
 	results bufs[tuple.JoinResult]
 	collect []*metrics.Collector
@@ -299,40 +299,35 @@ func (p *Pool) PutTuples(buf []tuple.Tuple) {
 	p.mu.Unlock()
 }
 
-// Pairs returns an empty match-pair buffer with capacity at least n. Pair
-// buffers are kept apart from Tuples because their size is not known when
-// they are asked for: ProbeBatch grows one by appending to whatever its
-// probe block's duplicate keys produce, and the next window needs that
-// grown buffer back — any of them, the most recently released first —
-// not the smallest buffer that happens to hold n.
-func (p *Pool) Pairs(n int) []tuple.Tuple {
+// hitBytes is the in-memory size of one hashtable.Hit.
+const hitBytes = int64(unsafe.Sizeof(hashtable.Hit{}))
+
+// Hits returns an empty probe hit buffer with capacity at least n. A probe
+// makes at most one hit, so n is the probe batch's length whatever the
+// keys' duplication.
+func (p *Pool) Hits(n int) []hashtable.Hit {
 	if p == nil {
-		return make([]tuple.Tuple, 0, n)
+		return make([]hashtable.Hit, 0, n)
 	}
 	p.mu.Lock()
-	var buf []tuple.Tuple
-	if l := len(p.pairs); l > 0 {
-		buf = p.pairs[l-1]
-		p.pairs = p.pairs[:l-1]
-		p.stats.RetainedBytes -= int64(cap(buf)) * tuple.Bytes
-	}
-	hit := buf != nil && cap(buf) >= n
-	p.acquired(metrics.PoolPairs, hit, 0)
+	buf := p.hits.get(n)
+	p.acquired(metrics.PoolHits, buf != nil, int64(cap(buf))*hitBytes)
 	p.mu.Unlock()
-	if !hit {
-		buf = make([]tuple.Tuple, 0, n) // a too-small one is dropped: its user would only grow it again
+	if buf == nil {
+		buf = newBuf[hashtable.Hit](n)
 	}
 	return buf
 }
 
-// PutPairs returns a buffer taken with Pairs, grown or not.
-func (p *Pool) PutPairs(buf []tuple.Tuple) {
+// PutHits returns a buffer taken with Hits to the freelist of its capacity
+// class. The runs its stale hits alias belong to pooled tables.
+func (p *Pool) PutHits(buf []hashtable.Hit) {
 	if p == nil || cap(buf) == 0 {
 		return
 	}
 	p.mu.Lock()
-	p.pairs = append(p.pairs, buf[:0])
-	p.stats.RetainedBytes += int64(cap(buf)) * tuple.Bytes
+	p.hits.put(buf)
+	p.stats.RetainedBytes += int64(cap(buf)) * hitBytes
 	p.mu.Unlock()
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/hashtable"
 	"repro/internal/metrics"
 	"repro/internal/tuple"
 )
@@ -33,8 +34,8 @@ func TestNilPoolFallsBack(t *testing.T) {
 	if buf := p.Tuples(10); cap(buf) < 10 || len(buf) != 0 {
 		t.Fatal("nil pool returned unusable tuple buffer")
 	}
-	if buf := p.Pairs(10); cap(buf) < 10 || len(buf) != 0 {
-		t.Fatal("nil pool returned unusable pair buffer")
+	if buf := p.Hits(10); cap(buf) < 10 || len(buf) != 0 {
+		t.Fatal("nil pool returned unusable hit buffer")
 	}
 	if buf := p.U32(10); cap(buf) < 10 || len(buf) != 0 {
 		t.Fatal("nil pool returned unusable u32 buffer")
@@ -44,7 +45,7 @@ func TestNilPoolFallsBack(t *testing.T) {
 	p.PutShared(p.Shared(10))
 	p.PutPartitioner(p.Partitioner())
 	p.PutTuples(p.Tuples(4))
-	p.PutPairs(p.Pairs(4))
+	p.PutHits(p.Hits(4))
 	p.PutU32(p.U32(4))
 }
 
@@ -98,15 +99,15 @@ func TestPooledNPJWindowZeroAllocs(t *testing.T) {
 	window := func() {
 		tab := p.Shared(len(build))
 		tab.InsertBatch(build)
-		pairs := p.Pairs(2 * 1024)
+		hits := p.Hits(256)
 		for lo := 0; lo < len(probes); lo += 256 {
-			pairs, _ = tab.ProbeBatch(probes[lo:lo+256], pairs[:0])
+			hits = tab.ProbeRuns(probes[lo:lo+256], hits[:0])
 		}
-		p.PutPairs(pairs)
+		p.PutHits(hits)
 		p.PutShared(tab)
 	}
-	window() // first window sizes directory, chains, and pair buffer
-	window() // second window settles freelist capacities
+	window() // first window sizes directory, store and hit buffer
+	window() // second window settles freelist capacities and the arena
 	if allocs := testing.AllocsPerRun(20, window); allocs != 0 {
 		t.Fatalf("steady-state pooled NPJ window allocates %.1f times, want 0", allocs)
 	}
@@ -124,15 +125,15 @@ func TestPooledSHJWindowZeroAllocs(t *testing.T) {
 	window := func() {
 		rtab := p.Table(len(rs)+16, 0)
 		stab := p.Table(len(ss)+16, 0)
-		pairs := p.Pairs(2 * bsz)
+		hits := p.Hits(bsz)
 		for lo := 0; lo < len(rs); lo += bsz {
 			rb, sb := rs[lo:lo+bsz], ss[lo:lo+bsz]
 			rtab.InsertBatch(rb)
-			pairs, _ = stab.ProbeBatch(rb, pairs[:0])
+			hits = stab.ProbeRuns(rb, nil, hits[:0])
 			stab.InsertBatch(sb)
-			pairs, _ = rtab.ProbeBatch(sb, pairs[:0])
+			hits = rtab.ProbeRuns(sb, nil, hits[:0])
 		}
-		p.PutPairs(pairs)
+		p.PutHits(hits)
 		p.PutTable(rtab)
 		p.PutTable(stab)
 	}
@@ -157,17 +158,17 @@ func TestPooledPRJWindowZeroAllocs(t *testing.T) {
 		ps := p.Partitioner()
 		partsR, hashR := pr.PartitionHashed(rs, bits, nil, 0)
 		partsS, hashS := ps.PartitionHashed(ss, bits, nil, 0)
-		pairs := p.Pairs(256)
+		hits := p.Hits(len(ss))
 		for pi := range partsR {
 			if len(partsR[pi]) == 0 {
 				continue
 			}
 			tab := p.Table(len(partsR[pi]), bits)
 			tab.InsertBatchHashed(partsR[pi], hashR[pi])
-			pairs, _ = tab.ProbeBatchHashed(partsS[pi], hashS[pi], pairs[:0])
+			hits = tab.ProbeRuns(partsS[pi], hashS[pi], hits[:0])
 			p.PutTable(tab)
 		}
-		p.PutPairs(pairs)
+		p.PutHits(hits)
 		p.PutPartitioner(pr)
 		p.PutPartitioner(ps)
 	}
@@ -248,25 +249,42 @@ func TestBufferSizeClasses(t *testing.T) {
 	}
 }
 
-// TestGrownPairBufferIsFoundAgain: a match-pair buffer its user grew by
-// appending (duplicate keys) must be what the next pair request gets, of
-// whatever size — and a sized Tuples request of the same size must not get
-// it, nor a pair request a run buffer.
-func TestGrownPairBufferIsFoundAgain(t *testing.T) {
+// TestDuplicateKeysRetainNoMatchBuffer: what a dupe-100 NPJ window leaves
+// in the pool besides its table is the workers' hit buffers — one hit per
+// probe of a batch, whatever the duplication — where a (stored, probe) pair
+// per match kept a buffer of a batch's matches, 3.2 MB a worker at this
+// shape, alive between windows.
+func TestDuplicateKeysRetainNoMatchBuffer(t *testing.T) {
+	const workers, batch, dupe = 2, 1024, 100
 	p := New()
-	run := p.Tuples(1 << 16)
-	p.PutTuples(run)
-	buf := p.Pairs(128)
-	buf = append(buf, make([]tuple.Tuple, 5000)...)
-	p.PutPairs(buf)
-	if got := p.Tuples(128); cap(got) == cap(buf) {
-		t.Fatal("a sized request took the grown pair buffer")
+	build := windowTuples(200_000/10, 200_000/10/dupe, 8)
+	probes := windowTuples(2*batch, 200_000/10/dupe, 9)
+	window := func() {
+		tab := p.Shared(len(build))
+		tab.InsertBatch(build)
+		var held [workers][]hashtable.Hit
+		matches := 0
+		for w := range held {
+			held[w] = tab.ProbeRuns(probes[w*batch:(w+1)*batch], p.Hits(batch))
+			for _, h := range held[w] {
+				matches += len(h.Stored)
+			}
+		}
+		if matches < workers*batch*dupe*9/10 {
+			t.Fatalf("set-up: %d matches from %d probes, want about %d each", matches, workers*batch, dupe)
+		}
+		for _, hits := range held {
+			p.PutHits(hits)
+		}
+		p.PutShared(tab)
 	}
-	if got := p.Pairs(128); cap(got) != cap(buf) {
-		t.Fatalf("pair request after growth got cap %d, want the grown buffer (cap %d)", cap(got), cap(buf))
-	}
-	if got := p.Pairs(128); cap(got) >= 1<<16 {
-		t.Fatal("a pair request took the run buffer")
+	window()
+	window()
+	tab := p.Shared(len(build))
+	beside := p.Stats().RetainedBytes
+	p.PutShared(tab)
+	if limit := int64(workers * batch * hitBytes); beside > limit {
+		t.Fatalf("pool retains %d bytes beside the table after a dupe-%d window, want at most the %d of %d hit buffers", beside, dupe, limit, workers)
 	}
 }
 

@@ -27,6 +27,7 @@ var kernelBaseline = map[string]string{
 	"partition_build": "unfused",
 	"build":           "scalar",
 	"probe":           "scalar",
+	"probe_dup":       "scalar",
 	"sink_count":      "match",
 	"sink_emit":       "match",
 }
@@ -115,8 +116,9 @@ func readKernels(data []byte) (*kernelBench, error) {
 //	BenchmarkKernelPartitionBuild/fused-2  300  214357 ns/op  1222.93 MB/s
 //
 // The CamelCase name is the kernel and the sub-benchmark the variant,
-// except that BenchmarkKernelSink{Match,Run}/{count,emit} is kernel
-// sink_{count,emit}, variant {match,run}: run is gated against match.
+// except that BenchmarkKernelSink{Match,Run,Rect}/{count,emit} is kernel
+// sink_{count,emit}, variant {match,run,rect}: run and rect are gated
+// against match.
 func parseKernelRow(f []string) kernelRow {
 	name, sub, _ := strings.Cut(strings.TrimPrefix(f[0], "BenchmarkKernel"), "/")
 	if i := strings.LastIndexByte(sub, '-'); i > 0 && strings.Trim(sub[i+1:], "0123456789") == "" { // the -GOMAXPROCS suffix

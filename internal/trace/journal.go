@@ -29,10 +29,13 @@ type JournalEntry struct {
 	// Window identifies the source window on window entries.
 	Window *WindowInfo `json:"window,omitempty"`
 
-	Algorithm     string           `json:"algorithm,omitempty"`
-	Threads       int              `json:"threads,omitempty"`
-	Inputs        int64            `json:"inputs,omitempty"`
-	Matches       int64            `json:"matches,omitempty"`
+	Algorithm string `json:"algorithm,omitempty"`
+	Threads   int    `json:"threads,omitempty"`
+	Inputs    int64  `json:"inputs,omitempty"`
+	Matches   int64  `json:"matches,omitempty"`
+	// SinkRuns is metrics.Result.SinkRuns: matches/sink_runs is the
+	// duplication the sink's run form amortized over.
+	SinkRuns      int64            `json:"sink_runs,omitempty"`
 	ThroughputTPM float64          `json:"throughput_tuples_per_ms,omitempty"`
 	LatencyP50Ms  int64            `json:"latency_p50_ms,omitempty"`
 	LatencyP95Ms  int64            `json:"latency_p95_ms,omitempty"`
@@ -131,6 +134,7 @@ func EntryOf(res metrics.Result) JournalEntry {
 		Threads:       res.Threads,
 		Inputs:        res.Inputs,
 		Matches:       res.Matches,
+		SinkRuns:      res.SinkRuns,
 		ThroughputTPM: res.ThroughputTPM,
 		LatencyP50Ms:  res.LatencyP50Ms,
 		LatencyP95Ms:  res.LatencyP95Ms,

@@ -18,6 +18,7 @@ func metricsResultFixture() metrics.Result {
 		Threads:       4,
 		Inputs:        2000,
 		Matches:       1500,
+		SinkRuns:      300,
 		LastMatchMs:   90,
 		ThroughputTPM: 22.2,
 		LatencyP50Ms:  3,
@@ -41,7 +42,7 @@ func TestEntryOf(t *testing.T) {
 	if e.Schema != JournalSchema || e.Kind != "run" {
 		t.Errorf("schema/kind = %q/%q", e.Schema, e.Kind)
 	}
-	if e.Algorithm != "SHJ_JM" || e.Threads != 4 || e.Inputs != 2000 || e.Matches != 1500 {
+	if e.Algorithm != "SHJ_JM" || e.Threads != 4 || e.Inputs != 2000 || e.Matches != 1500 || e.SinkRuns != 300 {
 		t.Errorf("identity fields wrong: %+v", e)
 	}
 	if e.LatencyP99Ms != 9 || e.LatencyMaxMs != 12 {

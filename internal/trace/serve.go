@@ -40,10 +40,11 @@ type Registry struct {
 
 // algStats accumulates one algorithm's observed runs.
 type algStats struct {
-	runs    int64
-	inputs  int64
-	matches int64
-	phaseNs [6]int64
+	runs     int64
+	inputs   int64
+	matches  int64
+	sinkRuns int64
+	phaseNs  [6]int64
 
 	// Gauges from the most recent run.
 	throughputTPM      float64
@@ -80,6 +81,7 @@ func (g *Registry) Observe(res metrics.Result) {
 	st.runs++
 	st.inputs += res.Inputs
 	st.matches += res.Matches
+	st.sinkRuns += res.SinkRuns
 	for i, ns := range res.PhaseNs {
 		st.phaseNs[i] += ns
 	}
@@ -154,6 +156,10 @@ func (g *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	writeHeader("iawj_matches_total", "counter", "Join matches produced per algorithm.")
 	for _, name := range names {
 		fmt.Fprintf(&b, "iawj_matches_total{algorithm=%q} %d\n", escapeLabel(name), g.algs[name].matches)
+	}
+	writeHeader("iawj_sink_runs_total", "counter", "Runs the matches reached the sink in per algorithm: matches over runs is what one sink call amortized over.")
+	for _, name := range names {
+		fmt.Fprintf(&b, "iawj_sink_runs_total{algorithm=%q} %d\n", escapeLabel(name), g.algs[name].sinkRuns)
 	}
 	writeHeader("iawj_phase_ns_total", "counter", "Per-phase busy nanoseconds per algorithm (Figure 7 breakdown).")
 	for _, name := range names {

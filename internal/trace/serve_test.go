@@ -34,6 +34,7 @@ func TestRegistryMetricsExposition(t *testing.T) {
 		`iawj_runs_total{algorithm="SHJ_JM"} 2`,
 		`iawj_inputs_total{algorithm="SHJ_JM"} 4000`,
 		`iawj_matches_total{algorithm="SHJ_JM"} 3000`,
+		`iawj_sink_runs_total{algorithm="SHJ_JM"} 600`,
 		`iawj_phase_ns_total{algorithm="SHJ_JM",phase="probe"} 1000`,
 		`iawj_latency_ms{algorithm="SHJ_JM",quantile="0.99"} 9`,
 		`iawj_pool_hits_total{algorithm="SHJ_JM",kind="tuples"} 12`,
