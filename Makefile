@@ -54,7 +54,8 @@ trace-smoke:
 
 ## fuzz-smoke: FUZZTIME per fuzz target — the gen/ingest parsers, the kernel
 ## differential fuzzers, the workload profile against its map-and-sort
-## reference, and the whole-join conformance fuzzer
+## reference, the radix sort against the stable library sort, and the
+## whole-join conformance fuzzer
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/gen
 	$(GO) test -run='^$$' -fuzz='^FuzzReadStream$$' -fuzztime=$(FUZZTIME) ./internal/ingest
@@ -62,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSummarize$$' -fuzztime=$(FUZZTIME) ./internal/tuple
 	$(GO) test -run='^$$' -fuzz='^FuzzPartitionerDiff$$' -fuzztime=$(FUZZTIME) ./internal/radix
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchDiff$$' -fuzztime=$(FUZZTIME) ./internal/hashtable
+	$(GO) test -run='^$$' -fuzz='^FuzzRadixSortDiff$$' -fuzztime=$(FUZZTIME) ./internal/sortmerge
 	$(GO) test -run='^$$' -fuzz='^FuzzConformance$$' -fuzztime=$(FUZZTIME) ./internal/oracle
 
 ## bench-smoke: every kernel microbenchmark once under the race detector, so
@@ -69,10 +71,10 @@ fuzz-smoke:
 ## the checked-in BENCH_3.json must parse and record no variant below 1.0x
 ## of its baseline (re-record with `make bench-kernels` after a kernel change)
 bench-smoke:
-	$(GO) test -race -run '^$$' -bench '^BenchmarkKernel' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core
+	$(GO) test -race -run '^$$' -bench '^BenchmarkKernel' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge
 	$(INSPECT) BENCH_3.json
 
-## bench-kernels: kernel-layer sweep (partition/partition_build/build/probe/sink),
+## bench-kernels: kernel-layer sweep (partition/partition_build/build/probe/sink/sort),
 ## writes BENCH_3.json; 300 iterations per variant
 bench-kernels:
 	./scripts/bench.sh kernels

@@ -49,7 +49,7 @@ import (
 // -scale, -seed, -listen) are read by all four.
 var (
 	// joinFlags configure a join: the join mode's and -advise's.
-	joinFlags = []string{"algorithm", "threads", "objective", "atrest", "simd", "radixbits", "sortstep", "groupsize", "spill"}
+	joinFlags = []string{"algorithm", "threads", "objective", "atrest", "radixbits", "sortstep", "groupsize", "spill"}
 	// runFlags observe or slice the join mode's run.
 	runFlags = []string{"format", "trace", "journal", "serve", "windowms", "slide", "sample"}
 	// microFlags shape -workload Micro.
@@ -71,7 +71,6 @@ func main() {
 		threads   = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		objective = flag.String("objective", "throughput", "what ADAPTIVE and -advise optimize: throughput | latency | progressiveness")
 		atRest    = flag.Bool("atrest", false, "treat inputs as data at rest (no arrival simulation)")
-		simd      = flag.Bool("simd", true, "use the vectorized-substitute sort kernels")
 		radixBits = flag.Int("radixbits", 0, "PRJ #r (0 = default 10, at most 20)")
 		sortStep  = flag.Float64("sortstep", 0, "PMJ δ as a fraction (0 = default)")
 		groupSize = flag.Int("groupsize", 0, "JB group size g (0 = default 1, at most -threads)")
@@ -137,7 +136,6 @@ func main() {
 		Threads:      *threads,
 		AtRest:       w.AtRest,
 		Objective:    obj,
-		SIMD:         *simd,
 		RadixBits:    *radixBits,
 		SortStepFrac: *sortStep,
 		GroupSize:    *groupSize,

@@ -204,3 +204,12 @@ func TestFlagOutsideItsModeExits2(t *testing.T) {
 		}
 	}
 }
+
+// TestSIMDFlagIsGone: the sort joins always run the radix sort, so -simd
+// is no longer a flag and asking for it is a usage error.
+func TestSIMDFlagIsGone(t *testing.T) {
+	_, stderr, code := iawjjoin(t, "-workload", "Stock", "-scale", "0.002", "-algorithm", "MWAY", "-simd=false")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -simd") {
+		t.Fatalf("exit %d, stderr %q; want exit 2 for an undefined -simd", code, stderr)
+	}
+}

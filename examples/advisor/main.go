@@ -49,7 +49,7 @@ func main() {
 
 	fmt.Printf("%-8s %14s %12s\n", "algo", "tput(t/ms)", "t50%(ms)")
 	for _, algo := range iawj.Algorithms() {
-		res, err := iawj.JoinWorkload(w, iawj.Config{Algorithm: algo, Threads: 4, SIMD: true})
+		res, err := iawj.JoinWorkload(w, iawj.Config{Algorithm: algo, Threads: 4})
 		if err != nil {
 			log.Fatal(err)
 		}

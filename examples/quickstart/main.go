@@ -29,7 +29,6 @@ func main() {
 		res, err := iawj.JoinWorkload(w, iawj.Config{
 			Algorithm: algo,
 			Threads:   4,
-			SIMD:      true,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -66,7 +66,6 @@ type Config struct {
 	RadixBits    int     // PRJ #r (default 10, at most 20)
 	SortStepFrac float64 // PMJ δ (default 0.2)
 	GroupSize    int     // JB g (default 1, at most Threads)
-	SIMD         bool    // vectorized-substitute sort kernels
 	BatchSize    int     // eager pull batch (default 64)
 	SpillDir     string  // PMJ disk-spill directory ("" = in-memory runs)
 
@@ -209,7 +208,6 @@ func join(r, s Relation, cfg Config, baseTS int64, out *core.Outbox) (Result, er
 			RadixBits:    cfg.RadixBits,
 			SortStepFrac: cfg.SortStepFrac,
 			GroupSize:    cfg.GroupSize,
-			SIMD:         cfg.SIMD,
 			BatchSize:    cfg.BatchSize,
 			SpillDir:     cfg.SpillDir,
 		},

@@ -36,8 +36,10 @@ type Knobs struct {
 	// GroupSize is the JB scheme's g (Figure 16), at most Threads. Zero
 	// selects 1 (strict hash partitioning); g == Threads degenerates to JM.
 	GroupSize int
-	// SIMD toggles the vectorized-substitute sort kernels (Figure 21).
-	SIMD bool
+	// ScalarSort swaps the radix sort of MWAY, MPASS and PMJ — the stand-in
+	// for the paper's AVX sort — for the comparison merge sort, Figure 21's
+	// foil.
+	ScalarSort bool
 	// BatchSize bounds how many tuples an eager worker pulls from one
 	// stream before re-checking the other; default 64.
 	BatchSize int

@@ -226,8 +226,8 @@ func (p *pmjWorker) seal() {
 	ctx := p.ctx
 	base := uint64(p.tid)<<40 | uint64(len(p.runs))<<24
 	p.begin(metrics.PhaseBuildSort)
-	sortmerge.SortByKeyScratch(p.curR, p.scratch, ctx.Knobs.SIMD, ctx.Tracer, base)
-	sortmerge.SortByKeyScratch(p.curS, p.scratch, ctx.Knobs.SIMD, ctx.Tracer, base|1<<23)
+	sortmerge.SortByKeyScratch(p.curR, p.scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, base)
+	sortmerge.SortByKeyScratch(p.curS, p.scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, base|1<<23)
 	p.end(n)
 	p.begin(metrics.PhaseProbe)
 	p.sink.Refresh()

@@ -88,10 +88,9 @@ func run(o *Options, w gen.Workload, name string, knobs core.Knobs) (metrics.Res
 		Knobs:      knobs,
 		Trace:      o.Trace,
 	}
-	// The paper tunes each algorithm to its optimal configuration for
-	// the overall comparison; apply the experimentally determined
-	// defaults (SIMD on for the sort kernels; #r and δ default in core).
-	cfg.Knobs.SIMD = true
+	// The paper tunes each algorithm to its optimal configuration for the
+	// overall comparison; the zero knobs are that configuration (the radix
+	// sort; #r and δ default in core).
 	res, err := core.Run(mustAlg(name), w.R, w.S, w.WindowMs, cfg)
 	if err == nil && o.OnResult != nil {
 		o.OnResult(res)

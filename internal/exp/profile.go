@@ -18,7 +18,6 @@ func profileRun(o *Options, w gen.Workload, name string, knobs core.Knobs) (*cac
 	// effects (shared tables exceeding L3, partitions fitting L1) appear
 	// at reduced scale; see cachesim.ScaledConfig.
 	tr := cachesim.NewPhasedWith(cachesim.ScaledConfig(float64(profileScale(o))))
-	knobs.SIMD = true
 	res, err := core.Run(mustAlg(name), w.R, w.S, w.WindowMs, core.RunConfig{
 		Threads: 1,
 		AtRest:  true, // profiling measures access patterns, not arrival

@@ -151,7 +151,7 @@ func Figure6(o Options) []Figure6Row {
 			rows = append(rows, row)
 			fmt.Fprintf(o.W, "%-6s %-8s %8d %8d %8d %8d  |%s|\n",
 				w.Name, name, row.T25, row.T50, row.T75, row.T100,
-				sparkline(res.Progress, 32))
+				sparkline(res.Progress[:], 32))
 		}
 	}
 	return rows

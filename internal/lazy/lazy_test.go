@@ -47,10 +47,10 @@ func TestSortJoinsWithAndWithoutSIMD(t *testing.T) {
 	w := gen.MicroStatic(4000, 6000, 12, 0.3, 5)
 	want := expected(w.R, w.S)
 	for _, alg := range []core.Algorithm{MWay{}, MPass{}} {
-		for _, simd := range []bool{false, true} {
-			got := staticRun(t, alg, w, 4, core.Knobs{SIMD: simd})
+		for _, scalar := range []bool{false, true} {
+			got := staticRun(t, alg, w, 4, core.Knobs{ScalarSort: scalar})
 			if got != want {
-				t.Fatalf("%s simd=%v: matches = %d, want %d", alg.Name(), simd, got, want)
+				t.Fatalf("%s scalar=%v: matches = %d, want %d", alg.Name(), scalar, got, want)
 			}
 		}
 	}
@@ -143,7 +143,7 @@ func TestLazyStreamingWaitsForWindow(t *testing.T) {
 			t.Fatalf("%s: lazy run must record wait time", alg.Name())
 		}
 		// No match can be emitted before the window closes.
-		if len(res.Progress) > 0 && res.Progress[0].V < w.WindowMs/2 {
+		if res.Matches > 0 && res.Progress[0].V < w.WindowMs/2 {
 			t.Fatalf("%s: match before window close at %dms", alg.Name(), res.Progress[0].V)
 		}
 	}

@@ -13,9 +13,8 @@ import (
 
 // MWay is the Multi-Way Sort Merge Join: inputs are physically partitioned
 // and distributed across threads, each local partition is sorted with the
-// vectorized kernels, locally sorted runs are combined with a single
-// multi-way merge, and matching runs as a single-pass merge join per key
-// range.
+// radix sort, locally sorted runs are combined with a single multi-way
+// merge, and matching runs as a single-pass merge join per key range.
 type MWay struct{}
 
 // Name implements core.Algorithm.
@@ -37,13 +36,13 @@ func (MPass) Name() string { return "MPASS" }
 func (MPass) Run(ctx *core.ExecContext) error { return runSortJoin(ctx, false) }
 
 // runSortJoin is the shared sort-join skeleton: partition (physical chunk
-// copies), sort (per-thread, SIMD-substitute optional), merge (multi-way
-// for MWay, successive two-way passes for MPass, parallel across key
-// ranges), and a final parallel merge join. Everything that scales with
-// the window — the physical chunk copies, the sort scratch, the merge
-// outputs (two ping-pong buffers a side for MPass once a range spans more
-// than two runs) — comes from the window pool when one is attached and is
-// recycled once all workers finish.
+// copies), sort (per-thread radix sort, or Figure 21's scalar foil), merge
+// (multi-way for MWay, successive two-way passes for MPass, parallel
+// across key ranges), and a final parallel merge join. Everything that
+// scales with the window — the physical chunk copies, the sort scratch,
+// the merge outputs (two ping-pong buffers a side for MPass once a range
+// spans more than two runs) — comes from the window pool when one is
+// attached and is recycled once all workers finish.
 func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 	tcount := ctx.Threads
 	runsR := make([]tuple.Relation, tcount)
@@ -78,8 +77,8 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		ctx.Begin(tid, metrics.PhaseBuildSort)
 		tw.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
 		scratch := ctx.Pool.Tuples(max(len(runsR[tid]), len(runsS[tid])))
-		sortmerge.SortByKeyScratch(runsR[tid], scratch, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<32)
-		sortmerge.SortByKeyScratch(runsS[tid], scratch, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<32|1<<31)
+		sortmerge.SortByKeyScratch(runsR[tid], scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32)
+		sortmerge.SortByKeyScratch(runsS[tid], scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32|1<<31)
 		ctx.Pool.PutTuples(scratch)
 		ctx.Begin(tid, metrics.PhaseOther)
 		barrier.Done()
@@ -99,12 +98,12 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 			}
 			buf[0] = ctx.Pool.Tuples(total)
 			if multiway {
-				return sortmerge.MultiwayMergeInto(buf[0], ranges, ctx.Knobs.SIMD)
+				return sortmerge.MultiwayMergeInto(buf[0], ranges)
 			}
 			if len(ranges) > 2 {
 				buf[1] = ctx.Pool.Tuples(total) // a second pass needs the other buffer
 			}
-			return sortmerge.TwoWayMergePassesInto(buf[0], buf[1], ranges, ctx.Knobs.SIMD)
+			return sortmerge.TwoWayMergePassesInto(buf[0], buf[1], ranges)
 		}
 		mergedR := merge(rangeSlices(runsR, splitters, tid), mergeBufs[4*tid:4*tid+2])
 		mergedS := merge(rangeSlices(runsS, splitters, tid), mergeBufs[4*tid+2:4*tid+4])

@@ -117,26 +117,25 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if h.total == 0 {
 		return 0
 	}
-	target := int64(math.Ceil(q * float64(h.total)))
-	if target < 1 {
-		target = 1
-	}
-	if target > h.total {
-		target = h.total
-	}
+	target := h.rank(q)
 	var cum int64
 	for i, c := range h.counts {
 		cum += c
 		if cum >= target {
-			v := bucketLow(i)
-			if v > h.maxV {
-				v = h.maxV
-			}
-			return v
+			return h.value(i)
 		}
 	}
 	return h.maxV
 }
+
+// rank is how many observations the q-quantile must cover:
+// ceil(q*total), within [1, total].
+func (h *Histogram) rank(q float64) int64 {
+	return min(max(int64(math.Ceil(q*float64(h.total))), 1), h.total)
+}
+
+// value is bucket i's representative, never above the recorded maximum.
+func (h *Histogram) value(i int) int64 { return min(bucketLow(i), h.maxV) }
 
 // CumulativePoint is one sample of a cumulative distribution: by value V,
 // Frac of all observations had occurred.
@@ -145,37 +144,24 @@ type CumulativePoint struct {
 	Frac float64
 }
 
-// CDF returns the non-empty cumulative distribution points, used for the
-// progressiveness curves (cumulative percent of matches over elapsed time).
-func (h *Histogram) CDF() []CumulativePoint {
+// CDF samples the cumulative distribution into out at the fractions
+// k/len(out), k = 1..len(out) — point k is {Quantile(k/len(out)),
+// k/len(out)} — in one walk over the buckets; it leaves out alone when the
+// histogram is empty. It backs the progressiveness curves (cumulative
+// percent of matches over elapsed time), whose size thus depends on
+// len(out) alone, not on how many buckets the values spread over.
+func (h *Histogram) CDF(out []CumulativePoint) {
 	if h.total == 0 {
-		return nil
+		return
 	}
-	points := 0
-	for _, c := range h.counts {
-		if c != 0 {
-			points++
-		}
-	}
-	out := make([]CumulativePoint, 0, points)
 	var cum int64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
+	i := -1
+	for k := range out {
+		frac := float64(k+1) / float64(len(out))
+		for target := h.rank(frac); cum < target; {
+			i++
+			cum += h.counts[i]
 		}
-		cum += c
-		v := bucketLow(i)
-		if v > h.maxV {
-			v = h.maxV
-		}
-		out = append(out, CumulativePoint{V: v, Frac: float64(cum) / float64(h.total)})
+		out[k] = CumulativePoint{V: h.value(i), Frac: frac}
 	}
-	return out
-}
-
-// ValueAtFrac returns the smallest recorded value by which at least frac of
-// observations had occurred — e.g. the time to deliver the first 50% of
-// matches (Section 5.2's progressiveness comparison).
-func (h *Histogram) ValueAtFrac(frac float64) int64 {
-	return h.Quantile(frac)
 }

@@ -216,8 +216,12 @@ type Result struct {
 	LatencyP50Ms int64
 	LatencyP99Ms int64
 	LatencyMaxMs int64
-	// Progress is the cumulative-percent-of-matches curve.
-	Progress []CumulativePoint
+	// Progress is the cumulative-percent-of-matches curve sampled at the
+	// fractions k/32, k = 1..32 (Histogram.CDF); all zero when nothing
+	// matched. A fixed array, so that a Result's size and allocations do
+	// not depend on how fast the join ran: a faster one lands its matches
+	// in earlier, finer histogram buckets.
+	Progress [progressPoints]CumulativePoint
 	// PhaseNs sums each phase's time across threads.
 	PhaseNs [6]int64
 	// WallNs is the end-to-end run time in real nanoseconds.
@@ -240,6 +244,10 @@ type Result struct {
 	// JoinWindowedParallel call) see each other's traffic.
 	Output OutputStats
 }
+
+// progressPoints is how many points Result.Progress samples the match
+// curve at; ¼, ½, ¾ and 1 are among its fractions.
+const progressPoints = 32
 
 // Snapshot merges all thread metrics into a Result. inputs is |R|+|S|.
 func (c *Collector) Snapshot(algorithm string, inputs int64, wallNs int64) Result {
@@ -278,7 +286,7 @@ func (c *Collector) Snapshot(algorithm string, inputs int64, wallNs int64) Resul
 	res.LatencyP50Ms = lat.Quantile(0.50)
 	res.LatencyP99Ms = lat.Quantile(0.99)
 	res.LatencyMaxMs = lat.Max()
-	res.Progress = prog.CDF()
+	prog.CDF(res.Progress[:])
 	if wallNs > 0 && len(c.threads) > 0 {
 		res.CPUUtil = float64(busy) / (float64(wallNs) * float64(len(c.threads)))
 		if res.CPUUtil > 1 {
@@ -293,15 +301,14 @@ func (c *Collector) Snapshot(algorithm string, inputs int64, wallNs int64) Resul
 }
 
 // TimeToFrac returns the simulated time by which frac of all matches had
-// been delivered (e.g. 0.5 for the "first 50% of matches" comparisons).
+// been delivered (e.g. 0.5 for the "first 50% of matches" comparisons): at
+// a fraction k/32 the progress histogram's quantile, elsewhere that of the
+// next such fraction up.
 func (r *Result) TimeToFrac(frac float64) int64 {
 	for _, p := range r.Progress {
 		if p.Frac >= frac {
 			return p.V
 		}
 	}
-	if n := len(r.Progress); n > 0 {
-		return r.Progress[n-1].V
-	}
-	return 0
+	return r.Progress[len(r.Progress)-1].V
 }

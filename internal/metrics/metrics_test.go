@@ -30,7 +30,8 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestHistogramEmptyAndNegative(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.95) != 0 || h.CDF() != nil {
+	var cdf [progressPoints]CumulativePoint
+	if h.CDF(cdf[:]); h.Quantile(0.95) != 0 || cdf != ([progressPoints]CumulativePoint{}) {
 		t.Fatal("empty histogram must be zero-valued")
 	}
 	h.Record(-5, 1) // clamps to 0
@@ -78,15 +79,13 @@ func TestHistogramMergeAndCDF(t *testing.T) {
 	if a.Total() != 10 || a.Max() != 1000 {
 		t.Fatalf("merge: total=%d max=%d", a.Total(), a.Max())
 	}
-	cdf := a.CDF()
-	if len(cdf) != 2 {
-		t.Fatalf("CDF points = %d, want 2", len(cdf))
+	cdf := make([]CumulativePoint, 2)
+	a.CDF(cdf)
+	if cdf[0].Frac != 0.5 || cdf[1].Frac != 1.0 || cdf[0].V != 10 || cdf[1].V != a.Quantile(1) {
+		t.Fatalf("CDF: %+v", cdf)
 	}
-	if cdf[0].Frac != 0.5 || cdf[1].Frac != 1.0 {
-		t.Fatalf("CDF fracs: %+v", cdf)
-	}
-	if a.ValueAtFrac(0.5) > 10 {
-		t.Fatalf("half the mass is at 10, got %d", a.ValueAtFrac(0.5))
+	if a.Quantile(0.5) > 10 {
+		t.Fatalf("half the mass is at 10, got %d", a.Quantile(0.5))
 	}
 }
 

@@ -20,8 +20,9 @@ func TestQuantileEmptyHistogram(t *testing.T) {
 	if h.Max() != 0 || h.Total() != 0 {
 		t.Errorf("empty histogram Max/Total = %d/%d, want 0/0", h.Max(), h.Total())
 	}
-	if cdf := h.CDF(); cdf != nil {
-		t.Errorf("empty CDF = %v, want nil", cdf)
+	var cdf [4]CumulativePoint
+	if h.CDF(cdf[:]); cdf != ([4]CumulativePoint{}) {
+		t.Errorf("empty CDF = %v, want it left zero", cdf)
 	}
 }
 
@@ -34,9 +35,10 @@ func TestQuantileSingleBucket(t *testing.T) {
 			t.Errorf("single-bucket Quantile(%v) = %d, want 7", q, got)
 		}
 	}
-	cdf := h.CDF()
-	if len(cdf) != 1 || cdf[0].V != 7 || cdf[0].Frac != 1.0 {
-		t.Errorf("single-bucket CDF = %+v, want [{7 1}]", cdf)
+	var cdf [4]CumulativePoint
+	h.CDF(cdf[:])
+	if cdf[0].V != 7 || cdf[3].V != 7 || cdf[0].Frac != 0.25 || cdf[3].Frac != 1.0 {
+		t.Errorf("single-bucket CDF = %+v, want [{7 0.25} {7 0.5} {7 0.75} {7 1}]", cdf)
 	}
 }
 
@@ -72,22 +74,20 @@ func TestQuantileTinyTargetClampsToOne(t *testing.T) {
 }
 
 func TestTimeToFrac(t *testing.T) {
-	r := Result{Progress: []CumulativePoint{
-		{V: 10, Frac: 0.2},
-		{V: 20, Frac: 0.5},
-		{V: 40, Frac: 0.9},
-		{V: 80, Frac: 1.0},
-	}}
+	var r Result
+	for k := range r.Progress {
+		r.Progress[k] = CumulativePoint{V: 10 * int64(k+1), Frac: float64(k+1) / progressPoints}
+	}
 	cases := []struct {
 		frac float64
 		want int64
 	}{
-		{0.1, 10},  // before the first point: earliest sample qualifies
-		{0.2, 10},  // exact hit
-		{0.5, 20},  // exact hit on a middle point
-		{0.6, 40},  // between points: first point at or above wins
-		{1.0, 80},  // full delivery
-		{1.01, 80}, // beyond 1: falls back to the last point
+		{0.01, 10},  // before the first point: earliest sample qualifies
+		{0.25, 80},  // exact hit
+		{0.5, 160},  // exact hit on a middle point
+		{0.51, 170}, // between points: first point at or above wins
+		{1.0, 320},  // full delivery
+		{1.01, 320}, // beyond 1: falls back to the last point
 	}
 	for _, c := range cases {
 		if got := r.TimeToFrac(c.frac); got != c.want {
@@ -190,5 +190,31 @@ func TestBucketNamesRecordsBucketAndItsEdges(t *testing.T) {
 	}
 	if recorded != added {
 		t.Fatal("AddTo per bucket and Record per value built different histograms")
+	}
+}
+
+// TestCDFIsQuantilesAtAGrid: point k of CDF(points) is the histogram's
+// quantile at k/points, whatever the spread of the values, so the sampled
+// progress curve answers TimeToFrac at ¼, ½, ¾ and 1 as Quantile does.
+func TestCDFIsQuantilesAtAGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		var h Histogram
+		for i, n := 0, rng.Intn(50)+1; i < n; i++ {
+			h.Record(rng.Int63n(1<<uint(rng.Intn(40))), rng.Int63n(1000)+1)
+		}
+		var r Result
+		h.CDF(r.Progress[:])
+		for k, p := range r.Progress {
+			frac := float64(k+1) / progressPoints
+			if p.Frac != frac || p.V != h.Quantile(frac) {
+				t.Fatalf("point %d = %+v, want {%d %v}", k, p, h.Quantile(frac), frac)
+			}
+		}
+		for _, frac := range []float64{0.25, 0.5, 0.75, 1} {
+			if got := r.TimeToFrac(frac); got != h.Quantile(frac) {
+				t.Fatalf("TimeToFrac(%v) = %d, Quantile %d", frac, got, h.Quantile(frac))
+			}
+		}
 	}
 }

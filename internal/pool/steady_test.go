@@ -39,25 +39,26 @@ func allocatedBytes(f func()) uint64 {
 
 // TestPooledWindowAllocsDoNotScale runs whole windows — core.Run, two
 // workers — of every algorithm shape on a warmed pool, at two window sizes
-// eight times apart. A warmed window may allocate what its caller keeps
-// and a few words of bookkeeping — under 8 KB, at either size: run copies,
-// sort scratch, merge outputs, PMJ runs, hash tables, pair buffers, the
-// JB router's status table and the run's metrics collector (33 KB for two
-// workers) all come from the pool.
+// eight times apart, on either sort. A warmed window may allocate what its
+// caller keeps and a few words of bookkeeping — 0.7–2.0 KB measured, under
+// 4 KB, at either size: run copies, sort scratch, merge outputs, PMJ runs,
+// hash tables, pair buffers, the JB router's status table and the run's
+// metrics collector (33 KB for two workers) all come from the pool, and
+// the Result's progress curve is a fixed array.
 func TestPooledWindowAllocsDoNotScale(t *testing.T) {
 	algs := []core.Algorithm{
 		lazy.NPJ{}, lazy.PRJ{}, lazy.MWay{}, lazy.MPass{},
 		eager.SHJ{JB: false}, eager.SHJ{JB: true}, eager.PMJ{JB: false}, eager.PMJ{JB: true},
 	}
 	const small, large = 4096, 8 * 4096
-	const bound = 8 << 10
+	const bound = 4 << 10
 	for _, alg := range algs {
-		for _, simd := range []bool{false, true} {
+		for _, scalar := range []bool{false, true} {
 			for _, n := range []int{small, large} {
 				r, s := stream(n, 4, 1), stream(n, 4, 2)
 				p := pool.New()
 				run := func() {
-					cfg := core.RunConfig{Threads: 2, AtRest: true, Pool: p, Knobs: core.Knobs{SIMD: simd}}
+					cfg := core.RunConfig{Threads: 2, AtRest: true, Pool: p, Knobs: core.Knobs{ScalarSort: scalar}}
 					if _, err := core.Run(alg, r, s, 0, cfg); err != nil {
 						t.Fatal(err)
 					}
@@ -65,8 +66,8 @@ func TestPooledWindowAllocsDoNotScale(t *testing.T) {
 				run() // sizes every buffer
 				run() // settles the freelists
 				if got := allocatedBytes(run); got >= bound {
-					t.Errorf("%s simd=%v: a warmed pooled window of %d tuples a side allocates %d B, want under %d",
-						alg.Name(), simd, n, got, bound)
+					t.Errorf("%s scalar=%v: a warmed pooled window of %d tuples a side allocates %d B, want under %d",
+						alg.Name(), scalar, n, got, bound)
 				}
 			}
 		}

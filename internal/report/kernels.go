@@ -30,6 +30,8 @@ var kernelBaseline = map[string]string{
 	"probe_dup":       "scalar",
 	"sink_count":      "match",
 	"sink_emit":       "match",
+	"sort":            "scalar",
+	"sort_small":      "scalar",
 }
 
 type kernelRow struct {

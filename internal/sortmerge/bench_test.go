@@ -7,40 +7,47 @@ import (
 	"repro/internal/tuple"
 )
 
-func benchRel(n int) tuple.Relation {
+func benchRel(n int, domain int32) tuple.Relation {
 	rng := rand.New(rand.NewPCG(1, 2))
 	rel := make(tuple.Relation, n)
 	for i := range rel {
-		rel[i] = tuple.Tuple{Key: rng.Int32N(1 << 20), Payload: int32(i)}
+		rel[i] = tuple.Tuple{Key: rng.Int32N(domain), Payload: int32(i)}
 	}
 	return rel
 }
 
-// The SIMD-substitute contrast of Figure 21 at kernel level: radix sort
-// (vectorized stand-in) against the scalar merge sort.
-
-func BenchmarkSortSIMD(b *testing.B) {
-	rel := benchRel(131_072)
-	b.SetBytes(int64(len(rel)) * 16)
-	for i := 0; i < b.N; i++ {
-		r := rel.Clone()
-		SortByKey(r, true, nil, 0)
+// benchSort is the sort kernel's two variants over rel: the scalar merge
+// sort (Figure 21's foil, the baseline) and the radix sort the joins run.
+// Each iteration restores the unsorted input into a preallocated buffer,
+// timed alike in both variants.
+func benchSort(b *testing.B, rel tuple.Relation) {
+	work, scratch := make([]tuple.Tuple, len(rel)), make([]tuple.Tuple, len(rel))
+	for _, v := range []struct {
+		name  string
+		radix bool
+	}{{"scalar", false}, {"radix", true}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.SetBytes(int64(len(rel)) * tuple.Bytes)
+			for i := 0; i < b.N; i++ {
+				copy(work, rel)
+				SortByKeyScratch(work, scratch, v.radix, nil, 0)
+			}
+		})
 	}
 }
 
-func BenchmarkSortScalar(b *testing.B) {
-	rel := benchRel(131_072)
-	b.SetBytes(int64(len(rel)) * 16)
-	for i := 0; i < b.N; i++ {
-		r := rel.Clone()
-		SortByKey(r, false, nil, 0)
-	}
-}
+// BenchmarkKernelSort is one MWAY worker's sort on rest_unique: 2^19
+// tuples with keys below 2^20, past L2.
+func BenchmarkKernelSort(b *testing.B) { benchSort(b, benchRel(1<<19, 1<<20)) }
+
+// BenchmarkKernelSortSmall is a PMJ seal: 4096 tuples with keys below
+// 2^16, wire_windows' key domain.
+func BenchmarkKernelSortSmall(b *testing.B) { benchSort(b, benchRel(4096, 1<<16)) }
 
 func BenchmarkMultiwayMerge(b *testing.B) {
 	runs := make([]tuple.Relation, 8)
 	for i := range runs {
-		runs[i] = benchRel(16_384)
+		runs[i] = benchRel(16_384, 1<<20)
 		SortByKey(runs[i], true, nil, 0)
 	}
 	b.ResetTimer()
@@ -52,18 +59,18 @@ func BenchmarkMultiwayMerge(b *testing.B) {
 func BenchmarkTwoWayMergePasses(b *testing.B) {
 	runs := make([]tuple.Relation, 8)
 	for i := range runs {
-		runs[i] = benchRel(16_384)
+		runs[i] = benchRel(16_384, 1<<20)
 		SortByKey(runs[i], true, nil, 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TwoWayMergePasses(runs, true)
+		TwoWayMergePasses(runs)
 	}
 }
 
 func BenchmarkMergeJoinUnique(b *testing.B) {
-	r := benchRel(65_536)
-	s := benchRel(65_536)
+	r := benchRel(65_536, 1<<20)
+	s := benchRel(65_536, 1<<20)
 	SortByKey(r, true, nil, 0)
 	SortByKey(s, true, nil, 0)
 	b.SetBytes(int64(len(r)+len(s)) * 16)

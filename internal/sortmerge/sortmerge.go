@@ -1,18 +1,22 @@
 // Package sortmerge provides the sorting and merging kernels of the
 // sort-based join algorithms (MWay, MPass, PMJ).
 //
-// The paper's implementations use AVX-256 sorting networks and bitonic
-// merge kernels (the avxsort routines of the Balkesen et al. benchmark).
-// Go with only the standard library has no SIMD intrinsics, so the
-// "vectorized" path is substituted with an LSD radix sort plus a
-// branch-free merge — like the AVX kernels, both trade comparisons for
-// predictable, bandwidth-bound data movement, preserving the experiment's
-// contrast (Figure 21: cheaper sort, slightly cheaper merge) rather than
-// absolute hardware speedups. The scalar path is a conventional
-// comparison-based merge sort.
+// The paper's implementations always sort with AVX-256 sorting networks
+// and bitonic merge kernels (the avxsort routines of the Balkesen et al.
+// benchmark). Go with only the standard library has no SIMD intrinsics, so
+// the production sort is an LSD radix sort — like the AVX kernels it
+// trades comparisons for predictable, bandwidth-bound data movement. The
+// comparison merge sort survives as Figure 21's foil
+// (core.Knobs.ScalarSort), preserving the experiment's contrast (a cheaper
+// sort) rather than absolute hardware speedups. There is one merge: Go
+// cannot select a tuple on the comparison without branching on it, and a
+// merge that tried was slower than this one.
 package sortmerge
 
 import (
+	"math"
+	"math/bits"
+
 	"repro/internal/cachesim"
 	"repro/internal/tuple"
 )
@@ -20,28 +24,30 @@ import (
 // tupleBytes is the logical size of a tuple for cache-simulation addresses.
 const tupleBytes = 16
 
-// SortByKey sorts rel by join key in place (ascending). With simd set the
-// vectorized-substitute radix sort is used; otherwise a scalar merge sort.
-// tr may be nil; when set, the sort's memory traffic feeds the cache
-// simulator using base as this array's logical address.
-func SortByKey(rel []tuple.Tuple, simd bool, tr cachesim.Tracer, base uint64) {
+// SortByKey sorts rel by join key in place (ascending) and stably. With
+// radix set the radix sort is used; otherwise the scalar merge sort, the
+// Figure 21 foil. tr may be nil; when set, the sort's memory traffic feeds
+// the cache simulator using base as this array's logical address.
+func SortByKey(rel []tuple.Tuple, radix bool, tr cachesim.Tracer, base uint64) {
 	if len(rel) < 2 {
 		return
 	}
-	SortByKeyScratch(rel, make([]tuple.Tuple, len(rel)), simd, tr, base)
+	SortByKeyScratch(rel, make([]tuple.Tuple, len(rel)), radix, tr, base)
 }
 
 // SortByKeyScratch is SortByKey with the sort's temporary buffer supplied
 // by the caller: scratch must have capacity for len(rel) tuples (its
 // contents are overwritten) and must not overlap rel. It allocates
 // nothing, which is what lets the windowed sort joins run on pooled state.
-func SortByKeyScratch(rel, scratch []tuple.Tuple, simd bool, tr cachesim.Tracer, base uint64) {
+func SortByKeyScratch(rel, scratch []tuple.Tuple, radix bool, tr cachesim.Tracer, base uint64) {
 	if len(rel) < 2 {
 		return
 	}
 	scratch = scratch[:len(rel)]
-	if simd {
-		radixSort(rel, scratch, tr, base)
+	// The radix sort counts in uint32: past 2^32 tuples (64 GiB) only the
+	// merge sort is exact.
+	if radix && uint64(len(rel)) <= math.MaxUint32 {
+		radixSort(rel, scratch, tr, base, base+uint64(len(rel))*tupleBytes)
 	} else {
 		scalarSort(rel, scratch, 0, len(rel), tr, base)
 	}
@@ -58,45 +64,185 @@ func keyRank(k int32) uint32 { return uint32(k) ^ 0x80000000 }
 // range boundaries consistent with SortByKey's ordering.
 func KeyRank(k int32) uint32 { return keyRank(k) }
 
-// radixSort is the vectorized-path substitute: four 8-bit LSD passes over
-// the key, ping-ponging between rel and the equally long tmp.
-func radixSort(rel, tmp []tuple.Tuple, tr cachesim.Tracer, base uint64) {
-	n := len(rel)
+// Digit widths of the radix sort. A run of at least wideFrom tuples sorts
+// on 11-bit digits (three, the top one 10 bits wide): keys below 2^11 then
+// take one pass and keys below 2^22 two. A shorter run — a PMJ seal — sorts
+// on four 8-bit digits, because clearing and prefix-summing 3×2048
+// counters costs more there than the pass they might save. From msdFrom
+// tuples (4 MiB) a 2048-way scatter over the whole run stalls on cache and
+// TLB misses, so such a run is first split 2^msdBits ways on the top bits
+// its keys vary in, and each part, now cache-sized, is sorted on its own.
+const (
+	wideBits   = 11
+	narrowBits = 8
+	wideFrom   = 1 << 14
+	msdFrom    = 1 << 18
+	msdBits    = 6
+)
+
+// radixSort is the production sort: a stable radix sort on the key rank
+// of rel, which must not be empty, using the equally long tmp as scratch;
+// relBase and tmpBase are their addresses for the cache simulator, which
+// sees the scatter passes as it sees the merge sort's merges. One read
+// pass builds every digit's histogram, on the stack. A digit every key
+// shares is skipped, so only the digits a window uses move tuples.
+func radixSort(rel, tmp []tuple.Tuple, tr cachesim.Tracer, relBase, tmpBase uint64) {
+	if len(rel) < wideFrom {
+		var h [4][1 << narrowBits]uint32
+		narrowHistograms(rel, &h)
+		lsdPasses(rel, tmp, [][]uint32{h[0][:], h[1][:], h[2][:], h[3][:]}, narrowBits, tr, relBase, tmpBase)
+		return
+	}
+	var h [3][1 << wideBits]uint32
+	wideHistograms(rel, &h)
+	if len(rel) >= msdFrom && msdSplit(rel, tmp, &h, tr, relBase, tmpBase) {
+		return
+	}
+	lsdPasses(rel, tmp, [][]uint32{h[0][:], h[1][:], h[2][:]}, wideBits, tr, relBase, tmpBase)
+}
+
+// msdSplit sorts rel, given its digit histograms h, by scattering it into
+// tmp on the msdBits highest bits its keys vary in, radix-sorting each
+// part there and copying it back. Those bits must lie in one digit above
+// the lowest, so that h counts the parts without another read; otherwise
+// msdSplit moves nothing and reports false.
+func msdSplit(rel, tmp []tuple.Tuple, h *[3][1 << wideBits]uint32, tr cachesim.Tracer, relBase, tmpBase uint64) bool {
+	r0 := keyRank(rel[0].Key)
+	d := 2
+	for d > 0 && h[d][r0>>(uint(d)*wideBits)&(1<<wideBits-1)] == uint32(len(rel)) {
+		d--
+	}
+	if d == 0 {
+		return false
+	}
+	// The keys agree above the highest bit in which digit d's least and
+	// greatest values differ; splitting on the msdBits bits from there down
+	// puts the parts in key order.
+	fine := h[d][:]
+	lo, hi := 0, len(fine)-1
+	for fine[lo] == 0 {
+		lo++
+	}
+	for fine[hi] == 0 {
+		hi--
+	}
+	varying := bits.Len(uint(lo ^ hi))
+	if varying < msdBits {
+		return false
+	}
+	drop := varying - msdBits
+	var offsets [1 << msdBits]uint32
+	for b := lo; b <= hi; b++ {
+		offsets[b>>drop&(1<<msdBits-1)] += fine[b]
+	}
+	var sum uint32
+	for i, c := range offsets {
+		offsets[i] = sum
+		sum += c
+	}
+	shift, mask := uint(d)*wideBits+uint(drop), uint32(1<<msdBits-1)
+	if tr != nil {
+		traceScatter(tr, rel, offsets[:], shift, mask, relBase, tmpBase)
+	}
+	scatter(rel, tmp, offsets[:], shift, mask)
+	// offsets now holds each part's end.
+	start := uint32(0)
+	for _, end := range offsets {
+		part := tmp[start:end]
+		if len(part) > 1 {
+			radixSort(part, rel[start:end], tr, tmpBase+uint64(start)*tupleBytes, relBase+uint64(start)*tupleBytes)
+		}
+		copy(rel[start:end], part)
+		start = end
+	}
+	return true
+}
+
+// wideHistograms counts every 11-bit digit of rel's key ranks in one pass.
+//
+//iawj:hotpath
+func wideHistograms(rel []tuple.Tuple, h *[3][1 << wideBits]uint32) {
+	const mask = 1<<wideBits - 1
+	for i := range rel {
+		r := keyRank(rel[i].Key)
+		h[0][r&mask]++
+		h[1][r>>wideBits&mask]++
+		h[2][r>>(2*wideBits)&mask]++
+	}
+}
+
+// narrowHistograms counts every 8-bit digit of rel's key ranks in one pass.
+//
+//iawj:hotpath
+func narrowHistograms(rel []tuple.Tuple, h *[4][1 << narrowBits]uint32) {
+	const mask = 1<<narrowBits - 1
+	for i := range rel {
+		r := keyRank(rel[i].Key)
+		h[0][r&mask]++
+		h[1][r>>narrowBits&mask]++
+		h[2][r>>(2*narrowBits)&mask]++
+		h[3][r>>(3*narrowBits)&mask]++
+	}
+}
+
+// lsdPasses makes one stable counting pass per digit, lowest first, over
+// the histograms digits (digit d is bits [d·width, (d+1)·width) of the
+// key rank). A digit whose histogram holds all n keys in one bucket would
+// move every tuple to where it is and is skipped, which keeps the sort
+// stable. An odd number of passes leaves the result in tmp, copied back.
+func lsdPasses(rel, tmp []tuple.Tuple, digits [][]uint32, width uint, tr cachesim.Tracer, relBase, tmpBase uint64) {
+	n := uint32(len(rel))
 	src, dst := rel, tmp
-	srcBase, dstBase := base, base+uint64(n)*tupleBytes
-	var counts [256]int
-	for shift := uint(0); shift < 32; shift += 8 {
-		for i := range counts {
-			counts[i] = 0
+	srcBase, dstBase := relBase, tmpBase
+	for d, counts := range digits {
+		shift := uint(d) * width
+		mask := uint32(len(counts) - 1)
+		if counts[keyRank(rel[0].Key)>>shift&mask] == n {
+			continue
 		}
-		for i := range src {
-			counts[(keyRank(src[i].Key)>>shift)&0xff]++
-		}
-		sum := 0
-		for i := range counts {
-			c := counts[i]
+		var sum uint32
+		for i, c := range counts {
 			counts[i] = sum
 			sum += c
 		}
-		for i := range src {
-			b := (keyRank(src[i].Key) >> shift) & 0xff
-			dst[counts[b]] = src[i]
-			if tr != nil {
-				tr.Access(srcBase + uint64(i)*tupleBytes)
-				tr.Access(dstBase + uint64(counts[b])*tupleBytes)
-			}
-			counts[b]++
-		}
 		if tr != nil {
-			tr.Op(uint64(n) * 2)
+			traceScatter(tr, src, counts, shift, mask, srcBase, dstBase)
 		}
+		scatter(src, dst, counts, shift, mask)
 		src, dst = dst, src
 		srcBase, dstBase = dstBase, srcBase
 	}
-	// 4 passes: result landed back in rel (even number of swaps).
 	if &src[0] != &rel[0] {
 		copy(rel, src)
 	}
+}
+
+// scatter moves src into dst by digit: a tuple whose digit is b lands at
+// offsets[b], which then advances. offsets holds the exclusive prefix sums
+// of the digit's histogram.
+func scatter(src, dst []tuple.Tuple, offsets []uint32, shift uint, mask uint32) {
+	for i := range src {
+		b := keyRank(src[i].Key) >> shift & mask
+		o := offsets[b]
+		dst[o] = src[i]
+		offsets[b] = o + 1
+	}
+}
+
+// traceScatter feeds the cache simulator the addresses the scatter pass
+// about to run will touch, in its order, and leaves offsets as it found
+// them: walking the pass advances each bucket's offset to its end, which is
+// the next bucket's start.
+func traceScatter(tr cachesim.Tracer, src []tuple.Tuple, offsets []uint32, shift uint, mask uint32, srcBase, dstBase uint64) {
+	for i := range src {
+		b := keyRank(src[i].Key) >> shift & mask
+		tr.Access(srcBase + uint64(i)*tupleBytes)
+		tr.Access(dstBase + uint64(offsets[b])*tupleBytes)
+		offsets[b]++
+	}
+	tr.Op(uint64(len(src)) * 2)
+	copy(offsets[1:], offsets)
+	offsets[0] = 0
 }
 
 // scalarSort is a conventional top-down merge sort of rel[lo:hi] with a
@@ -142,41 +288,17 @@ func insertionSort(a []tuple.Tuple, tr cachesim.Tracer, base uint64) {
 	}
 }
 
-// Merge merges two key-sorted runs into out (which must have capacity for
-// both). With simd the branch-free selection variant is used.
-func Merge(a, b, out []tuple.Tuple, simd bool) []tuple.Tuple {
-	return mergeAppend(out[:0], a, b, simd)
-}
-
-// mergeAppend appends the merge of the key-sorted runs a and b to out.
-func mergeAppend(out, a, b []tuple.Tuple, simd bool) []tuple.Tuple {
+// mergeAppend appends the merge of the key-sorted runs a and b to out,
+// a's tuples first among equal keys.
+func mergeAppend(out, a, b []tuple.Tuple) []tuple.Tuple {
 	i, j := 0, 0
-	if simd {
-		// Branch-free core loop: select via arithmetic on the
-		// comparison result, mimicking bitonic-merge data movement.
-		for i < len(a) && j < len(b) {
-			ka, kb := keyRank(a[i].Key), keyRank(b[j].Key)
-			takeA := 0
-			if ka <= kb {
-				takeA = 1
-			}
-			if takeA == 1 {
-				out = append(out, a[i])
-			} else {
-				out = append(out, b[j])
-			}
-			i += takeA
-			j += 1 - takeA
-		}
-	} else {
-		for i < len(a) && j < len(b) {
-			if keyRank(a[i].Key) <= keyRank(b[j].Key) {
-				out = append(out, a[i])
-				i++
-			} else {
-				out = append(out, b[j])
-				j++
-			}
+	for i < len(a) && j < len(b) {
+		if keyRank(a[i].Key) <= keyRank(b[j].Key) {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
 		}
 	}
 	out = append(out, a[i:]...)
@@ -198,16 +320,18 @@ func liveRuns(runs []tuple.Relation) (live [][]tuple.Tuple, total int) {
 
 // MultiwayMerge merges k key-sorted runs in a single pass using a loser
 // tree-style selection (MWay's shuffling/merging phase). Empty runs are
-// skipped. The result is freshly allocated and never aliases a run.
-func MultiwayMerge(runs []tuple.Relation, simd bool) []tuple.Tuple {
-	return MultiwayMergeInto(nil, runs, simd)
+// skipped. The result is freshly allocated and never aliases a run. The
+// flag is ignored — there is one merge — and stays for the callers
+// outside this module (benchmark/layers.go).
+func MultiwayMerge(runs []tuple.Relation, _ bool) []tuple.Tuple {
+	return MultiwayMergeInto(nil, runs)
 }
 
 // MultiwayMergeInto is MultiwayMerge writing into dst, which must not
 // overlap any run: the result is dst[:total] when dst has the capacity
 // and a fresh allocation otherwise. Beyond k-sized bookkeeping it then
 // allocates nothing.
-func MultiwayMergeInto(dst []tuple.Tuple, runs []tuple.Relation, simd bool) []tuple.Tuple {
+func MultiwayMergeInto(dst []tuple.Tuple, runs []tuple.Relation) []tuple.Tuple {
 	live, total := liveRuns(runs)
 	if total == 0 {
 		return nil
@@ -272,8 +396,8 @@ func MultiwayMergeInto(dst []tuple.Tuple, runs []tuple.Relation, simd bool) []tu
 // multi-iteration strategy that scales better than a single wide multi-way
 // merge for large inputs. The result is freshly allocated and never
 // aliases a run.
-func TwoWayMergePasses(runs []tuple.Relation, simd bool) []tuple.Tuple {
-	return TwoWayMergePassesInto(nil, nil, runs, simd)
+func TwoWayMergePasses(runs []tuple.Relation) []tuple.Tuple {
+	return TwoWayMergePassesInto(nil, nil, runs)
 }
 
 // TwoWayMergePassesInto is TwoWayMergePasses ping-ponging between the
@@ -283,7 +407,7 @@ func TwoWayMergePasses(runs []tuple.Relation, simd bool) []tuple.Tuple {
 // replaced by a fresh allocation when a pass first needs it (b only from
 // three runs up), so nil buffers work and sized ones make the merge
 // allocation-free beyond k-sized bookkeeping.
-func TwoWayMergePassesInto(a, b []tuple.Tuple, runs []tuple.Relation, simd bool) []tuple.Tuple {
+func TwoWayMergePassesInto(a, b []tuple.Tuple, runs []tuple.Relation) []tuple.Tuple {
 	live, total := liveRuns(runs)
 	if total == 0 {
 		return nil
@@ -301,7 +425,7 @@ func TwoWayMergePassesInto(a, b []tuple.Tuple, runs []tuple.Relation, simd bool)
 		for i := 0; i < len(live); i += 2 {
 			start := len(dst)
 			if i+1 < len(live) {
-				dst = mergeAppend(dst, live[i], live[i+1], simd)
+				dst = mergeAppend(dst, live[i], live[i+1])
 			} else {
 				dst = append(dst, live[i]...)
 			}

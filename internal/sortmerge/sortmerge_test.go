@@ -19,12 +19,12 @@ func randomRel(n int, keyDomain int32, seed uint64) tuple.Relation {
 }
 
 func TestBothSortsSort(t *testing.T) {
-	for _, simd := range []bool{true, false} {
+	for _, radix := range []bool{true, false} {
 		for _, n := range []int{0, 1, 2, 23, 24, 1000, 4096} {
 			rel := randomRel(n, 500, uint64(n)+1)
-			SortByKey(rel, simd, nil, 0)
+			SortByKey(rel, radix, nil, 0)
 			if !Sorted(rel) {
-				t.Fatalf("simd=%v n=%d: not sorted", simd, n)
+				t.Fatalf("radix=%v n=%d: not sorted", radix, n)
 			}
 		}
 	}
@@ -64,14 +64,14 @@ func TestSortsPreserveMultiset(t *testing.T) {
 
 func TestSortsHandleNegativeKeys(t *testing.T) {
 	rel := tuple.Relation{{Key: 5}, {Key: -3}, {Key: 0}, {Key: -100}, {Key: 100}}
-	for _, simd := range []bool{true, false} {
+	for _, radix := range []bool{true, false} {
 		r := rel.Clone()
-		SortByKey(r, simd, nil, 0)
+		SortByKey(r, radix, nil, 0)
 		keys := []int32{r[0].Key, r[1].Key, r[2].Key, r[3].Key, r[4].Key}
 		want := []int32{-100, -3, 0, 5, 100}
 		for i := range keys {
 			if keys[i] != want[i] {
-				t.Fatalf("simd=%v: keys=%v want %v", simd, keys, want)
+				t.Fatalf("radix=%v: keys=%v want %v", radix, keys, want)
 			}
 		}
 	}
@@ -80,11 +80,9 @@ func TestSortsHandleNegativeKeys(t *testing.T) {
 func TestMergeVariants(t *testing.T) {
 	a := tuple.Relation{{Key: 1}, {Key: 3}, {Key: 5}}
 	b := tuple.Relation{{Key: 2}, {Key: 3}, {Key: 6}}
-	for _, simd := range []bool{true, false} {
-		out := Merge(a, b, make([]tuple.Tuple, 0, 6), simd)
-		if len(out) != 6 || !Sorted(out) {
-			t.Fatalf("simd=%v merge result %v", simd, out)
-		}
+	out := mergeAppend(make([]tuple.Tuple, 0, 6), a, b)
+	if len(out) != 6 || !Sorted(out) {
+		t.Fatalf("merge result %v", out)
 	}
 }
 
@@ -95,7 +93,7 @@ func TestMultiwayEqualsTwoWay(t *testing.T) {
 		SortByKey(runs[i], true, nil, 0)
 	}
 	mw := MultiwayMerge(runs, false)
-	tw := TwoWayMergePasses(runs, false)
+	tw := TwoWayMergePasses(runs)
 	if len(mw) != len(tw) {
 		t.Fatalf("lengths differ: %d vs %d", len(mw), len(tw))
 	}
@@ -113,13 +111,13 @@ func TestMergeEmptyAndSingleRuns(t *testing.T) {
 	if got := MultiwayMerge(nil, false); got != nil {
 		t.Fatal("no runs must merge to nil")
 	}
-	if got := TwoWayMergePasses([]tuple.Relation{{}, {}}, true); got != nil {
+	if got := TwoWayMergePasses([]tuple.Relation{{}, {}}); got != nil {
 		t.Fatal("empty runs must merge to nil")
 	}
 	run := tuple.Relation{{Key: 1}, {Key: 2}}
 	for _, out := range [][]tuple.Tuple{
 		MultiwayMerge([]tuple.Relation{run}, false),
-		TwoWayMergePasses([]tuple.Relation{run}, false),
+		TwoWayMergePasses([]tuple.Relation{run}),
 	} {
 		if len(out) != 2 {
 			t.Fatalf("single run merge: %v", out)

@@ -157,8 +157,10 @@ func EntryOf(res metrics.Result) JournalEntry {
 	for i, ns := range res.PhaseNs {
 		e.PhaseNs[metrics.Phase(i).String()] = ns
 	}
-	for _, p := range res.Progress {
-		e.Progress = append(e.Progress, ProgressPoint{Ms: p.V, Frac: p.Frac})
+	if res.Matches > 0 {
+		for _, p := range res.Progress {
+			e.Progress = append(e.Progress, ProgressPoint{Ms: p.V, Frac: p.Frac})
+		}
 	}
 	return e
 }

@@ -13,7 +13,7 @@ import (
 // metricsResultFixture builds a fully populated Result for journal and
 // registry tests.
 func metricsResultFixture() metrics.Result {
-	return metrics.Result{
+	res := metrics.Result{
 		Algorithm:     "SHJ_JM",
 		Threads:       4,
 		Inputs:        2000,
@@ -25,16 +25,15 @@ func metricsResultFixture() metrics.Result {
 		LatencyP95Ms:  8,
 		LatencyP99Ms:  9,
 		LatencyMaxMs:  12,
-		Progress: []metrics.CumulativePoint{
-			{V: 10, Frac: 0.25},
-			{V: 50, Frac: 0.75},
-			{V: 90, Frac: 1.0},
-		},
-		PhaseNs:      [6]int64{100, 200, 300, 400, 500, 600},
-		WallNs:       1_000_000,
-		CPUUtil:      0.8,
-		MemPeakBytes: 1 << 20,
+		PhaseNs:       [6]int64{100, 200, 300, 400, 500, 600},
+		WallNs:        1_000_000,
+		CPUUtil:       0.8,
+		MemPeakBytes:  1 << 20,
 	}
+	for k := range res.Progress {
+		res.Progress[k] = metrics.CumulativePoint{V: 3 * int64(k+1), Frac: float64(k+1) / float64(len(res.Progress))}
+	}
+	return res
 }
 
 func TestEntryOf(t *testing.T) {
@@ -57,8 +56,11 @@ func TestEntryOf(t *testing.T) {
 			t.Errorf("PhaseNs[%q] = %d, want %d", k, e.PhaseNs[k], v)
 		}
 	}
-	if len(e.Progress) != 3 || e.Progress[1].Ms != 50 || e.Progress[1].Frac != 0.75 {
+	if len(e.Progress) != 32 || e.Progress[15].Ms != 48 || e.Progress[15].Frac != 0.5 {
 		t.Errorf("progress curve wrong: %+v", e.Progress)
+	}
+	if e := EntryOf(metrics.Result{}); e.Progress != nil {
+		t.Errorf("a run without matches journals a progress curve: %+v", e.Progress)
 	}
 }
 

@@ -33,7 +33,6 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 			RadixBits:    []int{0, 4, 12}[rng.IntN(3)],
 			SortStepFrac: []float64{0, 0.1, 0.5}[rng.IntN(3)],
 			GroupSize:    rng.IntN(threads) + 1,
-			SIMD:         rng.IntN(2) == 0,
 		}
 		for _, name := range Algorithms() {
 			cfg.Algorithm = name
@@ -74,7 +73,7 @@ func TestPropertyMetricsInvariants(t *testing.T) {
 			}
 			prevFrac, prevV = p.Frac, p.V
 		}
-		if n := len(res.Progress); n > 0 && res.Progress[n-1].Frac != 1.0 {
+		if n := len(res.Progress); res.Matches > 0 && res.Progress[n-1].Frac != 1.0 {
 			t.Fatalf("%s: progress curve must end at 100%%", name)
 		}
 		if res.LatencyP50Ms > res.LatencyP95Ms || res.LatencyP95Ms > res.LatencyMaxMs {
@@ -109,6 +108,26 @@ func TestPropertyThreadCountInvariance(t *testing.T) {
 			}
 			if res.Matches != want {
 				t.Fatalf("%s/%d: matches = %d, want %d", name, threads, res.Matches, want)
+			}
+		}
+	}
+}
+
+// TestPropertyProgressSizeDoesNotDependOnSpeed: a Result's progress curve
+// is the same 32 points however fast the join delivered its matches — here
+// one join at two clock scales 100× apart, whose emission times spread
+// over few or many histogram buckets — and the Result allocates nothing
+// for it: the curve is a fixed array, filled from its first point to 100%.
+func TestPropertyProgressSizeDoesNotDependOnSpeed(t *testing.T) {
+	w := Micro(MicroConfig{RateR: 200, RateS: 200, WindowMs: 40, Dupe: 4, Seed: 31})
+	for _, name := range Algorithms() {
+		for _, ns := range []float64{500, 50_000} {
+			res, err := Join(w.R, w.S, Config{Algorithm: name, Threads: 2, WindowMs: w.WindowMs, NsPerSimMs: ns})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if first, last := res.Progress[0], res.Progress[len(res.Progress)-1]; len(res.Progress) != 32 || first.Frac != 1.0/32 || last.Frac != 1 {
+				t.Fatalf("%s at %v ns per simulated ms: progress %v, want 32 points from 1/32 to 1", name, ns, res.Progress)
 			}
 		}
 	}

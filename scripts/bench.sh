@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench.sh — the kernel microbenchmark sweeps (BenchmarkKernel* of
-# internal/radix, internal/hashtable and internal/core). This script only
+# internal/radix, internal/hashtable, internal/core and internal/sortmerge). This script only
 # runs `go test`; cmd/iawjinspect turns the output into the BENCH_3.json
 # form and owns the gate's rule (internal/report/kernels.go). Whole-join
 # numbers come from benchmark/ (bash benchmark/run.sh), not from here.
@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-300x}"
 sweep() {
     go test -run '^$' -bench '^BenchmarkKernel' -benchtime="$BENCHTIME" \
-        ./internal/radix ./internal/hashtable ./internal/core
+        ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge
 }
 
 case "${1:-}" in
