@@ -9,9 +9,9 @@ INSPECT = $(GO) run ./cmd/iawjinspect
 # Scratch files of the smoke stages; removed by the stage that made them.
 SMOKE = /tmp/iawj-smoke
 
-.PHONY: check fmt-check vet build test lint race trace-smoke bench-kernels bench-smoke bench-gate bench-harness fuzz-smoke conform conform-full report-smoke load-smoke fmt loc
+.PHONY: check fmt-check vet build test lint race delivery-race trace-smoke bench-kernels bench-smoke bench-gate bench-harness fuzz-smoke conform conform-full report-smoke load-smoke fmt loc
 
-## check: run the full CI gate, 13 stages (see scripts/check.sh for the order)
+## check: run the full CI gate, 14 stages (see scripts/check.sh for the order)
 check:
 	FUZZTIME=$(FUZZTIME) ./scripts/check.sh
 
@@ -43,6 +43,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+## delivery-race: the output path's tests twenty times over under the race
+## detector — the interleavings of workers, deliverer and consumer that
+## break the delivery protocol are rare, and one pass does not reach them
+delivery-race:
+	$(GO) test -race -count=20 -run 'Outbox|Emit|Deliver|Refresh' ./internal/core ./internal/oracle .
+
 ## trace-smoke: a scaled-down fig7 sweep with -trace and -journal must yield
 ## a valid Chrome trace with spans for all six phases and a journal that parses
 trace-smoke:
@@ -66,12 +72,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRadixSortDiff$$' -fuzztime=$(FUZZTIME) ./internal/sortmerge
 	$(GO) test -run='^$$' -fuzz='^FuzzConformance$$' -fuzztime=$(FUZZTIME) ./internal/oracle
 
-## bench-smoke: every kernel microbenchmark once under the race detector, so
-## the batched kernels stay runnable and race-clean without a measurement;
+## bench-smoke: every kernel microbenchmark and BenchmarkOutbox once under
+## the race detector, so they stay runnable and race-clean without a measurement;
 ## the checked-in BENCH_3.json must parse and record no variant below 1.0x
 ## of its baseline (re-record with `make bench-kernels` after a kernel change)
 bench-smoke:
-	$(GO) test -race -run '^$$' -bench '^BenchmarkKernel' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge
+	$(GO) test -race -run '^$$' -bench '^Benchmark(Kernel|Outbox)' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge
 	$(INSPECT) BENCH_3.json
 
 ## bench-kernels: kernel-layer sweep (partition/partition_build/build/probe/sink/sort),

@@ -75,13 +75,16 @@ type Config struct {
 
 	// Emit receives materialized join results; nil counts matches only.
 	// Emit is never entered concurrently: the workers hand their results
-	// over in batches and one of them at a time runs Emit over a batch,
-	// so a consumer needs no lock of its own. It runs on the workers'
-	// goroutines while the join goes on — an eager join's results arrive
-	// within one pull round of being found — and every result has been
-	// delivered when Join or JoinWindowed* returns, whether or not the
-	// join failed. A consumer slower than the join holds the workers back
-	// once a bounded backlog of batches is full (Result.Output).
+	// over in batches, and the goroutine that called Join — or a worker,
+	// when nobody else is delivering — runs Emit over one batch at a time,
+	// so a consumer needs no lock of its own. It runs while the join goes
+	// on — an eager join's results arrive within one pull round of being
+	// found — and every result has been delivered when Join or
+	// JoinWindowed* returns, whether or not the join failed. A consumer
+	// slower than the join holds the workers back once a bounded backlog
+	// of batches is full (Result.Output). A panic in Emit ends the call
+	// with an error ("core: emit: panic: …") and drops the results not yet
+	// delivered.
 	Emit func(JoinResult)
 
 	// Tracer feeds a cache simulation during profile runs; use

@@ -231,7 +231,8 @@ type RunConfig struct {
 	Trace *trace.Recorder
 	// Emit receives the materialized results, a batch of them at a time
 	// and never from two goroutines at once (Outbox); nil counts only.
-	// Everything is delivered when Run returns.
+	// Everything is delivered when Run returns, and a panic in Emit ends
+	// the run with an error.
 	Emit func(tuple.JoinResult)
 	// Out, when non-nil, is the outbox of a call that makes several runs
 	// for one consumer (the windows of JoinWindowed*): the run delivers
@@ -321,17 +322,25 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	}
 	outBefore := ctx.Out.stats()
 	sw := clock.StartStopwatch()
-	err := alg.Run(ctx)
-	// Every worker has closed its sink, so whatever it parked last is
-	// delivered here at the latest — also when the algorithm failed.
+	var err error
+	if ctx.Out == nil {
+		err = alg.Run(ctx)
+	} else {
+		// The algorithm runs on a goroutine of its own and this one
+		// delivers its results until it returns — also when it failed.
+		err = ctx.Out.serve(func() error { return alg.Run(ctx) })
+	}
 	if cfg.Out == nil {
 		ctx.Out.Close()
-	} else {
-		ctx.Out.drain()
+	}
+	if emitErr := ctx.Out.err(); emitErr != nil {
+		err = emitErr
+	} else if err != nil {
+		err = fmt.Errorf("core: %s: %w", alg.Name(), err)
 	}
 	if err != nil {
 		cfg.Pool.PutCollector(ctx.M)
-		return metrics.Result{}, fmt.Errorf("core: %s: %w", alg.Name(), err)
+		return metrics.Result{}, err
 	}
 	wall := sw.ElapsedNs()
 	res := ctx.M.Snapshot(alg.Name(), int64(len(r)+len(s)), wall)

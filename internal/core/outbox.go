@@ -1,10 +1,8 @@
 package core
 
 import (
-	"runtime"
+	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/pool"
@@ -18,38 +16,40 @@ const maxParked = 16
 
 // Outbox carries the materialized results of one Join or JoinWindowed*
 // call from its workers to the caller's consumer, a batch at a time, such
-// that the consumer is never entered by two goroutines at once and a
-// worker never waits for it while the backlog has room.
+// that the consumer is never entered by two goroutines at once.
 //
-// A worker flushing a batch tries for the delivery token. With it, the
-// worker runs the consumer over its own batch and then over every batch
-// parked meanwhile. Without it, the worker parks the batch for the token's
-// holder, takes an empty one and goes on joining; only a full backlog
-// makes it wait. A parker looks at the token again after parking and a
-// holder looks at the backlog again after releasing, so a parked batch
-// always has somebody to deliver it.
+// The goroutine that waits for a run's workers delivers (serve): it sleeps
+// until a batch is parked or the workers are done, then takes the delivery
+// token and empties the backlog. A worker flushing a batch delivers it
+// itself only when the token is free and nothing is parked, so that light
+// output pays no wake-up; otherwise it parks the batch and goes back to
+// joining. Only a full backlog makes it wait, blocked until the deliverer
+// frees a slot; it never spins and never delivers the backlog. Batches
+// leave the backlog only under the token, so a deliverer that takes the
+// token once its workers are done finds each batch they parked delivered
+// or still there — also when the runs of several windows share the outbox
+// and each window's waiting goroutine delivers.
 //
-// A count-only run has no outbox: ExecContext.Out is nil, and stats and
-// Close accept the nil receiver.
+// A panic in the consumer is caught in deliver, the one place it is
+// entered: the outbox fails (err) and drops every later batch, so the
+// workers finish, blocked by nobody.
+//
+// A count-only run has no outbox: ExecContext.Out is nil, and stats, err
+// and Close accept the nil receiver.
 type Outbox struct {
-	emit func(tuple.JoinResult)
-	pool *pool.Pool
+	emit   func(tuple.JoinResult)
+	pool   *pool.Pool
+	parked chan []tuple.JoinResult // the backlog, oldest first
+	wake   chan struct{}           // a batch was parked since a deliverer last looked
+	token  sync.Mutex              // held while the consumer runs
 
-	// delivering is the delivery token, and delivered, the batches handed
-	// to the consumer, is written by its holder; nParked mirrors
-	// len(parked) so that producers can poll the backlog without the mutex.
-	delivering atomic.Bool
-	delivered  atomic.Int64
-	nParked    atomic.Int32
-
-	// mu guards the lists and the counters. It is held to move a slice
-	// header, never while the consumer runs. The pad keeps it off the line
-	// waiting producers poll.
-	_      [28]byte
-	mu     sync.Mutex
-	parked [][]tuple.JoinResult // the backlog, oldest first
-	free   [][]tuple.JoinResult // empty batches
-	counts metrics.OutputStats  // all but Delivered
+	// mu guards the free list, the counters and the failure; it is never
+	// held while the consumer runs. The pad keeps it off the token's line.
+	_       [24]byte
+	mu      sync.Mutex
+	free    [][]tuple.JoinResult // empty batches
+	counts  metrics.OutputStats
+	failure error // the consumer's panic
 }
 
 // NewOutbox returns the outbox of one call: emit is the caller's consumer,
@@ -60,7 +60,24 @@ func NewOutbox(emit func(tuple.JoinResult), p *pool.Pool) *Outbox {
 	if emit == nil {
 		return nil
 	}
-	return &Outbox{emit: emit, pool: p, parked: make([][]tuple.JoinResult, 0, maxParked)}
+	return &Outbox{emit: emit, pool: p, parked: make(chan []tuple.JoinResult, maxParked), wake: make(chan struct{}, 1)}
+}
+
+// serve runs work, which starts the workers of one run and waits for them,
+// on a goroutine of its own, and delivers what the workers park until work
+// has returned and their backlog is delivered. It returns work's error.
+func (o *Outbox) serve(work func() error) error {
+	done := make(chan error, 1)
+	go func() { done <- work() }()
+	for {
+		select {
+		case err := <-done:
+			o.deliverParked()
+			return err
+		case <-o.wake:
+			o.deliverParked()
+		}
+	}
 }
 
 // batch returns an empty result batch.
@@ -68,8 +85,7 @@ func (o *Outbox) batch() []tuple.JoinResult {
 	var b []tuple.JoinResult
 	o.mu.Lock()
 	if l := len(o.free); l > 0 {
-		b = o.free[l-1]
-		o.free = o.free[:l-1]
+		b, o.free = o.free[l-1], o.free[:l-1]
 	}
 	o.mu.Unlock()
 	if b == nil {
@@ -89,91 +105,82 @@ func (o *Outbox) release(b []tuple.JoinResult) {
 }
 
 // flush sees the results of b to the consumer and returns an empty batch
-// to go on with. An empty b is the caller's chance to deliver what others
-// have parked.
+// to go on with: b itself when it delivered b, a fresh one when it parked
+// b for the deliverer.
 func (o *Outbox) flush(b []tuple.JoinResult) []tuple.JoinResult {
-	for waited := false; len(b) > 0; waited = true {
-		if o.delivering.CompareAndSwap(false, true) {
+	if len(b) == 0 {
+		return b
+	}
+	if len(o.parked) == 0 && o.token.TryLock() {
+		o.deliver(b)
+		o.token.Unlock()
+		return b[:0]
+	}
+	select {
+	case o.parked <- b:
+	default:
+		o.mu.Lock()
+		o.counts.Waits++
+		o.mu.Unlock()
+		o.parked <- b
+	}
+	select {
+	case o.wake <- struct{}{}:
+	default: // a wake-up is pending already
+	}
+	o.mu.Lock()
+	o.counts.Parked++
+	o.counts.PeakBacklog = max(o.counts.PeakBacklog, int64(len(o.parked)))
+	o.mu.Unlock()
+	return o.batch()
+}
+
+// deliverParked takes the token and delivers the backlog, oldest batch
+// first, until it is empty.
+func (o *Outbox) deliverParked() {
+	o.token.Lock()
+	defer o.token.Unlock()
+	for {
+		select {
+		case b := <-o.parked:
 			o.deliver(b)
-			o.deliverParked()
-			o.delivering.Store(false)
-			b = b[:0]
-		} else if o.park(b, waited) {
-			b = o.batch()
-		} else {
-			// The backlog is full and somebody is delivering: wait for
-			// room, polling without the mutex the deliverer needs.
-			for spins := 0; o.delivering.Load() && o.nParked.Load() >= maxParked; spins++ {
-				if spins < 64 {
-					runtime.Gosched()
-				} else {
-					time.Sleep(10 * time.Microsecond)
-				}
-			}
+			o.release(b)
+		default:
+			return
 		}
 	}
-	o.drain()
-	return b
 }
 
-// park appends b to the backlog unless that is full; waited tells that
-// this flush has been counted as waiting already.
-func (o *Outbox) park(b []tuple.JoinResult, waited bool) bool {
-	o.mu.Lock()
-	room := len(o.parked) < maxParked
-	if room {
-		o.parked = append(o.parked, b)
-		o.nParked.Store(int32(len(o.parked)))
-		o.counts.Parked++
-		o.counts.PeakBacklog = max(o.counts.PeakBacklog, int64(len(o.parked)))
-	} else if !waited {
-		o.counts.Waits++
-	}
-	o.mu.Unlock()
-	return room
-}
-
-// drain delivers the backlog if there is one and nobody else is
-// delivering. It repeats because a batch may be parked between the last
-// look at the backlog and the token's release.
-func (o *Outbox) drain() {
-	for o.nParked.Load() > 0 && o.delivering.CompareAndSwap(false, true) {
-		o.deliverParked()
-		o.delivering.Store(false)
-	}
-}
-
-// deliver runs the consumer over b. Call with the token held.
+// deliver runs the consumer over b; call with the token held. A failed
+// outbox drops b, and a panic in the consumer fails the outbox.
 func (o *Outbox) deliver(b []tuple.JoinResult) {
+	if o.err() != nil {
+		return
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			o.mu.Lock()
+			o.failure = fmt.Errorf("core: emit: panic: %v", v)
+			o.mu.Unlock()
+		}
+	}()
 	for i := range b {
 		o.emit(b[i])
 	}
-	o.delivered.Add(1)
-}
-
-// deliverParked delivers the backlog, oldest batch first, until it is
-// empty. Call with the token held.
-func (o *Outbox) deliverParked() {
-	for b := o.next(nil); b != nil; b = o.next(b) {
-		o.deliver(b)
-	}
-}
-
-// next takes back done, a batch just delivered, and returns the oldest
-// parked batch, nil when the backlog is empty.
-func (o *Outbox) next(done []tuple.JoinResult) []tuple.JoinResult {
-	var b []tuple.JoinResult
 	o.mu.Lock()
-	if done != nil {
-		o.free = append(o.free, done[:0])
-	}
-	if len(o.parked) > 0 {
-		b = o.parked[0]
-		o.parked = o.parked[:copy(o.parked, o.parked[1:])]
-		o.nParked.Store(int32(len(o.parked)))
-	}
+	o.counts.Delivered++
 	o.mu.Unlock()
-	return b
+}
+
+// err returns the consumer's panic as an error once it has panicked; nil
+// before, and for a count-only run.
+func (o *Outbox) err() error {
+	if o == nil {
+		return nil
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.failure
 }
 
 // stats reads the outbox's counters.
@@ -182,24 +189,16 @@ func (o *Outbox) stats() metrics.OutputStats {
 		return metrics.OutputStats{}
 	}
 	o.mu.Lock()
-	st := o.counts
-	o.mu.Unlock()
-	st.Delivered = o.delivered.Load()
-	return st
+	defer o.mu.Unlock()
+	return o.counts
 }
 
-// Close delivers whatever is still parked, waiting for a delivery in
-// progress to end, and returns the batches to the pool. Call it when every
-// worker that flushed into the outbox has closed its sink.
+// Close returns the outbox's batches to the pool. Call it when the call's
+// last serve has returned, which leaves nothing parked.
 func (o *Outbox) Close() {
 	if o == nil {
 		return
 	}
-	for !o.delivering.CompareAndSwap(false, true) {
-		runtime.Gosched()
-	}
-	o.deliverParked()
-	o.delivering.Store(false)
 	o.mu.Lock()
 	free := o.free
 	o.free = nil

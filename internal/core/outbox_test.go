@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,6 +49,18 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// serving makes the calling test the workers of one run on o: a goroutine
+// serves o the way Run's caller does, and the returned function ends the
+// run — the workers are done — and returns once the backlog is delivered.
+func serving(o *Outbox) (done func()) {
+	finish, served := make(chan struct{}), make(chan struct{})
+	go func() {
+		_ = o.serve(func() error { <-finish; return nil })
+		close(served)
+	}()
+	return func() { close(finish); <-served }
+}
+
 // TestOutboxParksWhileConsumerIsBusyAndHoldsItsBound stalls the consumer
 // inside the first batch, lets a second worker flush until the backlog is
 // full and checks that the flush beyond the bound waits, that nothing is
@@ -65,6 +78,7 @@ func TestOutboxParksWhileConsumerIsBusyAndHoldsItsBound(t *testing.T) {
 		}
 		c.emit(jr)
 	}, nil)
+	done := serving(o)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -96,42 +110,111 @@ func TestOutboxParksWhileConsumerIsBusyAndHoldsItsBound(t *testing.T) {
 		t.Fatal("a flush beyond the backlog bound returned while the consumer was stalled")
 	default:
 	}
-	if n := o.nParked.Load(); n != maxParked {
+	if n := len(o.parked); n != maxParked {
 		t.Fatalf("backlog is %d batches, bound is %d", n, maxParked)
 	}
 
 	close(stall)
 	wg.Wait()
+	done()
 	o.Close()
 	st := o.stats()
 	if want := int64(maxParked + 2); st.Delivered != want || c.seen != 10*want {
 		t.Fatalf("delivered %d batches and %d results, want %d and %d", st.Delivered, c.seen, want, 10*want)
 	}
-	if st.PeakBacklog != maxParked || st.Waits != 1 || o.nParked.Load() != 0 {
-		t.Fatalf("after the drain: %+v, %d still parked", st, o.nParked.Load())
+	if st.PeakBacklog != maxParked || st.Waits != 1 || len(o.parked) != 0 {
+		t.Fatalf("after the drain: %+v, %d still parked", st, len(o.parked))
 	}
 	if n := c.overlaps.Load(); n != 0 {
 		t.Fatalf("the consumer was entered concurrently %d times", n)
 	}
 }
 
-// TestRefreshDeliversWhatOthersParked: a batch left in the backlog — as a
-// worker leaves it whose flush found the token taken — is delivered by the
-// next Refresh of any worker's sink, results or no results of its own.
-func TestRefreshDeliversWhatOthersParked(t *testing.T) {
+// TestWaitingGoroutineDeliversWhatWorkersParked: a batch parked while
+// another worker held the token is delivered by the goroutine that waits
+// for the workers, with no further flush from any of them.
+func TestWaitingGoroutineDeliversWhatWorkersParked(t *testing.T) {
 	var c soloConsumer
 	ctx := &ExecContext{Threads: 2, Clock: fakeClock{now: 5}, M: metrics.NewCollector(2)}
 	ctx.Out = NewOutbox(c.emit, nil)
-	if !ctx.Out.park(fullBatch(ctx.Out, 7), false) {
-		t.Fatal("an empty backlog refused a batch")
+	done := serving(ctx.Out)
+	ctx.Out.token.Lock() // another worker delivering inline
+	k := NewSink(ctx, 1)
+	for i := 0; i < 7; i++ {
+		k.Match(tuple.Tuple{TS: 1, Key: 1}, tuple.Tuple{TS: 2, Key: 1})
 	}
-	idle := NewSink(ctx, 1) // a stalled eager worker: it finds no input, so no matches
-	idle.Refresh()
-	if c.seen != 7 || ctx.Out.nParked.Load() != 0 {
-		t.Fatalf("after an idle worker's Refresh: %d of 7 results delivered, %d batches parked", c.seen, ctx.Out.nParked.Load())
+	k.Refresh() // finds the token taken and parks
+	if st := ctx.Out.stats(); st.Parked != 1 || st.Delivered != 0 {
+		t.Fatalf("a flush that found the token taken: %+v", st)
 	}
-	idle.Close()
+	ctx.Out.token.Unlock()
+	waitFor(t, "the waiting goroutine delivers the parked batch", func() bool { return ctx.Out.stats().Delivered == 1 })
+	if len(ctx.Out.parked) != 0 {
+		t.Fatalf("%d batches still parked", len(ctx.Out.parked))
+	}
+	k.Close()
+	done()
 	ctx.Out.Close()
+	if c.seen != 7 {
+		t.Fatalf("%d of 7 results delivered", c.seen)
+	}
+}
+
+// TestServeReturnsWithTheBacklogDelivered: what is parked when the workers
+// are done is delivered before serve returns, also when no wake-up is left
+// for it — the case of a deliverer that found the backlog empty just before
+// the batch was parked and was still holding the token.
+func TestServeReturnsWithTheBacklogDelivered(t *testing.T) {
+	var c soloConsumer
+	o := NewOutbox(c.emit, nil)
+	err := o.serve(func() error {
+		o.parked <- fullBatch(o, 7) // a park whose wake-up that deliverer took
+		return nil
+	})
+	if err != nil || c.seen != 7 || len(o.parked) != 0 {
+		t.Fatalf("serve returned %v with %d of 7 results delivered and %d batches parked", err, c.seen, len(o.parked))
+	}
+}
+
+// TestEmitPanicFailsTheOutboxAndFreesTheWorkers: a consumer that panics
+// while the backlog is full and a flush waits for room fails the outbox;
+// the waiting flush returns, later batches are dropped, the run's serve
+// returns, and err says what happened.
+func TestEmitPanicFailsTheOutboxAndFreesTheWorkers(t *testing.T) {
+	stall, entered := make(chan struct{}), make(chan struct{})
+	o := NewOutbox(func(tuple.JoinResult) {
+		close(entered)
+		<-stall
+		panic("consumer gave up")
+	}, nil)
+	done := serving(o)
+	stuck := make(chan struct{})
+	go func() { // the worker stuck in the consumer when it panics
+		o.release(o.flush(fullBatch(o, 10)))
+		close(stuck)
+	}()
+	<-entered
+	for i := 0; i < maxParked; i++ {
+		o.release(o.flush(fullBatch(o, 10)))
+	}
+	beyond := make(chan struct{})
+	go func() {
+		o.release(o.flush(fullBatch(o, 10)))
+		close(beyond)
+	}()
+	waitFor(t, "the flush beyond the bound waits", func() bool { return o.stats().Waits == 1 })
+	close(stall)
+	<-stuck
+	<-beyond
+	o.release(o.flush(fullBatch(o, 10)))
+	done()
+	o.Close()
+	if err := o.err(); err == nil || !strings.HasPrefix(err.Error(), "core: emit: panic: consumer gave up") {
+		t.Fatalf("err = %v", err)
+	}
+	if st := o.stats(); st.Delivered != 0 || len(o.parked) != 0 {
+		t.Fatalf("after the panic: %+v, %d still parked", st, len(o.parked))
+	}
 }
 
 // emitRun is one emit-mode run of workers sinks, each booking and emitting
@@ -141,25 +224,22 @@ func emitRun(t *testing.T, p *pool.Pool, c *soloConsumer, workers, perWorker int
 	before := p.Stats()
 	ctx := &ExecContext{Threads: workers, Clock: fakeClock{now: 5}, M: metrics.NewCollector(workers), Pool: p}
 	ctx.Out = NewOutbox(c.emit, p)
-	var wg sync.WaitGroup
-	for tid := 0; tid < workers; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
+	_ = ctx.Out.serve(func() error {
+		Parallel(workers, func(tid int) {
 			k := NewSink(ctx, tid)
 			for i := 0; i < perWorker; i++ {
 				k.Match(tuple.Tuple{TS: 1, Key: 1}, tuple.Tuple{TS: 2, Key: 1})
 			}
 			k.Close()
-		}(tid)
-	}
-	wg.Wait()
+		})
+		return nil
+	})
 	ctx.Out.Close()
 	if n, want := ctx.M.Snapshot("x", 0, 1).Matches, int64(workers*perWorker); n != want {
 		t.Fatalf("%d matches booked, want %d", n, want)
 	}
-	if n := ctx.Out.nParked.Load(); n != 0 {
-		t.Fatalf("%d batches parked after Close", n)
+	if n := len(ctx.Out.parked); n != 0 {
+		t.Fatalf("%d batches parked after the run", n)
 	}
 	return p.Stats().Since(before)
 }
@@ -189,5 +269,59 @@ func TestOutboxBatchesComeFromThePoolAndGoBack(t *testing.T) {
 	warm := emitRun(t, p, &c, 1, 5*MatchBatch)
 	if warm.Misses[metrics.PoolResults] != 0 || warm.Hits[metrics.PoolResults] == 0 {
 		t.Fatalf("second run on the warm pool: %d result-batch misses, %d hits", warm.Misses[metrics.PoolResults], warm.Hits[metrics.PoolResults])
+	}
+}
+
+// digestConsumer folds every result into three sums of mixed hashes, five
+// mixes a result: the work of oracle.Sink, the digest every verified run
+// emits into, at about its cost (≈13 ns a result).
+type digestConsumer struct{ full, keyless, swapped uint64 }
+
+func mixBench(x uint64) uint64 {
+	x ^= x >> 31
+	x *= 0x7fb5d329728ea185
+	x ^= x >> 27
+	x *= 0x81dadef4bc2dd44d
+	return x ^ x>>33
+}
+
+func (d *digestConsumer) emit(jr tuple.JoinResult) {
+	ts := mixBench(uint64(jr.TS) ^ 0x5ca1ab1e)
+	keyed := mixBench(ts ^ uint64(uint32(jr.Key)))
+	pR, pS := uint64(uint32(jr.PayloadR)), uint64(uint32(jr.PayloadS))
+	d.full += mixBench(keyed ^ pR<<32 ^ pS)
+	d.keyless += mixBench(ts ^ pR<<32 ^ pS)
+	d.swapped += mixBench(keyed ^ pS<<32 ^ pR)
+}
+
+// BenchmarkOutbox is the output path alone: two producers flush full
+// batches as fast as they can fill them into one outbox whose consumer
+// costs what oracle.Sink does, and the goroutine that waits for them
+// delivers. ns/result is the whole path's cost per result; the consumer's
+// own is its floor.
+func BenchmarkOutbox(b *testing.B) {
+	const producers = 2
+	var d digestConsumer
+	o := NewOutbox(d.emit, nil)
+	perProducer := max(b.N/(producers*MatchBatch), 1)
+	b.ResetTimer()
+	_ = o.serve(func() error {
+		Parallel(producers, func(tid int) {
+			buf := o.batch()
+			for i := 0; i < perProducer; i++ {
+				for j := 0; j < MatchBatch; j++ {
+					buf = append(buf, tuple.JoinResult{TS: int64(j), Key: int32(i), PayloadR: int32(tid), PayloadS: int32(j)})
+				}
+				buf = o.flush(buf)
+			}
+			o.release(buf)
+		})
+		return nil
+	})
+	b.StopTimer()
+	o.Close()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(producers*perProducer*MatchBatch), "ns/result")
+	if d.full == 0 {
+		b.Fatal("nothing was delivered")
 	}
 }

@@ -281,9 +281,9 @@ func fillRow(dst []tuple.JoinResult, one tuple.Tuple, row []tuple.Tuple, base in
 
 // Refresh resamples the clock; call between probe batches so match
 // timestamps stay current even when few matches are produced. It also
-// hands the results gathered so far to the outbox, and delivers what other
-// workers left there if nobody else is delivering: an eager worker
-// refreshes every pull round, so a result waits at most one round.
+// hands the results gathered so far to the outbox: an eager worker
+// refreshes every pull round, so a result waits at most one round before
+// it is delivered or parked for the run's deliverer.
 func (k *Sink) Refresh() {
 	if k.out != nil {
 		k.buf = k.out.flush(k.buf)

@@ -39,8 +39,8 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 	core.Parallel(ctx.Threads, func(tid int) {
 		w := newWorker(ctx, tid, a.JB, 1<<46)
 
-		rtab := ctx.Pool.Table(len(ctx.R)/w.dist.estOwnersR()+16, 0)
-		stab := ctx.Pool.Table(len(ctx.S)/ctx.Threads+16, 0)
+		rtab := ctx.Pool.Table(max(len(ctx.R)/w.dist.estOwnersR(), 16), 0)
+		stab := ctx.Pool.Table(max(len(ctx.S)/ctx.Threads, 16), 0)
 		if ctx.Tracer != nil {
 			rtab.SetTracer(ctx.Tracer, uint64(tid)<<40|1<<48)
 			stab.SetTracer(ctx.Tracer, uint64(tid)<<40|1<<49)

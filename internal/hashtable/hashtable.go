@@ -285,7 +285,7 @@ type Table struct {
 // sized to roughly one bucket per expected tuple pair, rounded to a power
 // of two, as in the original benchmark.
 func New(n int) *Table {
-	nb := nextPow2(n/2 + 1)
+	nb := nextPow2((n + 1) / 2)
 	return &Table{buckets: make([]bucket, nb), mask: uint32(nb - 1), pref: probePrefetch.Load()}
 }
 
@@ -302,7 +302,7 @@ func (t *Table) SetShift(shift int) {
 // The store survives, so a pooled table keeps its overflow buckets and its
 // arena across windows of growing size.
 func (t *Table) Grow(n int) {
-	nb := nextPow2(n/2 + 1)
+	nb := nextPow2((n + 1) / 2)
 	if nb <= len(t.buckets) {
 		return
 	}
@@ -378,7 +378,7 @@ type sharedBucket struct { //lint:allow falseshare compact bucket directory is i
 
 // NewShared creates a concurrently writable table sized for n tuples.
 func NewShared(n int) *Shared {
-	nb := nextPow2(n/2 + 1)
+	nb := nextPow2((n + 1) / 2)
 	t := &Shared{buckets: make([]sharedBucket, nb), mask: uint32(nb - 1), pref: probePrefetch.Load()}
 	t.store.mu = &t.storeMu
 	return t
@@ -388,7 +388,7 @@ func NewShared(n int) *Shared {
 // discarding contents) when too small. Not safe for concurrent use; call
 // between windows.
 func (t *Shared) Grow(n int) {
-	nb := nextPow2(n/2 + 1)
+	nb := nextPow2((n + 1) / 2)
 	if nb <= len(t.buckets) {
 		return
 	}

@@ -2,6 +2,8 @@ package oracle
 
 import (
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,33 +46,56 @@ func (s *soloSink) check(t *testing.T, what string, want Digest) {
 	}
 }
 
-// TestEmitDeliversExactlyOnceAndNeverConcurrently joins a paced high-
-// duplication stream with every algorithm on three workers, and its
-// windows with three joins in flight over one consumer.
-func TestEmitDeliversExactlyOnceAndNeverConcurrently(t *testing.T) {
-	w := gen.Micro(gen.MicroConfig{RateR: 40, RateS: 40, WindowMs: 100, Dupe: 20, Seed: 17})
-	want := Reference(w.R, w.S)
-	spec := window.Spec{Kind: window.Sliding, LengthMs: 40, SlideMs: 20}
+// contended is a paced high-duplication stream and its sliding windows,
+// with the reference digests of the whole window and of the windows: enough
+// results and windows for workers and windows in flight to contend.
+func contended(t *testing.T) (w gen.Workload, spec window.Spec, want, wantWindows Digest) {
+	t.Helper()
+	w = gen.Micro(gen.MicroConfig{RateR: 40, RateS: 40, WindowMs: 100, Dupe: 20, Seed: 17})
+	want = Reference(w.R, w.S)
+	spec = window.Spec{Kind: window.Sliding, LengthMs: 40, SlideMs: 20}
 	pairs, err := window.AssignPair(w.R, w.S, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantWindows Digest
 	for _, p := range pairs {
 		wantWindows.Merge(Reference(rebase(p.R, p.Window.Start), rebase(p.S, p.Window.Start)))
 	}
 	if want.Full.Count < 50_000 || len(pairs) < 4 {
 		t.Fatalf("workload too small to contend: %d results, %d windows", want.Full.Count, len(pairs))
 	}
+	return w, spec, want, wantWindows
+}
 
+// goroutinesBackTo waits until no more goroutines run than before did: a
+// call must leave none behind, but one that has signalled its end may
+// still be counted for a moment.
+func goroutinesBackTo(t *testing.T, what string, before int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 5000 {
+			t.Fatalf("%s: %d goroutines still running, %d before the call", what, runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEmitDeliversExactlyOnceAndNeverConcurrently joins a paced high-
+// duplication stream with every algorithm on three workers, and its
+// windows with three joins in flight over one consumer; neither call
+// leaves a goroutine behind.
+func TestEmitDeliversExactlyOnceAndNeverConcurrently(t *testing.T) {
+	w, spec, want, wantWindows := contended(t)
 	for _, alg := range iawj.Algorithms() {
 		cfg := iawj.Config{Algorithm: alg, Threads: 3, WindowMs: w.WindowMs, Pool: iawj.NewStatePool()}
 		var one soloSink
 		cfg.Emit = one.Emit
+		before := runtime.NumGoroutine()
 		res, err := iawj.Join(w.R, w.S, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		goroutinesBackTo(t, alg, before)
 		one.check(t, alg, want)
 		if out := res.Output; out.Delivered*1024 < want.Full.Count || out.Parked > out.Delivered {
 			t.Fatalf("%s: %d results in %+v", alg, want.Full.Count, out)
@@ -82,9 +107,48 @@ func TestEmitDeliversExactlyOnceAndNeverConcurrently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		goroutinesBackTo(t, alg+" windowed", before)
 		many.check(t, alg+" windowed, 3 in flight", wantWindows)
 		if got := iawj.TotalMatches(results); got != wantWindows.Full.Count {
 			t.Fatalf("%s windowed: %d matches booked, %d delivered", alg, got, wantWindows.Full.Count)
+		}
+	}
+}
+
+// TestEmitPanicEndsTheCallAndLeavesNothingRunning: an Emit that panics on
+// its 5,000th result ends the call with an error — a Join of every
+// algorithm, and a windowed call with three windows in flight — and leaves
+// no goroutine behind, blocked on the backlog or otherwise; a clean rerun
+// on the same pool delivers exactly the reference.
+func TestEmitPanicEndsTheCallAndLeavesNothingRunning(t *testing.T) {
+	w, spec, want, wantWindows := contended(t)
+	join := func(cfg iawj.Config) error { _, err := iawj.Join(w.R, w.S, cfg); return err }
+	joinWindows := func(cfg iawj.Config) error { _, err := iawj.JoinWindowedParallel(w.R, w.S, spec, cfg, 3); return err }
+	for _, alg := range iawj.Algorithms() {
+		cfg := iawj.Config{Algorithm: alg, Threads: 3, AtRest: true, Pool: iawj.NewStatePool()}
+		for _, call := range []struct {
+			what string
+			run  func(iawj.Config) error
+			want Digest
+		}{{alg, join, want}, {alg + " windowed, 3 in flight", joinWindows, wantWindows}} {
+			n := 0
+			cfg.Emit = func(tuple.JoinResult) {
+				if n++; n == 5000 {
+					panic("consumer gave up")
+				}
+			}
+			before := runtime.NumGoroutine()
+			err := call.run(cfg)
+			if err == nil || !strings.HasSuffix(err.Error(), "core: emit: panic: consumer gave up") {
+				t.Fatalf("%s: an Emit that panicked ended the call with %v", call.what, err)
+			}
+			goroutinesBackTo(t, call.what, before)
+			var clean soloSink
+			cfg.Emit = clean.Emit
+			if err := call.run(cfg); err != nil {
+				t.Fatalf("%s: the rerun after the panic: %v", call.what, err)
+			}
+			clean.check(t, call.what+" rerun on the same pool", call.want)
 		}
 	}
 }

@@ -153,7 +153,7 @@ func sizeClass(nb int) int {
 // dirFor mirrors hashtable's directory sizing for a tuple capacity hint.
 func dirFor(n int) int {
 	nb := 1
-	for nb < n/2+1 {
+	for nb < (n+1)/2 {
 		nb <<= 1
 	}
 	return nb
