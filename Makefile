@@ -47,7 +47,7 @@ race:
 ## detector — the interleavings of workers, deliverer and consumer that
 ## break the delivery protocol are rare, and one pass does not reach them
 delivery-race:
-	$(GO) test -race -count=20 -run 'Outbox|Emit|Deliver|Refresh' ./internal/core ./internal/oracle .
+	$(GO) test -race -count=20 -run 'Outbox|Emit|Deliver' ./internal/core ./internal/oracle .
 
 ## trace-smoke: a scaled-down fig7 sweep with -trace and -journal must yield
 ## a valid Chrome trace with spans for all six phases and a journal that parses

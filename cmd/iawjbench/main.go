@@ -14,7 +14,6 @@
 //
 //	iawjbench -exp fig7 -trace trace.json     # Chrome trace (Perfetto)
 //	iawjbench -all -journal runs.jsonl        # one JSON summary per run
-//	iawjbench -all -listen 127.0.0.1:9090     # /metrics + /debug/pprof
 package main
 
 import (
@@ -31,19 +30,17 @@ import (
 
 func main() {
 	var (
-		expID     = flag.String("exp", "", "experiment id to run ("+strings.Join(exp.IDs(), ", ")+")")
-		all       = flag.Bool("all", false, "run every experiment")
-		threads   = flag.Int("threads", 0, "worker threads (default min(8, GOMAXPROCS))")
-		scale     = flag.Float64("scale", 0.02, "real-world workload scale (1 = paper magnitude)")
-		window    = flag.Int64("window", 100, "Micro sweep window length in ms (paper: 1000)")
-		seed      = flag.Uint64("seed", 42, "workload generation seed")
-		simNs     = flag.Float64("nsperms", 0, "real ns per simulated ms (0 = default compression)")
-		traceOut  = flag.String("trace", "", "write per-worker phase spans as Chrome trace JSON to this file")
-		journal   = flag.String("journal", "", "append one JSONL run summary per run to this file")
-		listen    = flag.String("listen", "", "serve /metrics, /debug/pprof and /debug/vars on this address")
-		spanCap   = flag.Int("spancap", 0, "trace ring capacity per worker (0 = default)")
-		traceTIDs = flag.Int("tracetids", 0, "trace worker slots (0 = max(threads, GOMAXPROCS))")
-		sample    = flag.Duration("sample", 0, "record runtime samples (GC, heap, goroutines) at this interval (0 = off)")
+		expID    = flag.String("exp", "", "experiment id to run ("+strings.Join(exp.IDs(), ", ")+")")
+		all      = flag.Bool("all", false, "run every experiment")
+		threads  = flag.Int("threads", 0, "worker threads (default min(8, GOMAXPROCS))")
+		scale    = flag.Float64("scale", 0.02, "real-world workload scale (1 = paper magnitude)")
+		window   = flag.Int64("window", 100, "Micro sweep window length in ms (paper: 1000)")
+		seed     = flag.Uint64("seed", 42, "workload generation seed")
+		simNs    = flag.Float64("nsperms", 0, "real ns per simulated ms (0 = default compression)")
+		traceOut = flag.String("trace", "", "write per-worker phase spans as Chrome trace JSON to this file")
+		journal  = flag.String("journal", "", "append one JSONL run summary per run to this file")
+		spanCap  = flag.Int("spancap", 0, "trace ring capacity per worker (0 = default)")
+		sample   = flag.Duration("sample", 0, "record runtime samples (GC, heap, goroutines) at this interval (0 = off)")
 	)
 	flag.Parse()
 
@@ -56,18 +53,13 @@ func main() {
 		Seed:          *seed,
 	}
 
-	tids := *traceTIDs
-	if tids <= 0 {
-		// Thread-sweep experiments (e.g. fig20) exceed the default
-		// thread count; leave headroom so their workers are traced too.
-		tids = max(opts.Threads, 16)
-	}
 	obs := &trace.Session{
-		TracePath:    *traceOut,
-		JournalPath:  *journal,
-		ServeAddr:    *listen,
-		SampleEvery:  *sample,
-		TraceWorkers: tids,
+		TracePath:   *traceOut,
+		JournalPath: *journal,
+		SampleEvery: *sample,
+		// Thread-sweep experiments (fig20 reaches 8) exceed the default
+		// thread count; leave headroom so their workers are traced too.
+		TraceWorkers: max(opts.Threads, 16),
 		SpanCap:      *spanCap,
 	}
 	if err := obs.Start(); err != nil {
@@ -75,7 +67,7 @@ func main() {
 		os.Exit(1)
 	}
 	opts.Trace = obs.Recorder
-	if *journal != "" || *listen != "" {
+	if *journal != "" {
 		opts.OnResult = func(res metrics.Result) {
 			if err := obs.Record(res); err != nil {
 				fmt.Fprintln(os.Stderr, "iawjbench: journal:", err)

@@ -179,7 +179,7 @@ func inspectTrace(w io.Writer, path string, data []byte, want string) error {
 		return fmt.Errorf("missing phase(s) %s", strings.Join(missing, ", "))
 	}
 	spans, algName := trace.SpansOfChrome(ct)
-	an := trace.Analyze(spans, algName, 0)
+	an := trace.Analyze(spans, algName)
 	an.DroppedSpans, _ = strconv.ParseInt(ct.OtherData["droppedSpans"], 10, 64)
 	fmt.Fprintf(w, "%s: Chrome trace, %d spans\n", path, len(spans))
 	an.WriteText(w)

@@ -51,7 +51,7 @@ var (
 	// joinFlags configure a join: the join mode's and -advise's.
 	joinFlags = []string{"algorithm", "threads", "objective", "atrest", "radixbits", "sortstep", "groupsize", "spill"}
 	// runFlags observe or slice the join mode's run.
-	runFlags = []string{"format", "trace", "journal", "serve", "windowms", "slide", "sample"}
+	runFlags = []string{"format", "trace", "journal", "windowms", "slide", "sample"}
 	// microFlags shape -workload Micro.
 	microFlags = []string{"rate", "dupe", "keyskew", "tsskew"}
 )
@@ -79,7 +79,6 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "seed for synthetic workloads")
 		traceOut  = flag.String("trace", "", "write per-worker phase spans as Chrome trace JSON to this file")
 		journal   = flag.String("journal", "", "append JSONL run/window records to this file (iawj-journal/v2)")
-		serve     = flag.String("serve", "", "serve /metrics, /debug/pprof and /debug/vars on this address")
 		windowMs  = flag.Int64("windowms", 0, "slice inputs into windows of this many ms and join per window (0 = one window)")
 		slideMs   = flag.Int64("slide", 0, "slide of the window in ms (with -windowms; 0 = tumbling)")
 		sample    = flag.Duration("sample", 0, "record runtime samples (GC, heap, goroutines) at this interval (0 = off)")
@@ -153,7 +152,6 @@ func main() {
 		TracePath:    *traceOut,
 		JournalPath:  *journal,
 		Stdout:       *format == "json",
-		ServeAddr:    *serve,
 		SampleEvery:  *sample,
 		TraceWorkers: *threads,
 		WantPool:     *windowMs > 0,
@@ -246,15 +244,14 @@ func runWindowed(w gen.Workload, cfg iawj.Config, windowMs, slideMs int64, obs *
 	if err != nil {
 		fatal(err)
 	}
+	if format != "text" {
+		return
+	}
 	joined := 0
 	for _, wr := range results {
 		if wr.Result.Algorithm != "" { // else input on one side only: no join ran
 			joined++
-			obs.Registry.Observe(wr.Result)
 		}
-	}
-	if format != "text" {
-		return
 	}
 	fmt.Printf("workload    %s (|R|=%d |S|=%d window=%dms slide=%dms)\n",
 		w.Name, len(w.R), len(w.S), windowMs, slideMs)

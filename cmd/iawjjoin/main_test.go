@@ -205,11 +205,15 @@ func TestFlagOutsideItsModeExits2(t *testing.T) {
 	}
 }
 
-// TestSIMDFlagIsGone: the sort joins always run the radix sort, so -simd
-// is no longer a flag and asking for it is a usage error.
-func TestSIMDFlagIsGone(t *testing.T) {
-	_, stderr, code := iawjjoin(t, "-workload", "Stock", "-scale", "0.002", "-algorithm", "MWAY", "-simd=false")
-	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -simd") {
-		t.Fatalf("exit %d, stderr %q; want exit 2 for an undefined -simd", code, stderr)
+// TestRetiredFlagsAreGone: a retired flag is not a flag at all, so asking
+// for it is a usage error. The sort joins always run the radix sort
+// (-simd); the journal is the one serialized form of a run (-serve).
+func TestRetiredFlagsAreGone(t *testing.T) {
+	for _, flag := range []string{"-simd=false", "-serve=127.0.0.1:0"} {
+		name, _, _ := strings.Cut(flag, "=")
+		_, stderr, code := iawjjoin(t, "-workload", "Stock", "-scale", "0.002", "-algorithm", "MWAY", flag)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+name) {
+			t.Errorf("%s: exit %d, stderr %q; want exit 2 for an undefined flag", name, code, stderr)
+		}
 	}
 }

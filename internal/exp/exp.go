@@ -42,7 +42,7 @@ type Options struct {
 	// into the recorder (each run tagged with its algorithm name).
 	Trace *trace.Recorder
 	// OnResult, when non-nil, observes every successful run's merged
-	// metrics — the hook the journal and the live /metrics registry use.
+	// metrics — the hook the journal uses.
 	OnResult func(metrics.Result)
 }
 

@@ -2,7 +2,7 @@ package metrics
 
 // PoolKind names one kind of state the window pool (internal/pool)
 // recycles. Like Phase for time, it is the shared taxonomy the pool counts
-// in and the journal and /metrics report in.
+// in and the journal reports in.
 type PoolKind int
 
 // The pooled kinds: single-writer and latched hash tables, SWWCB
@@ -24,7 +24,7 @@ const (
 
 var poolKindNames = [NumPoolKinds]string{"table", "shared", "partitioner", "tuples", "hits", "u32", "results", "collector"}
 
-// String names the kind as the journal and /metrics label it.
+// String names the kind as the journal labels it.
 func (k PoolKind) String() string {
 	if k < 0 || k >= NumPoolKinds {
 		return "?"

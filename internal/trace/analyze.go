@@ -8,16 +8,15 @@ import (
 	"repro/internal/metrics"
 )
 
-// This file is the span analytics engine: offline (trace file) and online
-// (live recorder snapshot) analysis that turns raw per-worker phase spans
-// into verdicts — which phase is imbalanced, how long workers stalled at
-// barriers, which worker carries the critical path, and which workers are
-// stragglers and why. It is the data layer the ROADMAP's online
-// performance model / autoscaler consumes, and what `iawjinspect trace.json`
-// and the /metrics imbalance gauges render.
+// This file is the span analytics engine: it turns raw per-worker phase
+// spans (a trace file, or a recorder's snapshot) into verdicts — which
+// phase is imbalanced, how long workers stalled at barriers, which worker
+// carries the critical path, and which workers are stragglers and why. It
+// is the data layer the ROADMAP's online performance model / autoscaler
+// consumes, and what `iawjinspect trace.json` renders.
 
-// StragglerFactor is the default busy-time multiple over the per-phase
-// median beyond which a worker counts as a straggler.
+// StragglerFactor is the busy-time multiple over the per-phase median
+// beyond which a worker counts as a straggler.
 const StragglerFactor = 2.0
 
 // skewFactor separates the two straggler causes: a straggler whose tuple
@@ -84,19 +83,15 @@ type Analysis struct {
 	Stragglers []Straggler
 	// Algorithms holds the per-algorithm roll-ups in first-seen order.
 	Algorithms []AlgSummary
-	// DroppedSpans carries the recorder's drop counter when analyzing a
-	// live recorder (0 for offline snapshots without drop data).
+	// DroppedSpans is the drop count the caller read alongside the spans
+	// (a trace file's droppedSpans); Analyze leaves it 0.
 	DroppedSpans int64
 }
 
 // Analyze aggregates a span snapshot. algName resolves span algorithm
 // indices to names (Recorder.AlgName, or the mapping rebuilt from a trace
-// file); factor is the straggler threshold (non-positive selects
-// StragglerFactor).
-func Analyze(spans []Span, algName func(int32) string, factor float64) *Analysis {
-	if factor <= 0 {
-		factor = StragglerFactor
-	}
+// file).
+func Analyze(spans []Span, algName func(int32) string) *Analysis {
 	type cellKey struct {
 		alg   int32
 		phase int32
@@ -192,7 +187,7 @@ func Analyze(spans []Span, algName func(int32) string, factor float64) *Analysis
 		sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
 		for _, tid := range tids {
 			w := ws[tid]
-			if medBusy <= 0 || float64(w.busyNs) < factor*float64(medBusy) {
+			if medBusy <= 0 || float64(w.busyNs) < StragglerFactor*float64(medBusy) {
 				continue
 			}
 			s := Straggler{
@@ -231,18 +226,6 @@ func Analyze(spans []Span, algName func(int32) string, factor float64) *Analysis
 		a.Algorithms = append(a.Algorithms, sum)
 	}
 	sort.Slice(a.Algorithms, func(i, j int) bool { return a.Algorithms[i].Algorithm < a.Algorithms[j].Algorithm })
-	return a
-}
-
-// Analyze snapshots the recorder and analyzes it with the default
-// straggler threshold. Nil-safe; not for hot paths (it takes the recorder
-// mutex via Snapshot).
-func (r *Recorder) Analyze() *Analysis {
-	if r == nil {
-		return &Analysis{}
-	}
-	a := Analyze(r.Snapshot(), r.AlgName, 0)
-	a.DroppedSpans = r.Dropped()
 	return a
 }
 

@@ -42,7 +42,7 @@ func TestAnalyzeFlagsSlowStraggler(t *testing.T) {
 	// Worker 2 is 4x slower than the rest with the same tuple share: the
 	// analyzer must name it, attribute "slow", and report the 4x ratio.
 	spans := stragglerSpans(2, 4, func(int32) int64 { return 1000 })
-	a := Analyze(spans, testAlgNames("NPJ"), 0)
+	a := Analyze(spans, testAlgNames("NPJ"))
 
 	if len(a.Stragglers) != 1 {
 		t.Fatalf("got %d stragglers, want 1: %+v", len(a.Stragglers), a.Stragglers)
@@ -71,7 +71,7 @@ func TestAnalyzeAttributesSkewStraggler(t *testing.T) {
 		}
 		return 1000
 	})
-	a := Analyze(spans, testAlgNames("PRJ"), 0)
+	a := Analyze(spans, testAlgNames("PRJ"))
 
 	if len(a.Stragglers) != 1 {
 		t.Fatalf("got %d stragglers, want 1: %+v", len(a.Stragglers), a.Stragglers)
@@ -87,7 +87,7 @@ func TestAnalyzeAttributesSkewStraggler(t *testing.T) {
 
 func TestAnalyzePhaseStatsAndCriticalPath(t *testing.T) {
 	spans := stragglerSpans(2, 4, func(int32) int64 { return 1000 })
-	a := Analyze(spans, testAlgNames("NPJ"), 0)
+	a := Analyze(spans, testAlgNames("NPJ"))
 
 	if len(a.Phases) != 1 {
 		t.Fatalf("got %d phase cells, want 1", len(a.Phases))
@@ -121,33 +121,26 @@ func TestAnalyzePhaseStatsAndCriticalPath(t *testing.T) {
 func TestAnalyzeNoStragglerCases(t *testing.T) {
 	// A single worker has nothing to compare against.
 	one := []Span{{TID: 0, Phase: int32(metrics.PhaseBuildSort), DurNs: 5_000_000, Tuples: 10}}
-	if a := Analyze(one, testAlgNames("SHJ_JM"), 0); len(a.Stragglers) != 0 {
+	if a := Analyze(one, testAlgNames("SHJ_JM")); len(a.Stragglers) != 0 {
 		t.Errorf("single-worker cell flagged stragglers: %+v", a.Stragglers)
 	}
 	// Balanced workers stay below the threshold.
 	balanced := stragglerSpans(0, 1, func(int32) int64 { return 1000 })
-	a := Analyze(balanced, testAlgNames("NPJ"), 0)
+	a := Analyze(balanced, testAlgNames("NPJ"))
 	if len(a.Stragglers) != 0 {
 		t.Errorf("balanced cell flagged stragglers: %+v", a.Stragglers)
 	}
 	if len(a.Phases) != 1 || a.Phases[0].Imbalance != 1.0 {
 		t.Errorf("balanced imbalance = %+v, want 1.0", a.Phases)
 	}
-}
-
-func TestAnalyzeCustomFactor(t *testing.T) {
-	// 1.5x over median is below the default 2.0 threshold but above 1.2.
-	spans := []Span{
+	// 1.5x over the median is below the 2.0 threshold.
+	slow := []Span{
 		{TID: 0, Phase: int32(metrics.PhaseProbe), DurNs: 2_000_000, Tuples: 10},
 		{TID: 1, Phase: int32(metrics.PhaseProbe), DurNs: 2_000_000, Tuples: 10},
 		{TID: 2, Phase: int32(metrics.PhaseProbe), DurNs: 3_000_000, Tuples: 10},
 	}
-	if a := Analyze(spans, testAlgNames("NPJ"), 0); len(a.Stragglers) != 0 {
-		t.Errorf("default factor flagged a 1.5x worker: %+v", a.Stragglers)
-	}
-	a := Analyze(spans, testAlgNames("NPJ"), 1.2)
-	if len(a.Stragglers) != 1 || a.Stragglers[0].TID != 2 {
-		t.Errorf("factor 1.2: got %+v, want TID 2 flagged", a.Stragglers)
+	if a := Analyze(slow, testAlgNames("NPJ")); len(a.Stragglers) != 0 {
+		t.Errorf("threshold flagged a 1.5x worker: %+v", a.Stragglers)
 	}
 }
 
@@ -161,7 +154,7 @@ func TestRecorderAnalyze(t *testing.T) {
 		}
 		rec.T(tid).Record(int(metrics.PhaseMerge), 0, dur, 100)
 	}
-	a := rec.Analyze()
+	a := Analyze(rec.Snapshot(), rec.AlgName)
 	if len(a.Stragglers) != 1 || a.Stragglers[0].TID != 3 {
 		t.Fatalf("live analysis: got %+v, want TID 3 flagged", a.Stragglers)
 	}
@@ -170,7 +163,7 @@ func TestRecorderAnalyze(t *testing.T) {
 	}
 	// Nil recorder analyzes to an empty report, not a panic.
 	var nilRec *Recorder
-	if a := nilRec.Analyze(); len(a.Phases) != 0 {
+	if a := Analyze(nilRec.Snapshot(), nilRec.AlgName); len(a.Phases) != 0 {
 		t.Errorf("nil recorder analysis not empty: %+v", a)
 	}
 }
@@ -184,7 +177,7 @@ func TestSpansOfChromeRoundTrip(t *testing.T) {
 	if len(back) != len(spans) {
 		t.Fatalf("round trip lost spans: %d -> %d", len(spans), len(back))
 	}
-	a := Analyze(back, algName, 0)
+	a := Analyze(back, algName)
 	if len(a.Stragglers) != 1 || a.Stragglers[0].TID != 2 {
 		t.Fatalf("round-trip analysis: got %+v, want TID 2 flagged", a.Stragglers)
 	}
@@ -195,7 +188,7 @@ func TestSpansOfChromeRoundTrip(t *testing.T) {
 
 func TestAnalysisWriteText(t *testing.T) {
 	spans := stragglerSpans(2, 4, func(int32) int64 { return 1000 })
-	a := Analyze(spans, testAlgNames("NPJ"), 0)
+	a := Analyze(spans, testAlgNames("NPJ"))
 	a.DroppedSpans = 7
 	var buf bytes.Buffer
 	a.WriteText(&buf)

@@ -55,8 +55,7 @@ const DefaultSampleCap = 1 << 12
 //
 // The read surface (SampleNow, Latest, Samples) takes the sampler mutex
 // and so does not belong inside //iawj:hotpath functions; workers never
-// need it — the sampling goroutine and the export paths (journal,
-// /metrics) are the only callers.
+// need it — the sampling goroutine and the journal are the only callers.
 type Sampler struct {
 	interval time.Duration
 	sw       clock.Stopwatch

@@ -19,8 +19,7 @@ type Session struct {
 	TracePath   string        // write the spans as Chrome trace JSON here on Close
 	JournalPath string        // append run/window records to this file
 	Stdout      bool          // print the same records on stdout (-format json)
-	ServeAddr   string        // serve /metrics, /debug/pprof and /debug/vars here
-	SampleEvery time.Duration // runtime sampler interval (0 = no sampler)
+	SampleEvery time.Duration // runtime sampler interval (0 = no sampler; needs a journal)
 	// TraceWorkers and SpanCap size the recorder; fewer workers than
 	// GOMAXPROCS is raised to it, SpanCap 0 is the recorder's default.
 	TraceWorkers, SpanCap int
@@ -31,7 +30,6 @@ type Session struct {
 	// take them.
 	Recorder *Recorder
 	Journal  *JournalWriter
-	Registry *Registry
 	Pool     *pool.Pool
 
 	sampler *Sampler
@@ -43,30 +41,20 @@ type Session struct {
 // distance the journal header records; recorder and sampler before the
 // journal, which stamps their drop count and latest sample into every
 // record; the journal opened for append (one file collects many runs,
-// readers keep the first header); recorder and sampler attached to the
-// registry before it is served. A recorder exists when a trace file or an
-// endpoint will read it.
+// readers keep the first header). A recorder exists when a trace file will
+// read it, and a sampler when a journal will stamp its samples.
 func (o *Session) Start() error {
-	o.Registry = NewRegistry()
 	if o.WantPool {
 		o.Pool = pool.New()
 	}
-	if o.TracePath != "" || o.ServeAddr != "" {
+	if o.TracePath != "" {
 		o.Recorder = NewRecorder(max(o.TraceWorkers, runtime.GOMAXPROCS(0)), o.SpanCap)
 	}
-	if o.SampleEvery > 0 {
+	if o.SampleEvery > 0 && (o.JournalPath != "" || o.Stdout) {
 		o.sampler = NewSampler(o.SampleEvery, 0)
 		o.sampler.Start()
 	}
 	err := o.openJournal()
-	o.Registry.Attach(o.Recorder)
-	o.Registry.AttachSampler(o.sampler)
-	if err == nil && o.ServeAddr != "" {
-		var addr string
-		if addr, err = Serve(o.ServeAddr, o.Registry, nil); err == nil {
-			fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", addr)
-		}
-	}
 	if err != nil {
 		o.sampler.Stop()
 		if o.journal != nil {
@@ -97,12 +85,11 @@ func (o *Session) openJournal() error {
 	return o.Journal.WriteHeader()
 }
 
-// Record folds one finished run into the registry and appends its run
-// record. A sample is taken first, so the record carries one even when
-// the run was shorter than a sampling interval.
+// Record appends one finished run's record. A sample is taken first, so
+// the record carries one even when the run was shorter than a sampling
+// interval.
 func (o *Session) Record(res metrics.Result) error {
 	o.sampler.SampleNow()
-	o.Registry.Observe(res)
 	return o.Journal.Write(res)
 }
 

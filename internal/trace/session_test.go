@@ -65,7 +65,7 @@ func TestSessionZeroValueAsksForNothing(t *testing.T) {
 	if err := obs.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if obs.Recorder != nil || obs.Journal != nil || obs.Pool != nil || obs.Registry == nil {
+	if obs.Recorder != nil || obs.Journal != nil || obs.Pool != nil {
 		t.Fatalf("zero Session started %+v", obs)
 	}
 	if err := obs.Record(metrics.Result{Algorithm: "NPJ"}); err != nil {
@@ -73,5 +73,41 @@ func TestSessionZeroValueAsksForNothing(t *testing.T) {
 	}
 	if err := obs.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionSamplesOnlyForAJournal: the journal is the sampler's only
+// reader, so a sampling interval without a journal sink starts no
+// sampling goroutine, and one with either sink does.
+func TestSessionSamplesOnlyForAJournal(t *testing.T) {
+	dir := t.TempDir()
+	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devNull.Close()
+	stdout := os.Stdout
+	os.Stdout = devNull // the stdout sink's header goes nowhere
+	defer func() { os.Stdout = stdout }()
+	for _, c := range []struct {
+		name string
+		obs  Session
+		want bool
+	}{
+		{"no journal", Session{TracePath: filepath.Join(dir, "trace.json")}, false},
+		{"journal file", Session{JournalPath: filepath.Join(dir, "runs.jsonl")}, true},
+		{"stdout", Session{Stdout: true}, true},
+	} {
+		obs := c.obs
+		obs.SampleEvery = time.Hour
+		if err := obs.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if got := obs.sampler != nil; got != c.want {
+			t.Errorf("%s: sampler started %v, want %v", c.name, got, c.want)
+		}
+		if err := obs.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -16,15 +16,15 @@
 //     owns a fixed-capacity ring of spans, recording is a struct store
 //     plus one atomic publish, and overflow drops spans (counted) rather
 //     than growing.
-//   - Live readers (the /metrics endpoint) may snapshot a recorder while
-//     workers are still publishing: the atomic count is the publication
-//     point, so a reader sees a consistent prefix of each worker's spans.
+//   - Concurrent readers (the journal's drop count) may read a recorder
+//     while workers are still publishing: the atomic count is the
+//     publication point, so a reader sees a consistent prefix of each
+//     worker's spans.
 //
 // Exports: WriteChrome renders the spans as Chrome trace-event JSON
-// (loadable in Perfetto / chrome://tracing), JournalWriter appends
-// machine-readable JSONL run summaries, and Registry serves Prometheus
-// text-format counters. See OBSERVABILITY.md for the span model and
-// schema.
+// (loadable in Perfetto / chrome://tracing) and JournalWriter appends
+// machine-readable JSONL run summaries — the one serialized form of a
+// run. See OBSERVABILITY.md for the span model and schema.
 package trace
 
 import (
@@ -170,18 +170,6 @@ func (r *Recorder) Dropped() int64 {
 	var n int64
 	for i := range r.workers {
 		n += r.workers[i].dropped.Load()
-	}
-	return n
-}
-
-// SpanCount sums the published spans across workers.
-func (r *Recorder) SpanCount() int64 {
-	if r == nil {
-		return 0
-	}
-	var n int64
-	for i := range r.workers {
-		n += r.workers[i].n.Load()
 	}
 	return n
 }

@@ -91,10 +91,17 @@ func joinWindow(i int, p window.Pair, cfg Config, outbox *core.Outbox, out *Wind
 // in order, and the first failing window ends the call with the results
 // up to and including it. With more, every window is attempted and the
 // error of the lowest-numbered failing one is returned with all results.
+//
+// A recorder records one run at a time — every window's join writes its
+// rings 0..cfg.Threads-1 — so with cfg.Trace set the windows run inline,
+// one at a time, whatever workers asks for.
 func JoinWindowedParallel(r, s Relation, spec WindowSpec, cfg Config, workers int) ([]WindowResult, error) {
 	pairs, err := window.AssignPair(r, s, spec)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Trace != nil {
+		workers = 1
 	}
 	if cfg.Pool == nil {
 		// The pool is concurrency-safe and a window's released state

@@ -330,3 +330,34 @@ func TestJoinWindowedParallelJournal(t *testing.T) {
 		t.Errorf("journal has %d window records, want %d", len(j.Windows), joined)
 	}
 }
+
+// TestTracedParallelWindowsRecordOneRunAtATime: every window's join
+// writes the recorder's rings 0..Threads-1, and a ring has one writer, so
+// a traced call runs its windows one at a time whatever workers asks for
+// (run under -race by the gate). It records what the sequential driver
+// records on the same input, and drops nothing.
+func TestTracedParallelWindowsRecordOneRunAtATime(t *testing.T) {
+	w := Micro(MicroConfig{RateR: 40, RateS: 40, WindowMs: 400, Dupe: 4, Seed: 47})
+	spec := WindowSpec{Kind: Tumbling, LengthMs: 50}
+	spans := func(workers int) int {
+		rec := NewTraceRecorder(2, 0)
+		cfg := Config{Algorithm: "NPJ", Threads: 2, AtRest: true, Trace: rec}
+		var err error
+		if workers == 1 {
+			_, err = JoinWindowed(w.R, w.S, spec, cfg)
+		} else {
+			_, err = JoinWindowedParallel(w.R, w.S, spec, cfg, workers)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := rec.Dropped(); d != 0 {
+			t.Fatalf("workers=%d: %d spans dropped", workers, d)
+		}
+		return len(rec.Snapshot())
+	}
+	seq, par := spans(1), spans(4)
+	if seq == 0 || par != seq {
+		t.Fatalf("traced parallel windows recorded %d spans, sequential %d", par, seq)
+	}
+}
