@@ -107,13 +107,15 @@ conform-full:
 	$(GO) run ./cmd/iawjconform
 
 ## report-smoke: a two-algorithm windowed sweep appends window records to one
-## journal; it must hold both algorithms' records and parse
+## journal; it must hold both algorithms' records, each stamped with a
+## runtime sample, and parse
 report-smoke:
 	rm -f $(SMOKE)-ledger.jsonl
 	for alg in NPJ SHJ_JM; do \
 		$(GO) run ./cmd/iawjjoin -workload Stock -scale 0.002 -atrest -algorithm $$alg -windowms 50 -journal $(SMOKE)-ledger.jsonl >/dev/null || exit 1; \
 	done
 	test "$$(grep -c '"kind":"window"' $(SMOKE)-ledger.jsonl)" -ge 2
+	test "$$(grep -c '"runtime"' $(SMOKE)-ledger.jsonl)" -ge 2
 	$(INSPECT) $(SMOKE)-ledger.jsonl
 	rm -f $(SMOKE)-ledger.jsonl
 

@@ -40,7 +40,6 @@ func main() {
 		traceOut = flag.String("trace", "", "write per-worker phase spans as Chrome trace JSON to this file")
 		journal  = flag.String("journal", "", "append one JSONL run summary per run to this file")
 		spanCap  = flag.Int("spancap", 0, "trace ring capacity per worker (0 = default)")
-		sample   = flag.Duration("sample", 0, "record runtime samples (GC, heap, goroutines) at this interval (0 = off)")
 	)
 	flag.Parse()
 
@@ -56,7 +55,6 @@ func main() {
 	obs := &trace.Session{
 		TracePath:   *traceOut,
 		JournalPath: *journal,
-		SampleEvery: *sample,
 		// Thread-sweep experiments (fig20 reaches 8) exceed the default
 		// thread count; leave headroom so their workers are traced too.
 		TraceWorkers: max(opts.Threads, 16),

@@ -51,7 +51,7 @@ var (
 	// joinFlags configure a join: the join mode's and -advise's.
 	joinFlags = []string{"algorithm", "threads", "objective", "atrest", "radixbits", "sortstep", "groupsize", "spill"}
 	// runFlags observe or slice the join mode's run.
-	runFlags = []string{"format", "trace", "journal", "windowms", "slide", "sample"}
+	runFlags = []string{"format", "trace", "journal", "windowms", "slide"}
 	// microFlags shape -workload Micro.
 	microFlags = []string{"rate", "dupe", "keyskew", "tsskew"}
 )
@@ -81,7 +81,6 @@ func main() {
 		journal   = flag.String("journal", "", "append JSONL run/window records to this file (iawj-journal/v2)")
 		windowMs  = flag.Int64("windowms", 0, "slice inputs into windows of this many ms and join per window (0 = one window)")
 		slideMs   = flag.Int64("slide", 0, "slide of the window in ms (with -windowms; 0 = tumbling)")
-		sample    = flag.Duration("sample", 0, "record runtime samples (GC, heap, goroutines) at this interval (0 = off)")
 		stats     = flag.Bool("stats", false, "print the input's Table 3 row (of all four real-world workloads when no input is given); no join")
 		out       = flag.String("out", "", "write the input to <out>_R.csv and <out>_S.csv; no join")
 		advise    = flag.Bool("advise", false, "print the Figure 4 recommendation for the input; no join unless -algorithm all")
@@ -152,7 +151,6 @@ func main() {
 		TracePath:    *traceOut,
 		JournalPath:  *journal,
 		Stdout:       *format == "json",
-		SampleEvery:  *sample,
 		TraceWorkers: *threads,
 		WantPool:     *windowMs > 0,
 	}

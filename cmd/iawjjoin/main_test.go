@@ -54,8 +54,9 @@ func iawjjoin(t *testing.T, args ...string) (stdout, stderr string, code int) {
 }
 
 // TestFormatJSONIsAJournal: what -format json prints is the journal form —
-// a header, then the run record or one window record per joined window —
-// so it round-trips through trace.ReadJournal (and so through iawjinspect).
+// a header, then the run record or one window record per joined window,
+// each carrying a runtime sample — so it round-trips through
+// trace.ReadJournal (and so through iawjinspect).
 func TestFormatJSONIsAJournal(t *testing.T) {
 	common := []string{"-workload", "Stock", "-scale", "0.002", "-atrest", "-algorithm", "NPJ", "-format", "json"}
 	for _, c := range []struct {
@@ -82,6 +83,9 @@ func TestFormatJSONIsAJournal(t *testing.T) {
 			for _, e := range append(j.Runs, j.Windows...) {
 				if e.Algorithm != "NPJ" || e.Matches != 300 || e.PhaseNs["probe"] <= 0 {
 					t.Errorf("record lost the run: %+v", e)
+				}
+				if e.Runtime == nil {
+					t.Errorf("%s record carries no runtime sample", e.Kind)
 				}
 			}
 		})
@@ -207,9 +211,10 @@ func TestFlagOutsideItsModeExits2(t *testing.T) {
 
 // TestRetiredFlagsAreGone: a retired flag is not a flag at all, so asking
 // for it is a usage error. The sort joins always run the radix sort
-// (-simd); the journal is the one serialized form of a run (-serve).
+// (-simd); the journal is the one serialized form of a run (-serve), and
+// every record of it reads the runtime as it is written (-sample).
 func TestRetiredFlagsAreGone(t *testing.T) {
-	for _, flag := range []string{"-simd=false", "-serve=127.0.0.1:0"} {
+	for _, flag := range []string{"-simd=false", "-serve=127.0.0.1:0", "-sample=5ms"} {
 		name, _, _ := strings.Cut(flag, "=")
 		_, stderr, code := iawjjoin(t, "-workload", "Stock", "-scale", "0.002", "-algorithm", "MWAY", flag)
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+name) {

@@ -6,8 +6,10 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
+	"slices"
 
 	iawj "repro"
 )
@@ -48,7 +50,8 @@ func main() {
 	fmt.Printf("p95 latency: %d ms (eager joins deliver while the window is open)\n", res.LatencyP95Ms)
 	fmt.Printf("half of all matches were out by %d ms into the window\n", res.TimeToFrac(0.5))
 
-	// Top stocks by turnover.
+	// Top stocks by turnover; equal counts in key order, so the list does
+	// not depend on the map's iteration order.
 	type kv struct {
 		key int32
 		n   int64
@@ -57,18 +60,11 @@ func main() {
 	for k, n := range turnover {
 		top = append(top, kv{k, n})
 	}
-	for i := 0; i < len(top); i++ {
-		for j := i + 1; j < len(top); j++ {
-			if top[j].n > top[i].n {
-				top[i], top[j] = top[j], top[i]
-			}
-		}
-		if i == 4 {
-			break
-		}
-	}
+	slices.SortFunc(top, func(a, b kv) int {
+		return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.key, b.key))
+	})
 	fmt.Println("\nbusiest stocks (by matched trade-quote pairs):")
-	for i := 0; i < len(top) && i < 5; i++ {
-		fmt.Printf("  stock %6d: %d pairs\n", top[i].key, top[i].n)
+	for _, s := range top[:min(len(top), 5)] {
+		fmt.Printf("  stock %6d: %d pairs\n", s.key, s.n)
 	}
 }

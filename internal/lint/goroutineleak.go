@@ -18,7 +18,7 @@ import (
 var goroutineLeak = Rule{
 	Name:     "goroutineleak",
 	Doc:      "go statements need a visible join (.Wait(), channel receive, or select) in the enclosing function",
-	Contract: "Every `go` statement needs a join the reader can see in the function that launches it: a .Wait() call (sync.WaitGroup or errgroup style), a channel receive, or a select — anywhere in that function's body except inside the launched closure itself, where a receive joins nothing. A worker nobody waits for outlives the run it belongs to, so its matches land after the metrics snapshot and its CPU is billed to the next window. A goroutine that is joined elsewhere by design (a sampler stopped through its done channel, a server that lives as long as the process) carries //lint:allow goroutineleak naming where it ends.",
+	Contract: "Every `go` statement needs a join the reader can see in the function that launches it: a .Wait() call (sync.WaitGroup or errgroup style), a channel receive, or a select — anywhere in that function's body except inside the launched closure itself, where a receive joins nothing. A worker nobody waits for outlives the run it belongs to, so its matches land after the metrics snapshot and its CPU is billed to the next window. A goroutine that is joined elsewhere by design (a background loop stopped through its done channel, a server that lives as long as the process) carries //lint:allow goroutineleak naming where it ends.",
 	Check:    perPackage(checkGoroutineLeak),
 }
 

@@ -65,11 +65,11 @@ type Rule struct {
 }
 
 // Rules is the table, in -list order: the per-package AST rules, the
-// whole-program rules, the three compiler-diagnostics gates, and the
+// whole-program rule, the three compiler-diagnostics gates, and the
 // check on the escape hatch itself.
 var Rules = []Rule{
 	determinism, goroutineLeak, hotPathAlloc,
-	falseShare, mapOrder,
+	falseShare,
 	escapeGate, bceGate, inlineGate,
 	allowReason,
 }

@@ -227,8 +227,8 @@ func TestWalkSkipsTestdata(t *testing.T) {
 // the identical total order, or the golden churns run to run.
 func TestSortFindingsDeterministic(t *testing.T) {
 	base := []Finding{
-		{Rule: "maporder", Msg: "emit a", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
-		{Rule: "maporder", Msg: "emit b", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
+		{Rule: "falseshare", Msg: "pad a", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
+		{Rule: "falseshare", Msg: "pad b", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
 		{Rule: "hotpathalloc", Msg: "boxed", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
 		{Rule: "hotpathalloc", Msg: "closure", Pos: token.Position{Filename: "a.go", Line: 10, Column: 9}},
 		{Rule: "determinism", Msg: "time.Now", Pos: token.Position{Filename: "a.go", Line: 3, Column: 1}},

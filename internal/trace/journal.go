@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	rtm "runtime/metrics"
 	"strings"
 	"sync"
 
+	"repro/internal/clock"
 	"repro/internal/hashtable"
 	"repro/internal/metrics"
 )
@@ -70,7 +73,8 @@ type JournalEntry struct {
 	// attached or nothing was dropped.
 	DroppedSpans int64 `json:"dropped_spans,omitempty"`
 
-	// Runtime is the attached sampler's most recent runtime sample.
+	// Runtime is the Go runtime read when the record was written; set on
+	// every run and window record.
 	Runtime *RuntimeSample `json:"runtime,omitempty"`
 }
 
@@ -189,31 +193,83 @@ func windowEntryOf(res metrics.Result, id int, startMs, endMs int64) JournalEntr
 	return e
 }
 
-// JournalWriter appends JSONL entries; safe for concurrent use.
+// RuntimeSample is the Go runtime as a journal record is written: the
+// process-level counters a performance model (or a human reading a
+// regression report) needs to separate join cost from runtime
+// interference — GC pressure, heap growth, goroutine explosions,
+// scheduler queueing.
+type RuntimeSample struct {
+	// AtNs is nanoseconds since the journal writer was opened.
+	AtNs int64 `json:"at_ns"`
+	// HeapLiveBytes is the live-object heap footprint.
+	HeapLiveBytes int64 `json:"heap_live_bytes"`
+	// Goroutines is the live goroutine count.
+	Goroutines int64 `json:"goroutines"`
+	// GCCycles counts completed GC cycles since process start.
+	GCCycles int64 `json:"gc_cycles"`
+	// GCPauseNsTotal approximates total stop-the-world GC pause time
+	// since process start (histogram bucket midpoints).
+	GCPauseNsTotal int64 `json:"gc_pause_ns_total"`
+	// SchedLatP99Ns is the 99th-percentile goroutine scheduling latency
+	// since process start.
+	SchedLatP99Ns int64 `json:"sched_latency_p99_ns"`
+}
+
+// The runtime/metrics a RuntimeSample reads, by their index in the
+// writer's scratch slice.
+const (
+	rtHeapLive = iota
+	rtGoroutines
+	rtGCCycles
+	rtGCPauses
+	rtSchedLat
+)
+
+var runtimeMetrics = [...]string{
+	rtHeapLive:   "/memory/classes/heap/objects:bytes",
+	rtGoroutines: "/sched/goroutines:goroutines",
+	rtGCCycles:   "/gc/cycles/total:gc-cycles",
+	rtGCPauses:   "/sched/pauses/total/gc:seconds",
+	rtSchedLat:   "/sched/latencies:seconds",
+}
+
+// JournalWriter appends JSONL entries; safe for concurrent use. Every run
+// and window record carries a RuntimeSample read under the writer's mutex
+// as the record is written.
 type JournalWriter struct {
 	mu  sync.Mutex
 	enc *json.Encoder
+	rec *Recorder // optional; see Attach
 
-	// Optional sources stamped into every entry; see Attach.
-	rec     *Recorder
-	sampler *Sampler
+	// rt is reused by every runtime read: runtime/metrics keeps the
+	// histogram buffers of a Sample across reads, so once NewJournalWriter
+	// has primed it a read allocates nothing.
+	rt     []rtm.Sample
+	opened clock.Stopwatch
 }
 
 // NewJournalWriter wraps w; each Write emits one line.
 func NewJournalWriter(w io.Writer) *JournalWriter {
-	return &JournalWriter{enc: json.NewEncoder(w)}
+	jw := &JournalWriter{
+		enc:    json.NewEncoder(w),
+		rt:     make([]rtm.Sample, len(runtimeMetrics)),
+		opened: clock.StartStopwatch(),
+	}
+	for i, name := range runtimeMetrics {
+		jw.rt[i].Name = name
+	}
+	rtm.Read(jw.rt)
+	return jw
 }
 
-// Attach connects an optional span recorder and runtime sampler to the
-// writer: subsequent entries carry the recorder's cumulative dropped-span
-// count and the sampler's most recent runtime sample. Either may be nil.
-func (jw *JournalWriter) Attach(rec *Recorder, s *Sampler) {
+// Attach connects a span recorder to the writer: subsequent entries carry
+// its cumulative dropped-span count. rec may be nil.
+func (jw *JournalWriter) Attach(rec *Recorder) {
 	if jw == nil {
 		return
 	}
 	jw.mu.Lock()
 	jw.rec = rec
-	jw.sampler = s
 	jw.mu.Unlock()
 }
 
@@ -254,12 +310,104 @@ func (jw *JournalWriter) write(e JournalEntry) error {
 	if jw.rec != nil {
 		e.DroppedSpans = jw.rec.Dropped()
 	}
-	if jw.sampler != nil {
-		if s, ok := jw.sampler.Latest(); ok {
-			e.Runtime = &s
-		}
-	}
+	rs := jw.readRuntime()
+	e.Runtime = &rs
 	return jw.enc.Encode(e)
+}
+
+// readRuntime reads the runtime into the scratch slice; the caller holds
+// jw.mu. A metric the running Go does not know reads as KindBad and
+// leaves its field zero.
+func (jw *JournalWriter) readRuntime() RuntimeSample {
+	rtm.Read(jw.rt)
+	return RuntimeSample{
+		AtNs:           jw.opened.ElapsedNs(),
+		HeapLiveBytes:  rtUint(jw.rt[rtHeapLive]),
+		Goroutines:     rtUint(jw.rt[rtGoroutines]),
+		GCCycles:       rtUint(jw.rt[rtGCCycles]),
+		GCPauseNsTotal: histTotalNs(rtHist(jw.rt[rtGCPauses])),
+		SchedLatP99Ns:  histQuantileNs(rtHist(jw.rt[rtSchedLat]), 0.99),
+	}
+}
+
+func rtUint(s rtm.Sample) int64 {
+	if s.Value.Kind() != rtm.KindUint64 {
+		return 0
+	}
+	return int64(s.Value.Uint64())
+}
+
+func rtHist(s rtm.Sample) *rtm.Float64Histogram {
+	if s.Value.Kind() != rtm.KindFloat64Histogram {
+		return nil
+	}
+	return s.Value.Float64Histogram()
+}
+
+// histTotalNs approximates the histogram's value sum in nanoseconds using
+// bucket midpoints (runtime/metrics buckets are in seconds); 0 for nil.
+func histTotalNs(h *rtm.Float64Histogram) int64 {
+	if h == nil {
+		return 0
+	}
+	var total float64
+	for i, c := range h.Counts {
+		if c == 0 {
+			continue
+		}
+		lo, hi := h.Buckets[i], h.Buckets[i+1]
+		mid := bucketMid(lo, hi)
+		total += float64(c) * mid
+	}
+	return int64(total * 1e9)
+}
+
+// histQuantileNs returns the q-quantile of the histogram in nanoseconds:
+// the lower bound of the bucket holding the ceil(q*total)-th observation
+// (the upper bound when the lower one is -Inf), matching the conservative
+// convention of internal/metrics; 0 for nil or empty.
+func histQuantileNs(h *rtm.Float64Histogram, q float64) int64 {
+	if h == nil {
+		return 0
+	}
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	target := min(max(uint64(math.Ceil(q*float64(total))), 1), total)
+	var cum uint64
+	for i, c := range h.Counts {
+		if cum += c; cum < target {
+			continue
+		}
+		lo := h.Buckets[i]
+		if math.IsInf(lo, -1) {
+			lo = h.Buckets[i+1]
+		}
+		if math.IsInf(lo, 0) {
+			return 0
+		}
+		return int64(lo * 1e9)
+	}
+	return 0 // not reached: cum ends at total >= target
+}
+
+// bucketMid picks a representative value for a histogram bucket, handling
+// the +-Inf edge buckets runtime/metrics uses.
+func bucketMid(lo, hi float64) float64 {
+	switch {
+	case math.IsInf(lo, 0) && math.IsInf(hi, 0):
+		return 0
+	case math.IsInf(lo, 0):
+		return hi
+	case math.IsInf(hi, 0):
+		return lo
+	default:
+		return (lo + hi) / 2
+	}
 }
 
 // Journal is a parsed journal file: the first header (if any) plus the

@@ -4,6 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
+	"runtime"
+	rtm "runtime/metrics"
 	"strings"
 	"testing"
 
@@ -147,28 +151,95 @@ func TestJournalAttachStampsDropsAndRuntime(t *testing.T) {
 	if rec.Dropped() == 0 {
 		t.Fatal("fixture recorded no drops")
 	}
-	s := NewSampler(0, 4)
-	s.SampleNow()
 
 	var buf bytes.Buffer
 	jw := NewJournalWriter(&buf)
-	jw.Attach(rec, s)
+	if err := jw.WriteHeader(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Write(metricsResultFixture()); err != nil {
+		t.Fatal(err)
+	}
+	jw.Attach(rec)
 	if err := jw.WriteWindow(metricsResultFixture(), 0, 0, 100); err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(strings.SplitN(buf.String(), "\n", 2)[0], `"runtime"`) {
+		t.Errorf("the header carries a runtime sample:\n%s", buf.String())
 	}
 	j, err := ReadJournal(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := j.Windows[0]
-	if e.DroppedSpans != rec.Dropped() {
-		t.Errorf("dropped_spans = %d, want %d", e.DroppedSpans, rec.Dropped())
+	run, win := j.Runs[0], j.Windows[0]
+	if run.DroppedSpans != 0 || win.DroppedSpans != rec.Dropped() {
+		t.Errorf("dropped_spans = %d before Attach and %d after, want 0 and %d", run.DroppedSpans, win.DroppedSpans, rec.Dropped())
 	}
-	if e.Runtime == nil {
-		t.Fatal("runtime sample not stamped")
+	// The writer stamps the runtime on every run and window record, read
+	// as each is written, whether or not a recorder is attached.
+	for _, e := range []JournalEntry{run, win} {
+		if e.Runtime == nil {
+			t.Fatalf("%s record carries no runtime sample", e.Kind)
+		}
+		if e.Runtime.Goroutines < 1 || e.Runtime.HeapLiveBytes <= 0 || e.Runtime.AtNs <= 0 {
+			t.Errorf("%s record's runtime sample is not a reading: %+v", e.Kind, *e.Runtime)
+		}
 	}
-	if e.Runtime.Goroutines < 1 {
-		t.Errorf("runtime.goroutines = %d, want >= 1", e.Runtime.Goroutines)
+	if win.Runtime.AtNs < run.Runtime.AtNs {
+		t.Errorf("at_ns went backwards: run %d, then window %d", run.Runtime.AtNs, win.Runtime.AtNs)
+	}
+}
+
+// TestJournalReadsRuntime: one read fills every field a running Go
+// process has a non-zero value for.
+func TestJournalReadsRuntime(t *testing.T) {
+	jw := NewJournalWriter(io.Discard)
+	runtime.GC()
+	rs := jw.readRuntime()
+	if rs.Goroutines < 1 || rs.HeapLiveBytes <= 0 || rs.GCCycles < 1 || rs.AtNs < 0 {
+		t.Errorf("runtime read = %+v, want goroutines, heap and a GC cycle", rs)
+	}
+}
+
+// TestRuntimeReadAllocs: once NewJournalWriter has primed the scratch
+// slice, reading the runtime allocates nothing, so the stamp on every
+// record costs no garbage.
+func TestRuntimeReadAllocs(t *testing.T) {
+	jw := NewJournalWriter(io.Discard)
+	jw.readRuntime() // warm any lazily grown histogram buckets
+	if allocs := testing.AllocsPerRun(100, func() { jw.readRuntime() }); allocs != 0 {
+		t.Errorf("runtime read allocates %.1f per call, want 0", allocs)
+	}
+}
+
+// TestHistQuantileNs: the quantile is the lower bound of the bucket that
+// holds it, and the upper bound of the -Inf bucket.
+func TestHistQuantileNs(t *testing.T) {
+	inf := math.Inf(1)
+	h := &rtm.Float64Histogram{
+		Counts:  []uint64{1, 0, 6, 2, 1},
+		Buckets: []float64{-inf, 1e-6, 2e-6, 4e-6, 8e-6, inf},
+	}
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{
+		{0.05, 1000}, // the -Inf bucket: its upper bound
+		{0.5, 2000},
+		{0.7, 2000},
+		{0.9, 4000},
+		{0.99, 8000}, // the +Inf bucket: its lower bound
+		{1, 8000},
+	} {
+		if got := histQuantileNs(h, c.q); got != c.want {
+			t.Errorf("q=%v: %d ns, want %d", c.q, got, c.want)
+		}
+	}
+	if got := histQuantileNs(&rtm.Float64Histogram{Counts: []uint64{0}, Buckets: []float64{0, 1}}, 0.99); got != 0 {
+		t.Errorf("empty histogram: %d ns, want 0", got)
+	}
+	if got := histQuantileNs(nil, 0.99); got != 0 {
+		t.Errorf("nil histogram: %d ns, want 0", got)
 	}
 }
 
@@ -223,7 +294,7 @@ func TestReadJournalKeepsFirstHeaderAndSkipsUnknownKinds(t *testing.T) {
 
 func TestNilJournalWriterIsInert(t *testing.T) {
 	var jw *JournalWriter
-	jw.Attach(nil, nil)
+	jw.Attach(nil)
 	if err := jw.WriteHeader(); err != nil {
 		t.Errorf("nil WriteHeader: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/pool"
@@ -16,10 +15,9 @@ import (
 // binary's flags asked for (the zero value asks for nothing), Start it,
 // Close it after the last run.
 type Session struct {
-	TracePath   string        // write the spans as Chrome trace JSON here on Close
-	JournalPath string        // append run/window records to this file
-	Stdout      bool          // print the same records on stdout (-format json)
-	SampleEvery time.Duration // runtime sampler interval (0 = no sampler; needs a journal)
+	TracePath   string // write the spans as Chrome trace JSON here on Close
+	JournalPath string // append run/window records to this file
+	Stdout      bool   // print the same records on stdout (-format json)
 	// TraceWorkers and SpanCap size the recorder; fewer workers than
 	// GOMAXPROCS is raised to it, SpanCap 0 is the recorder's default.
 	TraceWorkers, SpanCap int
@@ -32,17 +30,16 @@ type Session struct {
 	Journal  *JournalWriter
 	Pool     *pool.Pool
 
-	sampler *Sampler
 	journal *os.File
 }
 
 // Start brings the stack up in the one order that is right: the pool
 // first, because the first pool of a process calibrates the probe-prefetch
-// distance the journal header records; recorder and sampler before the
-// journal, which stamps their drop count and latest sample into every
-// record; the journal opened for append (one file collects many runs,
-// readers keep the first header). A recorder exists when a trace file will
-// read it, and a sampler when a journal will stamp its samples.
+// distance the journal header records; the recorder before the journal,
+// which stamps its drop count (and a runtime sample it reads itself) into
+// every record; the journal opened for append (one file collects many
+// runs, readers keep the first header). A recorder exists when a trace
+// file will read it.
 func (o *Session) Start() error {
 	if o.WantPool {
 		o.Pool = pool.New()
@@ -50,16 +47,9 @@ func (o *Session) Start() error {
 	if o.TracePath != "" {
 		o.Recorder = NewRecorder(max(o.TraceWorkers, runtime.GOMAXPROCS(0)), o.SpanCap)
 	}
-	if o.SampleEvery > 0 && (o.JournalPath != "" || o.Stdout) {
-		o.sampler = NewSampler(o.SampleEvery, 0)
-		o.sampler.Start()
-	}
 	err := o.openJournal()
-	if err != nil {
-		o.sampler.Stop()
-		if o.journal != nil {
-			o.journal.Close()
-		}
+	if err != nil && o.journal != nil {
+		o.journal.Close()
 	}
 	return err
 }
@@ -81,22 +71,18 @@ func (o *Session) openJournal() error {
 		return nil
 	}
 	o.Journal = NewJournalWriter(io.MultiWriter(sinks...))
-	o.Journal.Attach(o.Recorder, o.sampler)
+	o.Journal.Attach(o.Recorder)
 	return o.Journal.WriteHeader()
 }
 
-// Record appends one finished run's record. A sample is taken first, so
-// the record carries one even when the run was shorter than a sampling
-// interval.
+// Record appends one finished run's record.
 func (o *Session) Record(res metrics.Result) error {
-	o.sampler.SampleNow()
 	return o.Journal.Write(res)
 }
 
-// Close stops the sampler, closes the journal and writes the trace file,
-// warning on stderr when spans were dropped to full rings.
+// Close closes the journal and writes the trace file, warning on stderr
+// when spans were dropped to full rings.
 func (o *Session) Close() error {
-	o.sampler.Stop()
 	var err error
 	if o.journal != nil {
 		err = o.journal.Close()

@@ -4,20 +4,19 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 )
 
 // TestSessionAppendsAndSamples: two sessions on one journal path leave one
 // journal of two runs (opened for append; readers keep the first header),
-// each record carrying a runtime sample although no sampling interval
-// ever elapsed, and Close leaves a readable trace file.
+// each record carrying a runtime sample, and Close leaves a readable
+// trace file.
 func TestSessionAppendsAndSamples(t *testing.T) {
 	dir := t.TempDir()
 	journal, tracePath := filepath.Join(dir, "runs.jsonl"), filepath.Join(dir, "trace.json")
 	for _, alg := range []string{"NPJ", "SHJ_JM"} {
-		obs := &Session{JournalPath: journal, TracePath: tracePath, SampleEvery: time.Hour, WantPool: true}
+		obs := &Session{JournalPath: journal, TracePath: tracePath, WantPool: true}
 		if err := obs.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -76,38 +75,56 @@ func TestSessionZeroValueAsksForNothing(t *testing.T) {
 	}
 }
 
-// TestSessionSamplesOnlyForAJournal: the journal is the sampler's only
-// reader, so a sampling interval without a journal sink starts no
-// sampling goroutine, and one with either sink does.
+// TestSessionSamplesOnlyForAJournal: the journal is the only reader of the
+// runtime, so a session without a journal sink has no writer to read it,
+// and a record through either sink carries a sample read as it was
+// written.
 func TestSessionSamplesOnlyForAJournal(t *testing.T) {
 	dir := t.TempDir()
-	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	stdoutPath := filepath.Join(dir, "stdout.jsonl")
+	stdoutFile, err := os.Create(stdoutPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer devNull.Close()
+	defer stdoutFile.Close()
 	stdout := os.Stdout
-	os.Stdout = devNull // the stdout sink's header goes nowhere
+	os.Stdout = stdoutFile // the stdout sink's records land in a file
 	defer func() { os.Stdout = stdout }()
 	for _, c := range []struct {
-		name string
-		obs  Session
-		want bool
+		name, path string
+		obs        Session
 	}{
-		{"no journal", Session{TracePath: filepath.Join(dir, "trace.json")}, false},
-		{"journal file", Session{JournalPath: filepath.Join(dir, "runs.jsonl")}, true},
-		{"stdout", Session{Stdout: true}, true},
+		{"no journal", "", Session{TracePath: filepath.Join(dir, "trace.json")}},
+		{"journal file", filepath.Join(dir, "runs.jsonl"), Session{JournalPath: filepath.Join(dir, "runs.jsonl")}},
+		{"stdout", stdoutPath, Session{Stdout: true}},
 	} {
 		obs := c.obs
-		obs.SampleEvery = time.Hour
 		if err := obs.Start(); err != nil {
 			t.Fatal(err)
 		}
-		if got := obs.sampler != nil; got != c.want {
-			t.Errorf("%s: sampler started %v, want %v", c.name, got, c.want)
+		if got := obs.Journal != nil; got != (c.path != "") {
+			t.Errorf("%s: journal writer %v, want %v", c.name, got, c.path != "")
+		}
+		if err := obs.Record(metrics.Result{Algorithm: "NPJ"}); err != nil {
+			t.Fatal(err)
 		}
 		if err := obs.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if c.path == "" {
+			continue
+		}
+		f, err := os.Open(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := ReadJournal(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(j.Runs) != 1 || j.Runs[0].Runtime == nil || j.Runs[0].Runtime.Goroutines < 1 {
+			t.Errorf("%s: want one run carrying a runtime sample, read %+v", c.name, j.Runs)
 		}
 	}
 }

@@ -24,7 +24,9 @@
 // Exports: WriteChrome renders the spans as Chrome trace-event JSON
 // (loadable in Perfetto / chrome://tracing) and JournalWriter appends
 // machine-readable JSONL run summaries — the one serialized form of a
-// run. See OBSERVABILITY.md for the span model and schema.
+// run — each stamped with a runtime/metrics reading taken as it is
+// written; the package starts no goroutine. See OBSERVABILITY.md for the
+// span model and schema.
 package trace
 
 import (
