@@ -9,7 +9,7 @@ INSPECT = $(GO) run ./cmd/iawjinspect
 # Scratch files of the smoke stages; removed by the stage that made them.
 SMOKE = /tmp/iawj-smoke
 
-.PHONY: check fmt-check vet build test lint race delivery-race trace-smoke bench-kernels bench-smoke bench-gate bench-harness fuzz-smoke conform conform-full report-smoke load-smoke fmt loc
+.PHONY: check fmt-check vet build test lint race delivery-race trace-smoke bench-kernels bench-smoke bench-gate bench-harness fuzz-smoke conform conform-full report-smoke spec-smoke fmt loc
 
 ## check: run the full CI gate, 14 stages (see scripts/check.sh for the order)
 check:
@@ -119,16 +119,18 @@ report-smoke:
 	$(INSPECT) $(SMOKE)-ledger.jsonl
 	rm -f $(SMOKE)-ledger.jsonl
 
-## load-smoke: every checked-in workload spec must compile, then a short
-## open-loop run of the mixed spec whose journal must carry the per-class
-## openloop/* run records (WORKLOADS.md)
-load-smoke:
+## spec-smoke: every checked-in workload spec must compile, then the mixed
+## spec, joined per 500 ms window through the join's arrival clock, must
+## journal at least two window records, each stamped with a runtime sample,
+## that parse (WORKLOADS.md)
+spec-smoke:
 	for spec in examples/specs/*.json; do $(INSPECT) $$spec || exit 1; done
-	rm -f $(SMOKE)-load.jsonl
-	$(GO) run ./cmd/iawjload -spec examples/specs/mixed.json -nspms 1000000 -algorithm SHJ_JM -journal $(SMOKE)-load.jsonl >/dev/null
-	test "$$(grep -c '"algorithm":"openloop/' $(SMOKE)-load.jsonl)" -ge 2
-	$(INSPECT) $(SMOKE)-load.jsonl
-	rm -f $(SMOKE)-load.jsonl
+	rm -f $(SMOKE)-spec.jsonl
+	$(GO) run ./cmd/iawjjoin -spec examples/specs/mixed.json -windowms 500 -algorithm SHJ_JM -journal $(SMOKE)-spec.jsonl >/dev/null
+	test "$$(grep -c '"kind":"window"' $(SMOKE)-spec.jsonl)" -ge 2
+	test "$$(grep '"kind":"window"' $(SMOKE)-spec.jsonl | grep -c '"runtime"')" -ge 2
+	$(INSPECT) $(SMOKE)-spec.jsonl
+	rm -f $(SMOKE)-spec.jsonl
 
 ## fmt: apply gofmt to the tree
 fmt:

@@ -219,15 +219,15 @@ func verdict(w io.Writer, rep *report.Report) error {
 	return nil
 }
 
-// inspectSpec parses and compiles a workload spec the way iawjload would
-// (trace-replay journals resolve beside the spec file) and prints what it
-// lowers to.
+// inspectSpec parses and compiles a workload spec the way iawjjoin -spec
+// does (trace-replay journals resolve beside the spec file) and prints
+// what it lowers to.
 func inspectSpec(w io.Writer, path string, data []byte) error {
 	sp, err := workloadspec.Parse(data)
 	if err != nil {
 		return err
 	}
-	c, err := workloadspec.Compile(sp, workloadspec.Options{BaseDir: filepath.Dir(path)})
+	cw, err := workloadspec.Compile(sp, workloadspec.Options{BaseDir: filepath.Dir(path)})
 	if err != nil {
 		return err
 	}
@@ -235,7 +235,7 @@ func inspectSpec(w io.Writer, path string, data []byte) error {
 	if sp.Preset != nil {
 		source = fmt.Sprintf("preset %s at scale %v", sp.Preset.Name, sp.Preset.Scale)
 	}
-	fmt.Fprintf(w, "%s: workload spec %s (version %d, seed %d, %s) compiles to |R|=%d |S|=%d window=%dms classes=%v\n",
-		path, sp.Name, sp.Version, sp.Seed, source, len(c.Workload.R), len(c.Workload.S), c.Workload.WindowMs, c.Classes)
+	fmt.Fprintf(w, "%s: workload spec %s (version %d, seed %d, %s) compiles to |R|=%d |S|=%d window=%dms\n",
+		path, sp.Name, sp.Version, sp.Seed, source, len(cw.R), len(cw.S), cw.WindowMs)
 	return nil
 }

@@ -1,13 +1,17 @@
 // Command iawjjoin runs one intra-window join and reports the metrics the
 // study measures. Inputs come from CSV files, a named synthetic workload,
-// or live tagged TCP streams; the algorithm can be fixed or left to the
-// decision tree.
+// a workload spec (internal/workloadspec, WORKLOADS.md) or live tagged TCP
+// streams; the algorithm can be fixed or left to the decision tree.
 //
 // Usage:
 //
 //	iawjjoin -inR trades.csv -inS quotes.csv -algorithm SHJ_JM
 //	iawjjoin -workload Rovio -scale 0.01 -algorithm ADAPTIVE -format json
+//	iawjjoin -spec examples/specs/mixed.json -windowms 500 -algorithm SHJ_JM
 //	iawjjoin -listen 127.0.0.1:7654 -algorithm NPJ   # waits for R and S streams
+//
+// A spec is the whole description of its workload: -seed and -scale do
+// not apply to it, and its window_ms is the input's window.
 //
 // With -windowms the inputs are sliced into tumbling (or, with -slide,
 // sliding) windows and joined per window pair; a -journal then records the
@@ -35,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 
@@ -43,10 +48,11 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/trace"
 	"repro/internal/tuple"
+	"repro/internal/workloadspec"
 )
 
-// Flags that not every mode reads; the input flags (-inR/-inS, -workload,
-// -scale, -seed, -listen) are read by all four.
+// Flags that not every mode or input reads; the input flags (-inR/-inS,
+// -workload, -scale, -seed, -spec, -listen) are read by all four modes.
 var (
 	// joinFlags configure a join: the join mode's and -advise's.
 	joinFlags = []string{"algorithm", "threads", "objective", "atrest", "radixbits", "sortstep", "groupsize", "spill"}
@@ -54,6 +60,8 @@ var (
 	runFlags = []string{"format", "trace", "journal", "windowms", "slide"}
 	// microFlags shape -workload Micro.
 	microFlags = []string{"rate", "dupe", "keyskew", "tsskew"}
+	// genFlags parameterize a generated workload; a spec carries its own.
+	genFlags = []string{"seed", "scale"}
 )
 
 func main() {
@@ -61,6 +69,7 @@ func main() {
 		inR       = flag.String("inR", "", "CSV file for stream R")
 		inS       = flag.String("inS", "", "CSV file for stream S")
 		workload  = flag.String("workload", "", "synthetic workload (Stock, Rovio, YSB, DEBS, Micro)")
+		spec      = flag.String("spec", "", "workload spec JSON file (WORKLOADS.md)")
 		scale     = flag.Float64("scale", 0.02, "workload scale (1 = paper magnitude: the real-world tuple counts, Micro's 1000 ms window)")
 		rate      = flag.Int("rate", 1600, "Micro: arrival rate of both streams (tuples/ms)")
 		dupe      = flag.Int("dupe", 1, "Micro: average duplicates per key")
@@ -87,7 +96,7 @@ func main() {
 	)
 	flag.Parse()
 
-	mode, err := pickMode(*stats, *out != "", *advise, *workload, *algorithm)
+	mode, err := pickMode(*stats, *out != "", *advise, *workload, *spec != "", *algorithm)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iawjjoin: %v\n", err)
 		os.Exit(2)
@@ -98,7 +107,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	in := inputs{inR: *inR, inS: *inS, workload: *workload, listen: *listen, scale: *scale, seed: *seed,
+	in := inputs{inR: *inR, inS: *inS, workload: *workload, spec: *spec, listen: *listen, scale: *scale, seed: *seed,
 		micro: gen.MicroConfig{
 			RateR: *rate, RateS: *rate, WindowMs: max(1, int64(*scale*1000)),
 			Dupe: *dupe, KeySkew: *keySkew, TSSkew: *tsSkew, Seed: *seed,
@@ -182,7 +191,7 @@ func main() {
 // pickMode names what the invocation does — join, stats, out or advise —
 // and rejects a flag that mode does not read, so no flag is silently
 // ignored.
-func pickMode(stats, out, advise bool, workload, algorithm string) (string, error) {
+func pickMode(stats, out, advise bool, workload string, spec bool, algorithm string) (string, error) {
 	mode := "join"
 	for _, m := range []struct {
 		on   bool
@@ -202,6 +211,8 @@ func pickMode(stats, out, advise bool, workload, algorithm string) (string, erro
 		case err != nil:
 		case slices.Contains(microFlags, f.Name) && workload != "Micro":
 			err = fmt.Errorf("-%s shapes the Micro workload; it needs -workload Micro", f.Name)
+		case slices.Contains(genFlags, f.Name) && spec:
+			err = fmt.Errorf("-%s does not apply to -spec: the spec file is the whole description", f.Name)
 		case slices.Contains(runFlags, f.Name) && mode != "join",
 			slices.Contains(joinFlags, f.Name) && (mode == "stats" || mode == "out"):
 			err = fmt.Errorf("-%s does not apply to -%s", f.Name, mode)
@@ -313,15 +324,15 @@ func runAdvise(w gen.Workload, cfg iawj.Config, race bool) {
 
 // inputs is what the input flags name; every mode loads through it.
 type inputs struct {
-	inR, inS, workload, listen string
-	scale                      float64
-	seed                       uint64
-	micro                      gen.MicroConfig
+	inR, inS, workload, spec, listen string
+	scale                            float64
+	seed                             uint64
+	micro                            gen.MicroConfig
 }
 
 // none reports whether no input was named.
 func (in inputs) none() bool {
-	return in.inR == "" && in.inS == "" && in.workload == "" && in.listen == ""
+	return in.inR == "" && in.inS == "" && in.workload == "" && in.spec == "" && in.listen == ""
 }
 
 func (in inputs) load() (gen.Workload, error) {
@@ -346,12 +357,22 @@ func (in inputs) load() (gen.Workload, error) {
 		return w, nil
 	case in.inR != "" && in.inS != "":
 		return gen.LoadCSVWorkload("csv", in.inR, in.inS)
+	case in.spec != "":
+		data, err := os.ReadFile(in.spec)
+		if err != nil {
+			return gen.Workload{}, err
+		}
+		sp, err := workloadspec.Parse(data)
+		if err != nil {
+			return gen.Workload{}, err
+		}
+		return workloadspec.Compile(sp, workloadspec.Options{BaseDir: filepath.Dir(in.spec)})
 	case in.workload == "Micro":
 		return gen.Micro(in.micro), nil
 	case in.workload != "":
 		return gen.ByName(in.workload, gen.Scale(in.scale), in.seed)
 	}
-	return gen.Workload{}, fmt.Errorf("iawjjoin: provide -inR/-inS, -workload, or -listen")
+	return gen.Workload{}, fmt.Errorf("iawjjoin: provide -inR/-inS, -workload, -spec, or -listen")
 }
 
 // printStats prints the workload's Table 3 row.

@@ -200,6 +200,8 @@ func TestFlagOutsideItsModeExits2(t *testing.T) {
 		{"-advise", "-journal", "j.jsonl"},
 		{"-stats", "-advise"},
 		{"-workload", "Stock", "-rate", "100"},
+		{"-spec", mixedSpec, "-seed", "7"},
+		{"-spec", mixedSpec, "-out", "x", "-scale", "0.5"},
 		{"-workload", "Stock", "-algorithm", "all"},
 		{"-workload", "Stock", "-advise", "-algorithm", "NPJ"},
 	} {
@@ -207,6 +209,69 @@ func TestFlagOutsideItsModeExits2(t *testing.T) {
 			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming %s", args, code, stderr, args[len(args)-2])
 		}
 	}
+}
+
+// mixedSpec is the checked-in three-client spec: 1000 ms of arrivals in
+// two 500 ms windows, one client replaying a recorded journal.
+const mixedSpec = "../../examples/specs/mixed.json"
+
+// TestSpecIsAnInput: a workload spec is one more input of every mode. The
+// joins run on the spec's tuples through the join's own arrival clock, so
+// a paced window reports the latency its arrivals saw.
+func TestSpecIsAnInput(t *testing.T) {
+	t.Run("join", func(t *testing.T) {
+		out, stderr, code := iawjjoin(t, "-spec", mixedSpec, "-atrest", "-algorithm", "SHJ_JM")
+		if code != 0 || !strings.HasPrefix(out, "workload    mixed-3client (|R|=19502 |S|=20101 window=500ms atRest=true)\n") ||
+			!strings.Contains(out, "algorithm   SHJ_JM") {
+			t.Fatalf("exit %d, stdout %q\n%s", code, out, stderr)
+		}
+	})
+	t.Run("windowed journal", func(t *testing.T) {
+		for _, atRest := range []bool{true, false} {
+			args := []string{"-spec", mixedSpec, "-windowms", "500", "-algorithm", "SHJ_JM", "-format", "json"}
+			if atRest {
+				args = append(args, "-atrest")
+			}
+			out, stderr, code := iawjjoin(t, args...)
+			if code != 0 {
+				t.Fatalf("%v: exit %d\n%s", args, code, stderr)
+			}
+			j, err := trace.ReadJournal(strings.NewReader(out))
+			if err != nil {
+				t.Fatalf("%v: stdout is not a journal: %v\n%s", args, err, out)
+			}
+			var matches int64
+			for _, e := range j.Windows {
+				matches += e.Matches
+				if e.Runtime == nil || (!atRest && e.LatencyP95Ms <= 0) {
+					t.Errorf("%v: window %d record: runtime %v, p95 latency %d ms", args, e.Window.ID, e.Runtime != nil, e.LatencyP95Ms)
+				}
+			}
+			if len(j.Windows) != 2 || matches != 49500 {
+				t.Fatalf("%v: %d window records, %d matches; want 2 windows, 49500 matches\n%s", args, len(j.Windows), matches, out)
+			}
+		}
+	})
+	t.Run("stats and advise", func(t *testing.T) {
+		out, stderr, code := iawjjoin(t, "-spec", mixedSpec, "-stats")
+		if code != 0 || !strings.HasPrefix(out, "mixed-3client |R|=19502    |S|=20101 ") {
+			t.Fatalf("-stats: exit %d, stdout %q\n%s", code, out, stderr)
+		}
+		out, stderr, code = iawjjoin(t, "-spec", mixedSpec, "-advise", "-threads", "2")
+		if code != 0 || !strings.HasPrefix(out, "recommended: ") {
+			t.Fatalf("-advise: exit %d, stdout %q\n%s", code, out, stderr)
+		}
+	})
+	t.Run("strict parse", func(t *testing.T) {
+		bad := filepath.Join(t.TempDir(), "classed.json")
+		spec := `{"version": 1, "name": "classed", "seed": 1, "preset": {"name": "Stock", "scale": 0.01, "slo_class": "gold"}}`
+		if err := os.WriteFile(bad, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, stderr, code := iawjjoin(t, "-spec", bad); code != 1 || !strings.Contains(stderr, `unknown field "slo_class"`) {
+			t.Fatalf("exit %d, stderr %q; want exit 1 naming slo_class", code, stderr)
+		}
+	})
 }
 
 // TestRetiredFlagsAreGone: a retired flag is not a flag at all, so asking

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cachesim"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/joins"
@@ -87,10 +86,6 @@ type Config struct {
 	// delivered.
 	Emit func(JoinResult)
 
-	// Tracer feeds a cache simulation during profile runs; use
-	// NewCacheSim. Profile runs should use Threads: 1.
-	Tracer Tracer
-
 	// Trace records per-worker phase spans into the recorder (see
 	// NewTraceRecorder and OBSERVABILITY.md); nil disables tracing at
 	// zero cost.
@@ -149,15 +144,6 @@ func NewTraceRecorder(workers, spansPerWorker int) *TraceRecorder {
 	return trace.NewRecorder(workers, spansPerWorker)
 }
 
-// Tracer is the cache-simulation hook; see NewCacheSim.
-type Tracer = cachesim.Tracer
-
-// NewCacheSim returns a simulated three-level cache hierarchy shaped like
-// the paper's evaluation platform, usable as Config.Tracer.
-func NewCacheSim() *cachesim.Hierarchy {
-	return cachesim.New(cachesim.DefaultConfig())
-}
-
 // NewAlgorithm instantiates an algorithm by its paper name: one of
 // Algorithms(), or HANDSHAKE for the related-work baseline. The names and
 // their implementations are one table, internal/joins.
@@ -214,7 +200,6 @@ func join(r, s Relation, cfg Config, baseTS int64, out *core.Outbox) (Result, er
 			BatchSize:    cfg.BatchSize,
 			SpillDir:     cfg.SpillDir,
 		},
-		Tracer:    cfg.Tracer,
 		Trace:     cfg.Trace,
 		Emit:      cfg.Emit,
 		Out:       out,

@@ -58,28 +58,6 @@ func (c *Scaled) AtRest() bool { return false }
 // ElapsedNs is the raw real time elapsed since the clock started.
 func (c *Scaled) ElapsedNs() int64 { return int64(time.Since(c.start)) }
 
-// Instant is a Source for data at rest: every tuple is available
-// immediately, and NowMs reports real elapsed milliseconds of processing
-// time so throughput and progressiveness remain meaningful.
-type Instant struct {
-	start time.Time
-}
-
-// NewInstant returns a data-at-rest clock.
-func NewInstant() *Instant { return &Instant{start: time.Now()} }
-
-// NowMs implements Source.
-func (c *Instant) NowMs() int64 { return int64(time.Since(c.start) / time.Millisecond) }
-
-// NowUs returns elapsed microseconds, for finer-grained progress curves.
-func (c *Instant) NowUs() int64 { return int64(time.Since(c.start) / time.Microsecond) }
-
-// Avail implements Source: everything has arrived.
-func (c *Instant) Avail(int64) bool { return true }
-
-// AtRest implements Source.
-func (c *Instant) AtRest() bool { return true }
-
 // Static is the at-rest variant of Scaled: time advances at the same
 // compressed tick rate (so throughput/latency units stay comparable with
 // streaming runs and short static joins still resolve), but arrival gating

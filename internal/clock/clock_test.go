@@ -56,23 +56,9 @@ func TestScaledDefaultsOnBadInput(t *testing.T) {
 	}
 }
 
-func TestInstant(t *testing.T) {
-	c := NewInstant()
-	if !c.AtRest() {
-		t.Fatal("instant clock must report at rest")
-	}
-	if !c.Avail(1 << 40) {
-		t.Fatal("instant clock must make any timestamp available")
-	}
-	if c.NowUs() < 0 {
-		t.Fatal("NowUs must be non-negative")
-	}
-}
-
 func TestSourceInterfaceSatisfaction(t *testing.T) {
 	var _ Source = NewManual()
 	var _ Source = NewScaled(1)
-	var _ Source = NewInstant()
 }
 
 func TestStaticClock(t *testing.T) {

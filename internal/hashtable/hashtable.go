@@ -281,11 +281,16 @@ type Table struct {
 	base   uint64 // logical base address for tracing
 }
 
-// New creates a table with capacity hint n tuples. The bucket directory is
-// sized to roughly one bucket per expected tuple pair, rounded to a power
-// of two, as in the original benchmark.
+// DirBits is the log2 of the bucket directory New, NewShared and both
+// Grows size for a capacity hint of n tuples: one bucket per expected
+// tuple pair, rounded up to a power of two, as in the original benchmark.
+// The pool keys its table freelists by it.
+func DirBits(n int) int { return bits.Len(uint(max((n+1)/2, 1) - 1)) }
+
+// New creates a table with capacity hint n tuples and a DirBits(n)
+// directory.
 func New(n int) *Table {
-	nb := nextPow2((n + 1) / 2)
+	nb := 1 << DirBits(n)
 	return &Table{buckets: make([]bucket, nb), mask: uint32(nb - 1), pref: probePrefetch.Load()}
 }
 
@@ -302,7 +307,7 @@ func (t *Table) SetShift(shift int) {
 // The store survives, so a pooled table keeps its overflow buckets and its
 // arena across windows of growing size.
 func (t *Table) Grow(n int) {
-	nb := nextPow2((n + 1) / 2)
+	nb := 1 << DirBits(n)
 	if nb <= len(t.buckets) {
 		return
 	}
@@ -326,7 +331,8 @@ func (t *Table) Reset() {
 	t.base = 0
 }
 
-// DirBuckets reports the directory size, the pool's size-class key.
+// DirBuckets reports the directory size, 1 << DirBits of the largest
+// capacity hint it was sized for.
 func (t *Table) DirBuckets() int { return len(t.buckets) }
 
 // SetTracer attaches a cache-simulation tracer; base distinguishes this
@@ -378,7 +384,7 @@ type sharedBucket struct { //lint:allow falseshare compact bucket directory is i
 
 // NewShared creates a concurrently writable table sized for n tuples.
 func NewShared(n int) *Shared {
-	nb := nextPow2((n + 1) / 2)
+	nb := 1 << DirBits(n)
 	t := &Shared{buckets: make([]sharedBucket, nb), mask: uint32(nb - 1), pref: probePrefetch.Load()}
 	t.store.mu = &t.storeMu
 	return t
@@ -388,7 +394,7 @@ func NewShared(n int) *Shared {
 // discarding contents) when too small. Not safe for concurrent use; call
 // between windows.
 func (t *Shared) Grow(n int) {
-	nb := nextPow2((n + 1) / 2)
+	nb := 1 << DirBits(n)
 	if nb <= len(t.buckets) {
 		return
 	}
@@ -412,7 +418,8 @@ func (t *Shared) Reset() {
 	t.base = 0
 }
 
-// DirBuckets reports the directory size, the pool's size-class key.
+// DirBuckets reports the directory size, 1 << DirBits of the largest
+// capacity hint it was sized for.
 func (t *Shared) DirBuckets() int { return len(t.buckets) }
 
 // SetTracer attaches a cache-simulation tracer. Only set it for
@@ -430,12 +437,4 @@ func (t *Shared) Size() int64 { return t.size.Load() }
 // table.
 func (t *Shared) MemBytes() int64 {
 	return int64(len(t.buckets))*bucketBytes + t.store.bytes()
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }

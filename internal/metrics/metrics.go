@@ -196,14 +196,6 @@ type Result struct {
 	// Matches/SinkRuns is what one sink call amortizes over.
 	SinkRuns int64
 
-	// WindowID / WindowStartMs / WindowEndMs identify the source window
-	// when the run is one window of a windowed sweep (stream.go stamps
-	// them); all zero for single-window joins. The journal's window records
-	// carry them downstream.
-	WindowID      int
-	WindowStartMs int64
-	WindowEndMs   int64
-
 	// LastMatchMs is the simulated timestamp of the final match; the
 	// paper's throughput definition divides total inputs by it.
 	LastMatchMs int64

@@ -91,22 +91,22 @@ func specMicroWorkload(seed uint64) (gen.Workload, error) {
 		RateS:    8,
 		Clients: []workloadspec.Client{
 			{
-				ID: "steady", RateFraction: 0.5, SLOClass: "gold",
+				ID: "steady", RateFraction: 0.5,
 				Arrival: workloadspec.ArrivalSpec{Process: workloadspec.ProcConstant},
 				Keys:    workloadspec.KeySpec{Dist: workloadspec.KeysZipf, Domain: 64, Theta: 0.9},
 			},
 			{
-				ID: "bursty", RateFraction: 0.5, SLOClass: "bronze",
+				ID: "bursty", RateFraction: 0.5,
 				Arrival: workloadspec.ArrivalSpec{Process: workloadspec.ProcGamma, CV: 2},
 				Keys:    workloadspec.KeySpec{Dist: workloadspec.KeysUniform, Domain: 64},
 			},
 		},
 	}
-	c, err := workloadspec.Compile(sp, workloadspec.Options{})
+	w, err := workloadspec.Compile(sp, workloadspec.Options{})
 	if err != nil {
 		return gen.Workload{}, fmt.Errorf("oracle: specmicro: %w", err)
 	}
-	return c.Workload, nil
+	return w, nil
 }
 
 // boundaryWorkload builds the window-edge stress shape: a 16 ms window

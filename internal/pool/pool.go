@@ -140,25 +140,6 @@ func New() *Pool {
 	return &Pool{}
 }
 
-// sizeClass maps a directory bucket count (a power of two) to its class.
-func sizeClass(nb int) int {
-	c := 0
-	for nb > 1 && c < classes-1 {
-		nb >>= 1
-		c++
-	}
-	return c
-}
-
-// dirFor mirrors hashtable's directory sizing for a tuple capacity hint.
-func dirFor(n int) int {
-	nb := 1
-	for nb < (n+1)/2 {
-		nb <<= 1
-	}
-	return nb
-}
-
 // Table returns a single-writer table sized for n tuples with the given
 // hash shift, recycled when one of the right size class is free.
 func (p *Pool) Table(n, shift int) *hashtable.Table {
@@ -167,7 +148,7 @@ func (p *Pool) Table(n, shift int) *hashtable.Table {
 		t.SetShift(shift)
 		return t
 	}
-	c := sizeClass(dirFor(n))
+	c := min(hashtable.DirBits(n), classes-1)
 	p.mu.Lock()
 	var t *hashtable.Table
 	if l := len(p.tables[c]); l > 0 {
@@ -193,7 +174,7 @@ func (p *Pool) PutTable(t *hashtable.Table) {
 		return
 	}
 	t.Reset()
-	c := sizeClass(t.DirBuckets())
+	c := min(bits.Len(uint(t.DirBuckets()))-1, classes-1)
 	p.mu.Lock()
 	p.tables[c] = append(p.tables[c], t)
 	p.stats.RetainedBytes += t.MemBytes()
@@ -205,7 +186,7 @@ func (p *Pool) Shared(n int) *hashtable.Shared {
 	if p == nil {
 		return hashtable.NewShared(n)
 	}
-	c := sizeClass(dirFor(n))
+	c := min(hashtable.DirBits(n), classes-1)
 	p.mu.Lock()
 	var t *hashtable.Shared
 	if l := len(p.shared[c]); l > 0 {
@@ -231,7 +212,7 @@ func (p *Pool) PutShared(t *hashtable.Shared) {
 		return
 	}
 	t.Reset()
-	c := sizeClass(t.DirBuckets())
+	c := min(bits.Len(uint(t.DirBuckets()))-1, classes-1)
 	p.mu.Lock()
 	p.shared[c] = append(p.shared[c], t)
 	p.stats.RetainedBytes += t.MemBytes()

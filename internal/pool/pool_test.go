@@ -73,7 +73,8 @@ func TestTableRoundTripSameClass(t *testing.T) {
 // TestDirectoryIsOneBucketPerTuplePair: a capacity hint of n tuples gets
 // the least power of two of buckets that holds its n/2 pairs — 2^(k-1) at
 // n = 2^k, not twice that — from hashtable.New, NewShared and both Grows
-// alike, and dirFor, the pool's size-class key, agrees with them.
+// alike: the one rule, hashtable.DirBits, which the pool keys its table
+// freelists by.
 func TestDirectoryIsOneBucketPerTuplePair(t *testing.T) {
 	for k := 1; k <= 16; k++ {
 		for _, n := range []int{1<<k - 1, 1 << k, 1<<k + 1} {
@@ -84,9 +85,9 @@ func TestDirectoryIsOneBucketPerTuplePair(t *testing.T) {
 			grown, grownShared := hashtable.New(0), hashtable.NewShared(0)
 			grown.Grow(n)
 			grownShared.Grow(n)
-			got := [...]int{dirFor(n), hashtable.New(n).DirBuckets(), hashtable.NewShared(n).DirBuckets(), grown.DirBuckets(), grownShared.DirBuckets()}
+			got := [...]int{1 << hashtable.DirBits(n), hashtable.New(n).DirBuckets(), hashtable.NewShared(n).DirBuckets(), grown.DirBuckets(), grownShared.DirBuckets()}
 			if got != [...]int{want, want, want, want, want} {
-				t.Fatalf("n = %d: dirFor, New, NewShared, Table.Grow, Shared.Grow give %v buckets, want %d", n, got, want)
+				t.Fatalf("n = %d: DirBits, New, NewShared, Table.Grow, Shared.Grow give %v buckets, want %d", n, got, want)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/gen"
-	"repro/internal/ingest"
 	"repro/internal/trace"
 	"repro/internal/tuple"
 )
@@ -22,91 +21,41 @@ type Options struct {
 	Journals map[string]trace.Journal
 }
 
-// Compiled is the deterministic lowering of a spec: the merged workload in
-// the gen.Workload shape every driver consumes, plus the per-tuple SLO
-// class labels the open-loop harness reports by.
-type Compiled struct {
-	Spec     *Spec
-	Workload gen.Workload
-	// Classes lists the distinct SLO class names in first-seen client
-	// order; RClass/SClass label every tuple of R/S with an index into it.
-	Classes []string
-	RClass  []uint8
-	SClass  []uint8
-}
-
-// Compile lowers the spec to its workload. The same spec and seed always
-// yield the same tuples — compilation draws every random value from
-// sub-seeds mixed out of Spec.Seed and the client's position.
-func Compile(sp *Spec, opt Options) (*Compiled, error) {
+// Compile lowers the spec to its workload, in the gen.Workload shape every
+// join driver consumes. The same spec and seed always yield the same
+// tuples — compilation draws every random value from sub-seeds mixed out
+// of Spec.Seed and the client's position.
+func Compile(sp *Spec, opt Options) (gen.Workload, error) {
 	if err := sp.Validate(); err != nil {
-		return nil, err
+		return gen.Workload{}, err
 	}
 	if sp.Preset != nil {
 		return compilePreset(sp)
 	}
-
-	c := &Compiled{Spec: sp}
-	classOf := make([]uint8, len(sp.Clients))
-	classIdx := map[string]uint8{}
-	for i := range sp.Clients {
-		name := sp.Clients[i].SLOClass
-		if name == "" {
-			name = "default"
-		}
-		idx, ok := classIdx[name]
-		if !ok {
-			if len(c.Classes) > 255 {
-				return nil, fmt.Errorf("workloadspec: more than 256 SLO classes")
-			}
-			idx = uint8(len(c.Classes))
-			classIdx[name] = idx
-			c.Classes = append(c.Classes, name)
-		}
-		classOf[i] = idx
-	}
-
 	profiles, err := resolveProfiles(sp, opt)
 	if err != nil {
-		return nil, err
+		return gen.Workload{}, err
 	}
-
-	r, rClass, err := compileStream(sp, 'R', sp.RateR, classOf, profiles)
-	if err != nil {
-		return nil, err
-	}
-	s, sClass, err := compileStream(sp, 'S', sp.RateS, classOf, profiles)
-	if err != nil {
-		return nil, err
-	}
-	c.Workload = gen.Workload{Name: sp.Name, R: r, S: s, WindowMs: sp.WindowMs}
-	c.RClass, c.SClass = rClass, sClass
-	return c, nil
+	return gen.Workload{
+		Name:     sp.Name,
+		R:        compileStream(sp, 'R', sp.RateR, profiles),
+		S:        compileStream(sp, 'S', sp.RateS, profiles),
+		WindowMs: sp.WindowMs,
+	}, nil
 }
 
 // compilePreset routes the spec through the paper-workload generator, so
 // a preset spec is byte-identical to its gen.* counterpart at the same
 // seed and scale (the digest-equality contract the tests pin).
-func compilePreset(sp *Spec) (*Compiled, error) {
+func compilePreset(sp *Spec) (gen.Workload, error) {
 	w, err := gen.ByName(sp.Preset.Name, gen.Scale(sp.Preset.Scale), sp.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("workloadspec: preset: %w", err)
-	}
-	class := sp.Preset.SLOClass
-	if class == "" {
-		class = "default"
-	}
-	c := &Compiled{
-		Spec:     sp,
-		Workload: w,
-		Classes:  []string{class},
-		RClass:   make([]uint8, len(w.R)),
-		SClass:   make([]uint8, len(w.S)),
+		return gen.Workload{}, fmt.Errorf("workloadspec: preset: %w", err)
 	}
 	if sp.WindowMs > 0 {
-		c.Workload.WindowMs = sp.WindowMs
+		w.WindowMs = sp.WindowMs
 	}
-	return c, nil
+	return w, nil
 }
 
 // resolveProfiles loads every trace-replay client's journal profile once.
@@ -150,13 +99,12 @@ type pendingTuple struct {
 	key        int32
 	payload    int32
 	hasPayload bool
-	class      uint8
 }
 
 // compileStream generates every contributing client's schedule for one
 // stream and merges them by arrival time. The merge is stable over the
 // client order, so ties at the same millisecond resolve deterministically.
-func compileStream(sp *Spec, stream byte, rate float64, classOf []uint8, profiles map[string]*TraceProfile) (tuple.Relation, []uint8, error) {
+func compileStream(sp *Spec, stream byte, rate float64, profiles map[string]*TraceProfile) tuple.Relation {
 	duration := float64(sp.duration())
 	var all []pendingTuple
 	for ci := range sp.Clients {
@@ -172,7 +120,7 @@ func compileStream(sp *Spec, stream byte, rate float64, classOf []uint8, profile
 		keys := newKeyDrawer(cl.Keys, mix64(base^0xbee5))
 		payloads := newPayloadDrawer(cl.Payload, mix64(base^0xca44))
 		for _, t := range times {
-			p := pendingTuple{ts: int64(t), key: keys(), class: classOf[ci]}
+			p := pendingTuple{ts: int64(t), key: keys()}
 			if payloads != nil {
 				p.payload = payloads()
 				p.hasPayload = true
@@ -182,16 +130,14 @@ func compileStream(sp *Spec, stream byte, rate float64, classOf []uint8, profile
 	}
 	sort.SliceStable(all, func(i, k int) bool { return all[i].ts < all[k].ts })
 	rel := make(tuple.Relation, len(all))
-	classes := make([]uint8, len(all))
 	for i, p := range all {
 		rel[i] = tuple.Tuple{TS: p.ts, Key: p.key, Payload: p.payload}
 		if !p.hasPayload {
 			// Stream-wide sequence, the gen.* payload convention.
 			rel[i].Payload = int32(i)
 		}
-		classes[i] = p.class
 	}
-	return rel, classes, nil
+	return rel
 }
 
 // feedsStream reports whether a client with the given stream selector
@@ -206,24 +152,4 @@ func feedsStream(sel string, stream byte) bool {
 		return stream == 'S'
 	}
 	return false
-}
-
-// Events merges the compiled R and S streams into one deadline-ordered
-// open-loop plan for ingest.OpenLoop: ties at the same millisecond
-// deliver R before S (the convention arrival-gated joins already assume
-// for build-before-probe determinism).
-func (c *Compiled) Events() []ingest.OpenEvent {
-	out := make([]ingest.OpenEvent, 0, len(c.Workload.R)+len(c.Workload.S))
-	r, s := c.Workload.R, c.Workload.S
-	i, k := 0, 0
-	for i < len(r) || k < len(s) {
-		if k >= len(s) || (i < len(r) && r[i].TS <= s[k].TS) {
-			out = append(out, ingest.OpenEvent{DueMs: r[i].TS, Stream: ingest.TagR, Class: c.RClass[i], Tuple: r[i]})
-			i++
-		} else {
-			out = append(out, ingest.OpenEvent{DueMs: s[k].TS, Stream: ingest.TagS, Class: c.SClass[k], Tuple: s[k]})
-			k++
-		}
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"repro/internal/gen"
 	"testing"
 )
 
@@ -20,23 +21,23 @@ func propertySpec(seed uint64) *Spec {
 		RateS:      25,
 		Clients: []Client{
 			{
-				ID: "steady", RateFraction: 0.40, SLOClass: "gold",
+				ID: "steady", RateFraction: 0.40,
 				Arrival: ArrivalSpec{Process: ProcConstant},
 				Keys:    KeySpec{Dist: KeysUniform, Domain: 4096},
 			},
 			{
-				ID: "web", RateFraction: 0.30, SLOClass: "gold", Stream: "R",
+				ID: "web", RateFraction: 0.30, Stream: "R",
 				Arrival: ArrivalSpec{Process: ProcPoisson},
 				Keys:    KeySpec{Dist: KeysZipf, Domain: 4096, Theta: 1.0},
 			},
 			{
-				ID: "batch", RateFraction: 0.20, SLOClass: "bronze", Stream: "S",
+				ID: "batch", RateFraction: 0.20, Stream: "S",
 				Arrival: ArrivalSpec{Process: ProcGamma, CV: 2},
 				Keys:    KeySpec{Dist: KeysHotset, Domain: 4096, HotKeys: 16, HotFrac: 0.8},
 				Payload: &PayloadSpec{Kind: PayloadUniform, Min: -8, Max: 8},
 			},
 			{
-				ID: "spiky", RateFraction: 0.10, SLOClass: "bronze",
+				ID: "spiky", RateFraction: 0.10,
 				Arrival: ArrivalSpec{Process: ProcMMPP, OnMs: 200, OffMs: 200},
 				Keys:    KeySpec{Dist: KeysUniform, Domain: 64},
 			},
@@ -44,29 +45,20 @@ func propertySpec(seed uint64) *Spec {
 	}
 }
 
-// TestCompiledSchedulesMonotone: every compiled stream must be
-// non-decreasing in arrival time — the contract the window slicer, the
-// open-loop driver, and every arrival-gated join assume.
+// TestCompiledSchedulesMonotone: R and S must each be non-decreasing in
+// arrival time — what core.Run requires of its inputs, and what the window
+// slicer and every arrival-gated join assume.
 func TestCompiledSchedulesMonotone(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		c, err := Compile(propertySpec(seed), Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !c.Workload.R.SortedByTS() {
+		if !c.R.SortedByTS() {
 			t.Fatalf("seed %d: compiled R stream not time-ordered", seed)
 		}
-		if !c.Workload.S.SortedByTS() {
+		if !c.S.SortedByTS() {
 			t.Fatalf("seed %d: compiled S stream not time-ordered", seed)
-		}
-		events := c.Events()
-		for i := 1; i < len(events); i++ {
-			if events[i].DueMs < events[i-1].DueMs {
-				t.Fatalf("seed %d: merged plan decreases at %d (%d after %d)", seed, i, events[i].DueMs, events[i-1].DueMs)
-			}
-			if events[i].DueMs == events[i-1].DueMs && events[i-1].Stream == 'S' && events[i].Stream == 'R' {
-				t.Fatalf("seed %d: tie at ms %d delivers S before R", seed, events[i].DueMs)
-			}
 		}
 	}
 }
@@ -103,8 +95,8 @@ func TestClientRatesSumToTarget(t *testing.T) {
 		rate float64
 		got  int
 	}{
-		{"R", sp.RateR * fracR, len(c.Workload.R)},
-		{"S", sp.RateS * fracS, len(c.Workload.S)},
+		{"R", sp.RateR * fracR, len(c.R)},
+		{"S", sp.RateS * fracS, len(c.S)},
 	} {
 		want := st.rate * dur
 		if dev := math.Abs(float64(st.got)-want) / want; dev > 0.01 {
@@ -128,8 +120,8 @@ func TestClientRatesSumToTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mp.RateR * float64(mp.DurationMs)
-	if dev := math.Abs(float64(len(mc.Workload.R))-want) / want; dev > 0.10 {
-		t.Errorf("mmpp: %d tuples vs target %.0f — %.1f%% off, want within 10%%", len(mc.Workload.R), want, dev*100)
+	if dev := math.Abs(float64(len(mc.R))-want) / want; dev > 0.10 {
+		t.Errorf("mmpp: %d tuples vs target %.0f — %.1f%% off, want within 10%%", len(mc.R), want, dev*100)
 	}
 }
 
@@ -194,24 +186,18 @@ func TestCompileDeterministic(t *testing.T) {
 }
 
 // sameWorkload compares two compilations tuple-for-tuple.
-func sameWorkload(a, b *Compiled) error {
-	if len(a.Workload.R) != len(b.Workload.R) || len(a.Workload.S) != len(b.Workload.S) {
-		return fmt.Errorf("sizes differ: R %d vs %d, S %d vs %d", len(a.Workload.R), len(b.Workload.R), len(a.Workload.S), len(b.Workload.S))
+func sameWorkload(a, b gen.Workload) error {
+	if len(a.R) != len(b.R) || len(a.S) != len(b.S) {
+		return fmt.Errorf("sizes differ: R %d vs %d, S %d vs %d", len(a.R), len(b.R), len(a.S), len(b.S))
 	}
-	for i := range a.Workload.R {
-		if a.Workload.R[i] != b.Workload.R[i] {
-			return fmt.Errorf("R[%d]: %+v vs %+v", i, a.Workload.R[i], b.Workload.R[i])
-		}
-		if a.RClass[i] != b.RClass[i] {
-			return fmt.Errorf("RClass[%d]: %d vs %d", i, a.RClass[i], b.RClass[i])
+	for i := range a.R {
+		if a.R[i] != b.R[i] {
+			return fmt.Errorf("R[%d]: %+v vs %+v", i, a.R[i], b.R[i])
 		}
 	}
-	for i := range a.Workload.S {
-		if a.Workload.S[i] != b.Workload.S[i] {
-			return fmt.Errorf("S[%d]: %+v vs %+v", i, a.Workload.S[i], b.Workload.S[i])
-		}
-		if a.SClass[i] != b.SClass[i] {
-			return fmt.Errorf("SClass[%d]: %d vs %d", i, a.SClass[i], b.SClass[i])
+	for i := range a.S {
+		if a.S[i] != b.S[i] {
+			return fmt.Errorf("S[%d]: %+v vs %+v", i, a.S[i], b.S[i])
 		}
 	}
 	return nil

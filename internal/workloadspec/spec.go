@@ -1,9 +1,10 @@
-// Package workloadspec is the production workload-description layer:
-// a JSON spec names N heterogeneous clients — each with a rate fraction,
-// an SLO class, an arrival process, a key-domain distribution, and payload
-// sizing — and a deterministic compiler lowers the spec to per-client
-// arrival schedules merged into the gen.Workload shape every join driver
-// already consumes.
+// Package workloadspec is the workload-description layer: a JSON spec
+// names N heterogeneous clients — each with a rate fraction, an arrival
+// process, a key-domain distribution, and payload sizing — and a
+// deterministic compiler lowers the spec to per-client arrival schedules
+// merged into the gen.Workload shape every join driver already consumes.
+// A spec is one input of cmd/iawjjoin (-spec), beside CSV files, the named
+// workloads and TCP streams.
 //
 // The client-decomposition design follows ServeGen (heterogeneous clients
 // with skewed rates and bursty arrival processes) adapted to stream joins:
@@ -11,8 +12,8 @@
 // offered rate of a stream is split by the clients' rate fractions. A spec
 // can instead name one of the paper's four real-world workloads (Stock,
 // Rovio, YSB, DEBS) as a preset, in which case compilation routes through
-// the exact gen.* generator — same seed, byte-identical tuples — so the
-// open-loop harness and the closed-loop benchmarks drive one generator.
+// the exact gen.* generator — same seed, byte-identical tuples — so a
+// spec and the named workload drive one generator.
 //
 // Everything is deterministic: the same spec (same seed) always compiles
 // to the same tuples, which is what lets the conformance oracle and the
@@ -67,9 +68,6 @@ type Preset struct {
 	// Scale shrinks the paper magnitudes (gen.Scale); 1 approximates the
 	// published sizes.
 	Scale float64 `json:"scale"`
-	// SLOClass labels all preset traffic for per-class reporting;
-	// defaults to "default".
-	SLOClass string `json:"slo_class,omitempty"`
 }
 
 // Client is one traffic source of a multi-client spec.
@@ -82,9 +80,6 @@ type Client struct {
 	// RateFraction is this client's share of the stream's target rate;
 	// all clients' fractions must sum to 1.
 	RateFraction float64 `json:"rate_fraction"`
-	// SLOClass groups clients for per-class throughput/latency reporting;
-	// defaults to "default".
-	SLOClass string `json:"slo_class,omitempty"`
 	// Arrival selects the inter-arrival process.
 	Arrival ArrivalSpec `json:"arrival"`
 	// Keys selects the join-key distribution.

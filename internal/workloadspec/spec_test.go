@@ -81,7 +81,7 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 // TestPresetDigestEquality is the reproduction contract for the four paper
 // workloads: a preset spec must compile byte-identically to its gen.*
 // generator at the same seed and scale, so results driven from checked-in
-// specs are directly comparable to the closed-loop benchmarks.
+// specs are directly comparable to the named workloads.
 func TestPresetDigestEquality(t *testing.T) {
 	for _, name := range []string{"Stock", "Rovio", "YSB", "DEBS"} {
 		sp := &Spec{
@@ -96,24 +96,21 @@ func TestPresetDigestEquality(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: gen.ByName: %v", name, err)
 		}
-		if len(c.Workload.R) != len(w.R) || len(c.Workload.S) != len(w.S) {
-			t.Fatalf("%s: sizes differ: spec %d/%d vs gen %d/%d", name, len(c.Workload.R), len(c.Workload.S), len(w.R), len(w.S))
+		if len(c.R) != len(w.R) || len(c.S) != len(w.S) {
+			t.Fatalf("%s: sizes differ: spec %d/%d vs gen %d/%d", name, len(c.R), len(c.S), len(w.R), len(w.S))
 		}
 		for i := range w.R {
-			if c.Workload.R[i] != w.R[i] {
-				t.Fatalf("%s: R[%d] differs: %+v vs %+v", name, i, c.Workload.R[i], w.R[i])
+			if c.R[i] != w.R[i] {
+				t.Fatalf("%s: R[%d] differs: %+v vs %+v", name, i, c.R[i], w.R[i])
 			}
 		}
 		for i := range w.S {
-			if c.Workload.S[i] != w.S[i] {
-				t.Fatalf("%s: S[%d] differs: %+v vs %+v", name, i, c.Workload.S[i], w.S[i])
+			if c.S[i] != w.S[i] {
+				t.Fatalf("%s: S[%d] differs: %+v vs %+v", name, i, c.S[i], w.S[i])
 			}
 		}
-		if c.Workload.WindowMs != w.WindowMs {
-			t.Fatalf("%s: window %d vs %d", name, c.Workload.WindowMs, w.WindowMs)
-		}
-		if len(c.RClass) != len(w.R) || len(c.SClass) != len(w.S) {
-			t.Fatalf("%s: class labels not tuple-aligned", name)
+		if c.WindowMs != w.WindowMs {
+			t.Fatalf("%s: window %d vs %d", name, c.WindowMs, w.WindowMs)
 		}
 	}
 }
@@ -166,54 +163,9 @@ func TestTraceReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestEventsMergeOrdering: the merged open-loop plan must be deadline
-// ordered with R before S on ties, and must contain every tuple exactly
-// once with its class label.
-func TestEventsMergeOrdering(t *testing.T) {
-	c, err := Compile(propertySpec(2), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := c.Events()
-	if len(events) != len(c.Workload.R)+len(c.Workload.S) {
-		t.Fatalf("plan has %d events, want %d", len(events), len(c.Workload.R)+len(c.Workload.S))
-	}
-	var nr, ns int
-	for i := range events {
-		if i > 0 {
-			if events[i].DueMs < events[i-1].DueMs {
-				t.Fatalf("plan decreases at %d", i)
-			}
-			if events[i].DueMs == events[i-1].DueMs && events[i-1].Stream == 'S' && events[i].Stream == 'R' {
-				t.Fatalf("tie at ms %d delivers S before R", events[i].DueMs)
-			}
-		}
-		switch events[i].Stream {
-		case 'R':
-			if events[i].Tuple != c.Workload.R[nr] || events[i].Class != c.RClass[nr] {
-				t.Fatalf("event %d does not match R[%d]", i, nr)
-			}
-			nr++
-		case 'S':
-			if events[i].Tuple != c.Workload.S[ns] || events[i].Class != c.SClass[ns] {
-				t.Fatalf("event %d does not match S[%d]", i, ns)
-			}
-			ns++
-		default:
-			t.Fatalf("event %d has stream %q", i, events[i].Stream)
-		}
-		if events[i].DueMs != events[i].Tuple.TS {
-			t.Fatalf("event %d deadline %d != tuple TS %d", i, events[i].DueMs, events[i].Tuple.TS)
-		}
-	}
-	if nr != len(c.Workload.R) || ns != len(c.Workload.S) {
-		t.Fatalf("plan consumed %d/%d R and %d/%d S tuples", nr, len(c.Workload.R), ns, len(c.Workload.S))
-	}
-}
-
 // TestCheckedInSpecs compiles every spec under examples/specs — the same
-// files check.sh's load-smoke stage validates — so a broken example fails
-// in-tree before it fails in CI.
+// files the spec-smoke stage inspects and joins — so a broken example
+// fails in-tree before it fails in CI.
 func TestCheckedInSpecs(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "specs")
 	entries, err := os.ReadDir(dir)
@@ -240,7 +192,7 @@ func TestCheckedInSpecs(t *testing.T) {
 			t.Errorf("%s: compile: %v", e.Name(), err)
 			continue
 		}
-		if len(c.Workload.R) == 0 && len(c.Workload.S) == 0 {
+		if len(c.R) == 0 && len(c.S) == 0 {
 			t.Errorf("%s: compiled to an empty workload", e.Name())
 		}
 	}

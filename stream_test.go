@@ -281,16 +281,6 @@ func TestJoinWindowedJournalRoundTrip(t *testing.T) {
 	if j.Env != nil && j.Env.ProbePrefetch != hashtable.ProbePrefetchDistance() {
 		t.Errorf("header records probe_prefetch %d, the process runs at %d", j.Env.ProbePrefetch, hashtable.ProbePrefetchDistance())
 	}
-	// The result side carries the same identity via core.ExecContext.
-	for i, wr := range results {
-		if wr.Result.Algorithm == "" {
-			continue
-		}
-		if wr.Result.WindowID != i || wr.Result.WindowStartMs != wr.Start || wr.Result.WindowEndMs != wr.End {
-			t.Errorf("result %d window tag = %d [%d,%d), want %d [%d,%d)", i,
-				wr.Result.WindowID, wr.Result.WindowStartMs, wr.Result.WindowEndMs, i, wr.Start, wr.End)
-		}
-	}
 }
 
 // TestJoinWindowedParallelJournal checks the concurrent driver writes the
