@@ -77,7 +77,7 @@ fuzz-smoke:
 ## the checked-in BENCH_3.json must parse and record no variant below 1.0x
 ## of its baseline (re-record with `make bench-kernels` after a kernel change)
 bench-smoke:
-	$(GO) test -race -run '^$$' -bench '^Benchmark(Kernel|Outbox)' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge
+	$(GO) test -race -run '^$$' -bench '^Benchmark(Kernel|Outbox)' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge ./internal/eager
 	$(INSPECT) BENCH_3.json
 
 ## bench-kernels: kernel-layer sweep (partition/partition_build/build/probe/sink/sort),

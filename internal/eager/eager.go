@@ -38,15 +38,21 @@ const (
 type distribution struct {
 	threads int
 	tid     int
-	// JB parameters; groups == 0 selects JM.
+	// JB parameters; groups == 0 selects JM. group is this worker's core
+	// group, member its place among the group's groupSize workers.
 	groups    int
 	groupSize int
+	group     int
+	member    int
 
 	// status is the JB router's dispatch bookkeeping: after each tuple
 	// is dispatched the system records the result for future reference
 	// (Section 5.3.3); this per-tuple status maintenance is the overhead
-	// the paper identifies.
-	status statusTable
+	// the paper identifies. A tuple's status is written once, by the
+	// worker that keeps it; pending holds the writes staged but not yet
+	// made.
+	status  statusTable
+	pending statusStage
 
 	// tracer models the router's memory traffic (and the cursors' stream
 	// reads) in profile runs: the content-sensitive JB scheme accesses
@@ -59,18 +65,15 @@ type distribution struct {
 // addresses — beyond a scaled L2, within a scaled L3).
 const statusRegion = 1 << 20 // 1Mi entries * 16 bytes
 
-// trace records one router-state access for key k.
-func (d *distribution) trace(k int32) {
-	if d.tracer == nil {
-		return
+// trace records, in a profile run, the routing of one tuple whose key
+// hashes to h, and the router-state access of its status write if this
+// worker makes it.
+func (d *distribution) trace(h uint32, write bool) {
+	d.tracer.Op(1) // JM: a modulo; JB: a hash and a modulo
+	if write {
+		d.tracer.Access(1<<52 + uint64(h%statusRegion)*16)
+		d.tracer.Op(2) // status update
 	}
-	if d.groups == 0 {
-		d.tracer.Op(1) // JM: a modulo, no state
-		return
-	}
-	h := hashtable.Hash(k) % statusRegion
-	d.tracer.Access(1<<52 + uint64(h)*16)
-	d.tracer.Op(3) // hash + status update
 }
 
 // newJM builds the join-matrix assignment: content-insensitive, R
@@ -92,6 +95,8 @@ func newJB(threads, tid, g, maxKeys int, p *pool.Pool) distribution {
 		tid:       tid,
 		groups:    threads / g,
 		groupSize: g,
+		group:     tid / g,
+		member:    tid % g,
 		status:    newStatusTable(maxKeys, p),
 	}
 }
@@ -102,20 +107,42 @@ func (d *distribution) release(p *pool.Pool) { d.status.release(p) }
 
 // owns reports whether this worker processes the tuple t at position i of
 // stream sd. Keys route by the hash the hash tables place them with, so
-// routing and placement agree.
+// routing and placement agree. Under JB it also stages the tuple's status
+// write if this worker is the one that makes it; flush makes what is
+// staged.
 func (d *distribution) owns(sd side, i int, t tuple.Tuple) bool {
-	d.trace(t.Key)
 	if d.groups == 0 {
 		// JM replicates R everywhere and deals S round-robin.
+		if d.tracer != nil {
+			d.trace(0, false)
+		}
 		return sd == sideR || i%d.threads == d.tid
 	}
 	h := hashtable.Hash(t.Key)
-	g := int32(h % uint32(d.groups))
-	d.status.set(t.Key, h, g) // router status maintenance
-	if int(g) != d.tid/d.groupSize {
+	if int(h%uint32(d.groups)) != d.group {
+		if d.tracer != nil {
+			d.trace(h, false)
+		}
 		return false
 	}
-	return sd == sideR || i%d.groupSize == d.tid%d.groupSize
+	// Within the group S goes to one member by position, and of R's g
+	// replicas the member S's rule picks records the status: across all
+	// workers each dispatched tuple is written exactly once.
+	writes := i%d.groupSize == d.member
+	if d.tracer != nil {
+		d.trace(h, writes)
+	}
+	if writes && d.pending.push(t.Key, h) {
+		d.flush()
+	}
+	return sd == sideR || writes
+}
+
+// flush makes the status writes owns has staged.
+func (d *distribution) flush() {
+	if d.pending.n > 0 {
+		d.status.flush(&d.pending, int32(d.group))
+	}
 }
 
 // estOwnersR estimates how many ways R is split, to size a worker's share
@@ -142,7 +169,8 @@ func (c *cursor) done() bool { return c.idx >= len(c.rel) }
 // past non-owned tuples too. gateMs is the round's arrival gate
 // (core.ExecContext.GateMs): a tuple stamped later has not arrived. It
 // returns the filled buffer and whether the scan stopped because the next
-// tuple has not arrived yet. d is an argument, not a cursor field: a cursor
+// tuple has not arrived yet. The status writes of the scanned tuples are
+// made before it returns. d is an argument, not a cursor field: a cursor
 // pointing into the worker that holds it would move the worker to the heap.
 //
 //iawj:hotpath
@@ -153,11 +181,12 @@ func (c *cursor) batch(buf []tuple.Tuple, max int, gateMs int64, atRest bool, d 
 	// the owns call mutates the cursor (LINTING.md §BCE).
 	rel, tr := c.rel, d.tracer
 	i := c.idx
+	waiting := false
 	for i >= 0 && i < len(rel) && taken < max {
 		t := rel[i]
 		if !atRest && t.TS > gateMs {
-			c.idx = i
-			return buf, true
+			waiting = true
+			break
 		}
 		if tr != nil {
 			tr.Access(c.base + uint64(i)*16)
@@ -170,7 +199,8 @@ func (c *cursor) batch(buf []tuple.Tuple, max int, gateMs int64, atRest bool, d 
 		i++
 	}
 	c.idx = i
-	return buf, false
+	d.flush()
+	return buf, waiting
 }
 
 // stall is how long a starved eager worker sleeps before re-polling.

@@ -2,6 +2,7 @@ package eager
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"slices"
 	"testing"
@@ -180,16 +181,105 @@ func TestDistributionOwnership(t *testing.T) {
 	}
 }
 
+// recorded returns what a status table holds, key → group.
+func (t *statusTable) recorded() map[int32]int32 {
+	m := map[int32]int32{}
+	for i := 0; i+1 < len(t.cells); i += 2 {
+		if t.cells[i+1] != 0 {
+			m[int32(t.cells[i])] = int32(t.cells[i+1]) - 1
+		}
+	}
+	return m
+}
+
+// statusWrites counts the router-state accesses a traced JB scan models:
+// one per status write (distribution.trace).
+type statusWrites struct{ n int }
+
+func (c *statusWrites) Access(addr uint64) {
+	if addr >= 1<<52 {
+		c.n++
+	}
+}
+
+func (c *statusWrites) Op(uint64) {}
+
+// TestJBStatusMaintenance pins the JB router's exactly-once status
+// maintenance over every worker of a join at Threads 4: the workers'
+// tables together hold every distinct key and nothing else, a key is only
+// in tables of its own group's workers, each dispatched tuple is written
+// once in all — so with every key distinct, each key is in exactly one
+// table — and the traced model sees one status access per write.
 func TestJBStatusMaintenance(t *testing.T) {
-	d := newJB(4, 0, 2, 50, nil)
-	for i := 0; i < 50; i++ {
-		d.owns(sideR, i, tuple.Tuple{Key: int32(i % 10)})
+	const threads = 4
+	unique := func(n, from int) tuple.Relation {
+		rel := make(tuple.Relation, n)
+		for i := range rel {
+			rel[i] = tuple.Tuple{Key: int32(from+i) * -7919} // both signs
+		}
+		return rel
 	}
-	if d.status.n != 10 {
-		t.Fatalf("router status must track dispatched keys: %d", d.status.n)
-	}
-	if d.statusBytes() == 0 {
-		t.Fatal("status bytes must be accounted")
+	dup := gen.MicroStatic(700, 500, 6, 0.5, 3)
+	for _, in := range []struct {
+		name     string
+		r, s     tuple.Relation
+		distinct bool
+	}{
+		{"distinct", unique(600, 0), unique(500, 600), true},
+		{"duplicates", dup.R, dup.S, false},
+	} {
+		keys := map[int32]bool{}
+		for _, x := range append(slices.Clone(in.r), in.s...) {
+			keys[x.Key] = true
+		}
+		for _, g := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/g=%d", in.name, g), func(t *testing.T) {
+				union := map[int32]int{} // key → tables that hold it
+				var written int
+				tr := &statusWrites{}
+				for tid := 0; tid < threads; tid++ {
+					d := newJB(threads, tid, g, len(in.r)+len(in.s), nil)
+					d.tracer = tr
+					for _, c := range []*cursor{{rel: in.r, side: sideR}, {rel: in.s, side: sideS}} {
+						for !c.done() {
+							c.batch(nil, 7, 0, true, &d) // partial blocks
+						}
+					}
+					if d.pending.n != 0 {
+						t.Fatalf("worker %d: %d status writes staged after its scans", tid, d.pending.n)
+					}
+					for key, group := range d.status.recorded() {
+						if !keys[key] {
+							t.Fatalf("worker %d records key %d, which no tuple has", tid, key)
+						}
+						if want := int(hashtable.Hash(key) % uint32(threads/g)); group != int32(want) || want != tid/g {
+							t.Fatalf("worker %d (group %d) records key %d as group %d; the key's group is %d", tid, tid/g, key, group, want)
+						}
+						union[key]++
+					}
+					if d.status.n > 0 && d.statusBytes() == 0 {
+						t.Fatalf("worker %d: %d keys recorded, no status bytes accounted", tid, d.status.n)
+					}
+					written += d.status.n
+				}
+				if len(union) != len(keys) {
+					t.Fatalf("the workers record %d keys together, want all %d", len(union), len(keys))
+				}
+				if dispatched := len(in.r) + len(in.s); tr.n != dispatched {
+					t.Fatalf("%d status writes traced for %d dispatched tuples", tr.n, dispatched)
+				}
+				if in.distinct || g == 1 {
+					for key, tables := range union {
+						if tables != 1 {
+							t.Fatalf("key %d is in %d tables, want one", key, tables)
+						}
+					}
+				}
+				if in.distinct && written != len(in.r)+len(in.s) {
+					t.Fatalf("%d distinct keys written for %d dispatched tuples", written, len(in.r)+len(in.s))
+				}
+			})
+		}
 	}
 	jm := newJM(4, 0)
 	if jm.statusBytes() != 0 {
@@ -323,6 +413,17 @@ func TestPMJSpillBadDir(t *testing.T) {
 	}
 }
 
+// setAll stages a status write of each key to group g and makes them.
+func (t *statusTable) setAll(keys []int32, g int32) {
+	var st statusStage
+	for _, key := range keys {
+		if st.push(key, hashtable.Hash(key)) {
+			t.flush(&st, g)
+		}
+	}
+	t.flush(&st, g)
+}
+
 // TestStatusTableSize pins the table to the smallest power of two that
 // holds maxKeys at load one half: a window of 2^k keys gets 2^(k+1) slots,
 // not the 2^(k+2) an off-by-one in the rounding used to hand out (64 MB
@@ -338,51 +439,54 @@ func TestStatusTableSize(t *testing.T) {
 		}
 	}
 	// At the documented worst case — every key distinct, load exactly one
-	// half — every set still finds a slot.
+	// half — every write still finds a slot; a slot is two cells.
 	const n = 1024
 	st := newStatusTable(n, nil)
-	if len(st.keys) != 2*n || len(st.vals) != 2*n || st.mask != 2*n-1 {
-		t.Fatalf("%d keys: %d key / %d value slots, mask %#x; want %d slots", n, len(st.keys), len(st.vals), st.mask, 2*n)
+	if len(st.cells) != 4*n || st.mask != 4*n-1 {
+		t.Fatalf("%d keys: %d cells, mask %#x; want %d slots of two cells", n, len(st.cells), st.mask, 2*n)
 	}
-	for i := 0; i < n; i++ {
-		st.set(int32(i), hashtable.Hash(int32(i)), 0)
+	keys := make([]int32, n)
+	for i := range keys {
+		keys[i] = int32(i)
 	}
+	st.setAll(keys, 0)
 	if st.n != n {
 		t.Fatalf("%d of %d distinct keys recorded", st.n, n)
 	}
 }
 
 // TestStatusTableRecordsLikeAMap checks the router's flat status table
-// against the Go map it replaced: same distinct-key count, last write wins,
-// negative keys and colliding slots included, on pooled arrays that come
-// back dirty.
+// against a Go map: same distinct-key count, last write wins, negative
+// keys, colliding slots and blocks cut short included, on pooled arrays
+// that come back dirty.
 func TestStatusTableRecordsLikeAMap(t *testing.T) {
 	p := pool.New()
 	for round := 0; round < 3; round++ {
 		const n = 3000
 		st := newStatusTable(n, p)
 		want := map[int32]int32{}
-		for i := 0; i < n; i++ {
-			key := int32(i*2654435761) % 977 // repeats, both signs
-			g := int32(i % 5)
-			st.set(key, hashtable.Hash(key), g)
-			want[key] = g
+		for i := 0; i < n; {
+			// Runs of 1 to 2*statusBlock writes per group: full blocks and
+			// partial ones.
+			g, run := int32(i%5), 1+i%(2*statusBlock)
+			var keys []int32
+			for ; run > 0 && i < n; run, i = run-1, i+1 {
+				key := int32(i*2654435761) % 977 // repeats, both signs
+				keys = append(keys, key)
+				want[key] = g
+			}
+			st.setAll(keys, g)
 		}
 		if st.n != len(want) {
 			t.Fatalf("round %d: %d distinct keys recorded, want %d", round, st.n, len(want))
 		}
-		for key, g := range want {
-			i := hashtable.Hash(key) & st.mask
-			for st.vals[i] != 0 && st.keys[i] != uint32(key) {
-				i = (i + 1) & st.mask
-			}
-			if st.vals[i] != uint32(g)+1 {
-				t.Fatalf("round %d: key %d records group %d, want %d", round, key, int32(st.vals[i])-1, g)
-			}
+		if got := st.recorded(); !maps.Equal(got, want) {
+			t.Fatalf("round %d: the table records %d keys unlike the map's %d", round, len(got), len(want))
 		}
 		st.release(p)
 	}
-	if misses := p.Stats().Misses[metrics.PoolU32]; misses != 2 {
-		t.Fatalf("three rounds allocated %d arrays, want the first round's two", misses)
+	// A round takes one array: key and group share it.
+	if misses := p.Stats().Misses[metrics.PoolU32]; misses != 1 {
+		t.Fatalf("three rounds allocated %d arrays, want the first round's one", misses)
 	}
 }

@@ -115,6 +115,49 @@ func TestReferenceMatchesNestedLoop(t *testing.T) {
 	}
 }
 
+// TestReferenceEdgeCasesMatchNestedLoop holds the sort-merge to the double
+// loop where a merge walk goes wrong: keys of both signs and at the int32
+// extremes (the packed sort flips the sign bit), runs of a key on both
+// sides, keys only one side has, and an empty side.
+func TestReferenceEdgeCasesMatchNestedLoop(t *testing.T) {
+	rel := func(keys ...int32) tuple.Relation {
+		out := make(tuple.Relation, len(keys))
+		for i, k := range keys {
+			out[i] = tuple.Tuple{TS: int64(i * 3), Key: k, Payload: int32(i) * 7}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		r, s tuple.Relation
+	}{
+		{"negative", rel(-1, -5, 3, math.MinInt32, -1), rel(math.MinInt32, -1, 3, -5, 0)},
+		{"a positive key only r has", rel(7, -3, 9), rel(-3, -8)},
+		{"duplicates both sides", rel(4, 4, 4, 2, 9, 2), rel(2, 4, 4, 2, 2, 9, 9)},
+		{"disjoint", rel(1, 3, 5, 7), rel(0, 2, 4, 6, math.MaxInt32)},
+		{"extremes", rel(math.MaxInt32, math.MinInt32, 0), rel(0, math.MinInt32, math.MaxInt32, math.MaxInt32)},
+		{"empty r", nil, rel(1, 2, 3)},
+		{"empty s", rel(1, 2, 3), rel()},
+	} {
+		if got, want := Reference(c.r, c.s), NestedLoop(c.r, c.s); got != want {
+			t.Errorf("%s: sort-merge reference %+v, nested loop %+v", c.name, got, want)
+		}
+	}
+	// Unsorted inputs with both signs and keys repeated on both sides, over
+	// overlapping key ranges: r's keys are in [-20, 20), s's in [-30, 10).
+	rng := rand.New(rand.NewPCG(5, 6))
+	r, s := make(tuple.Relation, 400), make(tuple.Relation, 300)
+	for k, side := range []tuple.Relation{r, s} {
+		for i := range side {
+			side[i] = tuple.Tuple{TS: rng.Int64N(1000), Key: rng.Int32N(40) - 20 - int32(10*k), Payload: rng.Int32()}
+		}
+	}
+	ref, nl := Reference(r, s), NestedLoop(r, s)
+	if ref != nl || ref.Full.Count == 0 {
+		t.Fatalf("random duplicates: sort-merge reference %+v, nested loop %+v", ref, nl)
+	}
+}
+
 func TestCaseSeedRoundTrip(t *testing.T) {
 	cases := []Case{
 		{Algorithm: "NPJ", Workload: WMicro, Threads: 1, Seed: 1},
