@@ -50,13 +50,16 @@ delivery-race:
 	$(GO) test -race -count=20 -run 'Outbox|Emit|Deliver' ./internal/core ./internal/oracle .
 
 ## trace-smoke: a scaled-down fig7 sweep with -trace and -journal must yield
-## a valid Chrome trace with spans for all six phases and a journal that parses
+## a valid Chrome trace with spans for all six phases and a journal that
+## parses; then every experiment runs once through the CLI at a tiny scale,
+## and a join failing anywhere in the evaluation exits 1
 trace-smoke:
 	rm -f $(SMOKE)-trace.json $(SMOKE)-runs.jsonl
 	$(GO) run ./cmd/iawjbench -exp fig7 -scale 0.01 -spancap 65536 -trace $(SMOKE)-trace.json -journal $(SMOKE)-runs.jsonl >/dev/null
 	$(INSPECT) -want "wait,partition,build/sort,merge,probe,others" $(SMOKE)-trace.json >/dev/null
 	$(INSPECT) $(SMOKE)-runs.jsonl
 	rm -f $(SMOKE)-trace.json $(SMOKE)-runs.jsonl
+	$(GO) run ./cmd/iawjbench -all -scale 0.002 -window 3 -threads 2 >/dev/null
 
 ## fuzz-smoke: FUZZTIME per fuzz target — the gen/ingest parsers, the kernel
 ## differential fuzzers, the workload profile against its map-and-sort

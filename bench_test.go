@@ -1,10 +1,10 @@
 package iawj
 
 // This file is the benchmark harness required by the study: one testing.B
-// benchmark per table and figure of the evaluation section, each executing
-// the exp package's regeneration of that experiment at a bench-friendly
-// scale. Whole-join numbers per algorithm come from the harness in
-// benchmark/ (bash benchmark/run.sh). Run everything with
+// sub-benchmark per table and figure of the evaluation section, each
+// executing the exp package's regeneration of that experiment at a
+// bench-friendly scale. Whole-join numbers per algorithm come from the
+// harness in benchmark/ (bash benchmark/run.sh). Run everything with
 //
 //	go test -bench=. -benchmem
 //
@@ -12,8 +12,8 @@ package iawj
 //
 //	go run ./cmd/iawjbench -exp fig9 [-scale 0.1 -window 1000]
 //
-// The per-iteration custom metrics (tuples/ms, matches) make regressions
-// visible without reading the printed tables.
+// The custom metrics, Figure 5's tuples/ms and Figure 21's simd-speedup,
+// make regressions visible without reading the printed tables.
 
 import (
 	"io"
@@ -36,142 +36,26 @@ func benchOpts() exp.Options {
 	}
 }
 
-func BenchmarkTable3WorkloadStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Table3(benchOpts())
+// BenchmarkExperiments runs every table and figure, one sub-benchmark per
+// experiment id.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range exp.IDs() {
+		b.Run(id, func(b *testing.B) {
+			var tab exp.Table
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tab, err = exp.Run(id, benchOpts()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			switch id {
+			case "fig5": // the last cell's throughput
+				b.ReportMetric(tab.Rows[len(tab.Rows)-1][tab.Col("tput(t/ms)")].(float64), "tuples/ms")
+			case "fig21": // the first algorithm's speedup
+				b.ReportMetric(tab.Rows[0][tab.Col("speedup")].(float64), "simd-speedup")
+			}
+		})
 	}
-}
-
-func BenchmarkTable5CountersPerTuple(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Table5(benchOpts())
-	}
-}
-
-func BenchmarkTable6ResourceUtilization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Table6(benchOpts())
-	}
-}
-
-func BenchmarkFigure3TimeDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure3(benchOpts())
-	}
-}
-
-func BenchmarkFigure4DecisionTree(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure4(benchOpts())
-	}
-}
-
-func BenchmarkFigure5ThroughputLatency(b *testing.B) {
-	var tput float64
-	for i := 0; i < b.N; i++ {
-		rows := exp.Figure5(benchOpts())
-		tput = rows[len(rows)-1].Result.ThroughputTPM
-	}
-	b.ReportMetric(tput, "tuples/ms")
-}
-
-func BenchmarkFigure6Progressiveness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure6(benchOpts())
-	}
-}
-
-func BenchmarkFigure7Breakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure7(benchOpts())
-	}
-}
-
-func BenchmarkFigure8CacheProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure8(benchOpts())
-	}
-}
-
-func BenchmarkFigure9ArrivalRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure9(benchOpts())
-	}
-}
-
-func BenchmarkFigure10RelativeRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure10(benchOpts())
-	}
-}
-
-func BenchmarkFigure11KeyDuplication(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure11(benchOpts())
-	}
-}
-
-func BenchmarkFigure12ArrivalSkew(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure12(benchOpts())
-	}
-}
-
-func BenchmarkFigure13KeySkew(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure13(benchOpts())
-	}
-}
-
-func BenchmarkFigure14WindowLength(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure14(benchOpts())
-	}
-}
-
-func BenchmarkFigure15SortStep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure15(benchOpts())
-	}
-}
-
-func BenchmarkFigure16GroupSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure16(benchOpts())
-	}
-}
-
-func BenchmarkFigure18RadixBits(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure18(benchOpts())
-	}
-}
-
-func BenchmarkFigure19aTopDown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure19a(benchOpts())
-	}
-}
-
-func BenchmarkFigure19bMemory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure19b(benchOpts())
-	}
-}
-
-func BenchmarkFigure20Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Figure20(benchOpts())
-	}
-}
-
-func BenchmarkFigure21SIMD(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		rows := exp.Figure21(benchOpts())
-		speedup = rows[0].Speedup
-	}
-	b.ReportMetric(speedup, "simd-speedup")
 }
 
 // BenchmarkHandshakeBaseline quantifies the related-work validation: the
@@ -208,14 +92,6 @@ func BenchmarkAblationPMJSpill(b *testing.B) {
 			}
 			b.SetBytes(int64(len(w.R)+len(w.S)) * 16)
 		})
-	}
-}
-
-// BenchmarkRelatedHandshake regenerates the Section 6 related-work
-// validation at bench scale.
-func BenchmarkRelatedHandshake(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Related(benchOpts())
 	}
 }
 

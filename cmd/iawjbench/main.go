@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -73,21 +74,21 @@ func main() {
 		}
 	}
 
+	var err error
 	switch {
 	case *all:
-		exp.RunAll(opts)
+		err = exp.RunAll(opts)
 	case *expID != "":
-		if err := exp.Run(*expID, opts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		_, err = exp.Run(*expID, opts)
 	default:
 		fmt.Fprintln(os.Stderr, "iawjbench: pass -exp <id> or -all; available ids:")
 		fmt.Fprintln(os.Stderr, " ", strings.Join(exp.IDs(), " "))
 		os.Exit(2)
 	}
 
-	if err := obs.Close(); err != nil {
+	// A failed join still leaves the trace and journal of the runs before
+	// it closed and readable.
+	if err := errors.Join(err, obs.Close()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

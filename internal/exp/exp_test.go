@@ -2,9 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -19,21 +23,57 @@ func tinyOpts(buf *bytes.Buffer) Options {
 	}
 }
 
+// mustRun runs experiment id and fails the test on an error.
+func mustRun(t *testing.T, id string, o Options) Table {
+	t.Helper()
+	tab, err := Run(id, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// num reads a numeric cell.
+func num(cell any) float64 {
+	switch v := cell.(type) {
+	case float64:
+		return v
+	case int64:
+		return float64(v)
+	case int:
+		return float64(v)
+	}
+	panic("not a numeric cell")
+}
+
+// column returns every row's cell in the column headed head.
+func column(t *testing.T, tab Table, head string) []any {
+	t.Helper()
+	c := tab.Col(head)
+	if c < 0 {
+		t.Fatalf("%s: no column %q", tab.ID, head)
+	}
+	cells := make([]any, len(tab.Rows))
+	for i, row := range tab.Rows {
+		cells[i] = row[c]
+	}
+	return cells
+}
+
 func TestTable3CoversAllWorkloads(t *testing.T) {
 	var buf bytes.Buffer
-	rows := Table3(tinyOpts(&buf))
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
+	tab := mustRun(t, "table3", tinyOpts(&buf))
+	if len(tab.Rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(tab.Rows))
 	}
-	names := map[string]bool{}
-	for _, r := range rows {
-		names[r.Name] = true
-		if r.StatsR.Tuples == 0 || r.StatsS.Tuples == 0 {
-			t.Fatalf("empty workload in %s", r.Name)
+	names := column(t, tab, "")
+	for i, n := range column(t, tab, "number of tuples") {
+		if r, s := n.([]any)[0].(int), n.([]any)[1].(int); r == 0 || s == 0 {
+			t.Fatalf("empty workload in %s", names[i])
 		}
 	}
 	for _, want := range []string{"Stock", "Rovio", "YSB", "DEBS"} {
-		if !names[want] {
+		if !slices.Contains(names, any(want)) {
 			t.Fatalf("missing workload %s", want)
 		}
 	}
@@ -44,83 +84,92 @@ func TestTable3CoversAllWorkloads(t *testing.T) {
 
 func TestFigure3Series(t *testing.T) {
 	var buf bytes.Buffer
-	series := Figure3(tinyOpts(&buf))
-	if len(series) != 4 { // Stock R/S, Rovio R/S
-		t.Fatalf("series = %d, want 4", len(series))
+	tab := mustRun(t, "fig3", tinyOpts(&buf))
+	if len(tab.Rows) != 4 { // Stock R/S, Rovio R/S
+		t.Fatalf("series = %d, want 4", len(tab.Rows))
 	}
-	for _, s := range series {
+	for i, counts := range column(t, tab, "counts") {
 		total := 0
-		for _, c := range s.Counts {
+		for _, f := range strings.Fields(strings.Trim(counts.(string), "[]")) {
+			c, err := strconv.Atoi(f)
+			if err != nil {
+				t.Fatal(err)
+			}
 			total += c
 		}
 		if total == 0 {
-			t.Fatalf("%s %s: empty histogram", s.Workload, s.Stream)
+			t.Fatalf("%v: empty histogram", tab.Rows[i][:2])
 		}
 	}
 }
 
 func TestFigure5AllCells(t *testing.T) {
 	var buf bytes.Buffer
-	rows := Figure5(tinyOpts(&buf))
-	if len(rows) != 4*len(Algorithms) {
-		t.Fatalf("rows = %d, want %d", len(rows), 4*len(Algorithms))
+	tab := mustRun(t, "fig5", tinyOpts(&buf))
+	if len(tab.Rows) != 4*len(algorithms) {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), 4*len(algorithms))
 	}
 	// Within one workload every algorithm must report the same match
 	// count — they compute the same join.
-	byWorkload := map[string]int64{}
-	for _, r := range rows {
-		if r.Result.Matches == 0 {
-			t.Fatalf("%s/%s: no matches", r.Workload, r.Algorithm)
+	wkld, matches := column(t, tab, "wkld"), column(t, tab, "matches")
+	byWorkload := map[any]int64{}
+	for i, m := range matches {
+		m := m.(int64)
+		if m == 0 {
+			t.Fatalf("%v: no matches", tab.Rows[i][:2])
 		}
-		if prev, ok := byWorkload[r.Workload]; ok && prev != r.Result.Matches {
-			t.Fatalf("%s: match counts diverge (%d vs %d)", r.Workload, prev, r.Result.Matches)
+		if prev, ok := byWorkload[wkld[i]]; ok && prev != m {
+			t.Fatalf("%s: match counts diverge (%d vs %d)", wkld[i], prev, m)
 		}
-		byWorkload[r.Workload] = r.Result.Matches
+		byWorkload[wkld[i]] = m
 	}
 }
 
 func TestFigure6And7Shapes(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOpts(&buf)
-	prog := Figure6(o)
-	if len(prog) == 0 {
+	prog := mustRun(t, "fig6", o)
+	if len(prog.Rows) == 0 {
 		t.Fatal("no progressiveness rows")
 	}
-	for _, r := range prog {
-		if r.T25 > r.T50 || r.T50 > r.T75 || r.T75 > r.T100 {
-			t.Fatalf("%s/%s: progress times must be monotone: %d %d %d %d",
-				r.Workload, r.Algorithm, r.T25, r.T50, r.T75, r.T100)
+	t25, t50, t75, t100 := column(t, prog, "25%"), column(t, prog, "50%"), column(t, prog, "75%"), column(t, prog, "100%")
+	for i := range prog.Rows {
+		a, b, c, d := t25[i].(int64), t50[i].(int64), t75[i].(int64), t100[i].(int64)
+		if a > b || b > c || c > d {
+			t.Fatalf("%v: progress times must be monotone: %d %d %d %d", prog.Rows[i][:2], a, b, c, d)
 		}
 	}
-	breakdown := Figure7(o)
-	for _, r := range breakdown {
+	breakdown := mustRun(t, "fig7", o)
+	for _, row := range breakdown.Rows {
 		var sum float64
-		for _, f := range r.Frac {
-			if f < 0 {
-				t.Fatalf("negative phase fraction in %s/%s", r.Workload, r.Algorithm)
+		for _, p := range metrics.Phases() {
+			share := num(row[breakdown.Col(p.String())])
+			if share < 0 {
+				t.Fatalf("negative phase share in %v", row[:2])
 			}
-			sum += f
+			sum += share
 		}
-		if sum > 1.01 {
-			t.Fatalf("%s/%s: fractions sum to %f", r.Workload, r.Algorithm, sum)
+		if sum > 101 {
+			t.Fatalf("%v: shares sum to %f%%", row[:2], sum)
 		}
 	}
 }
 
 func TestFigure8ProfilesPhases(t *testing.T) {
 	var buf bytes.Buffer
-	rows := Figure8(tinyOpts(&buf))
-	if len(rows) != len(Algorithms) {
-		t.Fatalf("rows = %d", len(rows))
+	tab := mustRun(t, "fig8", tinyOpts(&buf))
+	if len(tab.Rows) != len(algorithms) {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
+	// A probe miss is a probe access: some algorithm must have one.
 	sawProbe := false
-	for _, r := range rows {
-		if r.Probe.Accesses > 0 {
-			sawProbe = true
+	for _, misses := range column(t, tab, "probe L1/L2/L3") {
+		for _, m := range misses.([]any) {
+			sawProbe = sawProbe || num(m) > 0
 		}
 	}
 	if !sawProbe {
-		t.Fatal("no algorithm recorded probe-phase accesses")
+		t.Fatal("no algorithm recorded probe-phase misses")
 	}
 }
 
@@ -128,21 +177,15 @@ func TestMicroSweeps(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOpts(&buf)
 	o.MicroWindowMs = 3
-	for name, fn := range map[string]func(Options) []SweepRow{
-		"fig9":  Figure9,
-		"fig10": Figure10,
-		"fig11": Figure11,
-		"fig12": Figure12,
-		"fig13": Figure13,
-		"fig14": Figure14,
-	} {
-		rows := fn(o)
-		if len(rows) == 0 {
-			t.Fatalf("%s: no rows", name)
+	for _, id := range []string{"fig9", "fig10", "fig11", "fig12", "fig13", "fig14"} {
+		tab := mustRun(t, id, o)
+		if len(tab.Rows) == 0 {
+			t.Fatalf("%s: no rows", id)
 		}
-		for _, r := range rows {
-			if r.Result.Matches <= 0 {
-				t.Fatalf("%s: %s@%v produced no matches", name, r.Algorithm, r.Param)
+		// A run's throughput is zero exactly when it matched nothing.
+		for i, tput := range column(t, tab, "tput(t/ms)") {
+			if num(tput) <= 0 {
+				t.Fatalf("%s: %v produced no matches", id, tab.Rows[i][:2])
 			}
 		}
 	}
@@ -151,14 +194,14 @@ func TestMicroSweeps(t *testing.T) {
 func TestKnobExperiments(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOpts(&buf)
-	if rows := Figure15(o); len(rows) != 5 {
-		t.Fatalf("fig15 rows = %d", len(rows))
+	if tab := mustRun(t, "fig15", o); len(tab.Rows) != 5 {
+		t.Fatalf("fig15 rows = %d", len(tab.Rows))
 	}
-	if rows := Figure16(o); len(rows) == 0 {
+	if tab := mustRun(t, "fig16", o); len(tab.Rows) == 0 {
 		t.Fatal("fig16 empty")
 	}
-	if rows := Figure18(o); len(rows) != 6 {
-		t.Fatalf("fig18 rows = %d", len(rows))
+	if tab := mustRun(t, "fig18", o); len(tab.Rows) != 6 {
+		t.Fatalf("fig18 rows = %d", len(tab.Rows))
 	}
 }
 
@@ -170,16 +213,15 @@ func TestFigure21SIMDContrast(t *testing.T) {
 	// small machines; take the best speedup across a few attempts — the
 	// kernel-level contrast itself is asserted deterministically in
 	// internal/sortmerge.
-	best := map[string]float64{}
+	best := map[any]float64{}
 	for attempt := 0; attempt < 3; attempt++ {
-		rows := Figure21(o)
-		if len(rows) != 4 {
-			t.Fatalf("rows = %d", len(rows))
+		tab := mustRun(t, "fig21", o)
+		if len(tab.Rows) != 4 {
+			t.Fatalf("rows = %d", len(tab.Rows))
 		}
-		for _, r := range rows {
-			if r.Speedup > best[r.Algorithm] {
-				best[r.Algorithm] = r.Speedup
-			}
+		algo := column(t, tab, "algo")
+		for i, s := range column(t, tab, "speedup") {
+			best[algo[i]] = max(best[algo[i]], num(s))
 		}
 		if best["MWAY"] >= 0.9 && best["MPASS"] >= 0.9 {
 			break
@@ -196,16 +238,16 @@ func TestFigure21SIMDContrast(t *testing.T) {
 func TestProfileTables(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOpts(&buf)
-	if rows := Table5(o); len(rows) != len(Algorithms) {
-		t.Fatalf("table5 rows = %d", len(rows))
+	if tab := mustRun(t, "table5", o); len(tab.Rows) != len(algorithms) {
+		t.Fatalf("table5 rows = %d", len(tab.Rows))
 	}
-	rows := Table6(o)
-	if len(rows) != len(Algorithms) {
-		t.Fatalf("table6 rows = %d", len(rows))
+	tab := mustRun(t, "table6", o)
+	if len(tab.Rows) != len(algorithms) {
+		t.Fatalf("table6 rows = %d", len(tab.Rows))
 	}
-	for _, r := range rows {
-		if r.CPUUtil < 0 || r.CPUUtil > 100 {
-			t.Fatalf("%s: cpu util %f out of range", r.Algorithm, r.CPUUtil)
+	for i, cpu := range column(t, tab, "cpu(%)") {
+		if u := num(cpu); u < 0 || u > 100 {
+			t.Fatalf("%v: cpu util %f out of range", tab.Rows[i][0], u)
 		}
 	}
 }
@@ -213,65 +255,66 @@ func TestProfileTables(t *testing.T) {
 func TestFigure19(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOpts(&buf)
-	a := Figure19a(o)
-	if len(a) != len(Algorithms) {
-		t.Fatalf("fig19a rows = %d", len(a))
+	a := mustRun(t, "fig19a", o)
+	if len(a.Rows) != len(algorithms) {
+		t.Fatalf("fig19a rows = %d", len(a.Rows))
 	}
-	for _, r := range a {
-		sum := r.TopDown.Retiring + r.TopDown.CoreBound + r.TopDown.MemoryBound +
-			r.TopDown.FrontendBound + r.TopDown.BadSpeculation
-		if sum < 0.99 || sum > 1.01 {
-			t.Fatalf("%s: top-down sums to %f", r.Algorithm, sum)
+	for _, row := range a.Rows {
+		var sum float64
+		for _, share := range row[1:] {
+			sum += num(share)
+		}
+		if sum < 99 || sum > 101 {
+			t.Fatalf("%v: top-down sums to %f%%", row[0], sum)
 		}
 	}
-	b := Figure19b(o)
-	for _, r := range b {
-		if r.PeakBytes <= 0 {
-			t.Fatalf("%s: no memory recorded", r.Algorithm)
+	b := mustRun(t, "fig19b", o)
+	for i, peak := range column(t, b, "peak") {
+		if num(peak) <= 0 {
+			t.Fatalf("%v: no memory recorded", b.Rows[i][0])
 		}
 	}
 }
 
 func TestFigure20Scalability(t *testing.T) {
 	var buf bytes.Buffer
-	rows := Figure20(tinyOpts(&buf))
-	if len(rows) != 8 { // 2 algorithms x 4 workloads
-		t.Fatalf("rows = %d", len(rows))
+	tab := mustRun(t, "fig20", tinyOpts(&buf))
+	if len(tab.Rows) != 8 { // 2 algorithms x 4 workloads
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	for _, r := range rows {
-		if len(r.Normalized) == 0 || r.Normalized[0] != 1 {
-			t.Fatalf("%s/%s: normalized curve %v", r.Algorithm, r.Workload, r.Normalized)
+	for i, n := range column(t, tab, "normalized") {
+		if curve := strings.Fields(n.(string)); len(curve) == 0 || curve[0] != "1.00" {
+			t.Fatalf("%v: normalized curve %q", tab.Rows[i][:2], n)
 		}
 	}
 }
 
 func TestFigure4Decisions(t *testing.T) {
 	var buf bytes.Buffer
-	cases := Figure4(tinyOpts(&buf))
-	if len(cases) < 6 {
-		t.Fatalf("cases = %d", len(cases))
+	tab := mustRun(t, "fig4", tinyOpts(&buf))
+	if len(tab.Rows) < 6 {
+		t.Fatalf("cases = %d", len(tab.Rows))
 	}
-	for _, c := range cases {
-		if c.Advice.Algorithm == "" {
-			t.Fatalf("%s: empty advice", c.Label)
+	for i, algo := range column(t, tab, "algo") {
+		if algo == "" {
+			t.Fatalf("%s: empty advice", tab.Rows[i][0])
 		}
 	}
 }
 
 func TestRelatedWorkBaseline(t *testing.T) {
 	var buf bytes.Buffer
-	rows := Related(tinyOpts(&buf))
-	if len(rows) != len(Algorithms)+1 {
-		t.Fatalf("rows = %d", len(rows))
+	tab := mustRun(t, "related", tinyOpts(&buf))
+	if len(tab.Rows) != len(algorithms)+1 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	var handshake, best float64
-	for _, r := range rows {
-		if r.Algorithm == "HANDSHAKE" {
-			handshake = r.Result.ThroughputTPM
+	algo := column(t, tab, "algo")
+	for i, tput := range column(t, tab, "tput(t/ms)") {
+		if algo[i] == "HANDSHAKE" {
+			handshake = num(tput)
 		}
-		if r.Result.ThroughputTPM > best {
-			best = r.Result.ThroughputTPM
-		}
+		best = max(best, num(tput))
 	}
 	if handshake <= 0 {
 		t.Fatal("handshake row missing")
@@ -299,14 +342,69 @@ func TestRegistry(t *testing.T) {
 	if len(IDs()) != 23 {
 		t.Fatalf("ids = %d, want 23 experiments", len(IDs()))
 	}
+	if !slices.IsSorted(IDs()) {
+		t.Fatalf("ids %v out of order: -all prints them sorted", IDs())
+	}
 	var buf bytes.Buffer
 	o := tinyOpts(&buf)
-	if err := Run("fig4", o); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, "fig4", o)
 	for _, id := range []string{"nope", "fig17"} { // fig17 is not reproduced (EXPERIMENTS.md)
-		if err := Run(id, o); err == nil {
+		if _, err := Run(id, o); err == nil {
 			t.Fatalf("unknown id %q must error", id)
+		}
+	}
+}
+
+// TestEveryExperimentRuns runs every registered experiment and requires a
+// table with rows, each with a cell per column.
+func TestEveryExperimentRuns(t *testing.T) {
+	var buf bytes.Buffer
+	for _, id := range IDs() {
+		tab := mustRun(t, id, tinyOpts(&buf))
+		if tab.ID != id || len(tab.Rows) == 0 {
+			t.Fatalf("%s: table %q with %d rows", id, tab.ID, len(tab.Rows))
+		}
+		for _, row := range tab.Rows {
+			if len(row) != len(tab.Cols) {
+				t.Fatalf("%s: row %v has %d cells for %d columns", id, row, len(row), len(tab.Cols))
+			}
+		}
+	}
+}
+
+// TestDeterministicExperimentsRepeat runs the experiments that read only
+// the generators, the decision tree or the cache simulator twice with one
+// seed: their tables and printed bytes must be equal.
+func TestDeterministicExperimentsRepeat(t *testing.T) {
+	for _, id := range []string{"table3", "fig3", "fig4", "fig8", "fig19a", "table5"} {
+		var first, second bytes.Buffer
+		a, b := mustRun(t, id, tinyOpts(&first)), mustRun(t, id, tinyOpts(&second))
+		if !reflect.DeepEqual(a, b) || first.String() != second.String() {
+			t.Fatalf("%s differs between two runs:\n%s\n%s", id, first.String(), second.String())
+		}
+	}
+}
+
+// TestJoinErrorReachesRunsCaller runs an experiment whose join core.Run
+// rejects — a group larger than the worker count — through Run: the error
+// must reach the caller naming the experiment, algorithm and point.
+func TestJoinErrorReachesRunsCaller(t *testing.T) {
+	saved := experiments
+	t.Cleanup(func() { experiments = saved })
+	experiments = append(experiments[:len(experiments):len(experiments)], experiment{
+		id: "broken", title: "a join core.Run rejects", cols: knobCols,
+		body: func(o *Options, t *Table) error {
+			return knobRow(o, t, staticMicro(o, 4, 0), "SHJ_JB", 4, "g=4", core.Knobs{GroupSize: 4})
+		},
+	})
+	var buf bytes.Buffer
+	_, err := Run("broken", tinyOpts(&buf))
+	if err == nil {
+		t.Fatal("a failed join must fail the experiment")
+	}
+	for _, want := range []string{"broken", "SHJ_JB", "g=4", "group size 4 exceeds 2 threads"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
 		}
 	}
 }

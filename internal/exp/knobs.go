@@ -19,27 +19,15 @@ func staticMicro(o *Options, dupe int, keySkew float64) gen.Workload {
 	return gen.MicroStatic(n, n, dupe, keySkew, o.Seed)
 }
 
-// KnobRow is one point of an algorithm-configuration experiment.
-type KnobRow struct {
-	Algorithm string
-	Param     float64
-	// NsPerTuple is per-phase cost per input tuple
-	// (wait/partition/build-sort/merge/probe/other).
-	NsPerTuple [6]float64
-	// TotalNsPerTuple excludes wait.
-	TotalNsPerTuple float64
-	Result          metrics.Result
-}
-
 // runBest repeats a static knob run a few times and keeps the cheapest
 // execution (smallest non-wait cost): single runs of sub-100ms joins are
 // vulnerable to scheduler noise, and the minimum is the standard estimator
 // for the noise-free cost.
-func runBest(o *Options, w gen.Workload, name string, knobs core.Knobs) (metrics.Result, error) {
+func runBest(o *Options, w gen.Workload, name, param string, knobs core.Knobs) (metrics.Result, error) {
 	var best metrics.Result
 	var bestCost int64 = -1
 	for rep := 0; rep < 3; rep++ {
-		res, err := run(o, w, name, knobs)
+		res, err := run(o, w, name, param, knobs)
 		if err != nil {
 			return res, err
 		}
@@ -56,150 +44,108 @@ func runBest(o *Options, w gen.Workload, name string, knobs core.Knobs) (metrics
 	return best, nil
 }
 
-func knobRow(name string, param float64, res metrics.Result) KnobRow {
-	row := KnobRow{Algorithm: name, Param: param, Result: res}
+// perTuple is each phase's cost per input tuple and their sum without
+// wait.
+func perTuple(res metrics.Result) (ns [6]float64, total float64) {
 	inputs := float64(res.Inputs)
-	for p, ns := range res.PhaseNs {
+	for p, phaseNs := range res.PhaseNs {
 		if inputs > 0 {
-			row.NsPerTuple[p] = float64(ns) / inputs
+			ns[p] = float64(phaseNs) / inputs
 		}
 		if metrics.Phase(p) != metrics.PhaseWait {
-			row.TotalNsPerTuple += row.NsPerTuple[p]
+			total += ns[p]
 		}
 	}
-	return row
+	return ns, total
 }
 
-func printKnobHeader(o *Options) {
-	fmt.Fprintf(o.W, "%-8s %8s %10s %10s %10s %10s %10s\n",
-		"algo", "param", "partition", "sort", "merge", "probe", "total")
+// knobRow adds the best of three runs of name at one knob setting, the
+// point param of the sweep, as a row of knobCols.
+func knobRow(o *Options, t *Table, w gen.Workload, name string, param float64, label string, knobs core.Knobs) error {
+	res, err := runBest(o, w, name, label, knobs)
+	if err != nil {
+		return err
+	}
+	ns, total := perTuple(res)
+	t.add(name, param, ns[metrics.PhasePartition], ns[metrics.PhaseBuildSort],
+		ns[metrics.PhaseMerge], ns[metrics.PhaseProbe], total)
+	return nil
 }
 
-func printKnobRow(o *Options, row KnobRow) {
-	fmt.Fprintf(o.W, "%-8s %8.2f %10.1f %10.1f %10.1f %10.1f %10.1f\n",
-		row.Algorithm, row.Param,
-		row.NsPerTuple[metrics.PhasePartition],
-		row.NsPerTuple[metrics.PhaseBuildSort],
-		row.NsPerTuple[metrics.PhaseMerge],
-		row.NsPerTuple[metrics.PhaseProbe],
-		row.TotalNsPerTuple)
-}
-
-// Figure15 regenerates the PMJ sorting-step-size sweep: δ from 10% to 50%
+// fig15 regenerates the PMJ sorting-step-size sweep: δ from 10% to 50%
 // on the static Micro workload, reporting the per-phase cost per tuple.
-func Figure15(o Options) []KnobRow {
-	o.defaults()
-	header(&o, "Figure 15", "impact of sorting step size (δ) of PMJ (ns per input tuple)")
-	printKnobHeader(&o)
-	w := staticMicro(&o, 4, 0)
-	var rows []KnobRow
+func fig15(o *Options, t *Table) error {
+	w := staticMicro(o, 4, 0)
 	for _, delta := range []float64{0.10, 0.20, 0.30, 0.40, 0.50} {
-		res, err := runBest(&o, w, "PMJ_JM", core.Knobs{SortStepFrac: delta})
-		if err != nil {
-			continue
+		if err := knobRow(o, t, w, "PMJ_JM", delta, fmt.Sprintf("δ=%.2f", delta), core.Knobs{SortStepFrac: delta}); err != nil {
+			return err
 		}
-		row := knobRow("PMJ_JM", delta, res)
-		rows = append(rows, row)
-		printKnobRow(&o, row)
 	}
-	return rows
+	return nil
 }
 
-// Figure16 regenerates the JB group-size sweep for PMJ and SHJ, with the
+// fig16 regenerates the JB group-size sweep for PMJ and SHJ, with the
 // JM scheme as the reference line.
-func Figure16(o Options) []KnobRow {
-	o.defaults()
-	header(&o, "Figure 16", "impact of group size (g) of the JB scheme (ns per input tuple)")
-	printKnobHeader(&o)
-	w := staticMicro(&o, 4, 0)
-	var rows []KnobRow
-	groupSizes := []int{1, 2, 4, 8}
+func fig16(o *Options, t *Table) error {
+	w := staticMicro(o, 4, 0)
 	for _, base := range []string{"PMJ", "SHJ"} {
-		for _, g := range groupSizes {
+		for _, g := range []int{1, 2, 4, 8} {
 			if g > o.Threads {
 				continue
 			}
-			res, err := runBest(&o, w, base+"_JB", core.Knobs{GroupSize: g})
-			if err != nil {
-				continue
+			if err := knobRow(o, t, w, base+"_JB", float64(g), fmt.Sprintf("g=%d", g), core.Knobs{GroupSize: g}); err != nil {
+				return err
 			}
-			row := knobRow(base+"_JB", float64(g), res)
-			rows = append(rows, row)
-			printKnobRow(&o, row)
 		}
 		// The JM reference line of the figure.
-		res, err := runBest(&o, w, base+"_JM", core.Knobs{})
-		if err == nil {
-			row := knobRow(base+"_JM", float64(o.Threads), res)
-			rows = append(rows, row)
-			printKnobRow(&o, row)
+		if err := knobRow(o, t, w, base+"_JM", float64(o.Threads), "the JM reference", core.Knobs{}); err != nil {
+			return err
 		}
 	}
-	return rows
+	return nil
 }
 
-// Figure18 regenerates the PRJ radix-bits sweep: #r from 8 to 18,
+// fig18 regenerates the PRJ radix-bits sweep: #r from 8 to 18,
 // reporting partition and probe cost per tuple.
-func Figure18(o Options) []KnobRow {
-	o.defaults()
-	header(&o, "Figure 18", "impact of number of radix bits (#r) of PRJ (ns per input tuple)")
-	printKnobHeader(&o)
-	w := staticMicro(&o, 4, 0)
-	var rows []KnobRow
+func fig18(o *Options, t *Table) error {
+	w := staticMicro(o, 4, 0)
 	for _, bits := range []int{8, 10, 12, 14, 16, 18} {
-		res, err := runBest(&o, w, "PRJ", core.Knobs{RadixBits: bits})
-		if err != nil {
-			continue
+		if err := knobRow(o, t, w, "PRJ", float64(bits), fmt.Sprintf("#r=%d", bits), core.Knobs{RadixBits: bits}); err != nil {
+			return err
 		}
-		row := knobRow("PRJ", float64(bits), res)
-		rows = append(rows, row)
-		printKnobRow(&o, row)
 	}
-	return rows
+	return nil
 }
 
-// Figure21Row compares one sort-based algorithm on its radix sort — the
-// stand-in for the paper's SIMD sort — and on the scalar foil.
-type Figure21Row struct {
-	Algorithm string
-	SIMD      KnobRow
-	Scalar    KnobRow
-	// Speedup is the scalar sort+merge cost over the SIMD sort+merge
-	// cost — the phases the paper's figure charts; only the sort differs
-	// here, as there is one merge, and the probe is untouched.
-	Speedup float64
-}
-
-// sortMergeNs extracts the SIMD-affected cost of a row.
-func sortMergeNs(r KnobRow) float64 {
-	return r.NsPerTuple[metrics.PhaseBuildSort] + r.NsPerTuple[metrics.PhaseMerge]
-}
-
-// Figure21 regenerates the SIMD impact experiment on the sort-based
-// algorithms over the static Micro workload.
-func Figure21(o Options) []Figure21Row {
-	o.defaults()
-	header(&o, "Figure 21", "impact of SIMD on sort-based algorithms (ns per input tuple)")
-	fmt.Fprintf(o.W, "%-10s %12s %12s %8s\n", "algo", "simd s+m", "scalar s+m", "speedup")
-	w := staticMicro(&o, 16, 0)
-	var rows []Figure21Row
+// fig21 regenerates the SIMD impact experiment on the sort-based
+// algorithms over the static Micro workload: each on its radix sort — the
+// stand-in for the paper's SIMD sort — and on the scalar foil. The speedup
+// is the scalar sort+merge cost over the SIMD one, the phases the paper's
+// figure charts; only the sort differs here, as there is one merge, and
+// the probe is untouched.
+func fig21(o *Options, t *Table) error {
+	w := staticMicro(o, 16, 0)
 	for _, name := range []string{"MWAY", "MPASS", "PMJ_JM", "PMJ_JB"} {
-		simdRes, err1 := runBest(&o, w, name, core.Knobs{})
-		scalarRes, err2 := runBest(&o, w, name, core.Knobs{ScalarSort: true})
-		if err1 != nil || err2 != nil {
-			continue
+		simd, err := runBest(o, w, name, "the radix sort", core.Knobs{})
+		if err != nil {
+			return err
 		}
-		row := Figure21Row{
-			Algorithm: name,
-			SIMD:      knobRow(name, 1, simdRes),
-			Scalar:    knobRow(name, 0, scalarRes),
+		scalar, err := runBest(o, w, name, "the scalar sort", core.Knobs{ScalarSort: true})
+		if err != nil {
+			return err
 		}
-		if sm := sortMergeNs(row.SIMD); sm > 0 {
-			row.Speedup = sortMergeNs(row.Scalar) / sm
+		simdNs, scalarNs := sortMergeNs(simd), sortMergeNs(scalar)
+		speedup := 0.0
+		if simdNs > 0 {
+			speedup = scalarNs / simdNs
 		}
-		rows = append(rows, row)
-		fmt.Fprintf(o.W, "%-10s %12.1f %12.1f %7.2fx\n",
-			name, sortMergeNs(row.SIMD), sortMergeNs(row.Scalar), row.Speedup)
+		t.add(name, simdNs, scalarNs, speedup)
 	}
-	return rows
+	return nil
+}
+
+// sortMergeNs is the SIMD-affected cost of a run per input tuple.
+func sortMergeNs(res metrics.Result) float64 {
+	ns, _ := perTuple(res)
+	return ns[metrics.PhaseBuildSort] + ns[metrics.PhaseMerge]
 }

@@ -5,119 +5,92 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/metrics"
 )
 
-// SweepRow is one point of a workload-sensitivity sweep: one algorithm at
-// one parameter value.
-type SweepRow struct {
-	Algorithm string
-	Param     float64
-	Result    metrics.Result
-}
-
-// microSweep runs all eight algorithms over a sequence of Micro workloads
-// and prints throughput and p95 latency per point.
-func microSweep(o *Options, id, title, param string, points []float64, build func(p float64) gen.Workload) []SweepRow {
-	header(o, id, title)
-	fmt.Fprintf(o.W, "%-8s %10s %14s %14s %10s\n", "algo", param, "tput(t/ms)", "p95 lat(ms)", "t50%(ms)")
-	var rows []SweepRow
+// sweep runs all eight algorithms over a sequence of Micro workloads, one
+// per point of the swept parameter, and adds throughput and p95 latency
+// per point as rows of sweepCols.
+func sweep(o *Options, t *Table, points []float64, build func(p float64) gen.Workload) error {
 	for _, p := range points {
 		w := build(p)
-		for _, name := range Algorithms {
-			res, err := run(o, w, name, core.Knobs{})
+		param := fmt.Sprintf("%s=%g", t.Cols[1].Head, p)
+		for _, name := range algorithms {
+			res, err := run(o, w, name, param, core.Knobs{})
 			if err != nil {
-				continue
+				return err
 			}
-			rows = append(rows, SweepRow{Algorithm: name, Param: p, Result: res})
-			fmt.Fprintf(o.W, "%-8s %10.2f %s %14d %10d\n",
-				name, p, fmtTPM(res.ThroughputTPM), res.LatencyP95Ms, res.TimeToFrac(0.5))
+			t.add(name, p, res.ThroughputTPM, res.LatencyP95Ms, res.TimeToFrac(0.5))
 		}
 	}
-	return rows
+	return nil
 }
 
-// Figure9 regenerates the arrival-rate sweep: vR = vS from 1600 to 25600
+// rates is the arrival-rate axis of Figures 9 and 10, tuples/msec.
+var rates = []float64{1600, 3200, 6400, 12800, 25600}
+
+// fig9 regenerates the arrival-rate sweep: vR = vS from 1600 to 25600
 // tuples/msec, unique keys, uniform arrivals.
-func Figure9(o Options) []SweepRow {
-	o.defaults()
-	points := []float64{1600, 3200, 6400, 12800, 25600}
-	return microSweep(&o, "Figure 9", "impact of arrival rate (vR=vS)", "v(t/ms)", points,
-		func(p float64) gen.Workload {
-			return gen.Micro(gen.MicroConfig{
-				RateR: int(p), RateS: int(p), WindowMs: o.MicroWindowMs, Dupe: 1, Seed: o.Seed,
-			})
+func fig9(o *Options, t *Table) error {
+	return sweep(o, t, rates, func(p float64) gen.Workload {
+		return gen.Micro(gen.MicroConfig{
+			RateR: int(p), RateS: int(p), WindowMs: o.MicroWindowMs, Dupe: 1, Seed: o.Seed,
 		})
+	})
 }
 
-// Figure10 regenerates the relative-arrival-rate sweep: vR fixed at 1600,
+// fig10 regenerates the relative-arrival-rate sweep: vR fixed at 1600,
 // vS from 1600 to 25600 tuples/msec.
-func Figure10(o Options) []SweepRow {
-	o.defaults()
-	points := []float64{1600, 3200, 6400, 12800, 25600}
-	return microSweep(&o, "Figure 10", "impact of relative arrival rates (vR=1600)", "vS(t/ms)", points,
-		func(p float64) gen.Workload {
-			return gen.Micro(gen.MicroConfig{
-				RateR: 1600, RateS: int(p), WindowMs: o.MicroWindowMs, Dupe: 1, Seed: o.Seed,
-			})
+func fig10(o *Options, t *Table) error {
+	return sweep(o, t, rates, func(p float64) gen.Workload {
+		return gen.Micro(gen.MicroConfig{
+			RateR: 1600, RateS: int(p), WindowMs: o.MicroWindowMs, Dupe: 1, Seed: o.Seed,
 		})
+	})
 }
 
-// Figure11 regenerates the key-duplication sweep: dupe from 1 to 100 at
+// fig11 regenerates the key-duplication sweep: dupe from 1 to 100 at
 // v = 6400 tuples/msec.
-func Figure11(o Options) []SweepRow {
-	o.defaults()
-	points := []float64{1, 10, 100}
-	return microSweep(&o, "Figure 11", "impact of key duplication (v=6400)", "dupe", points,
-		func(p float64) gen.Workload {
-			return gen.Micro(gen.MicroConfig{
-				RateR: 6400, RateS: 6400, WindowMs: o.MicroWindowMs, Dupe: int(p), Seed: o.Seed,
-			})
+func fig11(o *Options, t *Table) error {
+	return sweep(o, t, []float64{1, 10, 100}, func(p float64) gen.Workload {
+		return gen.Micro(gen.MicroConfig{
+			RateR: 6400, RateS: 6400, WindowMs: o.MicroWindowMs, Dupe: int(p), Seed: o.Seed,
 		})
+	})
 }
 
-// Figure12 regenerates the arrival-skewness sweep: skew_ts from 0 to 1.6
+// fig12 regenerates the arrival-skewness sweep: skew_ts from 0 to 1.6
 // at v = 1600 tuples/msec. Only throughput and progressiveness change
 // materially (latency stays flat at low rates).
-func Figure12(o Options) []SweepRow {
-	o.defaults()
-	points := []float64{0, 0.4, 0.8, 1.2, 1.6}
-	return microSweep(&o, "Figure 12", "impact of arrival skewness (v=1600)", "skew_ts", points,
-		func(p float64) gen.Workload {
-			return gen.Micro(gen.MicroConfig{
-				RateR: 1600, RateS: 1600, WindowMs: o.MicroWindowMs, Dupe: 1, TSSkew: p, Seed: o.Seed,
-			})
+func fig12(o *Options, t *Table) error {
+	return sweep(o, t, []float64{0, 0.4, 0.8, 1.2, 1.6}, func(p float64) gen.Workload {
+		return gen.Micro(gen.MicroConfig{
+			RateR: 1600, RateS: 1600, WindowMs: o.MicroWindowMs, Dupe: 1, TSSkew: p, Seed: o.Seed,
 		})
+	})
 }
 
-// Figure13 regenerates the key-skewness sweep: skew_key from 0 to 2.0 at
+// fig13 regenerates the key-skewness sweep: skew_key from 0 to 2.0 at
 // v = 12800 tuples/msec. The foreign-key variant of Micro keeps the match
 // count constant across skew levels (each S tuple references exactly one
 // unique R key), so the sweep isolates access locality — the effect the
 // paper attributes to PRJ's partition imbalance and SHJ's cache reuse.
-func Figure13(o Options) []SweepRow {
-	o.defaults()
-	points := []float64{0, 0.4, 0.8, 1.2, 1.6, 2.0}
-	return microSweep(&o, "Figure 13", "impact of key skewness (v=12800)", "skew_key", points,
-		func(p float64) gen.Workload {
-			return gen.MicroFK(12800, o.MicroWindowMs, p, o.Seed)
-		})
+func fig13(o *Options, t *Table) error {
+	return sweep(o, t, []float64{0, 0.4, 0.8, 1.2, 1.6, 2.0}, func(p float64) gen.Workload {
+		return gen.MicroFK(12800, o.MicroWindowMs, p, o.Seed)
+	})
 }
 
-// Figure14 regenerates the window-length sweep: w from 500 to 2500 ms at
+// fig14 regenerates the window-length sweep: w from 500 to 2500 ms at
 // v = 12800 tuples/msec. The window axis keeps the paper's values scaled
 // by MicroWindowMs/1000 so the relative shape is preserved.
-func Figure14(o Options) []SweepRow {
-	o.defaults()
-	points := []float64{500, 750, 1000, 1250, 1500}
-	return microSweep(&o, "Figure 14", "impact of window length (v=12800)", "w(ms)", points,
-		func(p float64) gen.Workload {
-			w := int64(p * float64(o.MicroWindowMs) / 1000)
-			if w < 10 {
-				w = 10
-			}
-			return gen.Micro(gen.MicroConfig{
-				RateR: 12800, RateS: 12800, WindowMs: w, Dupe: 1, Seed: o.Seed,
-			})
+func fig14(o *Options, t *Table) error {
+	return sweep(o, t, []float64{500, 750, 1000, 1250, 1500}, func(p float64) gen.Workload {
+		w := int64(p * float64(o.MicroWindowMs) / 1000)
+		if w < 10 {
+			w = 10
+		}
+		return gen.Micro(gen.MicroConfig{
+			RateR: 12800, RateS: 12800, WindowMs: w, Dupe: 1, Seed: o.Seed,
 		})
+	})
 }

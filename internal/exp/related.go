@@ -9,21 +9,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// RelatedRow compares the handshake-join baseline against a studied
-// algorithm.
-type RelatedRow struct {
-	Algorithm string
-	Result    metrics.Result
-}
-
-// Related regenerates the related-work validation of Section 6: the paper
+// related regenerates the related-work validation of Section 6: the paper
 // implemented the handshake join and observed orders-of-magnitude lower
 // throughput than any of the eight studied algorithms, due to the
 // inter-window design's per-tuple state maintenance and communication.
-func Related(o Options) []RelatedRow {
-	o.defaults()
-	header(&o, "Related work", "handshake join vs the studied algorithms (Section 6)")
-	fmt.Fprintf(o.W, "%-10s %14s %10s\n", "algo", "tput(t/ms)", "slowdown")
+func related(o *Options, t *Table) error {
 	// A small static workload keeps the per-tuple pipeline hops of the
 	// handshake join affordable while the ratio stays meaningful.
 	n := int(float64(8_000) * float64(o.Scale) / 0.02)
@@ -31,26 +21,25 @@ func Related(o Options) []RelatedRow {
 		n = 500
 	}
 	w := gen.MicroStatic(n, n, 4, 0, o.Seed)
-	var rows []RelatedRow
+	names := append(append([]string{}, algorithms...), "HANDSHAKE")
+	tput := make([]float64, len(names))
 	var best float64
-	for _, name := range append(append([]string{}, Algorithms...), "HANDSHAKE") {
-		res, err := run(&o, w, name, core.Knobs{})
+	for i, name := range names {
+		res, err := run(o, w, name, w.Name, core.Knobs{})
 		if err != nil {
-			continue
+			return err
 		}
-		rows = append(rows, RelatedRow{Algorithm: name, Result: res})
-		if res.ThroughputTPM > best {
-			best = res.ThroughputTPM
-		}
+		tput[i] = res.ThroughputTPM
+		best = max(best, tput[i])
 	}
-	for _, r := range rows {
+	for i, name := range names {
 		slow := "1.0x"
-		if r.Result.ThroughputTPM > 0 && best > 0 {
-			slow = fmt.Sprintf("%.1fx", best/r.Result.ThroughputTPM)
+		if tput[i] > 0 && best > 0 {
+			slow = fmt.Sprintf("%.1fx", best/tput[i])
 		}
-		fmt.Fprintf(o.W, "%-10s %14.1f %10s\n", r.Algorithm, r.Result.ThroughputTPM, slow)
+		t.add(name, tput[i], slow)
 	}
-	return rows
+	return nil
 }
 
 // sparkline renders a cumulative progress curve as a one-line ASCII

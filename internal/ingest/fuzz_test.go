@@ -48,7 +48,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rel, err := tuple.ReadBinary(bytes.NewReader(data))
+		rel, err := tuple.ReadBinaryInto(bytes.NewReader(data), nil)
 		if err != nil {
 			return
 		}
@@ -56,7 +56,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err := tuple.WriteBinary(&buf, rel); err != nil {
 			t.Fatal(err)
 		}
-		again, err := tuple.ReadBinary(&buf)
+		again, err := tuple.ReadBinaryInto(&buf, nil)
 		if err != nil || len(again) != len(rel) {
 			t.Fatalf("round trip: %v (%d vs %d)", err, len(again), len(rel))
 		}

@@ -64,7 +64,7 @@ func BenchmarkTwoWayMergePasses(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TwoWayMergePasses(runs)
+		TwoWayMergePassesInto(nil, nil, runs)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestScratchAndIntoFormsMatchAllocatingForms(t *testing.T) {
 			keep[i] = r.Clone()
 			total += len(r)
 		}
-		wantM, wantP := MultiwayMerge(runs, false), TwoWayMergePasses(runs)
+		wantM, wantP := MultiwayMerge(runs, false), TwoWayMergePassesInto(nil, nil, runs)
 		if !Sorted(wantM) || !Sorted(wantP) || len(wantM) != total || len(wantP) != total {
 			t.Fatalf("k=%d: allocating merges are wrong", k)
 		}

@@ -392,16 +392,10 @@ func MultiwayMergeInto(dst []tuple.Tuple, runs []tuple.Relation) []tuple.Tuple {
 	return out
 }
 
-// TwoWayMergePasses merges runs with successive pairwise merges, MPass's
-// multi-iteration strategy that scales better than a single wide multi-way
-// merge for large inputs. The result is freshly allocated and never
-// aliases a run.
-func TwoWayMergePasses(runs []tuple.Relation) []tuple.Tuple {
-	return TwoWayMergePassesInto(nil, nil, runs)
-}
-
-// TwoWayMergePassesInto is TwoWayMergePasses ping-ponging between the
-// buffers a and b, which must overlap neither each other nor any run:
+// TwoWayMergePassesInto merges runs with successive pairwise merges,
+// MPass's multi-iteration strategy that scales better than a single wide
+// multi-way merge for large inputs. It ping-pongs between the buffers a
+// and b, which must overlap neither each other nor any run:
 // odd passes write a, even passes b, and the result lies in whichever the
 // last pass wrote. A buffer without the capacity for the total is
 // replaced by a fresh allocation when a pass first needs it (b only from

@@ -93,7 +93,7 @@ func TestMultiwayEqualsTwoWay(t *testing.T) {
 		SortByKey(runs[i], true, nil, 0)
 	}
 	mw := MultiwayMerge(runs, false)
-	tw := TwoWayMergePasses(runs)
+	tw := TwoWayMergePassesInto(nil, nil, runs)
 	if len(mw) != len(tw) {
 		t.Fatalf("lengths differ: %d vs %d", len(mw), len(tw))
 	}
@@ -111,13 +111,13 @@ func TestMergeEmptyAndSingleRuns(t *testing.T) {
 	if got := MultiwayMerge(nil, false); got != nil {
 		t.Fatal("no runs must merge to nil")
 	}
-	if got := TwoWayMergePasses([]tuple.Relation{{}, {}}); got != nil {
+	if got := TwoWayMergePassesInto(nil, nil, []tuple.Relation{{}, {}}); got != nil {
 		t.Fatal("empty runs must merge to nil")
 	}
 	run := tuple.Relation{{Key: 1}, {Key: 2}}
 	for _, out := range [][]tuple.Tuple{
 		MultiwayMerge([]tuple.Relation{run}, false),
-		TwoWayMergePasses([]tuple.Relation{run}),
+		TwoWayMergePassesInto(nil, nil, []tuple.Relation{run}),
 	} {
 		if len(out) != 2 {
 			t.Fatalf("single run merge: %v", out)

@@ -51,11 +51,9 @@ func WriteBinary(w io.Writer, rel Relation) error {
 	return nil
 }
 
-// ReadBinary reads a count-prefixed relation written by WriteBinary.
-func ReadBinary(r io.Reader) (Relation, error) { return ReadBinaryInto(r, nil) }
-
-// ReadBinaryInto is ReadBinary decoding into dst[:0] when dst has the
-// capacity for the relation, and into a fresh allocation otherwise.
+// ReadBinaryInto reads a count-prefixed relation written by WriteBinary,
+// decoding into dst[:0] when dst has the capacity for the relation, and
+// into a fresh allocation otherwise.
 func ReadBinaryInto(r io.Reader, dst Relation) (Relation, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

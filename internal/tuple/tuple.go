@@ -33,22 +33,6 @@ const Bytes = 16
 // stream, restricted to the window under study.
 type Relation []Tuple
 
-// Code packs the key and an index into a single uint64 sort code with the
-// key in the high bits, so sorting codes sorts tuples by key while keeping
-// a back-pointer to the original position. Runs per tuple in the sort
-// paths; must stay inlinable (LINTING.md §inlinegate).
-//
-//iawj:inline
-func Code(key int32, idx uint32) uint64 {
-	return uint64(uint32(key))<<32 | uint64(idx)
-}
-
-// CodeKey extracts the key from a sort code produced by Code.
-func CodeKey(c uint64) int32 { return int32(uint32(c >> 32)) }
-
-// CodeIdx extracts the original index from a sort code produced by Code.
-func CodeIdx(c uint64) uint32 { return uint32(c) }
-
 // SortByTS orders the relation chronologically. Generators emit tuples in
 // arrival order already; this is a safety net for externally built inputs.
 func (r Relation) SortByTS() {

@@ -10,16 +10,6 @@ import (
 	"testing/quick"
 )
 
-func TestCodeRoundTrip(t *testing.T) {
-	f := func(key int32, idx uint32) bool {
-		c := Code(key, idx)
-		return CodeKey(c) == key && CodeIdx(c) == idx
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSortByTS(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	rel := make(Relation, 500)
@@ -139,7 +129,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, rel); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadBinaryInto(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +148,7 @@ func TestBinaryCodecEmpty(t *testing.T) {
 	if err := WriteBinary(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadBinaryInto(&buf, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty round trip: %v %v", got, err)
 	}
@@ -170,7 +160,7 @@ func TestBinaryCodecTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()-4]
-	if _, err := ReadBinary(bytes.NewReader(short)); err == nil {
+	if _, err := ReadBinaryInto(bytes.NewReader(short), nil); err == nil {
 		t.Fatal("truncated input must error")
 	}
 }
@@ -178,7 +168,7 @@ func TestBinaryCodecTruncated(t *testing.T) {
 func TestBinaryCodecRejectsImplausibleSize(t *testing.T) {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint64(hdr[:], 1<<40)
-	if _, err := ReadBinary(bytes.NewReader(hdr[:])); err == nil {
+	if _, err := ReadBinaryInto(bytes.NewReader(hdr[:]), nil); err == nil {
 		t.Fatal("implausible size must error")
 	}
 }
@@ -197,13 +187,13 @@ func TestBinaryCodecLyingCountAllocatesLittle(t *testing.T) {
 	binary.LittleEndian.PutUint64(lying[:8], 0x6a6a0001)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadBinary(bytes.NewReader(lying))
+	_, err := ReadBinaryInto(bytes.NewReader(lying), nil)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a count past the data must error")
 	}
 	if d := after.TotalAlloc - before.TotalAlloc; d > 4<<20 {
-		t.Fatalf("a lying count made ReadBinary allocate %d bytes", d)
+		t.Fatalf("a lying count made ReadBinaryInto allocate %d bytes", d)
 	}
 
 	long := make(Relation, 1<<16+5)
@@ -214,7 +204,7 @@ func TestBinaryCodecLyingCountAllocatesLittle(t *testing.T) {
 	if err := WriteBinary(&buf, long); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadBinaryInto(&buf, nil)
 	if err != nil || !slices.Equal(got, long) {
 		t.Fatalf("a relation past the first allocation: err %v, %d of %d tuples", err, len(got), len(long))
 	}
