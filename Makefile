@@ -55,7 +55,7 @@ delivery-race:
 ## and a join failing anywhere in the evaluation exits 1
 trace-smoke:
 	rm -f $(SMOKE)-trace.json $(SMOKE)-runs.jsonl
-	$(GO) run ./cmd/iawjbench -exp fig7 -scale 0.01 -spancap 65536 -trace $(SMOKE)-trace.json -journal $(SMOKE)-runs.jsonl >/dev/null
+	$(GO) run ./cmd/iawjbench -exp fig7 -scale 0.01 -trace $(SMOKE)-trace.json -journal $(SMOKE)-runs.jsonl >/dev/null
 	$(INSPECT) -want "wait,partition,build/sort,merge,probe,others" $(SMOKE)-trace.json >/dev/null
 	$(INSPECT) $(SMOKE)-runs.jsonl
 	rm -f $(SMOKE)-trace.json $(SMOKE)-runs.jsonl
@@ -75,12 +75,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRadixSortDiff$$' -fuzztime=$(FUZZTIME) ./internal/sortmerge
 	$(GO) test -run='^$$' -fuzz='^FuzzConformance$$' -fuzztime=$(FUZZTIME) ./internal/oracle
 
-## bench-smoke: every kernel microbenchmark and BenchmarkOutbox once under
-## the race detector, so they stay runnable and race-clean without a measurement;
-## the checked-in BENCH_3.json must parse and record no variant below 1.0x
-## of its baseline (re-record with `make bench-kernels` after a kernel change)
+## bench-smoke: every kernel microbenchmark, BenchmarkOutbox and the phase
+## record's BenchmarkPhaseChange once under the race detector, so they stay
+## runnable and race-clean without a measurement; the checked-in BENCH_3.json
+## must parse and record no variant below 1.0x of its baseline (re-record
+## with `make bench-kernels` after a kernel change)
 bench-smoke:
-	$(GO) test -race -run '^$$' -bench '^Benchmark(Kernel|Outbox)' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge ./internal/eager
+	$(GO) test -race -run '^$$' -bench '^Benchmark(Kernel|Outbox|PhaseChange)' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge ./internal/eager
 	$(INSPECT) BENCH_3.json
 
 ## bench-kernels: kernel-layer sweep (partition/partition_build/build/probe/sink/sort),

@@ -40,7 +40,6 @@ func main() {
 		simNs    = flag.Float64("nsperms", 0, "real ns per simulated ms (0 = default compression)")
 		traceOut = flag.String("trace", "", "write per-worker phase spans as Chrome trace JSON to this file")
 		journal  = flag.String("journal", "", "append one JSONL run summary per run to this file")
-		spanCap  = flag.Int("spancap", 0, "trace ring capacity per worker (0 = default)")
 	)
 	flag.Parse()
 
@@ -53,14 +52,7 @@ func main() {
 		Seed:          *seed,
 	}
 
-	obs := &trace.Session{
-		TracePath:   *traceOut,
-		JournalPath: *journal,
-		// Thread-sweep experiments (fig20 reaches 8) exceed the default
-		// thread count; leave headroom so their workers are traced too.
-		TraceWorkers: max(opts.Threads, 16),
-		SpanCap:      *spanCap,
-	}
+	obs := &trace.Session{TracePath: *traceOut, JournalPath: *journal}
 	if err := obs.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

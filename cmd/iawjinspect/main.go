@@ -25,7 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/report"
@@ -147,8 +146,7 @@ func sniff(data []byte) byte {
 }
 
 // inspectTrace validates a Chrome trace and prints the span analytics
-// (trace.Analyze). Dropped spans warn but do not fail: a partial trace
-// still validates and analyzes, its totals undercount.
+// (trace.Analyze).
 func inspectTrace(w io.Writer, path string, data []byte, want string) error {
 	ct, err := trace.ReadChrome(bytes.NewReader(data))
 	if err != nil {
@@ -180,7 +178,6 @@ func inspectTrace(w io.Writer, path string, data []byte, want string) error {
 	}
 	spans, algName := trace.SpansOfChrome(ct)
 	an := trace.Analyze(spans, algName)
-	an.DroppedSpans, _ = strconv.ParseInt(ct.OtherData["droppedSpans"], 10, 64)
 	fmt.Fprintf(w, "%s: Chrome trace, %d spans\n", path, len(spans))
 	an.WriteText(w)
 	return nil

@@ -157,11 +157,10 @@ func main() {
 		fatal(fmt.Errorf("iawjjoin: unknown format %q", *format))
 	}
 	obs := &trace.Session{
-		TracePath:    *traceOut,
-		JournalPath:  *journal,
-		Stdout:       *format == "json",
-		TraceWorkers: *threads,
-		WantPool:     *windowMs > 0,
+		TracePath:   *traceOut,
+		JournalPath: *journal,
+		Stdout:      *format == "json",
+		WantPool:    *windowMs > 0,
 	}
 	if err := obs.Start(); err != nil {
 		fatal(err)

@@ -87,8 +87,9 @@ type Config struct {
 	Emit func(JoinResult)
 
 	// Trace records per-worker phase spans into the recorder (see
-	// NewTraceRecorder and OBSERVABILITY.md); nil disables tracing at
-	// zero cost.
+	// NewTraceRecorder and OBSERVABILITY.md); their per-phase sums equal
+	// the Result's PhaseNs. Nil leaves the run untraced, which costs one
+	// nil check per phase change.
 	Trace *TraceRecorder
 
 	// Pool recycles per-window state (hash tables, partitioner scratch,
@@ -136,13 +137,11 @@ func NewStatePool() *StatePool { return pool.New() }
 // TraceRecorder is the per-worker phase-span recorder; see NewTraceRecorder.
 type TraceRecorder = trace.Recorder
 
-// NewTraceRecorder prepares a span recorder for up to workers threads with
-// spansPerWorker ring slots each (<= 0 selects the default capacity). Pass
-// it as Config.Trace, then export with trace.WriteChrome or inspect
-// Snapshot directly.
-func NewTraceRecorder(workers, spansPerWorker int) *TraceRecorder {
-	return trace.NewRecorder(workers, spansPerWorker)
-}
+// NewTraceRecorder returns a span recorder to pass as Config.Trace to one
+// run at a time; export it with trace.WriteChrome or inspect Snapshot once
+// the runs have returned. Each run grows it to its worker count, and a
+// worker whose ring fills keeps all of its time at a coarser resolution.
+func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 
 // NewAlgorithm instantiates an algorithm by its paper name: one of
 // Algorithms(), or HANDSHAKE for the related-work baseline. The names and

@@ -6,8 +6,29 @@ import (
 	"repro/internal/clock"
 	"repro/internal/hashtable"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/tuple"
 )
+
+// BenchmarkPhaseChange is one phase change as the joins make it,
+// ExecContext.Begin: untraced, and with the worker's span ring attached,
+// which fills and coarsens as a long traced run's does.
+func BenchmarkPhaseChange(b *testing.B) {
+	for _, mode := range []string{"untraced", "traced"} {
+		b.Run(mode, func(b *testing.B) {
+			ctx := &ExecContext{Threads: 1, M: metrics.NewCollector(1)}
+			if mode == "traced" {
+				trace.NewRecorder().StartRun("BENCH", ctx.M)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx.Begin(0, metrics.Phase(i&3))
+			}
+			ctx.EndPhase(0)
+		})
+	}
+}
 
 // benchNowMs is where the benchmark clock stands: 981–1000 ms after the
 // arrival times of benchHits, latencies that straddle one histogram bucket

@@ -11,11 +11,12 @@ import (
 	"repro/internal/tuple"
 )
 
-// scriptAlg books a fixed script into every worker's metrics — phase time,
-// matches at several latencies and emission times, memory samples — scaled
-// by k so that two scripts leave different marks everywhere, and reads no
-// clock: two runs of one script differ only in the wall time core.Run
-// measures around them.
+// scriptAlg books a fixed script into every worker's metrics — matches at
+// several latencies and emission times, memory samples — scaled by k so
+// that two scripts leave different marks everywhere, and reads no clock:
+// two runs of one script differ only in the wall time core.Run measures
+// around them. It books no phase time, which only a clock read can;
+// metrics.TestCollectorResetEqualsNew covers a reset worker's phases.
 type scriptAlg struct {
 	k    int64
 	fail bool
@@ -25,9 +26,6 @@ func (scriptAlg) Name() string { return "SCRIPT" }
 func (a scriptAlg) Run(ctx *ExecContext) error {
 	for tid := 0; tid < ctx.Threads; tid++ {
 		tm := ctx.M.T(tid)
-		for p := range metrics.Phases() {
-			tm.AddPhaseNs(metrics.Phase(p), a.k*int64(100*(tid+1)+p))
-		}
 		for i := int64(1); i <= 40; i++ {
 			tm.Matches(a.k+i, a.k*i*3, a.k*i)
 		}

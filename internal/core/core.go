@@ -98,11 +98,6 @@ type ExecContext struct {
 	// Tracer, when non-nil, feeds the cache simulator; profile runs are
 	// single-threaded so the trace is deterministic.
 	Tracer cachesim.Tracer
-	// Trace, when non-nil, records per-worker phase spans (OBSERVABILITY.md).
-	// Disabled tracing is free: TraceWorker returns a nil handle whose
-	// methods are no-ops, so the hot path carries no branch and no
-	// allocation per span.
-	Trace *trace.Recorder
 	// Out takes the run's materialized results to the caller's consumer;
 	// nil counts only (the paper measures the join process, not downstream
 	// consumption). Workers reach it through their Sink.
@@ -117,43 +112,22 @@ type ExecContext struct {
 // NowMs returns the current simulated time.
 func (ctx *ExecContext) NowMs() int64 { return ctx.Clock.NowMs() }
 
-// SetPhase forwards a phase transition to a phase-aware tracer so profile
-// runs can attribute cache statistics per phase (Figure 8).
-func (ctx *ExecContext) SetPhase(p metrics.Phase) {
-	if ps, ok := ctx.Tracer.(cachesim.PhaseSetter); ok {
-		ps.SetPhase(int(p))
-	}
-}
-
-// Begin switches worker tid into phase p, updating the time breakdown,
-// the span trace, and, if attached, the phase-aware cache tracer.
+// Begin switches worker tid into phase p: its ThreadMetrics books the
+// stretch this closes (and, in a traced run, hands it to the worker's span
+// ring), and a phase-aware cache tracer attributes what follows to p, so
+// profile runs split cache statistics by phase (Figure 8).
 func (ctx *ExecContext) Begin(tid int, p metrics.Phase) {
 	ctx.M.T(tid).Begin(p)
-	if ctx.Trace != nil {
-		ctx.Trace.T(tid).Begin(int(p))
-	}
 	if ctx.Tracer != nil {
-		ctx.SetPhase(p)
+		if ps, ok := ctx.Tracer.(cachesim.PhaseSetter); ok {
+			ps.SetPhase(int(p))
+		}
 	}
 }
 
-// EndPhase closes worker tid's current phase in both the time breakdown
-// and the span trace; workers call it once when they finish.
-func (ctx *ExecContext) EndPhase(tid int) {
-	ctx.M.T(tid).End()
-	if ctx.Trace != nil {
-		ctx.Trace.T(tid).End()
-	}
-}
-
-// TraceWorker returns worker tid's span-recording handle; nil (an inert,
-// method-safe handle) when tracing is disabled.
-func (ctx *ExecContext) TraceWorker(tid int) *trace.Worker {
-	if ctx.Trace == nil {
-		return nil
-	}
-	return ctx.Trace.T(tid)
-}
+// EndPhase closes worker tid's current phase; workers call it once when
+// they finish.
+func (ctx *ExecContext) EndPhase(tid int) { ctx.M.T(tid).End() }
 
 // Avail reports whether a tuple with timestamp ts has arrived.
 func (ctx *ExecContext) Avail(ts int64) bool { return ctx.Clock.Avail(ts - ctx.BaseTS) }
@@ -226,8 +200,8 @@ type RunConfig struct {
 	AtRest bool
 	Knobs  Knobs
 	Tracer cachesim.Tracer
-	// Trace records per-worker phase spans into the given recorder; the
-	// run is tagged with the algorithm name via StartRun.
+	// Trace records per-worker phase spans into the given recorder:
+	// StartRun names the run and attaches its rings to the run's workers.
 	Trace *trace.Recorder
 	// Emit receives the materialized results, a batch of them at a time
 	// and never from two goroutines at once (Outbox); nil counts only.
@@ -299,9 +273,6 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	if cfg.WrapClock != nil {
 		src = cfg.WrapClock(src)
 	}
-	if cfg.Trace != nil {
-		cfg.Trace.StartRun(alg.Name())
-	}
 	poolBefore := cfg.Pool.Stats()
 	ctx := &ExecContext{
 		R:        r,
@@ -313,13 +284,13 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		M:        cfg.Pool.Collector(threads),
 		Knobs:    knobs,
 		Tracer:   cfg.Tracer,
-		Trace:    cfg.Trace,
 		Out:      cfg.Out,
 		Pool:     cfg.Pool,
 	}
 	if ctx.Out == nil {
 		ctx.Out = NewOutbox(cfg.Emit, cfg.Pool)
 	}
+	cfg.Trace.StartRun(alg.Name(), ctx.M)
 	outBefore := ctx.Out.stats()
 	sw := clock.StartStopwatch()
 	var err error

@@ -16,12 +16,10 @@ import (
 	"time"
 
 	"repro/internal/cachesim"
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/hashtable"
 	"repro/internal/metrics"
 	"repro/internal/pool"
-	"repro/internal/trace"
 	"repro/internal/tuple"
 )
 
@@ -214,8 +212,6 @@ const stall = 20 * time.Microsecond
 type worker struct {
 	ctx  *core.ExecContext
 	tid  int
-	tm   *metrics.ThreadMetrics
-	tw   *trace.Worker // nil — and free — when tracing is disabled
 	sink *core.Sink
 	dist distribution
 	r, s cursor
@@ -223,11 +219,6 @@ type worker struct {
 	atRest  bool
 	gate    int64 // this round's arrival gate
 	waiting bool  // a pull of this round stopped at a tuple yet to arrive
-
-	// The open phase: begin starts it, end books it.
-	phase metrics.Phase
-	start int64
-	sw    clock.Stopwatch
 }
 
 // newWorker builds worker tid of a join under the JB or the JM scheme.
@@ -235,7 +226,8 @@ type worker struct {
 // JB router sees every tuple of both streams, which bounds its keys.
 func newWorker(ctx *core.ExecContext, tid int, jb bool, base uint64) worker {
 	w := worker{
-		ctx: ctx, tid: tid, tm: ctx.M.T(tid), tw: ctx.TraceWorker(tid),
+		ctx:    ctx,
+		tid:    tid,
 		sink:   core.NewSink(ctx, tid),
 		dist:   newJM(ctx.Threads, tid),
 		r:      cursor{rel: ctx.R, side: sideR, base: base},
@@ -271,24 +263,16 @@ func (w *worker) pull(c *cursor, buf []tuple.Tuple) []tuple.Tuple {
 	return buf
 }
 
-// begin opens a measured stretch of phase ph: the eager loops measure
-// sub-batch phases with explicit begin/end pairs — no Begin call per tuple,
-// no closure per phase — and publish each as one trace span through the
-// worker's preallocated ring.
-func (w *worker) begin(ph metrics.Phase) {
-	if w.ctx.Tracer != nil {
-		w.ctx.SetPhase(ph)
-	}
-	w.phase = ph
-	w.start = w.tw.NowNs()
-	w.sw = clock.StartStopwatch()
-}
+// begin opens a measured stretch of phase ph. The eager loops measure
+// sub-batch phases with explicit begin/end pairs — no phase change per
+// tuple, no closure per phase — and book no phase between the pairs.
+func (w *worker) begin(ph metrics.Phase) { w.ctx.Begin(w.tid, ph) }
 
-// end books the stretch begin opened and attributes n tuples to its span.
+// end closes the stretch begin opened, attributing n tuples to it.
 func (w *worker) end(n int) {
-	d := w.sw.ElapsedNs()
-	w.tm.AddPhaseNs(w.phase, d)
-	w.tw.Record(int(w.phase), w.start, d, int64(n))
+	tm := w.ctx.M.T(w.tid)
+	tm.AddTuples(int64(n))
+	tm.End()
 }
 
 // starved stalls a worker whose round pulled nothing because it consumes

@@ -39,12 +39,12 @@ func (NPJ) Run(ctx *core.ExecContext) error {
 	barrier.Add(ctx.Threads)
 
 	core.Parallel(ctx.Threads, func(tid int) {
-		tw := ctx.TraceWorker(tid)
+		tm := ctx.M.T(tid)
 		ctx.WaitWindow(tid)
 
 		ctx.Begin(tid, metrics.PhaseBuildSort)
 		lo, hi := core.Chunk(len(ctx.R), ctx.Threads, tid)
-		tw.AddTuples(int64(hi - lo))
+		tm.AddTuples(int64(hi - lo))
 		table.InsertBatch(ctx.R[lo:hi])
 		ctx.Begin(tid, metrics.PhaseOther)
 		barrier.Done()
@@ -53,7 +53,7 @@ func (NPJ) Run(ctx *core.ExecContext) error {
 		ctx.Begin(tid, metrics.PhaseProbe)
 		k := core.NewSink(ctx, tid)
 		lo, hi = core.Chunk(len(ctx.S), ctx.Threads, tid)
-		tw.AddTuples(int64(hi - lo))
+		tm.AddTuples(int64(hi - lo))
 		hits := ctx.Pool.Hits(matchBatch)
 		for rest := ctx.S[lo:hi]; len(rest) > 0; {
 			blk := rest[:min(matchBatch, len(rest))]

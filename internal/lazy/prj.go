@@ -62,7 +62,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 	barrier.Add(ctx.Threads)
 
 	core.Parallel(ctx.Threads, func(tid int) {
-		tw := ctx.TraceWorker(tid)
+		tm := ctx.M.T(tid)
 		ctx.WaitWindow(tid)
 
 		// Phase 1: physically partition this thread's chunks with the
@@ -72,7 +72,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 		ps := ctx.Pool.Partitioner()
 		parters[2*tid], parters[2*tid+1] = pr, ps
 		lo, hi := core.Chunk(len(ctx.R), ctx.Threads, tid)
-		tw.AddTuples(int64(hi - lo))
+		tm.AddTuples(int64(hi - lo))
 		if fuse {
 			tabsR = pr.PartitionBuild(ctx.R, bits, func(n int) *hashtable.Table {
 				return ctx.Pool.Table(n, bits)
@@ -81,7 +81,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 			partsR[tid], hashR[tid] = pr.PartitionHashed(ctx.R[lo:hi], bits, ctx.Tracer, 0)
 		}
 		lo, hi = core.Chunk(len(ctx.S), ctx.Threads, tid)
-		tw.AddTuples(int64(hi - lo))
+		tm.AddTuples(int64(hi - lo))
 		partsS[tid], hashS[tid] = ps.PartitionHashed(ctx.S[lo:hi], bits, ctx.Tracer, 1<<34)
 		cp := int64(hi-lo) * 16 * 2 // physical copies of both inputs
 		if fuse {
@@ -108,7 +108,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 				if table = tabsR[p]; table == nil {
 					continue
 				}
-				tw.AddTuples(table.Size())
+				tm.AddTuples(table.Size())
 			} else {
 				nR := 0
 				for t := range partsR {
@@ -117,7 +117,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 				if nR == 0 {
 					continue
 				}
-				tw.AddTuples(int64(nR))
+				tm.AddTuples(int64(nR))
 				table = ctx.Pool.Table(nR, bits)
 				if ctx.Tracer != nil {
 					table.SetTracer(ctx.Tracer, uint64(p)<<22|1<<40)
@@ -132,7 +132,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 			k.Refresh()
 			for t := range partsS {
 				probes, hashes := partsS[t][p], hashS[t][p]
-				tw.AddTuples(int64(len(probes)))
+				tm.AddTuples(int64(len(probes)))
 				for len(probes) > 0 {
 					n := min(matchBatch, len(probes))
 					k.Refresh()

@@ -57,7 +57,7 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 	barrier.Add(tcount)
 
 	core.Parallel(tcount, func(tid int) {
-		tw := ctx.TraceWorker(tid)
+		tm := ctx.M.T(tid)
 		ctx.WaitWindow(tid)
 
 		// Partition: take a physical copy of the equisized chunk so
@@ -70,12 +70,12 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		lo, hi = core.Chunk(len(ctx.S), tcount, tid)
 		runsS[tid] = ctx.Pool.Tuples(hi - lo)[:hi-lo]
 		copy(runsS[tid], ctx.S[lo:hi])
-		tw.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
+		tm.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
 		ctx.M.MemAdd(int64(len(runsR[tid])+len(runsS[tid])) * 16)
 
 		// Sort the local runs.
 		ctx.Begin(tid, metrics.PhaseBuildSort)
-		tw.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
+		tm.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
 		scratch := ctx.Pool.Tuples(max(len(runsR[tid]), len(runsS[tid])))
 		sortmerge.SortByKeyScratch(runsR[tid], scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32)
 		sortmerge.SortByKeyScratch(runsS[tid], scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32|1<<31)
@@ -107,12 +107,12 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		}
 		mergedR := merge(rangeSlices(runsR, splitters, tid), mergeBufs[4*tid:4*tid+2])
 		mergedS := merge(rangeSlices(runsS, splitters, tid), mergeBufs[4*tid+2:4*tid+4])
-		tw.AddTuples(int64(len(mergedR) + len(mergedS)))
+		tm.AddTuples(int64(len(mergedR) + len(mergedS)))
 		ctx.M.MemAdd(int64(len(mergedR)+len(mergedS)) * 16)
 
 		// Match the aligned key range with a single-pass merge join.
 		ctx.Begin(tid, metrics.PhaseProbe)
-		tw.AddTuples(int64(len(mergedR) + len(mergedS)))
+		tm.AddTuples(int64(len(mergedR) + len(mergedS)))
 		k := core.NewSink(ctx, tid)
 		sortmerge.MergeJoinRuns(mergedR, mergedS, k.Rect, ctx.Tracer, uint64(tid)<<33, uint64(tid)<<33|1<<32)
 		k.Close()

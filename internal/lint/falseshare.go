@@ -31,8 +31,9 @@ const cacheLine = 64
 //
 // Concurrency reachability is approximated structurally: a struct is
 // considered concurrently accessed when it contains sync latches or
-// atomic fields — in this codebase (per-bucket latches, per-worker trace
-// rings, pooled freelists) exactly the shapes multiple goroutines touch.
+// atomic fields — in this codebase (per-bucket latches, pooled
+// freelists, the collector's memory gauge) exactly the shapes multiple
+// goroutines touch.
 // Each finding carries the concrete padding fix. Structs whose layout
 // cannot be fully resolved (unknown external field types) are skipped
 // rather than guessed.

@@ -46,13 +46,18 @@ func Phases() []Phase {
 	return []Phase{PhaseWait, PhasePartition, PhaseBuildSort, PhaseMerge, PhaseProbe, PhaseOther}
 }
 
-// ThreadMetrics accumulates one worker's timings and matches. It must only
-// be used by its owning goroutine.
+// ThreadMetrics is one worker's record: its phase times, matches and
+// latencies. It must only be used by its owning goroutine. A phase change
+// reads the clock once and books the stretch it closes to phaseNs and, in
+// a traced run, to the worker's span ring; Begin, AddTuples and End are
+// the only calls that record phases.
 type ThreadMetrics struct {
-	phaseNs   [numPhases]int64
-	cur       Phase
-	curActive bool
-	curStart  time.Time
+	phaseNs [numPhases]int64
+	start   int64 // phase clock when the open stretch began
+	tuples  int64 // tuples the open stretch covered
+	ring    *Ring // nil unless the run is traced
+	cur     Phase
+	open    bool
 
 	matches     int64
 	runs        int64     // runs the sink received the matches in
@@ -60,31 +65,56 @@ type ThreadMetrics struct {
 	progress    Histogram // match emission time in simulated ms
 	lastMatchMs int64
 
-	_ [8]int64 // pad to keep adjacent workers off one cache line
+	_ [14]int64 // pad to a multiple of 128 bytes: adjacent workers in Collector.threads share no cache line
 }
 
-// Begin switches the worker into phase p, closing the previous phase.
+// epoch anchors the phase clock.
+var epoch = time.Now()
+
+// NowNs reads the phase clock: monotonic nanoseconds since the process
+// started, the time base of Span. A trace recorder reads it once, for its
+// epoch; every other read is a phase change's.
+func NowNs() int64 { return int64(time.Since(epoch)) }
+
+// Begin switches the worker into phase p, closing the open stretch.
 func (t *ThreadMetrics) Begin(p Phase) {
-	now := time.Now()
-	if t.curActive {
-		t.phaseNs[t.cur] += now.Sub(t.curStart).Nanoseconds()
+	now := NowNs()
+	if t.open {
+		t.book(now)
 	}
-	t.cur = p
-	t.curStart = now
-	t.curActive = true
+	t.cur, t.start, t.tuples, t.open = p, now, 0, true
 }
 
-// End closes the current phase.
+// AddTuples attributes n tuples to the open stretch.
+func (t *ThreadMetrics) AddTuples(n int64) { t.tuples += n }
+
+// End closes the open stretch, if any. Until the next Begin the worker is
+// in no phase: the eager joins leave the time between their measured
+// stretches unbooked.
 func (t *ThreadMetrics) End() {
-	if t.curActive {
-		t.phaseNs[t.cur] += time.Since(t.curStart).Nanoseconds()
-		t.curActive = false
+	if t.open {
+		t.book(NowNs())
+		t.open = false
 	}
 }
 
-// AddPhaseNs credits d nanoseconds to phase p directly; used when a worker
-// measures a batch itself rather than via Begin/End.
-func (t *ThreadMetrics) AddPhaseNs(p Phase, d int64) { t.phaseNs[p] += d }
+// book adds the open stretch, ending at now, to its phase and, when
+// traced, hands the same stretch to the ring.
+func (t *ThreadMetrics) book(now int64) {
+	t.phaseNs[t.cur] += now - t.start
+	if t.ring != nil {
+		t.ring.add(t.cur, t.start, now, t.tuples)
+	}
+}
+
+// Trace hands the worker's stretches from now on to ring r as spans of
+// run run; a nil r stops tracing. Call it before the run starts.
+func (t *ThreadMetrics) Trace(r *Ring, run int32) {
+	t.ring = r
+	if r != nil {
+		r.run, r.left = run, 0
+	}
+}
 
 // Matches records n join matches generated at simulated time nowMs whose
 // last corresponding input arrived at lastInputMs. Latency follows the

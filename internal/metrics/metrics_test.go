@@ -182,15 +182,6 @@ func TestPhaseNames(t *testing.T) {
 	}
 }
 
-func TestAddPhaseNs(t *testing.T) {
-	c := NewCollector(1)
-	c.T(0).AddPhaseNs(PhaseMerge, 12345)
-	res := c.Snapshot("x", 1, 1)
-	if res.PhaseNs[PhaseMerge] != 12345 {
-		t.Fatalf("merge ns = %d", res.PhaseNs[PhaseMerge])
-	}
-}
-
 // TestCollectorResetEqualsNew: after Reset a collector snapshots exactly
 // as a new one does — every worker's phases, histograms and last-match
 // time, the memory gauge, peak and samples are back to zero — and then
@@ -199,8 +190,9 @@ func TestCollectorResetEqualsNew(t *testing.T) {
 	dirty := func(c *Collector, k int64) {
 		for tid := 0; tid < c.Threads(); tid++ {
 			tm := c.T(tid)
-			tm.Begin(PhaseProbe) // left open: Reset must close it
-			tm.AddPhaseNs(PhaseMerge, k*7)
+			tm.Trace(NewRing(4), 1) // attached: Reset must detach it
+			tm.Begin(PhaseProbe)    // left open: Reset must close it
+			tm.phaseNs[PhaseMerge] += k * 7
 			tm.Matches(k, k*30, k*10)
 			tm.Latencies(40, k, k*50)
 			tm.Emitted(k, 3, k*60)
@@ -210,7 +202,7 @@ func TestCollectorResetEqualsNew(t *testing.T) {
 		c.MemAdd(-k * 1024)
 	}
 	script := func(c *Collector) Result {
-		c.T(1).AddPhaseNs(PhaseBuildSort, 11)
+		c.T(1).phaseNs[PhaseBuildSort] += 11
 		c.T(0).Matches(5, 20, 3)
 		c.MemAdd(64)
 		c.MemSampleNow(2)
@@ -220,6 +212,9 @@ func TestCollectorResetEqualsNew(t *testing.T) {
 	used := NewCollector(2)
 	dirty(used, 9)
 	used.Reset()
+	if used.T(0).ring != nil {
+		t.Error("Reset left a span ring attached")
+	}
 	if got, want := used.Snapshot("X", 10, 1000), NewCollector(2).Snapshot("X", 10, 1000); !reflect.DeepEqual(got, want) {
 		t.Errorf("after Reset: %+v\nnew collector: %+v", got, want)
 	}

@@ -140,9 +140,14 @@ func analyzeSpans() ([]trace.Span, func(int32) string) {
 				if tid == 3 {
 					dur, tuples = 3e6, 100*int64(phase)
 				}
+				fine := func(startNs, durNs, tuples int64) trace.Span {
+					s := trace.Span{TID: tid, Phase: int32(phase), Alg: alg, StartNs: startNs, EndNs: startNs + durNs}
+					s.Ns[phase], s.Tuples[phase] = durNs, tuples
+					return s
+				}
 				spans = append(spans,
-					trace.Span{TID: tid, Phase: int32(phase), Alg: alg, StartNs: int64(phase) * 1e7, DurNs: dur / 2, Tuples: tuples / 2},
-					trace.Span{TID: tid, Phase: int32(phase), Alg: alg, StartNs: int64(phase)*1e7 + dur/2, DurNs: dur - dur/2, Tuples: tuples - tuples/2})
+					fine(int64(phase)*1e7, dur/2, tuples/2),
+					fine(int64(phase)*1e7+dur/2, dur-dur/2, tuples-tuples/2))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/metrics"
@@ -31,7 +32,8 @@ type PhaseStat struct {
 	Phase     metrics.Phase
 	// Workers is the number of workers that recorded spans in this cell.
 	Workers int
-	// Spans is the total span count of the cell.
+	// Spans is how many spans booked time or tuples to the cell; a coarse
+	// span counts once in each of its phases.
 	Spans int
 	// TotalNs / MaxNs / MeanNs summarize per-worker busy time.
 	TotalNs int64
@@ -83,14 +85,13 @@ type Analysis struct {
 	Stragglers []Straggler
 	// Algorithms holds the per-algorithm roll-ups in first-seen order.
 	Algorithms []AlgSummary
-	// DroppedSpans is the drop count the caller read alongside the spans
-	// (a trace file's droppedSpans); Analyze leaves it 0.
-	DroppedSpans int64
 }
 
-// Analyze aggregates a span snapshot. algName resolves span algorithm
-// indices to names (Recorder.AlgName, or the mapping rebuilt from a trace
-// file).
+// Analyze aggregates a span snapshot, phase by phase of each span as
+// ChromeEvents lays it out, so a snapshot and its Chrome trace analyze
+// alike. A coarse span's phases are laid back to back, so the barrier
+// stall of its cells is approximate. algName resolves span run indices to
+// names (Recorder.AlgName, or the mapping rebuilt from a trace file).
 func Analyze(spans []Span, algName func(int32) string) *Analysis {
 	type cellKey struct {
 		alg   int32
@@ -106,30 +107,33 @@ func Analyze(spans []Span, algName func(int32) string) *Analysis {
 	algOrder := []int32{}
 	algSeen := map[int32]bool{}
 	algBusy := map[int32]map[int32]int64{} // alg -> tid -> busy
-	for _, s := range spans {
-		k := cellKey{s.Alg, s.Phase}
-		ws := cells[k]
-		if ws == nil {
-			ws = map[int32]*workerAgg{}
-			cells[k] = ws
-		}
-		w := ws[s.TID]
-		if w == nil {
-			w = &workerAgg{}
-			ws[s.TID] = w
-		}
-		w.busyNs += s.DurNs
-		w.tuples += s.Tuples
-		w.spans++
-		if end := s.StartNs + s.DurNs; end > w.endNs {
-			w.endNs = end
-		}
+	for i := range spans {
+		s := &spans[i]
 		if !algSeen[s.Alg] {
 			algSeen[s.Alg] = true
 			algOrder = append(algOrder, s.Alg)
 			algBusy[s.Alg] = map[int32]int64{}
 		}
-		algBusy[s.Alg][s.TID] += s.DurNs
+		layout(s, func(p metrics.Phase, at int64) {
+			k := cellKey{s.Alg, int32(p)}
+			ws := cells[k]
+			if ws == nil {
+				ws = map[int32]*workerAgg{}
+				cells[k] = ws
+			}
+			w := ws[s.TID]
+			if w == nil {
+				w = &workerAgg{}
+				ws[s.TID] = w
+			}
+			w.busyNs += s.Ns[p]
+			w.tuples += s.Tuples[p]
+			w.spans++
+			if end := at + s.Ns[p]; end > w.endNs {
+				w.endNs = end
+			}
+			algBusy[s.Alg][s.TID] += s.Ns[p]
+		})
 	}
 
 	a := &Analysis{}
@@ -230,8 +234,9 @@ func Analyze(spans []Span, algName func(int32) string) *Analysis {
 }
 
 // SpansOfChrome reconstructs a span snapshot from a parsed Chrome trace
-// (the offline analysis path of `iawjinspect trace.json`). The returned resolver
-// maps the rebuilt algorithm indices back to names.
+// (the offline analysis path of `iawjinspect trace.json`): one fine span
+// per event, its times rounded back to the nanoseconds they were written
+// from. The returned resolver maps the rebuilt run indices back to names.
 func SpansOfChrome(ct ChromeTrace) ([]Span, func(int32) string) {
 	algIdx := map[string]int32{}
 	var algs []string
@@ -243,14 +248,12 @@ func SpansOfChrome(ct ChromeTrace) ([]Span, func(int32) string) {
 			algIdx[ev.Args.Algorithm] = idx
 			algs = append(algs, ev.Args.Algorithm)
 		}
-		spans = append(spans, Span{
-			TID:     int32(ev.TID),
-			Phase:   int32(phaseIndex(ev.Name)),
-			Alg:     idx,
-			StartNs: int64(ev.Ts * 1e3),
-			DurNs:   int64(ev.Dur * 1e3),
-			Tuples:  ev.Args.Tuples,
-		})
+		p := phaseIndex(ev.Name)
+		s := Span{TID: int32(ev.TID), Alg: idx, Phase: int32(p), StartNs: int64(math.Round(ev.Ts * 1e3))}
+		s.Ns[p] = int64(math.Round(ev.Dur * 1e3))
+		s.Tuples[p] = ev.Args.Tuples
+		s.EndNs = s.StartNs + s.Ns[p]
+		spans = append(spans, s)
 	}
 	return spans, func(i int32) string {
 		if i < 0 || int(i) >= len(algs) {
@@ -289,9 +292,6 @@ func phaseIndex(name string) metrics.Phase {
 // WriteText renders the analysis as the human-readable report of
 // `iawjinspect trace.json`.
 func (a *Analysis) WriteText(w io.Writer) {
-	if a.DroppedSpans > 0 {
-		fmt.Fprintf(w, "warning: %d spans were dropped to full rings; totals undercount\n\n", a.DroppedSpans)
-	}
 	fmt.Fprintf(w, "%-12s %-12s %8s %8s %12s %10s %14s\n",
 		"algorithm", "phase", "workers", "spans", "busy_ms", "imbalance", "barrier_ms")
 	for _, st := range a.Phases {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/metrics"
 )
 
 // ChromeEvent is one complete ("ph":"X") event of the Chrome trace-event
@@ -30,49 +32,46 @@ type ChromeEventArgs struct {
 
 // ChromeTrace is the top-level JSON-object form of the trace-event format.
 type ChromeTrace struct {
-	TraceEvents     []ChromeEvent     `json:"traceEvents"`
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
-	OtherData       map[string]string `json:"otherData,omitempty"`
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
 // chromePID groups all workers under one process row in the viewer.
 const chromePID = 1
 
-// ChromeEvents converts a span snapshot into trace events. alg resolves
-// span algorithm indices to names (Recorder.AlgName).
+// ChromeEvents converts a span snapshot into trace events, one per phase
+// a span renders (layout). alg resolves span run indices to names
+// (Recorder.AlgName).
 func ChromeEvents(spans []Span, alg func(int32) string) []ChromeEvent {
 	events := make([]ChromeEvent, 0, len(spans))
-	for _, s := range spans {
+	for i := range spans {
+		s := &spans[i]
 		name := alg(s.Alg)
-		events = append(events, ChromeEvent{
-			Name: s.PhaseName(),
-			Cat:  name,
-			Ph:   "X",
-			Ts:   float64(s.StartNs) / 1e3,
-			Dur:  float64(s.DurNs) / 1e3,
-			PID:  chromePID,
-			TID:  int(s.TID),
-			Args: ChromeEventArgs{Algorithm: name, Phase: s.PhaseName(), Tuples: s.Tuples},
+		layout(s, func(p metrics.Phase, at int64) {
+			events = append(events, ChromeEvent{
+				Name: p.String(),
+				Cat:  name,
+				Ph:   "X",
+				Ts:   float64(at) / 1e3,
+				Dur:  float64(s.Ns[p]) / 1e3,
+				PID:  chromePID,
+				TID:  int(s.TID),
+				Args: ChromeEventArgs{Algorithm: name, Phase: p.String(), Tuples: s.Tuples[p]},
+			})
 		})
 	}
 	return events
 }
 
-// WriteChrome renders the recorder's published spans as Chrome trace-event
-// JSON. Safe to call after runs complete or mid-run (live snapshot).
+// WriteChrome renders the recorder's spans as Chrome trace-event JSON.
 func WriteChrome(w io.Writer, r *Recorder) error {
 	if r == nil {
 		return fmt.Errorf("trace: nil recorder")
 	}
-	ct := ChromeTrace{
+	return json.NewEncoder(w).Encode(ChromeTrace{
 		TraceEvents:     ChromeEvents(r.Snapshot(), r.AlgName),
 		DisplayTimeUnit: "ms",
-	}
-	if d := r.Dropped(); d > 0 {
-		ct.OtherData = map[string]string{"droppedSpans": fmt.Sprint(d)}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(ct)
+	})
 }
 
 // ReadChrome parses Chrome trace-event JSON produced by WriteChrome (or

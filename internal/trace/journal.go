@@ -68,11 +68,6 @@ type JournalEntry struct {
 	OutputPeakBacklog int64 `json:"output_peak_backlog,omitempty"`
 	OutputWaits       int64 `json:"output_waits,omitempty"`
 
-	// DroppedSpans is the attached recorder's cumulative dropped-span
-	// count at write time; zero (and omitted) when no recorder is
-	// attached or nothing was dropped.
-	DroppedSpans int64 `json:"dropped_spans,omitempty"`
-
 	// Runtime is the Go runtime read when the record was written; set on
 	// every run and window record.
 	Runtime *RuntimeSample `json:"runtime,omitempty"`
@@ -122,8 +117,8 @@ type ProgressPoint struct {
 }
 
 // JournalSchema versions JournalEntry. v2 adds the header and window
-// kinds, dropped-span counts, and runtime samples; v1 journals (run
-// entries only) still parse.
+// kinds and runtime samples; v1 journals (run entries only) still parse,
+// and so do records carrying fields no longer written (dropped_spans).
 const JournalSchema = "iawj-journal/v2"
 
 // journalSchemaPrefix accepts any iawj journal version on read.
@@ -239,7 +234,6 @@ var runtimeMetrics = [...]string{
 type JournalWriter struct {
 	mu  sync.Mutex
 	enc *json.Encoder
-	rec *Recorder // optional; see Attach
 
 	// rt is reused by every runtime read: runtime/metrics keeps the
 	// histogram buffers of a Sample across reads, so once NewJournalWriter
@@ -260,17 +254,6 @@ func NewJournalWriter(w io.Writer) *JournalWriter {
 	}
 	rtm.Read(jw.rt)
 	return jw
-}
-
-// Attach connects a span recorder to the writer: subsequent entries carry
-// its cumulative dropped-span count. rec may be nil.
-func (jw *JournalWriter) Attach(rec *Recorder) {
-	if jw == nil {
-		return
-	}
-	jw.mu.Lock()
-	jw.rec = rec
-	jw.mu.Unlock()
 }
 
 // WriteHeader emits the environment header entry. Call it once when the
@@ -307,9 +290,6 @@ func (jw *JournalWriter) WriteWindow(res metrics.Result, id int, startMs, endMs 
 func (jw *JournalWriter) write(e JournalEntry) error {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
-	if jw.rec != nil {
-		e.DroppedSpans = jw.rec.Dropped()
-	}
 	rs := jw.readRuntime()
 	e.Runtime = &rs
 	return jw.enc.Encode(e)

@@ -2,10 +2,8 @@ package trace
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"repro/internal/metrics"
 	"repro/internal/pool"
@@ -18,10 +16,7 @@ type Session struct {
 	TracePath   string // write the spans as Chrome trace JSON here on Close
 	JournalPath string // append run/window records to this file
 	Stdout      bool   // print the same records on stdout (-format json)
-	// TraceWorkers and SpanCap size the recorder; fewer workers than
-	// GOMAXPROCS is raised to it, SpanCap 0 is the recorder's default.
-	TraceWorkers, SpanCap int
-	WantPool              bool // the run joins through a window pool
+	WantPool    bool   // the run joins through a window pool
 
 	// Set by Start. Recorder, Journal (the file, stdout, or both) and
 	// Pool stay nil when not asked for; all are nil-safe where joins
@@ -35,17 +30,15 @@ type Session struct {
 
 // Start brings the stack up in the one order that is right: the pool
 // first, because the first pool of a process calibrates the probe-prefetch
-// distance the journal header records; the recorder before the journal,
-// which stamps its drop count (and a runtime sample it reads itself) into
-// every record; the journal opened for append (one file collects many
-// runs, readers keep the first header). A recorder exists when a trace
-// file will read it.
+// distance the journal header records; then the journal, opened for append
+// (one file collects many runs, readers keep the first header). A recorder
+// exists when a trace file will read it.
 func (o *Session) Start() error {
 	if o.WantPool {
 		o.Pool = pool.New()
 	}
 	if o.TracePath != "" {
-		o.Recorder = NewRecorder(max(o.TraceWorkers, runtime.GOMAXPROCS(0)), o.SpanCap)
+		o.Recorder = NewRecorder()
 	}
 	err := o.openJournal()
 	if err != nil && o.journal != nil {
@@ -71,7 +64,6 @@ func (o *Session) openJournal() error {
 		return nil
 	}
 	o.Journal = NewJournalWriter(io.MultiWriter(sinks...))
-	o.Journal.Attach(o.Recorder)
 	return o.Journal.WriteHeader()
 }
 
@@ -80,8 +72,7 @@ func (o *Session) Record(res metrics.Result) error {
 	return o.Journal.Write(res)
 }
 
-// Close closes the journal and writes the trace file, warning on stderr
-// when spans were dropped to full rings.
+// Close closes the journal and writes the trace file.
 func (o *Session) Close() error {
 	var err error
 	if o.journal != nil {
@@ -89,9 +80,6 @@ func (o *Session) Close() error {
 	}
 	if o.TracePath == "" {
 		return err
-	}
-	if d := o.Recorder.Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "warning: %d spans dropped to full rings; %s undercounts (raise the span capacity)\n", d, o.TracePath)
 	}
 	f, ferr := os.Create(o.TracePath)
 	if ferr == nil {

@@ -23,8 +23,10 @@ func TestSessionAppendsAndSamples(t *testing.T) {
 		if obs.Recorder == nil || obs.Journal == nil || obs.Pool == nil {
 			t.Fatalf("Start left out a part that was asked for: %+v", obs)
 		}
-		obs.Recorder.StartRun(alg)
-		obs.Recorder.T(0).Record(int(metrics.PhaseProbe), 0, 1000, 10)
+		c := metrics.NewCollector(1)
+		obs.Recorder.StartRun(alg, c)
+		c.T(0).Begin(metrics.PhaseProbe)
+		c.T(0).End()
 		if err := obs.Record(metrics.Result{Algorithm: alg, Matches: 7}); err != nil {
 			t.Fatal(err)
 		}

@@ -325,26 +325,40 @@ func TestJoinWindowedParallelJournal(t *testing.T) {
 // writes the recorder's rings 0..Threads-1, and a ring has one writer, so
 // a traced call runs its windows one at a time whatever workers asks for
 // (run under -race by the gate). It records what the sequential driver
-// records on the same input, and drops nothing.
+// records on the same input, and its spans add up to the windows' phase
+// times.
 func TestTracedParallelWindowsRecordOneRunAtATime(t *testing.T) {
 	w := Micro(MicroConfig{RateR: 40, RateS: 40, WindowMs: 400, Dupe: 4, Seed: 47})
 	spec := WindowSpec{Kind: Tumbling, LengthMs: 50}
 	spans := func(workers int) int {
-		rec := NewTraceRecorder(2, 0)
+		rec := NewTraceRecorder()
 		cfg := Config{Algorithm: "NPJ", Threads: 2, AtRest: true, Trace: rec}
+		var results []WindowResult
 		var err error
 		if workers == 1 {
-			_, err = JoinWindowed(w.R, w.S, spec, cfg)
+			results, err = JoinWindowed(w.R, w.S, spec, cfg)
 		} else {
-			_, err = JoinWindowedParallel(w.R, w.S, spec, cfg, workers)
+			results, err = JoinWindowedParallel(w.R, w.S, spec, cfg, workers)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := rec.Dropped(); d != 0 {
-			t.Fatalf("workers=%d: %d spans dropped", workers, d)
+		var booked, held [6]int64
+		for _, wr := range results {
+			for p, ns := range wr.Result.PhaseNs {
+				booked[p] += ns
+			}
 		}
-		return len(rec.Snapshot())
+		snap := rec.Snapshot()
+		for _, s := range snap {
+			for p, ns := range s.Ns {
+				held[p] += ns
+			}
+		}
+		if held != booked {
+			t.Fatalf("workers=%d: spans hold %v ns per phase, the windows booked %v", workers, held, booked)
+		}
+		return len(snap)
 	}
 	seq, par := spans(1), spans(4)
 	if seq == 0 || par != seq {

@@ -28,7 +28,7 @@ var requiredPhases = map[string][]string{
 func TestTraceCoversAllAlgorithms(t *testing.T) {
 	w := smallWorkload(t)
 	const threads = 2
-	rec := NewTraceRecorder(threads, 0)
+	rec := NewTraceRecorder()
 
 	for _, name := range allAlgorithms {
 		if _, err := Join(w.R, w.S, Config{
@@ -96,9 +96,25 @@ func TestTraceCoversAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestTraceDisabledIsFree proves disabled tracing stays off the hot path:
-// a Join without a recorder behaves identically and the nil handles do not
-// allocate (the per-span guarantee lives in internal/trace's
+// TestTraceRecordsEveryWorker: a recorder made without knowing the
+// thread count records spans for every worker of a four-thread join.
+func TestTraceRecordsEveryWorker(t *testing.T) {
+	w := smallWorkload(t)
+	rec := NewTraceRecorder()
+	if _, err := Join(w.R, w.S, Config{Algorithm: "PRJ", Threads: 4, WindowMs: w.WindowMs, NsPerSimMs: 1000, Trace: rec}); err != nil {
+		t.Fatal(err)
+	}
+	tids := map[int32]bool{}
+	for _, s := range rec.Snapshot() {
+		tids[s.TID] = true
+	}
+	if len(tids) != 4 {
+		t.Errorf("spans from workers %v, want 0-3", tids)
+	}
+}
+
+// TestTraceDisabledIsFree: a Join without a recorder behaves identically
+// (that an untraced phase change allocates nothing is internal/trace's
 // AllocsPerRun tests).
 func TestTraceDisabledIsFree(t *testing.T) {
 	w := smallWorkload(t)
@@ -122,7 +138,7 @@ func TestTraceDisabledIsFree(t *testing.T) {
 func TestTraceRecorderReuseAcrossRuns(t *testing.T) {
 	w := smallWorkload(t)
 	want := ExpectedMatches(w.R, w.S)
-	rec := NewTraceRecorder(2, 0)
+	rec := NewTraceRecorder()
 	for i, name := range []string{"NPJ", "NPJ", "PRJ"} {
 		res, err := Join(w.R, w.S, Config{
 			Algorithm:  name,
