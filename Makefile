@@ -75,13 +75,14 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRadixSortDiff$$' -fuzztime=$(FUZZTIME) ./internal/sortmerge
 	$(GO) test -run='^$$' -fuzz='^FuzzConformance$$' -fuzztime=$(FUZZTIME) ./internal/oracle
 
-## bench-smoke: every kernel microbenchmark, BenchmarkOutbox and the phase
-## record's BenchmarkPhaseChange once under the race detector, so they stay
+## bench-smoke: every kernel microbenchmark, BenchmarkOutbox, the phase
+## record's BenchmarkPhaseChange and the oracle's BenchmarkDigest once under
+## the race detector, so they stay
 ## runnable and race-clean without a measurement; the checked-in BENCH_3.json
 ## must parse and record no variant below 1.0x of its baseline (re-record
 ## with `make bench-kernels` after a kernel change)
 bench-smoke:
-	$(GO) test -race -run '^$$' -bench '^Benchmark(Kernel|Outbox|PhaseChange)' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge ./internal/eager
+	$(GO) test -race -run '^$$' -bench '^Benchmark(Kernel|Outbox|PhaseChange|Digest)' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge ./internal/eager ./internal/oracle
 	$(INSPECT) BENCH_3.json
 
 ## bench-kernels: kernel-layer sweep (partition/partition_build/build/probe/sink/sort),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -272,26 +273,22 @@ func TestOutboxBatchesComeFromThePoolAndGoBack(t *testing.T) {
 	}
 }
 
-// digestConsumer folds every result into three sums of mixed hashes, five
-// mixes a result: the work of oracle.Sink, the digest every verified run
-// emits into, at about its cost (≈13 ns a result).
-type digestConsumer struct{ full, keyless, swapped uint64 }
+// digestConsumer does the work of oracle.Sink, the digest every verified
+// run emits into: one keyed hash of each result, two dependent 64×64→128
+// multiplies folded hi⊕lo, added into a count, a sum and an xor.
+type digestConsumer struct{ count, sum, xor uint64 }
 
-func mixBench(x uint64) uint64 {
-	x ^= x >> 31
-	x *= 0x7fb5d329728ea185
-	x ^= x >> 27
-	x *= 0x81dadef4bc2dd44d
-	return x ^ x>>33
+func mumBench(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
 func (d *digestConsumer) emit(jr tuple.JoinResult) {
-	ts := mixBench(uint64(jr.TS) ^ 0x5ca1ab1e)
-	keyed := mixBench(ts ^ uint64(uint32(jr.Key)))
-	pR, pS := uint64(uint32(jr.PayloadR)), uint64(uint32(jr.PayloadS))
-	d.full += mixBench(keyed ^ pR<<32 ^ pS)
-	d.keyless += mixBench(ts ^ pR<<32 ^ pS)
-	d.swapped += mixBench(keyed ^ pS<<32 ^ pR)
+	inner := mumBench(uint64(jr.TS)^0xa0761d6478bd642f, (uint64(uint32(jr.Key))<<32|uint64(uint32(jr.PayloadR)))^0xe7037ed1a0b428db)
+	h := mumBench(inner^0x8ebc6af09c88c6e3, uint64(uint32(jr.PayloadS))^0x589965cc75374cc3)
+	d.count++
+	d.sum += h
+	d.xor ^= h
 }
 
 // BenchmarkOutbox is the output path alone: two producers flush full
@@ -321,7 +318,7 @@ func BenchmarkOutbox(b *testing.B) {
 	b.StopTimer()
 	o.Close()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(producers*perProducer*MatchBatch), "ns/result")
-	if d.full == 0 {
+	if d.count == 0 {
 		b.Fatal("nothing was delivered")
 	}
 }

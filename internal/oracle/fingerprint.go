@@ -24,6 +24,7 @@ package oracle
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/tuple"
 )
@@ -35,53 +36,46 @@ import (
 // fingerprints — the property the window-split metamorphic check exploits
 // — and emission order (which parallel schedules scramble) is irrelevant.
 //
-// A mismatch in any field proves the multisets differ. Collisions require
-// adversarially chosen payloads against splitmix64 in two independent
-// folds simultaneously; for conformance testing of non-adversarial
-// kernels this is ample (and the cardinality is checked exactly anyway).
+// A mismatch in any field proves the multisets differ. Modelled as a
+// random function, the hash makes two different multisets with equal Count
+// agree on Sum with probability 2⁻⁶⁴ (2^(k−64) when every multiplicity
+// differs by a multiple of 2^k). It is not keyed against an adversary:
+// the kernels it checks are not one.
 type Fingerprint struct {
 	Count int64
 	Sum   uint64
 	Xor   uint64
 }
 
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+// mum multiplies a and b to 128 bits and folds the halves (wyhash's mixer).
+func mum(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
-// hashResult digests one join result, and is the written definition of all
-// three digests: a chain of mix64 over the timestamp, then (withKey) the
-// key, then both payloads. withKey=false drops the join key — the keyless
-// digest is invariant under key relabeling, the metamorphic check's handle
-// on bijective key maps. Payloads can be passed swapped to digest the
-// mirror join R⋈S vs S⋈R. TestAddResultEqualsDefinition holds
-// Digest.AddResult, which shares the chain's prefixes, to this function.
-func hashResult(ts int64, key, pR, pS int32, withKey bool) uint64 {
-	h := mix64(uint64(ts) ^ 0x5ca1ab1e)
-	if withKey {
-		h = mix64(h ^ uint64(uint32(key)))
-	}
-	h = mix64(h ^ uint64(uint32(pR))<<32 ^ uint64(uint32(pS)))
-	return h
-}
-
-// add folds one result hash into the fingerprint.
-func (f *Fingerprint) add(h uint64) {
-	f.Count++
-	f.Sum += h
-	f.Xor ^= h
+// hashResult is the written definition of the fingerprint's hash: two
+// dependent multiplies over the fields as unsigned bit patterns, keyed by
+// wyhash's constants K0…K3 (in order below),
+//
+//	mum(mum(TS⊕K0, (Key<<32 | PayloadR)⊕K1) ⊕ K2, PayloadS⊕K3)
+//
+// PayloadR and PayloadS enter at different positions, so exchanging them
+// within a result moves the hash. mum is blind where a factor is zero: a
+// result with TS = K0 hashes the same whatever its Key and PayloadR, one
+// with (Key<<32 | PayloadR) = K1 whatever its TS, and one whose inner
+// product is K2 whatever its PayloadS. PayloadS⊕K3 is never zero: K3 has
+// bits above 32.
+func hashResult(jr tuple.JoinResult) uint64 {
+	inner := mum(uint64(jr.TS)^0xa0761d6478bd642f, (uint64(uint32(jr.Key))<<32|uint64(uint32(jr.PayloadR)))^0xe7037ed1a0b428db)
+	return mum(inner^0x8ebc6af09c88c6e3, uint64(uint32(jr.PayloadS))^0x589965cc75374cc3)
 }
 
 // Add folds one join result into the fingerprint.
 func (f *Fingerprint) Add(jr tuple.JoinResult) {
-	f.add(hashResult(jr.TS, jr.Key, jr.PayloadR, jr.PayloadS, true))
+	h := hashResult(jr)
+	f.Count++
+	f.Sum += h
+	f.Xor ^= h
 }
 
 // Merge folds g into f: the fingerprint of the multiset union.
@@ -99,37 +93,17 @@ func (f Fingerprint) String() string {
 	return fmt.Sprintf("%d:%016x:%016x", f.Count, f.Sum, f.Xor)
 }
 
-// Digest carries the three fingerprints the sink computes in one pass.
+// Digest is the fingerprint of every emitted result (Full), the
+// differential identity every algorithm must reproduce.
 type Digest struct {
-	// Full digests (ts, key, payloadR, payloadS) — the differential
-	// identity every algorithm must reproduce.
 	Full Fingerprint
-	// Keyless drops the key: invariant under key relabeling.
-	Keyless Fingerprint
-	// Swapped digests with payloads exchanged: the Full digest of the
-	// mirror join S⋈R, used by the symmetry check.
-	Swapped Fingerprint
 }
 
-// AddResult folds one join result into all three fingerprints. Every
-// emitted result of every verified run crosses it, so it hashes each shared
-// prefix of hashResult's chain once — the timestamp for all three,
-// timestamp-then-key for Full and Swapped: five mix64, not eight.
-func (d *Digest) AddResult(jr tuple.JoinResult) {
-	ts := mix64(uint64(jr.TS) ^ 0x5ca1ab1e)
-	keyed := mix64(ts ^ uint64(uint32(jr.Key)))
-	pR, pS := uint64(uint32(jr.PayloadR)), uint64(uint32(jr.PayloadS))
-	d.Full.add(mix64(keyed ^ pR<<32 ^ pS))
-	d.Keyless.add(mix64(ts ^ pR<<32 ^ pS))
-	d.Swapped.add(mix64(keyed ^ pS<<32 ^ pR))
-}
+// AddResult folds one join result into the digest.
+func (d *Digest) AddResult(jr tuple.JoinResult) { d.Full.Add(jr) }
 
-// Merge folds the digests of a disjoint result set into d.
-func (d *Digest) Merge(o Digest) {
-	d.Full.Merge(o.Full)
-	d.Keyless.Merge(o.Keyless)
-	d.Swapped.Merge(o.Swapped)
-}
+// Merge folds the digest of a disjoint result set into d.
+func (d *Digest) Merge(o Digest) { d.Full.Merge(o.Full) }
 
 // Sink is a Config.Emit target that digests emitted results. It takes no
 // lock: Emit is never entered concurrently (iawj.Config.Emit), and the
@@ -146,5 +120,5 @@ func NewSink() *Sink { return &Sink{} }
 // Emit implements the Config.Emit contract.
 func (s *Sink) Emit(jr tuple.JoinResult) { s.d.AddResult(jr) }
 
-// Digest returns the folded fingerprints; call after the join completes.
+// Digest returns the folded fingerprint; call after the join completes.
 func (s *Sink) Digest() Digest { return s.d }

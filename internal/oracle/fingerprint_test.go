@@ -1,8 +1,12 @@
 package oracle
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"math/big"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -73,18 +77,25 @@ func TestFingerprintMergeEqualsUnion(t *testing.T) {
 	}
 }
 
+// TestDigestSwappedMirrors holds the symmetry check's sink: results
+// with their payloads exchanged, digested through it, must reproduce the
+// digest of the originals — and differ from digesting them unmapped, or
+// the sink would not be swapping anything.
 func TestDigestSwappedMirrors(t *testing.T) {
 	results := randomResults(100, 19)
-	var d, mirror Digest
+	var want, unmapped Digest
+	mirror := &mappedSink{back: swapPayloads}
 	for _, jr := range results {
-		d.AddResult(jr)
-		mirror.AddResult(tuple.JoinResult{TS: jr.TS, Key: jr.Key, PayloadR: jr.PayloadS, PayloadS: jr.PayloadR})
+		want.AddResult(jr)
+		swapped := tuple.JoinResult{TS: jr.TS, Key: jr.Key, PayloadR: jr.PayloadS, PayloadS: jr.PayloadR}
+		unmapped.AddResult(swapped)
+		mirror.emit(swapped)
 	}
-	if !d.Swapped.Equal(mirror.Full) || !d.Full.Equal(mirror.Swapped) {
-		t.Fatal("Swapped digest must equal the Full digest of payload-swapped results")
+	if got := mirror.Digest(); got != want {
+		t.Fatalf("payload-swapping sink: %s, want %s", got.Full, want.Full)
 	}
-	if !d.Keyless.Equal(d.Keyless) || d.Keyless.Count != d.Full.Count {
-		t.Fatal("keyless digest must track the same multiset")
+	if unmapped == want {
+		t.Fatal("digesting the swapped results unmapped must not reproduce the originals' digest")
 	}
 }
 
@@ -191,22 +202,47 @@ func TestParseCaseRejectsMalformed(t *testing.T) {
 	}
 }
 
-// definitionDigest folds results through hashResult, the written
-// definition of the three digests.
+// definitionHash is the written definition of hashResult, computed with
+// arbitrary-precision integers rather than bits.Mul64 and shifts, so a
+// slip in the fast form (a sign extension, a lost carry, a swapped half)
+// shows:
+//
+//	mum(a, b) = ⌊a·b / 2⁶⁴⌋ ⊕ (a·b mod 2⁶⁴)
+//	h = mum(mum(TS⊕K0, (Key·2³² + PayloadR)⊕K1) ⊕ K2, PayloadS⊕K3)
+//
+// with every field taken as its unsigned bit pattern and K0…K3 wyhash's
+// constants.
+func definitionHash(jr tuple.JoinResult) uint64 {
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	unsigned := func(v int64, bits uint) *big.Int {
+		n := big.NewInt(v)
+		return n.Mod(n, new(big.Int).Lsh(big.NewInt(1), bits))
+	}
+	mum := func(a, b *big.Int) *big.Int {
+		hi, lo := new(big.Int).DivMod(new(big.Int).Mul(a, b), two64, new(big.Int))
+		return hi.Xor(hi, lo)
+	}
+	u64 := func(k uint64) *big.Int { return new(big.Int).SetUint64(k) }
+	packed := new(big.Int).Add(new(big.Int).Mul(unsigned(int64(jr.Key), 32), u64(1<<32)), unsigned(int64(jr.PayloadR), 32))
+	inner := mum(new(big.Int).Xor(unsigned(jr.TS, 64), u64(0xa0761d6478bd642f)), packed.Xor(packed, u64(0xe7037ed1a0b428db)))
+	return mum(inner.Xor(inner, u64(0x8ebc6af09c88c6e3)), new(big.Int).Xor(unsigned(int64(jr.PayloadS), 32), u64(0x589965cc75374cc3))).Uint64()
+}
+
+// definitionDigest folds results through definitionHash.
 func definitionDigest(results []tuple.JoinResult) Digest {
 	var d Digest
 	for _, jr := range results {
-		d.Full.add(hashResult(jr.TS, jr.Key, jr.PayloadR, jr.PayloadS, true))
-		d.Keyless.add(hashResult(jr.TS, jr.Key, jr.PayloadR, jr.PayloadS, false))
-		d.Swapped.add(hashResult(jr.TS, jr.Key, jr.PayloadS, jr.PayloadR, true))
+		h := definitionHash(jr)
+		d.Full.Count++
+		d.Full.Sum += h
+		d.Full.Xor ^= h
 	}
 	return d
 }
 
 // edgeResults are the inputs on which a widening or sign-extension slip in
-// the shared-prefix form would show: negative and extreme timestamps, key
-// -1, extreme payloads, and payloads that only differ by which side they
-// are on.
+// the hash would show: negative and extreme timestamps, key -1, extreme
+// payloads, and payloads that only differ by which side they are on.
 func edgeResults() []tuple.JoinResult {
 	return []tuple.JoinResult{
 		{},
@@ -220,18 +256,17 @@ func edgeResults() []tuple.JoinResult {
 	}
 }
 
-// TestAddResultEqualsDefinition holds AddResult, which shares the hash
-// chain's prefixes, to hashResult field for field — one result at a time,
-// so a slip cannot cancel in the folds — and pins the digest of a fixed
-// input, so that the definition itself cannot drift: every recorded
-// conformance digest depends on it.
+// TestAddResultEqualsDefinition holds AddResult to the written definition
+// field for field — one result at a time, so a slip cannot cancel in the
+// folds — and pins the digest of a fixed input, so that the definition
+// itself cannot drift: every recorded conformance digest depends on it.
 func TestAddResultEqualsDefinition(t *testing.T) {
 	inputs := append(edgeResults(), randomResults(2000, 29)...)
 	for _, jr := range inputs {
 		var got Digest
 		got.AddResult(jr)
 		if want := definitionDigest([]tuple.JoinResult{jr}); got != want {
-			t.Fatalf("AddResult(%+v) = %+v, hashResult gives %+v", jr, got, want)
+			t.Fatalf("AddResult(%+v) = %+v, definition gives %+v", jr, got, want)
 		}
 	}
 	var got Digest
@@ -239,14 +274,128 @@ func TestAddResultEqualsDefinition(t *testing.T) {
 		got.AddResult(jr)
 	}
 	if want := definitionDigest(inputs); got != want {
-		t.Fatalf("folded: AddResult %+v, hashResult %+v", got, want)
+		t.Fatalf("folded: AddResult %+v, definition %+v", got, want)
 	}
-	golden := Digest{
-		Full:    Fingerprint{Count: 2008, Sum: 0xcf9022934f3029e2, Xor: 0x36dbcc0b9c63d4ba},
-		Keyless: Fingerprint{Count: 2008, Sum: 0x080b6284c3522a8b, Xor: 0xcedd2ebca766ea11},
-		Swapped: Fingerprint{Count: 2008, Sum: 0xbf5f46b5db71d2e9, Xor: 0x63f0102e297ac2bf},
-	}
+	golden := Digest{Full: Fingerprint{Count: 2008, Sum: 0xee3de58edfd44d80, Xor: 0xb72a29acddcdd4fa}}
 	if got != golden {
 		t.Fatalf("digest of the pinned input moved:\n got %#v\nwant %#v", got, golden)
 	}
+}
+
+// TestFingerprintSeesEveryField changes one result at a time, in each of
+// its four fields by +1, −1 and a flip of the top bit, swaps the payloads
+// inside it, and exchanges its PayloadS with the next result's. Every
+// change that alters the multiset must alter the fingerprint while the
+// count stays: a hash blind to a field, or to which side a payload came
+// from, fails here.
+func TestFingerprintSeesEveryField(t *testing.T) {
+	results := append(edgeResults(), randomResults(64, 31)...)
+	digest := func(rs []tuple.JoinResult) Fingerprint {
+		var f Fingerprint
+		for _, jr := range rs {
+			f.Add(jr)
+		}
+		return f
+	}
+	want := digest(results)
+	check := func(name string, mutated []tuple.JoinResult) {
+		t.Helper()
+		if sameMultiset(results, mutated) {
+			return // e.g. a swap of equal payloads
+		}
+		got := digest(mutated)
+		if got.Count != want.Count {
+			t.Fatalf("%s: count moved, %d → %d", name, want.Count, got.Count)
+		}
+		if got.Equal(want) {
+			t.Errorf("%s: fingerprint unchanged at %s", name, got)
+		}
+	}
+	fields := []struct {
+		name string
+		edit func(jr *tuple.JoinResult, d int64, flip bool)
+	}{
+		{"TS", func(jr *tuple.JoinResult, d int64, flip bool) {
+			if flip {
+				jr.TS ^= math.MinInt64
+			} else {
+				jr.TS += d
+			}
+		}},
+		{"Key", func(jr *tuple.JoinResult, d int64, flip bool) { jr.Key = edit32(jr.Key, d, flip) }},
+		{"PayloadR", func(jr *tuple.JoinResult, d int64, flip bool) { jr.PayloadR = edit32(jr.PayloadR, d, flip) }},
+		{"PayloadS", func(jr *tuple.JoinResult, d int64, flip bool) { jr.PayloadS = edit32(jr.PayloadS, d, flip) }},
+	}
+	for i := range results {
+		for _, f := range fields {
+			for _, c := range []struct {
+				how  string
+				d    int64
+				flip bool
+			}{{"+1", 1, false}, {"-1", -1, false}, {"top bit", 0, true}} {
+				mutated := slices.Clone(results)
+				f.edit(&mutated[i], c.d, c.flip)
+				check(fmt.Sprintf("result %d %s %s", i, f.name, c.how), mutated)
+			}
+		}
+		mutated := slices.Clone(results)
+		mutated[i].PayloadR, mutated[i].PayloadS = mutated[i].PayloadS, mutated[i].PayloadR
+		check(fmt.Sprintf("result %d payloads swapped", i), mutated)
+		j := (i + 1) % len(results)
+		mutated = slices.Clone(results)
+		mutated[i].PayloadS, mutated[j].PayloadS = mutated[j].PayloadS, mutated[i].PayloadS
+		check(fmt.Sprintf("results %d and %d PayloadS exchanged", i, j), mutated)
+	}
+}
+
+// edit32 adds d to v, or flips its top bit.
+func edit32(v int32, d int64, flip bool) int32 {
+	if flip {
+		return v ^ math.MinInt32
+	}
+	return v + int32(d)
+}
+
+// sameMultiset reports whether a and b hold the same results, in any order.
+func sameMultiset(a, b []tuple.JoinResult) bool {
+	order := func(x, y tuple.JoinResult) int {
+		return cmp.Or(cmp.Compare(x.TS, y.TS), cmp.Compare(x.Key, y.Key),
+			cmp.Compare(x.PayloadR, y.PayloadR), cmp.Compare(x.PayloadS, y.PayloadS))
+	}
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(a, order)
+	slices.SortFunc(b, order)
+	return slices.Equal(a, b)
+}
+
+// BenchmarkDigest is the oracle's cost per verified result: AddResult over
+// a hot batch, and Sink.Emit called through a func value as Config.Emit
+// calls it.
+func BenchmarkDigest(b *testing.B) {
+	batch := randomResults(1024, 37)
+	b.Run("AddResult", func(b *testing.B) {
+		var d Digest
+		for i := 0; i < b.N; i++ {
+			for _, jr := range batch {
+				d.AddResult(jr)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/result")
+		if d.Full.Count == 0 {
+			b.Fatal("nothing was digested")
+		}
+	})
+	b.Run("SinkEmit", func(b *testing.B) {
+		sink := NewSink()
+		emit := sink.Emit
+		for i := 0; i < b.N; i++ {
+			for _, jr := range batch {
+				emit(jr)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/result")
+		if sink.Digest().Full.Count == 0 {
+			b.Fatal("nothing was digested")
+		}
+	})
 }

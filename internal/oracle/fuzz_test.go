@@ -51,9 +51,6 @@ func FuzzConformance(f *testing.F) {
 				t.Fatalf("seed=%d nR=%d nS=%d dupe=%d skew=%.1f %s threads=%d: digest %s matches %d, oracle %s",
 					seed, nR, nS, dupe, float64(skew10)/10, alg, threads, got.Full, res.Matches, want.Full)
 			}
-			if got.Full.Count != got.Keyless.Count {
-				t.Fatalf("seed=%d %s: digest counts diverged", seed, alg)
-			}
 		}
 	})
 }

@@ -25,22 +25,22 @@ type Outcome struct {
 // identical entry path users do.
 func runJoin(c Case, r, s tuple.Relation, windowMs int64, atRest bool) (Digest, int64, error) {
 	sink := NewSink()
-	res, err := iawj.Join(r, s, c.config(sink, windowMs, atRest))
+	res, err := iawj.Join(r, s, c.config(sink.Emit, windowMs, atRest))
 	if err != nil {
 		return Digest{}, 0, err
 	}
 	return sink.Digest(), res.Matches, nil
 }
 
-// config is the production configuration of the case, emitting into sink.
-func (c Case) config(sink *Sink, windowMs int64, atRest bool) iawj.Config {
+// config is the production configuration of the case, emitting into emit.
+func (c Case) config(emit func(tuple.JoinResult), windowMs int64, atRest bool) iawj.Config {
 	cfg := iawj.Config{
 		Algorithm: c.Algorithm,
 		Threads:   c.Threads,
 		WindowMs:  windowMs,
 		AtRest:    atRest,
 		BatchSize: c.BatchSize,
-		Emit:      sink.Emit,
+		Emit:      emit,
 	}
 	if c.Pooled {
 		cfg.Pool = iawj.NewStatePool()
@@ -52,6 +52,18 @@ func (c Case) config(sink *Sink, windowMs int64, atRest bool) iawj.Config {
 		}
 	}
 	return cfg
+}
+
+// mix64 is the splitmix64 finalizer; it derives independent seeds and
+// keys from a case's one seed.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // inputs materializes the case's workload with its ingest jitter applied.
@@ -98,7 +110,7 @@ func RunCase(c Case) (Outcome, error) {
 	if matches != want.Full.Count {
 		return o, fmt.Errorf("[%s] metrics: reported %d matches, oracle %d", c, matches, want.Full.Count)
 	}
-	if !got.Full.Equal(want.Full) {
+	if got != want {
 		return o, fmt.Errorf("[%s] fingerprint: emitted %s, oracle %s (same cardinality, different pairs)", c, got.Full, want.Full)
 	}
 	return o, nil
@@ -213,11 +225,4 @@ func RunMatrix(m Matrix, report func(Outcome, error)) (ran, failed int) {
 		}
 	}
 	return ran, failed
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -28,7 +28,7 @@ func CheckMetamorphic(c Case) error {
 	if err != nil {
 		return fmt.Errorf("[%s] meta base run: %w", c, err)
 	}
-	if err := checkSymmetry(c, r, s, windowMs, atRest, base); err != nil {
+	if err := checkMapped(c, "symmetry", s, r, windowMs, atRest, base, swapPayloads); err != nil {
 		return err
 	}
 	if err := checkWindowSplit(c, r, s, base); err != nil {
@@ -38,21 +38,6 @@ func CheckMetamorphic(c Case) error {
 		return err
 	}
 	return checkShift(c, r, s, windowMs, atRest, base)
-}
-
-// checkSymmetry joins the streams in swapped roles. The intra-window join
-// is symmetric up to exchanging the payload columns, so the mirror run's
-// full fingerprint must equal the base run's swapped fingerprint (and
-// vice versa).
-func checkSymmetry(c Case, r, s tuple.Relation, windowMs int64, atRest bool, base Digest) error {
-	mirror, _, err := runJoin(c, s, r, windowMs, atRest)
-	if err != nil {
-		return fmt.Errorf("[%s] meta symmetry run: %w", c, err)
-	}
-	if !mirror.Full.Equal(base.Swapped) || !mirror.Swapped.Equal(base.Full) {
-		return fmt.Errorf("[%s] symmetry: S⋈R digest %s, want mirror of R⋈S %s", c, mirror.Full, base.Swapped)
-	}
-	return nil
 }
 
 // checkWindowSplit splits both inputs at the median timestamp and joins
@@ -74,7 +59,7 @@ func checkWindowSplit(c Case, r, s tuple.Relation, base Digest) error {
 		}
 		merged.Merge(d)
 	}
-	if !merged.Full.Equal(base.Full) {
+	if merged != base {
 		return fmt.Errorf("[%s] window split: merged quadrants %s, whole window %s", c, merged.Full, base.Full)
 	}
 	return nil
@@ -86,7 +71,9 @@ func relabelKey(k int32) int32 { return int32(uint32(k)*0x9e3779b1 + 0x7f4a7c15)
 
 // checkRelabel reruns the join with every key pushed through the
 // bijection. Which tuples pair up — and with what timestamps and
-// payloads — is invariant, so the keyless digest must not move.
+// payloads — is invariant, and each result's key is its base result's
+// relabeled, so mapped back through unrelabel the results must digest to
+// the base run's.
 func checkRelabel(c Case, r, s tuple.Relation, windowMs int64, atRest bool, base Digest) error {
 	relabel := func(rel tuple.Relation) tuple.Relation {
 		out := rel.Clone()
@@ -95,14 +82,7 @@ func checkRelabel(c Case, r, s tuple.Relation, windowMs int64, atRest bool, base
 		}
 		return out
 	}
-	d, _, err := runJoin(c, relabel(r), relabel(s), windowMs, atRest)
-	if err != nil {
-		return fmt.Errorf("[%s] meta relabel run: %w", c, err)
-	}
-	if !d.Keyless.Equal(base.Keyless) {
-		return fmt.Errorf("[%s] key relabeling: keyless digest %s, want %s", c, d.Keyless, base.Keyless)
-	}
-	return nil
+	return checkMapped(c, "key relabeling", relabel(r), relabel(s), windowMs, atRest, base, unrelabel)
 }
 
 // checkShift moves both streams three window lengths into the future and
@@ -123,13 +103,50 @@ func checkShift(c Case, r, s tuple.Relation, windowMs int64, atRest bool, base D
 	}
 	sink := NewSink()
 	spec := iawj.WindowSpec{Kind: iawj.Tumbling, LengthMs: length}
-	if _, err := iawj.JoinWindowed(shift(r), shift(s), spec, c.config(sink, 0, atRest)); err != nil {
+	if _, err := iawj.JoinWindowed(shift(r), shift(s), spec, c.config(sink.Emit, 0, atRest)); err != nil {
 		return fmt.Errorf("[%s] meta shift run: %w", c, err)
 	}
-	if d := sink.Digest(); !d.Full.Equal(base.Full) {
+	if d := sink.Digest(); d != base {
 		return fmt.Errorf("[%s] time shift: windowed digest %s, want %s", c, d.Full, base.Full)
 	}
 	return nil
+}
+
+// mappedSink digests the results of a run on transformed inputs after
+// mapping each back to the result the base run emits for it.
+type mappedSink struct {
+	Sink
+	back func(tuple.JoinResult) tuple.JoinResult
+}
+
+func (m *mappedSink) emit(jr tuple.JoinResult) { m.Emit(m.back(jr)) }
+
+// checkMapped joins the transformed inputs r and s into a mappedSink: the
+// digest of the results mapped back must equal the base run's.
+func checkMapped(c Case, check string, r, s tuple.Relation, windowMs int64, atRest bool, base Digest, back func(tuple.JoinResult) tuple.JoinResult) error {
+	m := &mappedSink{back: back}
+	if _, err := iawj.Join(r, s, c.config(m.emit, windowMs, atRest)); err != nil {
+		return fmt.Errorf("[%s] meta %s run: %w", c, check, err)
+	}
+	if d := m.Digest(); d != base {
+		return fmt.Errorf("[%s] %s: digest of the results mapped back %s, want %s", c, check, d.Full, base.Full)
+	}
+	return nil
+}
+
+// swapPayloads maps a result of the mirror join S⋈R to its R⋈S result:
+// the intra-window join is symmetric up to exchanging the payload columns.
+func swapPayloads(jr tuple.JoinResult) tuple.JoinResult {
+	jr.PayloadR, jr.PayloadS = jr.PayloadS, jr.PayloadR
+	return jr
+}
+
+// unrelabel maps a result of the relabeled join to its base result. It
+// inverts relabelKey: subtract the constant, then multiply by 0x0e8b2f51,
+// the inverse of 0x9e3779b1 modulo 2^32.
+func unrelabel(jr tuple.JoinResult) tuple.JoinResult {
+	jr.Key = int32((uint32(jr.Key) - 0x7f4a7c15) * 0x0e8b2f51)
+	return jr
 }
 
 // splitAt partitions a time-ordered relation into the tuples strictly

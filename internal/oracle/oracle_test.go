@@ -11,8 +11,9 @@ import (
 
 // mutant is a deliberately broken join kernel: a nested loop with one
 // seeded defect. The conformance acceptance bar is that the fingerprint
-// check catches every mutation mode — including the payload swap, which
-// preserves cardinality and so would slip past a count-only test.
+// check catches every mutation mode — including the payload swap, the
+// wrong timestamp and the wrong key, which preserve cardinality and so
+// would slip past a count-only test.
 type mutant struct{ mode string }
 
 func (m mutant) Name() string { return "MUTANT_" + m.mode }
@@ -26,8 +27,9 @@ func (m mutant) Run(ctx *core.ExecContext) error {
 				continue
 			}
 			// The swap defect is only visible on a pair whose payloads
-			// differ; injecting it on a palindromic pair would be a no-op.
-			if !injected && (m.mode != "swap" || rt.Payload != st.Payload) {
+			// differ, the ts defect on one whose timestamps do; injecting
+			// either elsewhere would be a no-op.
+			if !injected && (m.mode != "swap" || rt.Payload != st.Payload) && (m.mode != "ts" || rt.TS != st.TS) {
 				injected = true
 				switch m.mode {
 				case "drop":
@@ -38,6 +40,20 @@ func (m mutant) Run(ctx *core.ExecContext) error {
 					// cross the payloads of one pair
 					sink.Match(tuple.Tuple{TS: rt.TS, Key: rt.Key, Payload: st.Payload},
 						tuple.Tuple{TS: st.TS, Key: st.Key, Payload: rt.Payload})
+					continue
+				case "ts":
+					// stamp the result with the earlier of the pair's
+					// timestamps instead of the later
+					early := rt.TS
+					if st.TS < early {
+						early = st.TS
+					}
+					sink.Match(tuple.Tuple{TS: early, Key: rt.Key, Payload: rt.Payload},
+						tuple.Tuple{TS: early, Key: st.Key, Payload: st.Payload})
+					continue
+				case "key":
+					// report the pair under a key off by one
+					sink.Match(tuple.Tuple{TS: rt.TS, Key: rt.Key + 1, Payload: rt.Payload}, st)
 					continue
 				}
 			}
@@ -62,25 +78,35 @@ func runMutant(t *testing.T, mode string, r, s tuple.Relation) Digest {
 }
 
 func TestMutationsCaughtByFingerprint(t *testing.T) {
-	w, err := BuildWorkload(WHighDup, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Reference(w.R, w.S)
-
-	// The un-mutated nested loop must pass: the oracle agrees with an
-	// independent correct implementation.
-	if got := runMutant(t, "none", w.R, w.S); !got.Full.Equal(want.Full) {
-		t.Fatalf("correct kernel flagged: got %s, want %s", got.Full, want.Full)
-	}
-
-	for _, mode := range []string{"drop", "dup", "swap"} {
-		got := runMutant(t, mode, w.R, w.S)
-		if got.Full.Equal(want.Full) {
-			t.Fatalf("mutation %q not caught by the fingerprint", mode)
+	for _, c := range []struct {
+		workload string
+		modes    []string
+	}{
+		{WHighDup, []string{"drop", "dup", "swap", "key"}},
+		// High-dup's tuples all share one timestamp; the ts defect needs
+		// pairs whose timestamps differ.
+		{WMicro, []string{"drop", "dup", "swap", "ts", "key"}},
+	} {
+		w, err := BuildWorkload(c.workload, 5)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if mode == "swap" && got.Full.Count != want.Full.Count {
-			t.Fatalf("swap mutation must preserve cardinality (got %d, want %d) — it exists to prove the fingerprint sees past counts", got.Full.Count, want.Full.Count)
+		want := Reference(w.R, w.S)
+
+		// The un-mutated nested loop must pass: the oracle agrees with an
+		// independent correct implementation.
+		if got := runMutant(t, "none", w.R, w.S); !got.Full.Equal(want.Full) {
+			t.Fatalf("%s: correct kernel flagged: got %s, want %s", c.workload, got.Full, want.Full)
+		}
+
+		for _, mode := range c.modes {
+			got := runMutant(t, mode, w.R, w.S)
+			if got.Full.Equal(want.Full) {
+				t.Fatalf("%s: mutation %q not caught by the fingerprint", c.workload, mode)
+			}
+			if mode != "drop" && mode != "dup" && got.Full.Count != want.Full.Count {
+				t.Fatalf("%s: %s mutation must preserve cardinality (got %d, want %d) — it exists to prove the fingerprint sees past counts", c.workload, mode, got.Full.Count, want.Full.Count)
+			}
 		}
 	}
 }
