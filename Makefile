@@ -39,9 +39,13 @@ lint:
 test:
 	$(GO) test ./...
 
-## race: full test suite under the race detector, incl. the eager stress test
+## race: full test suite under the race detector, incl. the eager stress test;
+## then the synctest bubbles (TESTING.md, "Bubbles"): every package that
+## starts goroutines runs its calls in bubbles, built with
+## GOEXPERIMENT=synctest, which the tier-1 build leaves out
 race:
 	$(GO) test -race ./...
+	GOEXPERIMENT=synctest $(GO) test -race -run Bubble . ./internal/core ./internal/eager
 
 ## delivery-race: the output path's tests twenty times over under the race
 ## detector — the interleavings of workers, deliverer and consumer that

@@ -20,11 +20,11 @@
 //	                   the sanctioned escape hatches) and exit
 //
 // Every rule is one row of lint.Rules and checks the resolved packages as
-// one program: the per-package AST rules, the whole-program rule
-// (falseshare), and the build-diagnostics gates (escapegate, bcegate, inlinegate), which
-// share one `go build -gcflags="-m=2 -d=ssa/check_bce/debug=1"` run over
-// the module and anchor compiler escape, bounds-check, and inliner
-// verdicts to //iawj:hotpath and //iawj:inline spans.
+// one program: the per-package AST rules and the build-diagnostics gates
+// (escapegate, bcegate, inlinegate), which share one
+// `go build -gcflags="-m=2 -d=ssa/check_bce/debug=1"` run over the module
+// and anchor compiler escape, bounds-check, and inliner verdicts to
+// //iawj:hotpath and //iawj:inline spans.
 //
 // Escape hatches: a `//lint:allow <rule> <reason>` comment on (or directly
 // above) the offending line, or the per-rule path allowlist baked into

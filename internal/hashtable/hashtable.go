@@ -376,8 +376,9 @@ type Shared struct {
 // Adjacent buckets sharing a line is paper-faithful: NPJ keeps the bucket
 // directory compact (padding 88->128 bytes would grow it 45%), and the
 // hash spreads concurrent inserts across the directory, so
-// neighbouring-bucket contention is rare by construction.
-type sharedBucket struct { //lint:allow falseshare compact bucket directory is intentional; hash spreads writers
+// neighbouring-bucket contention is rare by construction. TestLayout pins
+// its 88 bytes.
+type sharedBucket struct {
 	mu sync.Mutex
 	bucket
 }

@@ -1,9 +1,8 @@
 // Package lint is the repo-specific static-analysis engine guarding the
 // reproduction's correctness invariants: determinism (simulated time flows
-// through internal/clock, never raw wall-clock reads), goroutine join
-// discipline, allocation-free hot paths, cache-line layout, byte-stable
-// output order, and the compiler's escape, bounds-check and inlining
-// verdicts on the kernels.
+// through internal/clock, never raw wall-clock reads), allocation-free hot
+// paths, and the compiler's escape, bounds-check and inlining verdicts on
+// the kernels.
 //
 // The engine is stdlib-only (go/ast, go/parser, go/types). Every rule is
 // one row of the Rules table: a name, a one-line doc, the contract
@@ -65,11 +64,10 @@ type Rule struct {
 }
 
 // Rules is the table, in -list order: the per-package AST rules, the
-// whole-program rule, the three compiler-diagnostics gates, and the
-// check on the escape hatch itself.
+// three compiler-diagnostics gates, and the check on the escape hatch
+// itself.
 var Rules = []Rule{
-	determinism, goroutineLeak, hotPathAlloc,
-	falseShare,
+	determinism, hotPathAlloc,
 	escapeGate, bceGate, inlineGate,
 	allowReason,
 }
@@ -222,9 +220,6 @@ type Package struct {
 	// Info carries Defs/Uses from the permissive type-check; lookups
 	// may miss for identifiers that depend on unresolved imports.
 	Info *types.Info
-	// Types is the permissively checked package; its scope resolves
-	// package-level names for other packages' rules.
-	Types *types.Package
 
 	allows map[string]map[int][]string // file -> line -> rules with a reasoned allow
 }
@@ -302,21 +297,19 @@ func Load(dir, root string, includeTests bool) (*Package, error) {
 	}
 	// The check is best-effort: local declarations resolve even when
 	// imported names cannot, so its error is expected and discarded.
-	p.Types, _ = conf.Check(p.Rel, fset, files, p.Info)
+	_, _ = conf.Check(p.Rel, fset, files, p.Info)
 	return p, nil
 }
 
 // Program is the whole-program view every rule checks: the loaded
-// packages, indexed by module-relative path and by directory, plus the
-// two things more than one rule needs, each built on first use and at
-// most once.
+// packages, indexed by directory, plus the two things more than one rule
+// needs, each built on first use and at most once.
 type Program struct {
 	// Root is the module root; the gates' diagnostics build runs there.
 	Root string
 	// Packages holds the loaded packages in Rel order.
 	Packages []*Package
 
-	byRel map[string]*Package
 	byDir map[string]*Package
 
 	// spans are the //iawj:hotpath function extents escapegate and
@@ -331,34 +324,16 @@ type Program struct {
 
 // NewProgram assembles a Program from loaded packages (nils are skipped).
 func NewProgram(root string, pkgs []*Package) *Program {
-	prog := &Program{Root: root, byRel: map[string]*Package{}, byDir: map[string]*Package{}}
+	prog := &Program{Root: root, byDir: map[string]*Package{}}
 	for _, p := range pkgs {
 		if p == nil {
 			continue
 		}
 		prog.Packages = append(prog.Packages, p)
-		prog.byRel[p.Rel] = p
 		prog.byDir[p.Dir] = p
 	}
 	sort.Slice(prog.Packages, func(i, j int) bool { return prog.Packages[i].Rel < prog.Packages[j].Rel })
 	return prog
-}
-
-// byImportPath resolves an import path to a loaded package by matching the
-// path's module-relative suffix (the module name prefix is unknown to the
-// loader, so "repro/internal/tuple" matches the package at Rel
-// "internal/tuple"). Stdlib and unloaded paths return nil.
-func (prog *Program) byImportPath(path string) *Package {
-	for {
-		if p, ok := prog.byRel[path]; ok {
-			return p
-		}
-		i := strings.Index(path, "/")
-		if i < 0 {
-			return nil
-		}
-		path = path[i+1:]
-	}
 }
 
 // funcDecls visits every function declaration that has a body, in
@@ -370,29 +345,6 @@ func (prog *Program) funcDecls(visit func(p *Package, imports map[string]string,
 			for _, decl := range f.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
 					visit(p, imports, fn)
-				}
-			}
-		}
-	}
-}
-
-// structDecls visits every named struct type declaration with the import
-// map of the file declaring it.
-func (prog *Program) structDecls(visit func(p *Package, imports map[string]string, ts *ast.TypeSpec, st *ast.StructType)) {
-	for _, p := range prog.Packages {
-		for _, f := range p.Files {
-			imports := importNames(f)
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok {
-						if st, ok := ts.Type.(*ast.StructType); ok {
-							visit(p, imports, ts, st)
-						}
-					}
 				}
 			}
 		}

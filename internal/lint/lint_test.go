@@ -142,7 +142,7 @@ func wantLines(t *testing.T, file, rule string) []int {
 // TestAnalyzersAgainstFixtures is the table-driven core for the rules that
 // look at one package at a time.
 func TestAnalyzersAgainstFixtures(t *testing.T) {
-	checkFixtureTable(t, determinism, goroutineLeak, hotPathAlloc)
+	checkFixtureTable(t, determinism, hotPathAlloc)
 }
 
 // TestAllowEscapeHatch checks both //lint:allow placements suppress a
@@ -197,7 +197,7 @@ func TestPathAllowlist(t *testing.T) {
 // violation fails go test, not just scripts/check.sh.
 func TestRepoTreeIsClean(t *testing.T) {
 	prog := loadTree(t)
-	for _, f := range run(t, prog, determinism, goroutineLeak, hotPathAlloc, allowReason) {
+	for _, f := range run(t, prog, determinism, hotPathAlloc, allowReason) {
 		t.Errorf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 	}
 }
@@ -227,13 +227,13 @@ func TestWalkSkipsTestdata(t *testing.T) {
 // the identical total order, or the golden churns run to run.
 func TestSortFindingsDeterministic(t *testing.T) {
 	base := []Finding{
-		{Rule: "falseshare", Msg: "pad a", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
-		{Rule: "falseshare", Msg: "pad b", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
+		{Rule: "escapegate", Msg: "escape a", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
+		{Rule: "escapegate", Msg: "escape b", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
 		{Rule: "hotpathalloc", Msg: "boxed", Pos: token.Position{Filename: "a.go", Line: 10, Column: 2}},
 		{Rule: "hotpathalloc", Msg: "closure", Pos: token.Position{Filename: "a.go", Line: 10, Column: 9}},
 		{Rule: "determinism", Msg: "time.Now", Pos: token.Position{Filename: "a.go", Line: 3, Column: 1}},
-		{Rule: "falseshare", Msg: "hot line", Pos: token.Position{Filename: "b.go", Line: 1, Column: 1}},
-		{Rule: "goroutineleak", Msg: "no join", Pos: token.Position{Filename: "b.go", Line: 1, Column: 1}},
+		{Rule: "escapegate", Msg: "hot line", Pos: token.Position{Filename: "b.go", Line: 1, Column: 1}},
+		{Rule: "bcegate", Msg: "bounds check", Pos: token.Position{Filename: "b.go", Line: 1, Column: 1}},
 	}
 	want := append([]Finding(nil), base...)
 	sortFindings(want)

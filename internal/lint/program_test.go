@@ -7,22 +7,6 @@ import (
 	"testing"
 )
 
-// TestProgramAnalyzersAgainstFixtures mirrors the per-package fixture
-// table for the whole-program rules: each must report exactly its
-// `// want <rule>` markers.
-func TestProgramAnalyzersAgainstFixtures(t *testing.T) {
-	checkFixtureTable(t, falseShare)
-}
-
-// TestRepoProgramIsClean extends the in-process CI gate to the
-// whole-program rules: they must pass on the real tree (fixed or justified
-// with //lint:allow).
-func TestRepoProgramIsClean(t *testing.T) {
-	for _, f := range run(t, loadTree(t), falseShare) {
-		t.Errorf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
-	}
-}
-
 // TestParseEscapeOutput pins the compiler-output contract: only real
 // allocation diagnostics survive, flow explanations and inliner chatter
 // are dropped, and duplicates from multiple build units collapse.

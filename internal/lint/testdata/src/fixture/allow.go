@@ -14,7 +14,7 @@ func sanctioned() int64 {
 // wrongRuleAllowed: neither an allow naming another rule nor one giving no reason suppresses the finding; the reasonless one is itself reported.
 func wrongRuleAllowed() int64 {
 	//lint:allow determinism
-	return time.Now().UnixNano() //lint:allow goroutineleak wrong rule, finding survives // want determinism
+	return time.Now().UnixNano() //lint:allow hotpathalloc wrong rule, finding survives // want determinism
 }
 
 // unknownRuleAllowed: an allow naming no rule of the table (a typo, or a

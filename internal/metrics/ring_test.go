@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"testing"
-	"unsafe"
-)
+import "testing"
 
 // sums adds up spans per phase.
 func sums(spans []Span) (ns, tuples [numPhases]int64) {
@@ -130,23 +127,6 @@ func TestPhaseNsEqualsRingSums(t *testing.T) {
 		}
 		if n != 499*500/2 {
 			t.Errorf("capacity %d: ring holds %d tuples, want %d", capacity, n, 499*500/2)
-		}
-	}
-}
-
-// TestPerWorkerStrides: the per-worker structs every phase change writes
-// carry no latch or atomic, so no lint rule checks their layout. Their
-// stride is a multiple of 128 bytes — the two cache lines the adjacent-line
-// prefetcher pairs — so neighbouring workers' elements of
-// Collector.threads, and rings (each in its own 128-byte allocation), never
-// share a line.
-func TestPerWorkerStrides(t *testing.T) {
-	for name, size := range map[string]uintptr{
-		"ThreadMetrics": unsafe.Sizeof(ThreadMetrics{}),
-		"Ring":          unsafe.Sizeof(Ring{}),
-	} {
-		if size%128 != 0 {
-			t.Errorf("%s is %d bytes, not a multiple of 128: re-size its pad", name, size)
 		}
 	}
 }

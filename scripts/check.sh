@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # check.sh — the full CI gate, one command (`make check`). Every stage is
 # a Makefile target, defined there and nowhere else; this script is their
-# order, fail-fast, with optional timings. Stages:
+# order, fail-fast, with optional timings. Stages (race runs the bubbles too):
 #
 #    1 fmt-check     2 vet           3 build         4 lint
 #    5 test          6 race          7 delivery-race 8 trace-smoke
