@@ -89,7 +89,7 @@ bench-smoke:
 	$(GO) test -race -run '^$$' -bench '^Benchmark(Kernel|Outbox|PhaseChange|Digest)' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge ./internal/eager ./internal/oracle
 	$(INSPECT) BENCH_3.json
 
-## bench-kernels: kernel-layer sweep (partition/partition_build/build/probe/sink/sort),
+## bench-kernels: kernel-layer sweep (partition/build/probe/sink/sort),
 ## writes BENCH_3.json; 300 iterations per variant
 bench-kernels:
 	./scripts/bench.sh kernels

@@ -25,26 +25,6 @@ type Tracer interface {
 	Op(n uint64)
 }
 
-// AccessRange feeds tr one access per cache line covering the byte range
-// [base, base+n). Bulk kernels use it to model their true write
-// granularity: a software write-combining flush touches the destination
-// once per line, not once per tuple, which is exactly the traffic
-// reduction SWWCB partitioning buys (PERFORMANCE.md). A nil tr or
-// non-positive n is a no-op; lineSize <= 0 selects the default 64 bytes.
-func AccessRange(tr Tracer, base uint64, n, lineSize int) {
-	if tr == nil || n <= 0 {
-		return
-	}
-	if lineSize <= 0 {
-		lineSize = 64
-	}
-	first := base &^ uint64(lineSize-1)
-	last := (base + uint64(n) - 1) &^ uint64(lineSize-1)
-	for a := first; a <= last; a += uint64(lineSize) {
-		tr.Access(a)
-	}
-}
-
 // LevelConfig sizes one cache level.
 type LevelConfig struct {
 	SizeBytes int

@@ -199,37 +199,3 @@ func TestHierarchyImplementsTracer(t *testing.T) {
 	var _ Tracer = NewPhased()
 	var _ PhaseSetter = NewPhased()
 }
-
-// TestAccessRangeLineGranularity pins the SWWCB flush traffic model: a
-// bulk write of n bytes touches exactly the cache lines it spans, once
-// each, regardless of alignment.
-func TestAccessRangeLineGranularity(t *testing.T) {
-	cases := []struct {
-		base uint64
-		n    int
-		want uint64
-	}{
-		{0x1000, 64, 1},  // aligned, one line
-		{0x1000, 65, 2},  // spills one byte into the next line
-		{0x103f, 2, 2},   // straddles a boundary
-		{0x1000, 256, 4}, // four full lines
-		{0x1001, 256, 5}, // unaligned four-line write touches five
-		{0x1000, 0, 0},   // empty write is free
-		{0x1000, -16, 0}, // negative length is free
-	}
-	for _, tc := range cases {
-		h := New(tinyConfig())
-		AccessRange(h, tc.base, tc.n, 64)
-		if got := h.Counters().Accesses; got != tc.want {
-			t.Errorf("AccessRange(%#x, %d) made %d accesses, want %d", tc.base, tc.n, got, tc.want)
-		}
-	}
-	// nil tracer: must not panic.
-	AccessRange(nil, 0x1000, 128, 64)
-	// lineSize <= 0 falls back to 64.
-	h := New(tinyConfig())
-	AccessRange(h, 0x1000, 128, 0)
-	if got := h.Counters().Accesses; got != 2 {
-		t.Errorf("default line size made %d accesses, want 2", got)
-	}
-}

@@ -19,7 +19,7 @@ package hashtable
 // block; stage two works in input order against lines already in flight.
 //
 //   - build: buildStage.stage, then place per tuple (Table.insert drives them;
-//     Shared places under the bucket latch, ScatterBuild across tables);
+//     Shared places under the bucket latch);
 //   - probe: probeStage.table or probeStage.shared — the two directory
 //     layouts — then probeStage.resolve, shared by both tables.
 //
@@ -224,74 +224,6 @@ func (s *store) extend(b *bucket, i int, x tuple.Tuple, tr cachesim.Tracer, addr
 		tr.Op(4)
 	}
 	e.runs[i] = append(run, x)
-}
-
-// ScatterBuild performs the fused partition+build scatter for
-// radix.Partitioner.PartitionBuild: tuple xs[i] with hash hashes[i] is
-// inserted into tabs[hashes[i]&mask] — the caller guarantees that table
-// exists (it sized one per non-empty partition) and carries
-// SetShift(bits). The loop lives here rather than in package radix so the
-// bucket walk is direct field access instead of a per-tuple call across
-// the package boundary (the call overhead alone erased the fusion win on
-// cache-resident windows).
-//
-// Like Table.insert, the scatter runs the two-stage distance-D pipeline:
-// stage one resolves a block of table and bucket heads and issues early
-// header loads — across tables, exactly the random directory traffic
-// fusion is exposed to — and stage two places in input order, so
-// per-table insertion order (and run order) matches the unfused
-// PartitionHashed + InsertBatchHashed pipeline tuple for tuple.
-//
-// bcegate contract: every tuple selects its Table — and therefore its
-// bucket directory — at runtime from tabs[h&mask], so the masked
-// directory index cannot be proven against a length hoisted outside the
-// loop the way the single-table kernels prove theirs. The per-table
-// invariant len(t.buckets) == t.mask+1 is established at construction
-// (New/SetShift) and the scatter's correctness tests cover it; the
-// residual per-tuple checks are the price of fusion's cross-table
-// traffic, already charged in the BENCH_3 fused-vs-unfused numbers.
-//
-//lint:allow bcegate cross-table scatter: directory bound is selected per tuple, data-dependent by design
-//iawj:hotpath
-func ScatterBuild(tabs []*Table, mask uint32, xs []tuple.Tuple, hashes []uint32) {
-	d := clampPref(int(probePrefetch.Load()))
-	var tstage [prefBlockMax]*Table
-	var st buildStage
-	var tick uint32
-	var sink *Table
-	for lo := 0; lo < len(xs); lo += d {
-		n := len(xs) - lo
-		if n > d {
-			n = d
-		}
-		hblk := hashes[lo : lo+n]
-		for j := 0; j < n; j++ {
-			h := hblk[j]
-			t := tabs[h&mask]
-			b := &t.buckets[(h>>t.shift)&t.mask]
-			tstage[j] = t
-			tag := tagOf(h)
-			st.heads[j] = b
-			st.tags[j] = tag
-			tick |= b.tags
-		}
-		blk := xs[lo : lo+n]
-		for j := 0; j < n; j++ {
-			t := tstage[j]
-			b, tag := st.heads[j], st.tags[j]
-			if b.tags == 0 {
-				t.dirty = append(t.dirty, b)
-			}
-			if !b.take(blk[j], tag) {
-				t.place(b, blk[j], tag, nil, 0)
-			}
-			t.size++
-		}
-		sink = tstage[0]
-	}
-	if sink != nil {
-		sink.tick = tick // keep the stage-one header loads observable
-	}
 }
 
 // ProbeRuns probes every tuple of probes, in order, and appends a Hit for

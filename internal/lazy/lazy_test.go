@@ -43,6 +43,23 @@ func TestPRJRadixBitSweep(t *testing.T) {
 	}
 }
 
+// TestPRJPeakCountsBothCopies: PRJ's partition phase copies both inputs,
+// each worker booking R's copy by its R chunk and S's by its S chunk, so
+// the peak is never below the two copies together — also when one input
+// is far larger than the other.
+func TestPRJPeakCountsBothCopies(t *testing.T) {
+	for _, n := range [][2]int{{8192, 64}, {64, 8192}} {
+		w := gen.MicroStatic(n[0], n[1], 1, 0, 9)
+		res, err := core.Run(PRJ{}, w.R, w.S, w.WindowMs, core.RunConfig{Threads: 2, AtRest: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floor := int64(len(w.R)+len(w.S)) * tuple.Bytes; res.MemPeakBytes < floor {
+			t.Errorf("|R|=%d |S|=%d: peak %d B, below the %d B of the two partition copies", n[0], n[1], res.MemPeakBytes, floor)
+		}
+	}
+}
+
 func TestSortJoinsWithAndWithoutSIMD(t *testing.T) {
 	w := gen.MicroStatic(4000, 6000, 12, 0.3, 5)
 	want := expected(w.R, w.S)

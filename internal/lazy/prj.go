@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/hashtable"
 	"repro/internal/metrics"
 	"repro/internal/radix"
 	"repro/internal/tuple"
@@ -19,7 +18,7 @@ import (
 // Under high key skew only a few partitions carry the bulk of the data, so
 // few threads stay busy — the sensitivity Figure 13 shows.
 //
-// The partition phase runs the hash-once SWWCB kernel
+// The partition phase runs the hash-once radix scatter
 // (radix.Partitioner): each key is hashed exactly once and the hash rides
 // along with the tuple, so the per-partition build and probe
 // (InsertBatchHashed / ProbeRuns with SetShift) never rehash. The
@@ -39,15 +38,6 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 	bits := ctx.Knobs.RadixBits
 	fanout := radix.Fanout(bits)
 
-	// Single-threaded untraced window builds take the fused
-	// partition+build kernel: the build side scatters straight into one
-	// pooled table per partition, skipping the intermediate partition
-	// array entirely. Fusion pays only while the whole directory set is
-	// cache-resident, hence the FuseBuildBelow gate; per-table insertion
-	// order equals the unfused pipeline's, so results are identical.
-	fuse := ctx.Threads == 1 && ctx.Tracer == nil && len(ctx.R) < radix.FuseBuildBelow
-	var tabsR []*hashtable.Table
-
 	// Per-thread partition pieces (tuples and their hashes), combined
 	// per partition at join time. The pieces alias the per-thread
 	// partitioners' buffers, released only after all workers finish.
@@ -65,29 +55,20 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 		tm := ctx.M.T(tid)
 		ctx.WaitWindow(tid)
 
-		// Phase 1: physically partition this thread's chunks with the
-		// SWWCB kernel, hashing each key once.
+		// Phase 1: physically partition this thread's chunks, hashing
+		// each key once.
 		ctx.Begin(tid, metrics.PhasePartition)
 		pr := ctx.Pool.Partitioner()
 		ps := ctx.Pool.Partitioner()
 		parters[2*tid], parters[2*tid+1] = pr, ps
 		lo, hi := core.Chunk(len(ctx.R), ctx.Threads, tid)
 		tm.AddTuples(int64(hi - lo))
-		if fuse {
-			tabsR = pr.PartitionBuild(ctx.R, bits, func(n int) *hashtable.Table {
-				return ctx.Pool.Table(n, bits)
-			})
-		} else {
-			partsR[tid], hashR[tid] = pr.PartitionHashed(ctx.R[lo:hi], bits, ctx.Tracer, 0)
-		}
+		partsR[tid], hashR[tid] = pr.PartitionHashed(ctx.R[lo:hi], bits, ctx.Tracer, 0)
+		cp := int64(hi-lo) * tuple.Bytes // the physical copy of R's chunk
 		lo, hi = core.Chunk(len(ctx.S), ctx.Threads, tid)
 		tm.AddTuples(int64(hi - lo))
 		partsS[tid], hashS[tid] = ps.PartitionHashed(ctx.S[lo:hi], bits, ctx.Tracer, 1<<34)
-		cp := int64(hi-lo) * 16 * 2 // physical copies of both inputs
-		if fuse {
-			cp = int64(hi-lo) * 16 // fused build makes no R copy
-		}
-		ctx.M.MemAdd(cp)
+		ctx.M.MemAdd(cp + int64(hi-lo)*tuple.Bytes) // and of S's
 		ctx.Begin(tid, metrics.PhaseOther)
 		barrier.Done()
 		barrier.Wait()
@@ -102,29 +83,20 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 				break
 			}
 			ctx.Begin(tid, metrics.PhaseBuildSort)
-			var table *hashtable.Table
-			if fuse {
-				// Build already happened inside the fused scatter.
-				if table = tabsR[p]; table == nil {
-					continue
-				}
-				tm.AddTuples(table.Size())
-			} else {
-				nR := 0
-				for t := range partsR {
-					nR += len(partsR[t][p])
-				}
-				if nR == 0 {
-					continue
-				}
-				tm.AddTuples(int64(nR))
-				table = ctx.Pool.Table(nR, bits)
-				if ctx.Tracer != nil {
-					table.SetTracer(ctx.Tracer, uint64(p)<<22|1<<40)
-				}
-				for t := range partsR {
-					table.InsertBatchHashed(partsR[t][p], hashR[t][p])
-				}
+			nR := 0
+			for t := range partsR {
+				nR += len(partsR[t][p])
+			}
+			if nR == 0 {
+				continue
+			}
+			tm.AddTuples(int64(nR))
+			table := ctx.Pool.Table(nR, bits)
+			if ctx.Tracer != nil {
+				table.SetTracer(ctx.Tracer, uint64(p)<<22|1<<40)
+			}
+			for t := range partsR {
+				table.InsertBatchHashed(partsR[t][p], hashR[t][p])
 			}
 			ctx.M.MemAdd(table.MemBytes())
 

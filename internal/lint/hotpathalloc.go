@@ -33,8 +33,8 @@ import (
 //     captured variable, or struct field of function type). An indirect
 //     call per tuple defeats inlining and costs more than the work it
 //     wraps in a memory-bound kernel — measured on the fused build
-//     scatter, where a per-tuple non-inlined insert erased the whole
-//     fusion win. Direct calls to named functions and methods are fine
+//     scatter (since retired), where a per-tuple non-inlined insert
+//     erased the whole fusion win. Direct calls to named functions and methods are fine
 //     (the inliner sees through them); deliberate per-probe callbacks —
 //     the scalar emit reference paths — carry //lint:allow with a reason.
 //

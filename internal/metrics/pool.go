@@ -5,7 +5,7 @@ package metrics
 // in and the journal reports in.
 type PoolKind int
 
-// The pooled kinds: single-writer and latched hash tables, SWWCB
+// The pooled kinds: single-writer and latched hash tables, radix
 // partitioners, sized tuple buffers (run copies, merge outputs, sort
 // scratch, pull batches), the hit buffers of probe batches, uint32 arrays
 // (the JB router's status table, ADAPTIVE's profile scratch), the result

@@ -219,7 +219,7 @@ func (p *Pool) PutShared(t *hashtable.Shared) {
 	p.mu.Unlock()
 }
 
-// Partitioner returns a reusable SWWCB partitioning kernel.
+// Partitioner returns a reusable radix partitioning kernel.
 func (p *Pool) Partitioner() *radix.Partitioner {
 	if p == nil {
 		return radix.NewPartitioner()

@@ -168,7 +168,7 @@ func TestPooledSHJWindowZeroAllocs(t *testing.T) {
 }
 
 // TestPooledPRJWindowZeroAllocs covers the radix path: pooled partitioner,
-// hash-once SWWCB partitioning, pooled per-partition tables built and
+// hash-once radix partitioning, pooled per-partition tables built and
 // probed through the *Hashed kernels.
 func TestPooledPRJWindowZeroAllocs(t *testing.T) {
 	p := New()

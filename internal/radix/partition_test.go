@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"repro/internal/cachesim"
 	"repro/internal/hashtable"
 	"repro/internal/tuple"
 )
@@ -58,10 +60,9 @@ func equalParts(t *testing.T, name string, got, want []tuple.Relation) {
 	}
 }
 
-// TestPartitionerMatchesScalar is the differential heart: the SWWCB
-// scatter must produce byte-identical partitions to the scalar reference
-// (partitionRehash) across key regimes and fanouts, including fanout 1,
-// on both the tuple-only and the hashed entry.
+// TestPartitionerMatchesScalar checks the scatter against the scalar
+// reference (partitionRehash) across key regimes and fanouts, including
+// fanout 1, on both the tuple-only and the hashed entry.
 func TestPartitionerMatchesScalar(t *testing.T) {
 	p := NewPartitioner()
 	for name, rel := range diffRelations() {
@@ -74,23 +75,103 @@ func TestPartitionerMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPartitionerHashesAligned checks the hash-once product: every
-// returned hash must be the hash of the tuple at the same offset, so
-// downstream InsertBatchHashed/ProbeBatchHashed never rehash wrongly.
+// alignedHashes checks the hash-once product: every returned hash must be
+// the hash of the tuple at the same offset, so downstream
+// InsertBatchHashed/ProbeRuns never rehash wrongly.
+func alignedHashes(t *testing.T, name string, parts []tuple.Relation, hparts [][]uint32) {
+	t.Helper()
+	if len(parts) != len(hparts) {
+		t.Fatalf("%s: %d partitions but %d hash partitions", name, len(parts), len(hparts))
+	}
+	for pi := range parts {
+		if len(parts[pi]) != len(hparts[pi]) {
+			t.Fatalf("%s: partition %d length mismatch", name, pi)
+		}
+		for i, x := range parts[pi] {
+			if hparts[pi][i] != hashtable.Hash(x.Key) {
+				t.Fatalf("%s: partition %d hash %d misaligned", name, pi, i)
+			}
+		}
+	}
+}
+
 func TestPartitionerHashesAligned(t *testing.T) {
 	p := NewPartitioner()
 	for name, rel := range diffRelations() {
 		parts, hparts := p.PartitionHashed(rel, 6, nil, 0)
-		if len(parts) != len(hparts) {
-			t.Fatalf("%s: %d partitions but %d hash partitions", name, len(parts), len(hparts))
+		alignedHashes(t, name, parts, hparts)
+	}
+}
+
+// event is one tracer call: an access to addr, or n ops.
+type event struct {
+	op   bool
+	addr uint64
+}
+
+type recordTracer struct{ events []event }
+
+func (r *recordTracer) Access(addr uint64) { r.events = append(r.events, event{addr: addr}) }
+func (r *recordTracer) Op(n uint64)        { r.events = append(r.events, event{op: true, addr: n}) }
+
+// wantTrace is the access model of the scatter, built from the reference
+// partitions: per input tuple a read and two ops (the histogram), then per
+// input tuple its read, the write at its output offset and three ops.
+// Payloads are input positions, so the offset of input tuple i is where
+// the reference put payload i.
+func wantTrace(rel tuple.Relation, want []tuple.Relation, base uint64) []event {
+	dst := make([]uint64, len(rel))
+	d := uint64(0)
+	for _, part := range want {
+		for _, x := range part {
+			dst[x.Payload] = d
+			d++
 		}
-		for pi := range parts {
-			if len(parts[pi]) != len(hparts[pi]) {
-				t.Fatalf("%s: partition %d length mismatch", name, pi)
-			}
-			for i, x := range parts[pi] {
-				if hparts[pi][i] != hashtable.Hash(x.Key) {
-					t.Fatalf("%s: partition %d hash %d misaligned", name, pi, i)
+	}
+	outBase := base + uint64(len(rel))*tupleBytes
+	evs := make([]event, 0, 5*len(rel))
+	for i := range rel {
+		evs = append(evs, event{addr: base + uint64(i)*tupleBytes}, event{op: true, addr: 2})
+	}
+	for i := range rel {
+		evs = append(evs,
+			event{addr: base + uint64(i)*tupleBytes},
+			event{addr: outBase + dst[i]*tupleBytes},
+			event{op: true, addr: 3})
+	}
+	return evs
+}
+
+// TestScatterEveryFanout is the differential test of the one scatter over
+// the whole RadixBits range (0-20), untraced and traced, on both entries:
+// tuples and aligned hashes against partitionRehash, and in the traced
+// case the exact access and op sequence the tracer receives.
+func TestScatterEveryFanout(t *testing.T) {
+	rel := diffRelations()["skewed"][:3000]
+	const base = 1 << 34
+	p := NewPartitioner()
+	for bits := 0; bits <= 20; bits++ {
+		want := partitionRehash(rel, bits)
+		trace := wantTrace(rel, want, base)
+		for _, traced := range []bool{false, true} {
+			for _, hashed := range []bool{false, true} {
+				name := fmt.Sprintf("bits=%d/traced=%v/hashed=%v", bits, traced, hashed)
+				rec := &recordTracer{}
+				var tr cachesim.Tracer
+				if traced {
+					tr = rec
+				}
+				var parts []tuple.Relation
+				if hashed {
+					var hparts [][]uint32
+					parts, hparts = p.PartitionHashed(rel, bits, tr, base)
+					alignedHashes(t, name, parts, hparts)
+				} else {
+					parts = p.Partition(rel, bits, tr, base)
+				}
+				equalParts(t, name, parts, want)
+				if traced && !slices.Equal(rec.events, trace) {
+					t.Fatalf("%s: the tracer's %d events differ from the %d of the access model", name, len(rec.events), len(trace))
 				}
 			}
 		}
@@ -127,24 +208,16 @@ func TestPartitionerZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// FuzzPartitionerDiff drives the SWWCB scatter against the scalar
-// reference with arbitrary key bytes, bit counts, and staging geometry:
-// ftRaw picks the per-partition staging slots, dbRaw the direct-scatter
-// threshold (1 forces staging at every fanout, large values force the
-// direct path), so the fuzzer crosses every staged/direct leg with every
-// fanout. It also checks the fused partition+build product against the
-// partition contents.
+// FuzzPartitionerDiff drives the scatter against the scalar reference
+// with arbitrary key bytes and bit counts, on both entries: the tuple
+// partitions must match partitionRehash, and the hashed entry's hashes
+// must align with its tuples.
 func FuzzPartitionerDiff(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(4), uint8(0), uint8(0))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255}, uint8(1), uint8(4), uint8(1))
-	f.Add([]byte{}, uint8(9), uint8(16), uint8(200))
-	f.Fuzz(func(t *testing.T, raw []byte, bitsRaw, ftRaw, dbRaw uint8) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(4))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255}, uint8(1))
+	f.Add([]byte{}, uint8(9))
+	f.Fuzz(func(t *testing.T, raw []byte, bitsRaw uint8) {
 		bits := int(bitsRaw % 13)
-		ft := int(ftRaw % 33)   // 0 restores the default slot count
-		db := 1 << (dbRaw % 16) // 1 forces staging everywhere
-		if dbRaw == 0 {
-			db = 0 // restore the default threshold
-		}
 		rel := make(tuple.Relation, 0, len(raw)/4)
 		for r := bytes.NewReader(raw); ; {
 			var k int32
@@ -154,56 +227,10 @@ func FuzzPartitionerDiff(f *testing.F) {
 			rel = append(rel, tuple.Tuple{Key: k, Payload: int32(len(rel))})
 		}
 		want := partitionRehash(rel, bits)
-		p := NewPartitioner()
-		p.flushT, p.directBelow = ft, db
-		got := p.Partition(rel, bits, nil, 0)
-		if len(got) != len(want) {
-			t.Fatalf("fanout %d, want %d", len(got), len(want))
-		}
-		for pi := range want {
-			if len(got[pi]) != len(want[pi]) {
-				t.Fatalf("partition %d has %d tuples, want %d", pi, len(got[pi]), len(want[pi]))
-			}
-			for i := range want[pi] {
-				if got[pi][i] != want[pi][i] {
-					t.Fatalf("partition %d tuple %d differs", pi, i)
-				}
-			}
-		}
-		// Hashed product: hashes must align with the partitioned tuples.
-		ph := NewPartitioner()
-		ph.flushT, ph.directBelow = ft, db
-		hparts, hhash := ph.PartitionHashed(rel, bits, nil, 0)
-		for pi := range want {
-			for i := range want[pi] {
-				if hparts[pi][i] != want[pi][i] {
-					t.Fatalf("hashed partition %d tuple %d differs", pi, i)
-				}
-				if hhash[pi][i] != hashtable.Hash(want[pi][i].Key) {
-					t.Fatalf("partition %d hash %d misaligned", pi, i)
-				}
-			}
-		}
-		// Fused product: per-partition tables sized and filled like the
-		// partitions themselves.
-		pf := NewPartitioner()
-		pf.flushT, pf.directBelow = ft, db
-		tabs := pf.PartitionBuild(rel, bits, func(n int) *hashtable.Table {
-			tab := hashtable.New(n)
-			tab.SetShift(bits)
-			return tab
-		})
-		for pi := range want {
-			if len(want[pi]) == 0 {
-				if tabs[pi] != nil {
-					t.Fatalf("partition %d empty but fused table non-nil", pi)
-				}
-				continue
-			}
-			if tabs[pi] == nil || tabs[pi].Size() != int64(len(want[pi])) {
-				t.Fatalf("partition %d fused table missing or missized", pi)
-			}
-		}
+		equalParts(t, "tuples", NewPartitioner().Partition(rel, bits, nil, 0), want)
+		got, hashes := NewPartitioner().PartitionHashed(rel, bits, nil, 0)
+		equalParts(t, "hashed", got, want)
+		alignedHashes(t, "hashed", got, hashes)
 	})
 }
 
@@ -241,10 +268,10 @@ func partitionRehash(rel tuple.Relation, bits int) []tuple.Relation {
 
 // BenchmarkKernelPartition is the satellite regression benchmark at the
 // production PRJ regime (2^20 tuples, 2^12-way fanout): rehash is the
-// pre-kernel scatter with fresh scratch, swwcb the tuned Partitioner
-// kernel (pooled buffers, direct scatter at this fanout per the measured
-// geometry). scripts/bench.sh compares them into BENCH_3.json; swwcb must
-// beat rehash.
+// pre-kernel scatter with fresh scratch, swwcb the Partitioner (pooled
+// buffers; the variant keeps the name it is recorded under in
+// BENCH_3.json, though the kernel no longer stages). scripts/bench.sh
+// compares them into BENCH_3.json; swwcb must beat rehash.
 func BenchmarkKernelPartition(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	rel := make(tuple.Relation, 1<<20)

@@ -23,15 +23,14 @@ const kernelSchema = "iawj-kernelbench/v1"
 // kernelBaseline names, per kernel, the variant the kernel's other
 // variants are measured against.
 var kernelBaseline = map[string]string{
-	"partition":       "rehash",
-	"partition_build": "unfused",
-	"build":           "scalar",
-	"probe":           "scalar",
-	"probe_dup":       "scalar",
-	"sink_count":      "match",
-	"sink_emit":       "match",
-	"sort":            "scalar",
-	"sort_small":      "scalar",
+	"partition":  "rehash",
+	"build":      "scalar",
+	"probe":      "scalar",
+	"probe_dup":  "scalar",
+	"sink_count": "match",
+	"sink_emit":  "match",
+	"sort":       "scalar",
+	"sort_small": "scalar",
 }
 
 type kernelRow struct {
@@ -115,7 +114,7 @@ func readKernels(data []byte) (*kernelBench, error) {
 
 // parseKernelRow decodes one result line, e.g.
 //
-//	BenchmarkKernelPartitionBuild/fused-2  300  214357 ns/op  1222.93 MB/s
+//	BenchmarkKernelProbeDup/batched-2  300  2704701 ns/op  11998.81 MB/s
 //
 // The CamelCase name is the kernel and the sub-benchmark the variant,
 // except that BenchmarkKernelSink{Match,Run,Rect}/{count,emit} is kernel
