@@ -160,7 +160,6 @@ func main() {
 		TracePath:   *traceOut,
 		JournalPath: *journal,
 		Stdout:      *format == "json",
-		WantPool:    *windowMs > 0,
 	}
 	if err := obs.Start(); err != nil {
 		fatal(err)

@@ -98,7 +98,8 @@ type Config struct {
 	// across joins sharing the pool. Create one with NewStatePool and
 	// reuse it across the windows of a stream; a steady-state window then
 	// allocates little more than the Result it returns (PERFORMANCE.md
-	// §4). Nil allocates fresh state per join.
+	// §4). Nil gives the call a fresh pool of its own, which allocates
+	// what the join asks for and no more.
 	Pool *StatePool
 
 	// WrapClock, when non-nil, wraps the run's virtual time source
@@ -177,6 +178,9 @@ func Join(r, s Relation, cfg Config) (Result, error) { return join(r, s, cfg, 0,
 // of a call that joins many windows for one Emit; nil gives the join its
 // own.
 func join(r, s Relation, cfg Config, baseTS int64, out *core.Outbox) (Result, error) {
+	if cfg.Pool == nil {
+		cfg.Pool = NewStatePool()
+	}
 	if cfg.Algorithm == AdaptiveName {
 		cfg.Algorithm, _ = resolveAdaptive(r, s, cfg, baseTS)
 	}
@@ -211,14 +215,4 @@ func join(r, s Relation, cfg Config, baseTS int64, out *core.Outbox) (Result, er
 // ExpectedMatches computes the exact number of intra-window join matches
 // by key-frequency multiplication — the ground truth the test suite checks
 // every algorithm against.
-func ExpectedMatches(r, s Relation) int64 {
-	freq := make(map[int32]int64, len(r))
-	for _, t := range r {
-		freq[t.Key]++
-	}
-	var total int64
-	for _, t := range s {
-		total += freq[t.Key]
-	}
-	return total
-}
+func ExpectedMatches(r, s Relation) int64 { return tuple.ExpectedMatches(r, s) }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/hashtable"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/trace"
 	"repro/internal/tuple"
 )
@@ -62,7 +63,7 @@ func benchSinkVariants(b *testing.B, feed func(k *Sink, hits []hashtable.Hit)) {
 			now.Set(benchNowMs)
 			ctx := &ExecContext{Threads: 1, Clock: now, M: metrics.NewCollector(1)}
 			if mode == "emit" {
-				ctx.Out = NewOutbox(func(jr tuple.JoinResult) { seen += jr.TS }, nil)
+				ctx.Out = NewOutbox(func(jr tuple.JoinResult) { seen += jr.TS }, pool.New())
 			}
 			k := NewSink(ctx, 0)
 			b.SetBytes(int64(len(hits)*len(hits[0].Stored)) * 2 * tuple.Bytes) // both tuples of every match

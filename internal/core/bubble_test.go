@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/synctest"
 
+	"repro/internal/pool"
 	"repro/internal/tuple"
 )
 
@@ -89,7 +90,7 @@ func bubbleParking(t *testing.T) {
 			<-stall
 		}
 		c.emit(jr)
-	}, nil)
+	}, new(pool.Pool))
 	done := stalledDeliverer(o, entered)
 	beyond := fillBacklog(t, o)
 	close(stall)
@@ -114,7 +115,7 @@ func bubbleEmitPanic(t *testing.T) {
 		close(entered)
 		<-stall
 		panic("consumer gave up")
-	}, nil)
+	}, new(pool.Pool))
 	done := stalledDeliverer(o, entered)
 	beyond := fillBacklog(t, o)
 	close(stall)

@@ -103,9 +103,8 @@ type ExecContext struct {
 	// consumption). Workers reach it through their Sink.
 	Out *Outbox
 	// Pool recycles per-window kernel state (hash tables, partitioner
-	// scratch, match buffers) across windows; nil disables pooling, and
-	// every pool method accepts the nil receiver, so algorithms call it
-	// unconditionally (see internal/pool and PERFORMANCE.md).
+	// scratch, match buffers) across windows; Run always sets it (see
+	// internal/pool and PERFORMANCE.md).
 	Pool *pool.Pool
 }
 
@@ -213,8 +212,8 @@ type RunConfig struct {
 	// through it instead of one of its own, Emit is ignored, and the
 	// caller Closes it after its last run.
 	Out *Outbox
-	// Pool recycles per-window kernel state across runs; nil allocates
-	// fresh state per run (the pre-pool behaviour).
+	// Pool recycles per-window kernel state across runs; nil gives the
+	// run a fresh pool of its own.
 	Pool *pool.Pool
 	// BaseTS is the timestamp the inputs count from (ExecContext.BaseTS);
 	// zero for inputs that start at their window's opening.
@@ -272,6 +271,9 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	}
 	if cfg.WrapClock != nil {
 		src = cfg.WrapClock(src)
+	}
+	if cfg.Pool == nil {
+		cfg.Pool = pool.New()
 	}
 	poolBefore := cfg.Pool.Stats()
 	ctx := &ExecContext{

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/tuple"
 )
 
@@ -209,7 +210,7 @@ func TestSinkRecordsMatches(t *testing.T) {
 		M:       metrics.NewCollector(1),
 	}
 	var emitted []tuple.JoinResult
-	ctx.Out = NewOutbox(func(jr tuple.JoinResult) { emitted = append(emitted, jr) }, nil)
+	ctx.Out = NewOutbox(func(jr tuple.JoinResult) { emitted = append(emitted, jr) }, pool.New())
 	k := NewSink(ctx, 0)
 	k.Match(ctx.R[0], ctx.S[0])
 	k.Refresh()
@@ -317,7 +318,7 @@ func TestBaseTSOffsetsEveryTimestampReader(t *testing.T) {
 	}
 
 	var emitted []tuple.JoinResult
-	ctx.Out = NewOutbox(func(jr tuple.JoinResult) { emitted = append(emitted, jr) }, nil)
+	ctx.Out = NewOutbox(func(jr tuple.JoinResult) { emitted = append(emitted, jr) }, pool.New())
 	k := NewSink(ctx, 0)
 	k.Match(ctx.R[0], ctx.S[0])
 	k.Close() // a sink keeps its last matches and results until a clock sample or Close

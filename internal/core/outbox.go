@@ -53,9 +53,9 @@ type Outbox struct {
 }
 
 // NewOutbox returns the outbox of one call: emit is the caller's consumer,
-// p the pool result batches come from and go back to (nil allocates). The
-// caller Closes it when the call's last run has returned. A nil emit — a
-// count-only call — gets no outbox.
+// p the pool result batches come from and go back to. The caller Closes it
+// when the call's last run has returned. A nil emit — a count-only call —
+// gets no outbox.
 func NewOutbox(emit func(tuple.JoinResult), p *pool.Pool) *Outbox {
 	if emit == nil {
 		return nil

@@ -78,7 +78,7 @@ func TestOutboxParksWhileConsumerIsBusyAndHoldsItsBound(t *testing.T) {
 			<-stall
 		}
 		c.emit(jr)
-	}, nil)
+	}, pool.New())
 	done := serving(o)
 
 	var wg sync.WaitGroup
@@ -137,7 +137,7 @@ func TestOutboxParksWhileConsumerIsBusyAndHoldsItsBound(t *testing.T) {
 func TestWaitingGoroutineDeliversWhatWorkersParked(t *testing.T) {
 	var c soloConsumer
 	ctx := &ExecContext{Threads: 2, Clock: fakeClock{now: 5}, M: metrics.NewCollector(2)}
-	ctx.Out = NewOutbox(c.emit, nil)
+	ctx.Out = NewOutbox(c.emit, pool.New())
 	done := serving(ctx.Out)
 	ctx.Out.token.Lock() // another worker delivering inline
 	k := NewSink(ctx, 1)
@@ -167,7 +167,7 @@ func TestWaitingGoroutineDeliversWhatWorkersParked(t *testing.T) {
 // the batch was parked and was still holding the token.
 func TestServeReturnsWithTheBacklogDelivered(t *testing.T) {
 	var c soloConsumer
-	o := NewOutbox(c.emit, nil)
+	o := NewOutbox(c.emit, pool.New())
 	err := o.serve(func() error {
 		o.parked <- fullBatch(o, 7) // a park whose wake-up that deliverer took
 		return nil
@@ -187,7 +187,7 @@ func TestEmitPanicFailsTheOutboxAndFreesTheWorkers(t *testing.T) {
 		close(entered)
 		<-stall
 		panic("consumer gave up")
-	}, nil)
+	}, pool.New())
 	done := serving(o)
 	stuck := make(chan struct{})
 	go func() { // the worker stuck in the consumer when it panics
@@ -299,7 +299,7 @@ func (d *digestConsumer) emit(jr tuple.JoinResult) {
 func BenchmarkOutbox(b *testing.B) {
 	const producers = 2
 	var d digestConsumer
-	o := NewOutbox(d.emit, nil)
+	o := NewOutbox(d.emit, pool.New())
 	perProducer := max(b.N/(producers*MatchBatch), 1)
 	b.ResetTimer()
 	_ = o.serve(func() error {

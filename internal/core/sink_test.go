@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/hashtable"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/tuple"
 )
 
@@ -110,7 +111,7 @@ func TestRunFormEqualsPerMatchForm(t *testing.T) {
 		}
 		var got, want []tuple.JoinResult
 		ctx := newCtx()
-		ctx.Out = NewOutbox(func(jr tuple.JoinResult) { got = append(got, jr) }, nil)
+		ctx.Out = NewOutbox(func(jr tuple.JoinResult) { got = append(got, jr) }, pool.New())
 		k := NewSink(ctx, 0)
 		refCtx := newCtx()
 		ref := newRefSink(refCtx, func(jr tuple.JoinResult) { want = append(want, jr) })

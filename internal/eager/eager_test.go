@@ -176,7 +176,7 @@ func TestDistributionOwnership(t *testing.T) {
 	})
 	for _, g := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("JB/g=%d", g), func(t *testing.T) {
-			check(t, g, func(tid int) distribution { return newJB(threads, tid, g, len(tuples), nil) })
+			check(t, g, func(tid int) distribution { return newJB(threads, tid, g, len(tuples), pool.New()) })
 		})
 	}
 }
@@ -238,7 +238,7 @@ func TestJBStatusMaintenance(t *testing.T) {
 				var written int
 				tr := &statusWrites{}
 				for tid := 0; tid < threads; tid++ {
-					d := newJB(threads, tid, g, len(in.r)+len(in.s), nil)
+					d := newJB(threads, tid, g, len(in.r)+len(in.s), pool.New())
 					d.tracer = tr
 					for _, c := range []*cursor{{rel: in.r, side: sideR}, {rel: in.s, side: sideS}} {
 						for !c.done() {
@@ -441,7 +441,7 @@ func TestStatusTableSize(t *testing.T) {
 	// At the documented worst case — every key distinct, load exactly one
 	// half — every write still finds a slot; a slot is two cells.
 	const n = 1024
-	st := newStatusTable(n, nil)
+	st := newStatusTable(n, pool.New())
 	if len(st.cells) != 4*n || st.mask != 4*n-1 {
 		t.Fatalf("%d keys: %d cells, mask %#x; want %d slots of two cells", n, len(st.cells), st.mask, 2*n)
 	}

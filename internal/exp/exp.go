@@ -15,12 +15,15 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sync"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/joins"
 	"repro/internal/metrics"
 	"repro/internal/trace"
+	"repro/internal/tuple"
 )
 
 // Options configures an experiment run.
@@ -191,14 +194,41 @@ func mustAlg(name string) core.Algorithm {
 }
 
 // join runs algorithm name over w; every experiment's joins go through
-// it. core.Run's error names the algorithm; join adds param, the point of
-// the experiment the run is for.
+// it, each on a fresh pool of its own. core.Run's error names the
+// algorithm; join adds param, the point of the experiment the run is
+// for. A run that found other than w's matches is an error too.
 func join(name, param string, w gen.Workload, cfg core.RunConfig) (metrics.Result, error) {
 	res, err := core.Run(mustAlg(name), w.R, w.S, w.WindowMs, cfg)
+	if err == nil {
+		err = checkMatches(name, w, res)
+	}
 	if err != nil {
 		err = fmt.Errorf("%s: %w", param, err)
 	}
 	return res, err
+}
+
+// truth memoizes the match count of the last workload, named by its
+// inputs' arrays and lengths: a sweep runs every algorithm and knob
+// setting over one workload in a row.
+var truth struct {
+	sync.Mutex
+	key     [4]any
+	matches int64
+}
+
+// checkMatches compares the matches res reports with w's, counted by key
+// frequency.
+func checkMatches(name string, w gen.Workload, res metrics.Result) error {
+	truth.Lock()
+	defer truth.Unlock()
+	if key := [4]any{unsafe.SliceData(w.R), len(w.R), unsafe.SliceData(w.S), len(w.S)}; key != truth.key {
+		truth.key, truth.matches = key, tuple.ExpectedMatches(w.R, w.S)
+	}
+	if res.Matches != truth.matches {
+		return fmt.Errorf("%s found %d matches, the workload has %d", name, res.Matches, truth.matches)
+	}
+	return nil
 }
 
 // run executes one algorithm over a workload with the options' defaults.

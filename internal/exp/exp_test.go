@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/metrics"
+	"repro/internal/tuple"
 )
 
 // tinyOpts keeps experiment runs small enough for unit tests.
@@ -187,6 +189,27 @@ func TestMicroSweeps(t *testing.T) {
 			if num(tput) <= 0 {
 				t.Fatalf("%s: %v produced no matches", id, tab.Rows[i][:2])
 			}
+		}
+	}
+}
+
+// TestJoinChecksMatches: every figure's join is checked against the
+// workload's key-frequency count, so a run one match short is an error
+// naming the algorithm and the point of the experiment, and a right one
+// is not — also for a second workload of the same lengths.
+func TestJoinChecksMatches(t *testing.T) {
+	for seed := uint64(1); seed <= 2; seed++ {
+		w := gen.MicroStatic(2000, 2000, 4, 0, seed)
+		res, err := join("NPJ", "the point", w, core.RunConfig{Threads: 2, AtRest: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matches != tuple.ExpectedMatches(w.R, w.S) {
+			t.Fatalf("seed %d: join returned %d matches unchecked", seed, res.Matches)
+		}
+		res.Matches--
+		if err := checkMatches("NPJ", w, res); err == nil || !strings.Contains(err.Error(), "NPJ") {
+			t.Fatalf("seed %d: a result one match short: err %v", seed, err)
 		}
 	}
 }

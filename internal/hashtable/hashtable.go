@@ -140,12 +140,15 @@ const slabMin = 256
 
 // slab is a bump allocator over one pooled array. What the array cannot
 // hold is carved from spill arrays allocated on the spot, each as large as
-// everything before it; reset folds them into one larger array, so an
-// epoch that repeats an earlier epoch's demand allocates nothing, in
-// whatever order its takes arrive (a single array has no holes).
+// everything before it; reset drops them and the array and records their
+// total, and the next epoch's first take allocates that one larger array.
+// So an epoch that repeats an earlier epoch's demand allocates nothing, in
+// whatever order its takes arrive (a single array has no holes), and a
+// release never allocates for an epoch that may not come.
 type slab[T any] struct {
 	mem       []T
 	used      int
+	fold      int // the array the next take allocates; 0 while mem is current
 	spill     []T // the spill array being carved
 	spillUsed int
 	spilled   int // elements in all of this epoch's spill arrays
@@ -156,6 +159,10 @@ func (s *slab[T]) take(n int) []T {
 	if s.used+n <= len(s.mem) {
 		s.used += n
 		return s.mem[s.used-n : s.used : s.used]
+	}
+	if s.fold > 0 {
+		s.mem, s.fold = make([]T, s.fold), 0
+		return s.take(n)
 	}
 	if s.spillUsed+n > len(s.spill) {
 		s.spill = make([]T, max(n, len(s.mem)+s.spilled, slabMin))
@@ -169,14 +176,15 @@ func (s *slab[T]) take(n int) []T {
 // reset starts a new epoch; everything carved is void.
 func (s *slab[T]) reset() {
 	if s.spilled > 0 {
-		s.mem = make([]T, len(s.mem)+s.spilled)
-		s.spill, s.spillUsed, s.spilled = nil, 0, 0
+		s.fold = len(s.mem) + s.spilled
+		s.mem, s.spill, s.spillUsed, s.spilled = nil, nil, 0, 0
 	}
 	s.used = 0
 }
 
-// size is the slab's allocated elements.
-func (s *slab[T]) size() int { return len(s.mem) + s.spilled }
+// size is the slab's allocated elements, counting a pending fold as the
+// array it will be.
+func (s *slab[T]) size() int { return len(s.mem) + s.spilled + s.fold }
 
 // store is the pooled memory behind a directory: overflow buckets, exts and
 // the arena the runs are carved from. All of it survives Reset and Grow, so

@@ -255,9 +255,8 @@ type Result struct {
 	MemCurve     []MemSample
 	// Pool is the window-state pool's traffic during the run — which
 	// kinds were served from a freelist and which had to allocate — and
-	// the bytes its freelists retained when the run ended; all zero
-	// without a pool. Runs sharing a pool concurrently see each other's
-	// traffic.
+	// the bytes its freelists retained when the run ended. Runs sharing
+	// a pool concurrently see each other's traffic.
 	Pool PoolStats
 	// Output is the output path's traffic during the run, in result
 	// batches: delivered, parked for another worker to deliver, the peak

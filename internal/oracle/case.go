@@ -21,7 +21,9 @@ type Case struct {
 	// Seed drives workload generation, ingest jitter, and the
 	// perturbation clock.
 	Seed uint64
-	// Pooled attaches a window-state pool (Config.Pool).
+	// Pooled checks a join on a warm pool (Config.Pool): one the same join
+	// has run on and released its state to. Otherwise the join draws from
+	// a fresh pool of its own.
 	Pooled bool
 	// BatchSize overrides the eager pull batch; 0 keeps the default
 	// batched path, 1 degenerates to tuple-at-a-time (the scalar path).

@@ -9,7 +9,7 @@
 //   - Differential: every algorithm's emitted output is reduced to an
 //     order-independent multiset fingerprint and compared against a
 //     reference nested-loop oracle, across a matrix of thread counts,
-//     workload shapes, pooled/pool-less state, and batch sizes.
+//     workload shapes, warm and fresh pools, and batch sizes.
 //   - Metamorphic: properties that must hold without knowing the right
 //     answer — join symmetry, window-split/concatenation invariance, and
 //     key-relabeling invariance.

@@ -22,10 +22,21 @@ type Outcome struct {
 // runJoin executes the case's algorithm over the given inputs and digests
 // its emitted output. It is the one place the conformance harness touches
 // the production API, so differential and metamorphic checks exercise the
-// identical entry path users do.
+// identical entry path users do. A pooled case first runs the same join on
+// its pool and discards the output, so the checked run joins on state the
+// first one released.
 func runJoin(c Case, r, s tuple.Relation, windowMs int64, atRest bool) (Digest, int64, error) {
 	sink := NewSink()
-	res, err := iawj.Join(r, s, c.config(sink.Emit, windowMs, atRest))
+	cfg := c.config(sink.Emit, windowMs, atRest)
+	if c.Pooled {
+		cfg.Pool = iawj.NewStatePool()
+		warm := cfg
+		warm.Emit = func(tuple.JoinResult) {}
+		if _, err := iawj.Join(r, s, warm); err != nil {
+			return Digest{}, 0, fmt.Errorf("warming the pool: %w", err)
+		}
+	}
+	res, err := iawj.Join(r, s, cfg)
 	if err != nil {
 		return Digest{}, 0, err
 	}
@@ -41,9 +52,6 @@ func (c Case) config(emit func(tuple.JoinResult), windowMs int64, atRest bool) i
 		AtRest:    atRest,
 		BatchSize: c.BatchSize,
 		Emit:      emit,
-	}
-	if c.Pooled {
-		cfg.Pool = iawj.NewStatePool()
 	}
 	if c.Perturb {
 		seed := mix64(c.Seed ^ 0xadce11)
@@ -137,7 +145,7 @@ type Matrix struct {
 
 // FullMatrix is the complete differential matrix of the conformance
 // subsystem: all 8 studied algorithms × {1,2,4,8} threads × every
-// conformance workload × pooled and pool-less state × batched and scalar
+// conformance workload × warm and fresh pools × batched and scalar
 // eager paths × unperturbed and adversarial schedules.
 func FullMatrix() Matrix {
 	return Matrix{

@@ -12,9 +12,12 @@
 // (enforced by the testing.AllocsPerRun tests in this package).
 //
 // All methods are safe for concurrent use — workers of one window and
-// concurrent windows may share one Pool — and all methods accept a nil
-// receiver, falling back to plain allocation, so algorithm code calls the
-// pool unconditionally and a run without a pool behaves exactly as before.
+// concurrent windows may share one Pool. Every join draws from one: a
+// one-shot join gets a fresh pool of its own, so there is one allocation
+// path, and a cold pool allocates no more than plain allocation would —
+// a miss allocates exactly what was asked, and a release allocates
+// nothing (a table's store folds its spills at its next take, not at
+// Reset).
 //
 // Tables are free-listed per directory size class: handing a 2^16-bucket
 // NPJ directory to a radix join that asked for 2^6 buckets would make its
@@ -30,6 +33,7 @@ package pool
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -44,8 +48,8 @@ import (
 const classes = 32
 
 // bufs holds the freelists of one buffer kind: class c keeps buffers with
-// 2^c <= cap < 2^(c+1), so every buffer of a class >= bufClass(n) serves a
-// request for n.
+// 2^(c-1) < cap <= 2^c, the class their capacity fills, so every buffer of
+// a class above bufClass(n) serves a request for n.
 type bufs[T any] [classes][][]T
 
 // bufClass is the smallest class whose every buffer holds n elements.
@@ -56,37 +60,53 @@ func bufClass(n int) int {
 	return min(bits.Len(uint(n-1)), classes-1)
 }
 
-// get pops a buffer from the smallest non-empty class that serves n, or
-// returns nil: a batch request must not hold a run buffer while one of its
-// own size is free.
+// get takes the smallest buffer of n's own class that holds n, or else
+// pops the smallest non-empty class above it, or returns nil: a batch
+// request must not hold a run buffer while one of its own size is free.
 func (b *bufs[T]) get(n int) []T {
-	for c := bufClass(n); c < classes; c++ {
-		l := len(b[c])
-		if l == 0 || cap(b[c][l-1]) < n { // the capacity check only ever fails in the clamped top class
-			continue
+	c := bufClass(n)
+	best := -1
+	for i, buf := range b[c] {
+		if cap(buf) >= n && (best < 0 || cap(buf) < cap(b[c][best])) {
+			best = i
 		}
-		buf := b[c][l-1]
-		b[c] = b[c][:l-1]
-		return buf[:0]
 	}
-	return nil
+	if best < 0 {
+		for c++; c < classes && len(b[c]) == 0; c++ {
+		}
+		if c == classes {
+			return nil
+		}
+		best = len(b[c]) - 1
+	}
+	buf := b[c][best]
+	b[c] = slices.Delete(b[c], best, best+1)
+	return buf
 }
 
-// put files buf under the class of its capacity, which must be non-zero.
-func (b *bufs[T]) put(buf []T) {
-	c := min(bits.Len(uint(cap(buf)))-1, classes-1)
-	b[c] = append(b[c], buf[:0])
+// take hands out an empty buffer of b's kind k with capacity at least n:
+// a freed one, or on a miss one of exactly n (at least one), so that a
+// run that never comes back to the pool allocates what it asked for.
+func take[T any](p *Pool, b *bufs[T], k metrics.PoolKind, n int) []T {
+	p.mu.Lock()
+	buf := b.get(n)
+	p.acquired(k, buf != nil, int64(cap(buf))*int64(unsafe.Sizeof(*new(T))))
+	p.mu.Unlock()
+	if buf == nil {
+		buf = make([]T, 0, max(n, 1))
+	}
+	return buf
 }
 
-// newBuf allocates an empty buffer for a missed request of n: the whole
-// class capacity, so that its release lands in the class the next request
-// for n looks in.
-func newBuf[T any](n int) []T {
-	return make([]T, 0, max(n, 1<<bufClass(n)))
+// give files a buffer handed out by take under the class of its capacity.
+func give[T any](p *Pool, b *bufs[T], buf []T) {
+	if cap(buf) > 0 {
+		push(p, &b[bufClass(cap(buf))], buf[:0], int64(cap(buf))*int64(unsafe.Sizeof(*new(T))))
+	}
 }
 
-// Pool is a reusable-state arena for window joins. The zero value and nil
-// are both ready to use; nil never pools.
+// Pool is a reusable-state arena for window joins. The zero value is ready
+// to use.
 type Pool struct {
 	mu      sync.Mutex
 	tables  [classes][]*hashtable.Table
@@ -100,12 +120,9 @@ type Pool struct {
 	stats   metrics.PoolStats
 }
 
-// Stats reads the pool's hit/miss counters and retained bytes; the zero
-// reading for a nil pool. It allocates nothing.
+// Stats reads the pool's hit/miss counters and retained bytes. It
+// allocates nothing.
 func (p *Pool) Stats() metrics.PoolStats {
-	if p == nil {
-		return metrics.PoolStats{}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
@@ -123,10 +140,9 @@ func (p *Pool) acquired(k metrics.PoolKind, hit bool, bytes int64) {
 }
 
 // calibrateOnce runs the probe-prefetch distance calibration the first
-// time any Pool is built. Pool construction marks the start of real
-// windowed work (benchmark harness or driver setup, never a hot loop), so
-// it is the natural once-per-process point to measure the host and pin
-// the batched kernels' pipeline depth to it.
+// time any Pool is built. Every join runs on a pool, built before its
+// workers start, so this is the natural once-per-process point to measure
+// the host and pin the batched kernels' pipeline depth to it.
 var calibrateOnce sync.Once
 
 // New returns an empty Pool. The first Pool of the process calibrates the
@@ -140,234 +156,117 @@ func New() *Pool {
 	return &Pool{}
 }
 
+// pop takes the newest object off list, counting the acquire as kind k:
+// a hit of the object's bytes or, on an empty list, a miss.
+func pop[T interface{ MemBytes() int64 }](p *Pool, list *[]T, k metrics.PoolKind) (t T, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if l := len(*list); l > 0 {
+		t, *list, ok = (*list)[l-1], (*list)[:l-1], true
+		p.acquired(k, true, t.MemBytes())
+	} else {
+		p.acquired(k, false, 0)
+	}
+	return t, ok
+}
+
+// push files t, which holds bytes, on list.
+func push[T any](p *Pool, list *[]T, t T, bytes int64) {
+	p.mu.Lock()
+	*list = append(*list, t)
+	p.stats.RetainedBytes += bytes
+	p.mu.Unlock()
+}
+
+// table is what the pool needs of a hash table kind.
+type table interface {
+	MemBytes() int64
+	DirBuckets() int
+	Grow(n int)
+	Reset()
+}
+
+// takeTable pops a table of n's directory size class off lists, grown to
+// n, counting the acquire as kind k; a miss builds one with fresh.
+func takeTable[T table](p *Pool, lists *[classes][]T, k metrics.PoolKind, n int, fresh func(int) T) T {
+	t, ok := pop(p, &lists[min(hashtable.DirBits(n), classes-1)], k)
+	if !ok {
+		return fresh(n)
+	}
+	t.Grow(n)
+	return t
+}
+
+// giveTable resets t and files it under its directory size class.
+func giveTable[T table](p *Pool, lists *[classes][]T, t T) {
+	t.Reset()
+	push(p, &lists[min(bits.Len(uint(t.DirBuckets()))-1, classes-1)], t, t.MemBytes())
+}
+
 // Table returns a single-writer table sized for n tuples with the given
 // hash shift, recycled when one of the right size class is free.
 func (p *Pool) Table(n, shift int) *hashtable.Table {
-	if p == nil {
-		t := hashtable.New(n)
-		t.SetShift(shift)
-		return t
-	}
-	c := min(hashtable.DirBits(n), classes-1)
-	p.mu.Lock()
-	var t *hashtable.Table
-	if l := len(p.tables[c]); l > 0 {
-		t = p.tables[c][l-1]
-		p.tables[c] = p.tables[c][:l-1]
-		p.acquired(metrics.PoolTable, true, t.MemBytes())
-	} else {
-		p.acquired(metrics.PoolTable, false, 0)
-	}
-	p.mu.Unlock()
-	if t == nil {
-		t = hashtable.New(n)
-	} else {
-		t.Grow(n)
-	}
+	t := takeTable(p, &p.tables, metrics.PoolTable, n, hashtable.New)
 	t.SetShift(shift)
 	return t
 }
 
 // PutTable resets t and returns it to its size-class freelist.
-func (p *Pool) PutTable(t *hashtable.Table) {
-	if p == nil || t == nil {
-		return
-	}
-	t.Reset()
-	c := min(bits.Len(uint(t.DirBuckets()))-1, classes-1)
-	p.mu.Lock()
-	p.tables[c] = append(p.tables[c], t)
-	p.stats.RetainedBytes += t.MemBytes()
-	p.mu.Unlock()
-}
+func (p *Pool) PutTable(t *hashtable.Table) { giveTable(p, &p.tables, t) }
 
 // Shared returns a concurrently writable table sized for n tuples.
 func (p *Pool) Shared(n int) *hashtable.Shared {
-	if p == nil {
-		return hashtable.NewShared(n)
-	}
-	c := min(hashtable.DirBits(n), classes-1)
-	p.mu.Lock()
-	var t *hashtable.Shared
-	if l := len(p.shared[c]); l > 0 {
-		t = p.shared[c][l-1]
-		p.shared[c] = p.shared[c][:l-1]
-		p.acquired(metrics.PoolShared, true, t.MemBytes())
-	} else {
-		p.acquired(metrics.PoolShared, false, 0)
-	}
-	p.mu.Unlock()
-	if t == nil {
-		t = hashtable.NewShared(n)
-	} else {
-		t.Grow(n)
-	}
-	return t
+	return takeTable(p, &p.shared, metrics.PoolShared, n, hashtable.NewShared)
 }
 
 // PutShared resets t and returns it to its size-class freelist. Call only
 // after every worker of the window has quiesced.
-func (p *Pool) PutShared(t *hashtable.Shared) {
-	if p == nil || t == nil {
-		return
-	}
-	t.Reset()
-	c := min(bits.Len(uint(t.DirBuckets()))-1, classes-1)
-	p.mu.Lock()
-	p.shared[c] = append(p.shared[c], t)
-	p.stats.RetainedBytes += t.MemBytes()
-	p.mu.Unlock()
-}
+func (p *Pool) PutShared(t *hashtable.Shared) { giveTable(p, &p.shared, t) }
 
 // Partitioner returns a reusable radix partitioning kernel.
 func (p *Pool) Partitioner() *radix.Partitioner {
-	if p == nil {
-		return radix.NewPartitioner()
+	if pr, ok := pop(p, &p.parters, metrics.PoolPartitioner); ok {
+		return pr
 	}
-	p.mu.Lock()
-	var pr *radix.Partitioner
-	if l := len(p.parters); l > 0 {
-		pr = p.parters[l-1]
-		p.parters = p.parters[:l-1]
-		p.acquired(metrics.PoolPartitioner, true, pr.MemBytes())
-	} else {
-		p.acquired(metrics.PoolPartitioner, false, 0)
-	}
-	p.mu.Unlock()
-	if pr == nil {
-		pr = radix.NewPartitioner()
-	}
-	return pr
+	return radix.NewPartitioner()
 }
 
 // PutPartitioner returns pr to the freelist. The partitions returned by
 // its last Partition call alias its buffers, so release it only once they
 // are no longer read — in parallel joins, after all workers finished.
-func (p *Pool) PutPartitioner(pr *radix.Partitioner) {
-	if p == nil || pr == nil {
-		return
-	}
-	p.mu.Lock()
-	p.parters = append(p.parters, pr)
-	p.stats.RetainedBytes += pr.MemBytes()
-	p.mu.Unlock()
-}
+func (p *Pool) PutPartitioner(pr *radix.Partitioner) { push(p, &p.parters, pr, pr.MemBytes()) }
 
 // Tuples returns an empty tuple buffer with capacity at least n.
-func (p *Pool) Tuples(n int) []tuple.Tuple {
-	if p == nil {
-		return make([]tuple.Tuple, 0, n)
-	}
-	p.mu.Lock()
-	buf := p.tuples.get(n)
-	p.acquired(metrics.PoolTuples, buf != nil, int64(cap(buf))*tuple.Bytes)
-	p.mu.Unlock()
-	if buf == nil {
-		buf = newBuf[tuple.Tuple](n)
-	}
-	return buf
-}
+func (p *Pool) Tuples(n int) []tuple.Tuple { return take(p, &p.tuples, metrics.PoolTuples, n) }
 
 // PutTuples returns a buffer taken with Tuples to the freelist of its
 // capacity class.
-func (p *Pool) PutTuples(buf []tuple.Tuple) {
-	if p == nil || cap(buf) == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.tuples.put(buf)
-	p.stats.RetainedBytes += int64(cap(buf)) * tuple.Bytes
-	p.mu.Unlock()
-}
-
-// hitBytes is the in-memory size of one hashtable.Hit.
-const hitBytes = int64(unsafe.Sizeof(hashtable.Hit{}))
+func (p *Pool) PutTuples(buf []tuple.Tuple) { give(p, &p.tuples, buf) }
 
 // Hits returns an empty probe hit buffer with capacity at least n. A probe
 // makes at most one hit, so n is the probe batch's length whatever the
 // keys' duplication.
-func (p *Pool) Hits(n int) []hashtable.Hit {
-	if p == nil {
-		return make([]hashtable.Hit, 0, n)
-	}
-	p.mu.Lock()
-	buf := p.hits.get(n)
-	p.acquired(metrics.PoolHits, buf != nil, int64(cap(buf))*hitBytes)
-	p.mu.Unlock()
-	if buf == nil {
-		buf = newBuf[hashtable.Hit](n)
-	}
-	return buf
-}
+func (p *Pool) Hits(n int) []hashtable.Hit { return take(p, &p.hits, metrics.PoolHits, n) }
 
 // PutHits returns a buffer taken with Hits to the freelist of its capacity
 // class. The runs its stale hits alias belong to pooled tables.
-func (p *Pool) PutHits(buf []hashtable.Hit) {
-	if p == nil || cap(buf) == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.hits.put(buf)
-	p.stats.RetainedBytes += int64(cap(buf)) * hitBytes
-	p.mu.Unlock()
-}
-
-// resultBytes is the in-memory size of one tuple.JoinResult.
-const resultBytes = 24
+func (p *Pool) PutHits(buf []hashtable.Hit) { give(p, &p.hits, buf) }
 
 // Results returns an empty result batch with capacity at least n.
 func (p *Pool) Results(n int) []tuple.JoinResult {
-	if p == nil {
-		return make([]tuple.JoinResult, 0, n)
-	}
-	p.mu.Lock()
-	buf := p.results.get(n)
-	p.acquired(metrics.PoolResults, buf != nil, int64(cap(buf))*resultBytes)
-	p.mu.Unlock()
-	if buf == nil {
-		buf = newBuf[tuple.JoinResult](n)
-	}
-	return buf
+	return take(p, &p.results, metrics.PoolResults, n)
 }
 
 // PutResults returns a batch taken with Results to the freelist of its
 // capacity class.
-func (p *Pool) PutResults(buf []tuple.JoinResult) {
-	if p == nil || cap(buf) == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.results.put(buf)
-	p.stats.RetainedBytes += int64(cap(buf)) * resultBytes
-	p.mu.Unlock()
-}
+func (p *Pool) PutResults(buf []tuple.JoinResult) { give(p, &p.results, buf) }
 
 // U32 returns an empty uint32 scratch slice with capacity at least n.
-func (p *Pool) U32(n int) []uint32 {
-	if p == nil {
-		return make([]uint32, 0, n)
-	}
-	p.mu.Lock()
-	buf := p.u32s.get(n)
-	p.acquired(metrics.PoolU32, buf != nil, int64(cap(buf))*4)
-	p.mu.Unlock()
-	if buf == nil {
-		buf = newBuf[uint32](n)
-	}
-	return buf
-}
+func (p *Pool) U32(n int) []uint32 { return take(p, &p.u32s, metrics.PoolU32, n) }
 
 // PutU32 returns a scratch slice taken with U32 to the freelist of its
 // capacity class.
-func (p *Pool) PutU32(buf []uint32) {
-	if p == nil || cap(buf) == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.u32s.put(buf)
-	p.stats.RetainedBytes += int64(cap(buf)) * 4
-	p.mu.Unlock()
-}
+func (p *Pool) PutU32(buf []uint32) { give(p, &p.u32s, buf) }
 
 // collectorBytes is what a collector for the given worker count holds:
 // two histograms and the phase clock per worker.
@@ -379,16 +278,13 @@ func collectorBytes(threads int) int64 {
 // worker count (at least one), recycled when a run of that count has
 // returned one.
 func (p *Pool) Collector(threads int) *metrics.Collector {
-	if p == nil {
-		return metrics.NewCollector(threads)
-	}
 	threads = max(threads, 1)
 	p.mu.Lock()
 	var c *metrics.Collector
 	for i := len(p.collect) - 1; i >= 0; i-- {
 		if p.collect[i].Threads() == threads {
 			c = p.collect[i]
-			p.collect = append(p.collect[:i], p.collect[i+1:]...)
+			p.collect = slices.Delete(p.collect, i, i+1)
 			break
 		}
 	}
@@ -403,12 +299,6 @@ func (p *Pool) Collector(threads int) *metrics.Collector {
 // PutCollector resets c and returns it to the freelist. Call only after
 // the run's workers have quiesced and its Result has been snapshotted.
 func (p *Pool) PutCollector(c *metrics.Collector) {
-	if p == nil || c == nil {
-		return
-	}
 	c.Reset()
-	p.mu.Lock()
-	p.collect = append(p.collect, c)
-	p.stats.RetainedBytes += collectorBytes(c.Threads())
-	p.mu.Unlock()
+	push(p, &p.collect, c, collectorBytes(c.Threads()))
 }

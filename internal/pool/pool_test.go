@@ -2,7 +2,9 @@ package pool
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/hashtable"
 	"repro/internal/metrics"
@@ -16,37 +18,6 @@ func windowTuples(n, domain int, seed uint64) []tuple.Tuple {
 		out[i] = tuple.Tuple{Key: int32(rng.IntN(domain)), Payload: int32(i)}
 	}
 	return out
-}
-
-// TestNilPoolFallsBack pins the nil-receiver contract every algorithm
-// relies on: a nil *Pool hands out fresh, working state.
-func TestNilPoolFallsBack(t *testing.T) {
-	var p *Pool
-	if tab := p.Table(100, 3); tab == nil || tab.DirBuckets() == 0 {
-		t.Fatal("nil pool returned unusable Table")
-	}
-	if sh := p.Shared(100); sh == nil || sh.DirBuckets() == 0 {
-		t.Fatal("nil pool returned unusable Shared")
-	}
-	if pr := p.Partitioner(); pr == nil {
-		t.Fatal("nil pool returned nil Partitioner")
-	}
-	if buf := p.Tuples(10); cap(buf) < 10 || len(buf) != 0 {
-		t.Fatal("nil pool returned unusable tuple buffer")
-	}
-	if buf := p.Hits(10); cap(buf) < 10 || len(buf) != 0 {
-		t.Fatal("nil pool returned unusable hit buffer")
-	}
-	if buf := p.U32(10); cap(buf) < 10 || len(buf) != 0 {
-		t.Fatal("nil pool returned unusable u32 buffer")
-	}
-	// Releases to a nil pool are no-ops, not panics.
-	p.PutTable(p.Table(10, 0))
-	p.PutShared(p.Shared(10))
-	p.PutPartitioner(p.Partitioner())
-	p.PutTuples(p.Tuples(4))
-	p.PutHits(p.Hits(4))
-	p.PutU32(p.U32(4))
 }
 
 // TestTableRoundTripSameClass checks a released table is reused for the
@@ -203,14 +174,14 @@ func TestPooledPRJWindowZeroAllocs(t *testing.T) {
 }
 
 // TestPoolCorrectnessUnderReuse cross-checks that pooling never changes
-// results: many windows over one pool must match a fresh no-pool join.
+// results: many windows over one pool must match a freshly built table.
 func TestPoolCorrectnessUnderReuse(t *testing.T) {
 	p := New()
 	for w := 0; w < 6; w++ {
 		build := windowTuples(512+w*100, 16+w, uint64(10+w))
 		probes := windowTuples(300, 16+w, uint64(20+w))
 
-		fresh := (*Pool)(nil).Table(len(build), 0)
+		fresh := hashtable.New(len(build))
 		fresh.InsertBatch(build)
 		_, want := fresh.ProbeBatch(probes, nil)
 
@@ -234,7 +205,8 @@ func TestPoolCorrectnessUnderReuse(t *testing.T) {
 // small request must not walk off with a large buffer while one of its own
 // class is free, so an interleaved small/large get–put sequence — a batch
 // buffer and a run buffer, in either release order — allocates nothing
-// after its first cycle.
+// after its first cycle. A request that is no power of two misses with
+// exactly its size, and that buffer serves it once put back.
 func TestBufferSizeClasses(t *testing.T) {
 	const small, large = 64, 1 << 16
 	p := New()
@@ -269,6 +241,46 @@ func TestBufferSizeClasses(t *testing.T) {
 	if st.Misses[metrics.PoolTuples] != 2 || st.Misses[metrics.PoolU32] != 2 {
 		t.Fatalf("want exactly the first cycle's four misses, got tuples=%d u32=%d",
 			st.Misses[metrics.PoolTuples], st.Misses[metrics.PoolU32])
+	}
+
+	// A request between two classes misses with exactly what it asked for,
+	// and once put back serves the same request again.
+	const odd = 40_000
+	p = New()
+	if buf := p.Tuples(odd); cap(buf) != odd {
+		t.Fatalf("a missed %d-tuple request allocated capacity %d", odd, cap(buf))
+	} else {
+		p.PutTuples(buf)
+	}
+	again := func() { p.PutTuples(p.Tuples(odd)) }
+	if allocs := testing.AllocsPerRun(20, again); allocs != 0 {
+		t.Fatalf("the same %d-tuple request after its put allocates %.1f times, want 0", odd, allocs)
+	}
+}
+
+// TestReleaseAllocatesNothing: putting back a Table and a Shared whose
+// stores spilled past their arrays allocates nothing; the fold into one
+// array waits for the table's next take, and the retained bytes already
+// count it.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	p := New()
+	build := windowTuples(4096, 8, 11) // 512 duplicates a key: the arena spills
+	// A first round trip gives each freelist its slot.
+	p.PutTable(p.Table(len(build), 0))
+	p.PutShared(p.Shared(len(build)))
+	tab, sh := p.Table(len(build), 0), p.Shared(len(build))
+	tab.InsertBatch(build)
+	sh.InsertBatch(build)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.PutTable(tab)
+	p.PutShared(sh)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got != 0 {
+		t.Fatalf("releasing two spilled tables allocated %d B, want 0", got)
+	}
+	if held, want := p.Stats().RetainedBytes, tab.MemBytes()+sh.MemBytes(); held != want {
+		t.Fatalf("pool retains %d B, want the tables' %d", held, want)
 	}
 }
 
@@ -306,18 +318,15 @@ func TestDuplicateKeysRetainNoMatchBuffer(t *testing.T) {
 	tab := p.Shared(len(build))
 	beside := p.Stats().RetainedBytes
 	p.PutShared(tab)
-	if limit := int64(workers * batch * hitBytes); beside > limit {
+	if limit := int64(workers*batch) * int64(unsafe.Sizeof(hashtable.Hit{})); beside > limit {
 		t.Fatalf("pool retains %d bytes beside the table after a dupe-%d window, want at most the %d of %d hit buffers", beside, dupe, limit, workers)
 	}
 }
 
 // TestStatsCountAndRetain checks the observability counters: hits and
 // misses per kind, retained bytes rising on release and falling on reuse,
-// a nil pool reading zero, and Stats itself allocating nothing.
+// and Stats itself allocating nothing.
 func TestStatsCountAndRetain(t *testing.T) {
-	if (*Pool)(nil).Stats() != (metrics.PoolStats{}) {
-		t.Fatal("nil pool must read zero stats")
-	}
 	p := New()
 	tab := p.Table(1000, 0)
 	buf := p.Tuples(100)

@@ -53,7 +53,7 @@ type JournalEntry struct {
 	// PoolHits / PoolMisses count the run's window-pool acquires served
 	// from a freelist / by allocating, per pooled kind (kinds at zero are
 	// left out); PoolRetainedBytes is what the freelists held when the
-	// run ended. All absent for a run without a pool.
+	// run ended. All absent for a result with no pool traffic.
 	PoolHits          map[string]int64 `json:"pool_hits,omitempty"`
 	PoolMisses        map[string]int64 `json:"pool_misses,omitempty"`
 	PoolRetainedBytes int64            `json:"pool_retained_bytes,omitempty"`

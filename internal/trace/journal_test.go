@@ -300,8 +300,8 @@ func TestNilJournalWriterIsInert(t *testing.T) {
 
 // TestJournalCarriesPoolTraffic: a window record names the pooled kinds
 // that hit and missed during its run, the bytes the pool retained and the
-// output path's batch counters, and says nothing at all about a run that
-// had no pool and only counted.
+// output path's batch counters, and says nothing at all about a result
+// with no pool traffic that only counted.
 func TestJournalCarriesPoolTraffic(t *testing.T) {
 	res := metricsResultFixture()
 	res.Pool.Hits[metrics.PoolTuples] = 12
@@ -326,7 +326,7 @@ func TestJournalCarriesPoolTraffic(t *testing.T) {
 		}
 	}
 	if strings.Contains(lines[1], "pool_") || strings.Contains(lines[1], "output_") {
-		t.Errorf("a count-only run without a pool must mention neither:\n%s", lines[1])
+		t.Errorf("a count-only result without pool traffic must mention neither:\n%s", lines[1])
 	}
 	j, err := ReadJournal(&buf)
 	if err != nil {

@@ -16,11 +16,10 @@ type Session struct {
 	TracePath   string // write the spans as Chrome trace JSON here on Close
 	JournalPath string // append run/window records to this file
 	Stdout      bool   // print the same records on stdout (-format json)
-	WantPool    bool   // the run joins through a window pool
 
-	// Set by Start. Recorder, Journal (the file, stdout, or both) and
-	// Pool stay nil when not asked for; all are nil-safe where joins
-	// take them.
+	// Set by Start. Recorder and Journal (the file, stdout, or both) stay
+	// nil when not asked for, and are nil-safe where joins take them; the
+	// pool is always built.
 	Recorder *Recorder
 	Journal  *JournalWriter
 	Pool     *pool.Pool
@@ -34,9 +33,7 @@ type Session struct {
 // (one file collects many runs, readers keep the first header). A recorder
 // exists when a trace file will read it.
 func (o *Session) Start() error {
-	if o.WantPool {
-		o.Pool = pool.New()
-	}
+	o.Pool = pool.New()
 	if o.TracePath != "" {
 		o.Recorder = NewRecorder()
 	}

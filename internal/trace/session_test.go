@@ -16,7 +16,7 @@ func TestSessionAppendsAndSamples(t *testing.T) {
 	dir := t.TempDir()
 	journal, tracePath := filepath.Join(dir, "runs.jsonl"), filepath.Join(dir, "trace.json")
 	for _, alg := range []string{"NPJ", "SHJ_JM"} {
-		obs := &Session{JournalPath: journal, TracePath: tracePath, WantPool: true}
+		obs := &Session{JournalPath: journal, TracePath: tracePath}
 		if err := obs.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -61,12 +61,15 @@ func TestSessionAppendsAndSamples(t *testing.T) {
 	}
 }
 
+// TestSessionZeroValueAsksForNothing: a zero Session starts with no
+// recorder and no journal; the pool, which every join draws from, is
+// always built.
 func TestSessionZeroValueAsksForNothing(t *testing.T) {
 	obs := &Session{}
 	if err := obs.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if obs.Recorder != nil || obs.Journal != nil || obs.Pool != nil {
+	if obs.Recorder != nil || obs.Journal != nil || obs.Pool == nil {
 		t.Fatalf("zero Session started %+v", obs)
 	}
 	if err := obs.Record(metrics.Result{Algorithm: "NPJ"}); err != nil {

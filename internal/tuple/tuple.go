@@ -7,10 +7,7 @@
 // time-ordered slices of tuples; joins are evaluated over a single window.
 package tuple
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Tuple is one stream element x = {t, k, v}.
 //
@@ -32,12 +29,6 @@ const Bytes = 16
 // Relation is a chronologically ordered list of tuples from one input
 // stream, restricted to the window under study.
 type Relation []Tuple
-
-// SortByTS orders the relation chronologically. Generators emit tuples in
-// arrival order already; this is a safety net for externally built inputs.
-func (r Relation) SortByTS() {
-	sort.Slice(r, func(i, j int) bool { return r[i].TS < r[j].TS })
-}
 
 // SortedByTS reports whether the relation is already in arrival order.
 func (r Relation) SortedByTS() bool {
@@ -90,4 +81,19 @@ func ResultOf(r, s Tuple) JoinResult {
 		ts = s.TS
 	}
 	return JoinResult{TS: ts, Key: r.Key, PayloadR: r.Payload, PayloadS: s.Payload}
+}
+
+// ExpectedMatches computes the exact number of intra-window join matches
+// of r and s by key-frequency multiplication: the ground truth every
+// algorithm's count is checked against.
+func ExpectedMatches(r, s Relation) int64 {
+	freq := make(map[int32]int64, len(r))
+	for _, t := range r {
+		freq[t.Key]++
+	}
+	var total int64
+	for _, t := range s {
+		total += freq[t.Key]
+	}
+	return total
 }

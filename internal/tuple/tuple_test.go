@@ -10,21 +10,6 @@ import (
 	"testing/quick"
 )
 
-func TestSortByTS(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	rel := make(Relation, 500)
-	for i := range rel {
-		rel[i] = Tuple{TS: rng.Int64N(100), Key: int32(i)}
-	}
-	if rel.SortedByTS() {
-		t.Skip("unexpectedly already sorted; adjust seed")
-	}
-	rel.SortByTS()
-	if !rel.SortedByTS() {
-		t.Fatal("SortByTS did not sort")
-	}
-}
-
 func TestSortedByTSEmpty(t *testing.T) {
 	var rel Relation
 	if !rel.SortedByTS() {

@@ -1,6 +1,7 @@
 package window
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -74,7 +75,7 @@ func TestTumblingCoversEveryTupleOnce(t *testing.T) {
 		for i, v := range raw {
 			r[i] = tuple.Tuple{TS: int64(v % 500), Key: int32(i)}
 		}
-		r.SortByTS()
+		sort.Slice(r, func(i, j int) bool { return r[i].TS < r[j].TS })
 		_, slices, err := Assign(r, Spec{Kind: Tumbling, LengthMs: 7})
 		if err != nil {
 			return false

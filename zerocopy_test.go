@@ -216,3 +216,55 @@ func TestWindowOffsetArrivalIsWindowRelative(t *testing.T) {
 		}
 	}
 }
+
+// TestColdPoolAllocatesNoMoreThanNoPool: a one-shot Join, which draws
+// from a fresh pool of its own, allocates no more than the same join did
+// when it allocated its state without a pool (the bytes below, measured
+// on 2^17 × 2^17 tuples, four duplicates a key, two threads, at rest):
+// a miss allocates exactly what was asked and a release nothing. Radix
+// joins with many partitions reuse one table across them, so PRJ at
+// #r 18 stays far under the 992 MB it took without a pool.
+func TestColdPoolAllocatesNoMoreThanNoPool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("joins 2^17 tuples a side ten times")
+	}
+	w := MicroStatic(1<<17, 1<<17, 4, 0, 42)
+	NewStatePool() // the process's first pool calibrates; not part of a join
+	cases := []struct {
+		alg   string
+		bits  int
+		maxMB float64
+	}{
+		{"NPJ", 0, 1.01 * 13.52},
+		{"PRJ", 0, 1.01 * 47.69},
+		{"MWAY", 0, 1.01 * 10.55},
+		{"MPASS", 0, 1.01 * 10.55},
+		{"SHJ_JM", 0, 1.01 * 42.22},
+		{"SHJ_JB", 0, 1.01 * 35.48},
+		{"PMJ_JM", 0, 1.01 * 14.10},
+		{"PMJ_JB", 0, 1.01 * 18.66},
+		{"PRJ", 18, 100},
+	}
+	for _, c := range cases {
+		cfg := Config{Algorithm: c.alg, Threads: 2, AtRest: true, RadixBits: c.bits}
+		least := ^uint64(0)
+		for range 2 { // the lesser of two: a GC cycle may add to either
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := Join(w.R, w.S, cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Matches != ExpectedMatches(w.R, w.S) {
+				t.Fatalf("%s #r %d: %d matches, want %d", c.alg, c.bits, res.Matches, ExpectedMatches(w.R, w.S))
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d < least {
+				least = d
+			}
+		}
+		if mb := float64(least) / 1e6; mb > c.maxMB {
+			t.Errorf("%s #r %d: a one-shot join allocates %.2f MB, want at most %.2f", c.alg, c.bits, mb, c.maxMB)
+		}
+	}
+}
