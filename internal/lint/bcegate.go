@@ -14,9 +14,10 @@ import "strings"
 // `_ = s[n-1]` hoist, uint comparisons against a constant capacity) are
 // documented in LINTING.md.
 //
-// Scope mirrors escapegate: only checks positioned inside a for/range body
-// (per-iteration) fail; a one-off check in straight-line setup, or a slice
-// header check hoisted out of the loops, is per-run cost and passes.
+// Scope is the loop bodies of the span, unlike escapegate's whole span:
+// only checks positioned inside a for/range body (per-iteration) fail; a
+// one-off check in straight-line setup, or the hoisted `_ = s[n-1]` proof
+// the recipes put before a loop, is per-call cost and passes.
 // Escape hatches are the standard machinery — `//lint:allow bcegate
 // <reason>` on or above the line, the path allowlist, or a function-scope
 // allow in the hotpath's doc comment for loops whose bounds are genuinely
@@ -48,7 +49,7 @@ func parseBCEOutput(out string) []diagLine {
 func matchBounds(root string, diags []diagLine, spans []hotSpan) []Finding {
 	var out []Finding
 	for _, d := range diags {
-		if s := spanInLoop(spans, "bcegate", absAgainst(root, d.File), d.Line); s != nil {
+		if s := spanAt(spans, "bcegate", absAgainst(root, d.File), d.Line); s != nil && s.inLoop(d.Line) {
 			out = append(out, s.finding(d.Line, d.Col, "%s is //iawj:hotpath but the compiler keeps a bounds check (%s) in a loop; prove the index with the LINTING.md BCE recipes (slice-to-length staging, `_ = s[n-1]` hoist, uint compare) or justify the data-dependent bound with //lint:allow bcegate", s.Name, d.Msg))
 		}
 	}

@@ -212,7 +212,8 @@ func TestGatesCrossCwd(t *testing.T) {
 }
 
 // TestSharedBuildDiagRunsOnce: all three gates on one program trigger
-// exactly one compile.
+// exactly one compile (the tree program is shared, so the count also
+// covers every earlier test that linted the tree).
 func TestSharedBuildDiagRunsOnce(t *testing.T) {
 	prog := loadTree(t)
 	run(t, prog, escapeGate, bceGate, inlineGate)

@@ -1,84 +1,55 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// hotPathAlloc flags heap-allocating constructs inside functions annotated
-// `//iawj:hotpath` — the probe/build inner loops of the join kernels,
-// where a per-tuple allocation turns a memory-bound kernel into a
-// GC-bound one and skews every Figure the harness reproduces.
-//
-// Flagged constructs:
+// hotPathAlloc flags, inside functions annotated `//iawj:hotpath`, the
+// per-tuple costs escape analysis cannot see — the probe/build inner
+// loops of the join kernels, where a per-tuple allocation turns a
+// memory-bound kernel into a GC-bound one and skews every Figure the
+// harness reproduces. What escapes to the heap (closures, non-constant
+// slice makes, boxing, fmt's arguments, new) is escapegate's: the compiler
+// reports exactly the ones that allocate. This rule keeps the four the
+// compiler does not report:
 //
 //   - append whose target is not declared inside the annotated function
-//     (growing a captured or package-level slice from the inner loop);
-//   - fmt.Sprintf / Sprint / Sprintln / Errorf (formatting allocates);
-//   - map creation (make(map...) or a map composite literal);
-//   - a func literal constructed inside a loop (a per-iteration closure —
-//     the per-match emit closures the batched kernel APIs exist to
-//     eliminate; hoist the closure before the loop or use
-//     InsertBatch/ProbeRuns);
-//   - make of a slice inside a loop (per-iteration scratch; allocate the
-//     scratch once before the loop or take it from the window pool);
-//   - non-constant string concatenation inside a loop (+ or += on
-//     strings builds a fresh backing array per iteration);
-//   - an argument implicitly converted to an interface parameter inside a
-//     loop (boxing a concrete value allocates; only calls whose callee
-//     signature resolves locally are checked);
+//     (growing a captured or package-level slice reallocates its backing
+//     array; the slice itself never "escapes");
+//   - map creation (make(map...) or a map composite literal; a map sized
+//     at run time allocates its buckets even when it does not escape);
+//   - non-constant string concatenation (+ or += on strings builds a
+//     fresh backing array once the result outgrows the stack buffer);
 //   - a call through a function value inside a loop (a parameter, local,
-//     captured variable, or struct field of function type). An indirect
-//     call per tuple defeats inlining and costs more than the work it
-//     wraps in a memory-bound kernel — measured on the fused build
-//     scatter (since retired), where a per-tuple non-inlined insert
-//     erased the whole fusion win. Direct calls to named functions and methods are fine
-//     (the inliner sees through them); deliberate per-probe callbacks —
-//     the scalar emit reference paths — carry //lint:allow with a reason.
+//     captured variable, or struct field of function type). It allocates
+//     nothing, but an indirect call per tuple defeats inlining and costs
+//     more than the work it wraps in a memory-bound kernel. Direct calls
+//     to named functions and methods are fine (the inliner sees through
+//     them).
 //
 // Appends to locally declared buffers are the kernels' bread and butter
-// and are not flagged, nor are closures and slice makes that run once,
-// outside any loop. The slice check is syntactic: make of a named slice
-// type spelled through a selector (e.g. make(pkg.Alias, n)) is not
-// recognized.
+// and are not flagged, nor are indirect calls that run once, outside any
+// loop.
 var hotPathAlloc = Rule{
 	Name:     "hotpathalloc",
-	Doc:      "no captured-slice append, fmt.Sprintf, map creation, per-loop closure/scratch/string/interface-boxing allocation, or per-loop function-value calls in //iawj:hotpath functions",
-	Contract: "//iawj:hotpath bodies must not allocate per iteration: no captured-slice append, fmt.Sprintf, map literals, closure creation, string conversion, or interface boxing inside loops. The kernels' ns/tuple figures assume zero GC pressure; take scratch from the pool.",
-	Check:    perPackage(checkHotPathAlloc),
+	Doc:      "what escape analysis cannot see in //iawj:hotpath functions: captured-slice append, map creation, string concatenation, per-loop function-value calls",
+	Contract: "//iawj:hotpath bodies must not allocate in ways escape analysis cannot see: no append to a captured or package-level slice, no map creation, no non-constant string concatenation, and no call through a function value inside a loop (a per-tuple indirect call defeats inlining). What escapes to the heap is escapegate's, from the compiler's own verdict. The kernels' ns/tuple figures assume zero GC pressure; take scratch from the pool.",
+	Check: func(prog *Program) []Finding {
+		var out []Finding
+		prog.funcDecls(func(p *Package, fn *ast.FuncDecl) {
+			if isHotPath(fn) {
+				out = append(out, checkHotFunc(p, fn)...)
+			}
+		})
+		return out
+	},
 }
 
 // hotPathMarker is the annotation that opts a function into this rule and
 // the escape and bounds-check gates.
 const hotPathMarker = "//iawj:hotpath"
-
-// fmtAllocFuncs are the fmt formatters that always allocate their result.
-var fmtAllocFuncs = map[string]bool{
-	"Sprintf": true, "Sprint": true, "Sprintln": true, "Errorf": true,
-}
-
-func checkHotPathAlloc(p *Package) []Finding {
-	var out []Finding
-	p.hotFuncs(func(imports map[string]string, fn *ast.FuncDecl) {
-		out = append(out, checkHotFunc(p, fn, imports)...)
-	})
-	return out
-}
-
-// hotFuncs visits the package's //iawj:hotpath function declarations with
-// the import map of the file declaring each.
-func (p *Package) hotFuncs(visit func(imports map[string]string, fn *ast.FuncDecl)) {
-	for _, f := range p.Files {
-		imports := importNames(f)
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil && isHotPath(fn) {
-				visit(imports, fn)
-			}
-		}
-	}
-}
 
 // isHotPath reports whether the declaration carries the hotpath marker in
 // its doc comment.
@@ -88,7 +59,7 @@ func isHotPath(fn *ast.FuncDecl) bool {
 
 // checkHotFunc scans one annotated function, including its nested
 // closures, which execute on the same hot path.
-func checkHotFunc(p *Package, fn *ast.FuncDecl, imports map[string]string) []Finding {
+func checkHotFunc(p *Package, fn *ast.FuncDecl) []Finding {
 	var out []Finding
 	flag := func(pos token.Pos, msg string) {
 		out = append(out, Finding{Pos: p.Fset.Position(pos), Msg: msg})
@@ -102,50 +73,33 @@ func checkHotFunc(p *Package, fn *ast.FuncDecl, imports map[string]string) []Fin
 		}
 		return false
 	}
+	const concat = "string concatenation in a //iawj:hotpath function; each call copies a fresh backing array"
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if name, ok := pkgCall(n, imports, "fmt"); ok && fmtAllocFuncs[name] {
-				flag(n.Pos(), fmt.Sprintf("fmt.%s allocates in a //iawj:hotpath function", name))
-				return true
+			if pos, ok := indirectCallee(p, n); ok && inLoop(n.Pos()) {
+				flag(pos, "call through a function value inside a loop in a //iawj:hotpath function; a per-tuple indirect call defeats inlining — inline the loop body or use the batched kernel APIs")
 			}
-			if inLoop(n.Pos()) {
-				for _, pos := range boxedArgs(p, n) {
-					flag(pos, "implicit interface conversion inside a loop in a //iawj:hotpath function; boxing the argument allocates, pass a concrete type or hoist the call")
-				}
-				if pos, ok := indirectCallee(p, n); ok {
-					flag(pos, "call through a function value inside a loop in a //iawj:hotpath function; a per-tuple indirect call defeats inlining — inline the loop body or use the batched kernel APIs")
-				}
-			}
-			switch fun := n.Fun.(type) {
-			case *ast.Ident:
+			if fun, ok := n.Fun.(*ast.Ident); ok && len(n.Args) > 0 {
 				switch fun.Name {
 				case "append":
-					if len(n.Args) > 0 && capturedTarget(p, fn, n.Args[0]) {
+					if capturedTarget(p, fn, n.Args[0]) {
 						flag(n.Pos(), "append grows a captured slice in a //iawj:hotpath function; use a local buffer")
 					}
 				case "make":
-					if len(n.Args) > 0 {
-						if _, isMap := n.Args[0].(*ast.MapType); isMap {
-							flag(n.Pos(), "map creation in a //iawj:hotpath function")
-						} else if arr, isSlice := n.Args[0].(*ast.ArrayType); isSlice && arr.Len == nil && inLoop(n.Pos()) {
-							flag(n.Pos(), "slice make inside a loop in a //iawj:hotpath function; hoist the scratch or use the window pool")
-						}
+					if _, isMap := n.Args[0].(*ast.MapType); isMap {
+						flag(n.Pos(), "map creation in a //iawj:hotpath function")
 					}
 				}
 			}
-		case *ast.FuncLit:
-			if inLoop(n.Pos()) {
-				flag(n.Pos(), "closure constructed inside a loop in a //iawj:hotpath function; hoist it or use the batched kernel APIs")
-			}
 		case *ast.BinaryExpr:
-			if n.Op == token.ADD && inLoop(n.Pos()) && isStringExpr(p, n) && !isConstExpr(p, n) {
-				flag(n.Pos(), "string concatenation inside a loop in a //iawj:hotpath function; each iteration copies a fresh backing array")
+			if n.Op == token.ADD && isStringExpr(p, n) && !isConstExpr(p, n) {
+				flag(n.Pos(), concat)
 				return false // the operands of a nested a+b+c are the same concatenation
 			}
 		case *ast.AssignStmt:
-			if n.Tok == token.ADD_ASSIGN && inLoop(n.Pos()) && len(n.Lhs) == 1 && isStringExpr(p, n.Lhs[0]) {
-				flag(n.Pos(), "string concatenation inside a loop in a //iawj:hotpath function; each iteration copies a fresh backing array")
+			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringExpr(p, n.Lhs[0]) {
+				flag(n.Pos(), concat)
 			}
 		case *ast.CompositeLit:
 			if _, isMap := n.Type.(*ast.MapType); isMap {
@@ -187,74 +141,10 @@ func isStringExpr(p *Package, e ast.Expr) bool {
 }
 
 // isConstExpr reports whether the expression folds to a constant (a
-// constant concatenation is materialized at compile time, not per
-// iteration).
+// constant concatenation is materialized at compile time, not per call).
 func isConstExpr(p *Package, e ast.Expr) bool {
 	tv, ok := p.Info.Types[e]
 	return ok && tv.Value != nil
-}
-
-// boxedArgs returns the positions of call arguments that a locally
-// resolvable callee signature implicitly converts to an interface type —
-// each such call boxes the concrete value on the heap. Calls into stub
-// imports have invalid signatures and are skipped (conservative under
-// partial type information); nil and already-interface arguments do not
-// box.
-func boxedArgs(p *Package, call *ast.CallExpr) []token.Pos {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	obj := p.Info.Uses[id]
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params() == nil {
-		return nil
-	}
-	// Ellipsis calls (f(xs...)) pass the slice through without boxing.
-	if call.Ellipsis.IsValid() {
-		return nil
-	}
-	var out []token.Pos
-	np := sig.Params().Len()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= np-1:
-			s, ok := sig.Params().At(np - 1).Type().(*types.Slice)
-			if !ok {
-				continue
-			}
-			pt = s.Elem()
-		case i < np:
-			pt = sig.Params().At(i).Type()
-		default:
-			continue
-		}
-		if pt == nil || !types.IsInterface(pt) {
-			continue
-		}
-		tv, ok := p.Info.Types[arg]
-		if !ok || tv.Type == nil || tv.IsNil() {
-			continue
-		}
-		if b, isBasic := tv.Type.Underlying().(*types.Basic); isBasic && (b.Kind() == types.Invalid || b.Info()&types.IsUntyped != 0) {
-			continue
-		}
-		if types.IsInterface(tv.Type) {
-			continue
-		}
-		out = append(out, arg.Pos())
-	}
-	return out
 }
 
 // indirectCallee reports whether the call goes through a function value —
@@ -262,7 +152,6 @@ func boxedArgs(p *Package, call *ast.CallExpr) []token.Pos {
 // variable) or a struct field, of function type — rather than a directly
 // named function, method, builtin, or type conversion. Unresolvable
 // callees are not flagged (conservative under partial type information).
-// An immediately invoked func literal is handled by the closure check.
 func indirectCallee(p *Package, call *ast.CallExpr) (token.Pos, bool) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -298,7 +187,7 @@ func capturedTarget(p *Package, fn *ast.FuncDecl, target ast.Expr) bool {
 	if id == nil {
 		return false
 	}
-	obj := objOf(p, id)
+	obj := p.Info.Uses[id]
 	if obj == nil {
 		return false
 	}

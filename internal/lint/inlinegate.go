@@ -90,7 +90,7 @@ type inlineSpan struct {
 // inlineSpans collects every annotated function declaration in the program.
 func inlineSpans(prog *Program) []inlineSpan {
 	var spans []inlineSpan
-	prog.funcDecls(func(p *Package, _ map[string]string, fn *ast.FuncDecl) {
+	prog.funcDecls(func(p *Package, fn *ast.FuncDecl) {
 		if hasMarker(fn, inlineMarker) {
 			pos := p.Fset.Position(fn.Pos())
 			spans = append(spans, inlineSpan{Name: qualifiedName(fn), File: pos.Filename, Line: pos.Line})

@@ -217,8 +217,9 @@ type Package struct {
 	Fset *token.FileSet
 	// Files holds the parsed files in filename order.
 	Files []*ast.File
-	// Info carries Defs/Uses from the permissive type-check; lookups
-	// may miss for identifiers that depend on unresolved imports.
+	// Info carries Uses, Types and Selections from the permissive
+	// type-check, the three maps hotpathalloc reads; lookups may miss for
+	// identifiers that depend on unresolved imports.
 	Info *types.Info
 
 	allows map[string]map[int][]string // file -> line -> rules with a reasoned allow
@@ -284,7 +285,6 @@ func Load(dir, root string, includeTests bool) (*Package, error) {
 		Fset:  fset,
 		Files: files,
 		Info: &types.Info{
-			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
@@ -337,14 +337,13 @@ func NewProgram(root string, pkgs []*Package) *Program {
 }
 
 // funcDecls visits every function declaration that has a body, in
-// package, file and source order, with the import map of its file.
-func (prog *Program) funcDecls(visit func(p *Package, imports map[string]string, fn *ast.FuncDecl)) {
+// package, file and source order.
+func (prog *Program) funcDecls(visit func(p *Package, fn *ast.FuncDecl)) {
 	for _, p := range prog.Packages {
 		for _, f := range p.Files {
-			imports := importNames(f)
 			for _, decl := range f.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-					visit(p, imports, fn)
+					visit(p, fn)
 				}
 			}
 		}
@@ -543,12 +542,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// objOf resolves an identifier to its object via Uses then Defs.
-func objOf(p *Package, id *ast.Ident) types.Object {
-	if obj := p.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return p.Info.Defs[id]
 }

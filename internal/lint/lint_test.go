@@ -55,9 +55,16 @@ func loadFixture(t *testing.T) *Program {
 	return NewProgram(root, []*Package{p})
 }
 
+// tree is the repository loaded once for every test that lints it, so
+// the tree's diagnostics build runs once per test binary, not per test.
+var tree *Program
+
 // loadTree loads every package of the repository as one program.
 func loadTree(t *testing.T) *Program {
 	t.Helper()
+	if tree != nil {
+		return tree
+	}
 	root := repoRoot(t)
 	dirs, err := Walk(root)
 	if err != nil {
@@ -71,7 +78,8 @@ func loadTree(t *testing.T) *Program {
 		}
 		pkgs = append(pkgs, p)
 	}
-	return NewProgram(root, pkgs)
+	tree = NewProgram(root, pkgs)
+	return tree
 }
 
 // run applies the rules and fails the test on a diagnostics-build error.

@@ -1,8 +1,11 @@
 package lint
 
 import (
+	"go/ast"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,25 +38,97 @@ func TestParseEscapeOutput(t *testing.T) {
 }
 
 // TestEscapeGateFixture is the positive control: build the seeded
-// escfixture package with -m=2 and check exactly the in-loop allocation
-// is reported — the per-run setup allocation in HotSetupOnly must pass.
+// escfixture package with -m=2 and check both allocations are reported —
+// the one in HotLeaky's loop and the straight-line one in HotSetupOnly,
+// since the gate's scope is the whole span.
 func TestEscapeGateFixture(t *testing.T) {
 	out, prog := buildFixtureDiag(t, "escfixture")
 	spans := prog.hotSpans()
 	if len(spans) != 2 {
 		t.Fatalf("expected 2 hotpath spans in escfixture, got %+v", spans)
 	}
-	findings := matchEscapes(prog.Root, parseEscapeOutput(out), spans)
-	if len(findings) != 1 {
-		t.Fatalf("expected exactly 1 escapegate finding, got %+v", findings)
+	findings := kept(prog, escapeGate, matchEscapes(prog.Root, parseEscapeOutput(out), spans))
+	if len(findings) != 2 {
+		t.Fatalf("expected exactly 2 escapegate findings, got %+v", findings)
 	}
-	f := findings[0]
-	if !strings.Contains(f.Msg, "HotLeaky") || !strings.Contains(f.Msg, "new([8]int)") {
-		t.Errorf("finding does not name the leaky hotpath: %s", f.Msg)
+	for i, name := range []string{"HotLeaky", "HotSetupOnly"} {
+		f := findings[i]
+		if !strings.Contains(f.Msg, name) || !strings.Contains(f.Msg, "new([8]int)") {
+			t.Errorf("finding %d does not name %s's allocation: %s", i, name, f.Msg)
+		}
+		if filepath.Base(f.Pos.Filename) != "escfixture.go" {
+			t.Errorf("finding in %s, want escfixture.go", f.Pos.Filename)
+		}
 	}
-	if filepath.Base(f.Pos.Filename) != "escfixture.go" {
-		t.Errorf("finding in %s, want escfixture.go", f.Pos.Filename)
+}
+
+// TestAllocationConstructTable holds the two allocation rules to one
+// owner per construct. allocfixture plants one //iawj:hotpath function per
+// construct, each marked `// allocates` or `// heap-free`; its own test,
+// run here by explicit path, confirms the marks with AllocsPerRun. Every
+// allocating construct must then be reported by exactly one of escapegate
+// and hotpathalloc, escapegate (the compiler's verdict) must report no
+// heap-free one, and the calls through a func value or field, a cost
+// rather than an allocation, must be hotpathalloc's.
+func TestAllocationConstructTable(t *testing.T) {
+	cmd := exec.Command("go", "test", "./internal/lint/testdata/src/allocfixture")
+	cmd.Dir = repoRoot(t)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("allocfixture's marks do not hold: %v\n%s", err, out)
 	}
+	out, prog := buildFixtureDiag(t, "allocfixture")
+	spans := prog.hotSpans()
+	owners := map[string][]string{} // span name -> rules reporting it
+	for _, f := range append(
+		kept(prog, escapeGate, matchEscapes(prog.Root, parseEscapeOutput(out), spans)),
+		kept(prog, hotPathAlloc, hotPathAlloc.Check(prog))...) {
+		s := spanAt(spans, "", f.Pos.Filename, f.Pos.Line) // no rule name: every span counts
+		if s == nil {
+			t.Fatalf("finding outside every span: %+v", f)
+		}
+		if !slices.Contains(owners[s.Name], f.Rule) {
+			owners[s.Name] = append(owners[s.Name], f.Rule)
+		}
+	}
+	marks := constructMarks(prog)
+	if len(marks) != len(spans) {
+		t.Fatalf("%d marked constructs in %d hotpath spans; mark every row", len(marks), len(spans))
+	}
+	for name, mark := range marks {
+		switch got := owners[name]; {
+		case mark == "allocates" && len(got) != 1:
+			t.Errorf("%s allocates and is reported by %v, want exactly one of escapegate and hotpathalloc", name, got)
+		case mark == "heap-free" && slices.Contains(got, "escapegate"):
+			t.Errorf("%s is heap-free but escapegate reports it", name)
+		}
+	}
+	for _, name := range []string{"hotCallFuncValue", "hotCallFuncField"} {
+		if !slices.Equal(owners[name], []string{"hotpathalloc"}) {
+			t.Errorf("%s calls through a function value and is reported by %v, want hotpathalloc", name, owners[name])
+		}
+	}
+}
+
+// constructMarks maps each hotpath function of a fixture program to the
+// `// allocates` or `// heap-free` mark inside its body.
+func constructMarks(prog *Program) map[string]string {
+	marks := map[string]string{}
+	prog.funcDecls(func(p *Package, fn *ast.FuncDecl) {
+		if !isHotPath(fn) {
+			return
+		}
+		for _, f := range p.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					mark := strings.TrimPrefix(c.Text, "// ")
+					if c.Pos() > fn.Body.Pos() && c.End() < fn.Body.End() && (mark == "allocates" || mark == "heap-free") {
+						marks[qualifiedName(fn)] = mark
+					}
+				}
+			}
+		}
+	})
+	return marks
 }
 
 // TestEscapeGateRepoTree runs the gate over the module: the annotated

@@ -1,7 +1,8 @@
 // Package escfixture is the escapegate positive control: a hotpath
-// function that heap-allocates per loop iteration. It lives under
-// testdata so `go build ./...` never sees it; the test builds it by
-// explicit path with -gcflags=-m=2 and asserts the gate fires.
+// function that heap-allocates per loop iteration, and one that allocates
+// once in straight-line code. It lives under testdata so `go build ./...`
+// never sees it; the test builds it by explicit path with -gcflags=-m=2
+// and asserts the gate fires on both.
 package escfixture
 
 // Sink keeps escaping values reachable so the compiler cannot elide them.
@@ -17,7 +18,7 @@ func HotLeaky(keys []int) {
 
 //iawj:hotpath
 func HotSetupOnly(keys []int) int {
-	scratch := new([8]int) // per-run setup outside the loop: exempt
+	scratch := new([8]int) // outside the loop, still inside the span: reported
 	Sink = append(Sink, scratch)
 	n := 0
 	for i, k := range keys {

@@ -1,6 +1,7 @@
 package window
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/tuple"
@@ -36,7 +37,7 @@ func TestTumblingBoundaryTimestamps(t *testing.T) {
 	// close out the first window, two at exactly w open the second.
 	const w = 10
 	r := rel(0, w-1, w-1, w, w)
-	windows, slices, err := Assign(r, Spec{Kind: Tumbling, LengthMs: w})
+	windows, slices, err := assignOne(r, Spec{Kind: Tumbling, LengthMs: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestTumblingBoundaryTimestamps(t *testing.T) {
 func TestSlidingBoundaryExclusive(t *testing.T) {
 	// w=10, slide=5: a tuple at ts=10 belongs to the windows starting at
 	// 5 and 10, and NOT to [0, 10) — the close is exclusive.
-	_, slices, err := Assign(rel(0, 10), Spec{Kind: Sliding, LengthMs: 10, SlideMs: 5})
+	_, slices, err := assignOne(rel(0, 10), Spec{Kind: Sliding, LengthMs: 10, SlideMs: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows, _, _ := Assign(rel(0, 10), Spec{Kind: Sliding, LengthMs: 10, SlideMs: 5})
+	windows, _, _ := assignOne(rel(0, 10), Spec{Kind: Sliding, LengthMs: 10, SlideMs: 5})
 	sawTen := 0
 	for i, win := range windows {
 		for _, tp := range slices[i] {
@@ -92,7 +93,7 @@ func TestSingleTupleEveryKind(t *testing.T) {
 		{Kind: Session, GapMs: 3},
 	}
 	for _, spec := range specs {
-		windows, slices, err := Assign(rel(7), spec)
+		windows, slices, err := assignOne(rel(7), spec)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Kind, err)
 		}
@@ -117,7 +118,7 @@ func TestSingleTupleEveryKind(t *testing.T) {
 func TestEmptyWindowsSkipped(t *testing.T) {
 	// A long gap between tuples: the tumbling grid has ten empty windows
 	// in between, none of which may be materialized.
-	windows, slices, err := Assign(rel(0, 115), Spec{Kind: Tumbling, LengthMs: 10})
+	windows, slices, err := assignOne(rel(0, 115), Spec{Kind: Tumbling, LengthMs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestEmptyWindowsSkipped(t *testing.T) {
 func TestSessionGapBoundary(t *testing.T) {
 	// A spacing of exactly GapMs keeps the session open (<= gap); one
 	// more millisecond splits it.
-	windows, _, err := Assign(rel(0, 3, 6), Spec{Kind: Session, GapMs: 3})
+	windows, _, err := assignOne(rel(0, 3, 6), Spec{Kind: Session, GapMs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestSessionGapBoundary(t *testing.T) {
 	if !windows[0].Contains(6) || windows[0].Contains(7) {
 		t.Fatalf("session window %+v must contain its last tuple and nothing after", windows[0])
 	}
-	windows, _, err = Assign(rel(0, 4), Spec{Kind: Session, GapMs: 3})
+	windows, _, err = assignOne(rel(0, 4), Spec{Kind: Session, GapMs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestTumblingCoversBoundaryDuplicatesOnce(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r = append(r, tuple.Tuple{TS: 10, Key: int32(i)})
 	}
-	windows, slices, err := Assign(r, Spec{Kind: Tumbling, LengthMs: 10})
+	windows, slices, err := assignOne(r, Spec{Kind: Tumbling, LengthMs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,5 +198,77 @@ func TestTumblingCoversBoundaryDuplicatesOnce(t *testing.T) {
 	}
 	if len(slices[0]) != len(r) {
 		t.Fatalf("%d of %d boundary duplicates assigned", len(slices[0]), len(r))
+	}
+}
+
+func TestNegativeTimestamps(t *testing.T) {
+	// Window starts are floored, not truncated toward zero: ts -15 opens
+	// [-20, -10). No window opens before the slide boundary at or below
+	// the earliest tuple, as none opens before 0 on a stream starting at
+	// 0, so the sliding grid here starts at -15.
+	r := rel(-15, -5, 3)
+	cases := []struct {
+		spec Spec
+		want []Window
+		held [][]int64
+	}{
+		{Spec{Kind: Tumbling, LengthMs: 10},
+			[]Window{{-20, -10}, {-10, 0}, {0, 10}},
+			[][]int64{{-15}, {-5}, {3}}},
+		{Spec{Kind: Sliding, LengthMs: 10, SlideMs: 5},
+			[]Window{{-15, -5}, {-10, 0}, {-5, 5}, {0, 10}},
+			[][]int64{{-15}, {-5}, {-5, 3}, {3}}},
+	}
+	for _, c := range cases {
+		windows, slices, err := assignOne(r, c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(windows, c.want) {
+			t.Fatalf("%s: windows %v, want %v", c.spec.Kind, windows, c.want)
+		}
+		for i, win := range windows {
+			var got []int64
+			for _, tp := range slices[i] {
+				if !win.Contains(tp.TS) {
+					t.Fatalf("%s: window %+v holds ts %d it does not contain", c.spec.Kind, win, tp.TS)
+				}
+				got = append(got, tp.TS)
+			}
+			if !reflect.DeepEqual(got, c.held[i]) {
+				t.Fatalf("%s: window %+v holds %v, want %v", c.spec.Kind, win, got, c.held[i])
+			}
+		}
+	}
+	// The origin is common to both streams: R's -3 sets it to -5, so S's
+	// 2 meets R's -3 in [-5, 5) although S alone starts after 0.
+	pairs, err := AssignPair(rel(-3), rel(2), Spec{Kind: Sliding, LengthMs: 10, SlideMs: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs) != 2 || pairs[0].Window != (Window{-5, 5}) || len(pairs[0].R) != 1 || len(pairs[0].S) != 1 {
+		t.Fatalf("pairs %+v, want [-5,5) both, [0,10) S", pairs)
+	}
+}
+
+func TestLongGapIsJumped(t *testing.T) {
+	// 10^12 ms between two tuples is 2·10^11 empty slides: assignment
+	// jumps over them instead of stepping through each.
+	const gap = 1_000_000_000_000
+	cases := []struct {
+		spec Spec
+		want []Window
+	}{
+		{Spec{Kind: Tumbling, LengthMs: 10}, []Window{{0, 10}, {gap, gap + 10}}},
+		{Spec{Kind: Sliding, LengthMs: 10, SlideMs: 5}, []Window{{0, 10}, {gap - 5, gap + 5}, {gap, gap + 10}}},
+	}
+	for _, c := range cases {
+		windows, _, err := assignOne(rel(0, gap), c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(windows, c.want) {
+			t.Fatalf("%s: windows %v, want %v", c.spec.Kind, windows, c.want)
+		}
 	}
 }

@@ -88,100 +88,54 @@ func (w Window) Contains(ts int64) bool { return ts >= w.Start && ts < w.End }
 // Length returns End - Start.
 func (w Window) Length() int64 { return w.End - w.Start }
 
-// Assign slices a time-ordered relation into windows according to the
-// spec. Each returned slice aliases the input (no copies); for sliding
-// windows a tuple appears in every window covering its timestamp.
-// Windows are returned in start order; empty windows are skipped.
-func Assign(rel tuple.Relation, spec Spec) ([]Window, []tuple.Relation, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if len(rel) == 0 {
-		return nil, nil, nil
-	}
-	if !rel.SortedByTS() {
-		return nil, nil, fmt.Errorf("window: relation is not time ordered")
-	}
-	switch spec.Kind {
-	case Tumbling:
-		return assignTumbling(rel, spec.LengthMs)
-	case Sliding:
-		slide := spec.SlideMs
-		if slide <= 0 {
-			slide = spec.LengthMs
-		}
-		return assignSliding(rel, spec.LengthMs, slide)
-	default:
-		return assignSession(rel, spec.GapMs)
-	}
-}
-
-func assignTumbling(rel tuple.Relation, w int64) ([]Window, []tuple.Relation, error) {
+// assign slices a time-ordered relation into the non-empty windows
+// [k·slide, k·slide+w) that open at or after origin. Each returned slice
+// aliases the input (no copies); when slide < w a tuple appears in every
+// window covering its timestamp. Windows come in start order, and a gap
+// in the stream is jumped, not stepped through: the cost is O(tuples +
+// windows), whatever the gap.
+func assign(rel tuple.Relation, w, slide, origin int64) ([]Window, []tuple.Relation) {
 	var windows []Window
 	var slices []tuple.Relation
-	start := 0
-	for start < len(rel) {
-		wStart := rel[start].TS / w * w
-		end := start
-		for end < len(rel) && rel[end].TS < wStart+w {
-			end++
-		}
-		windows = append(windows, Window{Start: wStart, End: wStart + w})
-		slices = append(slices, rel[start:end])
-		start = end
-	}
-	return windows, slices, nil
-}
-
-func assignSliding(rel tuple.Relation, w, slide int64) ([]Window, []tuple.Relation, error) {
-	var windows []Window
-	var slices []tuple.Relation
-	last := rel[len(rel)-1].TS
-	lo := 0
-	// The earliest epoch-aligned window that can contain the first
-	// tuple: start > firstTS - w, so both streams enumerate the same
-	// window starts regardless of when each one begins.
-	first := rel[0].TS - w + 1
-	if first < 0 {
-		first = 0
-	}
-	start := (first + slide - 1) / slide * slide
-	for wStart := start; wStart <= last; wStart += slide {
-		for lo < len(rel) && rel[lo].TS < wStart {
+	start, hi := origin, 0
+	for lo := 0; lo < len(rel); {
+		// The earliest window that can hold rel[lo] opens at the first
+		// multiple of slide above rel[lo].TS - w; the empty ones before
+		// it are skipped.
+		start = max(start, (floorDiv(rel[lo].TS-w, slide)+1)*slide)
+		if start > rel[lo].TS { // slide > w: rel[lo] falls between two windows
 			lo++
+			continue
 		}
-		hi := lo
-		for hi < len(rel) && rel[hi].TS < wStart+w {
+		hi = max(hi, lo)
+		for hi < len(rel) && rel[hi].TS < start+w {
 			hi++
 		}
-		if hi > lo {
-			windows = append(windows, Window{Start: wStart, End: wStart + w})
-			slices = append(slices, rel[lo:hi])
+		windows = append(windows, Window{Start: start, End: start + w})
+		slices = append(slices, rel[lo:hi])
+		start += slide
+		for lo < len(rel) && rel[lo].TS < start {
+			lo++
 		}
 	}
-	return windows, slices, nil
+	return windows, slices
 }
 
-func assignSession(rel tuple.Relation, gap int64) ([]Window, []tuple.Relation, error) {
-	var windows []Window
-	var slices []tuple.Relation
-	start := 0
-	for start < len(rel) {
-		end := start + 1
-		for end < len(rel) && rel[end].TS-rel[end-1].TS <= gap {
-			end++
-		}
-		windows = append(windows, Window{Start: rel[start].TS, End: rel[end-1].TS + 1})
-		slices = append(slices, rel[start:end])
-		start = end
+// floorDiv is a/b rounded toward negative infinity, for b > 0; Go's /
+// rounds toward zero, which would put a negative timestamp in the window
+// after its own.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b < 0 {
+		q--
 	}
-	return windows, slices, nil
+	return q
 }
 
-// Align pairs the windows produced for two streams by window start, the
+// align pairs the windows produced for two streams by window start, the
 // precondition for joining stream pairs window by window. Windows present
 // on only one side are paired with an empty slice on the other.
-func Align(wR []Window, rSlices []tuple.Relation, wS []Window, sSlices []tuple.Relation) []Pair {
+func align(wR []Window, rSlices []tuple.Relation, wS []Window, sSlices []tuple.Relation) []Pair {
 	var out []Pair
 	i, j := 0, 0
 	for i < len(wR) || j < len(wS) {
@@ -209,31 +163,38 @@ type Pair struct {
 
 // AssignPair slices two streams into jointly defined, aligned windows —
 // the form a window join consumes. Tumbling and sliding windows are
-// epoch-aligned, so per-stream assignment aligns naturally; session
-// windows are derived from the union of both streams' activity (a session
-// stays open while either stream is active).
+// epoch-aligned — a tumbling window is a sliding one whose slide is its
+// length — so per-stream assignment aligns naturally; no window opens
+// before the common origin, which is 0 or, when either stream holds an
+// earlier timestamp, the slide boundary at or before the earliest one.
+// Session windows are derived from the union of both streams' activity
+// (a session stays open while either stream is active).
 func AssignPair(r, s tuple.Relation, spec Spec) ([]Pair, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Kind == Session {
-		return assignPairSession(r, s, spec.GapMs)
-	}
-	wR, rSlices, err := Assign(r, spec)
-	if err != nil {
-		return nil, err
-	}
-	wS, sSlices, err := Assign(s, spec)
-	if err != nil {
-		return nil, err
-	}
-	return Align(wR, rSlices, wS, sSlices), nil
-}
-
-func assignPairSession(r, s tuple.Relation, gap int64) ([]Pair, error) {
 	if !r.SortedByTS() || !s.SortedByTS() {
 		return nil, fmt.Errorf("window: relation is not time ordered")
 	}
+	if spec.Kind == Session {
+		return assignPairSession(r, s, spec.GapMs), nil
+	}
+	slide := spec.SlideMs
+	if spec.Kind == Tumbling || slide == 0 {
+		slide = spec.LengthMs
+	}
+	var origin int64
+	for _, rel := range []tuple.Relation{r, s} {
+		if len(rel) > 0 {
+			origin = min(origin, floorDiv(rel[0].TS, slide)*slide)
+		}
+	}
+	wR, rSlices := assign(r, spec.LengthMs, slide, origin)
+	wS, sSlices := assign(s, spec.LengthMs, slide, origin)
+	return align(wR, rSlices, wS, sSlices), nil
+}
+
+func assignPairSession(r, s tuple.Relation, gap int64) []Pair {
 	// Merge the two timestamp sequences to find joint session bounds.
 	var merged []int64
 	i, j := 0, 0
@@ -247,7 +208,7 @@ func assignPairSession(r, s tuple.Relation, gap int64) ([]Pair, error) {
 		}
 	}
 	if len(merged) == 0 {
-		return nil, nil
+		return nil
 	}
 	var pairs []Pair
 	ri, si := 0, 0
@@ -272,5 +233,5 @@ func assignPairSession(r, s tuple.Relation, gap int64) ([]Pair, error) {
 		pairs = append(pairs, p)
 		start = end
 	}
-	return pairs, nil
+	return pairs
 }

@@ -16,6 +16,19 @@ func rel(ts ...int64) tuple.Relation {
 	return out
 }
 
+// assignOne slices one stream through AssignPair, with nothing on the
+// other side, and returns its windows and their tuples.
+func assignOne(r tuple.Relation, spec Spec) ([]Window, []tuple.Relation, error) {
+	pairs, err := AssignPair(r, nil, spec)
+	var windows []Window
+	var slices []tuple.Relation
+	for _, p := range pairs {
+		windows = append(windows, p.Window)
+		slices = append(slices, p.R)
+	}
+	return windows, slices, err
+}
+
 func TestSpecValidate(t *testing.T) {
 	bad := []Spec{
 		{Kind: Tumbling},
@@ -43,7 +56,7 @@ func TestSpecValidate(t *testing.T) {
 
 func TestTumblingAssignment(t *testing.T) {
 	r := rel(0, 1, 9, 10, 11, 25)
-	windows, slices, err := Assign(r, Spec{Kind: Tumbling, LengthMs: 10})
+	windows, slices, err := assignOne(r, Spec{Kind: Tumbling, LengthMs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +89,7 @@ func TestTumblingCoversEveryTupleOnce(t *testing.T) {
 			r[i] = tuple.Tuple{TS: int64(v % 500), Key: int32(i)}
 		}
 		sort.Slice(r, func(i, j int) bool { return r[i].TS < r[j].TS })
-		_, slices, err := Assign(r, Spec{Kind: Tumbling, LengthMs: 7})
+		_, slices, err := assignOne(r, Spec{Kind: Tumbling, LengthMs: 7})
 		if err != nil {
 			return false
 		}
@@ -93,7 +106,7 @@ func TestTumblingCoversEveryTupleOnce(t *testing.T) {
 
 func TestSlidingOverlap(t *testing.T) {
 	r := rel(0, 4, 8, 12)
-	windows, slices, err := Assign(r, Spec{Kind: Sliding, LengthMs: 10, SlideMs: 5})
+	windows, slices, err := assignOne(r, Spec{Kind: Sliding, LengthMs: 10, SlideMs: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +129,8 @@ func TestSlidingOverlap(t *testing.T) {
 
 func TestSlidingDefaultSlideEqualsTumbling(t *testing.T) {
 	r := rel(0, 3, 11, 19, 22)
-	_, tumb, err1 := Assign(r, Spec{Kind: Tumbling, LengthMs: 10})
-	_, slid, err2 := Assign(r, Spec{Kind: Sliding, LengthMs: 10})
+	_, tumb, err1 := assignOne(r, Spec{Kind: Tumbling, LengthMs: 10})
+	_, slid, err2 := assignOne(r, Spec{Kind: Sliding, LengthMs: 10})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -133,7 +146,7 @@ func TestSlidingDefaultSlideEqualsTumbling(t *testing.T) {
 
 func TestSessionWindows(t *testing.T) {
 	r := rel(0, 1, 2, 10, 11, 30)
-	windows, slices, err := Assign(r, Spec{Kind: Session, GapMs: 3})
+	windows, slices, err := assignOne(r, Spec{Kind: Session, GapMs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +160,13 @@ func TestSessionWindows(t *testing.T) {
 
 func TestAssignRejectsUnsorted(t *testing.T) {
 	r := rel(5, 1)
-	if _, _, err := Assign(r, Spec{Kind: Tumbling, LengthMs: 10}); err == nil {
+	if _, _, err := assignOne(r, Spec{Kind: Tumbling, LengthMs: 10}); err == nil {
 		t.Fatal("unsorted input must be rejected")
 	}
 }
 
 func TestAssignEmpty(t *testing.T) {
-	windows, slices, err := Assign(nil, Spec{Kind: Tumbling, LengthMs: 10})
+	windows, slices, err := assignOne(nil, Spec{Kind: Tumbling, LengthMs: 10})
 	if err != nil || windows != nil || slices != nil {
 		t.Fatalf("empty input: %v %v %v", windows, slices, err)
 	}
@@ -162,9 +175,10 @@ func TestAssignEmpty(t *testing.T) {
 func TestAlign(t *testing.T) {
 	r := rel(0, 1, 10, 11)
 	s := rel(10, 12, 20)
-	wR, sR, _ := Assign(r, Spec{Kind: Tumbling, LengthMs: 10})
-	wS, sS, _ := Assign(s, Spec{Kind: Tumbling, LengthMs: 10})
-	pairs := Align(wR, sR, wS, sS)
+	pairs, err := AssignPair(r, s, Spec{Kind: Tumbling, LengthMs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pairs) != 3 {
 		t.Fatalf("pairs = %d, want 3 ([0,10) R-only, [10,20) both, [20,30) S-only)", len(pairs))
 	}
@@ -253,7 +267,7 @@ func TestSlidingEpochAlignmentAcrossStreams(t *testing.T) {
 	// A stream starting later must still enumerate the earlier
 	// epoch-aligned windows that cover its first tuples.
 	late := rel(8)
-	windows, slices, err := Assign(late, Spec{Kind: Sliding, LengthMs: 10, SlideMs: 5})
+	windows, slices, err := assignOne(late, Spec{Kind: Sliding, LengthMs: 10, SlideMs: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
