@@ -188,8 +188,8 @@ func inspectTrace(w io.Writer, path string, data []byte, want string) error {
 func inspectJournal(w io.Writer, path string, j trace.Journal) {
 	fmt.Fprintf(w, "%s: journal, %d run and %d window records\n", path, len(j.Runs), len(j.Windows))
 	if e := j.Env; e != nil {
-		fmt.Fprintf(w, "recorded on %s %s/%s, %d cpus, GOMAXPROCS %d, probe prefetch %d\n",
-			e.GoVersion, e.GOOS, e.GOARCH, e.NumCPU, e.GOMAXPROCS, e.ProbePrefetch)
+		fmt.Fprintf(w, "recorded on %s %s/%s, %d cpus, GOMAXPROCS %d\n",
+			e.GoVersion, e.GOOS, e.GOARCH, e.NumCPU, e.GOMAXPROCS)
 	}
 	var order []string
 	records, matches := map[string]int{}, map[string]int64{}

@@ -165,7 +165,6 @@ func main() {
 		fatal(err)
 	}
 	cfg.Trace = obs.Recorder
-	cfg.Pool = obs.Pool
 
 	if *windowMs > 0 {
 		runWindowed(w, cfg, *windowMs, *slideMs, obs, *format)

@@ -13,10 +13,10 @@ package hashtable
 // again for bucket placement.
 //
 // There is one build kernel and one probe kernel. Each is a two-stage
-// software-prefetch pipeline over blocks of D tuples (prefetch.go has the
-// distance model and its calibration): stage one hashes — or reads the
-// precomputed hash — and issues an early load of every bucket head in the
-// block; stage two works in input order against lines already in flight.
+// software-prefetch pipeline over blocks of prefetchDistance tuples: stage
+// one hashes — or reads the precomputed hash — and issues an early load of
+// every bucket head in the block; stage two works in input order against
+// lines already in flight.
 //
 //   - build: buildStage.stage, then place per tuple (Table.insert drives them;
 //     Shared places under the bucket latch);
@@ -24,16 +24,15 @@ package hashtable
 //     layouts — then probeStage.resolve, shared by both tables.
 //
 // The per-tuple loops are the //iawj:hotpath spans; the block drivers
-// around them run once per 16-64 tuples and are plain code (LINTING.md
-// §BCE). Profile runs (a tracer attached) and distance 1 probe with the
-// unpipelined walk instead, and place reports to the tracer it is handed,
-// so the cache simulator sees the classic per-tuple access sequence.
+// around them run once per block and are plain code (LINTING.md §BCE).
+// Profile runs (a tracer attached) probe with the unpipelined walk
+// instead, and place reports to the tracer it is handed, so the cache
+// simulator sees the classic per-tuple access sequence.
 //
 // Order is pinned: hits come in probe order, one per probe that found its
-// key, and a hit's stored run is in insertion order — at every prefetch
-// distance, and whatever else shares the key's bucket. The differential
-// tests hold the kernels to the scalar reference walk on it
-// (reference_test.go).
+// key, and a hit's stored run is in insertion order — on both paths, and
+// whatever else shares the key's bucket. The differential tests hold the
+// kernels to the scalar reference walk on it (reference_test.go).
 
 import (
 	"math/bits"
@@ -71,6 +70,34 @@ func hashAt(hashes []uint32, i int, key int32) uint32 {
 // (measured 4x on an out-of-cache probe, PERFORMANCE.md §7).
 const maxShift = 31
 
+// prefetchDistance is the pipeline depth D: how many probes (or inserts)
+// stage one resolves to their bucket heads before stage two reads the
+// first of them.
+//
+// A probe over an out-of-cache table is latency-bound, not bandwidth-bound:
+// each probe's directory access is an independent random read, but a
+// per-tuple loop serializes them — hash, load the bucket line (stall),
+// walk, repeat. Stage one issues the block's loads back to back — the head
+// count and the overflow pointer, both lines of the 80-byte bucket — so by
+// the time stage two reaches probe j its line has been in flight behind up
+// to D-1 independent loads, and the misses overlap instead of queuing:
+// software prefetching by memory-level parallelism, the Go analogue of the
+// PREFETCHT0 batching in Balkesen et al.'s radix-join code and the
+// index-probe batching of Shahvarani & Jacobsen.
+//
+// D trades pipelining against L1 pressure (the staged block must stay
+// resident between the stages). 16 in-flight lines sits inside the ~10-16
+// miss-status registers of recent x86 cores; 8, 16, 32 and 64 timed within
+// noise on 2 vCPUs (PERFORMANCE.md §7.2), so D is compiled in, and every
+// process of a build runs the same pipeline. It is a power of two: the
+// stage scratch is indexed j & prefetchMask, which is bounds-check free by
+// construction (LINTING.md §BCE).
+const prefetchDistance = 16
+
+// prefetchMask masks a block-local index into the stage scratch:
+// j & prefetchMask == j for every j < prefetchDistance.
+const prefetchMask = prefetchDistance - 1
+
 // InsertBatch inserts every tuple of xs in input order.
 func (t *Table) InsertBatch(xs []tuple.Tuple) { t.insert(xs, nil) }
 
@@ -82,12 +109,11 @@ func (t *Table) InsertBatchHashed(xs []tuple.Tuple, hashes []uint32) {
 
 // insert is the build kernel; hashes is nil or aligned with xs. Builds are
 // write-heavy, but the ownership miss on a cold bucket line costs the same
-// latency as a read miss, so the distance-D pipeline that hides probe
-// misses hides them too. Insert order — and therefore run order — is input
-// order on every path.
+// latency as a read miss, so the pipeline that hides probe misses hides
+// them too. Insert order — and therefore run order — is input order on
+// every path.
 func (t *Table) insert(xs []tuple.Tuple, hashes []uint32) {
-	d := min(int(t.pref), prefBlockMax)
-	if t.tracer != nil || d <= 1 {
+	if t.tracer != nil {
 		for i := range xs {
 			h := hashAt(hashes, i, xs[i].Key)
 			idx := (h >> t.shift) & t.mask
@@ -95,15 +121,13 @@ func (t *Table) insert(xs []tuple.Tuple, hashes []uint32) {
 			if b.tags == 0 {
 				t.dirty = append(t.dirty, b)
 			}
-			if t.tracer != nil {
-				t.tracer.Op(4) // hash + directory index
-			}
+			t.tracer.Op(4) // hash + directory index
 			t.place(b, xs[i], tagOf(h), t.tracer, t.base+uint64(idx)*bucketBytes)
 		}
 	} else {
 		var st buildStage
-		for off := 0; off < len(xs); off += d {
-			end := min(off+d, len(xs))
+		for off := 0; off < len(xs); off += prefetchDistance {
+			end := min(off+prefetchDistance, len(xs))
 			var hblk []uint32
 			if hashes != nil {
 				hblk = hashes[off:end]
@@ -119,8 +143,8 @@ func (t *Table) insert(xs []tuple.Tuple, hashes []uint32) {
 // the current block, its head bucket and its key's tag. It lives on the
 // caller's stack.
 type buildStage struct {
-	heads [prefBlockMax]*bucket
-	tags  [prefBlockMax]uint32
+	heads [prefetchDistance]*bucket
+	tags  [prefetchDistance]uint32
 }
 
 // stage is build stage one: resolve every tuple of blk to its head bucket
@@ -128,7 +152,7 @@ type buildStage struct {
 // The returned accumulator keeps the header loads observable (commit
 // re-reads them, since an earlier insert in the block may hit the same
 // bucket). hashes is nil or aligned with blk; len(blk) is at most
-// prefBlockMax.
+// prefetchDistance.
 //
 //iawj:hotpath
 func (s *buildStage) stage(buckets []bucket, shift, mask uint32, blk []tuple.Tuple, hashes []uint32) uint32 {
@@ -139,8 +163,8 @@ func (s *buildStage) stage(buckets []bucket, shift, mask uint32, blk []tuple.Tup
 		h := hashAt(hashes, j, blk[j].Key)
 		b := &buckets[(h>>shift)&mask]
 		tag := tagOf(h)
-		s.heads[j&prefBlockMask] = b
-		s.tags[j&prefBlockMask] = tag
+		s.heads[j&prefetchMask] = b
+		s.tags[j&prefetchMask] = tag
 		tick |= b.tags
 	}
 	return tick
@@ -153,7 +177,7 @@ func (s *buildStage) stage(buckets []bucket, shift, mask uint32, blk []tuple.Tup
 //iawj:hotpath
 func (t *Table) commit(blk []tuple.Tuple, st *buildStage) {
 	for j := range blk {
-		b, tag := st.heads[j&prefBlockMask], st.tags[j&prefBlockMask]
+		b, tag := st.heads[j&prefetchMask], st.tags[j&prefetchMask]
 		if b.tags == 0 {
 			t.dirty = append(t.dirty, b)
 		}
@@ -234,20 +258,17 @@ func (t *Table) ProbeRuns(probes []tuple.Tuple, hashes []uint32, hits []Hit) []H
 	if hashes != nil {
 		hashes = hashes[:len(probes)]
 	}
-	d := min(int(t.pref), prefBlockMax)
-	if t.tracer != nil || d <= 1 {
+	if t.tracer != nil {
 		for i := range probes {
 			idx := (hashAt(hashes, i, probes[i].Key) >> t.shift) & t.mask
-			if t.tracer != nil {
-				t.tracer.Op(4) // hash + directory index
-			}
+			t.tracer.Op(4) // hash + directory index
 			hits = walk(&t.buckets[idx], probes[i], hits, t.tracer, t.base+uint64(idx)*bucketBytes)
 		}
 		return hits
 	}
 	var st probeStage
-	for off := 0; off < len(probes); off += d {
-		end := min(off+d, len(probes))
+	for off := 0; off < len(probes); off += prefetchDistance {
+		end := min(off+prefetchDistance, len(probes))
 		var hblk []uint32
 		if hashes != nil {
 			hblk = hashes[off:end]
@@ -261,9 +282,10 @@ func (t *Table) ProbeRuns(probes []tuple.Tuple, hashes []uint32, hits []Hit) []H
 // ProbeBatch is ProbeRuns with every hit written out match by match: it
 // appends a (stored, probe) tuple pair per match to dst and returns the
 // grown buffer and the match count. No join runs it — a pair per match is
-// the copy the run form exists to avoid; the benchmark harness times it.
+// the copy the run form exists to avoid; the benchmark harness times it,
+// 64 probes to a ProbeRuns call.
 func (t *Table) ProbeBatch(probes []tuple.Tuple, dst []tuple.Tuple) ([]tuple.Tuple, int) {
-	var buf [prefBlockMax]Hit
+	var buf [64]Hit
 	n0 := len(dst)
 	for len(probes) > 0 {
 		blk := probes[:min(len(probes), len(buf))]
@@ -282,16 +304,16 @@ func (t *Table) ProbeBatch(probes []tuple.Tuple, dst []tuple.Tuple) ([]tuple.Tup
 // — both lines of the 80-byte bucket, loaded early so they are in flight
 // when resolve reaches them. It lives on the caller's stack.
 type probeStage struct {
-	heads [prefBlockMax]*bucket
-	cands [prefBlockMax]uint32 // candidates of the head
-	tags  [prefBlockMax]uint32
-	exts  [prefBlockMax]*ext
+	heads [prefetchDistance]*bucket
+	cands [prefetchDistance]uint32 // candidates of the head
+	tags  [prefetchDistance]uint32
+	exts  [prefetchDistance]*ext
 }
 
 // load stages bucket b as the head of block position j for a probe whose
 // key hashes to h.
 func (s *probeStage) load(j int, b *bucket, h uint32) {
-	k := j & prefBlockMask
+	k := j & prefetchMask
 	tag := tagOf(h)
 	s.heads[k] = b
 	s.cands[k] = candidates(b.tags, tag)
@@ -303,7 +325,7 @@ func (s *probeStage) load(j int, b *bucket, h uint32) {
 // precomputed hash of) every probe of blk and load its bucket head —
 // independent loads the core overlaps, hiding the directory's
 // random-access latency behind the block. hashes is nil or aligned with
-// blk; len(blk) is at most prefBlockMax.
+// blk; len(blk) is at most prefetchDistance.
 //
 //iawj:hotpath
 func (s *probeStage) table(buckets []bucket, shift, mask uint32, blk []tuple.Tuple, hashes []uint32) {
@@ -338,7 +360,7 @@ func (s *probeStage) shared(buckets []sharedBucket, mask uint32, blk []tuple.Tup
 func (s *probeStage) resolve(blk []tuple.Tuple, hits []Hit) []Hit {
 	for j := range blk {
 		p := blk[j]
-		k := j & prefBlockMask
+		k := j & prefetchMask
 		b, cand, tag, e := s.heads[k], s.cands[k], s.tags[k], s.exts[k]
 	chain:
 		for {
@@ -360,7 +382,7 @@ func (s *probeStage) resolve(blk []tuple.Tuple, hits []Hit) []Hit {
 
 // walk is the unpipelined, tracer-aware chain walk for one probe from head
 // bucket b, whose logical address is addr: the profile-run path of both
-// tables, and what distance 1 runs.
+// tables.
 func walk(b *bucket, probe tuple.Tuple, hits []Hit, tr cachesim.Tracer, addr uint64) []Hit {
 	for hop := uint64(0); ; hop++ {
 		n := slots(b.tags)
@@ -419,8 +441,7 @@ func (t *Shared) InsertBatch(xs []tuple.Tuple) {
 // separated by a barrier in NPJ) and appends a Hit for each that found its
 // key, as Table.ProbeRuns does.
 func (t *Shared) ProbeRuns(probes []tuple.Tuple, hits []Hit) []Hit {
-	d := min(int(t.pref), prefBlockMax)
-	if t.tracer != nil || d <= 1 {
+	if t.tracer != nil {
 		for i := range probes {
 			idx := Hash(probes[i].Key) & t.mask
 			hits = walk(&t.buckets[idx].bucket, probes[i], hits, t.tracer, t.base+uint64(idx)*bucketBytes)
@@ -428,8 +449,8 @@ func (t *Shared) ProbeRuns(probes []tuple.Tuple, hits []Hit) []Hit {
 		return hits
 	}
 	var st probeStage
-	for off := 0; off < len(probes); off += d {
-		blk := probes[off:min(off+d, len(probes))]
+	for off := 0; off < len(probes); off += prefetchDistance {
+		blk := probes[off:min(off+prefetchDistance, len(probes))]
 		st.shared(t.buckets, t.mask, blk)
 		hits = st.resolve(blk, hits)
 	}

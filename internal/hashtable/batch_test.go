@@ -10,8 +10,27 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cachesim"
 	"repro/internal/tuple"
 )
+
+// kernelPaths are the two paths of every kernel: the prefetch pipeline,
+// and the per-tuple walk — the profile-run path — that any tracer
+// selects, here one that only counts. The differential tests run each
+// case on both.
+var kernelPaths = []struct {
+	name string
+	tr   cachesim.Tracer
+}{{"pipelined", nil}, {"walk", &countTracer{}}}
+
+// newTables returns an empty Table and Shared sized for n tuples, with tr
+// attached to both.
+func newTables(n int, tr cachesim.Tracer) (*Table, *Shared) {
+	tab, sh := New(n), NewShared(n)
+	tab.SetTracer(tr, 0)
+	sh.SetTracer(tr, 0)
+	return tab, sh
+}
 
 // diffKeys builds the key regimes the paper studies — uniform, unique,
 // skewed (hot keys), Zipf, high duplication (runs that grow once or twice)
@@ -104,32 +123,34 @@ func hashesOf(xs []tuple.Tuple) []uint32 {
 
 // TestBatchMatchesScalar is the build+probe differential: a batch-built
 // table must answer every probe with the same stored tuples, in the same
-// order, as a scalar-built table probed through the closure API.
+// order, as a scalar-built table probed through the closure API — on the
+// pipeline and on the walk.
 func TestBatchMatchesScalar(t *testing.T) {
 	sets := diffKeySets()
 	for buildName, build := range sets {
+		scalarTab := New(len(build))
+		for _, x := range build {
+			scalarTab.Insert(x)
+		}
 		for probeName, probes := range sets {
-			name := buildName + "->" + probeName
-			scalarTab := New(len(build))
-			for _, x := range build {
-				scalarTab.Insert(x)
-			}
-			batchTab := New(len(build))
-			batchTab.InsertBatch(build)
-			if scalarTab.Size() != batchTab.Size() {
-				t.Fatalf("%s: batch table size %d, scalar %d", name, batchTab.Size(), scalarTab.Size())
-			}
+			for _, path := range kernelPaths {
+				name := buildName + "->" + probeName + " " + path.name
+				batchTab, _ := newTables(len(build), path.tr)
+				batchTab.InsertBatch(build)
+				if scalarTab.Size() != batchTab.Size() {
+					t.Fatalf("%s: batch table size %d, scalar %d", name, batchTab.Size(), scalarTab.Size())
+				}
 
-			want := scalarHits(scalarTab.Probe, probes)
-			equalHits(t, name, batchTab.ProbeRuns(probes, nil, nil), want)
-			// The pair form is the same hits, written out.
-			probes = probes[:min(len(probes), 200)]
-			got, n := batchTab.ProbeBatch(probes, nil)
-			if n*2 != len(got) {
-				t.Fatalf("%s: match count %d does not cover %d pair tuples", name, n, len(got))
-			}
-			if !slices.Equal(got, pairsOf(scalarHits(scalarTab.Probe, probes))) {
-				t.Fatalf("%s: ProbeBatch's %d pairs are not the scalar walk's matches in its order", name, n)
+				equalHits(t, name, batchTab.ProbeRuns(probes, nil, nil), scalarHits(scalarTab.Probe, probes))
+				// The pair form is the same hits, written out.
+				probes := probes[:min(len(probes), 200)]
+				got, n := batchTab.ProbeBatch(probes, nil)
+				if n*2 != len(got) {
+					t.Fatalf("%s: match count %d does not cover %d pair tuples", name, n, len(got))
+				}
+				if !slices.Equal(got, pairsOf(scalarHits(scalarTab.Probe, probes))) {
+					t.Fatalf("%s: ProbeBatch's %d pairs are not the scalar walk's matches in its order", name, n)
+				}
 			}
 		}
 	}
@@ -307,21 +328,18 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestProbePipelinedZeroAlloc pins the allocation contract of the
-// prefetched probe across pipeline depths: the probe kernel stages bucket
-// heads in a fixed scratch on the caller's stack and makes at most one hit
-// per probe, so no distance may allocate given a buffer of the probes'
-// length, whichever directory stage one walks.
+// TestProbePipelinedZeroAlloc pins the allocation contract of the probe:
+// the pipeline stages bucket heads in a fixed scratch on the caller's
+// stack, and either path makes at most one hit per probe, so neither may
+// allocate given a buffer of the probes' length, whichever directory it
+// walks.
 func TestProbePipelinedZeroAlloc(t *testing.T) {
 	build := diffKeySets()["highdup"]
 	probes := diffKeySets()["skewed"]
 	hashes := hashesOf(probes)
-	for _, d := range []int32{1, 8, 16, prefBlockMax} {
-		tab := New(len(build))
-		tab.pref = d
+	for _, path := range kernelPaths {
+		tab, sh := newTables(len(build), path.tr)
 		tab.InsertBatch(build)
-		sh := NewShared(len(build))
-		sh.pref = d
 		sh.InsertBatch(build)
 		hits := make([]Hit, 0, len(probes))
 		pairs, _ := tab.ProbeBatch(probes, nil) // size the pair buffer
@@ -331,34 +349,31 @@ func TestProbePipelinedZeroAlloc(t *testing.T) {
 			hits = sh.ProbeRuns(probes, hits[:0])
 			pairs, _ = tab.ProbeBatch(probes, pairs[:0])
 		}); allocs != 0 {
-			t.Fatalf("distance %d: probe allocates %.1f per run, want 0", d, allocs)
+			t.Fatalf("%s: probe allocates %.1f per run, want 0", path.name, allocs)
 		}
 	}
 }
 
-// TestProbePrefetchDistanceDiff compares the prefetched build and probe
-// against the scalar reference at every pipeline depth: per probe the
-// identical stored tuples in identical order, from Table and — after a
-// single-writer build, which lays chains out exactly as Table's — from
-// Shared. Distance
-// is the one knob that must never change results.
+// TestProbePrefetchDistanceDiff compares the build and probe at the
+// compiled-in prefetch distance, and on the walk, against the scalar
+// reference: per probe the identical stored tuples in identical order,
+// from Table and — after a single-writer build, which lays chains out
+// exactly as Table's — from Shared. Which path runs must never change
+// results.
 func TestProbePrefetchDistanceDiff(t *testing.T) {
 	sets := diffKeySets()
 	for buildName, build := range sets {
+		ref := New(len(build))
+		for _, x := range build {
+			ref.Insert(x)
+		}
 		for probeName, probes := range sets {
-			ref := New(len(build))
-			for _, x := range build {
-				ref.Insert(x)
-			}
 			want := scalarHits(ref.Probe, probes)
-			for _, d := range []int32{1, 2, 7, 16, 32, prefBlockMax} {
-				name := fmt.Sprintf("%s->%s d=%d", buildName, probeName, d)
-				tab := New(len(build))
-				tab.pref = d
+			for _, path := range kernelPaths {
+				name := fmt.Sprintf("%s->%s d=%d %s", buildName, probeName, prefetchDistance, path.name)
+				tab, sh := newTables(len(build), path.tr)
 				tab.InsertBatch(build)
 				equalHits(t, name, tab.ProbeRuns(probes, nil, nil), want)
-				sh := NewShared(len(build))
-				sh.pref = d
 				sh.InsertBatch(build)
 				equalHits(t, name+" shared", sh.ProbeRuns(probes, nil), want)
 			}
@@ -368,14 +383,15 @@ func TestProbePrefetchDistanceDiff(t *testing.T) {
 
 // TestBlockBoundaryLengths walks build and probe lengths across the block
 // boundaries of the pipelined kernels — empty, one tuple, and one short
-// of, exactly, and one past one and two full blocks — for each distance,
-// with and without precomputed hashes. Keys repeat within and across
-// blocks, so a block's inserts hit buckets staged earlier in the same
-// block and runs open and grow mid-block.
+// of, exactly, and one past one and two full blocks of the prefetch
+// distance D — on both paths, with and without precomputed hashes. Keys
+// repeat within and across blocks, so a block's inserts hit buckets staged
+// earlier in the same block and runs open and grow mid-block.
 func TestBlockBoundaryLengths(t *testing.T) {
 	all := diffKeySets()["highdup"]
-	for _, n := range []int{1, 2, 16, prefBlockMax} {
-		lengths := []int{0, 1, n - 1, n, n + 1, 2*n - 1, 2*n + 1}
+	const d = prefetchDistance
+	lengths := []int{0, 1, d - 1, d, d + 1, 2*d - 1, 2*d + 1}
+	for _, path := range kernelPaths {
 		for _, buildLen := range lengths {
 			build := all[:buildLen]
 			ref := New(buildLen)
@@ -386,9 +402,8 @@ func TestBlockBoundaryLengths(t *testing.T) {
 				probes := all[len(all)-probeLen:]
 				want := scalarHits(ref.Probe, probes)
 				for _, hashed := range []bool{false, true} {
-					name := fmt.Sprintf("d=%d build=%d probe=%d hashed=%v", n, buildLen, probeLen, hashed)
-					tab := New(buildLen)
-					tab.pref = int32(n)
+					name := fmt.Sprintf("%s build=%d probe=%d hashed=%v", path.name, buildLen, probeLen, hashed)
+					tab, _ := newTables(buildLen, path.tr)
 					var hits []Hit
 					if hashed {
 						tab.InsertBatchHashed(build, hashesOf(build))
@@ -404,10 +419,9 @@ func TestBlockBoundaryLengths(t *testing.T) {
 					}
 					equalHits(t, name, hits, want)
 				}
-				sh := NewShared(buildLen)
-				sh.pref = int32(n)
+				_, sh := newTables(buildLen, path.tr)
 				sh.InsertBatch(build)
-				equalHits(t, fmt.Sprintf("d=%d build=%d probe=%d shared", n, buildLen, probeLen), sh.ProbeRuns(probes, nil), want)
+				equalHits(t, fmt.Sprintf("%s build=%d probe=%d shared", path.name, buildLen, probeLen), sh.ProbeRuns(probes, nil), want)
 			}
 		}
 	}
@@ -415,14 +429,12 @@ func TestBlockBoundaryLengths(t *testing.T) {
 
 // FuzzBatchDiff drives batch build+probe, on Table and on a
 // single-writer Shared, against the scalar reference with arbitrary key
-// bytes and an arbitrary prefetch distance, so the pipelined kernels are
-// fuzzed at every depth (dRaw is clamped into [1, prefBlockMax]; 1
-// selects the unpipelined walks).
+// bytes, on the pipeline or — traced — on the per-tuple walk.
 func FuzzBatchDiff(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 4}, []byte{1, 2, 3, 4}, uint8(16))
-	f.Add([]byte{}, []byte{9, 9, 9, 9}, uint8(1))
-	f.Add([]byte{7, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0}, []byte{7, 0, 0, 0}, uint8(255))
-	f.Fuzz(func(t *testing.T, rawBuild, rawProbe []byte, dRaw uint8) {
+	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 4}, []byte{1, 2, 3, 4}, false)
+	f.Add([]byte{}, []byte{9, 9, 9, 9}, true)
+	f.Add([]byte{7, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0}, []byte{7, 0, 0, 0}, false)
+	f.Fuzz(func(t *testing.T, rawBuild, rawProbe []byte, traced bool) {
 		decode := func(raw []byte) []tuple.Tuple {
 			out := make([]tuple.Tuple, 0, len(raw)/4)
 			for r := bytes.NewReader(raw); ; {
@@ -439,14 +451,14 @@ func FuzzBatchDiff(f *testing.F) {
 		for _, x := range build {
 			ref.Insert(x)
 		}
-		d := int32(clampPref(int(dRaw)))
-		tab := New(len(build))
-		tab.pref = d
+		path := kernelPaths[0]
+		if traced {
+			path = kernelPaths[1]
+		}
+		tab, sh := newTables(len(build), path.tr)
 		tab.InsertBatch(build)
 		want := scalarHits(ref.Probe, probes)
 		equalHits(t, "table", tab.ProbeRuns(probes, nil, nil), want)
-		sh := NewShared(len(build))
-		sh.pref = d
 		sh.InsertBatch(build)
 		equalHits(t, "shared", sh.ProbeRuns(probes, nil), want)
 	})

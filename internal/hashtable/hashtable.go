@@ -273,7 +273,6 @@ type Table struct {
 	buckets []bucket
 	mask    uint32
 	shift   uint32 // hash bits consumed upstream (radix partitioning)
-	pref    int32  // probe prefetch distance (see prefetch.go)
 	tick    uint32 // keeps pipelined stage-one loads observable (batch.go)
 	size    int64  // tuples stored
 	store
@@ -299,7 +298,7 @@ func DirBits(n int) int { return bits.Len(uint(max((n+1)/2, 1) - 1)) }
 // directory.
 func New(n int) *Table {
 	nb := 1 << DirBits(n)
-	return &Table{buckets: make([]bucket, nb), mask: uint32(nb - 1), pref: probePrefetch.Load()}
+	return &Table{buckets: make([]bucket, nb), mask: uint32(nb - 1)}
 }
 
 // SetShift discards the low shift bits of the hash for bucket placement.
@@ -366,7 +365,6 @@ func (t *Table) MemBytes() int64 {
 type Shared struct {
 	buckets []sharedBucket
 	mask    uint32
-	pref    int32
 	size    atomic.Int64
 
 	// storeMu is store.mu. The pad keeps it off the cache line of the size
@@ -394,7 +392,7 @@ type sharedBucket struct {
 // NewShared creates a concurrently writable table sized for n tuples.
 func NewShared(n int) *Shared {
 	nb := 1 << DirBits(n)
-	t := &Shared{buckets: make([]sharedBucket, nb), mask: uint32(nb - 1), pref: probePrefetch.Load()}
+	t := &Shared{buckets: make([]sharedBucket, nb), mask: uint32(nb - 1)}
 	t.store.mu = &t.storeMu
 	return t
 }

@@ -139,22 +139,8 @@ func (p *Pool) acquired(k metrics.PoolKind, hit bool, bytes int64) {
 	}
 }
 
-// calibrateOnce runs the probe-prefetch distance calibration the first
-// time any Pool is built. Every join runs on a pool, built before its
-// workers start, so this is the natural once-per-process point to measure
-// the host and pin the batched kernels' pipeline depth to it.
-var calibrateOnce sync.Once
-
-// New returns an empty Pool. The first Pool of the process calibrates the
-// hashtable probe-prefetch distance on the running host
-// (hashtable.CalibrateProbePrefetch); explicit SetProbePrefetchDistance
-// calls afterwards still win.
-func New() *Pool {
-	calibrateOnce.Do(func() {
-		hashtable.SetProbePrefetchDistance(hashtable.CalibrateProbePrefetch())
-	})
-	return &Pool{}
-}
+// New returns an empty Pool.
+func New() *Pool { return &Pool{} }
 
 // pop takes the newest object off list, counting the acquire as kind k:
 // a hit of the object's bytes or, on an empty list, a miss.

@@ -2,7 +2,6 @@ package pool
 
 import (
 	"math/rand/v2"
-	"runtime"
 	"testing"
 	"unsafe"
 
@@ -261,25 +260,42 @@ func TestBufferSizeClasses(t *testing.T) {
 // TestReleaseAllocatesNothing: putting back a Table and a Shared whose
 // stores spilled past their arrays allocates nothing; the fold into one
 // array waits for the table's next take, and the retained bytes already
-// count it.
+// count it. The allocations are counted, not the process's bytes, over
+// many puts, so an allocation elsewhere in the process is divided away
+// while a release that allocates reads at least one per run.
 func TestReleaseAllocatesNothing(t *testing.T) {
+	const runs = 10
 	p := New()
 	build := windowTuples(4096, 8, 11) // 512 duplicates a key: the arena spills
-	// A first round trip gives each freelist its slot.
-	p.PutTable(p.Table(len(build), 0))
-	p.PutShared(p.Shared(len(build)))
-	tab, sh := p.Table(len(build), 0), p.Shared(len(build))
-	tab.InsertBatch(build)
-	sh.InsertBatch(build)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	p.PutTable(tab)
-	p.PutShared(sh)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got != 0 {
-		t.Fatalf("releasing two spilled tables allocated %d B, want 0", got)
+	// AllocsPerRun calls its function once more than runs. A first round
+	// trip of every table gives each freelist its slots.
+	tabs, shs := make([]*hashtable.Table, runs+1), make([]*hashtable.Shared, runs+1)
+	for i := range tabs {
+		tabs[i], shs[i] = p.Table(len(build), 0), p.Shared(len(build))
 	}
-	if held, want := p.Stats().RetainedBytes, tab.MemBytes()+sh.MemBytes(); held != want {
+	for i := range tabs {
+		p.PutTable(tabs[i])
+		p.PutShared(shs[i])
+	}
+	for i := range tabs {
+		tabs[i], shs[i] = p.Table(len(build), 0), p.Shared(len(build))
+		tabs[i].InsertBatch(build)
+		shs[i].InsertBatch(build)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		p.PutTable(tabs[next])
+		p.PutShared(shs[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("releasing a spilled Table and Shared allocates %.1f times, want 0", allocs)
+	}
+	var want int64
+	for i := range tabs {
+		want += tabs[i].MemBytes() + shs[i].MemBytes()
+	}
+	if held := p.Stats().RetainedBytes; held != want {
 		t.Fatalf("pool retains %d B, want the tables' %d", held, want)
 	}
 }

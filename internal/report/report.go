@@ -200,11 +200,8 @@ func envMismatch(a, b *trace.EnvInfo) []string {
 		{"goarch", a.GOARCH, b.GOARCH},
 		{"num_cpu", a.NumCPU, b.NumCPU},
 		{"gomaxprocs", a.GOMAXPROCS, b.GOMAXPROCS},
-		{"probe_prefetch", a.ProbePrefetch, b.ProbePrefetch},
 	} {
-		// A zero is a field the recording predates (probe_prefetch in
-		// older journals): unknown, not different.
-		if f.a != f.b && f.a != 0 && f.b != 0 {
+		if f.a != f.b {
 			out = append(out, fmt.Sprintf("%s %v vs %v", f.name, f.a, f.b))
 		}
 	}

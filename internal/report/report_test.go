@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -151,22 +152,34 @@ func TestCompareEnvMismatchGatesOnlyStrict(t *testing.T) {
 	}
 }
 
-// TestCompareFlagsDifferentPrefetchDistances: two journals from one host
-// whose processes calibrated to different probe-prefetch distances ran
-// different kernels and are flagged; a journal from before the field
-// (zero) is unknown, not different.
-func TestCompareFlagsDifferentPrefetchDistances(t *testing.T) {
-	env16 := trace.EnvInfo{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", NumCPU: 8, GOMAXPROCS: 8, ProbePrefetch: 16}
-	env64, envOld := env16, env16
-	env64.ProbePrefetch, envOld.ProbePrefetch = 64, 0
-	runs := []trace.JournalEntry{runEntry("NPJ", 100, 8, nil)}
-	rep := Compare(trace.Journal{Env: &env16, Runs: runs}, trace.Journal{Env: &env64, Runs: runs}, Options{})
-	if len(rep.EnvMismatch) != 1 || rep.EnvMismatch[0] != "probe_prefetch 16 vs 64" {
-		t.Errorf("distances 16 and 64: mismatch = %v", rep.EnvMismatch)
+// TestCompareReadsHeadersWithAPrefetchDistance: journals written while the
+// hash kernels' prefetch distance was calibrated per process carry it in
+// their header ("probe_prefetch", 16 on every host they were recorded on).
+// Such a header still reads, and compares with one written now on the
+// same machine without an env mismatch.
+func TestCompareReadsHeadersWithAPrefetchDistance(t *testing.T) {
+	env := trace.CurrentEnv()
+	old := fmt.Sprintf(`{"schema":"iawj-journal/v2","kind":"header","env":{"go_version":%q,"goos":%q,"goarch":%q,"num_cpu":%d,"gomaxprocs":%d,"probe_prefetch":16}}`,
+		env.GoVersion, env.GOOS, env.GOARCH, env.NumCPU, env.GOMAXPROCS)
+	base, err := trace.ReadJournal(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("an old header does not read: %v", err)
 	}
-	rep = Compare(trace.Journal{Env: &envOld, Runs: runs}, trace.Journal{Env: &env64, Runs: runs}, Options{})
-	if len(rep.EnvMismatch) != 0 {
-		t.Errorf("a journal without the field mismatched: %v", rep.EnvMismatch)
+	var buf bytes.Buffer
+	if err := trace.NewJournalWriter(&buf).WriteHeader(); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := trace.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Env == nil || *base.Env != *cur.Env {
+		t.Fatalf("old header read as %+v, a new one as %+v", base.Env, cur.Env)
+	}
+	base.Runs = []trace.JournalEntry{runEntry("NPJ", 100, 8, nil)}
+	cur.Runs = base.Runs
+	if rep := Compare(base, cur, Options{Strict: true}); len(rep.EnvMismatch) != 0 || rep.Failed {
+		t.Errorf("an old header against a new one: mismatch %v, failed %v", rep.EnvMismatch, rep.Failed)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/clock"
-	"repro/internal/hashtable"
 	"repro/internal/metrics"
 )
 
@@ -89,23 +88,16 @@ type EnvInfo struct {
 	GOARCH     string `json:"goarch"`
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// ProbePrefetch is the hash kernels' prefetch distance at the moment
-	// of the stamp: the compiled-in default until the process built its
-	// first window pool, which calibrates it on the host — so stamp after
-	// that. Two runs on one host that drew different distances ran
-	// different probe pipelines. Zero in journals older than the field.
-	ProbePrefetch int `json:"probe_prefetch,omitempty"`
 }
 
 // CurrentEnv captures the running process's environment metadata.
 func CurrentEnv() EnvInfo {
 	return EnvInfo{
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		NumCPU:        runtime.NumCPU(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		ProbePrefetch: hashtable.ProbePrefetchDistance(),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"repro/internal/metrics"
-	"repro/internal/pool"
 )
 
 // Session is the observability stack of one process: fill in what the
@@ -18,22 +17,17 @@ type Session struct {
 	Stdout      bool   // print the same records on stdout (-format json)
 
 	// Set by Start. Recorder and Journal (the file, stdout, or both) stay
-	// nil when not asked for, and are nil-safe where joins take them; the
-	// pool is always built.
+	// nil when not asked for, and are nil-safe where joins take them.
 	Recorder *Recorder
 	Journal  *JournalWriter
-	Pool     *pool.Pool
 
 	journal *os.File
 }
 
-// Start brings the stack up in the one order that is right: the pool
-// first, because the first pool of a process calibrates the probe-prefetch
-// distance the journal header records; then the journal, opened for append
-// (one file collects many runs, readers keep the first header). A recorder
-// exists when a trace file will read it.
+// Start brings the stack up: the journal, opened for append (one file
+// collects many runs, readers keep the first header), and a recorder when
+// a trace file will read it.
 func (o *Session) Start() error {
-	o.Pool = pool.New()
 	if o.TracePath != "" {
 		o.Recorder = NewRecorder()
 	}

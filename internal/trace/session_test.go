@@ -20,7 +20,7 @@ func TestSessionAppendsAndSamples(t *testing.T) {
 		if err := obs.Start(); err != nil {
 			t.Fatal(err)
 		}
-		if obs.Recorder == nil || obs.Journal == nil || obs.Pool == nil {
+		if obs.Recorder == nil || obs.Journal == nil {
 			t.Fatalf("Start left out a part that was asked for: %+v", obs)
 		}
 		c := metrics.NewCollector(1)
@@ -62,14 +62,13 @@ func TestSessionAppendsAndSamples(t *testing.T) {
 }
 
 // TestSessionZeroValueAsksForNothing: a zero Session starts with no
-// recorder and no journal; the pool, which every join draws from, is
-// always built.
+// recorder and no journal.
 func TestSessionZeroValueAsksForNothing(t *testing.T) {
 	obs := &Session{}
 	if err := obs.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if obs.Recorder != nil || obs.Journal != nil || obs.Pool == nil {
+	if obs.Recorder != nil || obs.Journal != nil {
 		t.Fatalf("zero Session started %+v", obs)
 	}
 	if err := obs.Record(metrics.Result{Algorithm: "NPJ"}); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/hashtable"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -216,12 +215,11 @@ func TestJoinWindowedJournalRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	jw := NewJournalWriter(&buf)
-	statePool := NewStatePool() // before the header: the first pool calibrates what the header records
 	if err := jw.WriteHeader(); err != nil {
 		t.Fatal(err)
 	}
 	results, err := JoinWindowed(w.R, w.S, WindowSpec{Kind: Tumbling, LengthMs: winLen}, Config{
-		Algorithm: "SHJ_JM", Threads: 2, AtRest: true, Journal: jw, Pool: statePool,
+		Algorithm: "SHJ_JM", Threads: 2, AtRest: true, Journal: jw,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,16 +268,12 @@ func TestJoinWindowedJournalRoundTrip(t *testing.T) {
 		}
 	}
 	// The ledger says where each window's metrics collector came from —
-	// the first window built it, every later one took it from the pool —
-	// and the header which probe-prefetch distance the process ran at.
+	// the first window built it, every later one took it from the pool.
 	for n, e := range j.Windows {
 		built, reused := e.PoolMisses["collector"], e.PoolHits["collector"]
 		if (n == 0 && (built != 1 || reused != 0)) || (n > 0 && (built != 0 || reused != 1)) {
 			t.Errorf("window record %d: collector built %d times, reused %d", n, built, reused)
 		}
-	}
-	if j.Env != nil && j.Env.ProbePrefetch != hashtable.ProbePrefetchDistance() {
-		t.Errorf("header records probe_prefetch %d, the process runs at %d", j.Env.ProbePrefetch, hashtable.ProbePrefetchDistance())
 	}
 }
 

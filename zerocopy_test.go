@@ -229,7 +229,6 @@ func TestColdPoolAllocatesNoMoreThanNoPool(t *testing.T) {
 		t.Skip("joins 2^17 tuples a side ten times")
 	}
 	w := MicroStatic(1<<17, 1<<17, 4, 0, 42)
-	NewStatePool() // the process's first pool calibrates; not part of a join
 	cases := []struct {
 		alg   string
 		bits  int
