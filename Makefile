@@ -80,13 +80,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzConformance$$' -fuzztime=$(FUZZTIME) ./internal/oracle
 
 ## bench-smoke: every kernel microbenchmark, BenchmarkOutbox, the phase
-## record's BenchmarkPhaseChange and the oracle's BenchmarkDigest once under
-## the race detector, so they stay
+## record's BenchmarkPhaseChange, the oracle's BenchmarkDigest and a warm
+## join's BenchmarkJoinFixedCost once under the race detector, so they stay
 ## runnable and race-clean without a measurement; the checked-in BENCH_3.json
 ## must parse and record no variant below 1.0x of its baseline (re-record
 ## with `make bench-kernels` after a kernel change)
 bench-smoke:
-	$(GO) test -race -run '^$$' -bench '^Benchmark(Kernel|Outbox|PhaseChange|Digest)' -benchtime=1x ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge ./internal/eager ./internal/oracle
+	$(GO) test -race -run '^$$' -bench '^Benchmark(Kernel|Outbox|PhaseChange|Digest|JoinFixedCost)' -benchtime=1x . ./internal/radix ./internal/hashtable ./internal/core ./internal/sortmerge ./internal/eager ./internal/oracle
 	$(INSPECT) BENCH_3.json
 
 ## bench-kernels: kernel-layer sweep (partition/build/probe/sink/sort),

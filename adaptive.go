@@ -19,13 +19,12 @@ const adaptiveSample = 4096
 
 // profileScratch is the uint32 scratch that lets SummarizeScratch profile
 // a prefix of up to adaptiveSample (a power of two) tuples without
-// allocating; resolveAdaptive takes it from the window pool.
+// allocating; adaptiveProfile takes it from the window pool.
 const profileScratch = 4 * adaptiveSample
 
-// resolveAdaptive profiles the inputs, whose timestamps count from baseTS,
-// and returns the concrete algorithm the decision tree recommends, along
-// with the advice for explainability.
-func resolveAdaptive(r, s Relation, cfg Config, baseTS int64) (string, Advice) {
+// adaptiveProfile profiles the inputs, whose timestamps count from
+// baseTS, for the decision tree.
+func adaptiveProfile(r, s Relation, cfg Config, baseTS int64) Profile {
 	threads := cfg.Threads
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
@@ -63,8 +62,7 @@ func resolveAdaptive(r, s Relation, cfg Config, baseTS int64) (string, Advice) {
 			p.RateS = RateInfinite
 		}
 	}
-	adv := Advise(p)
-	return adv.Algorithm, adv
+	return p
 }
 
 func prefix(rel Relation, n int) Relation {

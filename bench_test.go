@@ -113,3 +113,29 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkJoinFixedCost is a warm join's fixed cost per call: a
+// count-only Join of 1k × 1k unique keys at rest, two threads, over a
+// pool that has run it ten times — enough for the pool to have met the
+// workers' joint demand — one sub-benchmark per column, with allocs/op.
+func BenchmarkJoinFixedCost(b *testing.B) {
+	w := MicroStatic(1000, 1000, 1, 0, 42)
+	for _, alg := range append(Algorithms(), AdaptiveName) {
+		b.Run(alg, func(b *testing.B) {
+			cfg := Config{Algorithm: alg, Threads: 2, AtRest: true, Pool: NewStatePool()}
+			join := func() {
+				if _, err := Join(w.R, w.S, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for range 10 {
+				join()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				join()
+			}
+		})
+	}
+}

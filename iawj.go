@@ -182,7 +182,7 @@ func join(r, s Relation, cfg Config, baseTS int64, out *core.Outbox) (Result, er
 		cfg.Pool = NewStatePool()
 	}
 	if cfg.Algorithm == AdaptiveName {
-		cfg.Algorithm, _ = resolveAdaptive(r, s, cfg, baseTS)
+		cfg.Algorithm = core.Pick(adaptiveProfile(r, s, cfg, baseTS), core.DefaultThresholds())
 	}
 	alg, err := NewAlgorithm(cfg.Algorithm)
 	if err != nil {

@@ -38,10 +38,18 @@ type Scaled struct {
 // nanoseconds that make up one simulated millisecond; 1e6 runs in real
 // time, smaller values compress the simulation. nsPerMs must be positive.
 func NewScaled(nsPerMs float64) *Scaled {
+	c := new(Scaled)
+	c.Restart(nsPerMs)
+	return c
+}
+
+// Restart starts c afresh at nsPerMs, in place: a clock held by value in
+// a pooled structure serves run after run.
+func (c *Scaled) Restart(nsPerMs float64) {
 	if nsPerMs <= 0 {
 		nsPerMs = 1e6
 	}
-	return &Scaled{start: time.Now(), nsPerMs: nsPerMs}
+	c.start, c.nsPerMs = time.Now(), nsPerMs
 }
 
 // NowMs implements Source.
@@ -69,7 +77,9 @@ type Static struct {
 // NewStatic returns an at-rest clock ticking at nsPerMs real nanoseconds
 // per reported millisecond.
 func NewStatic(nsPerMs float64) *Static {
-	return &Static{Scaled: *NewScaled(nsPerMs)}
+	c := new(Static)
+	c.Restart(nsPerMs)
+	return c
 }
 
 // Avail implements Source: everything has arrived.

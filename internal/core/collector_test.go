@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/metrics"
@@ -58,7 +57,7 @@ func TestRecycledCollectorIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Matches == 0 || fresh.Progress[len(fresh.Progress)-1].Frac != 1 || len(fresh.MemCurve) != 3 || fresh.MemPeakBytes == 0 {
+	if fresh.Matches == 0 || fresh.Progress[len(fresh.Progress)-1].Frac != 1 || fresh.MemPoints != 3 || fresh.MemPeakBytes == 0 {
 		t.Fatalf("the script leaves too little to compare: %+v", fresh)
 	}
 
@@ -96,7 +95,7 @@ func TestResultOutlivesItsCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progress, curve := first.Progress, slices.Clone(first.MemCurve)
+	progress, curve := first.Progress, first.MemCurve
 	second, err := Run(scriptAlg{k: 9}, scriptInput, scriptInput, 10, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,10 +103,10 @@ func TestResultOutlivesItsCollector(t *testing.T) {
 	if second.Pool.Hits[metrics.PoolCollector] != 1 {
 		t.Fatalf("second run did not reuse the collector: %+v", second.Pool)
 	}
-	if second.Progress == progress || slices.Equal(second.MemCurve, curve) {
+	if second.Progress == progress || second.MemCurve == curve {
 		t.Fatal("the two scripts must leave different curves for this test to mean anything")
 	}
-	if first.Progress != progress || !slices.Equal(first.MemCurve, curve) {
+	if first.Progress != progress || first.MemCurve != curve {
 		t.Errorf("the next run rewrote an earlier Result:\nProgress %v, was %v\nMemCurve %v, was %v",
 			first.Progress, progress, first.MemCurve, curve)
 	}

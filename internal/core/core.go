@@ -13,8 +13,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/cachesim"
 	"repro/internal/clock"
@@ -106,6 +108,15 @@ type ExecContext struct {
 	// scratch, match buffers) across windows; Run always sets it (see
 	// internal/pool and PERFORMANCE.md).
 	Pool *pool.Pool
+
+	// What the run's frame keeps for the next call: the workers' sinks
+	// (NewSink) and timers (Sleep), the algorithms' run state (RunState),
+	// and Parallel's wait group and barrier.
+	sinks   []Sink
+	timers  []*time.Timer
+	states  []any
+	workers sync.WaitGroup
+	barrier sync.WaitGroup
 }
 
 // NowMs returns the current simulated time.
@@ -149,9 +160,27 @@ func (ctx *ExecContext) WaitWindow(tid int) {
 	}
 	ctx.Begin(tid, metrics.PhaseWait)
 	for !ctx.Clock.Avail(last) {
-		time.Sleep(50 * time.Microsecond)
+		ctx.Sleep(tid, 50*time.Microsecond)
 	}
 	ctx.EndPhase(tid)
+}
+
+// Sleep pauses worker tid for d. A goroutine's first time.Sleep
+// allocates its runtime timer, and Parallel starts its workers afresh
+// every call, so a context from Run keeps a timer per worker instead.
+func (ctx *ExecContext) Sleep(tid int, d time.Duration) {
+	if tid >= len(ctx.timers) {
+		time.Sleep(d)
+		return
+	}
+	t := ctx.timers[tid]
+	if t == nil {
+		t = time.NewTimer(d)
+		ctx.timers[tid] = t
+	} else {
+		t.Reset(d) // t has fired and been drained
+	}
+	<-t.C
 }
 
 // Chunk returns the [lo, hi) bounds of thread tid's equisized portion of n
@@ -164,18 +193,88 @@ func Chunk(n, threads, tid int) (lo, hi int) {
 	return lo, hi
 }
 
-// Parallel runs fn on threads worker goroutines, tid 0 to threads-1, and
-// waits for all of them.
-func Parallel(threads int, fn func(tid int)) {
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for t := 0; t < threads; t++ {
-		go func(tid int) {
-			defer wg.Done()
-			fn(tid)
-		}(t)
+// Parallel runs fn on the run's ctx.Threads workers, tid 0 to Threads-1
+// — worker 0 on the calling goroutine, every other on one of its own —
+// and waits for all of them. It arms Barrier for them.
+func (ctx *ExecContext) Parallel(fn func(tid int)) {
+	threads := max(ctx.Threads, 1)
+	ctx.barrier = sync.WaitGroup{}
+	ctx.barrier.Add(threads)
+	ctx.workers.Add(threads - 1)
+	for tid := 1; tid < threads; tid++ {
+		go ctx.worker(fn, tid)
 	}
-	wg.Wait()
+	fn(0)
+	ctx.workers.Wait()
+}
+
+// worker runs worker tid of a Parallel call.
+func (ctx *ExecContext) worker(fn func(tid int), tid int) {
+	defer ctx.workers.Done()
+	fn(tid)
+}
+
+// Barrier returns once every worker of the current Parallel call has
+// called it — the build/probe barrier of the lazy joins. A worker calls
+// it at most once per Parallel call.
+func (ctx *ExecContext) Barrier() {
+	ctx.barrier.Done()
+	ctx.barrier.Wait()
+}
+
+// RunState returns the algorithm state of type T kept with ctx: the *T
+// an earlier call of the same algorithm left when ctx comes from a
+// pooled frame, else a new zero T. Call it before the workers start;
+// the algorithm resets whatever of it it reads, and leaves no caller or
+// pool memory referenced when it returns.
+func RunState[T any](ctx *ExecContext) *T {
+	for _, st := range ctx.states {
+		if t, ok := st.(*T); ok {
+			return t
+		}
+	}
+	t := new(T)
+	ctx.states = append(ctx.states, t)
+	return t
+}
+
+// frame is what one call of Run needs beyond the pool's kernel state:
+// the ExecContext its workers share, its clock, held by value, the
+// outbox of a call that materializes alone, and the channel the
+// algorithm's goroutine reports on while Run delivers. The pool keeps
+// frames between calls, so a warm call allocates none of it.
+type frame struct {
+	ctx    ExecContext
+	static clock.Static
+	scaled clock.Scaled
+	out    Outbox
+	alg    Algorithm
+	done   chan error
+}
+
+// takeFrame takes a frame from p, or makes one.
+func takeFrame(p *pool.Pool) *frame {
+	if f, ok := p.Frame().(*frame); ok {
+		return f
+	}
+	return &frame{done: make(chan error, 1)}
+}
+
+// MemBytes is what the frame holds: itself and its workers' sinks.
+func (f *frame) MemBytes() int64 {
+	return int64(unsafe.Sizeof(*f)) + int64(cap(f.ctx.sinks))*int64(unsafe.Sizeof(Sink{}))
+}
+
+// run runs the frame's algorithm and reports its error on done.
+func (f *frame) run() { f.done <- f.alg.Run(&f.ctx) }
+
+// release drops the call's references — inputs, clock, consumer,
+// tracer — and files the frame in p for the next call.
+func (f *frame) release(p *pool.Pool) {
+	clear(f.ctx.sinks)
+	f.ctx = ExecContext{sinks: f.ctx.sinks, timers: f.ctx.timers, states: f.ctx.states}
+	f.out.emit, f.alg = nil, nil
+	p.PutFrame(f)
 }
 
 // Algorithm is one of the eight studied intra-window-join algorithms
@@ -260,23 +359,32 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	if ns <= 0 {
 		ns = DefaultNsPerSimMs
 	}
+	if cfg.Pool == nil {
+		cfg.Pool = pool.New()
+	}
+	f := takeFrame(cfg.Pool)
+	defer f.release(cfg.Pool)
 	var src clock.Source
 	if cfg.AtRest {
 		// Static data ticks at the same compressed rate so latency and
 		// throughput units stay comparable with streaming runs, and
 		// short static joins still resolve to more than a tick or two.
-		src = clock.NewStatic(ns)
+		f.static.Restart(ns)
+		src = &f.static
 	} else {
-		src = clock.NewScaled(ns)
+		f.scaled.Restart(ns)
+		src = &f.scaled
 	}
 	if cfg.WrapClock != nil {
 		src = cfg.WrapClock(src)
 	}
-	if cfg.Pool == nil {
-		cfg.Pool = pool.New()
-	}
 	poolBefore := cfg.Pool.Stats()
-	ctx := &ExecContext{
+	ctx := &f.ctx
+	sinks := ctx.sinks
+	if cap(sinks) < threads {
+		sinks = make([]Sink, threads)
+	}
+	*ctx = ExecContext{
 		R:        r,
 		S:        s,
 		WindowMs: windowMs,
@@ -288,9 +396,13 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		Tracer:   cfg.Tracer,
 		Out:      cfg.Out,
 		Pool:     cfg.Pool,
+		sinks:    sinks[:threads],
+		timers:   slices.Grow(ctx.timers[:0], threads)[:threads],
+		states:   ctx.states,
 	}
-	if ctx.Out == nil {
-		ctx.Out = NewOutbox(cfg.Emit, cfg.Pool)
+	if ctx.Out == nil && cfg.Emit != nil {
+		f.out.open(cfg.Emit, cfg.Pool)
+		ctx.Out = &f.out
 	}
 	cfg.Trace.StartRun(alg.Name(), ctx.M)
 	outBefore := ctx.Out.stats()
@@ -301,7 +413,9 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	} else {
 		// The algorithm runs on a goroutine of its own and this one
 		// delivers its results until it returns — also when it failed.
-		err = ctx.Out.serve(func() error { return alg.Run(ctx) })
+		f.alg = alg
+		go f.run()
+		err = ctx.Out.serve(f.done)
 	}
 	if cfg.Out == nil {
 		ctx.Out.Close()

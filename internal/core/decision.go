@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file encodes the decision tree of Figure 4, the study's practical
 // takeaway: given workload characteristics, the optimization objective,
@@ -86,9 +89,32 @@ func (a Advice) String() string {
 
 // Advise walks the Figure 4 decision tree.
 func Advise(p Profile, th Thresholds) Advice {
-	var path []string
-	step := func(s string) { path = append(path, s) }
+	var t trail
+	alg := walk(p, th, &t)
+	return Advice{Algorithm: alg, Path: slices.Clone(t.steps[:t.n])}
+}
 
+// Pick is Advise without the path: the algorithm alone, for a dispatch
+// that runs once per window (ADAPTIVE) and allocates nothing.
+func Pick(p Profile, th Thresholds) string {
+	var t trail
+	return walk(p, th, &t)
+}
+
+// trail records the decisions of one walk, root to leaf.
+type trail struct {
+	steps [5]string
+	n     int
+}
+
+func (t *trail) step(s string) {
+	t.steps[t.n] = s
+	t.n++
+}
+
+// walk walks the tree, recording its decisions in t, and returns the
+// algorithm at the leaf.
+func walk(p Profile, th Thresholds, t *trail) string {
 	minRate := p.RateR
 	if p.RateS < minRate {
 		minRate = p.RateS
@@ -102,51 +128,54 @@ func Advise(p Profile, th Thresholds) Advice {
 	// rate, as it is able to eagerly utilize hardware resources with low
 	// overhead."
 	if minRate <= th.RateLowMax {
-		step("arrival rate: at least one is low")
-		return Advice{Algorithm: "SHJ_JM", Path: path}
+		t.step("arrival rate: at least one is low")
+		return "SHJ_JM"
 	}
 
 	// Both rates are above low, so the level is high or medium.
 	if maxRate >= th.RateHighMin {
-		step("arrival rate: high")
-		alg := adviseLazy(p, th, step)
-		return Advice{Algorithm: alg, Path: path}
+		t.step("arrival rate: high")
+		return adviseLazy(p, th, t)
 	}
-	step("arrival rate: medium")
+	t.step("arrival rate: medium")
 	if p.Dupe >= th.DupeHighMin {
-		step("key duplication: high")
-		return Advice{Algorithm: "PMJ_JB", Path: path}
+		t.step("key duplication: high")
+		return "PMJ_JB"
 	}
-	step("key duplication: low")
+	t.step("key duplication: low")
 	if p.Objective == OptThroughput {
-		step("objective: throughput")
-		alg := adviseLazy(p, th, step)
-		return Advice{Algorithm: alg, Path: path}
+		t.step("objective: throughput")
+		return adviseLazy(p, th, t)
 	}
-	step("objective: " + p.Objective.String())
-	return Advice{Algorithm: "SHJ_JM", Path: path}
+	// Whole strings, not "objective: " + String(): a concatenation here
+	// would allocate on ADAPTIVE's path.
+	if p.Objective == OptLatency {
+		t.step("objective: latency")
+	} else {
+		t.step("objective: progressiveness")
+	}
+	return "SHJ_JM"
 }
 
 // adviseLazy resolves the lazy sub-tree: sort-based for high duplication
 // (MPass scaling better at large core counts), hash-based otherwise (PRJ
 // when skew is low and the join is large, NPJ otherwise). It records its
-// decisions through step and returns only the algorithm, so the caller's
-// path — which step mutates — stays the single source of truth.
-func adviseLazy(p Profile, th Thresholds, step func(string)) string {
+// decisions in t and returns only the algorithm.
+func adviseLazy(p Profile, th Thresholds, t *trail) string {
 	if p.Dupe >= th.DupeHighMin {
-		step("key duplication: high")
+		t.step("key duplication: high")
 		if p.Cores >= th.CoresLargeMin {
-			step("number of cores: large")
+			t.step("number of cores: large")
 			return "MPASS"
 		}
-		step("number of cores: small")
+		t.step("number of cores: small")
 		return "MWAY"
 	}
-	step("key duplication: low")
+	t.step("key duplication: low")
 	if p.KeySkew < th.SkewHighMin && p.Tuples >= th.TuplesLargeMin {
-		step("key skewness low and join large")
+		t.step("key skewness low and join large")
 		return "PRJ"
 	}
-	step("key skewness high or join small")
+	t.step("key skewness high or join small")
 	return "NPJ"
 }

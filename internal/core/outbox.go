@@ -60,15 +60,29 @@ func NewOutbox(emit func(tuple.JoinResult), p *pool.Pool) *Outbox {
 	if emit == nil {
 		return nil
 	}
-	return &Outbox{emit: emit, pool: p, parked: make(chan []tuple.JoinResult, maxParked), wake: make(chan struct{}, 1)}
+	o := new(Outbox)
+	o.open(emit, p)
+	return o
 }
 
-// serve runs work, which starts the workers of one run and waits for them,
-// on a goroutine of its own, and delivers what the workers park until work
-// has returned and their backlog is delivered. It returns work's error.
-func (o *Outbox) serve(work func() error) error {
-	done := make(chan error, 1)
-	go func() { done <- work() }()
+// open readies o for a call's consumer emit: a new outbox, or a closed
+// one of an earlier call that keeps its channels and free list.
+func (o *Outbox) open(emit func(tuple.JoinResult), p *pool.Pool) {
+	if o.parked == nil {
+		o.parked = make(chan []tuple.JoinResult, maxParked)
+		o.wake = make(chan struct{}, 1)
+	}
+	select {
+	case <-o.wake: // the last call's deliverer returned before looking
+	default:
+	}
+	o.emit, o.pool, o.counts, o.failure = emit, p, metrics.OutputStats{}, nil
+}
+
+// serve delivers what the workers of one run park until the goroutine
+// that starts them and waits for them reports on done, and their backlog
+// is delivered. It returns the error reported.
+func (o *Outbox) serve(done <-chan error) error {
 	for {
 		select {
 		case err := <-done:
@@ -200,10 +214,10 @@ func (o *Outbox) Close() {
 		return
 	}
 	o.mu.Lock()
-	free := o.free
-	o.free = nil
-	o.mu.Unlock()
-	for _, b := range free {
+	for i, b := range o.free {
 		o.pool.PutResults(b)
+		o.free[i] = nil
 	}
+	o.free = o.free[:0]
+	o.mu.Unlock()
 }

@@ -50,13 +50,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// serveWork serves o while work, the workers of one run, runs on a
+// goroutine of its own, as Run serves its algorithm; it returns work's
+// error.
+func serveWork(o *Outbox, work func() error) error {
+	done := make(chan error, 1)
+	go func() { done <- work() }()
+	return o.serve(done)
+}
+
 // serving makes the calling test the workers of one run on o: a goroutine
 // serves o the way Run's caller does, and the returned function ends the
 // run — the workers are done — and returns once the backlog is delivered.
 func serving(o *Outbox) (done func()) {
 	finish, served := make(chan struct{}), make(chan struct{})
 	go func() {
-		_ = o.serve(func() error { <-finish; return nil })
+		_ = serveWork(o, func() error { <-finish; return nil })
 		close(served)
 	}()
 	return func() { close(finish); <-served }
@@ -168,7 +177,7 @@ func TestWaitingGoroutineDeliversWhatWorkersParked(t *testing.T) {
 func TestServeReturnsWithTheBacklogDelivered(t *testing.T) {
 	var c soloConsumer
 	o := NewOutbox(c.emit, pool.New())
-	err := o.serve(func() error {
+	err := serveWork(o, func() error {
 		o.parked <- fullBatch(o, 7) // a park whose wake-up that deliverer took
 		return nil
 	})
@@ -225,8 +234,8 @@ func emitRun(t *testing.T, p *pool.Pool, c *soloConsumer, workers, perWorker int
 	before := p.Stats()
 	ctx := &ExecContext{Threads: workers, Clock: fakeClock{now: 5}, M: metrics.NewCollector(workers), Pool: p}
 	ctx.Out = NewOutbox(c.emit, p)
-	_ = ctx.Out.serve(func() error {
-		Parallel(workers, func(tid int) {
+	_ = serveWork(ctx.Out, func() error {
+		ctx.Parallel(func(tid int) {
 			k := NewSink(ctx, tid)
 			for i := 0; i < perWorker; i++ {
 				k.Match(tuple.Tuple{TS: 1, Key: 1}, tuple.Tuple{TS: 2, Key: 1})
@@ -302,8 +311,8 @@ func BenchmarkOutbox(b *testing.B) {
 	o := NewOutbox(d.emit, pool.New())
 	perProducer := max(b.N/(producers*MatchBatch), 1)
 	b.ResetTimer()
-	_ = o.serve(func() error {
-		Parallel(producers, func(tid int) {
+	_ = serveWork(o, func() error {
+		(&ExecContext{Threads: producers}).Parallel(func(tid int) {
 			buf := o.batch()
 			for i := 0; i < perProducer; i++ {
 				for j := 0; j < MatchBatch; j++ {

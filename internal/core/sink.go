@@ -56,9 +56,16 @@ type Sink struct {
 	buf []tuple.JoinResult // the batch being filled; nil when only counting
 }
 
-// NewSink creates the sink for worker tid.
+// NewSink readies the sink for worker tid: the run frame's, when ctx
+// comes from Run, else a new one.
 func NewSink(ctx *ExecContext, tid int) *Sink {
-	k := &Sink{ctx: ctx, tm: ctx.M.T(tid), base: ctx.BaseTS, nowMs: ctx.Clock.NowMs(), minLast: math.MaxInt64, out: ctx.Out}
+	var k *Sink
+	if tid < len(ctx.sinks) {
+		k = &ctx.sinks[tid]
+	} else {
+		k = new(Sink)
+	}
+	*k = Sink{ctx: ctx, tm: ctx.M.T(tid), base: ctx.BaseTS, nowMs: ctx.Clock.NowMs(), minLast: math.MaxInt64, out: ctx.Out}
 	k.bracket(0)
 	if k.out != nil {
 		k.buf = k.out.batch()

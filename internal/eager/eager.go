@@ -280,7 +280,7 @@ func (w *worker) end(n int) {
 func (w *worker) starved(pulled int) {
 	if pulled == 0 && w.waiting {
 		w.begin(metrics.PhaseWait)
-		time.Sleep(stall)
+		w.ctx.Sleep(w.tid, stall)
 		w.end(0)
 	}
 }

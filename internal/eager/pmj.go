@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -26,10 +27,11 @@ import (
 // the merge phase — the original PMJ's behaviour before the paper moved
 // runs to main memory for modern hardware.
 //
-// The accumulation buffers (which become the runs), the sort scratch and
-// the spill reload buffers come from the window pool when one is attached
-// and go back to it when the worker finishes — a spilled run's as soon as
-// it is on disk — so steady-state windows allocate none of them.
+// The accumulation buffers (which become the runs) and the sort scratch
+// come from the window pool and go back to it when every worker has
+// finished — a spilled run's as soon as it is on disk — and the spill
+// reload buffers when their worker's merge ends, so steady-state windows
+// allocate none of them.
 type PMJ struct {
 	// JB selects the join-biclique scheme; false selects join-matrix.
 	JB bool
@@ -145,7 +147,6 @@ type pmjWorker struct {
 	step, runCap        int
 	runs                []run
 	curR, curS, scratch tuple.Relation
-	rect                func(rRun, sRun []tuple.Tuple) // the sink's Rect
 	// err is the first spill or reload failure. The worker carries on past
 	// it, so every buffer and file it holds is still released.
 	err error
@@ -155,15 +156,48 @@ type pmjWorker struct {
 // and seals a run once a step's worth is in (the sort-seal inner loop of
 // Figure 1b); when the streams are exhausted it merges the run pairs.
 func (a PMJ) Run(ctx *core.ExecContext) error {
-	errs := make([]error, ctx.Threads)
-	core.Parallel(ctx.Threads, func(tid int) { errs[tid] = a.work(ctx, tid) })
+	st := core.RunState[pmjRun](ctx)
+	st.errs = slices.Grow(st.errs[:0], ctx.Threads)[:ctx.Threads]
+	st.runs = slices.Grow(st.runs[:0], ctx.Threads)[:ctx.Threads]
+	st.held = slices.Grow(st.held[:0], ctx.Threads)[:ctx.Threads]
+	ctx.Parallel(func(tid int) { st.errs[tid] = a.work(ctx, tid, &st.runs[tid], &st.held[tid]) })
 	ctx.M.MemSampleNow(ctx.NowMs())
-	// Every worker has run to its end and released what it held.
-	return errors.Join(errs...)
+	st.release(ctx.Pool)
+	err := errors.Join(st.errs...)
+	clear(st.errs)
+	return err
+}
+
+// pmjRun is the state PMJ keeps across calls (core.RunState): every
+// worker's error, and its runs and its other buffers until every worker
+// has finished. They go back to the pool together, so what a call holds
+// at its peak — every worker's runs — does not depend on how the workers
+// overlapped.
+type pmjRun struct {
+	errs []error
+	runs [][]run
+	held [][3]tuple.Relation
+}
+
+// release hands every worker's buffers back to the pool.
+func (st *pmjRun) release(p *pool.Pool) {
+	for tid, runs := range st.runs {
+		for i := range runs {
+			p.PutTuples(runs[i].r)
+			p.PutTuples(runs[i].s)
+		}
+		clear(runs)
+		st.runs[tid] = runs[:0]
+		for _, buf := range st.held[tid] {
+			p.PutTuples(buf)
+		}
+	}
+	clear(st.held)
 }
 
 // work is worker tid's whole join; it returns the worker's first failure.
-func (a PMJ) work(ctx *core.ExecContext, tid int) error {
+// It leaves its runs in runs and its other buffers in held.
+func (a PMJ) work(ctx *core.ExecContext, tid int, runs *[]run, held *[3]tuple.Relation) error {
 	p := pmjWorker{worker: newWorker(ctx, tid, a.JB, 1<<47)}
 	bsz := ctx.Knobs.BatchSize
 
@@ -176,10 +210,9 @@ func (a PMJ) work(ctx *core.ExecContext, tid int) error {
 	p.runCap = p.step + 2*bsz
 	// A run is sealed per step tuples of the expected input, plus the
 	// final partial one: sized once, not grown run by run.
-	p.runs = make([]run, 0, expected/p.step+2)
+	p.runs = slices.Grow((*runs)[:0], expected/p.step+2)
 	p.curR, p.curS = ctx.Pool.Tuples(p.runCap), ctx.Pool.Tuples(p.runCap)
 	p.scratch = ctx.Pool.Tuples(p.runCap)
-	p.rect = p.sink.Rect
 
 	for p.next() {
 		before := len(p.curR) + len(p.curS)
@@ -194,9 +227,6 @@ func (a PMJ) work(ctx *core.ExecContext, tid int) error {
 		p.starved(pulled)
 	}
 	p.seal() // the final partial run
-	ctx.Pool.PutTuples(p.curR)
-	ctx.Pool.PutTuples(p.curS)
-	ctx.Pool.PutTuples(p.scratch)
 
 	p.begin(metrics.PhaseMerge)
 	if err := p.merge(); err != nil && p.err == nil {
@@ -208,9 +238,8 @@ func (a PMJ) work(ctx *core.ExecContext, tid int) error {
 		if p.runs[i].path != "" {
 			os.Remove(p.runs[i].path)
 		}
-		ctx.Pool.PutTuples(p.runs[i].r)
-		ctx.Pool.PutTuples(p.runs[i].s)
 	}
+	*runs, *held = p.runs, [3]tuple.Relation{p.curR, p.curS, p.scratch}
 	ctx.M.MemAdd(p.dist.statusBytes())
 	p.close()
 	return p.err
@@ -218,23 +247,42 @@ func (a PMJ) work(ctx *core.ExecContext, tid int) error {
 
 // seal sorts the accumulated subsets into a run pair, joins the pair
 // immediately — early results — and stores it, in memory or spilled.
+// While input remains a run holds step tuples: what the round pulled
+// beyond them moves on to the next run, S's newest first. The last run
+// takes the rest. So how many runs a worker seals, and how many buffers
+// it takes, follows from its input and not from how the arrivals fell
+// into rounds, unless the rest is under two batches.
 func (p *pmjWorker) seal() {
-	n := len(p.curR) + len(p.curS)
-	if n == 0 {
+	if len(p.curR)+len(p.curS) == 0 {
 		return
 	}
 	ctx := p.ctx
+	more := !p.r.done() || !p.s.done()
+	over := 0
+	if more {
+		over = max(len(p.curR)+len(p.curS)-p.step, 0)
+	}
+	overS := min(over, len(p.curS))
+	r, s := p.curR[:len(p.curR)-(over-overS)], p.curS[:len(p.curS)-overS]
+	// The next run's buffers take the carry before a spill can hand this
+	// run's buffers to another worker.
+	p.curR, p.curS = nil, nil
+	if more {
+		p.curR = append(ctx.Pool.Tuples(p.runCap), r[len(r):len(r)+over-overS]...)
+		p.curS = append(ctx.Pool.Tuples(p.runCap), s[len(s):len(s)+overS]...)
+	}
+	n := len(r) + len(s)
 	base := uint64(p.tid)<<40 | uint64(len(p.runs))<<24
 	p.begin(metrics.PhaseBuildSort)
-	sortmerge.SortByKeyScratch(p.curR, p.scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, base)
-	sortmerge.SortByKeyScratch(p.curS, p.scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, base|1<<23)
+	sortmerge.SortByKeyScratch(r, p.scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, base)
+	sortmerge.SortByKeyScratch(s, p.scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, base|1<<23)
 	p.end(n)
 	p.begin(metrics.PhaseProbe)
 	p.sink.Refresh()
-	sortmerge.MergeJoinRuns(p.curR, p.curS, p.rect, ctx.Tracer, 0, 0)
+	sortmerge.MergeJoinRuns(r, s, p.sink.Rect, ctx.Tracer, 0, 0)
 	p.end(n)
 
-	ru := run{r: p.curR, s: p.curS}
+	ru := run{r: r, s: s}
 	if dir := ctx.Knobs.SpillDir; dir != "" {
 		p.begin(metrics.PhaseOther)
 		if err := ru.spill(dir, ctx.Pool); err != nil && p.err == nil {
@@ -245,10 +293,6 @@ func (p *pmjWorker) seal() {
 		ctx.M.MemAdd(int64(n) * 16)
 	}
 	p.runs = append(p.runs, ru)
-	p.curR, p.curS = nil, nil
-	if !p.r.done() || !p.s.done() {
-		p.curR, p.curS = ctx.Pool.Tuples(p.runCap), ctx.Pool.Tuples(p.runCap)
-	}
 	if p.tid == 0 {
 		ctx.M.MemSampleNow(ctx.NowMs())
 	}
@@ -275,7 +319,7 @@ func (p *pmjWorker) merge() error {
 			if err != nil {
 				return err
 			}
-			sortmerge.MergeJoinRuns(ri, sj, p.rect, p.ctx.Tracer, 0, 0)
+			sortmerge.MergeJoinRuns(ri, sj, p.sink.Rect, p.ctx.Tracer, 0, 0)
 			p.sink.Refresh()
 		}
 	}

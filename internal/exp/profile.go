@@ -90,7 +90,7 @@ func fig19a(o *Options, t *Table) error {
 }
 
 // fig19b regenerates the memory-consumption-over-time comparison on
-// Rovio: the peak and up to five samples of the curve.
+// Rovio: the peak and up to four samples of the curve.
 func fig19b(o *Options, t *Table) error {
 	w := gen.Rovio(o.Scale, o.Seed)
 	for _, name := range algorithms {
@@ -99,9 +99,7 @@ func fig19b(o *Options, t *Table) error {
 			return err
 		}
 		var samples []byte
-		step := len(res.MemCurve)/4 + 1
-		for i := 0; i < len(res.MemCurve); i += step {
-			s := res.MemCurve[i]
+		for _, s := range res.MemCurve[:res.MemPoints] {
 			samples = fmt.Appendf(samples, " %d:%d", s.Ms, s.Bytes)
 		}
 		t.add(name, res.MemPeakBytes, string(samples))

@@ -249,6 +249,21 @@ func TestResetReuse(t *testing.T) {
 		}
 		equalHits(t, "reset/"+name, tab.ProbeRuns(build, nil, nil), scalarHits(fresh.Probe, build))
 	}
+	// One table reset dense, then sparse, then dense: Reset clears the
+	// whole directory or walks the dirty list, and either leaves it as
+	// a fresh one.
+	wide := New(1 << 12)
+	for _, n := range []int{1 << 12, 64, 1 << 12} {
+		build := benchTuples(n, n)
+		wide.Reset()
+		wide.InsertBatch(build)
+		fresh := New(1 << 12)
+		fresh.InsertBatch(build)
+		equalHits(t, fmt.Sprintf("reset/%d keys", n), wide.ProbeRuns(build, nil, nil), fresh.ProbeRuns(build, nil, nil))
+		if dirty := len(wide.dirty); n == 64 && dirty > wide.DirBuckets()>>denseShift || n > 64 && dirty <= wide.DirBuckets()>>denseShift {
+			t.Fatalf("%d keys dirty %d of %d buckets: the fills do not straddle the dense threshold", n, dirty, wide.DirBuckets())
+		}
+	}
 	var mem [2]int64
 	for i := range mem {
 		tab.Reset()
@@ -462,6 +477,35 @@ func FuzzBatchDiff(f *testing.F) {
 		sh.InsertBatch(build)
 		equalHits(t, "shared", sh.ProbeRuns(probes, nil), want)
 	})
+}
+
+// BenchmarkKernelReset times Reset of a 2^19-bucket directory after
+// 2^20, 2^17 and 20k unique keys, through the dirty list (walk), one
+// clear of the directory (clear), and the choice Reset makes between
+// them (reset) — the measurement denseShift is set from.
+func BenchmarkKernelReset(b *testing.B) {
+	for _, keys := range []int{1 << 20, 1 << 17, 20_000} {
+		tuples := benchTuples(keys, 1<<30)
+		for _, mode := range []string{"walk", "clear", "reset"} {
+			b.Run(fmt.Sprintf("%s/keys=%d", mode, keys), func(b *testing.B) {
+				tab := New(1 << 20)
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					tab.InsertBatch(tuples)
+					b.StartTimer()
+					switch mode {
+					case "walk", "clear":
+						tab.resetDir(mode == "clear")
+						tab.dirty = tab.dirty[:0]
+						tab.store.reset()
+						tab.size = 0
+					default:
+						tab.Reset()
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkKernelBuild contrasts the pre-kernel window build (fresh table

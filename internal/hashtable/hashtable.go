@@ -323,19 +323,38 @@ func (t *Table) Grow(n int) {
 	t.mask = uint32(nb - 1)
 }
 
+// denseShift sets where Reset stops walking the dirty list: once more than
+// 1/2^denseShift of the directory is dirty, one sequential clear of the
+// whole directory is cheaper than the list's random writes
+// (BenchmarkKernelReset, 2 vCPUs: in a 2^19-bucket directory 20k keys
+// walk in 0.5 ms and clear in 2.8; 2^17 keys walk in 6.2 and clear in
+// 2.9; 2^20 walk in 25.7 and clear in 3.5).
+const denseShift = 3
+
 // Reset clears the table for reuse: the store and the directory restart
 // empty, and their allocations are kept. A steady-state window over a pooled
 // table therefore inserts with zero allocations once the first window has
-// sized the store. It visits the dirty list, not the directory (see dirty).
+// sized the store. A sparse directory is cleared through the dirty list,
+// a dense one in one pass (denseShift).
 func (t *Table) Reset() {
-	for _, b := range t.dirty {
-		b.tags, b.ext = 0, nil
-	}
+	t.resetDir(len(t.dirty) > len(t.buckets)>>denseShift)
 	t.dirty = t.dirty[:0]
 	t.store.reset()
 	t.size = 0
 	t.tracer = nil
 	t.base = 0
+}
+
+// resetDir empties the directory buckets: all of them when dense, else
+// those on the dirty list.
+func (t *Table) resetDir(dense bool) {
+	if dense {
+		clear(t.buckets)
+		return
+	}
+	for _, b := range t.dirty {
+		b.tags, b.ext = 0, nil
+	}
 }
 
 // DirBuckets reports the directory size, 1 << DirBits of the largest

@@ -173,8 +173,8 @@ func TestComputeSplittersDeterministic(t *testing.T) {
 		// splitters assume key-sorted runs
 		staticSort(runs[i])
 	}
-	a := computeSplitters(runs, runs, 4, nil)
-	b := computeSplitters(runs, runs, 4, nil)
+	a := computeSplitters(runs, runs, 4, make([]uint32, 0, splitterScratch(4)))
+	b := computeSplitters(runs, runs, 4, make([]uint32, 0, splitterScratch(4)))
 	if len(a) != 3 || len(b) != 3 {
 		t.Fatalf("splitter count: %d", len(a))
 	}
@@ -202,9 +202,9 @@ func staticSort(rel tuple.Relation) {
 func TestRangeSlicesPartitionRuns(t *testing.T) {
 	run := tuple.Relation{{Key: 1}, {Key: 3}, {Key: 5}, {Key: 7}, {Key: 9}}
 	runs := []tuple.Relation{run}
-	splitters := computeSplitters(runs, nil, 2, nil)
-	lo := rangeSlices(runs, splitters, 0)
-	hi := rangeSlices(runs, splitters, 1)
+	splitters := computeSplitters(runs, nil, 2, make([]uint32, 0, splitterScratch(2)))
+	lo := rangeSlices(nil, runs, splitters, 0)
+	hi := rangeSlices(nil, runs, splitters, 1)
 	total := 0
 	for _, s := range lo {
 		total += len(s)

@@ -1,8 +1,6 @@
 package lazy
 
 import (
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -35,10 +33,7 @@ func (NPJ) Run(ctx *core.ExecContext) error {
 	}
 	baseMem := table.MemBytes()
 	ctx.M.MemAdd(baseMem)
-	var barrier sync.WaitGroup
-	barrier.Add(ctx.Threads)
-
-	core.Parallel(ctx.Threads, func(tid int) {
+	ctx.Parallel(func(tid int) {
 		tm := ctx.M.T(tid)
 		ctx.WaitWindow(tid)
 
@@ -47,8 +42,7 @@ func (NPJ) Run(ctx *core.ExecContext) error {
 		tm.AddTuples(int64(hi - lo))
 		table.InsertBatch(ctx.R[lo:hi])
 		ctx.Begin(tid, metrics.PhaseOther)
-		barrier.Done()
-		barrier.Wait() // build/probe barrier as in the original NPJ
+		ctx.Barrier() // build/probe barrier as in the original NPJ
 
 		ctx.Begin(tid, metrics.PhaseProbe)
 		k := core.NewSink(ctx, tid)

@@ -1,7 +1,7 @@
 package lazy
 
 import (
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -31,6 +31,37 @@ type PRJ struct{}
 // Name implements core.Algorithm.
 func (PRJ) Name() string { return "PRJ" }
 
+// prjRun is the state PRJ's workers share, kept across calls
+// (core.RunState): every worker's two partitioners, R's then S's chunk;
+// the partitions and their hashes, per side and worker, which alias the
+// partitioners' buffers until all workers finish; and the dynamic
+// partition queue of the join phase.
+type prjRun struct {
+	parters []*radix.Partitioner
+	parts   [2][][]tuple.Relation
+	hashes  [2][][][]uint32
+	next    atomic.Int64
+}
+
+// size readies the state for a run of threads workers.
+func (st *prjRun) size(threads int) {
+	st.parters = slices.Grow(st.parters[:0], 2*threads)[:2*threads]
+	for i := range st.parts {
+		st.parts[i] = slices.Grow(st.parts[i][:0], threads)[:threads]
+		st.hashes[i] = slices.Grow(st.hashes[i][:0], threads)[:threads]
+	}
+	st.next.Store(0)
+}
+
+// clear drops the run's references to pooled partitioners.
+func (st *prjRun) clear() {
+	clear(st.parters)
+	for i := range st.parts {
+		clear(st.parts[i])
+		clear(st.hashes[i])
+	}
+}
+
 // Run implements core.Algorithm. The per-tuple work is in the partition
 // and table kernels and the sink's pair walk; this is per-partition
 // orchestration.
@@ -38,20 +69,10 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 	bits := ctx.Knobs.RadixBits
 	fanout := radix.Fanout(bits)
 
-	// Per-thread partition pieces (tuples and their hashes), combined
-	// per partition at join time. The pieces alias the per-thread
-	// partitioners' buffers, released only after all workers finish.
-	partsR := make([][]tuple.Relation, ctx.Threads)
-	partsS := make([][]tuple.Relation, ctx.Threads)
-	hashR := make([][][]uint32, ctx.Threads)
-	hashS := make([][][]uint32, ctx.Threads)
-	parters := make([]*radix.Partitioner, 2*ctx.Threads)
+	st := core.RunState[prjRun](ctx)
+	st.size(ctx.Threads)
 
-	var next atomic.Int64 // dynamic partition queue for the join phase
-	var barrier sync.WaitGroup
-	barrier.Add(ctx.Threads)
-
-	core.Parallel(ctx.Threads, func(tid int) {
+	ctx.Parallel(func(tid int) {
 		tm := ctx.M.T(tid)
 		ctx.WaitWindow(tid)
 
@@ -60,32 +81,31 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 		ctx.Begin(tid, metrics.PhasePartition)
 		pr := ctx.Pool.Partitioner()
 		ps := ctx.Pool.Partitioner()
-		parters[2*tid], parters[2*tid+1] = pr, ps
+		st.parters[2*tid], st.parters[2*tid+1] = pr, ps
 		lo, hi := core.Chunk(len(ctx.R), ctx.Threads, tid)
 		tm.AddTuples(int64(hi - lo))
-		partsR[tid], hashR[tid] = pr.PartitionHashed(ctx.R[lo:hi], bits, ctx.Tracer, 0)
+		st.parts[0][tid], st.hashes[0][tid] = pr.PartitionHashed(ctx.R[lo:hi], bits, ctx.Tracer, 0)
 		cp := int64(hi-lo) * tuple.Bytes // the physical copy of R's chunk
 		lo, hi = core.Chunk(len(ctx.S), ctx.Threads, tid)
 		tm.AddTuples(int64(hi - lo))
-		partsS[tid], hashS[tid] = ps.PartitionHashed(ctx.S[lo:hi], bits, ctx.Tracer, 1<<34)
+		st.parts[1][tid], st.hashes[1][tid] = ps.PartitionHashed(ctx.S[lo:hi], bits, ctx.Tracer, 1<<34)
 		ctx.M.MemAdd(cp + int64(hi-lo)*tuple.Bytes) // and of S's
 		ctx.Begin(tid, metrics.PhaseOther)
-		barrier.Done()
-		barrier.Wait()
+		ctx.Barrier()
 
 		// Phase 2: cache-resident hash join per partition, partitions
 		// handed out dynamically.
 		k := core.NewSink(ctx, tid)
 		hits := ctx.Pool.Hits(matchBatch)
 		for {
-			p := int(next.Add(1)) - 1
+			p := int(st.next.Add(1)) - 1
 			if p >= fanout {
 				break
 			}
 			ctx.Begin(tid, metrics.PhaseBuildSort)
 			nR := 0
-			for t := range partsR {
-				nR += len(partsR[t][p])
+			for _, parts := range st.parts[0] {
+				nR += len(parts[p])
 			}
 			if nR == 0 {
 				continue
@@ -95,15 +115,15 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 			if ctx.Tracer != nil {
 				table.SetTracer(ctx.Tracer, uint64(p)<<22|1<<40)
 			}
-			for t := range partsR {
-				table.InsertBatchHashed(partsR[t][p], hashR[t][p])
+			for t, parts := range st.parts[0] {
+				table.InsertBatchHashed(parts[p], st.hashes[0][t][p])
 			}
 			ctx.M.MemAdd(table.MemBytes())
 
 			ctx.Begin(tid, metrics.PhaseProbe)
 			k.Refresh()
-			for t := range partsS {
-				probes, hashes := partsS[t][p], hashS[t][p]
+			for t, parts := range st.parts[1] {
+				probes, hashes := parts[p], st.hashes[1][t][p]
 				tm.AddTuples(int64(len(probes)))
 				for len(probes) > 0 {
 					n := min(matchBatch, len(probes))
@@ -120,11 +140,12 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 		ctx.Pool.PutHits(hits)
 		ctx.EndPhase(tid)
 	})
-	// The partition slices alias the partitioners' buffers; every worker
-	// is done with them now.
-	for _, pr := range parters {
+	// The partitions are the partitioners' buffers; every worker is done
+	// with them now.
+	for _, pr := range st.parters {
 		ctx.Pool.PutPartitioner(pr)
 	}
+	st.clear()
 	ctx.M.MemSampleNow(ctx.NowMs())
 	return nil
 }

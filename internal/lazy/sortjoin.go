@@ -3,10 +3,10 @@ package lazy
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/sortmerge"
 	"repro/internal/tuple"
 )
@@ -35,28 +35,67 @@ func (MPass) Name() string { return "MPASS" }
 // Run implements core.Algorithm.
 func (MPass) Run(ctx *core.ExecContext) error { return runSortJoin(ctx, false) }
 
+// sortRun is the state the sort joins' workers share, kept across calls
+// (core.RunState): every worker's sorted chunk copies of R and S, its
+// sort scratch and four merge buffers — the ping-pong pair of R, then of
+// S (MWay, and MPass up to two runs, use one of a pair) — its splitter
+// sample and its key range's slices of the runs. The buffers go back to
+// the pool once every worker has finished, so what a call holds at its
+// peak does not depend on how the workers overlapped.
+type sortRun struct {
+	runs    [2][]tuple.Relation
+	bufs    []tuple.Relation
+	samples [][]uint32
+	ranges  [][]tuple.Relation
+}
+
+// size readies the state for a run of threads workers.
+func (st *sortRun) size(threads int) {
+	for i := range st.runs {
+		st.runs[i] = slices.Grow(st.runs[i][:0], threads)[:threads]
+	}
+	st.bufs = slices.Grow(st.bufs[:0], bufsPerWorker*threads)[:bufsPerWorker*threads]
+	st.samples = slices.Grow(st.samples[:0], threads)[:threads]
+	st.ranges = slices.Grow(st.ranges[:0], threads)[:threads]
+}
+
+// release hands every worker's buffers back to the pool once all workers
+// have finished — every worker's merge read every worker's runs — and
+// drops the run's references to them.
+func (st *sortRun) release(p *pool.Pool) {
+	for i := range st.runs {
+		for _, run := range st.runs[i] {
+			p.PutTuples(run)
+		}
+		clear(st.runs[i])
+	}
+	for _, buf := range st.bufs {
+		p.PutTuples(buf)
+	}
+	clear(st.bufs)
+	for _, sample := range st.samples {
+		p.PutU32(sample)
+	}
+	clear(st.samples)
+	for i := range st.ranges {
+		clear(st.ranges[i])
+	}
+}
+
 // runSortJoin is the shared sort-join skeleton: partition (physical chunk
 // copies), sort (per-thread radix sort, or Figure 21's scalar foil), merge
 // (multi-way for MWay, successive two-way passes for MPass, parallel
 // across key ranges), and a final parallel merge join. Everything that
 // scales with the window — the physical chunk copies, the sort scratch,
 // the merge outputs (two ping-pong buffers a side for MPass once a range
-// spans more than two runs) — comes from the window pool when one is
-// attached and is recycled once all workers finish.
+// spans more than two runs) — comes from the window pool and is recycled
+// once all workers finish.
 func runSortJoin(ctx *core.ExecContext, multiway bool) error {
-	tcount := ctx.Threads
-	runsR := make([]tuple.Relation, tcount)
-	runsS := make([]tuple.Relation, tcount)
-	// mergeBufs holds four merge buffers per worker: the ping-pong pair
-	// of R, then of S (MWay, and MPass up to two runs, use one of a pair).
-	mergeBufs := make([][]tuple.Tuple, 4*tcount)
-	var splitters []uint32
-	var splitOnce sync.Once
+	st := core.RunState[sortRun](ctx)
+	st.size(ctx.Threads)
 
-	var barrier sync.WaitGroup
-	barrier.Add(tcount)
-
-	core.Parallel(tcount, func(tid int) {
+	ctx.Parallel(func(tid int) {
+		tcount, runsR, runsS := ctx.Threads, st.runs[0], st.runs[1]
 		tm := ctx.M.T(tid)
 		ctx.WaitWindow(tid)
 
@@ -76,22 +115,21 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		// Sort the local runs.
 		ctx.Begin(tid, metrics.PhaseBuildSort)
 		tm.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
-		scratch := ctx.Pool.Tuples(max(len(runsR[tid]), len(runsS[tid])))
-		sortmerge.SortByKeyScratch(runsR[tid], scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32)
-		sortmerge.SortByKeyScratch(runsS[tid], scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32|1<<31)
-		ctx.Pool.PutTuples(scratch)
+		bufs := st.bufs[bufsPerWorker*tid : bufsPerWorker*(tid+1)]
+		bufs[4] = ctx.Pool.Tuples(max(len(runsR[tid]), len(runsS[tid])))
+		sortmerge.SortByKeyScratch(runsR[tid], bufs[4], !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32)
+		sortmerge.SortByKeyScratch(runsS[tid], bufs[4], !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32|1<<31)
 		ctx.Begin(tid, metrics.PhaseOther)
-		barrier.Done()
-		barrier.Wait()
-		splitOnce.Do(func() {
-			sample := ctx.Pool.U32(2 * tcount * samplesPerRun)
-			splitters = computeSplitters(runsR, runsS, tcount, sample)
-			ctx.Pool.PutU32(sample)
-		})
+		ctx.Barrier()
+		// Every worker derives the same splitters from the same sample.
+		st.samples[tid] = ctx.Pool.U32(splitterScratch(tcount))
+		splitters := computeSplitters(runsR, runsS, tcount, st.samples[tid])
 
 		// Merge this thread's key range across all runs.
 		ctx.Begin(tid, metrics.PhaseMerge)
-		merge := func(ranges []tuple.Relation, buf [][]tuple.Tuple) tuple.Relation {
+		merge := func(runs []tuple.Relation, buf []tuple.Relation) tuple.Relation {
+			ranges := rangeSlices(st.ranges[tid][:0], runs, splitters, tid)
+			st.ranges[tid] = ranges
 			total := 0
 			for _, rg := range ranges {
 				total += len(rg)
@@ -105,8 +143,8 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 			}
 			return sortmerge.TwoWayMergePassesInto(buf[0], buf[1], ranges)
 		}
-		mergedR := merge(rangeSlices(runsR, splitters, tid), mergeBufs[4*tid:4*tid+2])
-		mergedS := merge(rangeSlices(runsS, splitters, tid), mergeBufs[4*tid+2:4*tid+4])
+		mergedR := merge(runsR, bufs[0:2])
+		mergedS := merge(runsS, bufs[2:4])
 		tm.AddTuples(int64(len(mergedR) + len(mergedS)))
 		ctx.M.MemAdd(int64(len(mergedR)+len(mergedS)) * 16)
 
@@ -118,28 +156,31 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		k.Close()
 		ctx.EndPhase(tid)
 	})
-	// Every worker's merge read every worker's runs, so all buffers are
-	// recycled only after the last worker has finished.
-	for tid := 0; tid < tcount; tid++ {
-		ctx.Pool.PutTuples(runsR[tid])
-		ctx.Pool.PutTuples(runsS[tid])
-	}
-	for _, buf := range mergeBufs {
-		ctx.Pool.PutTuples(buf)
-	}
+	st.release(ctx.Pool)
 	ctx.M.MemSampleNow(ctx.NowMs())
 	return nil
 }
 
+// bufsPerWorker is how many tuple buffers a sort-join worker holds
+// besides its run copies: the merge ping-pong pairs of R and S, and the
+// sort scratch.
+const bufsPerWorker = 5
+
 // samplesPerRun bounds the keys computeSplitters samples from one run.
 const samplesPerRun = 64
 
+// splitterScratch is the scratch computeSplitters needs for tcount
+// workers: room for samplesPerRun keys of each of the 2·tcount runs, and
+// the tcount-1 splitters.
+func splitterScratch(tcount int) int { return 2*tcount*samplesPerRun + tcount - 1 }
+
 // computeSplitters samples the sorted runs and returns tcount-1 key-rank
 // splitters defining the per-thread key ranges. Every thread derives the
-// same splitters deterministically. The samples are appended to sample[:0]:
-// with room for samplesPerRun per run it does not grow.
-func computeSplitters(runsR, runsS []tuple.Relation, tcount int, sample []uint32) []uint32 {
-	sample = sample[:0]
+// same splitters deterministically. It works in scratch, whose capacity
+// is at least splitterScratch(tcount), and returns a slice of it.
+func computeSplitters(runsR, runsS []tuple.Relation, tcount int, scratch []uint32) []uint32 {
+	splitters := scratch[:tcount-1]
+	sample := scratch[tcount-1 : tcount-1]
 	collect := func(runs []tuple.Relation) {
 		for _, run := range runs {
 			if len(run) == 0 {
@@ -154,7 +195,6 @@ func computeSplitters(runsR, runsS []tuple.Relation, tcount int, sample []uint32
 	collect(runsR)
 	collect(runsS)
 	slices.Sort(sample)
-	splitters := make([]uint32, tcount-1)
 	for i := 1; i < tcount; i++ {
 		if len(sample) == 0 {
 			splitters[i-1] = ^uint32(0)
@@ -165,10 +205,9 @@ func computeSplitters(runsR, runsS []tuple.Relation, tcount int, sample []uint32
 	return splitters
 }
 
-// rangeSlices extracts from every sorted run the slice belonging to thread
-// tid's key range [splitters[tid-1], splitters[tid]).
-func rangeSlices(runs []tuple.Relation, splitters []uint32, tid int) []tuple.Relation {
-	out := make([]tuple.Relation, 0, len(runs))
+// rangeSlices appends to out, from every sorted run, the slice belonging
+// to thread tid's key range [splitters[tid-1], splitters[tid]).
+func rangeSlices(out, runs []tuple.Relation, splitters []uint32, tid int) []tuple.Relation {
 	for _, run := range runs {
 		lo := 0
 		if tid > 0 {

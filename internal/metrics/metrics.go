@@ -250,9 +250,13 @@ type Result struct {
 	WallNs int64
 	// CPUUtil is busy (non-wait) thread time over threads × wall time.
 	CPUUtil float64
-	// MemPeakBytes and MemCurve describe logical memory consumption.
+	// MemPeakBytes and MemCurve describe logical memory consumption:
+	// MemCurve's first MemPoints entries are the run's samples at every
+	// (n/4+1)-th of its n, in time order. A fixed array, like Progress,
+	// so that a Result allocates nothing however long the run sampled.
 	MemPeakBytes int64
-	MemCurve     []MemSample
+	MemCurve     [memPoints]MemSample
+	MemPoints    int
 	// Pool is the window-state pool's traffic during the run — which
 	// kinds were served from a freelist and which had to allocate — and
 	// the bytes its freelists retained when the run ended. Runs sharing
@@ -269,6 +273,10 @@ type Result struct {
 // progressPoints is how many points Result.Progress samples the match
 // curve at; ¼, ½, ¾ and 1 are among its fractions.
 const progressPoints = 32
+
+// memPoints bounds Result.MemCurve: a stride of n/4+1 picks at most four
+// of n samples.
+const memPoints = 4
 
 // Snapshot merges all thread metrics into a Result. inputs is |R|+|S|.
 func (c *Collector) Snapshot(algorithm string, inputs int64, wallNs int64) Result {
@@ -316,7 +324,11 @@ func (c *Collector) Snapshot(algorithm string, inputs int64, wallNs int64) Resul
 	}
 	res.MemPeakBytes = c.memPeak.Load()
 	c.memMu.Lock()
-	res.MemCurve = append([]MemSample(nil), c.memSamples...)
+	step := len(c.memSamples)/memPoints + 1
+	for i := 0; i < len(c.memSamples); i += step {
+		res.MemCurve[res.MemPoints] = c.memSamples[i]
+		res.MemPoints++
+	}
 	c.memMu.Unlock()
 	return res
 }

@@ -153,7 +153,7 @@ func TestMemAccounting(t *testing.T) {
 	if res.MemPeakBytes != 300 {
 		t.Fatalf("peak = %d, want 300", res.MemPeakBytes)
 	}
-	if len(res.MemCurve) != 2 || res.MemCurve[1].Bytes != 150 {
+	if res.MemPoints != 2 || res.MemCurve[1].Bytes != 150 {
 		t.Fatalf("curve = %+v", res.MemCurve)
 	}
 }

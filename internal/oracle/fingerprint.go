@@ -47,15 +47,10 @@ type Fingerprint struct {
 	Xor   uint64
 }
 
-// mum multiplies a and b to 128 bits and folds the halves (wyhash's mixer).
-func mum(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	return hi ^ lo
-}
-
-// hashResult is the written definition of the fingerprint's hash: two
+// Add folds one join result into the fingerprint. Its hash is two
 // dependent multiplies over the fields as unsigned bit patterns, keyed by
-// wyhash's constants K0…K3 (in order below),
+// wyhash's constants K0…K3 (in order below), with mum(a, b) the 128-bit
+// product's halves folded (wyhash's mixer):
 //
 //	mum(mum(TS⊕K0, (Key<<32 | PayloadR)⊕K1) ⊕ K2, PayloadS⊕K3)
 //
@@ -64,15 +59,15 @@ func mum(a, b uint64) uint64 {
 // result with TS = K0 hashes the same whatever its Key and PayloadR, one
 // with (Key<<32 | PayloadR) = K1 whatever its TS, and one whose inner
 // product is K2 whatever its PayloadS. PayloadS⊕K3 is never zero: K3 has
-// bits above 32.
-func hashResult(jr tuple.JoinResult) uint64 {
-	inner := mum(uint64(jr.TS)^0xa0761d6478bd642f, (uint64(uint32(jr.Key))<<32|uint64(uint32(jr.PayloadR)))^0xe7037ed1a0b428db)
-	return mum(inner^0x8ebc6af09c88c6e3, uint64(uint32(jr.PayloadS))^0x589965cc75374cc3)
-}
-
-// Add folds one join result into the fingerprint.
+// bits above 32. Both multiplies are written out, which keeps Add within
+// the inliner's budget: Sink.Emit's method value and Reference's loop
+// call no function per result.
+//
+//iawj:inline
 func (f *Fingerprint) Add(jr tuple.JoinResult) {
-	h := hashResult(jr)
+	hi, lo := bits.Mul64(uint64(jr.TS)^0xa0761d6478bd642f, (uint64(uint32(jr.Key))<<32|uint64(uint32(jr.PayloadR)))^0xe7037ed1a0b428db)
+	hi, lo = bits.Mul64(hi^lo^0x8ebc6af09c88c6e3, uint64(uint32(jr.PayloadS))^0x589965cc75374cc3)
+	h := hi ^ lo
 	f.Count++
 	f.Sum += h
 	f.Xor ^= h

@@ -202,7 +202,7 @@ func TestParseCaseRejectsMalformed(t *testing.T) {
 	}
 }
 
-// definitionHash is the written definition of hashResult, computed with
+// definitionHash is the written definition of Add's hash, computed with
 // arbitrary-precision integers rather than bits.Mul64 and shifts, so a
 // slip in the fast form (a sign extension, a lost carry, a swapped half)
 // shows:

@@ -85,15 +85,24 @@ func (b *bufs[T]) get(n int) []T {
 }
 
 // take hands out an empty buffer of b's kind k with capacity at least n:
-// a freed one, or on a miss one of exactly n (at least one), so that a
-// run that never comes back to the pool allocates what it asked for.
+// a freed one, or on a miss a new one. A miss allocates exactly n (at
+// least one), so that a run that never comes back to the pool allocates
+// what it asked for — unless n's class holds freed buffers, all too
+// small: then the pool is warm, and a slightly larger request would miss
+// again in every later window, so the miss takes the class's full size.
 func take[T any](p *Pool, b *bufs[T], k metrics.PoolKind, n int) []T {
 	p.mu.Lock()
+	c := bufClass(n)
+	outgrown := len(b[c]) > 0
 	buf := b.get(n)
 	p.acquired(k, buf != nil, int64(cap(buf))*int64(unsafe.Sizeof(*new(T))))
 	p.mu.Unlock()
 	if buf == nil {
-		buf = make([]T, 0, max(n, 1))
+		size := max(n, 1)
+		if outgrown {
+			size = max(size, 1<<c)
+		}
+		buf = make([]T, 0, size)
 	}
 	return buf
 }
@@ -117,6 +126,7 @@ type Pool struct {
 	u32s    bufs[uint32]
 	results bufs[tuple.JoinResult]
 	collect []*metrics.Collector
+	frames  []Frame
 	stats   metrics.PoolStats
 }
 
@@ -288,3 +298,18 @@ func (p *Pool) PutCollector(c *metrics.Collector) {
 	c.Reset()
 	push(p, &p.collect, c, collectorBytes(c.Threads()))
 }
+
+// Frame is a call's run frame as the pool sees it: internal/core owns
+// the type, which the pool cannot import; the pool only keeps frames
+// between calls, counted in the bytes they hold.
+type Frame interface{ MemBytes() int64 }
+
+// Frame returns a run frame PutFrame filed, or nil when none is free.
+func (p *Pool) Frame() Frame {
+	f, _ := pop(p, &p.frames, metrics.PoolFrame)
+	return f
+}
+
+// PutFrame files f for the next call. Call it only once the call's
+// workers have quiesced.
+func (p *Pool) PutFrame(f Frame) { push(p, &p.frames, f, f.MemBytes()) }

@@ -306,9 +306,14 @@ func mergeAppend(out, a, b []tuple.Tuple) []tuple.Tuple {
 	return out
 }
 
-// liveRuns returns the non-empty runs and their total length.
-func liveRuns(runs []tuple.Relation) (live [][]tuple.Tuple, total int) {
-	live = make([][]tuple.Tuple, 0, len(runs))
+// stackRuns is how many runs a merge keeps its bookkeeping for on the
+// stack; a merge of more allocates it.
+const stackRuns = 64
+
+// liveRuns appends the non-empty runs to live and returns it with their
+// total length.
+func liveRuns(live [][]tuple.Tuple, runs []tuple.Relation) ([][]tuple.Tuple, int) {
+	total := 0
 	for _, r := range runs {
 		if len(r) > 0 {
 			live = append(live, r)
@@ -327,12 +332,19 @@ func MultiwayMerge(runs []tuple.Relation, _ bool) []tuple.Tuple {
 	return MultiwayMergeInto(nil, runs)
 }
 
+// mergeHead is a run's cursor in MultiwayMergeInto's heap.
+type mergeHead struct {
+	run int
+	pos int
+}
+
 // MultiwayMergeInto is MultiwayMerge writing into dst, which must not
 // overlap any run: the result is dst[:total] when dst has the capacity
-// and a fresh allocation otherwise. Beyond k-sized bookkeeping it then
+// and a fresh allocation otherwise. Up to stackRuns runs it then
 // allocates nothing.
 func MultiwayMergeInto(dst []tuple.Tuple, runs []tuple.Relation) []tuple.Tuple {
-	live, total := liveRuns(runs)
+	var liveBuf [stackRuns][]tuple.Tuple
+	live, total := liveRuns(liveBuf[:0], runs)
 	if total == 0 {
 		return nil
 	}
@@ -344,38 +356,14 @@ func MultiwayMergeInto(dst []tuple.Tuple, runs []tuple.Relation) []tuple.Tuple {
 		return append(out, live[0]...)
 	}
 	// Simple binary-heap k-way merge; k is small (== thread count).
-	type head struct {
-		run int
-		pos int
-	}
-	heap := make([]head, len(live))
+	var heapBuf [stackRuns]mergeHead
+	heap := heapBuf[:0]
 	for i := range live {
-		heap[i] = head{run: i}
-	}
-	key := func(h head) uint32 { return keyRank(live[h.run][h.pos].Key) }
-	less := func(x, y head) bool { return key(x) < key(y) }
-	// heapify
-	var down func(i, n int)
-	down = func(i, n int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < n && less(heap[l], heap[m]) {
-				m = l
-			}
-			if r < n && less(heap[r], heap[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
+		heap = append(heap, mergeHead{run: i})
 	}
 	n := len(heap)
 	for i := n/2 - 1; i >= 0; i-- {
-		down(i, n)
+		siftDown(heap, live, i, n)
 	}
 	for n > 0 {
 		h := heap[0]
@@ -387,9 +375,30 @@ func MultiwayMergeInto(dst []tuple.Tuple, runs []tuple.Relation) []tuple.Tuple {
 			n--
 			heap[0] = heap[n]
 		}
-		down(0, n)
+		siftDown(heap, live, 0, n)
 	}
 	return out
+}
+
+// siftDown restores the heap order of heap[:n] below i, ordering heads by
+// the key rank of their run's current tuple.
+func siftDown(heap []mergeHead, live [][]tuple.Tuple, i, n int) {
+	key := func(h mergeHead) uint32 { return keyRank(live[h.run][h.pos].Key) }
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < n && key(heap[l]) < key(heap[m]) {
+			m = l
+		}
+		if r < n && key(heap[r]) < key(heap[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		heap[i], heap[m] = heap[m], heap[i]
+		i = m
+	}
 }
 
 // TwoWayMergePassesInto merges runs with successive pairwise merges,
@@ -400,9 +409,10 @@ func MultiwayMergeInto(dst []tuple.Tuple, runs []tuple.Relation) []tuple.Tuple {
 // last pass wrote. A buffer without the capacity for the total is
 // replaced by a fresh allocation when a pass first needs it (b only from
 // three runs up), so nil buffers work and sized ones make the merge
-// allocation-free beyond k-sized bookkeeping.
+// allocation-free up to stackRuns runs.
 func TwoWayMergePassesInto(a, b []tuple.Tuple, runs []tuple.Relation) []tuple.Tuple {
-	live, total := liveRuns(runs)
+	var liveBuf [stackRuns][]tuple.Tuple
+	live, total := liveRuns(liveBuf[:0], runs)
 	if total == 0 {
 		return nil
 	}

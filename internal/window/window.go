@@ -95,8 +95,17 @@ func (w Window) Length() int64 { return w.End - w.Start }
 // in the stream is jumped, not stepped through: the cost is O(tuples +
 // windows), whatever the gap.
 func assign(rel tuple.Relation, w, slide, origin int64) ([]Window, []tuple.Relation) {
-	var windows []Window
-	var slices []tuple.Relation
+	if len(rel) == 0 {
+		return nil, nil
+	}
+	// The window lists are sized once, for the windows the stream's span
+	// can open and at most one a tuple (every window holds a tuple).
+	n := len(rel)
+	if span := rel[len(rel)-1].TS - rel[0].TS; span >= 0 && span/slide < int64(n) {
+		n = min(n, int(span/slide)+int(min(w/slide, int64(n)))+2)
+	}
+	windows := make([]Window, 0, n)
+	slices := make([]tuple.Relation, 0, n)
 	start, hi := origin, 0
 	for lo := 0; lo < len(rel); {
 		// The earliest window that can hold rel[lo] opens at the first
@@ -136,7 +145,7 @@ func floorDiv(a, b int64) int64 {
 // precondition for joining stream pairs window by window. Windows present
 // on only one side are paired with an empty slice on the other.
 func align(wR []Window, rSlices []tuple.Relation, wS []Window, sSlices []tuple.Relation) []Pair {
-	var out []Pair
+	out := make([]Pair, 0, max(len(wR), len(wS)))
 	i, j := 0, 0
 	for i < len(wR) || j < len(wS) {
 		switch {

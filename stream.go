@@ -10,6 +10,7 @@ package iawj
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/window"
@@ -110,34 +111,38 @@ func JoinWindowedParallel(r, s Relation, spec WindowSpec, cfg Config, workers in
 	outbox := core.NewOutbox(cfg.Emit, cfg.Pool) // nil when only counting
 	defer outbox.Close()
 	out := make([]WindowResult, len(pairs))
-	var (
-		errs []error
-		sem  chan struct{}
-		wg   sync.WaitGroup
-	)
-	if workers > 1 {
-		errs = make([]error, len(pairs))
-		sem = make(chan struct{}, workers)
-	}
 	for i, p := range pairs {
 		out[i] = WindowResult{Start: p.Window.Start, End: p.Window.End}
-		if len(p.R) == 0 || len(p.S) == 0 {
-			continue
-		}
-		if workers <= 1 {
+	}
+	if workers <= 1 {
+		for i, p := range pairs {
+			if len(p.R) == 0 || len(p.S) == 0 {
+				continue
+			}
 			if err := joinWindow(i, p, cfg, outbox, &out[i]); err != nil {
 				return out[:i+1], err
 			}
-			continue
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, p window.Pair, cfg Config) {
-			defer func() { <-sem; wg.Done() }()
-			// The journal writer serializes internally; window records of
-			// in-flight windows may interleave out of order but carry ids.
-			errs[i] = joinWindow(i, p, cfg, outbox, &out[i])
-		}(i, p, cfg)
+		return out, nil
+	}
+	// workers goroutines take the windows in order, so a sweep starts as
+	// many goroutines whatever its window count. The journal writer
+	// serializes internally; window records of in-flight windows may
+	// interleave out of order but carry ids.
+	workers = min(workers, len(pairs))
+	errs := make([]error, len(pairs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(pairs); i = int(next.Add(1)) - 1 {
+				if p := pairs[i]; len(p.R) > 0 && len(p.S) > 0 {
+					errs[i] = joinWindow(i, p, cfg, outbox, &out[i])
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
