@@ -322,6 +322,37 @@ func TestCursorBatchLimit(t *testing.T) {
 	}
 }
 
+// TestEagerRunAllocations pins what a pooled, warmed eager join allocates
+// at Threads 2. The whole-join benchmark bounds alloc_mb at 2% of ≈20 KB a
+// round of nine joins — a few hundred bytes — so one more heap object per
+// worker is a regression there: the worker is a stack value with no
+// pointer to itself (a cursor holding &w.dist would move it to the heap)
+// and its phases are begin/end pairs, not closures. The bounds are the
+// counts before the worker was written once (14 and 19); the root's
+// TestWarmJoinAllocations holds every column to Threads objects.
+func TestEagerRunAllocations(t *testing.T) {
+	w := gen.MicroStatic(4000, 4000, 4, 0, 9)
+	for _, c := range []struct {
+		alg core.Algorithm
+		max float64
+	}{{SHJ{}, 14}, {SHJ{JB: true}, 14}, {PMJ{}, 19}, {PMJ{JB: true}, 19}} {
+		cfg := core.RunConfig{Threads: 2, AtRest: true, Pool: pool.New()}
+		run := func() {
+			if _, err := core.Run(c.alg, w.R, w.S, 0, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pool
+		run()
+		got := testing.AllocsPerRun(20, run)
+		if got > c.max {
+			t.Errorf("%s: %.0f allocations per pooled run, want at most %.0f", c.alg.Name(), got, c.max)
+		} else {
+			t.Logf("%s: %.0f allocations per pooled run", c.alg.Name(), got)
+		}
+	}
+}
+
 func TestPMJSpillToDisk(t *testing.T) {
 	w := gen.MicroStatic(6000, 6000, 10, 0.2, 41)
 	want := expected(w.R, w.S)
