@@ -16,13 +16,21 @@ import (
 // two runs of one script differ only in the wall time core.Run measures
 // around them. It books no phase time, which only a clock read can;
 // metrics.TestCollectorResetEqualsNew covers a reset worker's phases.
+// With take it first takes a buffer, a table and a partitioner through
+// the context, and gives none of them back itself.
 type scriptAlg struct {
 	k    int64
 	fail bool
+	take bool
 }
 
 func (scriptAlg) Name() string { return "SCRIPT" }
 func (a scriptAlg) Run(ctx *ExecContext) error {
+	if a.take {
+		ctx.Tuples(0, 100)
+		ctx.Table(ctx.Threads-1, 100, 0)
+		ctx.Partitioner(ctx.Threads - 1)
+	}
 	for tid := 0; tid < ctx.Threads; tid++ {
 		tm := ctx.M.T(tid)
 		for i := int64(1); i <= 40; i++ {
@@ -113,32 +121,42 @@ func TestResultOutlivesItsCollector(t *testing.T) {
 }
 
 // TestFailedRunReturnsItsCollector: the pool retains as much after a run
-// whose algorithm failed as after a clean one, and the run after the
-// failure finds the collector.
+// whose algorithm failed as after a clean one — the collector, and what
+// the algorithm took through the context — and the run after the failure
+// finds the collector.
 func TestFailedRunReturnsItsCollector(t *testing.T) {
-	cfg := RunConfig{Threads: 2, AtRest: true, Pool: pool.New()}
-	if _, err := Run(scriptAlg{k: 2}, scriptInput, scriptInput, 10, cfg); err != nil {
-		t.Fatal(err)
-	}
-	afterClean := cfg.Pool.Stats()
-	if afterClean.RetainedBytes == 0 {
-		t.Fatal("a clean run left nothing in the pool")
-	}
-	if _, err := Run(scriptAlg{k: 3, fail: true}, scriptInput, scriptInput, 10, cfg); err == nil {
-		t.Fatal("scripted failure did not surface")
-	}
-	afterFailed := cfg.Pool.Stats()
-	if afterFailed.RetainedBytes != afterClean.RetainedBytes {
-		t.Errorf("pool retains %d B after a failed run, %d B after a clean one", afterFailed.RetainedBytes, afterClean.RetainedBytes)
-	}
-	res, err := Run(scriptAlg{k: 2}, scriptInput, scriptInput, 10, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pool.Hits[metrics.PoolCollector] != 1 {
-		t.Errorf("the run after a failed one allocated a collector: %+v", res.Pool)
-	}
-	if fresh, _ := Run(scriptAlg{k: 2}, scriptInput, scriptInput, 10, RunConfig{Threads: 2, AtRest: true}); !reflect.DeepEqual(stable(res), stable(fresh)) {
-		t.Errorf("run on the failed run's collector:\n%+v\nrun on a fresh one:\n%+v", stable(res), stable(fresh))
+	for _, take := range []bool{false, true} {
+		cfg := RunConfig{Threads: 2, AtRest: true, Pool: pool.New()}
+		if _, err := Run(scriptAlg{k: 2, take: take}, scriptInput, scriptInput, 10, cfg); err != nil {
+			t.Fatal(err)
+		}
+		afterClean := cfg.Pool.Stats()
+		if afterClean.RetainedBytes == 0 {
+			t.Fatal("a clean run left nothing in the pool")
+		}
+		if _, err := Run(scriptAlg{k: 3, fail: true, take: take}, scriptInput, scriptInput, 10, cfg); err == nil {
+			t.Fatal("scripted failure did not surface")
+		}
+		afterFailed := cfg.Pool.Stats()
+		if afterFailed.RetainedBytes != afterClean.RetainedBytes {
+			t.Errorf("take %v: pool retains %d B after a failed run, %d B after a clean one", take, afterFailed.RetainedBytes, afterClean.RetainedBytes)
+		}
+		if take {
+			for _, k := range []metrics.PoolKind{metrics.PoolTuples, metrics.PoolTable, metrics.PoolPartitioner} {
+				if d := afterFailed.Since(afterClean); d.Hits[k] != 1 || d.Misses[k] != 0 {
+					t.Errorf("the failed run took %s %d times from the pool and allocated %d; want the clean run's one back", k, d.Hits[k], d.Misses[k])
+				}
+			}
+		}
+		res, err := Run(scriptAlg{k: 2, take: take}, scriptInput, scriptInput, 10, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Pool.Hits[metrics.PoolCollector] != 1 {
+			t.Errorf("the run after a failed one allocated a collector: %+v", res.Pool)
+		}
+		if fresh, _ := Run(scriptAlg{k: 2, take: take}, scriptInput, scriptInput, 10, RunConfig{Threads: 2, AtRest: true}); !reflect.DeepEqual(stable(res), stable(fresh)) {
+			t.Errorf("run on the failed run's collector:\n%+v\nrun on a fresh one:\n%+v", stable(res), stable(fresh))
+		}
 	}
 }

@@ -104,16 +104,18 @@ type ExecContext struct {
 	// nil counts only (the paper measures the join process, not downstream
 	// consumption). Workers reach it through their Sink.
 	Out *Outbox
-	// Pool recycles per-window kernel state (hash tables, partitioner
+	// pool recycles per-window kernel state (hash tables, partitioner
 	// scratch, match buffers) across windows; Run always sets it (see
-	// internal/pool and PERFORMANCE.md).
-	Pool *pool.Pool
+	// internal/pool and PERFORMANCE.md). Workers take from it through the
+	// context (Tuples, Table, …), which records the take in held.
+	pool *pool.Pool
 
 	// What the run's frame keeps for the next call: the workers' sinks
-	// (NewSink) and timers (Sleep), the algorithms' run state (RunState),
-	// and Parallel's wait group and barrier.
+	// (NewSink), timers (Sleep) and pool takes (held), the algorithms'
+	// run state (RunState), and Parallel's wait group and barrier.
 	sinks   []Sink
 	timers  []*time.Timer
+	held    []held
 	states  []any
 	workers sync.WaitGroup
 	barrier sync.WaitGroup
@@ -224,9 +226,10 @@ func (ctx *ExecContext) Barrier() {
 
 // RunState returns the algorithm state of type T kept with ctx: the *T
 // an earlier call of the same algorithm left when ctx comes from a
-// pooled frame, else a new zero T. Call it before the workers start;
-// the algorithm resets whatever of it it reads, and leaves no caller or
-// pool memory referenced when it returns.
+// pooled frame, else a new zero T. It holds the per-call slices the
+// workers share, not pooled state (Run gives that back). Call it before
+// the workers start; the algorithm resets whatever of it it reads, and
+// leaves no caller or pool memory referenced when it returns.
 func RunState[T any](ctx *ExecContext) *T {
 	for _, st := range ctx.states {
 		if t, ok := st.(*T); ok {
@@ -272,7 +275,7 @@ func (f *frame) run() { f.done <- f.alg.Run(&f.ctx) }
 // tracer — and files the frame in p for the next call.
 func (f *frame) release(p *pool.Pool) {
 	clear(f.ctx.sinks)
-	f.ctx = ExecContext{sinks: f.ctx.sinks, timers: f.ctx.timers, states: f.ctx.states}
+	f.ctx = ExecContext{sinks: f.ctx.sinks, timers: f.ctx.timers, held: f.ctx.held, states: f.ctx.states}
 	f.out.emit, f.alg = nil, nil
 	p.PutFrame(f)
 }
@@ -395,9 +398,10 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		Knobs:    knobs,
 		Tracer:   cfg.Tracer,
 		Out:      cfg.Out,
-		Pool:     cfg.Pool,
+		pool:     cfg.Pool,
 		sinks:    sinks[:threads],
 		timers:   slices.Grow(ctx.timers[:0], threads)[:threads],
+		held:     slices.Grow(ctx.held[:0], threads)[:threads],
 		states:   ctx.states,
 	}
 	if ctx.Out == nil && cfg.Emit != nil {
@@ -417,6 +421,7 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		go f.run()
 		err = ctx.Out.serve(f.done)
 	}
+	ctx.giveBack()
 	if cfg.Out == nil {
 		ctx.Out.Close()
 	}

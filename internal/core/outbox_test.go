@@ -232,7 +232,7 @@ func TestEmitPanicFailsTheOutboxAndFreesTheWorkers(t *testing.T) {
 func emitRun(t *testing.T, p *pool.Pool, c *soloConsumer, workers, perWorker int) metrics.PoolStats {
 	t.Helper()
 	before := p.Stats()
-	ctx := &ExecContext{Threads: workers, Clock: fakeClock{now: 5}, M: metrics.NewCollector(workers), Pool: p}
+	ctx := &ExecContext{Threads: workers, Clock: fakeClock{now: 5}, M: metrics.NewCollector(workers), pool: p}
 	ctx.Out = NewOutbox(c.emit, p)
 	_ = serveWork(ctx.Out, func() error {
 		ctx.Parallel(func(tid int) {

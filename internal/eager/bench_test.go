@@ -26,13 +26,13 @@ func BenchmarkKernelJBRoute(b *testing.B) {
 			buf := make([]tuple.Tuple, 0, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d := newJB(2, 0, 1, keys, p)
+				d := newJB(2, 0, 1, keys, p.U32)
 				for _, c := range []cursor{{rel: rel[:keys/2], side: sideR}, {rel: rel[keys/2:], side: sideS}} {
 					for !c.done() {
 						buf, _ = c.batch(buf[:0], cap(buf), 0, true, &d)
 					}
 				}
-				d.release(p)
+				p.PutU32(d.status.cells)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/tuple")
 		})

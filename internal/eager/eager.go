@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashtable"
 	"repro/internal/metrics"
-	"repro/internal/pool"
 	"repro/internal/tuple"
 )
 
@@ -85,9 +84,9 @@ func newJM(threads, tid int) distribution {
 // keys to core groups; within a group R is replicated among the g members
 // and S is partitioned round-robin. g == 1 degenerates to strict hash
 // partitioning; g == threads to JM with an extra routing layer. The
-// router's status table is sized for maxKeys distinct keys and taken from
-// p; release hands it back.
-func newJB(threads, tid, g, maxKeys int, p *pool.Pool) distribution {
+// router's status table is sized for maxKeys distinct keys, its cells
+// taken with take.
+func newJB(threads, tid, g, maxKeys int, take func(n int) []uint32) distribution {
 	return distribution{
 		threads:   threads,
 		tid:       tid,
@@ -95,13 +94,9 @@ func newJB(threads, tid, g, maxKeys int, p *pool.Pool) distribution {
 		groupSize: g,
 		group:     tid / g,
 		member:    tid % g,
-		status:    newStatusTable(maxKeys, p),
+		status:    newStatusTable(maxKeys, take),
 	}
 }
-
-// release returns the router's pooled state; the distribution must not be
-// used afterwards.
-func (d *distribution) release(p *pool.Pool) { d.status.release(p) }
 
 // owns reports whether this worker processes the tuple t at position i of
 // stream sd. Keys route by the hash the hash tables place them with, so
@@ -235,7 +230,7 @@ func newWorker(ctx *core.ExecContext, tid int, jb bool, base uint64) worker {
 		atRest: ctx.Clock.AtRest(),
 	}
 	if jb {
-		w.dist = newJB(ctx.Threads, tid, ctx.Knobs.GroupSize, len(ctx.R)+len(ctx.S), ctx.Pool)
+		w.dist = newJB(ctx.Threads, tid, ctx.Knobs.GroupSize, len(ctx.R)+len(ctx.S), func(n int) []uint32 { return ctx.U32(tid, n) })
 	}
 	w.dist.tracer = ctx.Tracer
 	return w
@@ -285,10 +280,8 @@ func (w *worker) starved(pulled int) {
 	}
 }
 
-// close books and delivers the worker's last matches and returns the
-// router's pooled state.
+// close books and delivers the worker's last matches.
 func (w *worker) close() {
 	w.sink.Close()
-	w.dist.release(w.ctx.Pool)
 	w.ctx.EndPhase(w.tid)
 }

@@ -176,7 +176,7 @@ func TestDistributionOwnership(t *testing.T) {
 	})
 	for _, g := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("JB/g=%d", g), func(t *testing.T) {
-			check(t, g, func(tid int) distribution { return newJB(threads, tid, g, len(tuples), pool.New()) })
+			check(t, g, func(tid int) distribution { return newJB(threads, tid, g, len(tuples), pool.New().U32) })
 		})
 	}
 }
@@ -238,7 +238,7 @@ func TestJBStatusMaintenance(t *testing.T) {
 				var written int
 				tr := &statusWrites{}
 				for tid := 0; tid < threads; tid++ {
-					d := newJB(threads, tid, g, len(in.r)+len(in.s), pool.New())
+					d := newJB(threads, tid, g, len(in.r)+len(in.s), pool.New().U32)
 					d.tracer = tr
 					for _, c := range []*cursor{{rel: in.r, side: sideR}, {rel: in.s, side: sideS}} {
 						for !c.done() {
@@ -436,7 +436,7 @@ func TestStatusTableSize(t *testing.T) {
 	// At the documented worst case — every key distinct, load exactly one
 	// half — every write still finds a slot; a slot is two cells.
 	const n = 1024
-	st := newStatusTable(n, pool.New())
+	st := newStatusTable(n, pool.New().U32)
 	if len(st.cells) != 4*n || st.mask != 4*n-1 {
 		t.Fatalf("%d keys: %d cells, mask %#x; want %d slots of two cells", n, len(st.cells), st.mask, 2*n)
 	}
@@ -458,7 +458,7 @@ func TestStatusTableRecordsLikeAMap(t *testing.T) {
 	p := pool.New()
 	for round := 0; round < 3; round++ {
 		const n = 3000
-		st := newStatusTable(n, p)
+		st := newStatusTable(n, p.U32)
 		want := map[int32]int32{}
 		for i := 0; i < n; {
 			// Runs of 1 to 2*statusBlock writes per group: full blocks and
@@ -478,7 +478,7 @@ func TestStatusTableRecordsLikeAMap(t *testing.T) {
 		if got := st.recorded(); !maps.Equal(got, want) {
 			t.Fatalf("round %d: the table records %d keys unlike the map's %d", round, len(got), len(want))
 		}
-		st.release(p)
+		p.PutU32(st.cells)
 	}
 	// A round takes one array: key and group share it.
 	if misses := p.Stats().Misses[metrics.PoolU32]; misses != 1 {

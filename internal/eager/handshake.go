@@ -1,8 +1,6 @@
 package eager
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/tuple"
@@ -109,7 +107,7 @@ func (Handshake) Run(ctx *core.ExecContext) error {
 		}
 		seq++
 		for !ctx.Avail(msg.t.TS) {
-			time.Sleep(stall)
+			ctx.Sleep(0, stall) // no cell sleeps, so timer 0 is the driver's
 		}
 		entry := 0
 		if !msg.fromR {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/pool"
 	"repro/internal/sortmerge"
 	"repro/internal/tuple"
 )
@@ -27,11 +26,10 @@ import (
 // the merge phase — the original PMJ's behaviour before the paper moved
 // runs to main memory for modern hardware.
 //
-// The accumulation buffers (which become the runs) and the sort scratch
-// come from the window pool and go back to it when every worker has
-// finished — a spilled run's as soon as it is on disk — and the spill
-// reload buffers when their worker's merge ends, so steady-state windows
-// allocate none of them.
+// The accumulation buffers (which become the runs), the sort scratch and
+// the spill reload buffers come from the run's pool and go back when the
+// run ends — a spilled run's as soon as it is on disk — so steady-state
+// windows allocate none of them.
 type PMJ struct {
 	// JB selects the join-biclique scheme; false selects join-matrix.
 	JB bool
@@ -53,10 +51,10 @@ type run struct {
 	nr, ns int
 }
 
-// spill writes the run pair to a temp file and hands the in-memory copies
-// back to the pool, as the original disk-based PMJ frees its memory. On
-// failure the run stays in memory.
-func (ru *run) spill(dir string, p *pool.Pool) error {
+// spill writes the run pair to a temp file and gives worker tid's
+// in-memory copies back to the pool, as the original disk-based PMJ frees
+// its memory. On failure the run stays in memory.
+func (ru *run) spill(dir string, ctx *core.ExecContext, tid int) error {
 	f, err := os.CreateTemp(dir, "pmjrun-*.bin")
 	if err != nil {
 		return err
@@ -76,22 +74,22 @@ func (ru *run) spill(dir string, p *pool.Pool) error {
 		return err
 	}
 	ru.path, ru.nr, ru.ns = f.Name(), len(ru.r), len(ru.s)
-	p.PutTuples(ru.r)
-	p.PutTuples(ru.s)
+	ctx.PutTuples(tid, ru.r)
+	ctx.PutTuples(tid, ru.s)
 	ru.r, ru.s = nil, nil
 	return nil
 }
 
 // spillReader re-reads spilled runs in the merge phase into two buffers a
-// worker takes from the pool once, sized for its largest run.
+// worker takes once, sized for its largest run.
 type spillReader struct {
 	br         *bufio.Reader
 	bufR, bufS tuple.Relation
 }
 
-// newSpillReader sizes the reload buffers for runs; without a spilled run
-// it takes nothing from the pool.
-func newSpillReader(runs []run, p *pool.Pool) spillReader {
+// newSpillReader sizes worker tid's reload buffers for runs; without a
+// spilled run it takes nothing from the pool.
+func newSpillReader(runs []run, ctx *core.ExecContext, tid int) spillReader {
 	maxR, maxS := 0, 0
 	for i := range runs {
 		maxR, maxS = max(maxR, runs[i].nr), max(maxS, runs[i].ns)
@@ -99,12 +97,7 @@ func newSpillReader(runs []run, p *pool.Pool) spillReader {
 	if maxR+maxS == 0 {
 		return spillReader{}
 	}
-	return spillReader{br: bufio.NewReader(nil), bufR: p.Tuples(maxR), bufS: p.Tuples(maxS)}
-}
-
-func (sr *spillReader) release(p *pool.Pool) {
-	p.PutTuples(sr.bufR)
-	p.PutTuples(sr.bufS)
+	return spillReader{br: bufio.NewReader(nil), bufR: ctx.Tuples(tid, maxR), bufS: ctx.Tuples(tid, maxS)}
 }
 
 // loadR returns the run's R subset: itself for an in-memory run, re-read
@@ -148,7 +141,7 @@ type pmjWorker struct {
 	runs                []run
 	curR, curS, scratch tuple.Relation
 	// err is the first spill or reload failure. The worker carries on past
-	// it, so every buffer and file it holds is still released.
+	// it, so every file it wrote is still removed.
 	err error
 }
 
@@ -159,45 +152,29 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 	st := core.RunState[pmjRun](ctx)
 	st.errs = slices.Grow(st.errs[:0], ctx.Threads)[:ctx.Threads]
 	st.runs = slices.Grow(st.runs[:0], ctx.Threads)[:ctx.Threads]
-	st.held = slices.Grow(st.held[:0], ctx.Threads)[:ctx.Threads]
-	ctx.Parallel(func(tid int) { st.errs[tid] = a.work(ctx, tid, &st.runs[tid], &st.held[tid]) })
+	ctx.Parallel(func(tid int) { st.errs[tid] = a.work(ctx, tid, &st.runs[tid]) })
 	ctx.M.MemSampleNow(ctx.NowMs())
-	st.release(ctx.Pool)
+	for tid, runs := range st.runs {
+		clear(runs)
+		st.runs[tid] = runs[:0]
+	}
 	err := errors.Join(st.errs...)
 	clear(st.errs)
 	return err
 }
 
 // pmjRun is the state PMJ keeps across calls (core.RunState): every
-// worker's error, and its runs and its other buffers until every worker
-// has finished. They go back to the pool together, so what a call holds
-// at its peak — every worker's runs — does not depend on how the workers
-// overlapped.
+// worker's error and its list of runs, whose buffers the run holds until
+// every worker has finished, so what a call holds at its peak — every
+// worker's runs — does not depend on how the workers overlapped.
 type pmjRun struct {
 	errs []error
 	runs [][]run
-	held [][3]tuple.Relation
-}
-
-// release hands every worker's buffers back to the pool.
-func (st *pmjRun) release(p *pool.Pool) {
-	for tid, runs := range st.runs {
-		for i := range runs {
-			p.PutTuples(runs[i].r)
-			p.PutTuples(runs[i].s)
-		}
-		clear(runs)
-		st.runs[tid] = runs[:0]
-		for _, buf := range st.held[tid] {
-			p.PutTuples(buf)
-		}
-	}
-	clear(st.held)
 }
 
 // work is worker tid's whole join; it returns the worker's first failure.
-// It leaves its runs in runs and its other buffers in held.
-func (a PMJ) work(ctx *core.ExecContext, tid int, runs *[]run, held *[3]tuple.Relation) error {
+// It leaves its runs in runs.
+func (a PMJ) work(ctx *core.ExecContext, tid int, runs *[]run) error {
 	p := pmjWorker{worker: newWorker(ctx, tid, a.JB, 1<<47)}
 	bsz := ctx.Knobs.BatchSize
 
@@ -211,8 +188,8 @@ func (a PMJ) work(ctx *core.ExecContext, tid int, runs *[]run, held *[3]tuple.Re
 	// A run is sealed per step tuples of the expected input, plus the
 	// final partial one: sized once, not grown run by run.
 	p.runs = slices.Grow((*runs)[:0], expected/p.step+2)
-	p.curR, p.curS = ctx.Pool.Tuples(p.runCap), ctx.Pool.Tuples(p.runCap)
-	p.scratch = ctx.Pool.Tuples(p.runCap)
+	p.curR, p.curS = ctx.Tuples(tid, p.runCap), ctx.Tuples(tid, p.runCap)
+	p.scratch = ctx.Tuples(tid, p.runCap)
 
 	for p.next() {
 		before := len(p.curR) + len(p.curS)
@@ -239,7 +216,7 @@ func (a PMJ) work(ctx *core.ExecContext, tid int, runs *[]run, held *[3]tuple.Re
 			os.Remove(p.runs[i].path)
 		}
 	}
-	*runs, *held = p.runs, [3]tuple.Relation{p.curR, p.curS, p.scratch}
+	*runs = p.runs
 	ctx.M.MemAdd(p.dist.statusBytes())
 	p.close()
 	return p.err
@@ -268,8 +245,8 @@ func (p *pmjWorker) seal() {
 	// run's buffers to another worker.
 	p.curR, p.curS = nil, nil
 	if more {
-		p.curR = append(ctx.Pool.Tuples(p.runCap), r[len(r):len(r)+over-overS]...)
-		p.curS = append(ctx.Pool.Tuples(p.runCap), s[len(s):len(s)+overS]...)
+		p.curR = append(ctx.Tuples(p.tid, p.runCap), r[len(r):len(r)+over-overS]...)
+		p.curS = append(ctx.Tuples(p.tid, p.runCap), s[len(s):len(s)+overS]...)
 	}
 	n := len(r) + len(s)
 	base := uint64(p.tid)<<40 | uint64(len(p.runs))<<24
@@ -285,7 +262,7 @@ func (p *pmjWorker) seal() {
 	ru := run{r: r, s: s}
 	if dir := ctx.Knobs.SpillDir; dir != "" {
 		p.begin(metrics.PhaseOther)
-		if err := ru.spill(dir, ctx.Pool); err != nil && p.err == nil {
+		if err := ru.spill(dir, ctx, p.tid); err != nil && p.err == nil {
 			p.err = fmt.Errorf("eager: pmj spill: %w", err)
 		}
 		p.end(0)
@@ -304,8 +281,7 @@ func (p *pmjWorker) seal() {
 // disk revisit cost.
 func (p *pmjWorker) merge() error {
 	p.sink.Refresh()
-	sr := newSpillReader(p.runs, p.ctx.Pool)
-	defer sr.release(p.ctx.Pool)
+	sr := newSpillReader(p.runs, p.ctx, p.tid)
 	for i := range p.runs {
 		ri, err := sr.loadR(&p.runs[i])
 		if err != nil {

@@ -1,8 +1,6 @@
 package eager
 
 import (
-	"slices"
-
 	"repro/internal/core"
 	"repro/internal/hashtable"
 	"repro/internal/metrics"
@@ -19,8 +17,8 @@ import (
 // Each pulled batch runs through the batched kernel APIs (InsertBatch /
 // ProbeRuns): one call per batch instead of one per tuple, and no
 // per-probe emit closure. Both per-worker tables and all batch buffers
-// come from the window pool and go back once every worker has finished,
-// so steady-state windows join with zero allocations (PERFORMANCE.md).
+// come from the run's pool and go back when the run ends, so
+// steady-state windows join with zero allocations (PERFORMANCE.md).
 type SHJ struct {
 	// JB selects the join-biclique scheme; false selects join-matrix.
 	JB bool
@@ -38,13 +36,11 @@ func (a SHJ) Name() string {
 // interleaved build/probe of Figure 1a over the batch it pulled.
 func (a SHJ) Run(ctx *core.ExecContext) error {
 	bsz := ctx.Knobs.BatchSize
-	st := core.RunState[shjRun](ctx)
-	st.held = slices.Grow(st.held[:0], ctx.Threads)[:ctx.Threads]
 	ctx.Parallel(func(tid int) {
 		w := newWorker(ctx, tid, a.JB, 1<<46)
 
-		rtab := ctx.Pool.Table(max(len(ctx.R)/w.dist.estOwnersR(), 16), 0)
-		stab := ctx.Pool.Table(max(len(ctx.S)/ctx.Threads, 16), 0)
+		rtab := ctx.Table(tid, max(len(ctx.R)/w.dist.estOwnersR(), 16), 0)
+		stab := ctx.Table(tid, max(len(ctx.S)/ctx.Threads, 16), 0)
 		if ctx.Tracer != nil {
 			rtab.SetTracer(ctx.Tracer, uint64(tid)<<40|1<<48)
 			stab.SetTracer(ctx.Tracer, uint64(tid)<<40|1<<49)
@@ -52,9 +48,9 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 		memLast := rtab.MemBytes() + stab.MemBytes()
 		ctx.M.MemAdd(memLast)
 
-		rbuf := ctx.Pool.Tuples(bsz)
-		sbuf := ctx.Pool.Tuples(bsz)
-		hits := ctx.Pool.Hits(bsz)
+		rbuf := ctx.Tuples(tid, bsz)
+		sbuf := ctx.Tuples(tid, bsz)
+		hits := ctx.Hits(tid, bsz)
 		for rounds := 1; w.next(); rounds++ {
 			// Pull a batch from R: insert into the R table, probe the
 			// S table (interleaved build and probe).
@@ -80,39 +76,14 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 				}
 			}
 		}
-		// Each worker clears its own tables; the pool's Reset at the put
-		// then finds nothing dirty.
+		// Each worker clears its own tables; the pool's Reset when the
+		// run gives them back then finds nothing dirty.
 		rtab.Reset()
 		stab.Reset()
-		st.held[tid] = shjHeld{rtab: rtab, stab: stab, rbuf: rbuf, sbuf: sbuf, hits: hits}
 		w.close()
 	})
 	ctx.M.MemSampleNow(ctx.NowMs())
-	for i := range st.held {
-		h := &st.held[i]
-		ctx.Pool.PutTuples(h.rbuf)
-		ctx.Pool.PutTuples(h.sbuf)
-		ctx.Pool.PutHits(h.hits)
-		ctx.Pool.PutTable(h.rtab)
-		ctx.Pool.PutTable(h.stab)
-		*h = shjHeld{}
-	}
 	return nil
-}
-
-// shjRun is the state SHJ keeps across calls (core.RunState): what every
-// worker took from the pool, held until every worker has finished so
-// that what a call holds at its peak does not depend on how the workers
-// overlapped.
-type shjRun struct {
-	held []shjHeld
-}
-
-// shjHeld is one worker's tables and buffers.
-type shjHeld struct {
-	rtab, stab *hashtable.Table
-	rbuf, sbuf []tuple.Tuple
-	hits       []hashtable.Hit
 }
 
 // insertProbe inserts a pulled batch into its own stream's table, then

@@ -1,10 +1,6 @@
 package eager
 
-import (
-	"math/bits"
-
-	"repro/internal/pool"
-)
+import "math/bits"
 
 // statusTable is the JB router's dispatch record, key → core group: a
 // flat open-addressing table whose slot i is the pair cells[2i] (the key)
@@ -25,12 +21,12 @@ func statusSlots(maxKeys int) int {
 	return 1 << bits.Len(uint(max(2*maxKeys, 1)-1))
 }
 
-// newStatusTable takes a table for up to maxKeys distinct keys from p. It
-// is sized once (statusSlots), so a write never grows the table or fails
-// to find a slot.
-func newStatusTable(maxKeys int, p *pool.Pool) statusTable {
+// newStatusTable builds a table for up to maxKeys distinct keys on cells
+// taken with take. It is sized once (statusSlots), so a write never grows
+// the table or fails to find a slot.
+func newStatusTable(maxKeys int, take func(n int) []uint32) statusTable {
 	n := 2 * statusSlots(maxKeys)
-	t := statusTable{cells: p.U32(n)[:n], mask: uint32(n - 1)}
+	t := statusTable{cells: take(n)[:n], mask: uint32(n - 1)}
 	clear(t.cells)
 	return t
 }
@@ -110,10 +106,4 @@ func (t *statusTable) write(keys []int32, hashes []uint32, val uint32) {
 			}
 		}
 	}
-}
-
-// release returns the table's array to p.
-func (t *statusTable) release(p *pool.Pool) {
-	p.PutU32(t.cells)
-	*t = statusTable{}
 }

@@ -1,6 +1,7 @@
 package joins
 
 import (
+	"go/build"
 	"slices"
 	"strings"
 	"testing"
@@ -27,6 +28,26 @@ func TestTable(t *testing.T) {
 	for _, name := range []string{"", "NOPE", "npj", "NPJ_LF"} {
 		if alg, err := New(name); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
 			t.Errorf("New(%q) = %v, %v; want the unknown-algorithm error", name, alg, err)
+		}
+	}
+}
+
+// TestAlgorithmsDoNotImportThePool pins the boundary the run frame keeps:
+// the algorithms take pooled state through core.ExecContext, which
+// records every take and gives it all back when the run ends, so no
+// algorithm can hold, or give back, what the run does not see. The
+// packages' tests may still build pools of their own.
+func TestAlgorithmsDoNotImportThePool(t *testing.T) {
+	for _, dir := range []string{"../lazy", "../eager"} {
+		pkg, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case !slices.Contains(pkg.Imports, "repro/internal/core"):
+			t.Errorf("%s: package %s imports %v, not core: not an algorithm package", dir, pkg.Name, pkg.Imports)
+		case slices.Contains(pkg.Imports, "repro/internal/pool"):
+			t.Errorf("%s imports repro/internal/pool; take pooled state through core.ExecContext", dir)
 		}
 	}
 }

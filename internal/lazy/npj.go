@@ -15,10 +15,10 @@ import (
 // Build and probe run through the batched kernel APIs (InsertBatch /
 // ProbeRuns): one call per worker chunk instead of one per tuple, and a
 // probe's matches handed to the sink as one run — the stored tuples of its
-// key — not one at a time. With a window-state pool attached
-// (core.RunConfig.Pool) the shared table and the per-worker hit buffers
-// are recycled across windows, so steady-state windows build and probe
-// with zero allocations (PERFORMANCE.md).
+// key — not one at a time. The shared table and the per-worker hit
+// buffers come from the run's pool (core.RunConfig.Pool) and go back when
+// the run ends, so steady-state windows build and probe with zero
+// allocations (PERFORMANCE.md).
 type NPJ struct{}
 
 // Name implements core.Algorithm.
@@ -27,7 +27,7 @@ func (NPJ) Name() string { return "NPJ" }
 // Run implements core.Algorithm. The per-tuple work is in the table
 // kernels and the sink's run walk; this is per-chunk orchestration.
 func (NPJ) Run(ctx *core.ExecContext) error {
-	table := ctx.Pool.Shared(len(ctx.R))
+	table := ctx.Shared(len(ctx.R))
 	if ctx.Tracer != nil {
 		table.SetTracer(ctx.Tracer, 1<<42)
 	}
@@ -48,7 +48,7 @@ func (NPJ) Run(ctx *core.ExecContext) error {
 		k := core.NewSink(ctx, tid)
 		lo, hi = core.Chunk(len(ctx.S), ctx.Threads, tid)
 		tm.AddTuples(int64(hi - lo))
-		hits := ctx.Pool.Hits(matchBatch)
+		hits := ctx.Hits(tid, matchBatch)
 		for rest := ctx.S[lo:hi]; len(rest) > 0; {
 			blk := rest[:min(matchBatch, len(rest))]
 			rest = rest[len(blk):]
@@ -57,11 +57,9 @@ func (NPJ) Run(ctx *core.ExecContext) error {
 			k.Hits(hits, true)
 		}
 		k.Close()
-		ctx.Pool.PutHits(hits)
 		ctx.EndPhase(tid)
 	})
 	ctx.M.MemAdd(table.MemBytes() - baseMem) // overflow buckets and the arena, grown at build
 	ctx.M.MemSampleNow(ctx.NowMs())
-	ctx.Pool.PutShared(table)
 	return nil
 }

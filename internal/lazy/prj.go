@@ -25,27 +25,24 @@ import (
 // per-partition tables index on the hash bits *above* the radix — every
 // key in a partition shares the low #r hash bits, so indexing on them
 // would collapse the partition into a handful of chains. All kernel state
-// comes from the window pool when one is attached.
+// comes from the run's pool.
 type PRJ struct{}
 
 // Name implements core.Algorithm.
 func (PRJ) Name() string { return "PRJ" }
 
 // prjRun is the state PRJ's workers share, kept across calls
-// (core.RunState): every worker's two partitioners, R's then S's chunk;
-// the partitions and their hashes, per side and worker, which alias the
-// partitioners' buffers until all workers finish; and the dynamic
-// partition queue of the join phase.
+// (core.RunState): the partitions and their hashes, per side and worker,
+// which alias the workers' partitioners' buffers until the run ends; and
+// the dynamic partition queue of the join phase.
 type prjRun struct {
-	parters []*radix.Partitioner
-	parts   [2][][]tuple.Relation
-	hashes  [2][][][]uint32
-	next    atomic.Int64
+	parts  [2][][]tuple.Relation
+	hashes [2][][][]uint32
+	next   atomic.Int64
 }
 
 // size readies the state for a run of threads workers.
 func (st *prjRun) size(threads int) {
-	st.parters = slices.Grow(st.parters[:0], 2*threads)[:2*threads]
 	for i := range st.parts {
 		st.parts[i] = slices.Grow(st.parts[i][:0], threads)[:threads]
 		st.hashes[i] = slices.Grow(st.hashes[i][:0], threads)[:threads]
@@ -53,9 +50,8 @@ func (st *prjRun) size(threads int) {
 	st.next.Store(0)
 }
 
-// clear drops the run's references to pooled partitioners.
+// clear drops the run's references to the partitioners' buffers.
 func (st *prjRun) clear() {
-	clear(st.parters)
 	for i := range st.parts {
 		clear(st.parts[i])
 		clear(st.hashes[i])
@@ -79,9 +75,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 		// Phase 1: physically partition this thread's chunks, hashing
 		// each key once.
 		ctx.Begin(tid, metrics.PhasePartition)
-		pr := ctx.Pool.Partitioner()
-		ps := ctx.Pool.Partitioner()
-		st.parters[2*tid], st.parters[2*tid+1] = pr, ps
+		pr, ps := ctx.Partitioner(tid), ctx.Partitioner(tid)
 		lo, hi := core.Chunk(len(ctx.R), ctx.Threads, tid)
 		tm.AddTuples(int64(hi - lo))
 		st.parts[0][tid], st.hashes[0][tid] = pr.PartitionHashed(ctx.R[lo:hi], bits, ctx.Tracer, 0)
@@ -96,7 +90,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 		// Phase 2: cache-resident hash join per partition, partitions
 		// handed out dynamically.
 		k := core.NewSink(ctx, tid)
-		hits := ctx.Pool.Hits(matchBatch)
+		hits := ctx.Hits(tid, matchBatch)
 		for {
 			p := int(st.next.Add(1)) - 1
 			if p >= fanout {
@@ -111,7 +105,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 				continue
 			}
 			tm.AddTuples(int64(nR))
-			table := ctx.Pool.Table(nR, bits)
+			table := ctx.Table(tid, nR, bits)
 			if ctx.Tracer != nil {
 				table.SetTracer(ctx.Tracer, uint64(p)<<22|1<<40)
 			}
@@ -134,17 +128,11 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 				}
 			}
 			ctx.M.MemAdd(-table.MemBytes()) // partition table released
-			ctx.Pool.PutTable(table)
+			ctx.PutTable(tid, table)
 		}
 		k.Close()
-		ctx.Pool.PutHits(hits)
 		ctx.EndPhase(tid)
 	})
-	// The partitions are the partitioners' buffers; every worker is done
-	// with them now.
-	for _, pr := range st.parters {
-		ctx.Pool.PutPartitioner(pr)
-	}
 	st.clear()
 	ctx.M.MemSampleNow(ctx.NowMs())
 	return nil

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/pool"
 	"repro/internal/sortmerge"
 	"repro/internal/tuple"
 )
@@ -36,17 +35,13 @@ func (MPass) Name() string { return "MPASS" }
 func (MPass) Run(ctx *core.ExecContext) error { return runSortJoin(ctx, false) }
 
 // sortRun is the state the sort joins' workers share, kept across calls
-// (core.RunState): every worker's sorted chunk copies of R and S, its
-// sort scratch and four merge buffers — the ping-pong pair of R, then of
-// S (MWay, and MPass up to two runs, use one of a pair) — its splitter
-// sample and its key range's slices of the runs. The buffers go back to
-// the pool once every worker has finished, so what a call holds at its
-// peak does not depend on how the workers overlapped.
+// (core.RunState): every worker's sorted chunk copies of R and S, and its
+// key range's slices of the runs. Every buffer goes back to the pool when
+// the run ends — every worker's merge reads every worker's runs — so what
+// a call holds at its peak does not depend on how the workers overlapped.
 type sortRun struct {
-	runs    [2][]tuple.Relation
-	bufs    []tuple.Relation
-	samples [][]uint32
-	ranges  [][]tuple.Relation
+	runs   [2][]tuple.Relation
+	ranges [][]tuple.Relation
 }
 
 // size readies the state for a run of threads workers.
@@ -54,29 +49,14 @@ func (st *sortRun) size(threads int) {
 	for i := range st.runs {
 		st.runs[i] = slices.Grow(st.runs[i][:0], threads)[:threads]
 	}
-	st.bufs = slices.Grow(st.bufs[:0], bufsPerWorker*threads)[:bufsPerWorker*threads]
-	st.samples = slices.Grow(st.samples[:0], threads)[:threads]
 	st.ranges = slices.Grow(st.ranges[:0], threads)[:threads]
 }
 
-// release hands every worker's buffers back to the pool once all workers
-// have finished — every worker's merge read every worker's runs — and
-// drops the run's references to them.
-func (st *sortRun) release(p *pool.Pool) {
+// clear drops the run's references to the buffers.
+func (st *sortRun) clear() {
 	for i := range st.runs {
-		for _, run := range st.runs[i] {
-			p.PutTuples(run)
-		}
 		clear(st.runs[i])
 	}
-	for _, buf := range st.bufs {
-		p.PutTuples(buf)
-	}
-	clear(st.bufs)
-	for _, sample := range st.samples {
-		p.PutU32(sample)
-	}
-	clear(st.samples)
 	for i := range st.ranges {
 		clear(st.ranges[i])
 	}
@@ -88,8 +68,8 @@ func (st *sortRun) release(p *pool.Pool) {
 // across key ranges), and a final parallel merge join. Everything that
 // scales with the window — the physical chunk copies, the sort scratch,
 // the merge outputs (two ping-pong buffers a side for MPass once a range
-// spans more than two runs) — comes from the window pool and is recycled
-// once all workers finish.
+// spans more than two runs) — comes from the run's pool and goes back when
+// the run ends.
 func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 	st := core.RunState[sortRun](ctx)
 	st.size(ctx.Threads)
@@ -104,10 +84,10 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		// step of MWay/MPass).
 		ctx.Begin(tid, metrics.PhasePartition)
 		lo, hi := core.Chunk(len(ctx.R), tcount, tid)
-		runsR[tid] = ctx.Pool.Tuples(hi - lo)[:hi-lo]
+		runsR[tid] = ctx.Tuples(tid, hi-lo)[:hi-lo]
 		copy(runsR[tid], ctx.R[lo:hi])
 		lo, hi = core.Chunk(len(ctx.S), tcount, tid)
-		runsS[tid] = ctx.Pool.Tuples(hi - lo)[:hi-lo]
+		runsS[tid] = ctx.Tuples(tid, hi-lo)[:hi-lo]
 		copy(runsS[tid], ctx.S[lo:hi])
 		tm.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
 		ctx.M.MemAdd(int64(len(runsR[tid])+len(runsS[tid])) * 16)
@@ -115,36 +95,35 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		// Sort the local runs.
 		ctx.Begin(tid, metrics.PhaseBuildSort)
 		tm.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
-		bufs := st.bufs[bufsPerWorker*tid : bufsPerWorker*(tid+1)]
-		bufs[4] = ctx.Pool.Tuples(max(len(runsR[tid]), len(runsS[tid])))
-		sortmerge.SortByKeyScratch(runsR[tid], bufs[4], !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32)
-		sortmerge.SortByKeyScratch(runsS[tid], bufs[4], !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32|1<<31)
+		scratch := ctx.Tuples(tid, max(len(runsR[tid]), len(runsS[tid])))
+		sortmerge.SortByKeyScratch(runsR[tid], scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32)
+		sortmerge.SortByKeyScratch(runsS[tid], scratch, !ctx.Knobs.ScalarSort, ctx.Tracer, uint64(tid)<<32|1<<31)
 		ctx.Begin(tid, metrics.PhaseOther)
 		ctx.Barrier()
 		// Every worker derives the same splitters from the same sample.
-		st.samples[tid] = ctx.Pool.U32(splitterScratch(tcount))
-		splitters := computeSplitters(runsR, runsS, tcount, st.samples[tid])
+		splitters := computeSplitters(runsR, runsS, tcount, ctx.U32(tid, splitterScratch(tcount)))
 
 		// Merge this thread's key range across all runs.
 		ctx.Begin(tid, metrics.PhaseMerge)
-		merge := func(runs []tuple.Relation, buf []tuple.Relation) tuple.Relation {
+		merge := func(runs []tuple.Relation) tuple.Relation {
 			ranges := rangeSlices(st.ranges[tid][:0], runs, splitters, tid)
 			st.ranges[tid] = ranges
 			total := 0
 			for _, rg := range ranges {
 				total += len(rg)
 			}
-			buf[0] = ctx.Pool.Tuples(total)
+			dst := ctx.Tuples(tid, total)
 			if multiway {
-				return sortmerge.MultiwayMergeInto(buf[0], ranges)
+				return sortmerge.MultiwayMergeInto(dst, ranges)
 			}
+			var other tuple.Relation
 			if len(ranges) > 2 {
-				buf[1] = ctx.Pool.Tuples(total) // a second pass needs the other buffer
+				other = ctx.Tuples(tid, total) // a second pass needs the other buffer
 			}
-			return sortmerge.TwoWayMergePassesInto(buf[0], buf[1], ranges)
+			return sortmerge.TwoWayMergePassesInto(dst, other, ranges)
 		}
-		mergedR := merge(runsR, bufs[0:2])
-		mergedS := merge(runsS, bufs[2:4])
+		mergedR := merge(runsR)
+		mergedS := merge(runsS)
 		tm.AddTuples(int64(len(mergedR) + len(mergedS)))
 		ctx.M.MemAdd(int64(len(mergedR)+len(mergedS)) * 16)
 
@@ -156,15 +135,10 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		k.Close()
 		ctx.EndPhase(tid)
 	})
-	st.release(ctx.Pool)
+	st.clear()
 	ctx.M.MemSampleNow(ctx.NowMs())
 	return nil
 }
-
-// bufsPerWorker is how many tuple buffers a sort-join worker holds
-// besides its run copies: the merge ping-pong pairs of R and S, and the
-// sort scratch.
-const bufsPerWorker = 5
 
 // samplesPerRun bounds the keys computeSplitters samples from one run.
 const samplesPerRun = 64
