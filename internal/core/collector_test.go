@@ -28,7 +28,7 @@ func (scriptAlg) Name() string { return "SCRIPT" }
 func (a scriptAlg) Run(ctx *ExecContext) error {
 	if a.take {
 		ctx.Tuples(0, 100)
-		ctx.Table(ctx.Threads-1, 100, 0)
+		ctx.Table(ctx.Threads-1, 100)
 		ctx.Partitioner(ctx.Threads - 1)
 	}
 	for tid := 0; tid < ctx.Threads; tid++ {

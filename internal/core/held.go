@@ -43,9 +43,9 @@ func (ctx *ExecContext) Hits(tid, n int) []hashtable.Hit {
 // U32 takes an empty uint32 scratch slice of capacity at least n for worker tid.
 func (ctx *ExecContext) U32(tid, n int) []uint32 { return hold(&ctx.held[tid].u32s, ctx.pool.U32(n)) }
 
-// Table takes a single-writer table for n tuples, hash shift shift, for worker tid.
-func (ctx *ExecContext) Table(tid, n, shift int) *hashtable.Table {
-	return hold(&ctx.held[tid].tables, ctx.pool.Table(n, shift))
+// Table takes a single-writer table for n tuples for worker tid.
+func (ctx *ExecContext) Table(tid, n int) *hashtable.Table {
+	return hold(&ctx.held[tid].tables, ctx.pool.Table(n))
 }
 
 // Shared takes a concurrently writable table for n tuples. Call it before

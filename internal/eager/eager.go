@@ -36,7 +36,8 @@ type distribution struct {
 	threads int
 	tid     int
 	// JB parameters; groups == 0 selects JM. group is this worker's core
-	// group, member its place among the group's groupSize workers.
+	// group, member its place among the group's groupSize workers — g of
+	// them, fewer in a last group that Threads mod g workers make up.
 	groups    int
 	groupSize int
 	group     int
@@ -81,18 +82,20 @@ func newJM(threads, tid int) distribution {
 
 // newJB builds the join-biclique assignment with group size g (in
 // [1, threads]: core.Run validates the knob): content-sensitive routing of
-// keys to core groups; within a group R is replicated among the g members
-// and S is partitioned round-robin. g == 1 degenerates to strict hash
-// partitioning; g == threads to JM with an extra routing layer. The
-// router's status table is sized for maxKeys distinct keys, its cells
-// taken with take.
+// keys to ⌈threads/g⌉ core groups of g consecutive workers, the last one
+// short when g does not divide threads; within a group R is replicated
+// among its members and S is partitioned round-robin. g == 1 degenerates
+// to strict hash partitioning; g == threads to JM with an extra routing
+// layer. The router's status table is sized for maxKeys distinct keys, its
+// cells taken with take.
 func newJB(threads, tid, g, maxKeys int, take func(n int) []uint32) distribution {
+	group := tid / g
 	return distribution{
 		threads:   threads,
 		tid:       tid,
-		groups:    threads / g,
-		groupSize: g,
-		group:     tid / g,
+		groups:    (threads + g - 1) / g,
+		groupSize: min(g, threads-group*g),
+		group:     group,
 		member:    tid % g,
 		status:    newStatusTable(maxKeys, take),
 	}
@@ -118,9 +121,10 @@ func (d *distribution) owns(sd side, i int, t tuple.Tuple) bool {
 		}
 		return false
 	}
-	// Within the group S goes to one member by position, and of R's g
-	// replicas the member S's rule picks records the status: across all
-	// workers each dispatched tuple is written exactly once.
+	// Within the group S goes to one member by position, and of R's
+	// replicas — one per member — the member S's rule picks records the
+	// status: across all workers each dispatched tuple is written exactly
+	// once.
 	writes := i%d.groupSize == d.member
 	if d.tracer != nil {
 		d.trace(h, writes)

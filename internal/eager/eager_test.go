@@ -38,21 +38,85 @@ func staticRun(t *testing.T, alg core.Algorithm, w gen.Workload, threads int, kn
 	return res.Matches
 }
 
+// raggedJB are JB configurations whose g does not divide Threads: the
+// last group has Threads mod g members.
+var raggedJB = [][2]int{{3, 2}, {5, 2}, {6, 4}}
+
 func TestSHJJBGroupSizes(t *testing.T) {
 	w := gen.MicroStatic(3000, 3000, 8, 0.3, 17)
 	want := expected(w.R, w.S)
+	var cases [][2]int
 	for _, threads := range []int{2, 4, 8} {
 		for _, g := range []int{1, 2, 4} {
-			if g > threads {
-				continue
+			if g <= threads {
+				cases = append(cases, [2]int{threads, g})
 			}
-			t.Run(fmt.Sprintf("threads=%d/g=%d", threads, g), func(t *testing.T) {
-				got := staticRun(t, SHJ{JB: true}, w, threads, core.Knobs{GroupSize: g})
-				if got != want {
-					t.Fatalf("matches = %d, want %d", got, want)
-				}
-			})
 		}
+	}
+	for _, c := range append(cases, raggedJB...) {
+		threads, g := c[0], c[1]
+		t.Run(fmt.Sprintf("threads=%d/g=%d", threads, g), func(t *testing.T) {
+			got := staticRun(t, SHJ{JB: true}, w, threads, core.Knobs{GroupSize: g})
+			if got != want {
+				t.Fatalf("matches = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestJBRaggedGroupsOwnership pins JB's assignment when g does not divide
+// Threads: every worker owns tuples, every S tuple is owned exactly once,
+// and every R tuple by all the members of exactly one group — the group
+// its key routes to, which holds the S tuple's owner too.
+func TestJBRaggedGroupsOwnership(t *testing.T) {
+	w := gen.MicroStatic(3000, 3000, 2, 0, 7)
+	for _, c := range raggedJB {
+		threads, g := c[0], c[1]
+		t.Run(fmt.Sprintf("threads=%d/g=%d", threads, g), func(t *testing.T) {
+			dists := make([]distribution, threads)
+			for tid := range dists {
+				dists[tid] = newJB(threads, tid, g, len(w.R)+len(w.S), pool.New().U32)
+			}
+			owned := make([]int, threads)
+			owners := func(sd side, i int, x tuple.Tuple) []int {
+				var out []int
+				for tid := range dists {
+					if dists[tid].owns(sd, i, x) {
+						out = append(out, tid)
+						owned[tid]++
+					}
+				}
+				return out
+			}
+			for i, x := range w.R {
+				rOwners := owners(sideR, i, x)
+				if len(rOwners) == 0 {
+					t.Fatalf("R tuple %d owned by no worker", i)
+				}
+				group := rOwners[0] / g
+				var members []int
+				for tid := group * g; tid < min((group+1)*g, threads); tid++ {
+					members = append(members, tid)
+				}
+				if !slices.Equal(rOwners, members) {
+					t.Fatalf("R tuple %d owned by workers %v, want group %d's members %v", i, rOwners, group, members)
+				}
+			}
+			for i, x := range w.S {
+				sOwners := owners(sideS, i, x)
+				if len(sOwners) != 1 {
+					t.Fatalf("S tuple %d owned by workers %v, want exactly one", i, sOwners)
+				}
+				if want := int(hashtable.Hash(x.Key) % uint32(dists[0].groups)); sOwners[0]/g != want {
+					t.Fatalf("S tuple %d owned by worker %d of group %d, its key routes to group %d", i, sOwners[0], sOwners[0]/g, want)
+				}
+			}
+			for tid, n := range owned {
+				if n == 0 {
+					t.Fatalf("worker %d owns no tuple (owned per worker %v)", tid, owned)
+				}
+			}
+		})
 	}
 }
 

@@ -39,8 +39,8 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 	ctx.Parallel(func(tid int) {
 		w := newWorker(ctx, tid, a.JB, 1<<46)
 
-		rtab := ctx.Table(tid, max(len(ctx.R)/w.dist.estOwnersR(), 16), 0)
-		stab := ctx.Table(tid, max(len(ctx.S)/ctx.Threads, 16), 0)
+		rtab := ctx.Table(tid, max(len(ctx.R)/w.dist.estOwnersR(), 16))
+		stab := ctx.Table(tid, max(len(ctx.S)/ctx.Threads, 16))
 		if ctx.Tracer != nil {
 			rtab.SetTracer(ctx.Tracer, uint64(tid)<<40|1<<48)
 			stab.SetTracer(ctx.Tracer, uint64(tid)<<40|1<<49)
@@ -97,7 +97,7 @@ func (w *worker) insertProbe(batch []tuple.Tuple, own, probed *hashtable.Table, 
 	own.InsertBatch(batch)
 	w.end(len(batch))
 	w.begin(metrics.PhaseProbe)
-	hits = probed.ProbeRuns(batch, nil, hits[:0])
+	hits = probed.ProbeRuns(batch, hits[:0])
 	w.sink.Hits(hits, probedR)
 	w.end(len(batch))
 	return hits

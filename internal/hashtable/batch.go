@@ -7,19 +7,18 @@ package hashtable
 // the probe tuple and the stored run of its key — in a caller-owned buffer
 // instead of handed to a per-probe emit closure, so the NPJ/PRJ/SHJ inner
 // loops run without a per-tuple allocation, a per-match key compare or a
-// per-match copy (PERFORMANCE.md). The *Hashed entries take hash values
-// precomputed by the hash-once partitioning kernel (radix.Partitioner), so
-// a tuple that was already hashed for partition selection is never hashed
-// again for bucket placement.
+// per-match copy (PERFORMANCE.md). Every kernel hashes its own keys: the
+// hash is a handful of ALU ops in a stage that waits on the bucket line it
+// addresses, cheaper than a stored hash streamed beside every tuple
+// (PERFORMANCE.md §5.1).
 //
 // There is one build kernel and one probe kernel. Each is a two-stage
 // software-prefetch pipeline over blocks of prefetchDistance tuples: stage
-// one hashes — or reads the precomputed hash — and issues an early load of
-// every bucket head in the block; stage two works in input order against
-// lines already in flight.
+// one hashes and issues an early load of every bucket head in the block;
+// stage two works in input order against lines already in flight.
 //
-//   - build: buildStage.stage, then place per tuple (Table.insert drives them;
-//     Shared places under the bucket latch);
+//   - build: buildStage.stage, then place per tuple (Table.InsertBatch
+//     drives them; Shared places under the bucket latch);
 //   - probe: probeStage.table or probeStage.shared — the two directory
 //     layouts — then probeStage.resolve, shared by both tables.
 //
@@ -46,19 +45,6 @@ import (
 // own, so every bucket gets a private stretch derived from its own.
 func runRegion(addr uint64, slot int) uint64 {
 	return 1<<62 | (addr<<8 + uint64(slot)<<12)
-}
-
-// hashAt is the optional-hash read of the kernels: the precomputed hash
-// when the caller supplied one for position i, the key's hash otherwise.
-// The length compare doubles as the bounds proof, so one per-tuple loop
-// serves the hashed and unhashed entries without a residual check.
-//
-//iawj:inline
-func hashAt(hashes []uint32, i int, key int32) uint32 {
-	if i < len(hashes) {
-		return hashes[i]
-	}
-	return Hash(key)
 }
 
 // maxShift bounds Table.shift (SetShift clamps to it). The stage-one
@@ -98,24 +84,15 @@ const prefetchDistance = 16
 // j & prefetchMask == j for every j < prefetchDistance.
 const prefetchMask = prefetchDistance - 1
 
-// InsertBatch inserts every tuple of xs in input order.
-func (t *Table) InsertBatch(xs []tuple.Tuple) { t.insert(xs, nil) }
-
-// InsertBatchHashed inserts xs using precomputed hashes (aligned with xs),
-// the hash-once fast path fed by radix.Partitioner.PartitionHashed.
-func (t *Table) InsertBatchHashed(xs []tuple.Tuple, hashes []uint32) {
-	t.insert(xs, hashes[:len(xs)])
-}
-
-// insert is the build kernel; hashes is nil or aligned with xs. Builds are
-// write-heavy, but the ownership miss on a cold bucket line costs the same
-// latency as a read miss, so the pipeline that hides probe misses hides
-// them too. Insert order — and therefore run order — is input order on
-// every path.
-func (t *Table) insert(xs []tuple.Tuple, hashes []uint32) {
+// InsertBatch inserts every tuple of xs in input order. It is the build
+// kernel: builds are write-heavy, but the ownership miss on a cold bucket
+// line costs the same latency as a read miss, so the pipeline that hides
+// probe misses hides them too. Insert order — and therefore run order —
+// is input order on every path.
+func (t *Table) InsertBatch(xs []tuple.Tuple) {
 	if t.tracer != nil {
 		for i := range xs {
-			h := hashAt(hashes, i, xs[i].Key)
+			h := Hash(xs[i].Key)
 			idx := (h >> t.shift) & t.mask
 			b := &t.buckets[idx]
 			if b.tags == 0 {
@@ -127,13 +104,9 @@ func (t *Table) insert(xs []tuple.Tuple, hashes []uint32) {
 	} else {
 		var st buildStage
 		for off := 0; off < len(xs); off += prefetchDistance {
-			end := min(off+prefetchDistance, len(xs))
-			var hblk []uint32
-			if hashes != nil {
-				hblk = hashes[off:end]
-			}
-			t.tick |= st.stage(t.buckets, t.shift, t.mask, xs[off:end], hblk)
-			t.commit(xs[off:end], &st)
+			blk := xs[off:min(off+prefetchDistance, len(xs))]
+			t.tick |= st.stage(t.buckets, t.shift, t.mask, blk)
+			t.commit(blk, &st)
 		}
 	}
 	t.size += int64(len(xs))
@@ -151,16 +124,15 @@ type buildStage struct {
 // and load the header, so the line is in flight before commit writes it.
 // The returned accumulator keeps the header loads observable (commit
 // re-reads them, since an earlier insert in the block may hit the same
-// bucket). hashes is nil or aligned with blk; len(blk) is at most
-// prefetchDistance.
+// bucket). len(blk) is at most prefetchDistance.
 //
 //iawj:hotpath
-func (s *buildStage) stage(buckets []bucket, shift, mask uint32, blk []tuple.Tuple, hashes []uint32) uint32 {
+func (s *buildStage) stage(buckets []bucket, shift, mask uint32, blk []tuple.Tuple) uint32 {
 	_ = buckets[mask] // hoisted proof: the directory spans every masked index
 	shift &= maxShift // bounded count: see maxShift
 	var tick uint32
 	for j := range blk {
-		h := hashAt(hashes, j, blk[j].Key)
+		h := Hash(blk[j].Key)
 		b := &buckets[(h>>shift)&mask]
 		tag := tagOf(h)
 		s.heads[j&prefetchMask] = b
@@ -251,16 +223,12 @@ func (s *store) extend(b *bucket, i int, x tuple.Tuple, tr cachesim.Tracer, addr
 }
 
 // ProbeRuns probes every tuple of probes, in order, and appends a Hit for
-// each that found its key. hashes is nil or the probes' precomputed hashes,
-// aligned with them. A probe makes at most one hit, so a buffer with room
-// for len(probes) never grows.
-func (t *Table) ProbeRuns(probes []tuple.Tuple, hashes []uint32, hits []Hit) []Hit {
-	if hashes != nil {
-		hashes = hashes[:len(probes)]
-	}
+// each that found its key. A probe makes at most one hit, so a buffer with
+// room for len(probes) never grows.
+func (t *Table) ProbeRuns(probes []tuple.Tuple, hits []Hit) []Hit {
 	if t.tracer != nil {
 		for i := range probes {
-			idx := (hashAt(hashes, i, probes[i].Key) >> t.shift) & t.mask
+			idx := (Hash(probes[i].Key) >> t.shift) & t.mask
 			t.tracer.Op(4) // hash + directory index
 			hits = walk(&t.buckets[idx], probes[i], hits, t.tracer, t.base+uint64(idx)*bucketBytes)
 		}
@@ -268,13 +236,9 @@ func (t *Table) ProbeRuns(probes []tuple.Tuple, hashes []uint32, hits []Hit) []H
 	}
 	var st probeStage
 	for off := 0; off < len(probes); off += prefetchDistance {
-		end := min(off+prefetchDistance, len(probes))
-		var hblk []uint32
-		if hashes != nil {
-			hblk = hashes[off:end]
-		}
-		st.table(t.buckets, t.shift, t.mask, probes[off:end], hblk)
-		hits = st.resolve(probes[off:end], hits)
+		blk := probes[off:min(off+prefetchDistance, len(probes))]
+		st.table(t.buckets, t.shift, t.mask, blk)
+		hits = st.resolve(blk, hits)
 	}
 	return hits
 }
@@ -290,7 +254,7 @@ func (t *Table) ProbeBatch(probes []tuple.Tuple, dst []tuple.Tuple) ([]tuple.Tup
 	for len(probes) > 0 {
 		blk := probes[:min(len(probes), len(buf))]
 		probes = probes[len(blk):]
-		for _, h := range t.ProbeRuns(blk, nil, buf[:0]) {
+		for _, h := range t.ProbeRuns(blk, buf[:0]) {
 			for _, s := range h.Stored {
 				dst = append(dst, s, h.Probe)
 			}
@@ -321,18 +285,17 @@ func (s *probeStage) load(j int, b *bucket, h uint32) {
 	s.exts[k] = b.ext
 }
 
-// table is probe stage one over a Table directory: hash (or read the
-// precomputed hash of) every probe of blk and load its bucket head —
-// independent loads the core overlaps, hiding the directory's
-// random-access latency behind the block. hashes is nil or aligned with
-// blk; len(blk) is at most prefetchDistance.
+// table is probe stage one over a Table directory: hash every probe of
+// blk and load its bucket head — independent loads the core overlaps,
+// hiding the directory's random-access latency behind the block. len(blk)
+// is at most prefetchDistance.
 //
 //iawj:hotpath
-func (s *probeStage) table(buckets []bucket, shift, mask uint32, blk []tuple.Tuple, hashes []uint32) {
+func (s *probeStage) table(buckets []bucket, shift, mask uint32, blk []tuple.Tuple) {
 	_ = buckets[mask] // hoisted proof: the directory spans every masked index
 	shift &= maxShift // bounded count: see maxShift
 	for j := range blk {
-		h := hashAt(hashes, j, blk[j].Key)
+		h := Hash(blk[j].Key)
 		s.load(j, &buckets[(h>>shift)&mask], h)
 	}
 }

@@ -113,14 +113,6 @@ func pairsOf(hits []Hit) []tuple.Tuple {
 // two add up to the elements taken while at most one spill array exists.
 func carved[T any](s *slab[T]) [3]int { return [3]int{s.used, s.spillUsed, s.spilled} }
 
-func hashesOf(xs []tuple.Tuple) []uint32 {
-	hs := make([]uint32, len(xs))
-	for i := range xs {
-		hs[i] = Hash(xs[i].Key)
-	}
-	return hs
-}
-
 // TestBatchMatchesScalar is the build+probe differential: a batch-built
 // table must answer every probe with the same stored tuples, in the same
 // order, as a scalar-built table probed through the closure API — on the
@@ -141,7 +133,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 					t.Fatalf("%s: batch table size %d, scalar %d", name, batchTab.Size(), scalarTab.Size())
 				}
 
-				equalHits(t, name, batchTab.ProbeRuns(probes, nil, nil), scalarHits(scalarTab.Probe, probes))
+				equalHits(t, name, batchTab.ProbeRuns(probes, nil), scalarHits(scalarTab.Probe, probes))
 				// The pair form is the same hits, written out.
 				probes := probes[:min(len(probes), 200)]
 				got, n := batchTab.ProbeBatch(probes, nil)
@@ -156,9 +148,10 @@ func TestBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchHashedMatchesScalar drives the *Hashed fast path with
-// precomputed hashes and a nonzero shift, as the radix join does.
-func TestBatchHashedMatchesScalar(t *testing.T) {
+// TestBatchShiftedMatchesScalar drives the kernels with a nonzero shift,
+// as the radix join's per-partition tables run them, on the pipeline and
+// on the walk.
+func TestBatchShiftedMatchesScalar(t *testing.T) {
 	sets := diffKeySets()
 	for _, shift := range []int{0, 6, 10} {
 		build, probes := sets["highdup"], sets["skewed"]
@@ -167,10 +160,12 @@ func TestBatchHashedMatchesScalar(t *testing.T) {
 		for _, x := range build {
 			ref.Insert(x)
 		}
-		tab := New(len(build))
-		tab.SetShift(shift)
-		tab.InsertBatchHashed(build, hashesOf(build))
-		equalHits(t, "hashed", tab.ProbeRuns(probes, hashesOf(probes), nil), scalarHits(ref.Probe, probes))
+		for _, path := range kernelPaths {
+			tab, _ := newTables(len(build), path.tr)
+			tab.SetShift(shift)
+			tab.InsertBatch(build)
+			equalHits(t, fmt.Sprintf("shift=%d %s", shift, path.name), tab.ProbeRuns(probes, nil), scalarHits(ref.Probe, probes))
+		}
 	}
 }
 
@@ -203,7 +198,7 @@ func TestSharedAndLockFreeBatchCounts(t *testing.T) {
 		build, probes := sets[buildName], sets["highdup"]
 		ref := New(len(build))
 		ref.InsertBatch(build)
-		want := ref.ProbeRuns(probes, nil, nil)
+		want := ref.ProbeRuns(probes, nil)
 
 		sh := NewShared(len(build))
 		var wg sync.WaitGroup
@@ -247,7 +242,7 @@ func TestResetReuse(t *testing.T) {
 		for _, x := range build {
 			fresh.Insert(x)
 		}
-		equalHits(t, "reset/"+name, tab.ProbeRuns(build, nil, nil), scalarHits(fresh.Probe, build))
+		equalHits(t, "reset/"+name, tab.ProbeRuns(build, nil), scalarHits(fresh.Probe, build))
 	}
 	// One table reset dense, then sparse, then dense: Reset clears the
 	// whole directory or walks the dirty list, and either leaves it as
@@ -259,7 +254,7 @@ func TestResetReuse(t *testing.T) {
 		wide.InsertBatch(build)
 		fresh := New(1 << 12)
 		fresh.InsertBatch(build)
-		equalHits(t, fmt.Sprintf("reset/%d keys", n), wide.ProbeRuns(build, nil, nil), fresh.ProbeRuns(build, nil, nil))
+		equalHits(t, fmt.Sprintf("reset/%d keys", n), wide.ProbeRuns(build, nil), fresh.ProbeRuns(build, nil))
 		if dirty := len(wide.dirty); n == 64 && dirty > wide.DirBuckets()>>denseShift || n > 64 && dirty <= wide.DirBuckets()>>denseShift {
 			t.Fatalf("%d keys dirty %d of %d buckets: the fills do not straddle the dense threshold", n, dirty, wide.DirBuckets())
 		}
@@ -332,7 +327,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		allocs := testing.AllocsPerRun(20, func() {
 			tab.Reset()
 			tab.InsertBatch(build)
-			hits = tab.ProbeRuns(build[:64], nil, hits[:0])
+			hits = tab.ProbeRuns(build[:64], hits[:0])
 			sh.Reset()
 			sh.InsertBatch(build)
 			hits = sh.ProbeRuns(build[:64], hits[:0])
@@ -351,7 +346,6 @@ func TestZeroAllocSteadyState(t *testing.T) {
 func TestProbePipelinedZeroAlloc(t *testing.T) {
 	build := diffKeySets()["highdup"]
 	probes := diffKeySets()["skewed"]
-	hashes := hashesOf(probes)
 	for _, path := range kernelPaths {
 		tab, sh := newTables(len(build), path.tr)
 		tab.InsertBatch(build)
@@ -359,8 +353,7 @@ func TestProbePipelinedZeroAlloc(t *testing.T) {
 		hits := make([]Hit, 0, len(probes))
 		pairs, _ := tab.ProbeBatch(probes, nil) // size the pair buffer
 		if allocs := testing.AllocsPerRun(10, func() {
-			hits = tab.ProbeRuns(probes, nil, hits[:0])
-			hits = tab.ProbeRuns(probes, hashes, hits[:0])
+			hits = tab.ProbeRuns(probes, hits[:0])
 			hits = sh.ProbeRuns(probes, hits[:0])
 			pairs, _ = tab.ProbeBatch(probes, pairs[:0])
 		}); allocs != 0 {
@@ -388,7 +381,7 @@ func TestProbePrefetchDistanceDiff(t *testing.T) {
 				name := fmt.Sprintf("%s->%s d=%d %s", buildName, probeName, prefetchDistance, path.name)
 				tab, sh := newTables(len(build), path.tr)
 				tab.InsertBatch(build)
-				equalHits(t, name, tab.ProbeRuns(probes, nil, nil), want)
+				equalHits(t, name, tab.ProbeRuns(probes, nil), want)
 				sh.InsertBatch(build)
 				equalHits(t, name+" shared", sh.ProbeRuns(probes, nil), want)
 			}
@@ -399,7 +392,8 @@ func TestProbePrefetchDistanceDiff(t *testing.T) {
 // TestBlockBoundaryLengths walks build and probe lengths across the block
 // boundaries of the pipelined kernels — empty, one tuple, and one short
 // of, exactly, and one past one and two full blocks of the prefetch
-// distance D — on both paths, with and without precomputed hashes. Keys
+// distance D — on both paths, unshifted and shifted as a radix join's
+// per-partition table is. Keys
 // repeat within and across blocks, so a block's inserts hit buckets staged
 // earlier in the same block and runs open and grow mid-block.
 func TestBlockBoundaryLengths(t *testing.T) {
@@ -409,34 +403,33 @@ func TestBlockBoundaryLengths(t *testing.T) {
 	for _, path := range kernelPaths {
 		for _, buildLen := range lengths {
 			build := all[:buildLen]
-			ref := New(buildLen)
-			for _, x := range build {
-				ref.Insert(x)
-			}
 			for _, probeLen := range lengths {
 				probes := all[len(all)-probeLen:]
-				want := scalarHits(ref.Probe, probes)
-				for _, hashed := range []bool{false, true} {
-					name := fmt.Sprintf("%s build=%d probe=%d hashed=%v", path.name, buildLen, probeLen, hashed)
-					tab, _ := newTables(buildLen, path.tr)
-					var hits []Hit
-					if hashed {
-						tab.InsertBatchHashed(build, hashesOf(build))
-						hits = tab.ProbeRuns(probes, hashesOf(probes), nil)
-					} else {
-						tab.InsertBatch(build)
-						hits = tab.ProbeRuns(probes, nil, nil)
+				for _, shift := range []int{0, 10} {
+					ref := New(buildLen)
+					ref.SetShift(shift)
+					for _, x := range build {
+						ref.Insert(x)
 					}
+					want := scalarHits(ref.Probe, probes)
+					name := fmt.Sprintf("%s build=%d probe=%d shift=%d", path.name, buildLen, probeLen, shift)
+					tab, _ := newTables(buildLen, path.tr)
+					tab.SetShift(shift)
+					tab.InsertBatch(build)
+					hits := tab.ProbeRuns(probes, nil)
 					// The same takes in the same order leave the same slabs.
 					if tab.Size() != ref.Size() || carved(&tab.over) != carved(&ref.over) || carved(&tab.arena) != carved(&ref.arena) {
 						t.Fatalf("%s: table holds %d tuples, overflow slab %v, arena slab %v; reference %d, %v, %v",
 							name, tab.Size(), carved(&tab.over), carved(&tab.arena), ref.Size(), carved(&ref.over), carved(&ref.arena))
 					}
 					equalHits(t, name, hits, want)
+					if shift != 0 {
+						continue
+					}
+					_, sh := newTables(buildLen, path.tr)
+					sh.InsertBatch(build)
+					equalHits(t, name+" shared", sh.ProbeRuns(probes, nil), want)
 				}
-				_, sh := newTables(buildLen, path.tr)
-				sh.InsertBatch(build)
-				equalHits(t, fmt.Sprintf("%s build=%d probe=%d shared", path.name, buildLen, probeLen), sh.ProbeRuns(probes, nil), want)
 			}
 		}
 	}
@@ -444,12 +437,16 @@ func TestBlockBoundaryLengths(t *testing.T) {
 
 // FuzzBatchDiff drives batch build+probe, on Table and on a
 // single-writer Shared, against the scalar reference with arbitrary key
-// bytes, on the pipeline or — traced — on the per-tuple walk.
+// bytes, on the pipeline or — traced — on the per-tuple walk. The Table
+// and its reference skip the low shift%21 hash bits, as a radix join's
+// per-partition table does; Shared has no shift.
 func FuzzBatchDiff(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 4}, []byte{1, 2, 3, 4}, false)
-	f.Add([]byte{}, []byte{9, 9, 9, 9}, true)
-	f.Add([]byte{7, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0}, []byte{7, 0, 0, 0}, false)
-	f.Fuzz(func(t *testing.T, rawBuild, rawProbe []byte, traced bool) {
+	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 4}, []byte{1, 2, 3, 4}, false, uint8(0))
+	f.Add([]byte{}, []byte{9, 9, 9, 9}, true, uint8(0))
+	f.Add([]byte{7, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0}, []byte{7, 0, 0, 0}, false, uint8(0))
+	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, false, uint8(10))
+	f.Add([]byte{7, 0, 0, 0, 7, 0, 0, 0, 8, 0, 0, 0}, []byte{7, 0, 0, 0, 8, 0, 0, 0}, true, uint8(10))
+	f.Fuzz(func(t *testing.T, rawBuild, rawProbe []byte, traced bool, shift uint8) {
 		decode := func(raw []byte) []tuple.Tuple {
 			out := make([]tuple.Tuple, 0, len(raw)/4)
 			for r := bytes.NewReader(raw); ; {
@@ -462,20 +459,22 @@ func FuzzBatchDiff(f *testing.F) {
 			return out
 		}
 		build, probes := decode(rawBuild), decode(rawProbe)
-		ref := New(len(build))
+		ref, shifted := New(len(build)), New(len(build))
+		shifted.SetShift(int(shift % 21))
 		for _, x := range build {
 			ref.Insert(x)
+			shifted.Insert(x)
 		}
 		path := kernelPaths[0]
 		if traced {
 			path = kernelPaths[1]
 		}
 		tab, sh := newTables(len(build), path.tr)
+		tab.SetShift(int(shift % 21))
 		tab.InsertBatch(build)
-		want := scalarHits(ref.Probe, probes)
-		equalHits(t, "table", tab.ProbeRuns(probes, nil, nil), want)
+		equalHits(t, "table", tab.ProbeRuns(probes, nil), scalarHits(shifted.Probe, probes))
 		sh.InsertBatch(build)
-		equalHits(t, "shared", sh.ProbeRuns(probes, nil), want)
+		equalHits(t, "shared", sh.ProbeRuns(probes, nil), scalarHits(ref.Probe, probes))
 	})
 }
 
@@ -590,7 +589,7 @@ func benchProbe(b *testing.B, domain int) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for lo := 0; lo < len(probes); lo += 1024 {
-				hits = tab.ProbeRuns(probes[lo:min(lo+1024, len(probes))], nil, hits[:0])
+				hits = tab.ProbeRuns(probes[lo:min(lo+1024, len(probes))], hits[:0])
 				for _, h := range hits {
 					for _, s := range h.Stored {
 						sink.match(s, h.Probe)

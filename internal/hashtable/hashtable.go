@@ -272,7 +272,7 @@ func Hash(key int32) uint32 {
 type Table struct {
 	buckets []bucket
 	mask    uint32
-	shift   uint32 // hash bits consumed upstream (radix partitioning)
+	shift   uint32 // low hash bits bucket placement skips (SetShift)
 	tick    uint32 // keeps pipelined stage-one loads observable (batch.go)
 	size    int64  // tuples stored
 	store
@@ -305,6 +305,7 @@ func New(n int) *Table {
 // A per-partition table of a radix join must set shift to the radix bit
 // count: every key in partition p shares the low #r hash bits, so indexing
 // on them would collapse the whole partition into a handful of chains.
+// The shift holds until the next Reset.
 func (t *Table) SetShift(shift int) {
 	t.shift = uint32(min(max(shift, 0), maxShift))
 }
@@ -332,15 +333,18 @@ func (t *Table) Grow(n int) {
 const denseShift = 3
 
 // Reset clears the table for reuse: the store and the directory restart
-// empty, and their allocations are kept. A steady-state window over a pooled
-// table therefore inserts with zero allocations once the first window has
-// sized the store. A sparse directory is cleared through the dirty list,
-// a dense one in one pass (denseShift).
+// empty, and their allocations are kept; the shift and the tracer go back
+// to none, so a pooled table indexes the same way whoever used it last. A
+// steady-state window over a pooled table therefore inserts with zero
+// allocations once the first window has sized the store. A sparse
+// directory is cleared through the dirty list, a dense one in one pass
+// (denseShift).
 func (t *Table) Reset() {
 	t.resetDir(len(t.dirty) > len(t.buckets)>>denseShift)
 	t.dirty = t.dirty[:0]
 	t.store.reset()
 	t.size = 0
+	t.shift = 0
 	t.tracer = nil
 	t.base = 0
 }

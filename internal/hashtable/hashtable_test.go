@@ -40,7 +40,7 @@ func TestDuplicateKeysChain(t *testing.T) {
 	if tab.Size() != dups {
 		t.Fatalf("Size = %d, want %d", tab.Size(), dups)
 	}
-	hits := tab.ProbeRuns([]tuple.Tuple{{Key: 5}, {Key: 6}}, nil, nil)
+	hits := tab.ProbeRuns([]tuple.Tuple{{Key: 5}, {Key: 6}}, nil)
 	if len(hits) != 1 || len(hits[0].Stored) != dups {
 		t.Fatalf("ProbeRuns made %d hits, the first of %d tuples; want one run of %d", len(hits), len(hits[0].Stored), dups)
 	}
@@ -93,8 +93,8 @@ func TestKeysSharingASlotInterleaved(t *testing.T) {
 		probes[i] = tuple.Tuple{Key: k, Payload: int32(i)}
 	}
 	for name, hits := range map[string][]Hit{
-		"scalar-built": scalar.ProbeRuns(probes, nil, nil),
-		"batch-built":  batch.ProbeRuns(probes, nil, nil),
+		"scalar-built": scalar.ProbeRuns(probes, nil),
+		"batch-built":  batch.ProbeRuns(probes, nil),
 		"shared":       sh.ProbeRuns(probes, nil),
 	} {
 		if len(hits) != len(keys) {
@@ -134,7 +134,7 @@ func TestInsertsBetweenProbes(t *testing.T) {
 			ref[x.Key] = append(ref[x.Key], x)
 		}
 		probes := []tuple.Tuple{{Key: rng.Int32N(24)}, {Key: rng.Int32N(48)}, {Key: batch[0].Key}}
-		hits := tab.ProbeRuns(probes, nil, nil)
+		hits := tab.ProbeRuns(probes, nil)
 		for _, p := range probes {
 			var got []tuple.Tuple
 			if len(hits) > 0 && hits[0].Probe == p {
@@ -271,8 +271,24 @@ func TestTracerReceivesTraffic(t *testing.T) {
 		t.Fatal("tracer must observe build traffic")
 	}
 	*tr = countTracer{}
-	tab.ProbeRuns(build[:1], nil, nil)
+	tab.ProbeRuns(build[:1], nil)
 	if tr.accesses == 0 || tr.ops == 0 {
 		t.Fatal("tracer must observe probe traffic")
+	}
+}
+
+// TestResetUnshifts pins that a reset table comes back as New makes one:
+// no shift and no tracer. A pooled table a radix join shifted must not
+// reach the next taker still indexing on the bits above the radix.
+func TestResetUnshifts(t *testing.T) {
+	tab := New(1024)
+	tab.SetShift(10)
+	tab.SetTracer(&countTracer{}, 1<<40)
+	for k := range int32(600) {
+		tab.Insert(tuple.Tuple{Key: k, Payload: k})
+	}
+	tab.Reset()
+	if tab.shift != 0 || tab.tracer != nil || tab.base != 0 {
+		t.Fatalf("after Reset: shift %d, tracer %v, base %d; want 0, nil, 0", tab.shift, tab.tracer, tab.base)
 	}
 }

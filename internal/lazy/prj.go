@@ -18,34 +18,31 @@ import (
 // Under high key skew only a few partitions carry the bulk of the data, so
 // few threads stay busy — the sensitivity Figure 13 shows.
 //
-// The partition phase runs the hash-once radix scatter
-// (radix.Partitioner): each key is hashed exactly once and the hash rides
-// along with the tuple, so the per-partition build and probe
-// (InsertBatchHashed / ProbeRuns with SetShift) never rehash. The
-// per-partition tables index on the hash bits *above* the radix — every
-// key in a partition shares the low #r hash bits, so indexing on them
-// would collapse the partition into a handful of chains. All kernel state
-// comes from the run's pool.
+// The partition phase runs the radix scatter (radix.Partitioner); the
+// per-partition build and probe run the table kernels NPJ and SHJ run,
+// which hash each key again inside their prefetch pipelines. The
+// per-partition tables index on the hash bits *above* the radix (SetShift)
+// — every key in a partition shares the low #r hash bits, so indexing on
+// them would collapse the partition into a handful of chains. All kernel
+// state comes from the run's pool.
 type PRJ struct{}
 
 // Name implements core.Algorithm.
 func (PRJ) Name() string { return "PRJ" }
 
 // prjRun is the state PRJ's workers share, kept across calls
-// (core.RunState): the partitions and their hashes, per side and worker,
-// which alias the workers' partitioners' buffers until the run ends; and
-// the dynamic partition queue of the join phase.
+// (core.RunState): the partitions, per side and worker, which alias the
+// workers' partitioners' buffers until the run ends; and the dynamic
+// partition queue of the join phase.
 type prjRun struct {
-	parts  [2][][]tuple.Relation
-	hashes [2][][][]uint32
-	next   atomic.Int64
+	parts [2][][]tuple.Relation
+	next  atomic.Int64
 }
 
 // size readies the state for a run of threads workers.
 func (st *prjRun) size(threads int) {
 	for i := range st.parts {
 		st.parts[i] = slices.Grow(st.parts[i][:0], threads)[:threads]
-		st.hashes[i] = slices.Grow(st.hashes[i][:0], threads)[:threads]
 	}
 	st.next.Store(0)
 }
@@ -54,7 +51,6 @@ func (st *prjRun) size(threads int) {
 func (st *prjRun) clear() {
 	for i := range st.parts {
 		clear(st.parts[i])
-		clear(st.hashes[i])
 	}
 }
 
@@ -72,17 +68,16 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 		tm := ctx.M.T(tid)
 		ctx.WaitWindow(tid)
 
-		// Phase 1: physically partition this thread's chunks, hashing
-		// each key once.
+		// Phase 1: physically partition this thread's chunks.
 		ctx.Begin(tid, metrics.PhasePartition)
 		pr, ps := ctx.Partitioner(tid), ctx.Partitioner(tid)
 		lo, hi := core.Chunk(len(ctx.R), ctx.Threads, tid)
 		tm.AddTuples(int64(hi - lo))
-		st.parts[0][tid], st.hashes[0][tid] = pr.PartitionHashed(ctx.R[lo:hi], bits, ctx.Tracer, 0)
+		st.parts[0][tid] = pr.Partition(ctx.R[lo:hi], bits, ctx.Tracer, 0)
 		cp := int64(hi-lo) * tuple.Bytes // the physical copy of R's chunk
 		lo, hi = core.Chunk(len(ctx.S), ctx.Threads, tid)
 		tm.AddTuples(int64(hi - lo))
-		st.parts[1][tid], st.hashes[1][tid] = ps.PartitionHashed(ctx.S[lo:hi], bits, ctx.Tracer, 1<<34)
+		st.parts[1][tid] = ps.Partition(ctx.S[lo:hi], bits, ctx.Tracer, 1<<34)
 		ctx.M.MemAdd(cp + int64(hi-lo)*tuple.Bytes) // and of S's
 		ctx.Begin(tid, metrics.PhaseOther)
 		ctx.Barrier()
@@ -105,26 +100,27 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 				continue
 			}
 			tm.AddTuples(int64(nR))
-			table := ctx.Table(tid, nR, bits)
+			table := ctx.Table(tid, nR)
+			table.SetShift(bits)
 			if ctx.Tracer != nil {
 				table.SetTracer(ctx.Tracer, uint64(p)<<22|1<<40)
 			}
-			for t, parts := range st.parts[0] {
-				table.InsertBatchHashed(parts[p], st.hashes[0][t][p])
+			for _, parts := range st.parts[0] {
+				table.InsertBatch(parts[p])
 			}
 			ctx.M.MemAdd(table.MemBytes())
 
 			ctx.Begin(tid, metrics.PhaseProbe)
 			k.Refresh()
-			for t, parts := range st.parts[1] {
-				probes, hashes := parts[p], st.hashes[1][t][p]
+			for _, parts := range st.parts[1] {
+				probes := parts[p]
 				tm.AddTuples(int64(len(probes)))
 				for len(probes) > 0 {
 					n := min(matchBatch, len(probes))
 					k.Refresh()
-					hits = table.ProbeRuns(probes[:n], hashes[:n], hits[:0])
+					hits = table.ProbeRuns(probes[:n], hits[:0])
 					k.Hits(hits, true)
-					probes, hashes = probes[n:], hashes[n:]
+					probes = probes[n:]
 				}
 			}
 			ctx.M.MemAdd(-table.MemBytes()) // partition table released

@@ -199,12 +199,10 @@ func giveTable[T table](p *Pool, lists *[classes][]T, t T) {
 	push(p, &lists[min(bits.Len(uint(t.DirBuckets()))-1, classes-1)], t, t.MemBytes())
 }
 
-// Table returns a single-writer table sized for n tuples with the given
-// hash shift, recycled when one of the right size class is free.
-func (p *Pool) Table(n, shift int) *hashtable.Table {
-	t := takeTable(p, &p.tables, metrics.PoolTable, n, hashtable.New)
-	t.SetShift(shift)
-	return t
+// Table returns a single-writer table sized for n tuples, recycled when
+// one of the right size class is free.
+func (p *Pool) Table(n int) *hashtable.Table {
+	return takeTable(p, &p.tables, metrics.PoolTable, n, hashtable.New)
 }
 
 // PutTable resets t and returns it to its size-class freelist.

@@ -24,14 +24,14 @@ func windowTuples(n, domain int, seed uint64) []tuple.Tuple {
 // not receive an undersized directory.
 func TestTableRoundTripSameClass(t *testing.T) {
 	p := New()
-	t1 := p.Table(1000, 4)
+	t1 := p.Table(1000)
 	p.PutTable(t1)
-	t2 := p.Table(1000, 4)
+	t2 := p.Table(1000)
 	if t1 != t2 {
 		t.Fatal("same-class request did not reuse the released table")
 	}
 	p.PutTable(t2)
-	big := p.Table(1_000_000, 0)
+	big := p.Table(1_000_000)
 	if big == t2 {
 		t.Fatal("a 1M-tuple request reused a 1k-tuple directory")
 	}
@@ -116,15 +116,15 @@ func TestPooledSHJWindowZeroAllocs(t *testing.T) {
 	const bsz = 64
 
 	window := func() {
-		rtab := p.Table(len(rs)+16, 0)
-		stab := p.Table(len(ss)+16, 0)
+		rtab := p.Table(len(rs) + 16)
+		stab := p.Table(len(ss) + 16)
 		hits := p.Hits(bsz)
 		for lo := 0; lo < len(rs); lo += bsz {
 			rb, sb := rs[lo:lo+bsz], ss[lo:lo+bsz]
 			rtab.InsertBatch(rb)
-			hits = stab.ProbeRuns(rb, nil, hits[:0])
+			hits = stab.ProbeRuns(rb, hits[:0])
 			stab.InsertBatch(sb)
-			hits = rtab.ProbeRuns(sb, nil, hits[:0])
+			hits = rtab.ProbeRuns(sb, hits[:0])
 		}
 		p.PutHits(hits)
 		p.PutTable(rtab)
@@ -138,8 +138,8 @@ func TestPooledSHJWindowZeroAllocs(t *testing.T) {
 }
 
 // TestPooledPRJWindowZeroAllocs covers the radix path: pooled partitioner,
-// hash-once radix partitioning, pooled per-partition tables built and
-// probed through the *Hashed kernels.
+// radix partitioning, pooled per-partition tables shifted past the radix,
+// built and probed.
 func TestPooledPRJWindowZeroAllocs(t *testing.T) {
 	p := New()
 	rs := windowTuples(4096, 512, 6)
@@ -149,16 +149,17 @@ func TestPooledPRJWindowZeroAllocs(t *testing.T) {
 	window := func() {
 		pr := p.Partitioner()
 		ps := p.Partitioner()
-		partsR, hashR := pr.PartitionHashed(rs, bits, nil, 0)
-		partsS, hashS := ps.PartitionHashed(ss, bits, nil, 0)
+		partsR := pr.Partition(rs, bits, nil, 0)
+		partsS := ps.Partition(ss, bits, nil, 0)
 		hits := p.Hits(len(ss))
 		for pi := range partsR {
 			if len(partsR[pi]) == 0 {
 				continue
 			}
-			tab := p.Table(len(partsR[pi]), bits)
-			tab.InsertBatchHashed(partsR[pi], hashR[pi])
-			hits = tab.ProbeRuns(partsS[pi], hashS[pi], hits[:0])
+			tab := p.Table(len(partsR[pi]))
+			tab.SetShift(bits)
+			tab.InsertBatch(partsR[pi])
+			hits = tab.ProbeRuns(partsS[pi], hits[:0])
 			p.PutTable(tab)
 		}
 		p.PutHits(hits)
@@ -184,7 +185,7 @@ func TestPoolCorrectnessUnderReuse(t *testing.T) {
 		fresh.InsertBatch(build)
 		_, want := fresh.ProbeBatch(probes, nil)
 
-		tab := p.Table(len(build), 0)
+		tab := p.Table(len(build))
 		pairs := p.Tuples(16)
 		pairs, got := tab.ProbeBatch(probes, pairs[:0])
 		if got != 0 {
@@ -271,14 +272,14 @@ func TestReleaseAllocatesNothing(t *testing.T) {
 	// trip of every table gives each freelist its slots.
 	tabs, shs := make([]*hashtable.Table, runs+1), make([]*hashtable.Shared, runs+1)
 	for i := range tabs {
-		tabs[i], shs[i] = p.Table(len(build), 0), p.Shared(len(build))
+		tabs[i], shs[i] = p.Table(len(build)), p.Shared(len(build))
 	}
 	for i := range tabs {
 		p.PutTable(tabs[i])
 		p.PutShared(shs[i])
 	}
 	for i := range tabs {
-		tabs[i], shs[i] = p.Table(len(build), 0), p.Shared(len(build))
+		tabs[i], shs[i] = p.Table(len(build)), p.Shared(len(build))
 		tabs[i].InsertBatch(build)
 		shs[i].InsertBatch(build)
 	}
@@ -344,7 +345,7 @@ func TestDuplicateKeysRetainNoMatchBuffer(t *testing.T) {
 // and Stats itself allocating nothing.
 func TestStatsCountAndRetain(t *testing.T) {
 	p := New()
-	tab := p.Table(1000, 0)
+	tab := p.Table(1000)
 	buf := p.Tuples(100)
 	if st := p.Stats(); st.Misses[metrics.PoolTable] != 1 || st.Misses[metrics.PoolTuples] != 1 || st.RetainedBytes != 0 {
 		t.Fatalf("after two cold acquires: %+v", st)

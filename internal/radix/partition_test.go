@@ -62,44 +62,14 @@ func equalParts(t *testing.T, name string, got, want []tuple.Relation) {
 
 // TestPartitionerMatchesScalar checks the scatter against the scalar
 // reference (partitionRehash) across key regimes and fanouts, including
-// fanout 1, on both the tuple-only and the hashed entry.
+// fanout 1.
 func TestPartitionerMatchesScalar(t *testing.T) {
 	p := NewPartitioner()
 	for name, rel := range diffRelations() {
 		for _, bits := range []int{0, 1, 4, 8, 12} {
 			want := partitionRehash(rel, bits)
 			equalParts(t, fmt.Sprintf("%s/bits=%d", name, bits), p.Partition(rel, bits, nil, 0), want)
-			got, _ := p.PartitionHashed(rel, bits, nil, 0)
-			equalParts(t, fmt.Sprintf("%s/bits=%d/hashed", name, bits), got, want)
 		}
-	}
-}
-
-// alignedHashes checks the hash-once product: every returned hash must be
-// the hash of the tuple at the same offset, so downstream
-// InsertBatchHashed/ProbeRuns never rehash wrongly.
-func alignedHashes(t *testing.T, name string, parts []tuple.Relation, hparts [][]uint32) {
-	t.Helper()
-	if len(parts) != len(hparts) {
-		t.Fatalf("%s: %d partitions but %d hash partitions", name, len(parts), len(hparts))
-	}
-	for pi := range parts {
-		if len(parts[pi]) != len(hparts[pi]) {
-			t.Fatalf("%s: partition %d length mismatch", name, pi)
-		}
-		for i, x := range parts[pi] {
-			if hparts[pi][i] != hashtable.Hash(x.Key) {
-				t.Fatalf("%s: partition %d hash %d misaligned", name, pi, i)
-			}
-		}
-	}
-}
-
-func TestPartitionerHashesAligned(t *testing.T) {
-	p := NewPartitioner()
-	for name, rel := range diffRelations() {
-		parts, hparts := p.PartitionHashed(rel, 6, nil, 0)
-		alignedHashes(t, name, parts, hparts)
 	}
 }
 
@@ -143,9 +113,9 @@ func wantTrace(rel tuple.Relation, want []tuple.Relation, base uint64) []event {
 }
 
 // TestScatterEveryFanout is the differential test of the one scatter over
-// the whole RadixBits range (0-20), untraced and traced, on both entries:
-// tuples and aligned hashes against partitionRehash, and in the traced
-// case the exact access and op sequence the tracer receives.
+// the whole RadixBits range (0-20), untraced and traced: tuples against
+// partitionRehash, and in the traced case the exact access and op
+// sequence the tracer receives.
 func TestScatterEveryFanout(t *testing.T) {
 	rel := diffRelations()["skewed"][:3000]
 	const base = 1 << 34
@@ -154,25 +124,15 @@ func TestScatterEveryFanout(t *testing.T) {
 		want := partitionRehash(rel, bits)
 		trace := wantTrace(rel, want, base)
 		for _, traced := range []bool{false, true} {
-			for _, hashed := range []bool{false, true} {
-				name := fmt.Sprintf("bits=%d/traced=%v/hashed=%v", bits, traced, hashed)
-				rec := &recordTracer{}
-				var tr cachesim.Tracer
-				if traced {
-					tr = rec
-				}
-				var parts []tuple.Relation
-				if hashed {
-					var hparts [][]uint32
-					parts, hparts = p.PartitionHashed(rel, bits, tr, base)
-					alignedHashes(t, name, parts, hparts)
-				} else {
-					parts = p.Partition(rel, bits, tr, base)
-				}
-				equalParts(t, name, parts, want)
-				if traced && !slices.Equal(rec.events, trace) {
-					t.Fatalf("%s: the tracer's %d events differ from the %d of the access model", name, len(rec.events), len(trace))
-				}
+			name := fmt.Sprintf("bits=%d/traced=%v", bits, traced)
+			rec := &recordTracer{}
+			var tr cachesim.Tracer
+			if traced {
+				tr = rec
+			}
+			equalParts(t, name, p.Partition(rel, bits, tr, base), want)
+			if traced && !slices.Equal(rec.events, trace) {
+				t.Fatalf("%s: the tracer's %d events differ from the %d of the access model", name, len(rec.events), len(trace))
 			}
 		}
 	}
@@ -209,9 +169,8 @@ func TestPartitionerZeroSteadyStateAllocs(t *testing.T) {
 }
 
 // FuzzPartitionerDiff drives the scatter against the scalar reference
-// with arbitrary key bytes and bit counts, on both entries: the tuple
-// partitions must match partitionRehash, and the hashed entry's hashes
-// must align with its tuples.
+// with arbitrary key bytes and bit counts: the tuple partitions must
+// match partitionRehash.
 func FuzzPartitionerDiff(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(4))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255}, uint8(1))
@@ -228,9 +187,6 @@ func FuzzPartitionerDiff(f *testing.F) {
 		}
 		want := partitionRehash(rel, bits)
 		equalParts(t, "tuples", NewPartitioner().Partition(rel, bits, nil, 0), want)
-		got, hashes := NewPartitioner().PartitionHashed(rel, bits, nil, 0)
-		equalParts(t, "hashed", got, want)
-		alignedHashes(t, "hashed", got, hashes)
 	})
 }
 

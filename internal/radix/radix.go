@@ -9,13 +9,13 @@
 // higher partitioning cost but smaller, cache-friendlier partitions.
 //
 // Partitioning is one single-pass scatter at every #r: histogram, prefix
-// sum, then one write per tuple onto its partition's frontier, with the
-// key's hash written beside the tuple so the per-partition build and
-// probe (hashtable.InsertBatchHashed / ProbeRuns with SetShift) never
-// rehash. Balkesen et al.'s software write-combining buffers stage each
-// tuple and write it twice; measured here they lost to the direct
-// scatter at every fanout they engaged, so there are none
-// (PERFORMANCE.md §5.2). A profile run executes the same loops; the
+// sum, then one write per tuple onto its partition's frontier. Only the
+// tuples are written: the per-partition build and probe hash each key
+// again inside their prefetch pipelines, where the hash hides behind the
+// bucket load it feeds (PERFORMANCE.md §5.1). Balkesen et al.'s software
+// write-combining buffers stage each tuple and write it twice; measured
+// here they lost to the direct scatter at every fanout they engaged, so
+// there are none (PERFORMANCE.md §5.2). A profile run executes the same loops; the
 // tracer is fed afterwards by one replay of the scatter's access
 // sequence (trace).
 package radix
@@ -33,83 +33,61 @@ func Fanout(bits int) int { return 1 << bits }
 
 // Partitioner is a reusable radix partitioning kernel. It is not safe for
 // concurrent use; parallel partitioning gives each worker its own
-// (pooled) Partitioner. The slices returned by Partition/PartitionHashed
-// alias the Partitioner's internal buffers and stay valid until the next
-// call on the same Partitioner. All buffers are retained across calls, so
-// a pooled Partitioner partitions steady-state windows with zero
+// (pooled) Partitioner. The slices Partition returns alias the
+// Partitioner's internal buffers and stay valid until the next call on
+// the same Partitioner. All buffers are retained across calls, so a
+// pooled Partitioner partitions steady-state windows with zero
 // allocations.
 type Partitioner struct {
-	hist   []int // per-partition tuple counts
-	offs   []int // partition start offsets (prefix sum of hist)
-	pos    []int // partition write cursors during the scatter
-	out    []tuple.Tuple
-	outH   []uint32
-	parts  []tuple.Relation
-	hparts [][]uint32
+	hist  []int // per-partition tuple counts
+	offs  []int // partition start offsets (prefix sum of hist)
+	pos   []int // partition write cursors during the scatter
+	out   []tuple.Tuple
+	parts []tuple.Relation
 }
 
 // NewPartitioner returns an empty Partitioner; buffers grow on first use.
 func NewPartitioner() *Partitioner { return &Partitioner{} }
 
-// MemBytes reports the bytes held by the buffers that scale with the input
-// (tuple and hash output) — what a pooled Partitioner retains between
+// MemBytes reports the bytes held by the buffer that scales with the
+// input (the tuple output) — what a pooled Partitioner retains between
 // windows.
-func (p *Partitioner) MemBytes() int64 {
-	return int64(cap(p.outH))*4 + int64(cap(p.out))*tuple.Bytes
-}
+func (p *Partitioner) MemBytes() int64 { return int64(cap(p.out)) * tuple.Bytes }
 
-// Partition splits rel into 2^bits physically contiguous partitions;
-// within a partition tuples keep input order. tr may be nil. Unlike
-// PartitionHashed, Partition's product is the tuple partitions alone, so
-// its scatter skips the per-partition hash output entirely.
+// Partition splits rel into 2^bits physically contiguous partitions on
+// the low bits of the key's hash; within a partition tuples keep input
+// order. It sizes the buffers, scatters, replays the accesses to tr when
+// one is attached (tr may be nil), and cuts the output into partitions —
+// once per partition, not per tuple.
 func (p *Partitioner) Partition(rel tuple.Relation, bits int, tr cachesim.Tracer, base uint64) []tuple.Relation {
-	parts, _ := p.partition(rel, bits, false, tr, base)
-	return parts
-}
-
-// PartitionHashed is Partition plus the hash-once product: the second
-// return value holds, for every partition, the key hashes aligned with the
-// partition's tuples, ready for hashtable.InsertBatchHashed /
-// ProbeRuns with SetShift(bits).
-func (p *Partitioner) PartitionHashed(rel tuple.Relation, bits int, tr cachesim.Tracer, base uint64) ([]tuple.Relation, [][]uint32) {
-	return p.partition(rel, bits, true, tr, base)
-}
-
-// partition is the driver around the per-tuple scatter: it sizes the
-// buffers, scatters, replays the accesses to tr when one is attached, and
-// cuts the output into partitions — once per partition, not per tuple.
-func (p *Partitioner) partition(rel tuple.Relation, bits int, withH bool, tr cachesim.Tracer, base uint64) ([]tuple.Relation, [][]uint32) {
 	fanout := 1 << max(bits, 0)
 	mask := uint32(fanout - 1)
 	p.ensure(len(rel), fanout)
-	p.scatter(rel, fanout, mask, withH)
+	p.scatter(rel, fanout, mask)
 	if tr != nil {
 		p.trace(rel, fanout, mask, tr, base)
 	}
 	parts := p.parts[:fanout]
-	var hparts [][]uint32
-	if withH {
-		hparts = p.hparts[:fanout]
-	}
 	for pi, lo := range p.offs[:fanout] {
-		hi := lo + p.hist[pi]
-		parts[pi] = p.out[lo:hi]
-		if withH {
-			hparts[pi] = p.outH[lo:hi]
-		}
+		parts[pi] = p.out[lo : lo+p.hist[pi]]
 	}
-	return parts, hparts
+	return parts
+}
+
+// PartitionHashed is Partition under the name the benchmark harness's
+// partition replay calls; it goes with the next change to that harness.
+func (p *Partitioner) PartitionHashed(rel tuple.Relation, bits int, tr cachesim.Tracer, base uint64) []tuple.Relation {
+	return p.Partition(rel, bits, tr, base)
 }
 
 // scatter is the one partitioning pass: histogram, prefix sum, then one
 // frontier write per tuple. It recomputes the hash in the scatter instead
 // of keeping it in a scratch slice — the multiplicative hash is a handful
 // of ALU ops, cheaper than streaming a 4-byte-per-tuple scratch through
-// the cache twice. When withH is set (PartitionHashed) the hashes land in
-// outH on the way past; Partition clears it and skips that write stream.
+// the cache twice.
 //
 //iawj:hotpath
-func (p *Partitioner) scatter(rel tuple.Relation, fanout int, mask uint32, withH bool) {
+func (p *Partitioner) scatter(rel tuple.Relation, fanout int, mask uint32) {
 	hist := p.hist[:fanout]
 	for i := range hist {
 		hist[i] = 0
@@ -130,18 +108,6 @@ func (p *Partitioner) scatter(rel tuple.Relation, fanout int, mask uint32, withH
 	}
 	_ = pos[mask]
 	out := p.out[:len(rel)]
-	if withH {
-		outH := p.outH[:len(rel)]
-		for i := range rel {
-			h := hashtable.Hash(rel[i].Key)
-			d := pos[h&mask]
-			//lint:allow bcegate scatter destination is the prefix-sum cursor; d < len(out) by the histogram invariant, which no local fact can prove
-			out[d] = rel[i]
-			outH[d] = h
-			pos[h&mask] = d + 1
-		}
-		return
-	}
 	for i := range rel {
 		h := hashtable.Hash(rel[i].Key)
 		d := pos[h&mask]
@@ -180,13 +146,11 @@ func (p *Partitioner) trace(rel tuple.Relation, fanout int, mask uint32, tr cach
 func (p *Partitioner) ensure(n, fanout int) {
 	if cap(p.out) < n {
 		p.out = make(tuple.Relation, n)
-		p.outH = make([]uint32, n)
 	}
 	if cap(p.hist) < fanout {
 		p.hist = make([]int, fanout)
 		p.offs = make([]int, fanout)
 		p.pos = make([]int, fanout)
 		p.parts = make([]tuple.Relation, fanout)
-		p.hparts = make([][]uint32, fanout)
 	}
 }
