@@ -115,16 +115,18 @@ conform:
 conform-full:
 	$(GO) run ./cmd/iawjconform
 
-## report-smoke: a two-algorithm windowed sweep appends window records to one
-## journal; it must hold both algorithms' records, each stamped with a
-## runtime sample, and parse
+## report-smoke: a two-algorithm windowed sweep, two windows an algorithm,
+## appends window records to one journal; it must hold both algorithms'
+## records, each stamped with a runtime sample, at least one counting the
+## run frame its window took from the pool, and parse
 report-smoke:
 	rm -f $(SMOKE)-ledger.jsonl
 	for alg in NPJ SHJ_JM; do \
-		$(GO) run ./cmd/iawjjoin -workload Stock -scale 0.002 -atrest -algorithm $$alg -windowms 50 -journal $(SMOKE)-ledger.jsonl >/dev/null || exit 1; \
+		$(GO) run ./cmd/iawjjoin -workload Stock -scale 0.002 -atrest -algorithm $$alg -windowms 5 -journal $(SMOKE)-ledger.jsonl >/dev/null || exit 1; \
 	done
 	test "$$(grep -c '"kind":"window"' $(SMOKE)-ledger.jsonl)" -ge 2
 	test "$$(grep -c '"runtime"' $(SMOKE)-ledger.jsonl)" -ge 2
+	test "$$(grep '"kind":"window"' $(SMOKE)-ledger.jsonl | grep -c '"pool_hits":{[^}]*"frame":')" -ge 1
 	$(INSPECT) $(SMOKE)-ledger.jsonl
 	rm -f $(SMOKE)-ledger.jsonl
 

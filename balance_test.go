@@ -12,8 +12,8 @@ import (
 )
 
 // TestPoolBalance: a run gives back everything it took from the pool —
-// the algorithm's buffers, tables and partitioners, the collector, the
-// frame, the result batches — whether it joined cleanly or failed. Over
+// the algorithm's buffers, tables and partitioners, the frame with its
+// collector, the result batches — whether it joined cleanly or failed. Over
 // one pool, every column and HANDSHAKE, at rest and paced, counting and
 // materializing, and PMJ_JM spilling to a directory and failing to spill
 // to a missing one, make nine calls of one shape: a cold one and two warm
@@ -27,8 +27,8 @@ import (
 // A measured call the pool met without a miss retains exactly what the
 // call before it left. With Emit the only growth allowed is whole result
 // batches (MatchBatch results each), one per result-batch miss: the
-// outbox keeps every batch it has ever needed parked at once, and a slow
-// consumer now and then needs one more. A miss of any other kind means
+// pool keeps every batch the outbox has ever needed parked at once, and a
+// slow consumer now and then needs one more. A miss of any other kind means
 // the call met a demand no call before it had — one more PMJ seal under
 // pacing, two PRJ workers wanting a table of one size class at once —
 // and the pool keeps what it allocated, so the next call does not miss

@@ -73,7 +73,6 @@ func benchSinkVariants(b *testing.B, feed func(k *Sink, hits []hashtable.Hit)) {
 				feed(k, hits)
 			}
 			k.Close()
-			ctx.Out.Close()
 		})
 	}
 	_ = seen

@@ -96,7 +96,6 @@ func bubbleParking(t *testing.T) {
 	close(stall)
 	<-beyond
 	done()
-	o.Close()
 	st := o.stats()
 	if want := int64(maxParked + 2); st.Delivered != want || c.seen != 10*want || st.Parked != want {
 		t.Fatalf("delivered %d batches and %d results of %d parked, want %d and %d", st.Delivered, c.seen, st.Parked, want, 10*want)
@@ -122,7 +121,6 @@ func bubbleEmitPanic(t *testing.T) {
 	<-beyond
 	o.release(o.flush(fullBatch(o, 10)))
 	done()
-	o.Close()
 	if err := o.err(); err == nil || !strings.HasPrefix(err.Error(), "core: emit: panic: consumer gave up") {
 		t.Fatalf("err = %v", err)
 	}

@@ -48,7 +48,8 @@ func (a scriptAlg) Run(ctx *ExecContext) error {
 
 // stable strips what differs between any two runs of one script: the
 // measured wall time (and the utilization derived from it) and the pool
-// traffic, which says whether the collector was a hit.
+// traffic, which says whether the frame, and with it the collector, was a
+// hit.
 func stable(res metrics.Result) metrics.Result {
 	res.WallNs, res.CPUUtil, res.Pool = 0, 0, metrics.PoolStats{}
 	return res
@@ -57,8 +58,9 @@ func stable(res metrics.Result) metrics.Result {
 var scriptInput = tuple.Relation{{TS: 0, Key: 1}, {TS: 1, Key: 2}}
 
 // TestRecycledCollectorIsInvisible: a run on a collector that an earlier,
-// different run dirtied and the pool recycled returns the Result a run on
-// a fresh collector returns, field for field.
+// different run dirtied and its frame kept returns the Result a run on a
+// fresh collector returns, field for field — also when the collector last
+// served more workers than the run has.
 func TestRecycledCollectorIsInvisible(t *testing.T) {
 	cfg := RunConfig{Threads: 3, AtRest: true}
 	fresh, err := Run(scriptAlg{k: 2}, scriptInput, scriptInput, 10, cfg)
@@ -77,21 +79,49 @@ func TestRecycledCollectorIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recycled.Pool.Hits[metrics.PoolCollector] != 1 || recycled.Pool.Misses[metrics.PoolCollector] != 0 {
-		t.Fatalf("second pooled run did not reuse the first's collector: %+v", recycled.Pool)
+	if recycled.Pool.Hits[metrics.PoolFrame] != 1 || recycled.Pool.Misses[metrics.PoolFrame] != 0 {
+		t.Fatalf("second pooled run did not reuse the first's frame: %+v", recycled.Pool)
 	}
 	if got, want := stable(recycled), stable(fresh); !reflect.DeepEqual(got, want) {
 		t.Errorf("run on a recycled collector:\n%+v\nrun on a fresh one:\n%+v", got, want)
 	}
 
-	// A different worker count does not get the three-worker collector.
+	// A two-worker run on the frame whose collector last served three
+	// workers returns what a two-worker run on a fresh one returns.
+	freshTwo, err := Run(scriptAlg{k: 2}, scriptInput, scriptInput, 10, RunConfig{Threads: 2, AtRest: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Threads = 2
 	two, err := Run(scriptAlg{k: 2}, scriptInput, scriptInput, 10, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two.Threads != 2 || two.Pool.Misses[metrics.PoolCollector] != 1 {
-		t.Errorf("a two-worker run after three-worker ones: threads %d, pool %+v", two.Threads, two.Pool)
+	if two.Threads != 2 || two.Pool.Hits[metrics.PoolFrame] != 1 {
+		t.Fatalf("a two-worker run after three-worker ones: threads %d, pool %+v", two.Threads, two.Pool)
+	}
+	if got, want := stable(two), stable(freshTwo); !reflect.DeepEqual(got, want) {
+		t.Errorf("two-worker run on a three-worker collector:\n%+v\non a fresh one:\n%+v", got, want)
+	}
+}
+
+// TestRunRecordCountsItsFrame: a run's Result.Pool counts the frame the
+// run took — a miss on a fresh pool, a hit on every later call — as
+// Pool.Stats does.
+func TestRunRecordCountsItsFrame(t *testing.T) {
+	cfg := RunConfig{Threads: 2, AtRest: true, Pool: pool.New()}
+	for call, want := range []struct{ hits, misses int64 }{{0, 1}, {1, 0}, {1, 0}} {
+		res, err := Run(scriptAlg{k: 2}, scriptInput, scriptInput, 10, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Pool; got.Hits[metrics.PoolFrame] != want.hits || got.Misses[metrics.PoolFrame] != want.misses {
+			t.Errorf("call %d: Result.Pool counts %d frame hits, %d misses; want %d, %d",
+				call, got.Hits[metrics.PoolFrame], got.Misses[metrics.PoolFrame], want.hits, want.misses)
+		}
+	}
+	if st := cfg.Pool.Stats(); st.Hits[metrics.PoolFrame] != 2 || st.Misses[metrics.PoolFrame] != 1 {
+		t.Errorf("Pool.Stats counts %d frame hits, %d misses; want 2, 1", st.Hits[metrics.PoolFrame], st.Misses[metrics.PoolFrame])
 	}
 }
 
@@ -108,8 +138,8 @@ func TestResultOutlivesItsCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Pool.Hits[metrics.PoolCollector] != 1 {
-		t.Fatalf("second run did not reuse the collector: %+v", second.Pool)
+	if second.Pool.Hits[metrics.PoolFrame] != 1 {
+		t.Fatalf("second run did not reuse the frame's collector: %+v", second.Pool)
 	}
 	if second.Progress == progress || second.MemCurve == curve {
 		t.Fatal("the two scripts must leave different curves for this test to mean anything")
@@ -121,9 +151,9 @@ func TestResultOutlivesItsCollector(t *testing.T) {
 }
 
 // TestFailedRunReturnsItsCollector: the pool retains as much after a run
-// whose algorithm failed as after a clean one — the collector, and what
-// the algorithm took through the context — and the run after the failure
-// finds the collector.
+// whose algorithm failed as after a clean one — the frame with its
+// collector, and what the algorithm took through the context — and the
+// run after the failure finds the frame.
 func TestFailedRunReturnsItsCollector(t *testing.T) {
 	for _, take := range []bool{false, true} {
 		cfg := RunConfig{Threads: 2, AtRest: true, Pool: pool.New()}
@@ -152,8 +182,8 @@ func TestFailedRunReturnsItsCollector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Pool.Hits[metrics.PoolCollector] != 1 {
-			t.Errorf("the run after a failed one allocated a collector: %+v", res.Pool)
+		if res.Pool.Hits[metrics.PoolFrame] != 1 {
+			t.Errorf("the run after a failed one allocated a frame: %+v", res.Pool)
 		}
 		if fresh, _ := Run(scriptAlg{k: 2, take: take}, scriptInput, scriptInput, 10, RunConfig{Threads: 2, AtRest: true}); !reflect.DeepEqual(stable(res), stable(fresh)) {
 			t.Errorf("run on the failed run's collector:\n%+v\nrun on a fresh one:\n%+v", stable(res), stable(fresh))

@@ -242,12 +242,13 @@ func RunState[T any](ctx *ExecContext) *T {
 }
 
 // frame is what one call of Run needs beyond the pool's kernel state:
-// the ExecContext its workers share, its clock, held by value, the
-// outbox of a call that materializes alone, and the channel the
-// algorithm's goroutine reports on while Run delivers. The pool keeps
-// frames between calls, so a warm call allocates none of it.
+// the ExecContext its workers share, its metrics collector and clock,
+// held by value, the outbox of a call that materializes alone, and the
+// channel the algorithm's goroutine reports on while Run delivers. The
+// pool keeps frames between calls, so a warm call allocates none of it.
 type frame struct {
 	ctx    ExecContext
+	m      metrics.Collector
 	static clock.Static
 	scaled clock.Scaled
 	out    Outbox
@@ -263,17 +264,22 @@ func takeFrame(p *pool.Pool) *frame {
 	return &frame{done: make(chan error, 1)}
 }
 
-// MemBytes is what the frame holds: itself and its workers' sinks.
+// MemBytes is what the frame holds: itself, its collector's worker slots
+// and its workers' sinks.
 func (f *frame) MemBytes() int64 {
-	return int64(unsafe.Sizeof(*f)) + int64(cap(f.ctx.sinks))*int64(unsafe.Sizeof(Sink{}))
+	return int64(unsafe.Sizeof(*f)) + f.m.MemBytes() + int64(cap(f.ctx.sinks))*int64(unsafe.Sizeof(Sink{}))
 }
 
 // run runs the frame's algorithm and reports its error on done.
 func (f *frame) run() { f.done <- f.alg.Run(&f.ctx) }
 
 // release drops the call's references — inputs, clock, consumer,
-// tracer — and files the frame in p for the next call.
+// tracer and trace rings — and files the frame in p for the next call,
+// which resets the collector.
 func (f *frame) release(p *pool.Pool) {
+	for tid := range f.m.Threads() {
+		f.m.T(tid).Trace(nil, 0)
+	}
 	clear(f.ctx.sinks)
 	f.ctx = ExecContext{sinks: f.ctx.sinks, timers: f.ctx.timers, held: f.ctx.held, states: f.ctx.states}
 	f.out.emit, f.alg = nil, nil
@@ -311,8 +317,7 @@ type RunConfig struct {
 	Emit func(tuple.JoinResult)
 	// Out, when non-nil, is the outbox of a call that makes several runs
 	// for one consumer (the windows of JoinWindowed*): the run delivers
-	// through it instead of one of its own, Emit is ignored, and the
-	// caller Closes it after its last run.
+	// through it instead of one of its own, and Emit is ignored.
 	Out *Outbox
 	// Pool recycles per-window kernel state across runs; nil gives the
 	// run a fresh pool of its own.
@@ -365,6 +370,7 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	if cfg.Pool == nil {
 		cfg.Pool = pool.New()
 	}
+	poolBefore := cfg.Pool.Stats()
 	f := takeFrame(cfg.Pool)
 	defer f.release(cfg.Pool)
 	var src clock.Source
@@ -381,7 +387,7 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	if cfg.WrapClock != nil {
 		src = cfg.WrapClock(src)
 	}
-	poolBefore := cfg.Pool.Stats()
+	f.m.Reset(threads)
 	ctx := &f.ctx
 	sinks := ctx.sinks
 	if cap(sinks) < threads {
@@ -394,7 +400,7 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		BaseTS:   cfg.BaseTS,
 		Threads:  threads,
 		Clock:    src,
-		M:        cfg.Pool.Collector(threads),
+		M:        &f.m,
 		Knobs:    knobs,
 		Tracer:   cfg.Tracer,
 		Out:      cfg.Out,
@@ -422,23 +428,18 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		err = ctx.Out.serve(f.done)
 	}
 	ctx.giveBack()
-	if cfg.Out == nil {
-		ctx.Out.Close()
-	}
 	if emitErr := ctx.Out.err(); emitErr != nil {
 		err = emitErr
 	} else if err != nil {
 		err = fmt.Errorf("core: %s: %w", alg.Name(), err)
 	}
 	if err != nil {
-		cfg.Pool.PutCollector(ctx.M)
 		return metrics.Result{}, err
 	}
 	wall := sw.ElapsedNs()
+	// The Result shares no memory with the collector, which the frame
+	// keeps for the next run.
 	res := ctx.M.Snapshot(alg.Name(), int64(len(r)+len(s)), wall)
-	// The Result shares no memory with the collector, which goes back for
-	// the next run — as it did above when the algorithm failed.
-	cfg.Pool.PutCollector(ctx.M)
 	res.Pool = cfg.Pool.Stats().Since(poolBefore)
 	res.Output = ctx.Out.stats().Since(outBefore)
 	return res, nil

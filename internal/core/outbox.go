@@ -34,8 +34,8 @@ const maxParked = 16
 // entered: the outbox fails (err) and drops every later batch, so the
 // workers finish, blocked by nobody.
 //
-// A count-only run has no outbox: ExecContext.Out is nil, and stats, err
-// and Close accept the nil receiver.
+// A count-only run has no outbox: ExecContext.Out is nil, and stats and
+// err accept the nil receiver.
 type Outbox struct {
 	emit   func(tuple.JoinResult)
 	pool   *pool.Pool
@@ -43,19 +43,17 @@ type Outbox struct {
 	wake   chan struct{}           // a batch was parked since a deliverer last looked
 	token  sync.Mutex              // held while the consumer runs
 
-	// mu guards the free list, the counters and the failure; it is never
-	// held while the consumer runs. The pad keeps it off the token's line.
+	// mu guards the counters and the failure; it is never held while
+	// the consumer runs. The pad keeps it off the token's line.
 	_       [24]byte
 	mu      sync.Mutex
-	free    [][]tuple.JoinResult // empty batches
 	counts  metrics.OutputStats
 	failure error // the consumer's panic
 }
 
 // NewOutbox returns the outbox of one call: emit is the caller's consumer,
-// p the pool result batches come from and go back to. The caller Closes it
-// when the call's last run has returned. A nil emit — a count-only call —
-// gets no outbox.
+// p the pool result batches come from and go back to. A nil emit — a
+// count-only call — gets no outbox.
 func NewOutbox(emit func(tuple.JoinResult), p *pool.Pool) *Outbox {
 	if emit == nil {
 		return nil
@@ -65,8 +63,8 @@ func NewOutbox(emit func(tuple.JoinResult), p *pool.Pool) *Outbox {
 	return o
 }
 
-// open readies o for a call's consumer emit: a new outbox, or a closed
-// one of an earlier call that keeps its channels and free list.
+// open readies o for a call's consumer emit: a new outbox, or one of an
+// earlier call that keeps its channels.
 func (o *Outbox) open(emit func(tuple.JoinResult), p *pool.Pool) {
 	if o.parked == nil {
 		o.parked = make(chan []tuple.JoinResult, maxParked)
@@ -94,29 +92,11 @@ func (o *Outbox) serve(done <-chan error) error {
 	}
 }
 
-// batch returns an empty result batch.
-func (o *Outbox) batch() []tuple.JoinResult {
-	var b []tuple.JoinResult
-	o.mu.Lock()
-	if l := len(o.free); l > 0 {
-		b, o.free = o.free[l-1], o.free[:l-1]
-	}
-	o.mu.Unlock()
-	if b == nil {
-		b = o.pool.Results(MatchBatch)
-	}
-	return b
-}
+// batch returns an empty result batch from the pool.
+func (o *Outbox) batch() []tuple.JoinResult { return o.pool.Results(MatchBatch) }
 
-// release takes back an empty batch.
-func (o *Outbox) release(b []tuple.JoinResult) {
-	if cap(b) == 0 {
-		return
-	}
-	o.mu.Lock()
-	o.free = append(o.free, b[:0])
-	o.mu.Unlock()
-}
+// release gives a delivered batch back to the pool.
+func (o *Outbox) release(b []tuple.JoinResult) { o.pool.PutResults(b) }
 
 // flush sees the results of b to the consumer and returns an empty batch
 // to go on with: b itself when it delivered b, a fresh one when it parked
@@ -205,19 +185,4 @@ func (o *Outbox) stats() metrics.OutputStats {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.counts
-}
-
-// Close returns the outbox's batches to the pool. Call it when the call's
-// last serve has returned, which leaves nothing parked.
-func (o *Outbox) Close() {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	for i, b := range o.free {
-		o.pool.PutResults(b)
-		o.free[i] = nil
-	}
-	o.free = o.free[:0]
-	o.mu.Unlock()
 }

@@ -127,7 +127,6 @@ func TestOutboxParksWhileConsumerIsBusyAndHoldsItsBound(t *testing.T) {
 	close(stall)
 	wg.Wait()
 	done()
-	o.Close()
 	st := o.stats()
 	if want := int64(maxParked + 2); st.Delivered != want || c.seen != 10*want {
 		t.Fatalf("delivered %d batches and %d results, want %d and %d", st.Delivered, c.seen, want, 10*want)
@@ -164,7 +163,6 @@ func TestWaitingGoroutineDeliversWhatWorkersParked(t *testing.T) {
 	}
 	k.Close()
 	done()
-	ctx.Out.Close()
 	if c.seen != 7 {
 		t.Fatalf("%d of 7 results delivered", c.seen)
 	}
@@ -218,7 +216,6 @@ func TestEmitPanicFailsTheOutboxAndFreesTheWorkers(t *testing.T) {
 	<-beyond
 	o.release(o.flush(fullBatch(o, 10)))
 	done()
-	o.Close()
 	if err := o.err(); err == nil || !strings.HasPrefix(err.Error(), "core: emit: panic: consumer gave up") {
 		t.Fatalf("err = %v", err)
 	}
@@ -244,7 +241,6 @@ func emitRun(t *testing.T, p *pool.Pool, c *soloConsumer, workers, perWorker int
 		})
 		return nil
 	})
-	ctx.Out.Close()
 	if n, want := ctx.M.Snapshot("x", 0, 1).Matches, int64(workers*perWorker); n != want {
 		t.Fatalf("%d matches booked, want %d", n, want)
 	}
@@ -266,7 +262,7 @@ func TestOutboxDeliversExactlyOnceAndNeverConcurrently(t *testing.T) {
 }
 
 // TestOutboxBatchesComeFromThePoolAndGoBack: the first run on a pool
-// allocates its result batch, Close hands it back, and the second run
+// allocates its result batch, delivery hands it back, and the second run
 // misses none. One worker, so that the demand is the same both times: how
 // many batches several workers have in flight at once is the scheduler's.
 func TestOutboxBatchesComeFromThePoolAndGoBack(t *testing.T) {
@@ -325,7 +321,6 @@ func BenchmarkOutbox(b *testing.B) {
 		return nil
 	})
 	b.StopTimer()
-	o.Close()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(producers*perProducer*MatchBatch), "ns/result")
 	if d.count == 0 {
 		b.Fatal("nothing was delivered")

@@ -159,7 +159,6 @@ func TestRunFormEqualsPerMatchForm(t *testing.T) {
 			}
 		}
 		k.Close()
-		ctx.Out.Close()
 
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: run form emitted %d results, per-match form %d, or they differ", seed, len(got), len(want))

@@ -10,9 +10,11 @@
 package metrics
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Phase identifies one of the six execution phases of the breakdown.
@@ -175,18 +177,27 @@ func NewCollector(n int) *Collector {
 	return &Collector{threads: make([]ThreadMetrics, n)}
 }
 
-// Reset returns the collector to the state NewCollector left it in, in
-// place: the window pool hands a finished run's collector to the next run
-// of the same thread count. Call it only once the run's workers have
-// quiesced; a Result snapshotted earlier shares no memory with the
-// collector and is unaffected.
-func (c *Collector) Reset() {
+// Reset returns the collector to the state NewCollector(n) leaves it in,
+// in place: a call's run frame (internal/core) keeps its collector for
+// the next run, whatever that run's worker count, and regrows its worker
+// slots only past the most it ever held. Call it only once the last run's
+// workers have quiesced; a Result snapshotted earlier shares no memory
+// with the collector and is unaffected.
+func (c *Collector) Reset(n int) {
+	n = max(n, 1)
+	c.threads = slices.Grow(c.threads[:0], n)[:n]
 	clear(c.threads)
 	c.memCur.Store(0)
 	c.memPeak.Store(0)
 	c.memMu.Lock()
 	c.memSamples = c.memSamples[:0]
 	c.memMu.Unlock()
+}
+
+// MemBytes is what the collector's worker slots hold, the most workers
+// it ever served.
+func (c *Collector) MemBytes() int64 {
+	return int64(cap(c.threads)) * int64(unsafe.Sizeof(ThreadMetrics{}))
 }
 
 // T returns the metrics handle of worker tid.

@@ -182,10 +182,11 @@ func TestPhaseNames(t *testing.T) {
 	}
 }
 
-// TestCollectorResetEqualsNew: after Reset a collector snapshots exactly
-// as a new one does — every worker's phases, histograms and last-match
-// time, the memory gauge, peak and samples are back to zero — and then
-// records like a new one.
+// TestCollectorResetEqualsNew: after Reset(n) a collector snapshots
+// exactly as NewCollector(n) does — every worker's phases, histograms and
+// last-match time, the memory gauge, peak and samples are back to zero —
+// and then records like a new one, also when n is fewer or more workers
+// than it last served.
 func TestCollectorResetEqualsNew(t *testing.T) {
 	dirty := func(c *Collector, k int64) {
 		for tid := 0; tid < c.Threads(); tid++ {
@@ -211,7 +212,7 @@ func TestCollectorResetEqualsNew(t *testing.T) {
 
 	used := NewCollector(2)
 	dirty(used, 9)
-	used.Reset()
+	used.Reset(2)
 	if used.T(0).ring != nil {
 		t.Error("Reset left a span ring attached")
 	}
@@ -219,8 +220,26 @@ func TestCollectorResetEqualsNew(t *testing.T) {
 		t.Errorf("after Reset: %+v\nnew collector: %+v", got, want)
 	}
 	dirty(used, 4)
-	used.Reset()
+	used.Reset(2)
 	if got, want := script(used), script(NewCollector(2)); !reflect.DeepEqual(got, want) {
 		t.Errorf("script on a reset collector: %+v\non a new one: %+v", got, want)
+	}
+
+	// Resized in place: four workers down to two, then two back up to
+	// four, whose last two slots still hold the first round's marks.
+	resized := NewCollector(4)
+	for _, n := range []int{2, 4} {
+		dirty(resized, 5)
+		resized.Reset(n)
+		if resized.Threads() != n || resized.T(n-1).ring != nil {
+			t.Fatalf("Reset(%d): %d workers, last one traced %v", n, resized.Threads(), resized.T(n-1).ring != nil)
+		}
+		if got, want := resized.Snapshot("X", 10, 1000), NewCollector(n).Snapshot("X", 10, 1000); !reflect.DeepEqual(got, want) {
+			t.Errorf("after Reset(%d): %+v\nNewCollector(%d): %+v", n, got, n, want)
+		}
+		resized.Reset(n)
+		if got, want := script(resized), script(NewCollector(n)); !reflect.DeepEqual(got, want) {
+			t.Errorf("script after Reset(%d): %+v\non NewCollector(%d): %+v", n, got, n, want)
+		}
 	}
 }

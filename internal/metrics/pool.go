@@ -9,8 +9,8 @@ type PoolKind int
 // partitioners, sized tuple buffers (run copies, merge outputs, sort
 // scratch, pull batches), the hit buffers of probe batches, uint32 arrays
 // (the JB router's status table, ADAPTIVE's profile scratch), the result
-// batches of the output path, the metrics collectors of whole runs, and
-// the run frames of whole calls (internal/core).
+// batches of the output path, and the run frames of whole calls
+// (internal/core), each of which holds its run's metrics collector.
 const (
 	PoolTable PoolKind = iota
 	PoolShared
@@ -19,12 +19,11 @@ const (
 	PoolHits
 	PoolU32
 	PoolResults
-	PoolCollector
 	PoolFrame
 	NumPoolKinds
 )
 
-var poolKindNames = [NumPoolKinds]string{"table", "shared", "partitioner", "tuples", "hits", "u32", "results", "collector", "frame"}
+var poolKindNames = [NumPoolKinds]string{"table", "shared", "partitioner", "tuples", "hits", "u32", "results", "frame"}
 
 // String names the kind as the journal labels it.
 func (k PoolKind) String() string {

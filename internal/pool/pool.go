@@ -3,7 +3,8 @@
 // Every window of a streaming join needs the same transient structures:
 // hash-table directories and overflow buckets, partitioner scratch, the
 // physical partition copies of the sort joins, probe hit buffers, the
-// result batches of the output path, and the run's metrics collector.
+// result batches of the output path, and the run frame of a whole call,
+// which holds the run's metrics collector.
 // Allocating them fresh per window makes a memory-bound kernel GC-bound —
 // the overhead partition-based stream joins like PanJoin explicitly
 // engineer away. Pool keeps freelists of all of them behind a Reset
@@ -125,7 +126,6 @@ type Pool struct {
 	hits    bufs[hashtable.Hit]
 	u32s    bufs[uint32]
 	results bufs[tuple.JoinResult]
-	collect []*metrics.Collector
 	frames  []Frame
 	stats   metrics.PoolStats
 }
@@ -262,44 +262,10 @@ func (p *Pool) U32(n int) []uint32 { return take(p, &p.u32s, metrics.PoolU32, n)
 // capacity class.
 func (p *Pool) PutU32(buf []uint32) { give(p, &p.u32s, buf) }
 
-// collectorBytes is what a collector for the given worker count holds:
-// two histograms and the phase clock per worker.
-func collectorBytes(threads int) int64 {
-	return int64(threads) * int64(unsafe.Sizeof(metrics.ThreadMetrics{}))
-}
-
-// Collector returns a zeroed metrics collector for a run of the given
-// worker count (at least one), recycled when a run of that count has
-// returned one.
-func (p *Pool) Collector(threads int) *metrics.Collector {
-	threads = max(threads, 1)
-	p.mu.Lock()
-	var c *metrics.Collector
-	for i := len(p.collect) - 1; i >= 0; i-- {
-		if p.collect[i].Threads() == threads {
-			c = p.collect[i]
-			p.collect = slices.Delete(p.collect, i, i+1)
-			break
-		}
-	}
-	p.acquired(metrics.PoolCollector, c != nil, collectorBytes(threads))
-	p.mu.Unlock()
-	if c == nil {
-		c = metrics.NewCollector(threads)
-	}
-	return c
-}
-
-// PutCollector resets c and returns it to the freelist. Call only after
-// the run's workers have quiesced and its Result has been snapshotted.
-func (p *Pool) PutCollector(c *metrics.Collector) {
-	c.Reset()
-	push(p, &p.collect, c, collectorBytes(c.Threads()))
-}
-
 // Frame is a call's run frame as the pool sees it: internal/core owns
 // the type, which the pool cannot import; the pool only keeps frames
-// between calls, counted in the bytes they hold.
+// between calls, counted in the bytes they hold — the run's metrics
+// collector among them.
 type Frame interface{ MemBytes() int64 }
 
 // Frame returns a run frame PutFrame filed, or nil when none is free.

@@ -109,7 +109,6 @@ func JoinWindowedParallel(r, s Relation, spec WindowSpec, cfg Config, workers in
 		cfg.Pool = NewStatePool()
 	}
 	outbox := core.NewOutbox(cfg.Emit, cfg.Pool) // nil when only counting
-	defer outbox.Close()
 	out := make([]WindowResult, len(pairs))
 	for i, p := range pairs {
 		out[i] = WindowResult{Start: p.Window.Start, End: p.Window.End}

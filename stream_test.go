@@ -158,9 +158,10 @@ func TestJoinWindowedParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelWindowsRecycleCollectors: three windows in flight on one
-// pool hand each other's metrics collectors on (run under -race by the
-// gate), every window still books exactly its own matches, and the pool
-// never builds more collectors than there were windows in flight.
+// pool hand each other's run frames, and with them their metrics
+// collectors, on (run under -race by the gate), every window still books
+// exactly its own matches, and the pool never builds more frames than
+// there were windows in flight.
 func TestParallelWindowsRecycleCollectors(t *testing.T) {
 	w := Micro(MicroConfig{RateR: 40, RateS: 40, WindowMs: 600, Dupe: 4, Seed: 47})
 	spec := WindowSpec{Kind: Sliding, LengthMs: 100, SlideMs: 50}
@@ -190,9 +191,9 @@ func TestParallelWindowsRecycleCollectors(t *testing.T) {
 			}
 		}
 		st := cfg.Pool.Stats()
-		hits, misses := st.Hits[metrics.PoolCollector], st.Misses[metrics.PoolCollector]
+		hits, misses := st.Hits[metrics.PoolFrame], st.Misses[metrics.PoolFrame]
 		if misses < 1 || misses > 3 || hits+misses != int64(runs) {
-			t.Errorf("%s: %d runs, three at a time, took %d collectors from the pool and built %d", alg, runs, hits, misses)
+			t.Errorf("%s: %d runs, three at a time, took %d frames from the pool and built %d", alg, runs, hits, misses)
 		}
 	}
 }
@@ -267,12 +268,13 @@ func TestJoinWindowedJournalRoundTrip(t *testing.T) {
 			t.Errorf("window %d: journal %s/%d, result %s/%d", i, e.Algorithm, e.Matches, wr.Result.Algorithm, wr.Result.Matches)
 		}
 	}
-	// The ledger says where each window's metrics collector came from —
-	// the first window built it, every later one took it from the pool.
+	// The ledger says where each window's run frame, and with it its
+	// metrics collector, came from — the first window built it, every
+	// later one took it from the pool.
 	for n, e := range j.Windows {
-		built, reused := e.PoolMisses["collector"], e.PoolHits["collector"]
+		built, reused := e.PoolMisses["frame"], e.PoolHits["frame"]
 		if (n == 0 && (built != 1 || reused != 0)) || (n > 0 && (built != 0 || reused != 1)) {
-			t.Errorf("window record %d: collector built %d times, reused %d", n, built, reused)
+			t.Errorf("window record %d: frame built %d times, reused %d", n, built, reused)
 		}
 	}
 }
