@@ -17,7 +17,7 @@ check:
 
 ## fmt-check: formatting drift fails fast
 fmt-check:
-	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+	@unformatted="$$(gofmt -s -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needs to be run on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 ## vet: stdlib static analysis
@@ -145,7 +145,7 @@ spec-smoke:
 
 ## fmt: apply gofmt to the tree
 fmt:
-	gofmt -w .
+	gofmt -s -w .
 
 ## loc: the size numbers every PR reports in CHANGES.md — non-test Go lines
 ## of the root module (benchmark/, .bench_build/ and lint fixtures

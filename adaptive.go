@@ -17,11 +17,6 @@ const AdaptiveName = "ADAPTIVE"
 // profile the first arrivals of a window.
 const adaptiveSample = 4096
 
-// profileScratch is the uint32 scratch that lets SummarizeScratch profile
-// a prefix of up to adaptiveSample (a power of two) tuples without
-// allocating; adaptiveProfile takes it from the window pool.
-const profileScratch = 4 * adaptiveSample
-
 // adaptiveProfile profiles the inputs, whose timestamps count from
 // baseTS, for the decision tree.
 func adaptiveProfile(r, s Relation, cfg Config, baseTS int64) Profile {
@@ -29,13 +24,13 @@ func adaptiveProfile(r, s Relation, cfg Config, baseTS int64) Profile {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	scratch := cfg.Pool.U32(profileScratch)
-	rs := prefix(r, adaptiveSample).SummarizeScratch(scratch)
-	ss := prefix(s, adaptiveSample).SummarizeScratch(scratch)
-	cfg.Pool.PutU32(scratch)
+	// A prefix of adaptiveSample tuples is profiled on Summarize's own
+	// stack: the profile takes nothing from the pool.
+	rs := prefix(r, adaptiveSample).Summarize()
+	ss := prefix(s, adaptiveSample).Summarize()
 	p := Profile{
-		Dupe:      minF(rs.Dupe, ss.Dupe),
-		KeySkew:   maxF(rs.KeySkew, ss.KeySkew),
+		Dupe:      min(rs.Dupe, ss.Dupe),
+		KeySkew:   max(rs.KeySkew, ss.KeySkew),
 		Tuples:    len(r) + len(s),
 		Cores:     threads,
 		Objective: cfg.Objective,

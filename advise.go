@@ -42,8 +42,8 @@ func ProfileWorkload(w Workload, cores int, obj Objective) Profile {
 	// streams (Rovio, DEBS in the paper); a single high-dupe side (YSB's
 	// ad stream) still favors hash joins, so profile the minimum.
 	p := Profile{
-		Dupe:      minF(rs.Dupe, ss.Dupe),
-		KeySkew:   maxF(rs.KeySkew, ss.KeySkew),
+		Dupe:      min(rs.Dupe, ss.Dupe),
+		KeySkew:   max(rs.KeySkew, ss.KeySkew),
 		Tuples:    rs.Tuples + ss.Tuples,
 		Cores:     cores,
 		Objective: obj,
@@ -63,18 +63,4 @@ func ProfileWorkload(w Workload, cores int, obj Objective) Profile {
 		}
 	}
 	return p
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

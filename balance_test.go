@@ -33,7 +33,9 @@ import (
 // pacing, two PRJ workers wanting a table of one size class at once —
 // and the pool keeps what it allocated, so the next call does not miss
 // it again: a kind that misses in all five did not come back. Every call
-// finds the same matches.
+// finds the same matches, and every call that returns a Result records
+// in Result.Pool exactly the hits and misses the pool counted during it:
+// nothing the call takes escapes its record.
 func TestPoolBalance(t *testing.T) {
 	w := Micro(MicroConfig{RateR: 20, RateS: 20, WindowMs: 100, Dupe: 4, Seed: 7})
 	batchBytes := int64(core.MatchBatch) * int64(unsafe.Sizeof(JoinResult{}))
@@ -86,6 +88,10 @@ func TestPoolBalance(t *testing.T) {
 					t.Fatalf("call %d found %d matches, the cold call %d", call, res.Matches, matches)
 				}
 				now := cfg.Pool.Stats()
+				if d := now.Since(prev); err == nil && (d.Hits != res.Pool.Hits || d.Misses != res.Pool.Misses) {
+					t.Errorf("call %d: the pool counted hits %v misses %v, the run's record hits %v misses %v",
+						call, d.Hits, d.Misses, res.Pool.Hits, res.Pool.Misses)
+				}
 				if call >= unmeasured {
 					d := now.Since(prev)
 					batches := d.Misses[metrics.PoolResults]

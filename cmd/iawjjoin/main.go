@@ -345,13 +345,7 @@ func (in inputs) load() (gen.Workload, error) {
 		if err != nil {
 			return gen.Workload{}, err
 		}
-		w := gen.Workload{Name: "network", R: r, S: s}
-		w.WindowMs = r.MaxTS()
-		if m := s.MaxTS(); m > w.WindowMs {
-			w.WindowMs = m
-		}
-		w.AtRest = w.WindowMs == 0
-		return w, nil
+		return gen.FromRelations("network", r, s), nil
 	case in.inR != "" && in.inS != "":
 		return gen.LoadCSVWorkload("csv", in.inR, in.inS)
 	case in.spec != "":

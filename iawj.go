@@ -94,12 +94,12 @@ type Config struct {
 
 	// Pool recycles per-window state (hash tables, partitioner scratch,
 	// run copies, sort scratch, merge outputs, match buffers, router
-	// status, the run's metrics collector, ADAPTIVE's profile scratch)
-	// across joins sharing the pool. Create one with NewStatePool and
-	// reuse it across the windows of a stream; a steady-state window then
-	// allocates little more than the Result it returns (PERFORMANCE.md
-	// §4). Nil gives the call a fresh pool of its own, which allocates
-	// what the join asks for and no more.
+	// status, the run's frame with its metrics collector) across joins
+	// sharing the pool. Create one with NewStatePool and reuse it across
+	// the windows of a stream; a steady-state window then allocates little
+	// more than the Result it returns (PERFORMANCE.md §4). Nil gives the
+	// call a fresh pool of its own, which allocates what the join asks
+	// for and no more.
 	Pool *StatePool
 
 	// WrapClock, when non-nil, wraps the run's virtual time source
@@ -178,9 +178,6 @@ func Join(r, s Relation, cfg Config) (Result, error) { return join(r, s, cfg, 0,
 // of a call that joins many windows for one Emit; nil gives the join its
 // own.
 func join(r, s Relation, cfg Config, baseTS int64, out *core.Outbox) (Result, error) {
-	if cfg.Pool == nil {
-		cfg.Pool = NewStatePool()
-	}
 	if cfg.Algorithm == AdaptiveName {
 		cfg.Algorithm = core.Pick(adaptiveProfile(r, s, cfg, baseTS), core.DefaultThresholds())
 	}
@@ -188,11 +185,7 @@ func join(r, s Relation, cfg Config, baseTS int64, out *core.Outbox) (Result, er
 	if err != nil {
 		return Result{}, err
 	}
-	windowMs := cfg.WindowMs
-	if windowMs <= 0 && !cfg.AtRest {
-		windowMs = max(r.MaxTS(), s.MaxTS()) - baseTS
-	}
-	return core.Run(alg, r, s, windowMs, core.RunConfig{
+	return core.Run(alg, r, s, cfg.WindowMs, core.RunConfig{
 		Threads:    cfg.Threads,
 		NsPerSimMs: cfg.NsPerSimMs,
 		AtRest:     cfg.AtRest,

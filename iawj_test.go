@@ -155,10 +155,3 @@ func TestEmitOutputsIdenticalAcrossAlgorithms(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

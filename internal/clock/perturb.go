@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/zipf"
 )
 
 // Perturbed wraps a Source with deterministic adversarial scheduling: it
@@ -73,24 +75,12 @@ func Perturb(src Source, cfg PerturbConfig) *Perturbed {
 	return &Perturbed{src: src, cfg: cfg}
 }
 
-// mix64 is the splitmix64 finalizer: a cheap, high-quality bijective hash
-// used for all pseudo-random decisions so no rand state needs locking.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // yieldPoint is the cooperative yield injected into every clock read. The
 // call counter, not time, indexes the decision, so two workers racing
 // through the same code path diverge in where they get descheduled.
 func (p *Perturbed) yieldPoint() {
 	n := p.calls.Add(1)
-	h := mix64(p.cfg.Seed ^ n)
+	h := zipf.Mix64(p.cfg.Seed ^ n)
 	if h%uint64(p.cfg.SleepEvery) == 0 {
 		// A real sleep forces the scheduler to run someone else even
 		// with GOMAXPROCS=1, where Gosched alone often resumes the
@@ -111,7 +101,7 @@ func (p *Perturbed) NowMs() int64 {
 	if p.src.AtRest() {
 		return raw
 	}
-	jit := int64(mix64(p.cfg.Seed^uint64(raw)) % uint64(p.cfg.MaxJitterMs+1))
+	jit := int64(zipf.Mix64(p.cfg.Seed^uint64(raw)) % uint64(p.cfg.MaxJitterMs+1))
 	v := raw - jit
 	if v < 0 {
 		v = 0

@@ -69,7 +69,7 @@ func (Handshake) Run(ctx *core.ExecContext) error {
 					} else {
 						sStore = append(sStore, msg.t)
 					}
-					ctx.M.MemAdd(16)
+					ctx.M.MemAdd(tuple.Bytes)
 				}
 				ctx.Begin(cell, metrics.PhaseOther)
 				// Forward along the flow direction; R flows to higher

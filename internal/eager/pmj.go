@@ -267,7 +267,7 @@ func (p *pmjWorker) seal() {
 		}
 		p.end(0)
 	} else {
-		ctx.M.MemAdd(int64(n) * 16)
+		ctx.M.MemAdd(int64(n) * tuple.Bytes)
 	}
 	p.runs = append(p.runs, ru)
 	if p.tid == 0 {

@@ -30,10 +30,10 @@ func WriteCSV(w io.Writer, rel tuple.Relation) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a relation from "ts,key,payload" rows. A header row is
+// readCSV parses a relation from "ts,key,payload" rows. A header row is
 // detected and skipped. Tuples must be time ordered (they are validated,
 // not silently re-sorted, so accidental misordering surfaces).
-func ReadCSV(r io.Reader) (tuple.Relation, error) {
+func readCSV(r io.Reader) (tuple.Relation, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	cr.FieldsPerRecord = 3
@@ -65,9 +65,8 @@ func ReadCSV(r io.Reader) (tuple.Relation, error) {
 	return rel, nil
 }
 
-// LoadCSVWorkload reads a workload from two CSV files (one per stream).
-// The window length is taken from the larger maximum timestamp; inputs
-// whose timestamps are all zero are treated as data at rest.
+// LoadCSVWorkload reads a workload from two CSV files (one per stream),
+// windowed as FromRelations says.
 func LoadCSVWorkload(name, pathR, pathS string) (Workload, error) {
 	r, err := loadCSVFile(pathR)
 	if err != nil {
@@ -77,15 +76,16 @@ func LoadCSVWorkload(name, pathR, pathS string) (Workload, error) {
 	if err != nil {
 		return Workload{}, err
 	}
-	w := Workload{Name: name, R: r, S: s}
-	w.WindowMs = r.MaxTS()
-	if m := s.MaxTS(); m > w.WindowMs {
-		w.WindowMs = m
-	}
-	if w.WindowMs == 0 {
-		w.AtRest = true
-	}
-	return w, nil
+	return FromRelations(name, r, s), nil
+}
+
+// FromRelations is the workload of two recorded streams: its window ends
+// at the later stream's last timestamp, and streams whose timestamps are
+// all zero are data at rest.
+func FromRelations(name string, r, s tuple.Relation) Workload {
+	w := Workload{Name: name, R: r, S: s, WindowMs: max(r.MaxTS(), s.MaxTS())}
+	w.AtRest = w.WindowMs == 0
+	return w
 }
 
 func loadCSVFile(path string) (tuple.Relation, error) {
@@ -94,7 +94,7 @@ func loadCSVFile(path string) (tuple.Relation, error) {
 		return nil, err
 	}
 	defer f.Close()
-	rel, err := ReadCSV(bufio.NewReader(f))
+	rel, err := readCSV(bufio.NewReader(f))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

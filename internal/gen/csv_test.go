@@ -14,7 +14,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, w.R); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +35,14 @@ func TestReadCSVRejectsMalformed(t *testing.T) {
 		"ts,key,payload\n5,1,1\n1,2,2\n", // unordered
 	}
 	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
+		if _, err := readCSV(strings.NewReader(c)); err == nil {
 			t.Fatalf("input %q must be rejected", c)
 		}
 	}
 }
 
 func TestReadCSVWithoutHeader(t *testing.T) {
-	rel, err := ReadCSV(strings.NewReader("0,1,2\n3,4,5\n"))
+	rel, err := readCSV(strings.NewReader("0,1,2\n3,4,5\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

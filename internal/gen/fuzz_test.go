@@ -17,7 +17,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("9999999999999999999,1,1\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, data string) {
-		rel, err := ReadCSV(strings.NewReader(data))
+		rel, err := readCSV(strings.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -28,7 +28,7 @@ func FuzzReadCSV(f *testing.F) {
 		if err := WriteCSV(&buf, rel); err != nil {
 			t.Fatal(err)
 		}
-		again, err := ReadCSV(&buf)
+		again, err := readCSV(&buf)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}

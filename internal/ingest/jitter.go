@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/tuple"
+	"repro/internal/zipf"
 )
 
 // JitterTS returns a copy of rel with every arrival timestamp shifted
@@ -25,21 +26,9 @@ func JitterTS(rel tuple.Relation, maxMs int64, seed uint64) tuple.Relation {
 		return out
 	}
 	for i := range out {
-		h := mix64(seed ^ uint64(i)<<32 ^ uint64(uint32(out[i].Key)))
+		h := zipf.Mix64(seed ^ uint64(i)<<32 ^ uint64(uint32(out[i].Key)))
 		out[i].TS += int64(h % uint64(maxMs+1))
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
 	return out
-}
-
-// mix64 is the splitmix64 finalizer, the same mixing used by the
-// perturbation clock (internal/clock), kept dependency-free here.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

@@ -90,7 +90,7 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		runsS[tid] = ctx.Tuples(tid, hi-lo)[:hi-lo]
 		copy(runsS[tid], ctx.S[lo:hi])
 		tm.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
-		ctx.M.MemAdd(int64(len(runsR[tid])+len(runsS[tid])) * 16)
+		ctx.M.MemAdd(int64(len(runsR[tid])+len(runsS[tid])) * tuple.Bytes)
 
 		// Sort the local runs.
 		ctx.Begin(tid, metrics.PhaseBuildSort)
@@ -125,7 +125,7 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		mergedR := merge(runsR)
 		mergedS := merge(runsS)
 		tm.AddTuples(int64(len(mergedR) + len(mergedS)))
-		ctx.M.MemAdd(int64(len(mergedR)+len(mergedS)) * 16)
+		ctx.M.MemAdd(int64(len(mergedR)+len(mergedS)) * tuple.Bytes)
 
 		// Match the aligned key range with a single-pass merge join.
 		ctx.Begin(tid, metrics.PhaseProbe)

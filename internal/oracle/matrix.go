@@ -8,6 +8,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/ingest"
 	"repro/internal/tuple"
+	"repro/internal/zipf"
 )
 
 // Outcome is the evidence from one conformance cell: what the algorithm
@@ -54,24 +55,12 @@ func (c Case) config(emit func(tuple.JoinResult), windowMs int64, atRest bool) i
 		Emit:      emit,
 	}
 	if c.Perturb {
-		seed := mix64(c.Seed ^ 0xadce11)
+		seed := zipf.Mix64(c.Seed ^ 0xadce11)
 		cfg.WrapClock = func(src iawj.ClockSource) iawj.ClockSource {
 			return clock.Perturb(src, clock.PerturbConfig{Seed: seed})
 		}
 	}
 	return cfg
-}
-
-// mix64 is the splitmix64 finalizer; it derives independent seeds and
-// keys from a case's one seed.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // inputs materializes the case's workload with its ingest jitter applied.
@@ -85,17 +74,10 @@ func (c Case) inputs() (r, s tuple.Relation, windowMs int64, atRest bool, err er
 	}
 	r, s = w.R, w.S
 	if c.JitterMs > 0 {
-		r = ingest.JitterTS(r, c.JitterMs, mix64(c.Seed^0x0ace))
-		s = ingest.JitterTS(s, c.JitterMs, mix64(c.Seed^0x1bdf))
+		r = ingest.JitterTS(r, c.JitterMs, zipf.Mix64(c.Seed^0x0ace))
+		s = ingest.JitterTS(s, c.JitterMs, zipf.Mix64(c.Seed^0x1bdf))
 	}
-	windowMs = w.WindowMs
-	if m := r.MaxTS(); m > windowMs {
-		windowMs = m
-	}
-	if m := s.MaxTS(); m > windowMs {
-		windowMs = m
-	}
-	return r, s, windowMs, w.AtRest, nil
+	return r, s, max(w.WindowMs, r.MaxTS(), s.MaxTS()), w.AtRest, nil
 }
 
 // RunCase executes one conformance cell and verifies it against the

@@ -6,6 +6,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/tuple"
 	"repro/internal/workloadspec"
+	"repro/internal/zipf"
 )
 
 // Conformance workload shapes. Each is small by design — the matrix
@@ -116,7 +117,7 @@ func specMicroWorkload(seed uint64) (gen.Workload, error) {
 // order-dependent case single-threaded tests never vary.
 func boundaryWorkload(seed uint64) gen.Workload {
 	const w = 16
-	key := func(i uint64) int32 { return int32(mix64(seed^i) % 8) }
+	key := func(i uint64) int32 { return int32(zipf.Mix64(seed^i) % 8) }
 	r := tuple.Relation{
 		{TS: 0, Key: key(0), Payload: 0},
 		{TS: 0, Key: key(0), Payload: 1},

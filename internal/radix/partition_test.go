@@ -98,15 +98,15 @@ func wantTrace(rel tuple.Relation, want []tuple.Relation, base uint64) []event {
 			d++
 		}
 	}
-	outBase := base + uint64(len(rel))*tupleBytes
+	outBase := base + uint64(len(rel))*tuple.Bytes
 	evs := make([]event, 0, 5*len(rel))
 	for i := range rel {
-		evs = append(evs, event{addr: base + uint64(i)*tupleBytes}, event{op: true, addr: 2})
+		evs = append(evs, event{addr: base + uint64(i)*tuple.Bytes}, event{op: true, addr: 2})
 	}
 	for i := range rel {
 		evs = append(evs,
-			event{addr: base + uint64(i)*tupleBytes},
-			event{addr: outBase + dst[i]*tupleBytes},
+			event{addr: base + uint64(i)*tuple.Bytes},
+			event{addr: outBase + dst[i]*tuple.Bytes},
 			event{op: true, addr: 3})
 	}
 	return evs
@@ -236,14 +236,14 @@ func BenchmarkKernelPartition(b *testing.B) {
 	}
 	const bits = 12
 	b.Run("rehash", func(b *testing.B) {
-		b.SetBytes(int64(len(rel)) * tupleBytes)
+		b.SetBytes(int64(len(rel)) * tuple.Bytes)
 		for i := 0; i < b.N; i++ {
 			partitionRehash(rel, bits)
 		}
 	})
 	b.Run("swwcb", func(b *testing.B) {
 		p := NewPartitioner()
-		b.SetBytes(int64(len(rel)) * tupleBytes)
+		b.SetBytes(int64(len(rel)) * tuple.Bytes)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p.Partition(rel, bits, nil, 0)

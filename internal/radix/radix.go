@@ -26,8 +26,6 @@ import (
 	"repro/internal/tuple"
 )
 
-const tupleBytes = 16
-
 // Fanout returns the number of partitions produced for a bit count.
 func Fanout(bits int) int { return 1 << bits }
 
@@ -126,16 +124,16 @@ func (p *Partitioner) scatter(rel tuple.Relation, fanout int, mask uint32) {
 // where the scatter did.
 func (p *Partitioner) trace(rel tuple.Relation, fanout int, mask uint32, tr cachesim.Tracer, base uint64) {
 	for i := range rel {
-		tr.Access(base + uint64(i)*tupleBytes)
+		tr.Access(base + uint64(i)*tuple.Bytes)
 		tr.Op(2)
 	}
 	pos := p.pos[:fanout]
 	copy(pos, p.offs[:fanout])
-	outBase := base + uint64(len(rel))*tupleBytes
+	outBase := base + uint64(len(rel))*tuple.Bytes
 	for i := range rel {
 		pi := hashtable.Hash(rel[i].Key) & mask
-		tr.Access(base + uint64(i)*tupleBytes)
-		tr.Access(outBase + uint64(pos[pi])*tupleBytes)
+		tr.Access(base + uint64(i)*tuple.Bytes)
+		tr.Access(outBase + uint64(pos[pi])*tuple.Bytes)
 		tr.Op(3)
 		pos[pi]++
 	}

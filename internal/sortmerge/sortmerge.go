@@ -21,9 +21,6 @@ import (
 	"repro/internal/tuple"
 )
 
-// tupleBytes is the logical size of a tuple for cache-simulation addresses.
-const tupleBytes = 16
-
 // SortByKey sorts rel by join key in place (ascending) and stably. With
 // radix set the radix sort is used; otherwise the scalar merge sort, the
 // Figure 21 foil. tr may be nil; when set, the sort's memory traffic feeds
@@ -47,7 +44,7 @@ func SortByKeyScratch(rel, scratch []tuple.Tuple, radix bool, tr cachesim.Tracer
 	// The radix sort counts in uint32: past 2^32 tuples (64 GiB) only the
 	// merge sort is exact.
 	if radix && uint64(len(rel)) <= math.MaxUint32 {
-		radixSort(rel, scratch, tr, base, base+uint64(len(rel))*tupleBytes)
+		radixSort(rel, scratch, tr, base, base+uint64(len(rel))*tuple.Bytes)
 	} else {
 		scalarSort(rel, scratch, 0, len(rel), tr, base)
 	}
@@ -150,7 +147,7 @@ func msdSplit(rel, tmp []tuple.Tuple, h *[3][1 << wideBits]uint32, tr cachesim.T
 	for _, end := range offsets {
 		part := tmp[start:end]
 		if len(part) > 1 {
-			radixSort(part, rel[start:end], tr, tmpBase+uint64(start)*tupleBytes, relBase+uint64(start)*tupleBytes)
+			radixSort(part, rel[start:end], tr, tmpBase+uint64(start)*tuple.Bytes, relBase+uint64(start)*tuple.Bytes)
 		}
 		copy(rel[start:end], part)
 		start = end
@@ -236,8 +233,8 @@ func scatter(src, dst []tuple.Tuple, offsets []uint32, shift uint, mask uint32) 
 func traceScatter(tr cachesim.Tracer, src []tuple.Tuple, offsets []uint32, shift uint, mask uint32, srcBase, dstBase uint64) {
 	for i := range src {
 		b := keyRank(src[i].Key) >> shift & mask
-		tr.Access(srcBase + uint64(i)*tupleBytes)
-		tr.Access(dstBase + uint64(offsets[b])*tupleBytes)
+		tr.Access(srcBase + uint64(i)*tuple.Bytes)
+		tr.Access(dstBase + uint64(offsets[b])*tuple.Bytes)
 		offsets[b]++
 	}
 	tr.Op(uint64(len(src)) * 2)
@@ -249,7 +246,7 @@ func traceScatter(tr cachesim.Tracer, src []tuple.Tuple, offsets []uint32, shift
 // branchy merge through the equally long tmp.
 func scalarSort(rel, tmp []tuple.Tuple, lo, hi int, tr cachesim.Tracer, base uint64) {
 	if hi-lo < 24 {
-		insertionSort(rel[lo:hi], tr, base+uint64(lo)*tupleBytes)
+		insertionSort(rel[lo:hi], tr, base+uint64(lo)*tuple.Bytes)
 		return
 	}
 	mid := (lo + hi) / 2
@@ -259,7 +256,7 @@ func scalarSort(rel, tmp []tuple.Tuple, lo, hi int, tr cachesim.Tracer, base uin
 	i, j := lo, mid
 	for k := lo; k < hi; k++ {
 		if tr != nil {
-			tr.Access(base + uint64(k)*tupleBytes)
+			tr.Access(base + uint64(k)*tuple.Bytes)
 			tr.Op(3)
 		}
 		if i < mid && (j >= hi || keyRank(tmp[i].Key) <= keyRank(tmp[j].Key)) {
@@ -282,7 +279,7 @@ func insertionSort(a []tuple.Tuple, tr cachesim.Tracer, base uint64) {
 		}
 		a[j+1] = x
 		if tr != nil {
-			tr.Access(base + uint64(i)*tupleBytes)
+			tr.Access(base + uint64(i)*tuple.Bytes)
 			tr.Op(uint64(i-j) + 1)
 		}
 	}
@@ -487,10 +484,10 @@ func MergeJoinRuns(r, s []tuple.Tuple, emit func(rRun, sRun []tuple.Tuple), tr c
 			// Sequential revisits of the run: one access per line's
 			// worth of tuples approximates the cache reuse benefit.
 			for a := i; a < i2; a += 4 {
-				tr.Access(baseR + uint64(a)*tupleBytes)
+				tr.Access(baseR + uint64(a)*tuple.Bytes)
 			}
 			for b := j; b < j2; b += 4 {
-				tr.Access(baseS + uint64(b)*tupleBytes)
+				tr.Access(baseS + uint64(b)*tuple.Bytes)
 			}
 		}
 		i, j = i2, j2
@@ -506,8 +503,8 @@ func seekMatch(r, s []tuple.Tuple, i, j int, tr cachesim.Tracer, baseR, baseS ui
 	for i >= 0 && j >= 0 && i < len(r) && j < len(s) {
 		kr, ks := keyRank(r[i].Key), keyRank(s[j].Key)
 		if tr != nil {
-			tr.Access(baseR + uint64(i)*tupleBytes)
-			tr.Access(baseS + uint64(j)*tupleBytes)
+			tr.Access(baseR + uint64(i)*tuple.Bytes)
+			tr.Access(baseS + uint64(j)*tuple.Bytes)
 			tr.Op(2)
 		}
 		switch {

@@ -25,12 +25,12 @@ const stackProfile = 4096
 func (r Relation) Summarize() Stats {
 	if len(r) <= stackProfile {
 		var scratch [4 * stackProfile]uint32
-		return r.SummarizeScratch(scratch[:0])
+		return r.summarizeScratch(scratch[:0])
 	}
-	return r.SummarizeScratch(nil)
+	return r.summarizeScratch(nil)
 }
 
-// SummarizeScratch is Summarize over caller-owned scratch, whose contents
+// summarizeScratch is Summarize over caller-owned scratch, whose contents
 // it overwrites: with a capacity of twice the smallest power of two that
 // is at least 2·len(r) — 4·len(r) for a power-of-two length, never more
 // than 8·len(r) — it allocates nothing; with less it allocates its own.
@@ -39,7 +39,7 @@ func (r Relation) Summarize() Stats {
 // one half) laid over the scratch and ranked by a counting sort: a
 // frequency is at most len(r), so once the counting is done the table's
 // key half is free to hold one counter per frequency.
-func (r Relation) SummarizeScratch(scratch []uint32) Stats {
+func (r Relation) summarizeScratch(scratch []uint32) Stats {
 	s := Stats{Tuples: len(r)}
 	if len(r) == 0 {
 		return s

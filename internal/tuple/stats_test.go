@@ -78,8 +78,8 @@ func sameStats(a, b tuple.Stats) bool {
 		bitsEq(a.Dupe, b.Dupe) && bitsEq(a.Rate, b.Rate) && bitsEq(a.KeySkew, b.KeySkew)
 }
 
-// checkAgainstReference holds Summarize, SummarizeScratch over a dirty
-// scratch of exactly the documented size, and SummarizeScratch over one
+// checkAgainstReference holds Summarize, the scratch form over a dirty
+// scratch of exactly the documented size, and the scratch form over one
 // that is too small to the reference.
 func checkAgainstReference(t *testing.T, name string, r tuple.Relation) {
 	t.Helper()
@@ -91,15 +91,15 @@ func checkAgainstReference(t *testing.T, name string, r tuple.Relation) {
 	for i := range dirty {
 		dirty[i] = 0xdeadbeef + uint32(i)
 	}
-	if got := r.SummarizeScratch(dirty[:0]); !sameStats(got, want) {
+	if got := tuple.SummarizeScratch(r, dirty[:0]); !sameStats(got, want) {
 		t.Errorf("%s: SummarizeScratch(dirty) = %+v, reference %+v", name, got, want)
 	}
-	if got := r.SummarizeScratch(dirty[: 0 : len(dirty)/2]); !sameStats(got, want) {
+	if got := tuple.SummarizeScratch(r, dirty[:0:len(dirty)/2]); !sameStats(got, want) {
 		t.Errorf("%s: SummarizeScratch(short) = %+v, reference %+v", name, got, want)
 	}
 }
 
-// scratchFor is the capacity SummarizeScratch documents as enough for n
+// scratchFor is the capacity the scratch form documents as enough for n
 // tuples: twice the smallest power of two >= 2n.
 func scratchFor(n int) int {
 	m := 1
@@ -160,14 +160,18 @@ func TestSummarizeEqualsReference(t *testing.T) {
 }
 
 // TestSummarizeScratchAllocatesNothing: over scratch of the documented
-// size — what ADAPTIVE takes from the pool for its 4096-tuple prefixes —
-// the profile is allocation-free, whatever the skew.
+// size the profile is allocation-free, whatever the skew, and so is
+// Summarize itself over the 4096-tuple prefix ADAPTIVE profiles, on the
+// scratch it keeps on its own stack.
 func TestSummarizeScratchAllocatesNothing(t *testing.T) {
 	for _, skew := range []float64{0, 1.5} {
 		r := gen.MicroStatic(4096, 1, 4, skew, 2).R
 		scratch := make([]uint32, 0, 4*len(r))
-		if n := testing.AllocsPerRun(10, func() { r.SummarizeScratch(scratch) }); n != 0 {
-			t.Errorf("skew %v: SummarizeScratch allocates %v times over sufficient scratch", skew, n)
+		if n := testing.AllocsPerRun(10, func() { tuple.SummarizeScratch(r, scratch) }); n != 0 {
+			t.Errorf("skew %v: the scratch form allocates %v times over sufficient scratch", skew, n)
+		}
+		if n := testing.AllocsPerRun(10, func() { r.Summarize() }); n != 0 {
+			t.Errorf("skew %v: Summarize allocates %v times over %d tuples", skew, n, len(r))
 		}
 	}
 }

@@ -3,6 +3,8 @@ package workloadspec
 import (
 	"math"
 	"math/rand/v2"
+
+	"repro/internal/zipf"
 )
 
 // Defaults for underspecified arrival knobs.
@@ -23,7 +25,7 @@ func arrivalTimes(a ArrivalSpec, rate, duration float64, seed uint64, prof *Trac
 	if rate <= 0 || duration <= 0 {
 		return nil
 	}
-	rng := rand.New(rand.NewPCG(seed, mix64(seed)))
+	rng := rand.New(rand.NewPCG(seed, zipf.Mix64(seed)))
 	switch a.Process {
 	case ProcConstant:
 		return constantTimes(rate, duration)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/trace"
 	"repro/internal/tuple"
+	"repro/internal/zipf"
 )
 
 // Options parameterizes compilation.
@@ -112,13 +113,13 @@ func compileStream(sp *Spec, stream byte, rate float64, profiles map[string]*Tra
 		if !feedsStream(cl.Stream, stream) || rate <= 0 {
 			continue
 		}
-		base := mix64(sp.Seed^mix64(uint64(ci)+1)) ^ uint64(stream)
-		times := arrivalTimes(cl.Arrival, cl.RateFraction*rate, duration, mix64(base^0xa111), profiles[cl.Arrival.Journal])
+		base := zipf.Mix64(sp.Seed^zipf.Mix64(uint64(ci)+1)) ^ uint64(stream)
+		times := arrivalTimes(cl.Arrival, cl.RateFraction*rate, duration, zipf.Mix64(base^0xa111), profiles[cl.Arrival.Journal])
 		if len(times) == 0 {
 			continue
 		}
-		keys := newKeyDrawer(cl.Keys, mix64(base^0xbee5))
-		payloads := newPayloadDrawer(cl.Payload, mix64(base^0xca44))
+		keys := newKeyDrawer(cl.Keys, zipf.Mix64(base^0xbee5))
+		payloads := newPayloadDrawer(cl.Payload, zipf.Mix64(base^0xca44))
 		for _, t := range times {
 			p := pendingTuple{ts: int64(t), key: keys()}
 			if payloads != nil {

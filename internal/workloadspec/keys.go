@@ -25,11 +25,11 @@ func newKeyDrawer(k KeySpec, seed uint64) keyDrawer {
 	if domain < 1 {
 		domain = 1
 	}
-	rng := rand.New(rand.NewPCG(seed, mix64(seed^0xcee5)))
+	rng := rand.New(rand.NewPCG(seed, zipf.Mix64(seed^0xcee5)))
 	switch k.Dist {
 	case KeysZipf:
-		zg := zipf.New(uint64(domain), k.Theta, mix64(seed^0x21bf))
-		scramble := rand.New(rand.NewPCG(mix64(seed^0x5ca4b1e), seed)).Perm(domain)
+		zg := zipf.New(uint64(domain), k.Theta, zipf.Mix64(seed^0x21bf))
+		scramble := rand.New(rand.NewPCG(zipf.Mix64(seed^0x5ca4b1e), seed)).Perm(domain)
 		return func() int32 { return int32(scramble[zg.Next()]) }
 	case KeysHotset:
 		hot := k.HotKeys
@@ -45,7 +45,7 @@ func newKeyDrawer(k KeySpec, seed uint64) keyDrawer {
 		}
 		// A scrambled identity keeps the hot set an arbitrary subset of
 		// the domain, mirroring the zipf scramble.
-		scramble := rand.New(rand.NewPCG(mix64(seed^0x4075e7), seed)).Perm(domain)
+		scramble := rand.New(rand.NewPCG(zipf.Mix64(seed^0x4075e7), seed)).Perm(domain)
 		cold := domain - hot
 		return func() int32 {
 			if cold == 0 || rng.Float64() < frac {
@@ -65,7 +65,7 @@ func newPayloadDrawer(p *PayloadSpec, seed uint64) func() int32 {
 	if p == nil || p.Kind == PayloadSeq {
 		return nil
 	}
-	rng := rand.New(rand.NewPCG(seed, mix64(seed^0x9a10ad)))
+	rng := rand.New(rand.NewPCG(seed, zipf.Mix64(seed^0x9a10ad)))
 	lo, hi := p.Min, p.Max
 	span := int64(hi) - int64(lo) + 1
 	return func() int32 { return lo + int32(rng.Int64N(span)) }

@@ -325,12 +325,3 @@ func (sp *Spec) duration() int64 {
 	}
 	return sp.WindowMs
 }
-
-// mix64 is the splitmix64 finalizer; it decorrelates the per-client,
-// per-stream sub-seeds derived from the spec seed.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

@@ -83,3 +83,14 @@ func (g *Generator) N() uint64 { return g.n }
 
 // Theta returns the skew exponent.
 func (g *Generator) Theta() float64 { return g.theta }
+
+// Mix64 is the splitmix64 finalizer: a cheap, high-quality bijective hash.
+// The generators, the perturbation clock, the ingest jitter and the
+// oracle's cases derive every independent seed and pseudo-random decision
+// from one seed with it, so no rand state needs locking or passing around.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
