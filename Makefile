@@ -45,7 +45,7 @@ test:
 ## GOEXPERIMENT=synctest, which the tier-1 build leaves out
 race:
 	$(GO) test -race ./...
-	GOEXPERIMENT=synctest $(GO) test -race -run Bubble . ./internal/core ./internal/eager
+	GOEXPERIMENT=synctest $(GO) test -race -run Bubble . ./internal/clock ./internal/core ./internal/eager
 
 ## delivery-race: the output path's tests twenty times over under the race
 ## detector — the interleavings of workers, deliverer and consumer that

@@ -1,8 +1,11 @@
 package iawj
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/metrics"
@@ -134,5 +137,40 @@ func TestSinkRunsSayWhichPathMatchesTook(t *testing.T) {
 				t.Errorf("%s at dupe %d: %d matches in %d runs, %.1f a run", alg, dupe, res.Matches, res.SinkRuns, perRun)
 			}
 		}
+	}
+}
+
+// TestWindowReportsItsOwnPeakBacklog: the windows of a sequential sweep
+// share one outbox, and each window's record must report the backlog of
+// its own run. A 200 × 200 single-key window behind a slow consumer parks
+// batches; the 1-match window after it starts on an empty backlog and has
+// one batch to flush, so its peak is at most what it parked, not the
+// first window's.
+func TestWindowReportsItsOwnPeakBacklog(t *testing.T) {
+	var r, s Relation
+	for i := range 200 {
+		r = append(r, Tuple{TS: int64(i % 100), Key: 1})
+		s = append(s, Tuple{TS: int64(i % 100), Key: 1})
+	}
+	slices.SortFunc(r, func(a, b Tuple) int { return cmp.Compare(a.TS, b.TS) })
+	slices.SortFunc(s, func(a, b Tuple) int { return cmp.Compare(a.TS, b.TS) })
+	r = append(r, Tuple{TS: 150, Key: 2})
+	s = append(s, Tuple{TS: 150, Key: 2})
+	results, err := JoinWindowed(r, s, WindowSpec{Kind: Tumbling, LengthMs: 100}, Config{
+		Algorithm: "SHJ_JM", Threads: 2, AtRest: true,
+		Emit: func(JoinResult) { time.Sleep(time.Microsecond) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 || results[0].Result.Matches != 200*200 || results[1].Result.Matches != 1 {
+		t.Fatalf("want windows of 40000 and 1 matches, got %+v", results)
+	}
+	first, second := results[0].Result.Output, results[1].Result.Output
+	if first.PeakBacklog < 2 {
+		t.Skipf("the first window did not congest the outbox (%+v): nothing to carry over", first)
+	}
+	if second.PeakBacklog > second.Parked {
+		t.Fatalf("the 1-match window reports a peak backlog of %d with %d parked; the first window's peak was %d", second.PeakBacklog, second.Parked, first.PeakBacklog)
 	}
 }

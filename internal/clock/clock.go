@@ -28,28 +28,38 @@ type Source interface {
 }
 
 // Scaled is the production Source: simulated time advances with real time,
-// one simulated millisecond per NsPerMs real nanoseconds.
+// one simulated millisecond per NsPerMs real nanoseconds. A clock at rest
+// ticks the same way but gates nothing: every tuple has arrived.
 type Scaled struct {
 	start   time.Time
 	nsPerMs float64
+	atRest  bool
 }
 
-// NewScaled starts a scaled clock. nsPerMs is the number of real
+// NewScaled starts a streaming clock. nsPerMs is the number of real
 // nanoseconds that make up one simulated millisecond; 1e6 runs in real
 // time, smaller values compress the simulation. nsPerMs must be positive.
 func NewScaled(nsPerMs float64) *Scaled {
 	c := new(Scaled)
-	c.Restart(nsPerMs)
+	c.Restart(nsPerMs, false)
 	return c
 }
 
-// Restart starts c afresh at nsPerMs, in place: a clock held by value in
-// a pooled structure serves run after run.
-func (c *Scaled) Restart(nsPerMs float64) {
+// NewStatic returns an at-rest clock ticking at nsPerMs real nanoseconds
+// per reported millisecond.
+func NewStatic(nsPerMs float64) *Scaled {
+	c := new(Scaled)
+	c.Restart(nsPerMs, true)
+	return c
+}
+
+// Restart starts c afresh at nsPerMs, at rest or streaming, in place: a
+// clock held by value in a pooled structure serves run after run.
+func (c *Scaled) Restart(nsPerMs float64, atRest bool) {
 	if nsPerMs <= 0 {
 		nsPerMs = 1e6
 	}
-	c.start, c.nsPerMs = time.Now(), nsPerMs
+	c.start, c.nsPerMs, c.atRest = time.Now(), nsPerMs, atRest
 }
 
 // NowMs implements Source.
@@ -58,35 +68,28 @@ func (c *Scaled) NowMs() int64 {
 }
 
 // Avail implements Source.
-func (c *Scaled) Avail(ts int64) bool { return ts <= c.NowMs() }
+func (c *Scaled) Avail(ts int64) bool { return c.atRest || ts <= c.NowMs() }
 
 // AtRest implements Source.
-func (c *Scaled) AtRest() bool { return false }
+func (c *Scaled) AtRest() bool { return c.atRest }
 
-// ElapsedNs is the raw real time elapsed since the clock started.
-func (c *Scaled) ElapsedNs() int64 { return int64(time.Since(c.start)) }
-
-// Static is the at-rest variant of Scaled: time advances at the same
-// compressed tick rate (so throughput/latency units stay comparable with
-// streaming runs and short static joins still resolve), but arrival gating
-// is disabled — every tuple is available immediately.
-type Static struct {
-	Scaled
+// Behind reports how much real time remains until the tuple stamped tsMs
+// is due; zero or negative means it is due now, exactly when Avail(tsMs)
+// holds. At rest every tuple is due.
+func (c *Scaled) Behind(tsMs int64) time.Duration {
+	if c.atRest {
+		return 0
+	}
+	return time.Duration(float64(tsMs)*c.nsPerMs) - time.Since(c.start)
 }
 
-// NewStatic returns an at-rest clock ticking at nsPerMs real nanoseconds
-// per reported millisecond.
-func NewStatic(nsPerMs float64) *Static {
-	c := new(Static)
-	c.Restart(nsPerMs)
-	return c
+// Pace blocks until the tuple stamped tsMs is due: the sender's side of
+// arrival, replaying a stream at the clock's rate (internal/ingest).
+func (c *Scaled) Pace(tsMs int64) {
+	if wait := c.Behind(tsMs); wait > 0 {
+		time.Sleep(wait)
+	}
 }
-
-// Avail implements Source: everything has arrived.
-func (c *Static) Avail(int64) bool { return true }
-
-// AtRest implements Source.
-func (c *Static) AtRest() bool { return true }
 
 // Stopwatch measures real elapsed time for metrics attribution (phase
 // breakdowns, wall-clock totals). It is the sanctioned wall-clock wrapper:
@@ -102,36 +105,6 @@ func StartStopwatch() Stopwatch { return Stopwatch{start: time.Now()} }
 
 // ElapsedNs is the real time elapsed since the stopwatch started.
 func (s Stopwatch) ElapsedNs() int64 { return int64(time.Since(s.start)) }
-
-// Pacer schedules real-time emission of timestamped tuples: tuple
-// timestamps are interpreted as milliseconds scaled by nsPerMs real
-// nanoseconds each, anchored at the pacer's creation. It is the sanctioned
-// wall-clock wrapper for replay/transmission pacing (internal/ingest).
-type Pacer struct {
-	start   time.Time
-	nsPerMs float64
-}
-
-// NewPacer starts a pacer; nsPerMs must be positive (1e6 is real time).
-func NewPacer(nsPerMs float64) *Pacer {
-	if nsPerMs <= 0 {
-		nsPerMs = 1e6
-	}
-	return &Pacer{start: time.Now(), nsPerMs: nsPerMs}
-}
-
-// Behind reports how much real time remains until the tuple stamped tsMs
-// is due; zero or negative means it is due now.
-func (p *Pacer) Behind(tsMs int64) time.Duration {
-	return time.Duration(float64(tsMs)*p.nsPerMs) - time.Since(p.start)
-}
-
-// Pace blocks until the tuple stamped tsMs is due.
-func (p *Pacer) Pace(tsMs int64) {
-	if wait := p.Behind(tsMs); wait > 0 {
-		time.Sleep(wait)
-	}
-}
 
 // Manual is a deterministic Source for tests: time advances only when the
 // test calls Advance or Set.

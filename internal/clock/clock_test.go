@@ -40,40 +40,59 @@ func TestScaledAdvances(t *testing.T) {
 	if c.AtRest() {
 		t.Fatal("scaled clock is not at rest")
 	}
-	if c.ElapsedNs() <= 0 {
-		t.Fatal("ElapsedNs must be positive")
-	}
 }
 
 func TestScaledDefaultsOnBadInput(t *testing.T) {
-	c := NewScaled(0)
-	if c.nsPerMs != 1e6 {
-		t.Fatalf("nsPerMs = %f, want 1e6 default", c.nsPerMs)
-	}
-	c = NewScaled(-5)
-	if c.nsPerMs != 1e6 {
-		t.Fatalf("nsPerMs = %f, want 1e6 default", c.nsPerMs)
+	// Every constructor goes through Restart, which reads a rate that is
+	// not positive as real time.
+	for _, c := range []*Scaled{NewScaled(0), NewScaled(-5), NewStatic(0)} {
+		if c.nsPerMs != 1e6 {
+			t.Fatalf("nsPerMs = %f, want real-time default 1e6", c.nsPerMs)
+		}
 	}
 }
 
+// TestSourceInterfaceSatisfaction holds every Source to the contract the
+// runners read: AtRest says whether Avail gates, a far-future timestamp
+// is available only at rest, and NowMs never goes backwards.
 func TestSourceInterfaceSatisfaction(t *testing.T) {
-	var _ Source = NewManual()
-	var _ Source = NewScaled(1)
+	type row struct {
+		name   string
+		src    Source
+		atRest bool
+	}
+	sources := []row{
+		{"Scaled", NewScaled(1e3), false},
+		{"Static", NewStatic(1e3), true},
+		{"Manual", NewManual(), false},
+	}
+	for _, s := range sources {
+		sources = append(sources, row{"Perturb/" + s.name, Perturb(s.src, PerturbConfig{Seed: 5}), s.atRest})
+	}
+	for _, s := range sources {
+		if got := s.src.AtRest(); got != s.atRest {
+			t.Errorf("%s: AtRest = %v, want %v", s.name, got, s.atRest)
+		}
+		if got := s.src.Avail(1 << 40); got != s.atRest {
+			t.Errorf("%s: Avail(far future) = %v, want %v", s.name, got, s.atRest)
+		}
+		prev := s.src.NowMs()
+		for range 100 {
+			now := s.src.NowMs()
+			if now < prev {
+				t.Fatalf("%s: NowMs went backwards: %d after %d", s.name, now, prev)
+			}
+			prev = now
+		}
+	}
 }
 
 func TestStaticClock(t *testing.T) {
 	c := NewStatic(1000) // 1µs per reported ms
-	if !c.AtRest() {
-		t.Fatal("static clock must report at rest")
-	}
-	if !c.Avail(1 << 40) {
-		t.Fatal("static clock must make any timestamp available")
-	}
 	time.Sleep(2 * time.Millisecond)
 	if c.NowMs() < 100 {
 		t.Fatalf("static clock must tick at the compressed rate: %d", c.NowMs())
 	}
-	var _ Source = c
 }
 
 func TestStopwatch(t *testing.T) {
@@ -89,27 +108,20 @@ func TestStopwatch(t *testing.T) {
 }
 
 func TestPacerPacesDueTimestamps(t *testing.T) {
-	p := NewPacer(1e5) // 0.1ms real per simulated ms
+	c := NewScaled(1e5) // 0.1ms real per simulated ms
 	sw := StartStopwatch()
-	p.Pace(10) // due at 1ms real
+	c.Pace(10) // due at 1ms real
 	if got := sw.ElapsedNs(); got < int64(time.Millisecond) {
 		t.Fatalf("Pace(10) returned after %dns, want >= 1ms", got)
 	}
-	if p.Behind(0) > 0 {
+	if c.Behind(0) > 0 {
 		t.Fatal("timestamp 0 must be due immediately")
 	}
-	// Past timestamps return without sleeping: the pacer only waits for
+	// Past timestamps return without sleeping: the clock only waits for
 	// the future.
 	sw = StartStopwatch()
-	p.Pace(1)
+	c.Pace(1)
 	if got := sw.ElapsedNs(); got > int64(50*time.Millisecond) {
 		t.Fatalf("Pace on an overdue timestamp slept %dns", got)
-	}
-}
-
-func TestPacerDefaultRate(t *testing.T) {
-	p := NewPacer(0)
-	if p.nsPerMs != 1e6 {
-		t.Fatalf("nsPerMs = %v, want real-time default 1e6", p.nsPerMs)
 	}
 }

@@ -247,13 +247,12 @@ func RunState[T any](ctx *ExecContext) *T {
 // channel the algorithm's goroutine reports on while Run delivers. The
 // pool keeps frames between calls, so a warm call allocates none of it.
 type frame struct {
-	ctx    ExecContext
-	m      metrics.Collector
-	static clock.Static
-	scaled clock.Scaled
-	out    Outbox
-	alg    Algorithm
-	done   chan error
+	ctx   ExecContext
+	m     metrics.Collector
+	clock clock.Scaled
+	out   Outbox
+	alg   Algorithm
+	done  chan error
 }
 
 // takeFrame takes a frame from p, or makes one.
@@ -373,17 +372,11 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 	poolBefore := cfg.Pool.Stats()
 	f := takeFrame(cfg.Pool)
 	defer f.release(cfg.Pool)
-	var src clock.Source
-	if cfg.AtRest {
-		// Static data ticks at the same compressed rate so latency and
-		// throughput units stay comparable with streaming runs, and
-		// short static joins still resolve to more than a tick or two.
-		f.static.Restart(ns)
-		src = &f.static
-	} else {
-		f.scaled.Restart(ns)
-		src = &f.scaled
-	}
+	// Static data ticks at the same compressed rate so latency and
+	// throughput units stay comparable with streaming runs, and short
+	// static joins still resolve to more than a tick or two.
+	f.clock.Restart(ns, cfg.AtRest)
+	var src clock.Source = &f.clock
 	if cfg.WrapClock != nil {
 		src = cfg.WrapClock(src)
 	}
@@ -415,7 +408,7 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		ctx.Out = &f.out
 	}
 	cfg.Trace.StartRun(alg.Name(), ctx.M)
-	outBefore := ctx.Out.stats()
+	outBefore := ctx.Out.mark()
 	sw := clock.StartStopwatch()
 	var err error
 	if ctx.Out == nil {

@@ -34,8 +34,8 @@ const maxParked = 16
 // entered: the outbox fails (err) and drops every later batch, so the
 // workers finish, blocked by nobody.
 //
-// A count-only run has no outbox: ExecContext.Out is nil, and stats and
-// err accept the nil receiver.
+// A count-only run has no outbox: ExecContext.Out is nil, and stats,
+// mark and err accept the nil receiver.
 type Outbox struct {
 	emit   func(tuple.JoinResult)
 	pool   *pool.Pool
@@ -184,5 +184,18 @@ func (o *Outbox) stats() metrics.OutputStats {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	return o.counts
+}
+
+// mark reads the counters at the start of a run, restarting the peak
+// backlog at the backlog the run finds: a run on a shared outbox reports
+// its own peak, not one an earlier run reached.
+func (o *Outbox) mark() metrics.OutputStats {
+	if o == nil {
+		return metrics.OutputStats{}
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.counts.PeakBacklog = int64(len(o.parked))
 	return o.counts
 }

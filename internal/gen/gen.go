@@ -122,10 +122,16 @@ func assignTimestamps(rel tuple.Relation, w int64, tsSkew float64, seed uint64) 
 	for _, t := range ts {
 		counts[t]++
 	}
+	stampCounts(rel, counts)
+}
+
+// stampCounts stamps rel in time order from per-slot counts: counts[ms]
+// tuples arrive at millisecond ms. The counts add up to len(rel).
+func stampCounts(rel tuple.Relation, counts []int) {
 	i := 0
-	for slot := int64(0); slot < w; slot++ {
-		for c := counts[slot]; c > 0; c-- {
-			rel[i].TS = slot
+	for slot, c := range counts {
+		for ; c > 0; c-- {
+			rel[i].TS = int64(slot)
 			i++
 		}
 	}
@@ -229,18 +235,7 @@ func spiky(rel tuple.Relation, w int64, baseFrac float64, spikes int, seed uint6
 		}
 		counts[slot] += share
 	}
-	i := 0
-	for slot := int64(0); slot < w; slot++ {
-		for c := counts[slot]; c > 0; c-- {
-			rel[i].TS = slot
-			i++
-		}
-	}
-	if i != n { // distribute rounding remainder at the end of the window
-		for ; i < n; i++ {
-			rel[i].TS = w - 1
-		}
-	}
+	stampCounts(rel, counts)
 }
 
 // Scale shrinks the real-world workload sizes so tests and default bench

@@ -32,12 +32,24 @@ var ErrBadTag = errors.New("ingest: connection must start with stream tag 'R' or
 // WriteStream writes tag followed by length-delimited frames: each tuple
 // is one fixed 16-byte frame; closing the writer ends the stream.
 func WriteStream(w io.Writer, tag byte, rel tuple.Relation) error {
+	return writeStream(w, tag, rel, nil)
+}
+
+// writeStream is WriteStream paced by a non-nil clock: before a frame that
+// is not yet due it drains the buffered frames to the peer and waits.
+func writeStream(w io.Writer, tag byte, rel tuple.Relation, pace *clock.Scaled) error {
 	bw := bufio.NewWriter(w)
 	if err := bw.WriteByte(tag); err != nil {
 		return err
 	}
 	buf := make([]byte, 0, tuple.BinarySize)
 	for _, t := range rel {
+		if pace != nil && pace.Behind(t.TS) > 0 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+			pace.Pace(t.TS)
+		}
 		buf = tuple.AppendBinary(buf[:0], t)
 		if _, err := bw.Write(buf); err != nil {
 			return err
@@ -191,27 +203,9 @@ func Send(addr string, tag byte, rel tuple.Relation, nsPerMs float64) error {
 		return err
 	}
 	defer conn.Close()
-	if nsPerMs <= 0 {
-		return WriteStream(conn, tag, rel)
+	var pace *clock.Scaled
+	if nsPerMs > 0 {
+		pace = clock.NewScaled(nsPerMs)
 	}
-	bw := bufio.NewWriter(conn)
-	if err := bw.WriteByte(tag); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, tuple.BinarySize)
-	pacer := clock.NewPacer(nsPerMs)
-	for _, t := range rel {
-		if pacer.Behind(t.TS) > 0 {
-			// Drain buffered frames to the peer before stalling.
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			pacer.Pace(t.TS)
-		}
-		buf = tuple.AppendBinary(buf[:0], t)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeStream(conn, tag, rel, pace)
 }

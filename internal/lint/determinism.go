@@ -6,12 +6,12 @@ import "go/ast"
 // algorithm code. A single stray time.Now in a join kernel silently breaks
 // the simulated-arrival model (every experiment assumes time flows through
 // internal/clock), and an unseeded global rand makes a benchmark sweep
-// unrepeatable. Sanctioned wall-clock call sites (internal/clock itself,
-// the metrics harness) are path-allowlisted.
+// unrepeatable. internal/clock, the one wall-clock reader, is
+// path-allowlisted; everything else measures through its Stopwatch.
 var determinism = Rule{
 	Name:     "determinism",
-	Doc:      "no time.Now/time.Since/global math/rand outside internal/clock and internal/metrics",
-	Contract: "Replays and golden files require run-to-run byte stability. Wall-clock reads (time.Now) and unseeded randomness are banned outside internal/clock and the metrics harness; derive time from the run ledger and randomness from the seeded workload spec.",
+	Doc:      "no time.Now/time.Since/global math/rand outside internal/clock",
+	Contract: "Replays and golden files require run-to-run byte stability. Wall-clock reads (time.Now) and unseeded randomness are banned outside internal/clock, the one wall-clock reader; derive time from the run ledger and randomness from the seeded workload spec.",
 	Check:    perPackage(checkDeterminism),
 }
 

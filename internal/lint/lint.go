@@ -106,9 +106,9 @@ func (prog *Program) keep(r Rule, found []Finding) []Finding {
 // the module root) where the rule does not apply: sanctioned call sites
 // whose whole purpose is the flagged construct.
 var pathAllow = map[string][]string{
-	// internal/clock is the one sanctioned wall-clock wrapper; the
-	// metrics harness measures real elapsed time by design.
-	"determinism": {"internal/clock", "internal/metrics"},
+	// internal/clock is the one wall-clock reader: the run's clock, the
+	// sender's pacing and every Stopwatch, the phase clock's included.
+	"determinism": {"internal/clock"},
 }
 
 // pathAllowed reports whether the rule is allowlisted for the package's

@@ -13,8 +13,9 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
+
+	"repro/internal/clock"
 )
 
 // Phase identifies one of the six execution phases of the breakdown.
@@ -71,12 +72,12 @@ type ThreadMetrics struct {
 }
 
 // epoch anchors the phase clock.
-var epoch = time.Now()
+var epoch = clock.StartStopwatch()
 
 // NowNs reads the phase clock: monotonic nanoseconds since the process
 // started, the time base of Span. A trace recorder reads it once, for its
 // epoch; every other read is a phase change's.
-func NowNs() int64 { return int64(time.Since(epoch)) }
+func NowNs() int64 { return epoch.ElapsedNs() }
 
 // Begin switches the worker into phase p, closing the open stretch.
 func (t *ThreadMetrics) Begin(p Phase) {

@@ -8,7 +8,7 @@ type PoolKind int
 // The pooled kinds: single-writer and latched hash tables, radix
 // partitioners, sized tuple buffers (run copies, merge outputs, sort
 // scratch, pull batches), the hit buffers of probe batches, uint32 arrays
-// (the JB router's status table, ADAPTIVE's profile scratch), the result
+// (the JB router's status table, the sort joins' splitter sample), the result
 // batches of the output path, and the run frames of whole calls
 // (internal/core), each of which holds its run's metrics collector.
 const (
