@@ -107,6 +107,16 @@ func TestStopwatch(t *testing.T) {
 	}
 }
 
+// TestPacerDefaultRate holds the pacing side of the real-time default: a
+// clock made with a rate that is not positive paces a timestamp 1000 ms
+// out at about one real second.
+func TestPacerDefaultRate(t *testing.T) {
+	c := NewScaled(0)
+	if got := c.Behind(1000); got <= 900*time.Millisecond || got > time.Second {
+		t.Fatalf("Behind(1000) = %v on a default-rate clock, want about 1s", got)
+	}
+}
+
 func TestPacerPacesDueTimestamps(t *testing.T) {
 	c := NewScaled(1e5) // 0.1ms real per simulated ms
 	sw := StartStopwatch()
